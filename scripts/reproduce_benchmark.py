@@ -14,31 +14,10 @@ import argparse
 from pathlib import Path
 
 from groundling import corpus
-from groundling.correspondence import train
-from groundling.fixtures import benchmark_manifest, reference_world, site_spec
-from groundling.pipeline import ModelBundle, benchmark
-from groundling.symbols import (
-    default_registry,
-    enumerate_grounding_type_space,
-    enumerate_perception_space,
-    enumerate_semantic_space,
-)
+from groundling.fixtures import benchmark_manifest, site_spec
+from groundling.pipeline import ModelBundle, benchmark, train_bundle
+from groundling.symbols import default_registry
 from groundling.world import simulate
-
-
-def train_bundle(registry, seed: int) -> ModelBundle:
-    examples = corpus.generate(corpus.CorpusConfig(seed=seed), registry)
-    train_set, _ = corpus.split(examples)
-    sets = corpus.training_sets(train_set, registry, reference_world(registry))
-    spaces = {
-        "semantic": enumerate_semantic_space(),
-        "perception": enumerate_perception_space(registry),
-        "grounding": enumerate_grounding_type_space(registry),
-    }
-    return ModelBundle(**{
-        domain: train(spaces[domain], sets[domain]).model
-        for domain in ("semantic", "perception", "grounding")
-    })
 
 
 def main(argv=None) -> int:
@@ -48,7 +27,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("benchmark.csv"))
     parser.add_argument("--audit", type=Path, default=Path("benchmark_audit.json"))
     parser.add_argument("--seed", type=int, default=7, help="corpus sampling seed")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     registry = default_registry()
@@ -56,14 +34,16 @@ def main(argv=None) -> int:
         bundle = ModelBundle.load(args.models)
         print(f"loaded bundle from {args.models}")
     else:
-        bundle = train_bundle(registry, args.seed)
+        examples = corpus.generate(corpus.CorpusConfig(seed=args.seed), registry)
+        train_set, _ = corpus.split(examples)
+        bundle, _ = train_bundle(train_set, registry)
         print("trained bundle from scratch")
 
     site_observations = {
         site: simulate(site_spec(site), registry) for site in ("site-1", "site-2")
     }
     report = benchmark(benchmark_manifest(), site_observations, bundle,
-                       registry, jobs=args.jobs)
+                       registry)
     report.write_csv(args.out)
     report.write_audit(args.audit)
     print(report.to_table())

@@ -11,24 +11,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
-from pathlib import Path
 
 from . import corpus as corpus_mod
-from .correspondence import train
 from .errors import GroundlingError
 from .fixtures import benchmark_manifest, reference_world, site_spec
-from .pipeline import MODES, ModelBundle, benchmark, run
-from .symbols import load_registry, save_registry
+from .pipeline import MODES, ModelBundle, benchmark, run, train_bundle
+from .symbols import default_registry, load_registry, save_registry
 from .world import load_observations, save_observations, save_world, simulate
 
 
 def _registry(args):
-    if getattr(args, "registry", None):
+    if args.registry:
         return load_registry(args.registry)
-    packaged = resources.files("groundling").joinpath("data/registry.yaml")
-    with resources.as_file(packaged) as path:
-        return load_registry(path)
+    return default_registry()
 
 
 def _cmd_generate_corpus(args) -> int:
@@ -53,37 +48,21 @@ def _cmd_generate_world(args) -> int:
     return 0
 
 
-def _split_corpus(args, registry):
+def _split_corpus(args):
     examples = corpus_mod.load_corpus(args.corpus)
     return corpus_mod.split(examples, fraction=args.fraction, seed=args.seed)
 
 
 def _cmd_train(args) -> int:
     registry = _registry(args)
-    train_set, held = _split_corpus(args, registry)
-    reference = reference_world(registry)
-    sets = corpus_mod.training_sets(train_set, registry, reference)
-    from .symbols import (
-        enumerate_grounding_type_space,
-        enumerate_perception_space,
-        enumerate_semantic_space,
-    )
-    spaces = {
-        "semantic": enumerate_semantic_space(),
-        "perception": enumerate_perception_space(registry),
-        "grounding": enumerate_grounding_type_space(registry),
-    }
-    models = {}
-    for domain in ("semantic", "perception", "grounding"):
-        result = train(spaces[domain], sets[domain],
-                       regularization=args.regularization)
-        models[domain] = result.model
+    train_set, held = _split_corpus(args)
+    bundle, results = train_bundle(train_set, registry,
+                                   regularization=args.regularization)
+    for domain, result in results.items():
         print(f"{domain}: {result.iterations} iterations,"
+              f" converged={result.converged},"
               f" objective {result.objective:.3f},"
               f" grad norm {result.grad_norm:.2e}")
-    bundle = ModelBundle(semantic=models["semantic"],
-                         perception=models["perception"],
-                         grounding=models["grounding"])
     bundle.save(args.out)
     print(f"saved models to {args.out}"
           f" (trained on {len(train_set)}, held out {len(held)})")
@@ -92,7 +71,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     registry = _registry(args)
-    train_set, held = _split_corpus(args, registry)
+    train_set, held = _split_corpus(args)
     bundle = ModelBundle.load(args.models)
     reference = reference_world(registry)
     for name, examples in (("train", train_set), ("held-out", held)):
@@ -136,7 +115,7 @@ def _cmd_benchmark(args) -> int:
     cases = benchmark_manifest()
     sites = {name: simulate(site_spec(name), registry)
              for name in sorted({c.site for c in cases})}
-    report = benchmark(cases, sites, bundle, registry, jobs=args.jobs)
+    report = benchmark(cases, sites, bundle, registry)
     if args.out:
         report.write_csv(args.out)
         print(f"wrote {len(report.results)} rows to {args.out}")
@@ -204,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True)
     p.add_argument("--out", help="write results CSV here")
     p.add_argument("--audit", help="write per-run audit JSON here")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("dump-registry", help="write the active registry YAML")

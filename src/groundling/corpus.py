@@ -42,6 +42,7 @@ from .symbols import (
     OBJECT_DETECTOR,
     PerceptionSymbol,
     REGION_SURFACE_FORMS,
+    SCENE_LABELS,
     STRUCTURAL_KINDS,
     SemanticSymbol,
     color_symbol,
@@ -126,7 +127,7 @@ def generate(config: CorpusConfig,
             if template in ("color", "color_region"):
                 color = _pick(rng, registry.colors)
             if template in ("region", "color_region"):
-                region = _pick(rng, registry.scene_labels)
+                region = _pick(rng, SCENE_LABELS)
                 forms = REGION_SURFACE_FORMS[region]
                 surface = " ".join(forms[int(rng.integers(len(forms)))])
             words = [verb, "to", "the", superlative]

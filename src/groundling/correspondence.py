@@ -185,11 +185,11 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
           digest: WorldDigest | None = None, world=None) -> Assignment:
     """Greedy bottom-up inference: threshold each factor given its children.
 
-    When ``world`` is given and the space contains action symbols, the
-    root-true constraints are resolved against the world's objects and the
-    action variables are overridden afterwards: the selected action is true
-    at the root only, every other action variable is false everywhere.
-    Resolution failures (``NoTargetObject``, ``AmbiguousRelation``)
+    When ``world`` is given, the root-true constraints are resolved against
+    the world's objects and the action variables are overridden afterwards:
+    the selected action is true at the root only, every other action
+    variable is false everywhere.  Resolution failures (``NoTargetObject``,
+    which an empty world always raises, and ``AmbiguousRelation``)
     propagate to the caller.
     """
     if model.domain != space.domain:
@@ -217,7 +217,7 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
         trues[phrase.index] = frozenset(row)
 
     action = target = None
-    if world is not None and any(s.variant == "action" for s in symbols):
+    if world is not None:
         action, target = resolve_action(trues[-1], world.objects, world.robot_pose)
         trues = [frozenset(s for s in row if s.variant != "action") for row in trues]
         trues[-1] = trues[-1] | {action}

@@ -23,7 +23,7 @@ from importlib import resources
 import yaml
 
 from .errors import InvalidSpec
-from .symbols import ClassifierRegistry, default_registry
+from .symbols import SCENE_LABELS, ClassifierRegistry, default_registry
 from .world import (
     CooccurrenceModel,
     DetectedObject,
@@ -161,7 +161,6 @@ def site1_spec() -> WorldSpec:
     return WorldSpec(
         name="site-1", seed=101, objects=_objects(rows),
         trajectory=_corridor(), cooccurrence=default_cooccurrence(),
-        registry_classes=default_registry().object_classes,
     )
 
 
@@ -192,7 +191,6 @@ def site2_spec() -> WorldSpec:
     return WorldSpec(
         name="site-2", seed=202, objects=_objects(rows),
         trajectory=_corridor(), cooccurrence=default_cooccurrence(),
-        registry_classes=default_registry().object_classes,
     )
 
 
@@ -216,7 +214,7 @@ def reference_world(registry: ClassifierRegistry | None = None) -> WorldModel:
     n = 0
     for cls in registry.object_classes:
         for color in registry.colors:
-            for region in registry.scene_labels:
+            for region in SCENE_LABELS:
                 for _ in range(2):
                     radius = 2.0 + 0.03 * n
                     angle = n * GOLDEN_ANGLE

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .errors import EmptyInstruction, MalformedTree, OutOfGrammar
 from .symbols import ClassifierRegistry, REGION_SURFACE_FORMS, default_registry
@@ -253,7 +253,7 @@ def _index_phrases(raw, counter) -> Phrase:
     return Phrase(category=cat, tokens=tuple(tokens), children=built, index=idx)
 
 
-@lru_cache(maxsize=4)
+@cache
 def _default_grammar() -> Grammar:
     return Grammar(default_registry())
 

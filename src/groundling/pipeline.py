@@ -22,17 +22,26 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import corpus
 from .adapt import (
     ClassifierSelection,
     FilterDecision,
     filter_observations,
     infer_classifiers,
 )
-from .correspondence import Assignment, CorrespondenceModel, infer, load_model, save_model
+from .correspondence import (
+    DEFAULT_REGULARIZATION,
+    Assignment,
+    CorrespondenceModel,
+    TrainResult,
+    infer,
+    load_model,
+    save_model,
+    train,
+)
 from .errors import (
     AmbiguousRelation,
     EmptyInstruction,
@@ -40,9 +49,15 @@ from .errors import (
     NoTargetObject,
     OutOfGrammar,
 )
-from .fixtures import BenchmarkCase
+from .fixtures import reference_world
 from .grammar import parse_text
-from .symbols import ClassifierRegistry, enumerate_grounding_space
+from .symbols import (
+    ClassifierRegistry,
+    enumerate_grounding_space,
+    enumerate_grounding_type_space,
+    enumerate_perception_space,
+    enumerate_semantic_space,
+)
 from .world import WorldModel, build_world_model
 
 MODES = ("B", "OF", "AP", "OF_AP")
@@ -73,6 +88,28 @@ class ModelBundle:
             perception=load_model(directory / "perception.json"),
             grounding=load_model(directory / "grounding.json"),
         )
+
+
+def train_bundle(examples, registry: ClassifierRegistry,
+                 regularization: float = DEFAULT_REGULARIZATION,
+                 ) -> tuple[ModelBundle, dict[str, TrainResult]]:
+    """Fit the three models on ``examples`` against the reference world.
+
+    Returns the bundle and each domain's training result, so callers can
+    report iterations, convergence, objective and gradient norm.
+    """
+    sets = corpus.training_sets(examples, registry, reference_world(registry))
+    spaces = {
+        "semantic": enumerate_semantic_space(),
+        "perception": enumerate_perception_space(registry),
+        "grounding": enumerate_grounding_type_space(registry),
+    }
+    results = {domain: train(space, sets[domain],
+                             regularization=regularization)
+               for domain, space in spaces.items()}
+    bundle = ModelBundle(**{domain: result.model
+                            for domain, result in results.items()})
+    return bundle, results
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,27 +247,17 @@ class BenchmarkReport:
 
 
 def benchmark(cases, site_observations, models: ModelBundle,
-              registry: ClassifierRegistry, jobs: int = 1) -> BenchmarkReport:
+              registry: ClassifierRegistry) -> BenchmarkReport:
     """Run every case under every mode, in declared order.
 
-    ``site_observations`` maps site name to its observation log.  With
-    ``jobs`` above one, runs execute on a thread pool; results keep the
-    deterministic (case, mode) order either way.
+    ``site_observations`` maps site name to its observation log.
     """
     cases = tuple(cases)
     for case in cases:
         if case.site not in site_observations:
             raise GroundlingError(f"no observations for site {case.site!r}")
-    work = [(case, mode) for case in cases for mode in MODES]
-
-    def one(case: BenchmarkCase, mode: str) -> RunResult:
-        return run(case.instruction, site_observations[case.site], models,
-                   registry, mode=mode, site=case.site)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one, case, mode) for case, mode in work]
-            results = tuple(f.result() for f in futures)
-    else:
-        results = tuple(one(case, mode) for case, mode in work)
-    return BenchmarkReport(results=results)
+    return BenchmarkReport(results=tuple(
+        run(case.instruction, site_observations[case.site], models, registry,
+            mode=mode, site=case.site)
+        for case in cases for mode in MODES
+    ))

@@ -24,17 +24,6 @@ import yaml
 
 from .errors import EmptyRegistry, InvalidSpec, UnknownClassifier, UnknownSchemaVersion
 
-SCENE_LABELS = (
-    "hallway",
-    "kitchen",
-    "laboratory",
-    "lounge",
-    "office",
-    "parking_lot",
-    "warehouse",
-    "workshop",
-)
-
 # Surface word sequences that name each scene label in instructions.
 REGION_SURFACE_FORMS: dict[str, tuple[tuple[str, ...], ...]] = {
     "hallway": (("hallway",),),
@@ -46,6 +35,9 @@ REGION_SURFACE_FORMS: dict[str, tuple[tuple[str, ...], ...]] = {
     "warehouse": (("warehouse",),),
     "workshop": (("workshop",),),
 }
+
+# The fixed scene taxonomy, in sorted order.
+SCENE_LABELS = tuple(REGION_SURFACE_FORMS)
 
 DEFAULT_OBJECT_CLASSES = (
     "ball",
@@ -75,7 +67,7 @@ STRUCTURAL_KINDS = (BBOX_ESTIMATOR, NOISE_FILTER, POSE_ESTIMATOR)
 
 RELATION_KINDS = ("farthest", "nearest")
 
-REGISTRY_SCHEMA = 1
+REGISTRY_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -223,23 +215,20 @@ def action_instance(obj) -> GroundingSymbol:
 class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
-    Symbols are sorted by canonical string; ``position`` gives the dense
-    index of a symbol, which correspondence assignments use as column ids.
+    Symbols are sorted by canonical string, so a symbol's index is stable
+    across runs.
     """
 
     def __init__(self, domain: str, symbols):
         ordered = sorted(symbols, key=lambda s: s.canon)
-        index: dict[str, int] = {}
-        for j, sym in enumerate(ordered):
-            if sym.canon in index:
+        canons: set[str] = set()
+        for sym in ordered:
+            if sym.canon in canons:
                 raise InvalidSpec(f"duplicate symbol {sym.canon}")
-            index[sym.canon] = j
+            canons.add(sym.canon)
         self.domain = domain
         self.symbols = tuple(ordered)
-        self._index = index
-
-    def position(self, symbol) -> int:
-        return self._index[symbol.canon]
+        self._canons = canons
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -251,7 +240,7 @@ class SymbolSpace:
         return self.symbols[j]
 
     def __contains__(self, symbol) -> bool:
-        return getattr(symbol, "canon", None) in self._index
+        return getattr(symbol, "canon", None) in self._canons
 
 
 @dataclass(frozen=True)
@@ -284,19 +273,17 @@ _DEFAULT_COSTS = (
 class ClassifierRegistry:
     """Declares the available classifiers and their cost parameters.
 
-    The registry also carries the object-class, color, and scene-label
-    vocabularies so a single file pins everything the grammar and symbol
-    spaces need.
+    The registry also carries the object-class and color vocabularies.
+    Scene labels are not registry data: they are the fixed taxonomy
+    ``SCENE_LABELS`` that the grammar and the scene classifier share.
     """
 
     object_classes: tuple[str, ...] = DEFAULT_OBJECT_CLASSES
     colors: tuple[str, ...] = DEFAULT_COLORS
-    scene_labels: tuple[str, ...] = SCENE_LABELS
     structural_stages: tuple[str, ...] = STRUCTURAL_KINDS
     kind_costs: tuple[tuple[str, CostModel], ...] = _DEFAULT_COSTS
     cost_overrides: tuple[tuple[str, CostModel], ...] = ()
     scene_cost_per_observation: float = 0.2
-    schema: int = REGISTRY_SCHEMA
 
     def __post_init__(self):
         # Canonicalise cost-table ordering so registries compare equal no
@@ -305,8 +292,6 @@ class ClassifierRegistry:
         for field_name in ("kind_costs", "cost_overrides"):
             table = tuple(sorted(getattr(self, field_name), key=lambda item: item[0]))
             object.__setattr__(self, field_name, table)
-        if tuple(sorted(self.scene_labels)) != tuple(self.scene_labels):
-            raise InvalidSpec("scene labels must be listed in sorted order")
         if len(set(self.object_classes)) != len(self.object_classes):
             raise InvalidSpec("duplicate object class")
         if self.scene_cost_per_observation < 0:
@@ -314,6 +299,11 @@ class ClassifierRegistry:
         for stage in self.structural_stages:
             if stage not in STRUCTURAL_KINDS:
                 raise InvalidSpec(f"unknown structural stage {stage!r}")
+
+    @property
+    def scene_labels(self) -> tuple[str, ...]:
+        """The fixed scene taxonomy; no registry can change it."""
+        return SCENE_LABELS
 
     def classifiers(self) -> tuple[PerceptionSymbol, ...]:
         out = [PerceptionSymbol(OBJECT_DETECTOR, c) for c in self.object_classes]
@@ -356,7 +346,7 @@ def enumerate_perception_space(registry: ClassifierRegistry) -> SymbolSpace:
 def _type_level_symbols(registry: ClassifierRegistry) -> list[GroundingSymbol]:
     syms = [object_type(c) for c in registry.object_classes]
     syms += [color_symbol(c) for c in registry.colors]
-    syms += [region_symbol(l) for l in registry.scene_labels]
+    syms += [region_symbol(l) for l in SCENE_LABELS]
     syms += [relation_symbol(k) for k in RELATION_KINDS]
     return syms
 
@@ -379,32 +369,11 @@ def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpac
     return SymbolSpace("grounding", syms)
 
 
-def perception_from_canon(canon: str) -> PerceptionSymbol:
-    if "[" in canon:
-        kind, _, rest = canon.partition("[")
-        return PerceptionSymbol(kind, rest.rstrip("]"))
-    return PerceptionSymbol(canon)
-
-
-def grounding_from_canon(canon: str) -> GroundingSymbol:
-    """Rebuild a type-level grounding symbol from its canonical string."""
-    for variant, prefix in (
-        ("objtype", "type["),
-        ("color", "color["),
-        ("region", "region["),
-        ("rel", "relation["),
-    ):
-        if canon.startswith(prefix) and canon.endswith("]"):
-            return GroundingSymbol(variant, canon[len(prefix):-1])
-    raise InvalidSpec(f"not a type-level grounding symbol: {canon!r}")
-
-
 def save_registry(registry: ClassifierRegistry, path) -> None:
     doc = {
-        "schema": registry.schema,
+        "schema": REGISTRY_SCHEMA,
         "object_classes": list(registry.object_classes),
         "colors": list(registry.colors),
-        "scene_labels": list(registry.scene_labels),
         "structural_stages": list(registry.structural_stages),
         "kind_costs": {
             kind: {"base_cost": m.base_cost, "per_item_cost": m.per_item_cost}
@@ -437,7 +406,6 @@ def load_registry(path) -> ClassifierRegistry:
         return ClassifierRegistry(
             object_classes=tuple(doc["object_classes"]),
             colors=tuple(doc["colors"]),
-            scene_labels=tuple(doc["scene_labels"]),
             structural_stages=tuple(doc.get("structural_stages", STRUCTURAL_KINDS)),
             kind_costs=kind_costs,
             cost_overrides=overrides,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +91,6 @@ class Observation:
     sensed: tuple[RawDetection, ...]
     scene_label: str
     scene_scores: tuple[tuple[str, float], ...]
-
-    def scores_dict(self) -> dict[str, float]:
-        return dict(self.scene_scores)
 
 
 @dataclass(frozen=True)
@@ -201,16 +198,6 @@ def classify_detections(classes, model: CooccurrenceModel,
     return label, tuple(scores)
 
 
-def scene_classify(obs: Observation, model: CooccurrenceModel,
-                   prev_label: str | None = None,
-                   prev_scores: tuple[tuple[str, float], ...] | None = None,
-                   ) -> tuple[str, tuple[tuple[str, float], ...]]:
-    """Classify one observation from its sensed apparent classes."""
-    return classify_detections(
-        [d.apparent_class for d in obs.sensed], model, prev_label, prev_scores
-    )
-
-
 @dataclass(frozen=True)
 class WorldSpec:
     """Declarative description of a simulated site."""
@@ -223,7 +210,6 @@ class WorldSpec:
     noise: float = 0.0
     clutter_rate: float = 0.0
     sensing_range: float = SENSING_RANGE
-    registry_classes: tuple[str, ...] = ()
 
     def __post_init__(self):
         ids = [o.id for o in self.objects]
@@ -240,19 +226,16 @@ class WorldSpec:
                 raise InvalidSpec(f"object {o.id} has unknown region {o.region!r}")
 
 
-def simulate(spec: WorldSpec, registry: ClassifierRegistry | None = None,
+def simulate(spec: WorldSpec, registry: ClassifierRegistry,
              ) -> tuple[Observation, ...]:
     """Run the trajectory and return one labeled observation per waypoint.
 
     Deterministic for a fixed spec: all randomness (confusion draws,
-    clutter) comes from a generator seeded with ``spec.seed``.
+    clutter) comes from a generator seeded with ``spec.seed``.  Confused
+    and clutter classes are drawn from the registry's object classes.
     """
     rng = np.random.default_rng(spec.seed)
-    classes = tuple(registry.object_classes) if registry else None
-    if classes is None:
-        classes = spec.registry_classes or tuple(
-            sorted({o.cls for o in spec.objects})
-        )
+    classes = registry.object_classes
     colors = tuple(sorted({o.color for o in spec.objects})) or ("white",)
     range2 = spec.sensing_range * spec.sensing_range
 
@@ -465,7 +448,6 @@ def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
-                      prior: WorldModel | None = None,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Run the selected classifiers over the observations and merge objects.
 
@@ -474,7 +456,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     object (their positions are unknown), though costs for stages that did
     run still accrue.  Duplicate detections of one object -- same apparent
     class within the merge radius -- collapse to a single object at the
-    centroid, and objects from ``prior`` merge by the same rule.
+    centroid.
     """
     obs = sorted(observations, key=lambda o: o.t)
     selected = frozenset(classifiers)
@@ -483,9 +465,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         if c not in known:
             raise UnknownClassifier(c.canon)
     if robot_pose is None:
-        robot_pose = obs[-1].robot_pose if obs else (
-            prior.robot_pose if prior else (0.0, 0.0, 0.0)
-        )
+        robot_pose = obs[-1].robot_pose if obs else (0.0, 0.0, 0.0)
 
     ledger: list[tuple[str, float]] = []
     detections: list[Detection] = []
@@ -521,9 +501,6 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         geometry_ready = True
 
     total_cost = sum(c for _, c in ledger)
-    prior_objects = tuple(prior.objects) if prior else ()
-    built_from = frozenset(o.t for o in obs) | (prior.built_from if prior else frozenset())
-
     if not geometry_ready:
         usable: list[Detection] = []
     else:
@@ -531,51 +508,30 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
 
     obs_by_t = {o.t: o for o in obs}
     objects: list[DetectedObject] = []
-    by_class: dict[str, list] = {}
+    by_class: dict[str, list[Detection]] = {}
     for d in usable:
-        by_class.setdefault(d.raw.apparent_class, []).append(("det", d))
-    for po in prior_objects:
-        by_class.setdefault(po.cls, []).append(("prior", po))
+        by_class.setdefault(d.raw.apparent_class, []).append(d)
 
     for cls in sorted(by_class):
         members = by_class[cls]
-        points = []
-        for kind, m in members:
-            if kind == "det":
-                points.append(m.position)
-            else:
-                points.append((m.pose[0], m.pose[1]))
-        for group in _cluster(points):
-            xs = [points[i][0] for i in group]
-            ys = [points[i][1] for i in group]
-            cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
-            colors, regions, provenance, thetas = [], [], set(), []
-            for i in group:
-                kind, m = members[i]
-                if kind == "det":
-                    colors.append(m.color)
-                    regions.append(obs_by_t[m.obs_t].scene_label)
-                    provenance.add(m.obs_t)
-                    thetas.append((m.obs_t, m.theta))
-                else:
-                    colors.append(m.color)
-                    regions.append(m.region)
-                    provenance.update(m.provenance)
-                    thetas.append((min(m.provenance, default=0), m.pose[2]))
-            theta = min(thetas)[1] if thetas else 0.0
+        for group in _cluster([d.position for d in members]):
+            dets = [members[i] for i in group]
+            cx = sum(d.position[0] for d in dets) / len(dets)
+            cy = sum(d.position[1] for d in dets) / len(dets)
             objects.append(DetectedObject(
                 id=_object_id(cls, cx, cy),
                 cls=cls,
-                color=_majority(colors),
-                pose=(cx, cy, theta),
-                region=_majority(regions, default=FALLBACK_SCENE),
-                provenance=frozenset(provenance),
+                color=_majority(d.color for d in dets),
+                pose=(cx, cy, min((d.obs_t, d.theta) for d in dets)[1]),
+                region=_majority((obs_by_t[d.obs_t].scene_label for d in dets),
+                                 default=FALLBACK_SCENE),
+                provenance=frozenset(d.obs_t for d in dets),
             ))
 
     objects.sort(key=lambda o: o.id)
     return WorldModel(
         objects=tuple(objects),
-        built_from=built_from,
+        built_from=frozenset(o.t for o in obs),
         classifiers_used=selected,
         total_cost=total_cost,
         robot_pose=robot_pose,
@@ -594,7 +550,6 @@ def save_world(spec: WorldSpec, path) -> None:
         "noise": spec.noise,
         "clutter_rate": spec.clutter_rate,
         "sensing_range": spec.sensing_range,
-        "registry_classes": list(spec.registry_classes),
         "objects": [
             {
                 "id": o.id, "class": o.cls, "color": o.color,
@@ -625,7 +580,6 @@ def load_world(path) -> WorldSpec:
             noise=float(doc.get("noise", 0.0)),
             clutter_rate=float(doc.get("clutter_rate", 0.0)),
             sensing_range=float(doc.get("sensing_range", SENSING_RANGE)),
-            registry_classes=tuple(doc.get("registry_classes", ())),
             objects=tuple(
                 LatentObject(
                     id=o["id"], cls=o["class"], color=o["color"],

@@ -14,36 +14,19 @@ import time
 import pytest
 
 from groundling import corpus
-from groundling.correspondence import train
 from groundling.fixtures import (
     benchmark_manifest,
     reference_world,
     site_spec,
 )
-from groundling.pipeline import ModelBundle, benchmark
-from groundling.symbols import (
-    default_registry,
-    enumerate_grounding_type_space,
-    enumerate_perception_space,
-    enumerate_semantic_space,
-)
+from groundling.pipeline import benchmark, train_bundle
+from groundling.symbols import default_registry
 from groundling.world import simulate
-
-DOMAINS = ("semantic", "perception", "grounding")
 
 
 @pytest.fixture(scope="session")
 def registry():
     return default_registry()
-
-
-@pytest.fixture(scope="session")
-def spaces(registry):
-    return {
-        "semantic": enumerate_semantic_space(),
-        "perception": enumerate_perception_space(registry),
-        "grounding": enumerate_grounding_type_space(registry),
-    }
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +53,7 @@ def reference(registry):
 
 
 @pytest.fixture(scope="session")
-def training_run(registry, spaces, corpus_split, reference):
+def training_run(registry, corpus_split):
     """(bundle, seconds): models fit on the standard split, with wall time.
 
     The clock covers design assembly and optimization for all three
@@ -78,13 +61,8 @@ def training_run(registry, spaces, corpus_split, reference):
     """
     train_set, _ = corpus_split
     started = time.perf_counter()
-    sets = corpus.training_sets(train_set, registry, reference)
-    models = {
-        domain: train(spaces[domain], sets[domain]).model
-        for domain in DOMAINS
-    }
-    elapsed = time.perf_counter() - started
-    return ModelBundle(**models), elapsed
+    bundle, _ = train_bundle(train_set, registry)
+    return bundle, time.perf_counter() - started
 
 
 @pytest.fixture(scope="session")

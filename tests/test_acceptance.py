@@ -27,15 +27,10 @@ from groundling.correspondence import (
     infer,
     infer_exhaustive,
     objective_and_gradient,
-    train,
 )
-from groundling.fixtures import benchmark_manifest, reference_world, site_spec
-from groundling.pipeline import MODES, ModelBundle, benchmark
-from groundling.symbols import (
-    enumerate_grounding_type_space,
-    enumerate_perception_space,
-    enumerate_semantic_space,
-)
+from groundling.fixtures import benchmark_manifest, site_spec
+from groundling.pipeline import MODES, benchmark, train_bundle
+from groundling.symbols import enumerate_semantic_space
 from groundling.world import build_world_model, simulate
 
 CUP_INSTRUCTION = "go to the farthest cup in the kitchen"
@@ -213,17 +208,7 @@ def strip_wall_time(report_csv: str) -> str:
 def test_criterion_8_determinism(bench_report, registry, tmp_path, verdict):
     examples = corpus_mod.generate(corpus_mod.CorpusConfig(seed=7), registry)
     train_set, _ = corpus_mod.split(examples)
-    sets = corpus_mod.training_sets(train_set, registry,
-                                    reference_world(registry))
-    spaces = {
-        "semantic": enumerate_semantic_space(),
-        "perception": enumerate_perception_space(registry),
-        "grounding": enumerate_grounding_type_space(registry),
-    }
-    bundle = ModelBundle(**{
-        domain: train(spaces[domain], sets[domain]).model
-        for domain in ("semantic", "perception", "grounding")
-    })
+    bundle, _ = train_bundle(train_set, registry)
     sites = {site: simulate(site_spec(site), registry)
              for site in ("site-1", "site-2")}
     rerun = benchmark(benchmark_manifest(), sites, bundle, registry)

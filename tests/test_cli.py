@@ -52,8 +52,7 @@ def test_full_workflow(tmp_path, capsys):
 
     assert cli.main(["benchmark", "--models", str(models_dir),
                      "--out", str(csv_path),
-                     "--audit", str(audit_path),
-                     "--jobs", "2"]) == 0
+                     "--audit", str(audit_path)]) == 0
     rows = list(csv.reader(csv_path.open()))
     assert len(rows) == 25
     assert len(json.loads(audit_path.read_text())) == 24

@@ -5,17 +5,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from test_acceptance import strip_wall_time
+
+import groundling
 from groundling.fixtures import benchmark_manifest
 from groundling.pipeline import (
     CSV_COLUMNS,
     MODES,
     ModelBundle,
-    benchmark,
     run,
 )
+
+REPRODUCE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_benchmark.py"
 
 
 def by_case_and_mode(report):
@@ -90,23 +98,16 @@ def test_audit_file_contents(bench_report, tmp_path):
         assert row["cost_ledger"] is not None
 
 
-def test_parallel_benchmark_matches_serial(bench_report, registry, site_logs,
-                                           bundle):
-    parallel = benchmark(benchmark_manifest(), site_logs, bundle, registry,
-                         jobs=3)
-    serial_rows = [(r.instruction, r.site, r.mode, r.cost_units,
-                    r.object_count, r.grounding, r.error)
-                   for r in bench_report.results]
-    parallel_rows = [(r.instruction, r.site, r.mode, r.cost_units,
-                      r.object_count, r.grounding, r.error)
-                     for r in parallel.results]
-    assert serial_rows == parallel_rows
-
-
-def test_run_reports_missing_target(bundle, registry, site_logs):
-    result = run("go to the nearest keyboard in the hallway",
-                 site_logs["site-1"], bundle, registry, mode="B",
-                 site="site-1")
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("instruction, site", [
+    ("go to the nearest keyboard in the hallway", "site-1"),
+    # AP and OF_AP build an empty world here: site-2 has no couch.
+    ("go to the nearest couch", "site-2"),
+])
+def test_run_reports_missing_target(bundle, registry, site_logs, mode,
+                                    instruction, site):
+    result = run(instruction, site_logs[site], bundle, registry, mode=mode,
+                 site=site)
     assert result.grounding == ""
     assert result.error.startswith("NoTargetObject")
 
@@ -140,3 +141,19 @@ def test_bundle_round_trip(bundle, tmp_path):
         restored = getattr(loaded, domain)
         assert restored.domain == original.domain
         assert dict(restored.weights) == dict(original.weights)
+
+
+def test_reproduce_script_matches_the_sweep(bench_report, bundle, tmp_path):
+    bundle.save(tmp_path / "models")
+    csv_path, audit_path = tmp_path / "bench.csv", tmp_path / "audit.json"
+    package_root = str(Path(groundling.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, str(REPRODUCE_SCRIPT),
+                    "--models", str(tmp_path / "models"),
+                    "--out", str(csv_path), "--audit", str(audit_path)],
+                   check=True, capture_output=True, env=env)
+    assert (strip_wall_time(csv_path.read_text())
+            == strip_wall_time(bench_report.to_csv()))
+    bench_report.write_audit(tmp_path / "expected.json")
+    assert audit_path.read_bytes() == (tmp_path / "expected.json").read_bytes()

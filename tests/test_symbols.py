@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
-from groundling.errors import EmptyRegistry, InvalidSpec, UnknownClassifier
+from groundling.errors import EmptyRegistry, UnknownClassifier, UnknownSchemaVersion
 from groundling.symbols import (
+    SCENE_LABELS,
     ClassifierRegistry,
     CostModel,
     PerceptionSymbol,
@@ -76,11 +78,14 @@ def test_registry_round_trip(registry, tmp_path):
     assert load_registry(path) == registry
 
 
-def test_packaged_registry_matches_default(registry):
-    from importlib import resources
-    packaged = resources.files("groundling").joinpath("data/registry.yaml")
-    with resources.as_file(packaged) as path:
-        assert load_registry(path) == registry
+def test_schema_1_registry_rejected(registry, tmp_path):
+    path = tmp_path / "registry.yaml"
+    save_registry(registry, path)
+    doc = yaml.safe_load(path.read_text())
+    doc.update(schema=1, scene_labels=list(SCENE_LABELS))
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(UnknownSchemaVersion):
+        load_registry(path)
 
 
 def test_cost_override_beats_kind_cost(registry):
@@ -96,11 +101,6 @@ def test_cost_override_beats_kind_cost(registry):
 def test_unknown_classifier_rejected(registry):
     with pytest.raises(UnknownClassifier):
         registry.cost_for(PerceptionSymbol("object_detector", "dragon"))
-
-
-def test_scene_labels_must_be_sorted():
-    with pytest.raises(InvalidSpec):
-        ClassifierRegistry(scene_labels=("office", "hallway"))
 
 
 def test_registry_equality_ignores_cost_table_order(registry):
