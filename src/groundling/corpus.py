@@ -32,6 +32,7 @@ from .errors import (
     AmbiguousRelation,
     InvalidConfig,
     InvalidFraction,
+    InvalidSpec,
     NoTargetObject,
     UnknownSchemaVersion,
 )
@@ -350,18 +351,21 @@ def load_corpus(path) -> tuple[CorpusExample, ...]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise UnknownSchemaVersion(None, CORPUS_SCHEMA)
-    header = json.loads(lines[0])
-    if header.get("schema") != CORPUS_SCHEMA:
-        raise UnknownSchemaVersion(header.get("schema"), CORPUS_SCHEMA)
-    out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(CorpusExample(
-            uid=rec["uid"], text=rec["text"], template=rec["template"],
-            verb=rec["verb"], superlative=rec["superlative"], noun=rec["noun"],
-            color=rec.get("color"), region=rec.get("region"),
-            region_surface=rec.get("region_surface"),
-        ))
+    try:
+        header = json.loads(lines[0])
+        if header.get("schema") != CORPUS_SCHEMA:
+            raise UnknownSchemaVersion(header.get("schema"), CORPUS_SCHEMA)
+        out = []
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            out.append(CorpusExample(
+                uid=rec["uid"], text=rec["text"], template=rec["template"],
+                verb=rec["verb"], superlative=rec["superlative"], noun=rec["noun"],
+                color=rec.get("color"), region=rec.get("region"),
+                region_surface=rec.get("region_surface"),
+            ))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed corpus file {path}: {exc!r}") from exc
     return tuple(out)

@@ -27,6 +27,7 @@ from .errors import (
     AmbiguousRelation,
     CorpusDomainMismatch,
     DivergedLoss,
+    InvalidSpec,
     NonFiniteScore,
     NoTargetObject,
     TooLarge,
@@ -41,6 +42,11 @@ ENUMERATION_LIMIT = 20
 _CHUNK_ROWS = 1 << 16
 DEFAULT_REGULARIZATION = 1e-4
 INSTANCE_VARIANTS = ("action", "object")
+# Training stops at this gradient max-norm, or after this many iterations;
+# a line search with no Barzilai-Borwein step at hand starts at FIRST_STEP.
+TOLERANCE = 1e-5
+MAX_ITERATIONS = 1000
+FIRST_STEP = 0.1
 
 
 def extract_features(phrase: Phrase, symbol, child_trues=(),
@@ -329,13 +335,19 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
                     data.append(value)
                 indptr.append(len(indices))
                 labels.append(1.0 if symbol.canon in gold_here else 0.0)
+    # Columns are numbered in first-seen order, which follows set iteration
+    # and so string hashing; renumber them by name so the design, and the
+    # floating-point sums over it, are the same in every process.
+    names = sorted(vocabulary)
+    renumber = np.empty(len(names), dtype=np.int32)
+    for column, name in enumerate(names):
+        renumber[vocabulary[name]] = column
     matrix = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices), np.asarray(indptr)),
-        shape=(len(labels), len(vocabulary)),
+        (np.asarray(data), renumber[np.asarray(indices, dtype=np.int32)],
+         np.asarray(indptr)),
+        shape=(len(labels), len(names)),
     )
-    names = [""] * len(vocabulary)
-    for name, column in vocabulary.items():
-        names[column] = name
+    matrix.sort_indices()
     return matrix, np.asarray(labels), tuple(names)
 
 
@@ -359,15 +371,16 @@ class TrainResult:
 
 
 def train(space: SymbolSpace, examples,
-          regularization: float = DEFAULT_REGULARIZATION,
-          max_iterations: int = 500, tolerance: float = 1e-6,
-          step: float = 0.1) -> TrainResult:
+          regularization: float = DEFAULT_REGULARIZATION) -> TrainResult:
     """Fit factor weights by full-batch gradient ascent.
 
-    Each iteration starts from the base step size and halves it until the
-    objective improves; training stops when the gradient's max-norm falls
-    under ``tolerance``, the step underflows, or the iteration budget runs
-    out.  A non-finite objective raises ``DivergedLoss``.
+    Each line search starts from the Barzilai-Borwein step ``s.s / s.y`` of
+    the last accepted move (``s`` the change in weights, ``y`` the fall in
+    gradient), or from ``FIRST_STEP`` when there is none or ``s.y <= 0``,
+    and halves it until the objective improves.  Training stops, converged,
+    when the gradient's max-norm falls under ``TOLERANCE``; it stops
+    unconverged when the step underflows or after ``MAX_ITERATIONS``.  A
+    non-finite objective raises ``DivergedLoss``.
     """
     design, labels, names = assemble_design(space, examples)
     weights = np.zeros(design.shape[1])
@@ -376,12 +389,11 @@ def train(space: SymbolSpace, examples,
     if not math.isfinite(objective):
         raise DivergedLoss(f"objective is {objective!r} at the start of training")
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
+    step = FIRST_STEP
+    for iterations in range(1, MAX_ITERATIONS + 1):
         grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
-        if grad_norm < tolerance:
+        if grad_norm < TOLERANCE:
             iterations -= 1
-            converged = True
             break
         trial = step
         improved = False
@@ -393,6 +405,9 @@ def train(space: SymbolSpace, examples,
             if math.isnan(cand_obj):
                 raise DivergedLoss("objective became non-finite during training")
             if cand_obj > objective:
+                s, y = candidate - weights, gradient - cand_grad
+                sy = float(s @ y)
+                step = float(s @ s) / sy if sy > 0.0 else FIRST_STEP
                 weights, objective, gradient = candidate, cand_obj, cand_grad
                 improved = True
                 break
@@ -400,12 +415,11 @@ def train(space: SymbolSpace, examples,
         if not improved:
             break
     grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
-    converged = converged or grad_norm < tolerance
     packed = {name: float(w) for name, w in zip(names, weights) if w != 0.0}
     model = CorrespondenceModel(domain=space.domain, weights=packed,
                                 regularization=regularization)
     return TrainResult(model=model, iterations=iterations, objective=objective,
-                       grad_norm=grad_norm, converged=converged)
+                       grad_norm=grad_norm, converged=grad_norm < TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +436,12 @@ def save_model(model: CorrespondenceModel, path) -> None:
 
 
 def load_model(path) -> CorrespondenceModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise UnknownSchemaVersion(doc.get("schema"), MODEL_SCHEMA)
-    weights = {str(k): float(v) for k, v in doc["weights"].items()}
-    return CorrespondenceModel(domain=str(doc["domain"]), weights=weights,
-                               regularization=float(doc["regularization"]))
+    try:
+        doc = json.loads(Path(path).read_text())
+        if doc.get("schema") != MODEL_SCHEMA:
+            raise UnknownSchemaVersion(doc.get("schema"), MODEL_SCHEMA)
+        weights = {str(k): float(v) for k, v in doc["weights"].items()}
+        return CorrespondenceModel(domain=str(doc["domain"]), weights=weights,
+                                   regularization=float(doc["regularization"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed model file {path}: {exc!r}") from exc

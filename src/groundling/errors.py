@@ -17,24 +17,14 @@ class EmptyInstruction(GroundlingError):
 class OutOfGrammar(GroundlingError):
     """Instruction cannot be derived from the command grammar.
 
-    ``token`` is the first surface token at which derivation failed.
+    ``token`` is the first unknown word if there is one, else the first
+    surface token the grammar cannot consume (the last token when the
+    instruction stops short).
     """
 
     def __init__(self, token: str):
         self.token = token
         super().__init__(f"no parse: unexpected token {token!r}")
-
-
-class MalformedTree(GroundlingError):
-    """A serialized parse tree could not be read.
-
-    ``offset`` is the 1-based byte offset at which reading failed.
-    """
-
-    def __init__(self, offset: int, reason: str = ""):
-        self.offset = offset
-        detail = f" ({reason})" if reason else ""
-        super().__init__(f"malformed tree at offset {offset}{detail}")
 
 
 class EmptyRegistry(GroundlingError):
@@ -75,7 +65,7 @@ class AmbiguousRelation(GroundlingError):
 
 
 class InvalidSpec(GroundlingError):
-    """A world specification is internally inconsistent."""
+    """An input file or specification is malformed or internally inconsistent."""
 
 
 class UnknownClassifier(GroundlingError):

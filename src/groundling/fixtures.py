@@ -23,7 +23,7 @@ from importlib import resources
 import yaml
 
 from .errors import InvalidSpec
-from .symbols import SCENE_LABELS, ClassifierRegistry, default_registry
+from .symbols import SCENE_LABELS, ClassifierRegistry
 from .world import (
     CooccurrenceModel,
     DetectedObject,
@@ -202,14 +202,13 @@ def site_spec(name: str) -> WorldSpec:
     return specs[name]()
 
 
-def reference_world(registry: ClassifierRegistry | None = None) -> WorldModel:
+def reference_world(registry: ClassifierRegistry) -> WorldModel:
     """Dense synthetic world with two objects per attribute combination.
 
     Objects sit on a spiral so every distance from the origin is distinct,
     which makes nearest / farthest resolution unambiguous.  Used as the
     grounding context when training and evaluating on the corpus.
     """
-    registry = registry or default_registry()
     objects = []
     n = 0
     for cls in registry.object_classes:

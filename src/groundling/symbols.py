@@ -17,7 +17,8 @@ lexicographically by that string so symbol indices are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -311,8 +312,12 @@ class ClassifierRegistry:
         out += [PerceptionSymbol(kind) for kind in self.structural_stages]
         return tuple(sorted(out, key=lambda s: s.canon))
 
+    @cached_property
+    def _classifier_set(self) -> frozenset[PerceptionSymbol]:
+        return frozenset(self.classifiers())
+
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
-        if symbol not in set(self.classifiers()):
+        if symbol not in self._classifier_set:
             raise UnknownClassifier(symbol.canon)
         for canon, model in self.cost_overrides:
             if canon == symbol.canon:

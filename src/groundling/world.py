@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -338,8 +339,12 @@ class WorldDigest:
 
     counts: tuple[tuple[tuple[str, str], int], ...] = ()
 
+    @cached_property
+    def _present(self) -> frozenset[tuple[str, str]]:
+        return frozenset(pair for pair, count in self.counts if count > 0)
+
     def has(self, key: str, value: str) -> bool:
-        return dict(self.counts).get((key, value), 0) > 0
+        return (key, value) in self._present
 
 
 def empty_world(robot_pose: Pose = (0.0, 0.0, 0.0)) -> WorldModel:
@@ -621,28 +626,31 @@ def load_observations(path) -> tuple[Observation, ...]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise InvalidSpec("empty observation log")
-    header = json.loads(lines[0])
-    if header.get("schema") != OBS_LOG_SCHEMA:
-        raise UnknownSchemaVersion(header.get("schema"), OBS_LOG_SCHEMA)
-    out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(Observation(
-            t=int(rec["t"]),
-            robot_pose=tuple(rec["robot_pose"]),
-            scene_label=rec["scene_label"],
-            scene_scores=tuple((l, float(s)) for l, s in rec["scene_scores"]),
-            sensed=tuple(
-                RawDetection(
-                    latent_id=d["latent_id"],
-                    rel=tuple(d["rel"]),
-                    apparent_class=d["apparent_class"],
-                    apparent_color=d["apparent_color"],
-                    noisy=bool(d["noisy"]),
-                )
-                for d in rec["sensed"]
-            ),
-        ))
+    try:
+        header = json.loads(lines[0])
+        if header.get("schema") != OBS_LOG_SCHEMA:
+            raise UnknownSchemaVersion(header.get("schema"), OBS_LOG_SCHEMA)
+        out = []
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            out.append(Observation(
+                t=int(rec["t"]),
+                robot_pose=tuple(rec["robot_pose"]),
+                scene_label=rec["scene_label"],
+                scene_scores=tuple((l, float(s)) for l, s in rec["scene_scores"]),
+                sensed=tuple(
+                    RawDetection(
+                        latent_id=d["latent_id"],
+                        rel=tuple(d["rel"]),
+                        apparent_class=d["apparent_class"],
+                        apparent_color=d["apparent_color"],
+                        noisy=bool(d["noisy"]),
+                    )
+                    for d in rec["sensed"]
+                ),
+            ))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed observation log {path}: {exc!r}") from exc
     return tuple(out)

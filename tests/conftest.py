@@ -53,16 +53,27 @@ def reference(registry):
 
 
 @pytest.fixture(scope="session")
-def training_run(registry, corpus_split):
-    """(bundle, seconds): models fit on the standard split, with wall time.
+def trained(registry, corpus_split):
+    """(bundle, {domain: TrainResult}, seconds) on the standard split.
 
     The clock covers design assembly and optimization for all three
     domains -- everything a retraining would have to redo.
     """
     train_set, _ = corpus_split
     started = time.perf_counter()
-    bundle, _ = train_bundle(train_set, registry)
-    return bundle, time.perf_counter() - started
+    bundle, results = train_bundle(train_set, registry)
+    return bundle, results, time.perf_counter() - started
+
+
+@pytest.fixture(scope="session")
+def training_run(trained):
+    """(bundle, seconds): models fit on the standard split, with wall time."""
+    return trained[0], trained[2]
+
+
+@pytest.fixture(scope="session")
+def train_results(trained):
+    return trained[1]
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groundling
 from groundling import cli
-from groundling.corpus import load_corpus
+from groundling.corpus import load_corpus, save_corpus
 from groundling.symbols import default_registry, load_registry
-from groundling.world import load_observations, load_world
+from groundling.world import load_observations, load_world, save_observations
 
 
 def test_full_workflow(tmp_path, capsys):
@@ -93,3 +98,52 @@ def test_custom_registry_flows_through(tmp_path, capsys):
     assert cli.main(["--registry", str(registry_path),
                      "generate-corpus", "--out", str(out_path)]) == 0
     assert out_path.exists()
+
+
+def _rewrite_jsonl(path, record_index, edit):
+    """Apply ``edit`` to the JSON record on line ``record_index`` (header is 0)."""
+    lines = path.read_text().splitlines()
+    lines[record_index] = edit(json.loads(lines[record_index]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop(key):
+    return lambda record: json.dumps({k: v for k, v in record.items() if k != key})
+
+
+@pytest.mark.parametrize("command, broken, edit", [
+    ("ground", "observations", lambda record: "{not json"),
+    ("ground", "observations", _drop("robot_pose")),
+    ("ground", "models", _drop("weights")),
+    ("evaluate", "corpus", _drop("text")),
+    ("train", "corpus", lambda record: '{"uid": "x",'),
+], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
+        "corpus-no-text", "corpus-bad-json"])
+def test_malformed_input_exits_one_without_traceback(
+        command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
+    models_dir = tmp_path / "models"
+    bundle.save(models_dir)
+    obs_path = tmp_path / "site1.jsonl"
+    save_observations(site_logs["site-1"][:3], obs_path)
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus_examples[:20], corpus_path)
+    if broken == "models":
+        model_path = models_dir / "semantic.json"
+        model_path.write_text(edit(json.loads(model_path.read_text())))
+    else:
+        _rewrite_jsonl(obs_path if broken == "observations" else corpus_path, 1, edit)
+
+    args = {
+        "ground": ["--instruction", "go to the nearest ball",
+                   "--models", str(models_dir), "--observations", str(obs_path)],
+        "evaluate": ["--corpus", str(corpus_path), "--models", str(models_dir)],
+        "train": ["--corpus", str(corpus_path), "--out", str(tmp_path / "out")],
+    }[command]
+    src = Path(groundling.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "groundling", command, *args],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("InvalidSpec: ")

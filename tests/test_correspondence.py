@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groundling
 from groundling.correspondence import (
     CorrespondenceModel,
     TrainingExample,
@@ -257,3 +262,33 @@ def test_model_round_trip(tmp_path, corpus_examples, registry):
     assert loaded.domain == model.domain
     assert loaded.regularization == model.regularization
     assert dict(loaded.weights) == dict(model.weights)
+
+
+_TRAIN_PERCEPTION = """
+import sys
+from groundling import corpus
+from groundling.correspondence import save_model, train
+from groundling.fixtures import reference_world
+from groundling.symbols import default_registry, enumerate_perception_space
+
+registry = default_registry()
+config = corpus.CorpusConfig(plain=10, color=10, region=10, color_region=10)
+examples = corpus.generate(config, registry)
+sets = corpus.training_sets(examples, registry, reference_world(registry))
+result = train(enumerate_perception_space(registry), sets["perception"])
+save_model(result.model, sys.argv[1])
+"""
+
+
+def test_trained_weights_do_not_depend_on_string_hashing(tmp_path):
+    package_root = str(Path(groundling.__file__).parents[1])
+    written = []
+    for hash_seed in ("1", "2"):
+        path = tmp_path / f"perception-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-c", _TRAIN_PERCEPTION, str(path)],
+                       check=True, capture_output=True, env=env)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]

@@ -133,6 +133,12 @@ def test_scene_cost_is_charged_in_every_mode(bench_report, registry):
             scene_cost + r.world.total_cost)
 
 
+def test_training_converges_in_every_domain(train_results):
+    assert set(train_results) == {"semantic", "perception", "grounding"}
+    for domain, result in train_results.items():
+        assert result.converged, (domain, result.iterations, result.grad_norm)
+
+
 def test_bundle_round_trip(bundle, tmp_path):
     bundle.save(tmp_path / "models")
     loaded = ModelBundle.load(tmp_path / "models")
