@@ -13,10 +13,8 @@ classifiers ever feed it.
 from .correspondence import (
     Assignment,
     CorrespondenceModel,
-    extract_features,
-    factor_prob,
     infer,
-    infer_exhaustive,
+    phrase_logits,
     resolve_action,
     train,
 )
@@ -40,11 +38,9 @@ __all__ = [
     "benchmark",
     "build_world_model",
     "default_registry",
-    "extract_features",
-    "factor_prob",
     "infer",
-    "infer_exhaustive",
     "parse_text",
+    "phrase_logits",
     "resolve_action",
     "run",
     "simulate",

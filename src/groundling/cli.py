@@ -10,6 +10,7 @@ argparse handles usage errors with status 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -195,12 +196,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except GroundlingError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone (``groundling ... | head``).  Point
+        # stdout at the null device so the interpreter's last flush of the
+        # unwritten output does not fail again on the way out.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

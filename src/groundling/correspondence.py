@@ -1,15 +1,21 @@
 """Log-linear correspondence models between parse phrases and symbols.
 
 Each (phrase, symbol) pair carries a boolean correspondence variable whose
-probability is a logistic function of sparse indicator features.  Inference
-walks the tree bottom-up: every variable is thresholded at one half given
-the already-resolved assignments of the phrase's children, so a full pass
-costs exactly one factor evaluation per phrase-symbol pair.
+probability is a logistic function of sparse binary features.  Every
+feature template crosses a phrase-side key (a word, the category, a
+resolved child's variant or attributes, the world digest) with a
+symbol-side key: the symbol's variant, one of its attribute pairs, or a
+(variant, pair) cell.  ``phrase_logits`` therefore names each phrase's
+features once per key of the space's ``SpaceLayout`` rather than once per
+symbol, and spreads the key weights onto every symbol with one gather and
+one ``bincount``.  Training builds its design rows from the same names.
 
-``infer_exhaustive`` is a deliberately brute-force reference: it rescores
-every joint setting of a phrase's variables instead of thresholding them
-one at a time.  Training fits the factor weights by penalized maximum
-likelihood with gold child assignments (teacher forcing).
+Inference walks the tree bottom-up: every variable is thresholded at one
+half given the already-resolved assignments of the phrase's children.
+``Assignment.factor_evals`` still counts one factor per phrase-symbol
+pair, the number of logits scored.  Training fits the factor weights by
+penalized maximum likelihood with gold child assignments (teacher
+forcing).
 """
 
 from __future__ import annotations
@@ -30,16 +36,13 @@ from .errors import (
     InvalidSpec,
     NonFiniteScore,
     NoTargetObject,
-    TooLarge,
     UnknownSchemaVersion,
 )
 from .grammar import ParseTree, Phrase
-from .symbols import GroundingSymbol, SymbolSpace, action_instance
+from .symbols import GroundingSymbol, SpaceLayout, SymbolSpace, action_instance
 from .world import DetectedObject, WorldDigest, planar_distance
 
 MODEL_SCHEMA = 1
-ENUMERATION_LIMIT = 20
-_CHUNK_ROWS = 1 << 16
 DEFAULT_REGULARIZATION = 1e-4
 INSTANCE_VARIANTS = ("action", "object")
 # Training stops at this gradient max-norm, or after this many iterations;
@@ -49,77 +52,91 @@ MAX_ITERATIONS = 1000
 FIRST_STEP = 0.1
 
 
-def extract_features(phrase: Phrase, symbol, child_trues=(),
-                     digest: WorldDigest | None = None) -> dict[str, float]:
-    """Sparse binary features for one correspondence factor.
+def _phrase_features(phrase: Phrase, layout: SpaceLayout, child_trues,
+                     digest: WorldDigest | None):
+    """Name the features of one phrase against every key of a space.
 
-    Templates couple the phrase's own words with the candidate symbol's
-    variant and attributes, summarize the resolved child assignments
-    (variants present, exact candidate repeats, attribute agreement), and
-    test the candidate's attributes against the world digest.  Attribute
-    features deliberately omit the variant so that weights learned on
-    type-level symbols transfer to instance symbols sharing the attribute.
+    Returns ``(names, keys, ceq)``: feature ``names[i]`` fires for every
+    symbol that has key ``keys[i]`` (see ``SpaceLayout``), and ``ceq``
+    lists ``(symbol index, name)`` for the symbols that repeat a
+    child.  Names come in a fixed order, so sums over them do not depend
+    on string hashing.  The templates, for a symbol of variant ``v``:
 
-    Only constraint symbols condition parents: true object and action
-    instances are skipped when summarizing children, because instances are
-    resolved against the world after inference and never appear as gold
-    children during training.
+    * ``bias|v``, ``cat=C|v``, ``w=word|v`` for each word the phrase owns,
+      and ``cv=u|v`` for each variant ``u`` among the resolved children;
+    * ``w=word|a=k=x`` for each of the symbol's attribute pairs ``(k, x)``,
+      without the variant, so that weights learned on type-level symbols
+      transfer to instance symbols sharing the attribute;
+    * ``cmatch|k|v`` when a child has the pair ``(k, x)``, and ``dig|k|v``
+      when the world digest has it;
+    * ``ceq|v`` when the symbol itself is among the children.
+
+    Only constraint symbols condition parents: object and action instances
+    among the children are skipped, because instances are resolved against
+    the world after inference and never appear as gold children during
+    training.
     """
-    variant = symbol.variant
-    features = {
-        f"bias|v={variant}": 1.0,
-        f"cat={phrase.category}|v={variant}": 1.0,
-    }
-    attributes = symbol.attributes
-    for word in phrase.words():
-        features[f"w={word}|v={variant}"] = 1.0
-        for key, value in attributes:
-            features[f"w={word}|a={key}={value}"] = 1.0
-    if child_trues:
-        canon = symbol.canon
-        own = set(attributes)
-        for child_symbol in child_trues:
-            if child_symbol.variant in INSTANCE_VARIANTS:
-                continue
-            features[f"cv={child_symbol.variant}|v={variant}"] = 1.0
-            if child_symbol.canon == canon:
-                features[f"ceq|v={variant}"] = 1.0
-            for pair in child_symbol.attributes:
-                if pair in own:
-                    features[f"cmatch|{pair[0]}|v={variant}"] = 1.0
-    if digest is not None:
-        for key, value in attributes:
-            if digest.has(key, value):
-                features[f"dig|{key}|v={variant}"] = 1.0
-    return features
+    words = [f"w={word}" for word in dict.fromkeys(phrase.words())]
+    kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
+    child_pairs = {p for c in kids for p in c.attributes}
+    own = ["bias", f"cat={phrase.category}", *words,
+           *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
+    names = [f"{p}|v={v}" for _, v in layout.variants for p in own]
+    keys = [k for k, _ in layout.variants for _ in own]
+    names += [f"{w}|a={a}={x}" for _, (a, x) in layout.pairs for w in words]
+    keys += [k for k, _ in layout.pairs for _ in words]
+    world_pairs = digest.present if digest is not None else frozenset()
+    for pair, cells in layout.cells.items():
+        fired = []
+        if pair in child_pairs:
+            fired.append("cmatch")
+        if pair in world_pairs:
+            fired.append("dig")
+        for template in fired:
+            names += [f"{template}|{pair[0]}|v={v}" for _, v in cells]
+            keys += [key for key, _ in cells]
+    position = layout.position
+    ceq = sorted((position[c.canon], f"ceq|v={c.variant}") for c in kids
+                 if c.canon in position)
+    return names, keys, ceq
+
+
+def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
+                  space: SymbolSpace, child_trues=(),
+                  digest: WorldDigest | None = None) -> np.ndarray:
+    """Logits of every symbol of ``space`` for ``phrase``, in space order.
+
+    ``child_trues`` holds the symbols resolved true at the phrase's
+    children.  Weights are read only through ``model.weights.get``.  A
+    non-finite logit raises ``NonFiniteScore``.
+    """
+    layout = space.layout
+    names, keys, ceq = _phrase_features(phrase, layout, child_trues, digest)
+    get = model.weights.get
+    key_weights = np.bincount(np.asarray(keys, dtype=np.intp),
+                              weights=[get(name, 0.0) for name in names],
+                              minlength=layout.key_count)
+    z = np.bincount(layout.entry_symbol,
+                    weights=key_weights[layout.entry_key],
+                    minlength=len(space))
+    for j, name in ceq:
+        z[j] += get(name, 0.0)
+    if not np.all(np.isfinite(z)):
+        j = int(np.flatnonzero(~np.isfinite(z))[0])
+        raise NonFiniteScore(f"factor score for {space[j].canon} is {z[j]!r}")
+    return z
 
 
 @dataclass(frozen=True, eq=False)
 class CorrespondenceModel:
-    """Feature weights for one symbol domain."""
+    """Feature weights for one symbol domain.
+
+    ``weights`` is any mapping-like object with ``get(name, default)``.
+    """
 
     domain: str
     weights: dict[str, float]
     regularization: float = DEFAULT_REGULARIZATION
-
-    def score(self, features: dict[str, float]) -> float:
-        weights = self.weights
-        return sum(weights.get(name, 0.0) * value
-                   for name, value in features.items())
-
-
-def _factor_logit(model: CorrespondenceModel, phrase, symbol, child_trues,
-                  digest) -> float:
-    z = model.score(extract_features(phrase, symbol, child_trues, digest))
-    if not math.isfinite(z):
-        raise NonFiniteScore(f"factor score for {symbol.canon} is {z!r}")
-    return z
-
-
-def factor_prob(model: CorrespondenceModel, phrase, symbol, child_trues=(),
-                digest: WorldDigest | None = None) -> float:
-    """Probability that this phrase corresponds to this symbol."""
-    return float(expit(_factor_logit(model, phrase, symbol, child_trues, digest)))
 
 
 @dataclass(eq=False)
@@ -191,7 +208,11 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
           digest: WorldDigest | None = None, world=None) -> Assignment:
     """Greedy bottom-up inference: threshold each factor given its children.
 
-    When ``world`` is given, the root-true constraints are resolved against
+    Each phrase scores every symbol at once with ``phrase_logits``; a
+    symbol is true where ``expit(z) > 0.5``.  Object and action instance
+    symbols are scored like the others, so the world's size is what reaches
+    inference cost, even though the action variables are overridden below
+    and nothing reads the object ones.  When ``world`` is given, the root-true constraints are resolved against
     the world's objects and the action variables are overridden afterwards:
     the selected action is true at the root only, every other action
     variable is false everywhere.  Resolution failures (``NoTargetObject``,
@@ -205,22 +226,17 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
     if digest is None and world is not None:
         digest = world.digest()
     phrases = tree.phrases()
-    symbols = tuple(space)
+    symbols = space.symbols
     probabilities = np.empty((len(phrases), len(symbols)))
     trues: list[frozenset] = [frozenset()] * len(phrases)
-    evals = 0
     for phrase in phrases:
         child_trues: set = set()
         for child in phrase.children:
             child_trues.update(trues[child.index])
-        row = set()
-        for j, symbol in enumerate(symbols):
-            p = factor_prob(model, phrase, symbol, child_trues, digest)
-            evals += 1
-            probabilities[phrase.index, j] = p
-            if p > 0.5:
-                row.add(symbol)
-        trues[phrase.index] = frozenset(row)
+        p = expit(phrase_logits(model, phrase, space, child_trues, digest))
+        probabilities[phrase.index] = p
+        trues[phrase.index] = frozenset(symbols[j] for j in (p > 0.5).nonzero()[0])
+    evals = len(phrases) * len(symbols)
 
     action = target = None
     if world is not None:
@@ -229,61 +245,6 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
         trues[-1] = trues[-1] | {action}
     return Assignment(domain=model.domain, trues=tuple(trues), factor_evals=evals,
                       probabilities=probabilities, action=action, target=target)
-
-
-def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
-                     space: SymbolSpace,
-                     digest: WorldDigest | None = None) -> Assignment:
-    """Reference inference by per-phrase enumeration.
-
-    For each phrase (children already resolved) every joint setting of its
-    correspondence variables is scored as a sum of factor log-probabilities
-    and the argmax kept; ties prefer the lexicographically smallest
-    assignment with false ordered before true.  Instances with more than
-    ``ENUMERATION_LIMIT`` phrase-symbol pairs raise ``TooLarge``.
-    """
-    if model.domain != space.domain:
-        raise CorpusDomainMismatch(
-            f"model domain {model.domain!r} does not match space {space.domain!r}"
-        )
-    phrases = tree.phrases()
-    symbols = tuple(space)
-    n = len(symbols)
-    if len(phrases) * n > ENUMERATION_LIMIT:
-        raise TooLarge(
-            f"{len(phrases)} phrases x {n} symbols exceeds the enumeration guard"
-        )
-    trues: list[frozenset] = [frozenset()] * len(phrases)
-    evals = 0
-    shifts = n - 1 - np.arange(n)
-    for phrase in phrases:
-        child_trues: set = set()
-        for child in phrase.children:
-            child_trues.update(trues[child.index])
-        log_true = np.empty(n)
-        log_false = np.empty(n)
-        for j, symbol in enumerate(symbols):
-            z = _factor_logit(model, phrase, symbol, child_trues, digest)
-            evals += 1
-            log_true[j] = log_expit(z)
-            log_false[j] = log_expit(-z)
-        delta = log_true - log_false
-        best_score = -math.inf
-        best_row = 0
-        total = 1 << n
-        for start in range(0, total, _CHUNK_ROWS):
-            rows = np.arange(start, min(start + _CHUNK_ROWS, total),
-                             dtype=np.int64)
-            bits = (rows[:, None] >> shifts) & 1
-            scores = bits @ delta
-            k = int(np.argmax(scores))
-            if scores[k] > best_score:
-                best_score = float(scores[k])
-                best_row = start + k
-        trues[phrase.index] = frozenset(
-            symbols[j] for j in range(n) if (best_row >> (n - 1 - j)) & 1
-        )
-    return Assignment(domain=model.domain, trues=tuple(trues), factor_evals=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +262,14 @@ class TrainingExample:
 def assemble_design(space: SymbolSpace, examples) -> tuple:
     """Build the sparse design matrix and label vector for a training set.
 
-    One row per (phrase, symbol) pair; child conditioning uses the gold
+    One row per (phrase, symbol) pair, holding the features that
+    ``phrase_logits`` would sum for it; child conditioning uses the gold
     assignments.  Returns ``(matrix, labels, feature_names)``.
     """
     symbols = tuple(space)
     by_canon = {s.canon: s for s in symbols}
+    layout = space.layout
     vocabulary: dict[str, int] = {}
-    data: list[float] = []
     indices: list[int] = []
     indptr = [0]
     labels: list[float] = []
@@ -325,25 +287,30 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             child_trues = set()
             for child in phrase.children:
                 child_trues.update(by_canon[c] for c in example.gold[child.index])
+            names, keys, ceq = _phrase_features(phrase, layout, child_trues,
+                                                example.digest)
+            columns_of: list[list[int]] = [[] for _ in range(layout.key_count)]
+            for name, key in zip(names, keys):
+                columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
+            repeats = {j: vocabulary.setdefault(name, len(vocabulary))
+                       for j, name in ceq}
             gold_here = example.gold[phrase.index]
-            for symbol in symbols:
-                features = extract_features(phrase, symbol, child_trues,
-                                            example.digest)
-                for name, value in features.items():
-                    column = vocabulary.setdefault(name, len(vocabulary))
-                    indices.append(column)
-                    data.append(value)
+            for j, symbol in enumerate(symbols):
+                for key in layout.keys_of[j]:
+                    indices.extend(columns_of[key])
+                if j in repeats:
+                    indices.append(repeats[j])
                 indptr.append(len(indices))
                 labels.append(1.0 if symbol.canon in gold_here else 0.0)
-    # Columns are numbered in first-seen order, which follows set iteration
-    # and so string hashing; renumber them by name so the design, and the
-    # floating-point sums over it, are the same in every process.
+    # Columns are numbered in first-seen order; renumber them by name so
+    # the design, and the floating-point sums over it, do not depend on
+    # the order in which examples name their features.
     names = sorted(vocabulary)
     renumber = np.empty(len(names), dtype=np.int32)
     for column, name in enumerate(names):
         renumber[vocabulary[name]] = column
     matrix = sparse.csr_matrix(
-        (np.asarray(data), renumber[np.asarray(indices, dtype=np.int32)],
+        (np.ones(len(indices)), renumber[np.asarray(indices, dtype=np.int32)],
          np.asarray(indptr)),
         shape=(len(labels), len(names)),
     )

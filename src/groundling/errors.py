@@ -44,10 +44,6 @@ class NonFiniteScore(GroundlingError):
     """A factor score came out NaN or infinite."""
 
 
-class TooLarge(GroundlingError):
-    """Exhaustive enumeration was requested for an instance above the guard."""
-
-
 class CorpusDomainMismatch(GroundlingError):
     """A model was applied to (or trained on) data from a different domain."""
 

@@ -17,10 +17,12 @@ lexicographically by that string so symbol indices are stable across runs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import EmptyRegistry, InvalidSpec, UnknownClassifier, UnknownSchemaVersion
@@ -222,14 +224,15 @@ class SymbolSpace:
 
     def __init__(self, domain: str, symbols):
         ordered = sorted(symbols, key=lambda s: s.canon)
-        canons: set[str] = set()
-        for sym in ordered:
-            if sym.canon in canons:
-                raise InvalidSpec(f"duplicate symbol {sym.canon}")
-            canons.add(sym.canon)
+        position: dict[str, int] = {}
+        for j, sym in enumerate(ordered):
+            canon = sym.canon
+            if canon in position:
+                raise InvalidSpec(f"duplicate symbol {canon}")
+            position[canon] = j
         self.domain = domain
         self.symbols = tuple(ordered)
-        self._canons = canons
+        self._position = position
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -241,7 +244,68 @@ class SymbolSpace:
         return self.symbols[j]
 
     def __contains__(self, symbol) -> bool:
-        return getattr(symbol, "canon", None) in self._canons
+        return getattr(symbol, "canon", None) in self._position
+
+    @cached_property
+    def layout(self) -> "SpaceLayout":
+        return SpaceLayout.of(self.symbols, self._position)
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceLayout:
+    """A space's symbols indexed by variant and attribute pair.
+
+    Every symbol has a few keys: its variant, and for each of its attribute
+    pairs, the pair and the (pair, variant) cell.  Keys are numbered in the
+    order the space's symbols first have them.  ``variants`` and ``pairs``
+    list ``(key, variant)`` and ``(key, pair)``; ``cells`` maps each pair
+    to the ``(key, variant)`` of its cells.  ``keys_of`` lists each
+    symbol's keys, and so does entry ``e`` of the flat arrays: symbol
+    ``entry_symbol[e]`` has key ``entry_key[e]``.  A symbol's attribute
+    keys are distinct, so its cells are too.  ``position`` maps each
+    canonical string to its symbol's index.
+    """
+
+    variants: tuple[tuple[int, str], ...]
+    pairs: tuple[tuple[int, tuple[str, str]], ...]
+    cells: dict[tuple[str, str], tuple[tuple[int, str], ...]]
+    key_count: int
+    keys_of: tuple[tuple[int, ...], ...]
+    entry_symbol: np.ndarray
+    entry_key: np.ndarray
+    position: dict[str, int]
+
+    @staticmethod
+    def of(symbols, position: dict[str, int]) -> "SpaceLayout":
+        # A variant is a string, a pair a (key, value) tuple, and a cell a
+        # (pair, variant) tuple, so one dictionary numbers all three.
+        key: dict = {}
+        keys_of = []
+        for s in symbols:
+            variant = s.variant
+            keys = [key.setdefault(variant, len(key))]
+            for pair in s.attributes:
+                keys.append(key.setdefault(pair, len(key)))
+                keys.append(key.setdefault((pair, variant), len(key)))
+            keys_of.append(tuple(keys))
+        variants, pairs, cells = [], [], {}
+        for name, k in key.items():
+            if isinstance(name, str):
+                variants.append((k, name))
+            elif isinstance(name[0], str):
+                pairs.append((k, name))
+            else:
+                cells.setdefault(name[0], []).append((k, name[1]))
+        entry_symbol = np.repeat(np.arange(len(keys_of)),
+                                 [len(keys) for keys in keys_of])
+        entry_key = np.fromiter(itertools.chain.from_iterable(keys_of),
+                                dtype=np.intp, count=len(entry_symbol))
+        return SpaceLayout(
+            variants=tuple(variants), pairs=tuple(pairs),
+            cells={p: tuple(c) for p, c in cells.items()},
+            key_count=len(key), keys_of=tuple(keys_of),
+            entry_symbol=entry_symbol, entry_key=entry_key, position=position,
+        )
 
 
 @dataclass(frozen=True)
@@ -316,6 +380,13 @@ class ClassifierRegistry:
     def _classifier_set(self) -> frozenset[PerceptionSymbol]:
         return frozenset(self.classifiers())
 
+    @cached_property
+    def _perception_space(self) -> SymbolSpace:
+        classifiers = self.classifiers()
+        if not classifiers:
+            raise EmptyRegistry("registry declares no classifiers")
+        return SymbolSpace("perception", classifiers)
+
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
         if symbol not in self._classifier_set:
             raise UnknownClassifier(symbol.canon)
@@ -335,17 +406,15 @@ def default_registry() -> ClassifierRegistry:
     return ClassifierRegistry()
 
 
+@cache
 def enumerate_semantic_space() -> SymbolSpace:
-    """The fixed scene-symbol space; always eight symbols."""
+    """The fixed scene-symbol space; always eight symbols, built once."""
     return SymbolSpace("semantic", [SemanticSymbol(l) for l in SCENE_LABELS])
 
 
 def enumerate_perception_space(registry: ClassifierRegistry) -> SymbolSpace:
-    """One symbol per registered classifier."""
-    classifiers = registry.classifiers()
-    if not classifiers:
-        raise EmptyRegistry("registry declares no classifiers")
-    return SymbolSpace("perception", classifiers)
+    """One symbol per registered classifier; built once per registry."""
+    return registry._perception_space
 
 
 def _type_level_symbols(registry: ClassifierRegistry) -> list[GroundingSymbol]:

@@ -340,11 +340,12 @@ class WorldDigest:
     counts: tuple[tuple[tuple[str, str], int], ...] = ()
 
     @cached_property
-    def _present(self) -> frozenset[tuple[str, str]]:
+    def present(self) -> frozenset[tuple[str, str]]:
+        """The (key, value) pairs that some object has."""
         return frozenset(pair for pair, count in self.counts if count > 0)
 
     def has(self, key: str, value: str) -> bool:
-        return (key, value) in self._present
+        return (key, value) in self.present
 
 
 def empty_world(robot_pose: Pose = (0.0, 0.0, 0.0)) -> WorldModel:
@@ -427,7 +428,18 @@ def _object_id(cls: str, x: float, y: float) -> str:
 
 
 def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
-    """Union-find single-linkage clustering at the merge radius."""
+    """Union-find single-linkage clustering at the merge radius.
+
+    Points are binned into square cells of side ``2 * MERGE_RADIUS``, and
+    each point is tested only against the points of its own cell and the
+    eight around it.  Two points the distance test links are less than
+    ``2 * MERGE_RADIUS`` apart on each axis, so no link is missed; cells
+    of side ``MERGE_RADIUS`` would not do, because the test's subtraction
+    can round a gap just over the radius down to it (1.0 and
+    0.49999999999999994 link).  A point with a non-finite coordinate links
+    to nothing, as under the test.  Groups, and the members of each, come
+    out in ascending index order.
+    """
     n = len(points)
     parent = list(range(n))
 
@@ -437,15 +449,30 @@ def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
             a = parent[a]
         return a
 
+    side = 2.0 * MERGE_RADIUS
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(points):
+        if math.isfinite(x) and math.isfinite(y):
+            cells.setdefault((math.floor(x / side), math.floor(y / side)),
+                             []).append(i)
     r2 = MERGE_RADIUS * MERGE_RADIUS
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = points[i][0] - points[j][0]
-            dy = points[i][1] - points[j][1]
-            if dx * dx + dy * dy <= r2:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[rb] = ra
+    for (cx, cy), members in cells.items():
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                near = cells.get((nx, ny))
+                if near is None:
+                    continue
+                for i in members:
+                    xi, yi = points[i]
+                    for j in near:
+                        if j <= i:
+                            continue
+                        dx = xi - points[j][0]
+                        dy = yi - points[j][1]
+                        if dx * dx + dy * dy <= r2:
+                            ra, rb = find(i), find(j)
+                            if ra != rb:
+                                parent[rb] = ra
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

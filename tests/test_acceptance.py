@@ -19,13 +19,13 @@ import time
 import numpy as np
 import pytest
 
+from oracles import infer_exhaustive
 from test_correspondence import random_instance
 
 from groundling import corpus as corpus_mod
 from groundling.correspondence import (
     assemble_design,
     infer,
-    infer_exhaustive,
     objective_and_gradient,
 )
 from groundling.fixtures import benchmark_manifest, site_spec

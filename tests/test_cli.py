@@ -147,3 +147,22 @@ def test_malformed_input_exits_one_without_traceback(
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("InvalidSpec: ")
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path, bundle):
+    bundle.save(tmp_path / "models")
+    src = Path(groundling.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command prints
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "groundling", "benchmark",
+             "--models", str(tmp_path / "models")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr

@@ -13,32 +13,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import groundling
 from groundling.correspondence import (
     CorrespondenceModel,
     TrainingExample,
     assemble_design,
-    factor_prob,
     infer,
-    infer_exhaustive,
     load_model,
     objective_and_gradient,
+    phrase_logits,
     save_model,
     train,
 )
-from groundling.errors import (
-    CorpusDomainMismatch,
-    NonFiniteScore,
-    TooLarge,
-)
+from groundling.errors import CorpusDomainMismatch, NonFiniteScore
 from groundling.grammar import ParseTree, Phrase, Token, parse_text
 from groundling.symbols import (
+    SCENE_LABELS,
     SymbolSpace,
+    enumerate_grounding_space,
     enumerate_grounding_type_space,
     enumerate_perception_space,
     enumerate_semantic_space,
 )
+from groundling.world import DetectedObject, WorldModel
+from oracles import TooLarge, extract_features, infer_exhaustive
 
 
 class HashWeights:
@@ -189,13 +189,91 @@ def test_non_finite_weights_rejected(registry):
         infer(model, tree, enumerate_semantic_space())
 
 
-def test_factor_prob_is_sigmoid_of_score(registry):
-    space = enumerate_semantic_space()
-    symbol = space[0]
-    tree = parse_text("go to the nearest ball in the kitchen", registry)
-    model = CorrespondenceModel(domain="semantic", weights=HashWeights("s"))
-    p = factor_prob(model, tree.root, symbol)
-    assert 0.0 < p < 1.0
+def random_world(rng: np.random.Generator, registry, max_objects: int = 4):
+    """A small world model of objects with random attributes."""
+    objects = []
+    for i in range(int(rng.integers(0, max_objects + 1))):
+        cls = registry.object_classes[int(rng.integers(len(registry.object_classes)))]
+        color = (None if rng.random() < 0.3 else
+                 registry.colors[int(rng.integers(len(registry.colors)))])
+        objects.append(DetectedObject(
+            id=f"{cls}@{i}.0,0.0", cls=cls, color=color, pose=(float(i), 0.0, 0.0),
+            region=SCENE_LABELS[int(rng.integers(len(SCENE_LABELS)))],
+            provenance=frozenset()))
+    return WorldModel(objects=tuple(objects), built_from=frozenset(),
+                      classifiers_used=frozenset(), total_cost=0.0,
+                      robot_pose=(0.0, 0.0, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       domain=st.sampled_from(("semantic", "perception", "grounding",
+                               "grounding-world")),
+       with_digest=st.booleans())
+def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
+                                                   with_digest):
+    rng = np.random.default_rng(seed)
+    world = random_world(rng, registry)
+    space = {
+        "semantic": enumerate_semantic_space,
+        "perception": lambda: enumerate_perception_space(registry),
+        "grounding": lambda: enumerate_grounding_type_space(registry),
+        "grounding-world": lambda: enumerate_grounding_space(world, registry),
+    }[domain]()
+    weights = HashWeights(f"salt-{rng.integers(1 << 30)}")
+    model = CorrespondenceModel(domain=space.domain, weights=weights)
+    digest = world.digest() if with_digest else None
+    symbols = tuple(space)
+    for phrase in random_tree(rng).phrases():
+        picked = rng.random(len(symbols)) < rng.choice((0.0, 0.1, 0.5))
+        child_trues = {s for s, keep in zip(symbols, picked) if keep}
+        z = phrase_logits(model, phrase, space, child_trues, digest)
+        for j, symbol in enumerate(symbols):
+            features = extract_features(phrase, symbol, child_trues, digest)
+            terms = [weights.get(name, 0.0) * value
+                     for name, value in features.items()]
+            oracle = sum(terms)
+            assert (expit(z[j]) > 0.5) == (expit(oracle) > 0.5)
+            assert abs(z[j] - oracle) <= 1e-12 * (1.0 + sum(map(abs, terms)))
+
+
+_CUP_PROBABILITIES = """
+import hashlib, sys
+from groundling.fixtures import benchmark_manifest, site_spec
+from groundling.pipeline import ModelBundle, run
+from groundling.symbols import default_registry
+from groundling.world import simulate
+
+registry = default_registry()
+bundle = ModelBundle.load(sys.argv[1])
+case = next(c for c in benchmark_manifest() if "cup" in c.instruction)
+log = simulate(site_spec(case.site), registry)
+digest = hashlib.sha256()
+for mode in ("B", "OF_AP"):
+    result = run(case.instruction, log, bundle, registry, mode=mode)
+    for assignment in (result.filter_decision and result.filter_decision.assignment,
+                       result.selection and result.selection.assignment,
+                       result.assignment):
+        if assignment is not None:
+            digest.update(assignment.domain.encode())
+            digest.update(assignment.probabilities.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_inference_does_not_depend_on_string_hashing(bundle, tmp_path):
+    bundle.save(tmp_path / "models")
+    package_root = str(Path(groundling.__file__).parents[1])
+    printed = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", _CUP_PROBABILITIES, str(tmp_path / "models")],
+            check=True, capture_output=True, text=True, env=env)
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]
 
 
 # --- training ----------------------------------------------------------------

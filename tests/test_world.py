@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groundling.errors import InvalidSpec, UnknownClassifier
 from groundling.fixtures import default_cooccurrence, site1_spec, site2_spec
 from groundling.symbols import PerceptionSymbol
 from groundling.world import (
+    MERGE_RADIUS,
     CooccurrenceModel,
     LatentObject,
     WorldSpec,
+    _cluster,
     build_world_model,
     empty_world,
     load_observations,
@@ -24,6 +28,7 @@ from groundling.world import (
     save_world,
     simulate,
 )
+from oracles import pairwise_cluster
 
 
 def full_classifiers(registry):
@@ -190,6 +195,37 @@ def test_build_monotone_under_subsets(registry, site_logs, data):
     small = build_world_model(subset_obs, subset_cls, registry)
     assert small.object_ids() <= full.object_ids()
     assert small.total_cost <= full.total_cost + 1e-9
+
+
+_COORDINATE = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0),
+    # cell boundaries, and the floats just below them
+    st.integers(-40, 40).map(lambda k: k * MERGE_RADIUS),
+    st.integers(-40, 40).map(lambda k: math.nextafter(k * MERGE_RADIUS, -math.inf)),
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+)
+# unit offsets: points exactly MERGE_RADIUS from an earlier point
+_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8),
+               (-0.8, -0.6))
+
+
+@st.composite
+def merge_points(draw):
+    points = draw(st.lists(st.tuples(_COORDINATE, _COORDINATE), max_size=30))
+    for _ in range(draw(st.integers(0, 10)) if points else 0):
+        x, y = points[draw(st.integers(0, len(points) - 1))]
+        ux, uy = draw(st.sampled_from(_DIRECTIONS))
+        points.append((x + ux * MERGE_RADIUS, y + uy * MERGE_RADIUS))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_points())
+@example([(1.0, 0.0), (0.49999999999999994, 0.0)])
+@example([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (math.nan, 0.0),
+          (math.inf, 0.0), (math.inf, 0.0)])
+def test_grid_clustering_matches_pairwise(points):
+    assert _cluster(points) == pairwise_cluster(points)
 
 
 def test_geometry_needs_both_bbox_and_pose(registry, site_logs):
