@@ -33,6 +33,7 @@ from .errors import (
     InvalidConfig,
     InvalidFraction,
     InvalidSpec,
+    MALFORMED_INPUT,
     NoTargetObject,
     UnknownSchemaVersion,
 )
@@ -348,10 +349,10 @@ def save_corpus(examples, path) -> None:
 
 
 def load_corpus(path) -> tuple[CorpusExample, ...]:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise UnknownSchemaVersion(None, CORPUS_SCHEMA)
     try:
+        lines = Path(path).read_text().splitlines()
+        if not lines:
+            raise UnknownSchemaVersion(None, CORPUS_SCHEMA)
         header = json.loads(lines[0])
         if header.get("schema") != CORPUS_SCHEMA:
             raise UnknownSchemaVersion(header.get("schema"), CORPUS_SCHEMA)
@@ -366,6 +367,6 @@ def load_corpus(path) -> tuple[CorpusExample, ...]:
                 color=rec.get("color"), region=rec.get("region"),
                 region_surface=rec.get("region_surface"),
             ))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed corpus file {path}: {exc!r}") from exc
     return tuple(out)

@@ -34,6 +34,7 @@ from .errors import (
     CorpusDomainMismatch,
     DivergedLoss,
     InvalidSpec,
+    MALFORMED_INPUT,
     NonFiniteScore,
     NoTargetObject,
     UnknownSchemaVersion,
@@ -410,5 +411,5 @@ def load_model(path) -> CorrespondenceModel:
         weights = {str(k): float(v) for k, v in doc["weights"].items()}
         return CorrespondenceModel(domain=str(doc["domain"]), weights=weights,
                                    regularization=float(doc["regularization"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed model file {path}: {exc!r}") from exc

@@ -10,6 +10,15 @@ class GroundlingError(Exception):
     """Base class for all anticipated failures."""
 
 
+# What the standard library raises while a reader decodes and converts a
+# malformed file: undecodable bytes (``UnicodeDecodeError`` is a
+# ``ValueError``), bad JSON, a missing key, a mistyped or unconvertible
+# value, a number too large for a float, nesting too deep.  Readers turn
+# these into ``InvalidSpec``.
+MALFORMED_INPUT = (AttributeError, KeyError, TypeError, ValueError,
+                   OverflowError, RecursionError)
+
+
 class EmptyInstruction(GroundlingError):
     """Raised when an instruction contains no tokens after normalization."""
 

@@ -25,7 +25,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import EmptyRegistry, InvalidSpec, UnknownClassifier, UnknownSchemaVersion
+from .errors import (
+    EmptyRegistry,
+    InvalidSpec,
+    MALFORMED_INPUT,
+    UnknownClassifier,
+    UnknownSchemaVersion,
+)
 
 # Surface word sequences that name each scene label in instructions.
 REGION_SURFACE_FORMS: dict[str, tuple[tuple[str, ...], ...]] = {
@@ -463,12 +469,12 @@ def save_registry(registry: ClassifierRegistry, path) -> None:
 
 
 def load_registry(path) -> ClassifierRegistry:
-    doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise InvalidSpec("registry file is not a mapping")
-    if doc.get("schema") != REGISTRY_SCHEMA:
-        raise UnknownSchemaVersion(doc.get("schema"), REGISTRY_SCHEMA)
     try:
+        doc = yaml.safe_load(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise InvalidSpec("registry file is not a mapping")
+        if doc.get("schema") != REGISTRY_SCHEMA:
+            raise UnknownSchemaVersion(doc.get("schema"), REGISTRY_SCHEMA)
         kind_costs = tuple(
             (kind, CostModel(m["base_cost"], m["per_item_cost"]))
             for kind, m in sorted(doc.get("kind_costs", {}).items())
@@ -487,5 +493,5 @@ def load_registry(path) -> ClassifierRegistry:
                 doc.get("scene_cost_per_observation", 0.0)
             ),
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec(f"registry file missing field: {exc}") from exc
+    except (*MALFORMED_INPUT, yaml.YAMLError) as exc:
+        raise InvalidSpec(f"malformed registry file {path}: {exc!r}") from exc

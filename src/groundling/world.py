@@ -7,11 +7,16 @@ and apparent class/color values (exact unless a confusion rate is
 configured).  A co-occurrence scene classifier labels every observation as
 it is taken.
 
-Perception is lazy and costed: object detectors scan raw detections for
-their class, then the noise filter, color detectors, and the bounding-box
-and pose estimators refine the survivors.  A detection only becomes a
-world-model object once the bounding-box and pose stages have run.
-Duplicate detections of one physical object merge by class and proximity.
+Perception is lazy and costed, and runs on a columnar ``DetectionSet``:
+one numpy array per field, one row per detection.  A build reads the
+records once and gathers into columns only those of a selected object
+detector's class; each detector then keeps the rows of its class.  The
+noise filter is a boolean mask, each color detector a masked assignment,
+and the bounding-box and pose estimators one vectorised rotation of every
+row into the world frame, element for element the IEEE operations of the
+scalar transform.  A detection only becomes a world-model object once the
+bounding-box and pose stages have run.  Duplicate detections of one
+physical object merge by class and proximity, read from the columns.
 """
 
 from __future__ import annotations
@@ -25,7 +30,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import InvalidSpec, UnknownClassifier, UnknownSchemaVersion
+from .errors import (
+    InvalidSpec,
+    MALFORMED_INPUT,
+    UnknownClassifier,
+    UnknownSchemaVersion,
+)
 from .symbols import (
     BBOX_ESTIMATOR,
     COLOR_DETECTOR,
@@ -54,15 +64,6 @@ def _to_robot_frame(robot: Pose, point: Pose) -> Pose:
     dx, dy = point[0] - robot[0], point[1] - robot[1]
     c, s = math.cos(-robot[2]), math.sin(-robot[2])
     return (c * dx - s * dy, s * dx + c * dy, point[2] - robot[2])
-
-
-def _from_robot_frame(robot: Pose, rel: Pose) -> Pose:
-    c, s = math.cos(robot[2]), math.sin(robot[2])
-    return (
-        robot[0] + c * rel[0] - s * rel[1],
-        robot[1] + s * rel[0] + c * rel[1],
-        robot[2] + rel[2],
-    )
 
 
 @dataclass(frozen=True)
@@ -284,21 +285,104 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry,
     return tuple(observations)
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A raw detection routed through the perception pipeline.
+@dataclass(frozen=True, eq=False)
+class DetectionSet:
+    """Detections routed through the perception pipeline, one array per field.
 
-    ``position``/``theta`` stay None until the bounding-box and pose
-    stages compute them; ``color`` stays None until a color detector
-    annotates it.
+    Row ``i`` is one raw detection.  ``obs[i]`` indexes ``observations``,
+    the observations the scan found rows in, and ``t[i]`` is that
+    observation's time; ``rel`` holds the pose relative to the robot frame,
+    ``cls``/``color`` the apparent class and colour, and ``noisy`` the
+    simulator's noise flag.  ``colored`` marks the rows whose colour a
+    colour detector confirmed.  ``position`` (x, y per row) and ``theta``
+    stay None until the bounding-box and pose stages compute them for
+    every row.  ``scanned`` counts the raw records read to find the rows.
     """
 
-    obs_t: int
-    robot_pose: Pose
-    raw: RawDetection
-    position: tuple[float, float] | None = None
-    theta: float | None = None
-    color: str | None = None
+    observations: tuple[Observation, ...]
+    scanned: int
+    obs: np.ndarray
+    t: np.ndarray
+    rel: np.ndarray
+    cls: np.ndarray
+    color: np.ndarray
+    noisy: np.ndarray
+    colored: np.ndarray
+    position: np.ndarray | None = None
+    theta: np.ndarray | None = None
+
+    @staticmethod
+    def scan(observations, classes) -> "DetectionSet":
+        """The raw detections whose apparent class is in ``classes``.
+
+        One pass over the records gathers only the hits into columns, in
+        observation order and, within an observation, record order.  No
+        record is read when ``classes`` is empty.
+        """
+        sources: list[Observation] = []
+        index: list[int] = []
+        hits: list[RawDetection] = []
+        scanned = 0
+        for o in observations if classes else ():
+            scanned += len(o.sensed)
+            before = len(hits)
+            for raw in o.sensed:
+                if raw.apparent_class in classes:
+                    hits.append(raw)
+            if len(hits) > before:
+                index += [len(sources)] * (len(hits) - before)
+                sources.append(o)
+        obs = np.array(index, dtype=np.intp)
+        return DetectionSet(
+            observations=tuple(sources),
+            scanned=scanned,
+            obs=obs,
+            t=np.array([o.t for o in sources], dtype=np.int64)[obs],
+            rel=np.array([r.rel for r in hits], dtype=float).reshape(-1, 3),
+            cls=np.array([r.apparent_class for r in hits], dtype=str),
+            color=np.array([r.apparent_color for r in hits], dtype=str),
+            noisy=np.array([r.noisy for r in hits], dtype=bool),
+            colored=np.zeros(len(hits), dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.obs)
+
+    def take(self, rows) -> "DetectionSet":
+        """The rows that ``rows`` (a mask or an index array) selects."""
+        return DetectionSet(
+            observations=self.observations, scanned=self.scanned,
+            obs=self.obs[rows], t=self.t[rows], rel=self.rel[rows],
+            cls=self.cls[rows], color=self.color[rows],
+            noisy=self.noisy[rows], colored=self.colored[rows],
+            position=None if self.position is None else self.position[rows],
+            theta=None if self.theta is None else self.theta[rows],
+        )
+
+    def stack(self, parts) -> "DetectionSet":
+        """The rows of ``parts``, sets taken from this one before any
+        stage ran, in (t, class, rel) order.
+
+        The sort is stable, so rows with equal keys keep their order in
+        ``parts``.
+        """
+        def column(name):
+            return np.concatenate([getattr(self, name)[:0],
+                                   *(getattr(p, name) for p in parts)])
+
+        t, cls, rel = column("t"), column("cls"), column("rel")
+        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
+        return DetectionSet(
+            observations=self.observations, scanned=self.scanned,
+            obs=column("obs")[order], t=t[order], rel=rel[order],
+            cls=cls[order], color=column("color")[order],
+            noisy=column("noisy")[order], colored=column("colored")[order],
+        )
+
+    def robot_poses(self) -> np.ndarray:
+        """One (x, y, theta) row per observation, indexed like ``obs``."""
+        return np.array([o.robot_pose for o in self.observations],
+                        dtype=float).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -357,56 +441,53 @@ def empty_world(robot_pose: Pose = (0.0, 0.0, 0.0)) -> WorldModel:
 
 def run_classifier(symbol: PerceptionSymbol, observations,
                    registry: ClassifierRegistry,
-                   detections: tuple[Detection, ...] | None = None,
-                   ) -> tuple[tuple[Detection, ...], float]:
+                   detections: DetectionSet | None = None,
+                   ) -> tuple[DetectionSet, float]:
     """Run one classifier and return (detections, cost).
 
-    Object detectors scan every raw detection in ``observations`` and keep
-    those whose apparent class matches.  The other stages take the current
-    detection set: the noise filter drops simulator-flagged noise, color
-    detectors annotate matching colors, and the bounding-box / pose
-    estimators compute absolute geometry.  Cost is base + per-item times
-    the number of records scanned; a classifier that is never invoked
-    (empty input) costs nothing.
+    An object detector keeps the rows of its class from ``detections``,
+    a scan of ``observations`` for at least that class (it scans them
+    itself when given none).  The other stages take the current detection
+    set: the noise filter drops simulator-flagged noise, color detectors
+    confirm matching colors, and the bounding-box / pose estimators
+    compute absolute geometry.  Cost is base + per-item times the number
+    of records scanned; a classifier that is never invoked (empty input)
+    costs nothing.
     """
     cost_model = registry.cost_for(symbol)
     if symbol.kind == OBJECT_DETECTOR:
-        obs = tuple(observations)
-        if not obs:
-            return (), 0.0
-        scanned = 0
-        matched: list[Detection] = []
-        for o in obs:
-            for raw in o.sensed:
-                scanned += 1
-                if raw.apparent_class == symbol.param:
-                    matched.append(Detection(obs_t=o.t, robot_pose=o.robot_pose, raw=raw))
-        return tuple(matched), cost_model.cost(scanned)
+        observations = tuple(observations)
+        if detections is None:
+            detections = DetectionSet.scan(observations, (symbol.param,))
+        found = detections.take(detections.cls == symbol.param)
+        return found, cost_model.cost(detections.scanned) if observations else 0.0
 
-    dets = tuple(detections or ())
-    if not dets:
-        return (), 0.0
+    if detections is None:
+        detections = DetectionSet.scan((), ())
+    if not len(detections):
+        return detections, 0.0
+    cost = cost_model.cost(len(detections))
     if symbol.kind == NOISE_FILTER:
-        kept = tuple(d for d in dets if not d.raw.noisy)
-        return kept, cost_model.cost(len(dets))
+        return detections.take(~detections.noisy), cost
     if symbol.kind == COLOR_DETECTOR:
-        out = tuple(
-            replace(d, color=symbol.param) if d.raw.apparent_color == symbol.param else d
-            for d in dets
-        )
-        return out, cost_model.cost(len(dets))
+        return replace(detections, colored=detections.colored
+                       | (detections.color == symbol.param)), cost
     if symbol.kind == BBOX_ESTIMATOR:
-        out = []
-        for d in dets:
-            absolute = _from_robot_frame(d.robot_pose, d.raw.rel)
-            out.append(replace(d, position=(absolute[0], absolute[1])))
-        return tuple(out), cost_model.cost(len(dets))
+        # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
+        # and sin from ``math`` once per robot pose: every element goes
+        # through the same IEEE operations, in the same order, as the
+        # scalar form.
+        poses = detections.robot_poses()
+        angles = poses[:, 2].tolist()
+        cos = np.array([math.cos(a) for a in angles])[detections.obs]
+        sin = np.array([math.sin(a) for a in angles])[detections.obs]
+        robot, rel = poses[detections.obs], detections.rel
+        x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
+        y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
+        return replace(detections, position=np.stack((x, y), axis=1)), cost
     if symbol.kind == POSE_ESTIMATOR:
-        out = tuple(
-            replace(d, theta=_from_robot_frame(d.robot_pose, d.raw.rel)[2])
-            for d in dets
-        )
-        return tuple(out), cost_model.cost(len(dets))
+        theta = detections.robot_poses()[detections.obs, 2] + detections.rel[:, 2]
+        return replace(detections, theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 
 
@@ -479,16 +560,52 @@ def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _merge(detections: DetectionSet) -> list[DetectedObject]:
+    """One object per cluster of same-class detections, at the centroid.
+
+    Centroids are Python's left-to-right sums over the members in row
+    order; the pose angle is that of the earliest member.
+    """
+    ts = detections.t.tolist()
+    xs = detections.position[:, 0].tolist()
+    ys = detections.position[:, 1].tolist()
+    thetas = detections.theta.tolist()
+    colors = [c if confirmed else None for c, confirmed
+              in zip(detections.color.tolist(), detections.colored.tolist())]
+    regions = [detections.observations[i].scene_label
+               for i in detections.obs.tolist()]
+    by_class: dict[str, list[int]] = {}
+    for i, cls in enumerate(detections.cls.tolist()):
+        by_class.setdefault(cls, []).append(i)
+    objects: list[DetectedObject] = []
+    for cls in sorted(by_class):
+        rows = by_class[cls]
+        for group in _cluster([(xs[i], ys[i]) for i in rows]):
+            members = [rows[k] for k in group]
+            cx = sum(xs[i] for i in members) / len(members)
+            cy = sum(ys[i] for i in members) / len(members)
+            objects.append(DetectedObject(
+                id=_object_id(cls, cx, cy),
+                cls=cls,
+                color=_majority(colors[i] for i in members),
+                pose=(cx, cy, min((ts[i], thetas[i]) for i in members)[1]),
+                region=_majority((regions[i] for i in members),
+                                 default=FALLBACK_SCENE),
+                provenance=frozenset(ts[i] for i in members),
+            ))
+    return objects
+
+
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Run the selected classifiers over the observations and merge objects.
 
     Stage order: object detectors, noise filter, color detectors, bounding
-    box, pose.  Without both geometry stages no detection can become an
-    object (their positions are unknown), though costs for stages that did
-    run still accrue.  Duplicate detections of one object -- same apparent
-    class within the merge radius -- collapse to a single object at the
-    centroid.
+    box, pose.  The detectors share one scan of the records.  Without both
+    geometry stages no detection can become an object (their positions
+    are unknown), though costs for stages that did run still accrue.
+    Duplicate detections of one object -- same apparent class within the
+    merge radius -- collapse to a single object at the centroid.
     """
     obs = sorted(observations, key=lambda o: o.t)
     selected = frozenset(classifiers)
@@ -500,17 +617,17 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         robot_pose = obs[-1].robot_pose if obs else (0.0, 0.0, 0.0)
 
     ledger: list[tuple[str, float]] = []
-    detections: list[Detection] = []
     detectors = sorted(
         (c for c in selected if c.kind == OBJECT_DETECTOR), key=lambda c: c.canon
     )
+    pool = DetectionSet.scan(obs, frozenset(det.param for det in detectors))
+    found: list[DetectionSet] = []
     for det in detectors:
-        found, cost = run_classifier(det, obs, registry)
+        hits, cost = run_classifier(det, obs, registry, detections=pool)
         if cost:
             ledger.append((det.canon, cost))
-        detections.extend(found)
-    current = tuple(sorted(detections, key=lambda d: (d.obs_t, d.raw.apparent_class,
-                                                      d.raw.rel)))
+        found.append(hits)
+    current = pool.stack(found)
 
     def stage(symbol):
         nonlocal current
@@ -533,33 +650,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         geometry_ready = True
 
     total_cost = sum(c for _, c in ledger)
-    if not geometry_ready:
-        usable: list[Detection] = []
-    else:
-        usable = [d for d in current if d.position is not None and d.theta is not None]
-
-    obs_by_t = {o.t: o for o in obs}
-    objects: list[DetectedObject] = []
-    by_class: dict[str, list[Detection]] = {}
-    for d in usable:
-        by_class.setdefault(d.raw.apparent_class, []).append(d)
-
-    for cls in sorted(by_class):
-        members = by_class[cls]
-        for group in _cluster([d.position for d in members]):
-            dets = [members[i] for i in group]
-            cx = sum(d.position[0] for d in dets) / len(dets)
-            cy = sum(d.position[1] for d in dets) / len(dets)
-            objects.append(DetectedObject(
-                id=_object_id(cls, cx, cy),
-                cls=cls,
-                color=_majority(d.color for d in dets),
-                pose=(cx, cy, min((d.obs_t, d.theta) for d in dets)[1]),
-                region=_majority((obs_by_t[d.obs_t].scene_label for d in dets),
-                                 default=FALLBACK_SCENE),
-                provenance=frozenset(d.obs_t for d in dets),
-            ))
-
+    objects = _merge(current) if geometry_ready and len(current) else []
     objects.sort(key=lambda o: o.id)
     return WorldModel(
         objects=tuple(objects),
@@ -573,6 +664,28 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+def _log_score(value) -> float:
+    # A log-probability: -inf is a label with prior 0, which ``simulate``
+    # writes; NaN and +inf are not scores.
+    if type(value) not in (int, float) or math.isnan(value) or value == math.inf:
+        raise InvalidSpec(f"scene score must be a number below +inf, got {value!r}")
+    return float(value)
+
+
+def _pose(values, field: str) -> Pose:
+    if (not isinstance(values, list) or len(values) != 3
+            or any(type(v) not in (int, float) or not math.isfinite(v)
+                   for v in values)):
+        raise InvalidSpec(f"{field} must be three finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidSpec(f"{field} must be a string, got {value!r}")
+    return value
+
 
 def save_world(spec: WorldSpec, path) -> None:
     doc = {
@@ -596,12 +709,12 @@ def save_world(spec: WorldSpec, path) -> None:
 
 
 def load_world(path) -> WorldSpec:
-    doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise InvalidSpec("world file is not a mapping")
-    if doc.get("schema") != WORLD_SCHEMA:
-        raise UnknownSchemaVersion(doc.get("schema"), WORLD_SCHEMA)
     try:
+        doc = yaml.safe_load(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise InvalidSpec("world file is not a mapping")
+        if doc.get("schema") != WORLD_SCHEMA:
+            raise UnknownSchemaVersion(doc.get("schema"), WORLD_SCHEMA)
         cooc = doc["cooccurrence"]
         model = CooccurrenceModel.from_dict(
             cooc["table"], cooc["characteristic"], cooc.get("prior")
@@ -615,15 +728,15 @@ def load_world(path) -> WorldSpec:
             objects=tuple(
                 LatentObject(
                     id=o["id"], cls=o["class"], color=o["color"],
-                    pose=tuple(o["pose"]), region=o["region"],
+                    pose=_pose(o["pose"], "object pose"), region=o["region"],
                 )
                 for o in doc["objects"]
             ),
-            trajectory=tuple(tuple(p) for p in doc["trajectory"]),
+            trajectory=tuple(_pose(p, "trajectory pose") for p in doc["trajectory"]),
             cooccurrence=model,
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec(f"world file missing field: {exc}") from exc
+    except (*MALFORMED_INPUT, yaml.YAMLError) as exc:
+        raise InvalidSpec(f"malformed world file {path}: {exc!r}") from exc
 
 
 def save_observations(observations, path) -> None:
@@ -649,35 +762,56 @@ def save_observations(observations, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _observation(rec) -> Observation:
+    t = rec["t"]
+    # The build keeps t in an int64 column.
+    if type(t) is not int or not -2**63 <= t < 2**63:
+        raise InvalidSpec(f"t must be a 64-bit integer, got {t!r}")
+    return Observation(
+        t=t,
+        robot_pose=_pose(rec["robot_pose"], "robot_pose"),
+        scene_label=_text(rec["scene_label"], "scene_label"),
+        scene_scores=tuple((_text(label, "scene_scores label"), _log_score(score))
+                           for label, score in rec["scene_scores"]),
+        sensed=tuple(
+            RawDetection(
+                latent_id=d["latent_id"],
+                rel=_pose(d["rel"], "rel"),
+                apparent_class=_text(d["apparent_class"], "apparent_class"),
+                apparent_color=_text(d["apparent_color"], "apparent_color"),
+                noisy=bool(d["noisy"]),
+            )
+            for d in rec["sensed"]
+        ),
+    )
+
+
 def load_observations(path) -> tuple[Observation, ...]:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise InvalidSpec("empty observation log")
+    """Read an observation log written by ``save_observations``.
+
+    Anything malformed raises ``InvalidSpec``: undecodable bytes, a line
+    that is not JSON, a missing or mistyped field, a non-finite pose (a
+    NaN would become an object at ``nan,nan``) or scene score (-inf, a
+    label with prior 0, is a score), and a repeated ``t`` (the build keys
+    provenance and ``built_from`` by ``t``).
+    """
     try:
+        lines = Path(path).read_text().splitlines()
+        if not lines:
+            raise InvalidSpec("empty observation log")
         header = json.loads(lines[0])
         if header.get("schema") != OBS_LOG_SCHEMA:
             raise UnknownSchemaVersion(header.get("schema"), OBS_LOG_SCHEMA)
-        out = []
+        out: list[Observation] = []
+        seen: set[int] = set()
         for line in lines[1:]:
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            out.append(Observation(
-                t=int(rec["t"]),
-                robot_pose=tuple(rec["robot_pose"]),
-                scene_label=rec["scene_label"],
-                scene_scores=tuple((l, float(s)) for l, s in rec["scene_scores"]),
-                sensed=tuple(
-                    RawDetection(
-                        latent_id=d["latent_id"],
-                        rel=tuple(d["rel"]),
-                        apparent_class=d["apparent_class"],
-                        apparent_color=d["apparent_color"],
-                        noisy=bool(d["noisy"]),
-                    )
-                    for d in rec["sensed"]
-                ),
-            ))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            obs = _observation(json.loads(line))
+            if obs.t in seen:
+                raise InvalidSpec(f"observation log {path} repeats t={obs.t}")
+            seen.add(obs.t)
+            out.append(obs)
+    except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed observation log {path}: {exc!r}") from exc
     return tuple(out)

@@ -2,13 +2,15 @@
 
 Each one is the plain, slow way to compute what the package computes
 fast: a per-factor feature dictionary, inference by enumerating every
-joint assignment of a phrase, and merge clustering by comparing every
-pair of points.
+joint assignment of a phrase, merge clustering by comparing every pair of
+points, and a world-model build that copies one frozen detection per
+record through every perception stage.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_expit
@@ -19,10 +21,34 @@ from groundling.correspondence import (
     CorrespondenceModel,
     phrase_logits,
 )
-from groundling.errors import CorpusDomainMismatch, GroundlingError
+from groundling.errors import (
+    CorpusDomainMismatch,
+    GroundlingError,
+    UnknownClassifier,
+)
 from groundling.grammar import ParseTree, Phrase
-from groundling.symbols import SymbolSpace
-from groundling.world import MERGE_RADIUS, WorldDigest
+from groundling.symbols import (
+    BBOX_ESTIMATOR,
+    COLOR_DETECTOR,
+    NOISE_FILTER,
+    OBJECT_DETECTOR,
+    POSE_ESTIMATOR,
+    ClassifierRegistry,
+    PerceptionSymbol,
+    SymbolSpace,
+)
+from groundling.world import (
+    FALLBACK_SCENE,
+    MERGE_RADIUS,
+    DetectedObject,
+    Pose,
+    RawDetection,
+    WorldDigest,
+    WorldModel,
+    _cluster,
+    _majority,
+    _object_id,
+)
 
 ENUMERATION_LIMIT = 20
 _CHUNK_ROWS = 1 << 16
@@ -145,3 +171,159 @@ def pairwise_cluster(points: list[tuple[float, float]]) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def _from_robot_frame(robot: Pose, rel: Pose) -> Pose:
+    c, s = math.cos(robot[2]), math.sin(robot[2])
+    return (
+        robot[0] + c * rel[0] - s * rel[1],
+        robot[1] + s * rel[0] + c * rel[1],
+        robot[2] + rel[2],
+    )
+
+
+@dataclass(frozen=True)
+class Detection:
+    """A raw detection routed through the perception pipeline.
+
+    ``position``/``theta`` stay None until the bounding-box and pose
+    stages compute them; ``color`` stays None until a color detector
+    annotates it.
+    """
+
+    obs_t: int
+    robot_pose: Pose
+    raw: RawDetection
+    position: tuple[float, float] | None = None
+    theta: float | None = None
+    color: str | None = None
+
+
+def run_classifier(symbol: PerceptionSymbol, observations,
+                   registry: ClassifierRegistry,
+                   detections: tuple[Detection, ...] | None = None,
+                   ) -> tuple[tuple[Detection, ...], float]:
+    """Run one classifier over frozen detections and return (detections, cost)."""
+    cost_model = registry.cost_for(symbol)
+    if symbol.kind == OBJECT_DETECTOR:
+        obs = tuple(observations)
+        if not obs:
+            return (), 0.0
+        scanned = 0
+        matched: list[Detection] = []
+        for o in obs:
+            for raw in o.sensed:
+                scanned += 1
+                if raw.apparent_class == symbol.param:
+                    matched.append(Detection(obs_t=o.t, robot_pose=o.robot_pose, raw=raw))
+        return tuple(matched), cost_model.cost(scanned)
+
+    dets = tuple(detections or ())
+    if not dets:
+        return (), 0.0
+    if symbol.kind == NOISE_FILTER:
+        kept = tuple(d for d in dets if not d.raw.noisy)
+        return kept, cost_model.cost(len(dets))
+    if symbol.kind == COLOR_DETECTOR:
+        out = tuple(
+            replace(d, color=symbol.param) if d.raw.apparent_color == symbol.param else d
+            for d in dets
+        )
+        return out, cost_model.cost(len(dets))
+    if symbol.kind == BBOX_ESTIMATOR:
+        out = []
+        for d in dets:
+            absolute = _from_robot_frame(d.robot_pose, d.raw.rel)
+            out.append(replace(d, position=(absolute[0], absolute[1])))
+        return tuple(out), cost_model.cost(len(dets))
+    if symbol.kind == POSE_ESTIMATOR:
+        out = tuple(
+            replace(d, theta=_from_robot_frame(d.robot_pose, d.raw.rel)[2])
+            for d in dets
+        )
+        return tuple(out), cost_model.cost(len(dets))
+    raise UnknownClassifier(symbol.canon)
+
+
+def build_world_model(observations, classifiers, registry: ClassifierRegistry,
+                      robot_pose: Pose | None = None) -> WorldModel:
+    """Reference build: one frozen ``Detection`` per record, copied per stage."""
+    obs = sorted(observations, key=lambda o: o.t)
+    selected = frozenset(classifiers)
+    known = set(registry.classifiers())
+    for c in selected:
+        if c not in known:
+            raise UnknownClassifier(c.canon)
+    if robot_pose is None:
+        robot_pose = obs[-1].robot_pose if obs else (0.0, 0.0, 0.0)
+
+    ledger: list[tuple[str, float]] = []
+    detections: list[Detection] = []
+    detectors = sorted(
+        (c for c in selected if c.kind == OBJECT_DETECTOR), key=lambda c: c.canon
+    )
+    for det in detectors:
+        found, cost = run_classifier(det, obs, registry)
+        if cost:
+            ledger.append((det.canon, cost))
+        detections.extend(found)
+    current = tuple(sorted(detections, key=lambda d: (d.obs_t, d.raw.apparent_class,
+                                                      d.raw.rel)))
+
+    def stage(symbol):
+        nonlocal current
+        out, cost = run_classifier(symbol, obs, registry, detections=current)
+        if cost:
+            ledger.append((symbol.canon, cost))
+        current = out
+
+    noise = PerceptionSymbol(NOISE_FILTER)
+    if noise in selected:
+        stage(noise)
+    for color in sorted((c for c in selected if c.kind == COLOR_DETECTOR),
+                        key=lambda c: c.canon):
+        stage(color)
+    geometry_ready = False
+    bbox, pose_est = PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)
+    if bbox in selected and pose_est in selected:
+        stage(bbox)
+        stage(pose_est)
+        geometry_ready = True
+
+    total_cost = sum(c for _, c in ledger)
+    if not geometry_ready:
+        usable: list[Detection] = []
+    else:
+        usable = [d for d in current if d.position is not None and d.theta is not None]
+
+    obs_by_t = {o.t: o for o in obs}
+    objects: list[DetectedObject] = []
+    by_class: dict[str, list[Detection]] = {}
+    for d in usable:
+        by_class.setdefault(d.raw.apparent_class, []).append(d)
+
+    for cls in sorted(by_class):
+        members = by_class[cls]
+        for group in _cluster([d.position for d in members]):
+            dets = [members[i] for i in group]
+            cx = sum(d.position[0] for d in dets) / len(dets)
+            cy = sum(d.position[1] for d in dets) / len(dets)
+            objects.append(DetectedObject(
+                id=_object_id(cls, cx, cy),
+                cls=cls,
+                color=_majority(d.color for d in dets),
+                pose=(cx, cy, min((d.obs_t, d.theta) for d in dets)[1]),
+                region=_majority((obs_by_t[d.obs_t].scene_label for d in dets),
+                                 default=FALLBACK_SCENE),
+                provenance=frozenset(d.obs_t for d in dets),
+            ))
+
+    objects.sort(key=lambda o: o.id)
+    return WorldModel(
+        objects=tuple(objects),
+        built_from=frozenset(o.t for o in obs),
+        classifiers_used=selected,
+        total_cost=total_cost,
+        robot_pose=robot_pose,
+        cost_ledger=tuple(ledger),
+    )

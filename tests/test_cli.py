@@ -100,15 +100,32 @@ def test_custom_registry_flows_through(tmp_path, capsys):
     assert out_path.exists()
 
 
+def _encoded(content):
+    return content if isinstance(content, bytes) else content.encode()
+
+
 def _rewrite_jsonl(path, record_index, edit):
     """Apply ``edit`` to the JSON record on line ``record_index`` (header is 0)."""
-    lines = path.read_text().splitlines()
-    lines[record_index] = edit(json.loads(lines[record_index]))
-    path.write_text("\n".join(lines) + "\n")
+    lines = path.read_bytes().splitlines()
+    lines[record_index] = _encoded(edit(json.loads(lines[record_index])))
+    path.write_bytes(b"\n".join(lines) + b"\n")
 
 
 def _drop(key):
     return lambda record: json.dumps({k: v for k, v in record.items() if k != key})
+
+
+def _set(key, value):
+    return lambda record: json.dumps({**record, key: value})
+
+
+def _nan_rel(record):
+    sensed = [{**record["sensed"][0], "rel": [float("nan"), 0.0, 0.0]}]
+    return json.dumps({**record, "sensed": sensed})
+
+
+def _not_utf8(record):
+    return b'{"t": "\xff\xfe"}'
 
 
 @pytest.mark.parametrize("command, broken, edit", [
@@ -117,8 +134,17 @@ def _drop(key):
     ("ground", "models", _drop("weights")),
     ("evaluate", "corpus", _drop("text")),
     ("train", "corpus", lambda record: '{"uid": "x",'),
+    ("ground", "observations", _nan_rel),
+    ("ground", "observations", _set("t", 1)),
+    ("ground", "observations", _not_utf8),
+    ("ground", "models", _not_utf8),
+    ("train", "corpus", _not_utf8),
+    ("ground", "registry", lambda record: "a: [1, 2"),
+    ("ground", "registry", _not_utf8),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
-        "corpus-no-text", "corpus-bad-json"])
+        "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
+        "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
+        "registry-bad-yaml", "registry-not-utf8"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"
@@ -127,9 +153,14 @@ def test_malformed_input_exits_one_without_traceback(
     save_observations(site_logs["site-1"][:3], obs_path)
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(corpus_examples[:20], corpus_path)
+    registry_path = tmp_path / "registry.yaml"
+    options = []
     if broken == "models":
         model_path = models_dir / "semantic.json"
-        model_path.write_text(edit(json.loads(model_path.read_text())))
+        model_path.write_bytes(_encoded(edit(json.loads(model_path.read_text()))))
+    elif broken == "registry":
+        registry_path.write_bytes(_encoded(edit(None)))
+        options = ["--registry", str(registry_path)]
     else:
         _rewrite_jsonl(obs_path if broken == "observations" else corpus_path, 1, edit)
 
@@ -142,8 +173,9 @@ def test_malformed_input_exits_one_without_traceback(
     src = Path(groundling.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "groundling", command, *args],
-                          capture_output=True, text=True, env=env)
+    done = subprocess.run(
+        [sys.executable, "-m", "groundling", *options, command, *args],
+        capture_output=True, text=True, env=env)
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("InvalidSpec: ")

@@ -1,0 +1,207 @@
+"""File readers: every malformed input is a GroundlingError, never a crash."""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+from dataclasses import replace
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groundling.correspondence import CorrespondenceModel, load_model, save_model
+from groundling.corpus import load_corpus, save_corpus
+from groundling.errors import GroundlingError, InvalidSpec
+from groundling.fixtures import default_cooccurrence, site_spec
+from groundling.symbols import load_registry, save_registry
+from groundling.world import (
+    CooccurrenceModel,
+    build_world_model,
+    load_observations,
+    load_world,
+    save_observations,
+    save_world,
+    simulate,
+)
+
+LOADERS = {
+    "observations": load_observations,
+    "corpus": load_corpus,
+    "model": load_model,
+    "world": load_world,
+    "registry": load_registry,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory, registry, site_logs, corpus_examples):
+    """One small valid file per reader."""
+    root = tmp_path_factory.mktemp("valid")
+    paths = {name: root / name for name in LOADERS}
+    save_observations(site_logs["site-1"][2:5], paths["observations"])
+    save_corpus(corpus_examples[:5], paths["corpus"])
+    save_model(CorrespondenceModel(domain="semantic",
+                                   weights={"bias|v=scene": 0.5, "w=red|v=scene": -1.25},
+                                   regularization=0.01), paths["model"])
+    save_world(site_spec("site-1"), paths["world"])
+    save_registry(registry, paths["registry"])
+    return paths
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "input"
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_records(path, records):
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+
+# --- specific faults ----------------------------------------------------------
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["sensed"][0]["rel"].__setitem__(0, float("nan")),
+    lambda r: r["sensed"][0]["rel"].__setitem__(1, float("inf")),
+    lambda r: r["robot_pose"].__setitem__(2, float("-inf")),
+    lambda r: r["scene_scores"][0].__setitem__(1, float("nan")),
+    lambda r: r["scene_scores"][0].__setitem__(1, float("inf")),
+    lambda r: r.__setitem__("t", 2),
+    lambda r: r.__setitem__("t", 2.0),
+    lambda r: r.__setitem__("t", 2**63),
+    lambda r: r["sensed"][0].__setitem__("apparent_class", ["cup"]),
+    lambda r: r["sensed"][0]["rel"].pop(),
+], ids=["nan-rel", "inf-rel", "inf-robot-pose", "nan-scene-score",
+        "inf-scene-score", "repeated-t", "float-t", "huge-t", "list-class",
+        "short-rel"])
+def test_observation_log_rejects(edit, valid_files, tmp_path):
+    records = _records(valid_files["observations"])
+    edit(records[2])
+    path = tmp_path / "obs.jsonl"
+    _write_records(path, records)
+    with pytest.raises(InvalidSpec):
+        load_observations(path)
+
+
+def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
+    # A scene with prior 0 scores -inf wherever characteristic classes
+    # vote; the log must read back what the simulator wrote.
+    cooc = default_cooccurrence()
+    prior = {label: 0.0 if label == "kitchen" else 1.0 for label in cooc.labels()}
+    model = CooccurrenceModel.from_dict(
+        {label: dict(row) for label, row in cooc.table}, cooc.characteristic, prior)
+    observations = simulate(replace(site_spec("site-1"), cooccurrence=model), registry)
+    assert any(score == -math.inf for o in observations for _, score in o.scene_scores)
+    path = tmp_path / "obs.jsonl"
+    save_observations(observations, path)
+    assert load_observations(path) == observations
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_undecodable_bytes_are_invalid(name, valid_files, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(valid_files[name].read_bytes()[:40] + b"\xff\xfe\xfa\n")
+    with pytest.raises(InvalidSpec):
+        LOADERS[name](path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["objects"][0]["pose"].__setitem__(0, float("nan")),
+    lambda doc: doc["trajectory"][3].__setitem__(1, float("inf")),
+], ids=["nan-object-pose", "inf-trajectory"])
+def test_world_file_rejects_non_finite_poses(edit, valid_files, tmp_path):
+    # A NaN pose fails every range test, so the object would be sensed
+    # from everywhere and merge into objects named ``nan,nan``.
+    doc = yaml.safe_load(valid_files["world"].read_text())
+    edit(doc)
+    path = tmp_path / "world.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(InvalidSpec):
+        load_world(path)
+
+
+@pytest.mark.parametrize("name", ["world", "registry"])
+def test_unparsable_yaml_is_invalid(name, tmp_path):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text("a: [1, 2\n")
+    with pytest.raises(InvalidSpec):
+        LOADERS[name](path)
+
+
+# --- properties -----------------------------------------------------------------
+
+def _outcome(loader, path):
+    """Load ``path``; a GroundlingError is an accepted outcome."""
+    try:
+        return loader(path)
+    except GroundlingError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), blob=st.binary(max_size=300))
+def test_arbitrary_bytes_load_or_raise_domain_error(name, blob, scratch_file):
+    scratch_file.write_bytes(blob)
+    _outcome(LOADERS[name], scratch_file)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    # integers past int64 and past the largest float
+    | st.sampled_from([2**63, -2**63 - 1, 10**400]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every location in a JSON document, the document itself first."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one location replaced by a JSON value, or removed."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(JSON_VALUES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["observations", "corpus", "model"]), data=st.data())
+def test_one_field_mutations_load_or_raise_domain_error(
+        name, data, valid_files, scratch_file, registry):
+    if name == "model":
+        doc = json.loads(valid_files["model"].read_text())
+        scratch_file.write_text(json.dumps(data.draw(mutated(doc))))
+    else:
+        records = _records(valid_files[name])
+        line = data.draw(st.integers(0, len(records) - 1))
+        records[line] = data.draw(mutated(records[line]))
+        _write_records(scratch_file, records)
+    loaded = _outcome(LOADERS[name], scratch_file)
+    if name == "observations" and loaded is not None:
+        try:
+            build_world_model(loaded, registry.classifiers(), registry)
+        except GroundlingError:
+            pass

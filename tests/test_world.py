@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groundling.errors import InvalidSpec, UnknownClassifier
-from groundling.fixtures import default_cooccurrence, site1_spec, site2_spec
+from groundling.fixtures import (
+    default_cooccurrence,
+    site1_spec,
+    site2_spec,
+    site_spec,
+)
 from groundling.symbols import PerceptionSymbol
 from groundling.world import (
     MERGE_RADIUS,
     CooccurrenceModel,
     LatentObject,
+    Observation,
+    RawDetection,
     WorldSpec,
     _cluster,
     build_world_model,
@@ -28,7 +36,7 @@ from groundling.world import (
     save_world,
     simulate,
 )
-from oracles import pairwise_cluster
+import oracles
 
 
 def full_classifiers(registry):
@@ -120,7 +128,9 @@ def test_uninformative_frames_inherit_previous_label(site_logs):
 
 def test_run_classifier_on_empty_input(registry):
     symbol = PerceptionSymbol("object_detector", "ball")
-    assert run_classifier(symbol, (), registry) == ((), 0.0)
+    found, cost = run_classifier(symbol, (), registry)
+    assert len(found) == 0
+    assert cost == 0.0
 
 
 def test_run_classifier_rejects_unknown(registry, site_logs):
@@ -225,7 +235,88 @@ def merge_points(draw):
 @example([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (math.nan, 0.0),
           (math.inf, 0.0), (math.inf, 0.0)])
 def test_grid_clustering_matches_pairwise(points):
-    assert _cluster(points) == pairwise_cluster(points)
+    assert _cluster(points) == oracles.pairwise_cluster(points)
+
+
+def _tiled(spec, copies):
+    """``spec`` repeated along the corridor, each copy 60 m further on."""
+    objects = tuple(
+        replace(o, id=f"{o.id}~{k}", pose=(o.pose[0] + 60.0 * k, o.pose[1], o.pose[2]))
+        for k in range(copies) for o in spec.objects)
+    trajectory = tuple((x + 60.0 * k, y, theta)
+                       for k in range(copies) for x, y, theta in spec.trajectory)
+    return replace(spec, objects=objects, trajectory=trajectory)
+
+
+def _float_bits(world):
+    """Every float of a world model, spelled so that -0.0 differs from 0.0."""
+    return ([tuple(float(v).hex() for v in o.pose) for o in world.objects],
+            [float(c).hex() for _, c in world.cost_ledger],
+            float(world.total_cost).hex())
+
+
+def assert_same_world(observations, classifiers, registry):
+    built = build_world_model(observations, classifiers, registry)
+    expected = oracles.build_world_model(observations, classifiers, registry)
+    assert built == expected
+    assert _float_bits(built) == _float_bits(expected)
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+@pytest.mark.parametrize("site", ["site-1", "site-2"])
+def test_build_matches_row_oracle(registry, site, copies):
+    observations = simulate(_tiled(site_spec(site), copies), registry)
+    assert_same_world(observations, full_classifiers(registry), registry)
+
+
+def test_members_seen_together_merge_in_rel_order(registry):
+    # Three sightings of one cup, two of them in one observation and
+    # listed against rel order: the centroid sums them in (t, rel) order.
+    def seen(t, *xs):
+        return Observation(
+            t=t, robot_pose=(0.0, 0.0, 0.0), scene_label="kitchen",
+            scene_scores=(("kitchen", 0.0),),
+            sensed=tuple(RawDetection(None, (x, 0.0, 0.0), "cup", "red")
+                         for x in xs))
+
+    observations = (seen(0, 0.25), seen(1, 0.19, 0.17))
+    world = build_world_model(observations, full_classifiers(registry), registry)
+    assert [o.pose[0] for o in world.objects] == [((0.25 + 0.17) + 0.19) / 3]
+    assert_same_world(observations, full_classifiers(registry), registry)
+
+
+def _turning(spec):
+    """``spec`` with the robot's heading swinging along the trajectory."""
+    return replace(spec, trajectory=tuple(
+        (x, y, 1.3 * math.sin(0.4 * k)) for k, (x, y, _) in enumerate(spec.trajectory)))
+
+
+@pytest.fixture(scope="module")
+def sensed_sites(registry):
+    """Logs of both sites at x1 and x2: as the fixtures sense them, with
+    noise and clutter, and with noise, clutter and a turning robot."""
+    logs = {}
+    for site in ("site-1", "site-2"):
+        for copies in (1, 2):
+            spec = _tiled(site_spec(site), copies)
+            rough = replace(spec, noise=0.2, clutter_rate=0.3)
+            for variant, sensed in (("exact", spec), ("noisy", rough),
+                                    ("turning", _turning(rough))):
+                logs[site, copies, variant] = simulate(sensed, registry)
+    return logs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_columnar_build_matches_row_oracle(registry, sensed_sites, data, rng):
+    observations = sensed_sites[data.draw(st.sampled_from(sorted(sensed_sites)))]
+    keep_obs = data.draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    keep_cls = data.draw(st.sampled_from([0.3, 0.7, 1.0]))
+    subset_obs = tuple(o for o in observations if rng.random() < keep_obs)
+    subset_cls = frozenset(
+        c for c in sorted(full_classifiers(registry), key=lambda s: s.canon)
+        if rng.random() < keep_cls)
+    assert_same_world(subset_obs, subset_cls, registry)
 
 
 def test_geometry_needs_both_bbox_and_pose(registry, site_logs):
