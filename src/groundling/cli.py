@@ -18,7 +18,7 @@ from .errors import GroundlingError
 from .fixtures import benchmark_manifest, reference_world, site_spec
 from .pipeline import MODES, ModelBundle, benchmark, run, train_bundle
 from .symbols import default_registry, load_registry, save_registry
-from .world import load_observations, save_observations, save_world, simulate
+from .world import load_observations, save_observations, simulate
 
 
 def _registry(args):
@@ -42,9 +42,6 @@ def _cmd_generate_world(args) -> int:
         spec = replace(spec, seed=args.seed)
     observations = simulate(spec, _registry(args))
     save_observations(observations, args.out)
-    if args.spec_out:
-        save_world(spec, args.spec_out)
-        print(f"wrote world spec to {args.spec_out}")
     print(f"wrote {len(observations)} observations for {spec.name} to {args.out}")
     return 0
 
@@ -152,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate a site into an observation log")
     p.add_argument("--site", default="site-1", choices=("site-1", "site-2"))
     p.add_argument("--out", required=True)
-    p.add_argument("--spec-out", help="also write the world spec YAML")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_generate_world)
 
@@ -202,14 +198,16 @@ def main(argv=None) -> int:
     except GroundlingError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # The reader of stdout has gone (``groundling ... | head``).  Point
         # stdout at the null device so the interpreter's last flush of the
         # unwritten output does not fail again on the way out.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # Caught after BrokenPipeError, an OSError subclass: a missing file,
+        # a directory where a file goes, a permission denied.
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

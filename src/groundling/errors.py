@@ -36,10 +36,6 @@ class OutOfGrammar(GroundlingError):
         super().__init__(f"no parse: unexpected token {token!r}")
 
 
-class EmptyRegistry(GroundlingError):
-    """The classifier registry declares no classifiers at all."""
-
-
 class UnknownSchemaVersion(GroundlingError):
     """A versioned file declares a schema this code does not understand."""
 

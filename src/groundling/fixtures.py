@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
-
-import yaml
 
 from .errors import InvalidSpec
 from .symbols import SCENE_LABELS, ClassifierRegistry
@@ -237,16 +234,16 @@ class BenchmarkCase:
     site: str
 
 
-def benchmark_manifest() -> tuple[BenchmarkCase, ...]:
-    """The six instruction / site pairs the efficiency comparison runs.
+_MANIFEST = (
+    BenchmarkCase("go to the farthest umbrella in the hallway", "site-1"),
+    BenchmarkCase("navigate to the nearest suitcase in the parking lot", "site-2"),
+    BenchmarkCase("go to the farthest cup in the kitchen", "site-1"),
+    BenchmarkCase("go to the nearest keyboard in the office", "site-2"),
+    BenchmarkCase("go to the nearest ball in the hallway", "site-1"),
+    BenchmarkCase("go to the farthest ball in the lab", "site-2"),
+)
 
-    The manifest ships as package data so a deployment can swap its own
-    case list in without touching code.
-    """
-    text = resources.files("groundling").joinpath("data/benchmark.yaml").read_text()
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or doc.get("schema") != 1:
-        raise InvalidSpec("benchmark manifest must declare schema 1")
-    return tuple(
-        BenchmarkCase(case["instruction"], case["site"]) for case in doc["cases"]
-    )
+
+def benchmark_manifest() -> tuple[BenchmarkCase, ...]:
+    """The six instruction / site pairs the efficiency comparison runs."""
+    return _MANIFEST

@@ -18,7 +18,7 @@ lexicographically by that string so symbol indices are stable across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -26,7 +26,6 @@ import numpy as np
 import yaml
 
 from .errors import (
-    EmptyRegistry,
     InvalidSpec,
     MALFORMED_INPUT,
     UnknownClassifier,
@@ -76,7 +75,7 @@ STRUCTURAL_KINDS = (BBOX_ESTIMATOR, NOISE_FILTER, POSE_ESTIMATOR)
 
 RELATION_KINDS = ("farthest", "nearest")
 
-REGISTRY_SCHEMA = 2
+REGISTRY_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -351,7 +350,6 @@ class ClassifierRegistry:
 
     object_classes: tuple[str, ...] = DEFAULT_OBJECT_CLASSES
     colors: tuple[str, ...] = DEFAULT_COLORS
-    structural_stages: tuple[str, ...] = STRUCTURAL_KINDS
     kind_costs: tuple[tuple[str, CostModel], ...] = _DEFAULT_COSTS
     cost_overrides: tuple[tuple[str, CostModel], ...] = ()
     scene_cost_per_observation: float = 0.2
@@ -367,9 +365,6 @@ class ClassifierRegistry:
             raise InvalidSpec("duplicate object class")
         if self.scene_cost_per_observation < 0:
             raise InvalidSpec("scene cost must be non-negative")
-        for stage in self.structural_stages:
-            if stage not in STRUCTURAL_KINDS:
-                raise InvalidSpec(f"unknown structural stage {stage!r}")
 
     @property
     def scene_labels(self) -> tuple[str, ...]:
@@ -379,7 +374,7 @@ class ClassifierRegistry:
     def classifiers(self) -> tuple[PerceptionSymbol, ...]:
         out = [PerceptionSymbol(OBJECT_DETECTOR, c) for c in self.object_classes]
         out += [PerceptionSymbol(COLOR_DETECTOR, c) for c in self.colors]
-        out += [PerceptionSymbol(kind) for kind in self.structural_stages]
+        out += [PerceptionSymbol(kind) for kind in STRUCTURAL_KINDS]
         return tuple(sorted(out, key=lambda s: s.canon))
 
     @cached_property
@@ -388,10 +383,7 @@ class ClassifierRegistry:
 
     @cached_property
     def _perception_space(self) -> SymbolSpace:
-        classifiers = self.classifiers()
-        if not classifiers:
-            raise EmptyRegistry("registry declares no classifiers")
-        return SymbolSpace("perception", classifiers)
+        return SymbolSpace("perception", self.classifiers())
 
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
         if symbol not in self._classifier_set:
@@ -403,9 +395,6 @@ class ClassifierRegistry:
             if kind == symbol.kind:
                 return model
         raise UnknownClassifier(f"no cost model for {symbol.canon}")
-
-    def with_extra_class(self, cls: str) -> "ClassifierRegistry":
-        return replace(self, object_classes=self.object_classes + (cls,))
 
 
 def default_registry() -> ClassifierRegistry:
@@ -454,7 +443,6 @@ def save_registry(registry: ClassifierRegistry, path) -> None:
         "schema": REGISTRY_SCHEMA,
         "object_classes": list(registry.object_classes),
         "colors": list(registry.colors),
-        "structural_stages": list(registry.structural_stages),
         "kind_costs": {
             kind: {"base_cost": m.base_cost, "per_item_cost": m.per_item_cost}
             for kind, m in registry.kind_costs
@@ -477,21 +465,18 @@ def load_registry(path) -> ClassifierRegistry:
             raise UnknownSchemaVersion(doc.get("schema"), REGISTRY_SCHEMA)
         kind_costs = tuple(
             (kind, CostModel(m["base_cost"], m["per_item_cost"]))
-            for kind, m in sorted(doc.get("kind_costs", {}).items())
+            for kind, m in sorted(doc["kind_costs"].items())
         )
         overrides = tuple(
             (canon, CostModel(m["base_cost"], m["per_item_cost"]))
-            for canon, m in sorted(doc.get("cost_overrides", {}).items())
+            for canon, m in sorted(doc["cost_overrides"].items())
         )
         return ClassifierRegistry(
             object_classes=tuple(doc["object_classes"]),
             colors=tuple(doc["colors"]),
-            structural_stages=tuple(doc.get("structural_stages", STRUCTURAL_KINDS)),
             kind_costs=kind_costs,
             cost_overrides=overrides,
-            scene_cost_per_observation=float(
-                doc.get("scene_cost_per_observation", 0.0)
-            ),
+            scene_cost_per_observation=float(doc["scene_cost_per_observation"]),
         )
     except (*MALFORMED_INPUT, yaml.YAMLError) as exc:
         raise InvalidSpec(f"malformed registry file {path}: {exc!r}") from exc

@@ -24,11 +24,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import (
     InvalidSpec,
@@ -50,7 +48,6 @@ from .symbols import (
 SENSING_RANGE = 3.5
 MERGE_RADIUS = 0.5
 FALLBACK_SCENE = "hallway"
-WORLD_SCHEMA = 1
 OBS_LOG_SCHEMA = 1
 
 Pose = tuple[float, float, float]
@@ -118,8 +115,8 @@ class CooccurrenceModel:
             total = sum(row.values())
             if total <= 0 or any(v < 0 for v in row.values()):
                 raise InvalidSpec(f"co-occurrence row for {label!r} is not normalizable")
-            # Already-normalised rows pass through untouched so that a
-            # save/load cycle reproduces probabilities bit for bit.
+            # Already-normalised rows pass through untouched, so a table
+            # written as probabilities keeps them bit for bit.
             if abs(total - 1.0) < 1e-9:
                 total = 1.0
             table.append((label, tuple((c, row[c] / total) for c in sorted(row))))
@@ -157,13 +154,6 @@ class CooccurrenceModel:
             if l == label:
                 return math.log(p) if p > 0 else -math.inf
         return -math.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "characteristic": sorted(self.characteristic),
-            "prior": {l: p for l, p in self.prior},
-            "table": {l: {c: p for c, p in row} for l, row in self.table},
-        }
 
 
 def _default_scores() -> tuple[tuple[str, float], ...]:
@@ -408,62 +398,37 @@ class WorldModel:
         return frozenset(o.id for o in self.objects)
 
     def digest(self) -> "WorldDigest":
-        counts: dict[tuple[str, str], int] = {}
-        for o in self.objects:
-            for key in (("class", o.cls), ("color", o.color), ("region", o.region)):
-                if key[1] is None:
-                    continue
-                counts[key] = counts.get(key, 0) + 1
-        return WorldDigest(tuple(sorted(counts.items())))
+        return WorldDigest(frozenset(
+            pair for o in self.objects
+            for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
+            if pair[1] is not None))
 
 
 @dataclass(frozen=True)
 class WorldDigest:
-    """Attribute counts over a world model, used as factor context."""
+    """The attribute pairs of a world model, used as factor context."""
 
-    counts: tuple[tuple[tuple[str, str], int], ...] = ()
-
-    @cached_property
-    def present(self) -> frozenset[tuple[str, str]]:
-        """The (key, value) pairs that some object has."""
-        return frozenset(pair for pair, count in self.counts if count > 0)
-
-    def has(self, key: str, value: str) -> bool:
-        return (key, value) in self.present
-
-
-def empty_world(robot_pose: Pose = (0.0, 0.0, 0.0)) -> WorldModel:
-    return WorldModel(
-        objects=(), built_from=frozenset(), classifiers_used=frozenset(),
-        total_cost=0.0, robot_pose=robot_pose,
-    )
+    present: frozenset[tuple[str, str]] = frozenset()
 
 
 def run_classifier(symbol: PerceptionSymbol, observations,
-                   registry: ClassifierRegistry,
-                   detections: DetectionSet | None = None,
+                   registry: ClassifierRegistry, detections: DetectionSet,
                    ) -> tuple[DetectionSet, float]:
     """Run one classifier and return (detections, cost).
 
     An object detector keeps the rows of its class from ``detections``,
-    a scan of ``observations`` for at least that class (it scans them
-    itself when given none).  The other stages take the current detection
-    set: the noise filter drops simulator-flagged noise, color detectors
-    confirm matching colors, and the bounding-box / pose estimators
-    compute absolute geometry.  Cost is base + per-item times the number
-    of records scanned; a classifier that is never invoked (empty input)
-    costs nothing.
+    a scan of ``observations`` for at least that class.  The other stages
+    take the current detection set: the noise filter drops
+    simulator-flagged noise, color detectors confirm matching colors, and
+    the bounding-box / pose estimators compute absolute geometry.  Cost is
+    base + per-item times the number of records scanned; a classifier that
+    is never invoked (empty input) costs nothing.
     """
     cost_model = registry.cost_for(symbol)
     if symbol.kind == OBJECT_DETECTOR:
-        observations = tuple(observations)
-        if detections is None:
-            detections = DetectionSet.scan(observations, (symbol.param,))
         found = detections.take(detections.cls == symbol.param)
         return found, cost_model.cost(detections.scanned) if observations else 0.0
 
-    if detections is None:
-        detections = DetectionSet.scan((), ())
     if not len(detections):
         return detections, 0.0
     cost = cost_model.cost(len(detections))
@@ -564,14 +529,17 @@ def _merge(detections: DetectionSet) -> list[DetectedObject]:
     """One object per cluster of same-class detections, at the centroid.
 
     Centroids are Python's left-to-right sums over the members in row
-    order; the pose angle is that of the earliest member.
+    order; the pose angle is that of the earliest member.  The colour is
+    the members' most common apparent colour, kept only when a colour
+    detector confirmed it on some member: which colour detectors ran
+    decides whether the colour is known, never which colour it is.
     """
     ts = detections.t.tolist()
     xs = detections.position[:, 0].tolist()
     ys = detections.position[:, 1].tolist()
     thetas = detections.theta.tolist()
-    colors = [c if confirmed else None for c, confirmed
-              in zip(detections.color.tolist(), detections.colored.tolist())]
+    colors = detections.color.tolist()
+    colored = detections.colored.tolist()
     regions = [detections.observations[i].scene_label
                for i in detections.obs.tolist()]
     by_class: dict[str, list[int]] = {}
@@ -584,10 +552,13 @@ def _merge(detections: DetectionSet) -> list[DetectedObject]:
             members = [rows[k] for k in group]
             cx = sum(xs[i] for i in members) / len(members)
             cy = sum(ys[i] for i in members) / len(members)
+            color = _majority(colors[i] for i in members)
+            if not any(colored[i] for i in members if colors[i] == color):
+                color = None
             objects.append(DetectedObject(
                 id=_object_id(cls, cx, cy),
                 cls=cls,
-                color=_majority(colors[i] for i in members),
+                color=color,
                 pose=(cx, cy, min((ts[i], thetas[i]) for i in members)[1]),
                 region=_majority((regions[i] for i in members),
                                  default=FALLBACK_SCENE),
@@ -685,58 +656,6 @@ def _text(value, field: str) -> str:
     if not isinstance(value, str):
         raise InvalidSpec(f"{field} must be a string, got {value!r}")
     return value
-
-
-def save_world(spec: WorldSpec, path) -> None:
-    doc = {
-        "schema": WORLD_SCHEMA,
-        "name": spec.name,
-        "seed": spec.seed,
-        "noise": spec.noise,
-        "clutter_rate": spec.clutter_rate,
-        "sensing_range": spec.sensing_range,
-        "objects": [
-            {
-                "id": o.id, "class": o.cls, "color": o.color,
-                "pose": [o.pose[0], o.pose[1], o.pose[2]], "region": o.region,
-            }
-            for o in spec.objects
-        ],
-        "trajectory": [[p[0], p[1], p[2]] for p in spec.trajectory],
-        "cooccurrence": spec.cooccurrence.to_dict(),
-    }
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=True))
-
-
-def load_world(path) -> WorldSpec:
-    try:
-        doc = yaml.safe_load(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise InvalidSpec("world file is not a mapping")
-        if doc.get("schema") != WORLD_SCHEMA:
-            raise UnknownSchemaVersion(doc.get("schema"), WORLD_SCHEMA)
-        cooc = doc["cooccurrence"]
-        model = CooccurrenceModel.from_dict(
-            cooc["table"], cooc["characteristic"], cooc.get("prior")
-        )
-        return WorldSpec(
-            name=doc["name"],
-            seed=int(doc["seed"]),
-            noise=float(doc.get("noise", 0.0)),
-            clutter_rate=float(doc.get("clutter_rate", 0.0)),
-            sensing_range=float(doc.get("sensing_range", SENSING_RANGE)),
-            objects=tuple(
-                LatentObject(
-                    id=o["id"], cls=o["class"], color=o["color"],
-                    pose=_pose(o["pose"], "object pose"), region=o["region"],
-                )
-                for o in doc["objects"]
-            ),
-            trajectory=tuple(_pose(p, "trajectory pose") for p in doc["trajectory"]),
-            cooccurrence=model,
-        )
-    except (*MALFORMED_INPUT, yaml.YAMLError) as exc:
-        raise InvalidSpec(f"malformed world file {path}: {exc!r}") from exc
 
 
 def save_observations(observations, path) -> None:

@@ -92,7 +92,7 @@ def extract_features(phrase: Phrase, symbol, child_trues=(),
                     features[f"cmatch|{pair[0]}|v={variant}"] = 1.0
     if digest is not None:
         for key, value in attributes:
-            if digest.has(key, value):
+            if (key, value) in digest.present:
                 features[f"dig|{key}|v={variant}"] = 1.0
     return features
 
@@ -308,10 +308,13 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
             dets = [members[i] for i in group]
             cx = sum(d.position[0] for d in dets) / len(dets)
             cy = sum(d.position[1] for d in dets) / len(dets)
+            # The most common apparent colour, if some member's colour
+            # detector confirmed it.
+            apparent = _majority(d.raw.apparent_color for d in dets)
             objects.append(DetectedObject(
                 id=_object_id(cls, cx, cy),
                 cls=cls,
-                color=_majority(d.color for d in dets),
+                color=apparent if any(d.color == apparent for d in dets) else None,
                 pose=(cx, cy, min((d.obs_t, d.theta) for d in dets)[1]),
                 region=_majority((obs_by_t[d.obs_t].scene_label for d in dets),
                                  default=FALLBACK_SCENE),

@@ -15,14 +15,13 @@ import groundling
 from groundling import cli
 from groundling.corpus import load_corpus, save_corpus
 from groundling.symbols import default_registry, load_registry
-from groundling.world import load_observations, load_world, save_observations
+from groundling.world import load_observations, save_observations
 
 
 def test_full_workflow(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     models_dir = tmp_path / "models"
     obs_path = tmp_path / "site1.jsonl"
-    spec_path = tmp_path / "site1.yaml"
     csv_path = tmp_path / "bench.csv"
     audit_path = tmp_path / "audit.json"
     registry_path = tmp_path / "registry.yaml"
@@ -42,10 +41,8 @@ def test_full_workflow(tmp_path, capsys):
     assert len(lines) == 2
 
     assert cli.main(["generate-world", "--site", "site-1",
-                     "--out", str(obs_path),
-                     "--spec-out", str(spec_path)]) == 0
+                     "--out", str(obs_path)]) == 0
     assert len(load_observations(obs_path)) == 60
-    assert load_world(spec_path).name == "site-1"
 
     assert cli.main(["ground",
                      "--instruction", "go to the farthest cup in the kitchen",
@@ -141,10 +138,11 @@ def _not_utf8(record):
     ("train", "corpus", _not_utf8),
     ("ground", "registry", lambda record: "a: [1, 2"),
     ("ground", "registry", _not_utf8),
+    ("ground", "directory", None),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
         "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
         "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
-        "registry-bad-yaml", "registry-not-utf8"])
+        "registry-bad-yaml", "registry-not-utf8", "obs-directory"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"
@@ -161,6 +159,9 @@ def test_malformed_input_exits_one_without_traceback(
     elif broken == "registry":
         registry_path.write_bytes(_encoded(edit(None)))
         options = ["--registry", str(registry_path)]
+    elif broken == "directory":
+        obs_path = tmp_path / "logs"
+        obs_path.mkdir()
     else:
         _rewrite_jsonl(obs_path if broken == "observations" else corpus_path, 1, edit)
 
@@ -178,7 +179,8 @@ def test_malformed_input_exits_one_without_traceback(
         capture_output=True, text=True, env=env)
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("InvalidSpec: ")
+    expected = f"{obs_path}: " if broken == "directory" else "InvalidSpec: "
+    assert done.stderr.startswith(expected)
 
 
 def test_closed_stdout_exits_one_without_traceback(tmp_path, bundle):

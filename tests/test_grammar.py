@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from groundling.errors import EmptyInstruction, OutOfGrammar
@@ -68,7 +70,8 @@ def test_golden_trees(text, expected, registry):
 ])
 def test_color_that_is_also_a_class(text, expected, registry):
     """A color word is the noun unless a noun follows it."""
-    assert dump_tree(parse_text(text, registry.with_extra_class("red"))) == expected
+    extended = replace(registry, object_classes=registry.object_classes + ("red",))
+    assert dump_tree(parse_text(text, extended)) == expected
 
 
 def test_empty_instruction_rejected(registry):

@@ -21,9 +21,7 @@ from groundling.world import (
     CooccurrenceModel,
     build_world_model,
     load_observations,
-    load_world,
     save_observations,
-    save_world,
     simulate,
 )
 
@@ -31,7 +29,6 @@ LOADERS = {
     "observations": load_observations,
     "corpus": load_corpus,
     "model": load_model,
-    "world": load_world,
     "registry": load_registry,
 }
 
@@ -46,7 +43,6 @@ def valid_files(tmp_path_factory, registry, site_logs, corpus_examples):
     save_model(CorrespondenceModel(domain="semantic",
                                    weights={"bias|v=scene": 0.5, "w=red|v=scene": -1.25},
                                    regularization=0.01), paths["model"])
-    save_world(site_spec("site-1"), paths["world"])
     save_registry(registry, paths["registry"])
     return paths
 
@@ -111,22 +107,20 @@ def test_undecodable_bytes_are_invalid(name, valid_files, tmp_path):
         LOADERS[name](path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["objects"][0]["pose"].__setitem__(0, float("nan")),
-    lambda doc: doc["trajectory"][3].__setitem__(1, float("inf")),
-], ids=["nan-object-pose", "inf-trajectory"])
-def test_world_file_rejects_non_finite_poses(edit, valid_files, tmp_path):
-    # A NaN pose fails every range test, so the object would be sensed
-    # from everywhere and merge into objects named ``nan,nan``.
-    doc = yaml.safe_load(valid_files["world"].read_text())
-    edit(doc)
-    path = tmp_path / "world.yaml"
+@pytest.mark.parametrize("key", ["object_classes", "colors", "kind_costs",
+                                 "cost_overrides", "scene_cost_per_observation"])
+def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
+    # No key falls back to a default: a registry without kind_costs would
+    # load and then fail every build, and the built-in scene cost is 0.2.
+    doc = yaml.safe_load(valid_files["registry"].read_text())
+    del doc[key]
+    path = tmp_path / "registry.yaml"
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(InvalidSpec):
-        load_world(path)
+        load_registry(path)
 
 
-@pytest.mark.parametrize("name", ["world", "registry"])
+@pytest.mark.parametrize("name", ["registry"])
 def test_unparsable_yaml_is_invalid(name, tmp_path):
     path = tmp_path / f"{name}.yaml"
     path.write_text("a: [1, 2\n")

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,14 @@ import pytest
 from test_acceptance import strip_wall_time
 
 import groundling
-from groundling.fixtures import benchmark_manifest
+from groundling.fixtures import benchmark_manifest, site_spec
 from groundling.pipeline import (
     CSV_COLUMNS,
     MODES,
     ModelBundle,
     run,
 )
+from groundling.world import simulate
 
 REPRODUCE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_benchmark.py"
 
@@ -110,6 +112,16 @@ def test_run_reports_missing_target(bundle, registry, site_logs, mode,
                  site=site)
     assert result.grounding == ""
     assert result.error.startswith("NoTargetObject")
+
+
+def test_noisy_colour_grounds_alike_in_every_mode(bundle, registry):
+    # With noise some frames of site-1's red chair at (34.5, 1.0) read
+    # green; AP, which runs only the green detector, must not call it green.
+    observations = simulate(replace(site_spec("site-1"), noise=0.2), registry)
+    outcomes = {(r.grounding, r.error.split(":")[0]) for r in (
+        run("drive to the nearest green chair", observations, bundle, registry,
+            mode=mode, site="site-1") for mode in MODES)}
+    assert len(outcomes) == 1, outcomes
 
 
 def test_run_reports_out_of_grammar(bundle, registry, site_logs):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 import yaml
 
-from groundling.errors import EmptyRegistry, UnknownClassifier, UnknownSchemaVersion
+from groundling.errors import UnknownClassifier, UnknownSchemaVersion
 from groundling.symbols import (
     SCENE_LABELS,
+    STRUCTURAL_KINDS,
     ClassifierRegistry,
     CostModel,
     PerceptionSymbol,
@@ -19,7 +22,13 @@ from groundling.symbols import (
     load_registry,
     save_registry,
 )
-from groundling.world import build_world_model, empty_world
+from groundling.world import WorldModel, build_world_model
+
+
+def empty_world() -> WorldModel:
+    return WorldModel(objects=(), built_from=frozenset(),
+                      classifiers_used=frozenset(), total_cost=0.0,
+                      robot_pose=(0.0, 0.0, 0.0))
 
 
 def canons(space):
@@ -65,13 +74,6 @@ def test_instance_symbols_reference_world_ids(registry, site_logs):
             assert symbol.value in ids
 
 
-def test_empty_registry_rejected():
-    with pytest.raises(EmptyRegistry):
-        enumerate_perception_space(
-            ClassifierRegistry(object_classes=(), colors=(),
-                               structural_stages=()))
-
-
 def test_registry_round_trip(registry, tmp_path):
     path = tmp_path / "registry.yaml"
     save_registry(registry, path)
@@ -83,6 +85,17 @@ def test_schema_1_registry_rejected(registry, tmp_path):
     save_registry(registry, path)
     doc = yaml.safe_load(path.read_text())
     doc.update(schema=1, scene_labels=list(SCENE_LABELS))
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(UnknownSchemaVersion):
+        load_registry(path)
+
+
+def test_schema_2_registry_rejected(registry, tmp_path):
+    # Schema 2 declared the structural stages; they are fixed now.
+    path = tmp_path / "registry.yaml"
+    save_registry(registry, path)
+    doc = yaml.safe_load(path.read_text())
+    doc.update(schema=2, structural_stages=list(STRUCTURAL_KINDS))
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(UnknownSchemaVersion):
         load_registry(path)
@@ -109,7 +122,7 @@ def test_registry_equality_ignores_cost_table_order(registry):
 
 
 def test_with_extra_class_extends_detectors(registry):
-    extended = registry.with_extra_class("drone")
+    extended = replace(registry, object_classes=registry.object_classes + ("drone",))
     assert "drone" in extended.object_classes
     assert PerceptionSymbol("object_detector", "drone") in set(
         extended.classifiers())
