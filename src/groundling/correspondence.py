@@ -6,7 +6,7 @@ feature template crosses a phrase-side key (a word, the category, a
 resolved child's variant or attributes, the world digest) with a
 symbol-side key: the symbol's variant, one of its attribute pairs, or a
 (variant, pair) cell.  ``phrase_logits`` therefore names each phrase's
-features once per key of the space's ``SpaceLayout`` rather than once per
+features once per key of the ``SymbolSpace`` rather than once per
 symbol, and spreads the key weights onto every symbol with one gather and
 one ``bincount``.  Training builds its design rows from the same names.
 
@@ -40,7 +40,7 @@ from .errors import (
     UnknownSchemaVersion,
 )
 from .grammar import ParseTree, Phrase
-from .symbols import GroundingSymbol, SpaceLayout, SymbolSpace, action_instance
+from .symbols import GroundingSymbol, SymbolSpace, action_instance
 from .world import DetectedObject, WorldDigest, planar_distance
 
 MODEL_SCHEMA = 1
@@ -53,12 +53,12 @@ MAX_ITERATIONS = 1000
 FIRST_STEP = 0.1
 
 
-def _phrase_features(phrase: Phrase, layout: SpaceLayout, child_trues,
+def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
                      digest: WorldDigest | None):
     """Name the features of one phrase against every key of a space.
 
     Returns ``(names, keys, ceq)``: feature ``names[i]`` fires for every
-    symbol that has key ``keys[i]`` (see ``SpaceLayout``), and ``ceq``
+    symbol that has key ``keys[i]`` (see ``SymbolSpace``), and ``ceq``
     lists ``(symbol index, name)`` for the symbols that repeat a
     child.  Names come in a fixed order, so sums over them do not depend
     on string hashing.  The templates, for a symbol of variant ``v``:
@@ -82,12 +82,12 @@ def _phrase_features(phrase: Phrase, layout: SpaceLayout, child_trues,
     child_pairs = {p for c in kids for p in c.attributes}
     own = ["bias", f"cat={phrase.category}", *words,
            *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
-    names = [f"{p}|v={v}" for _, v in layout.variants for p in own]
-    keys = [k for k, _ in layout.variants for _ in own]
-    names += [f"{w}|a={a}={x}" for _, (a, x) in layout.pairs for w in words]
-    keys += [k for k, _ in layout.pairs for _ in words]
+    names = [f"{p}|v={v}" for _, v in space.variants for p in own]
+    keys = [k for k, _ in space.variants for _ in own]
+    names += [f"{w}|a={a}={x}" for _, (a, x) in space.pairs for w in words]
+    keys += [k for k, _ in space.pairs for _ in words]
     world_pairs = digest.present if digest is not None else frozenset()
-    for pair, cells in layout.cells.items():
+    for pair, cells in space.cells.items():
         fired = []
         if pair in child_pairs:
             fired.append("cmatch")
@@ -96,7 +96,7 @@ def _phrase_features(phrase: Phrase, layout: SpaceLayout, child_trues,
         for template in fired:
             names += [f"{template}|{pair[0]}|v={v}" for _, v in cells]
             keys += [key for key, _ in cells]
-    position = layout.position
+    position = space.position
     ceq = sorted((position[c.canon], f"ceq|v={c.variant}") for c in kids
                  if c.canon in position)
     return names, keys, ceq
@@ -111,14 +111,13 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
     children.  Weights are read only through ``model.weights.get``.  A
     non-finite logit raises ``NonFiniteScore``.
     """
-    layout = space.layout
-    names, keys, ceq = _phrase_features(phrase, layout, child_trues, digest)
+    names, keys, ceq = _phrase_features(phrase, space, child_trues, digest)
     get = model.weights.get
     key_weights = np.bincount(np.asarray(keys, dtype=np.intp),
                               weights=[get(name, 0.0) for name in names],
-                              minlength=layout.key_count)
-    z = np.bincount(layout.entry_symbol,
-                    weights=key_weights[layout.entry_key],
+                              minlength=space.key_count)
+    z = np.bincount(space.entry_symbol,
+                    weights=key_weights[space.entry_key],
                     minlength=len(space))
     for j, name in ceq:
         z[j] += get(name, 0.0)
@@ -269,7 +268,6 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     """
     symbols = tuple(space)
     by_canon = {s.canon: s for s in symbols}
-    layout = space.layout
     vocabulary: dict[str, int] = {}
     indices: list[int] = []
     indptr = [0]
@@ -288,16 +286,16 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             child_trues = set()
             for child in phrase.children:
                 child_trues.update(by_canon[c] for c in example.gold[child.index])
-            names, keys, ceq = _phrase_features(phrase, layout, child_trues,
+            names, keys, ceq = _phrase_features(phrase, space, child_trues,
                                                 example.digest)
-            columns_of: list[list[int]] = [[] for _ in range(layout.key_count)]
+            columns_of: list[list[int]] = [[] for _ in range(space.key_count)]
             for name, key in zip(names, keys):
                 columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
             repeats = {j: vocabulary.setdefault(name, len(vocabulary))
                        for j, name in ceq}
             gold_here = example.gold[phrase.index]
             for j, symbol in enumerate(symbols):
-                for key in layout.keys_of[j]:
+                for key in space.keys_of[j]:
                     indices.extend(columns_of[key])
                 if j in repeats:
                     indices.append(repeats[j])

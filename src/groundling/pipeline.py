@@ -160,7 +160,7 @@ def run(instruction: str, observations, models: ModelBundle,
             selection = infer_classifiers(models.perception, tree, registry)
             classifiers = selection.selected
         else:
-            classifiers = frozenset(registry.classifiers())
+            classifiers = registry.classifier_set
         world = build_world_model(kept, classifiers, registry,
                                   robot_pose=robot_pose)
         space = enumerate_grounding_space(world, registry)

@@ -73,6 +73,10 @@ NOISE_FILTER = "noise_filter"
 
 STRUCTURAL_KINDS = (BBOX_ESTIMATOR, NOISE_FILTER, POSE_ESTIMATOR)
 
+# Every classifier kind, in the order a world-model build runs them.
+CLASSIFIER_KINDS = (OBJECT_DETECTOR, NOISE_FILTER, COLOR_DETECTOR,
+                    BBOX_ESTIMATOR, POSE_ESTIMATOR)
+
 RELATION_KINDS = ("farthest", "nearest")
 
 REGISTRY_SCHEMA = 3
@@ -224,42 +228,9 @@ class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
     Symbols are sorted by canonical string, so a symbol's index is stable
-    across runs.
-    """
+    across runs; ``position`` maps each canonical string to its index.
 
-    def __init__(self, domain: str, symbols):
-        ordered = sorted(symbols, key=lambda s: s.canon)
-        position: dict[str, int] = {}
-        for j, sym in enumerate(ordered):
-            canon = sym.canon
-            if canon in position:
-                raise InvalidSpec(f"duplicate symbol {canon}")
-            position[canon] = j
-        self.domain = domain
-        self.symbols = tuple(ordered)
-        self._position = position
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, j: int):
-        return self.symbols[j]
-
-    def __contains__(self, symbol) -> bool:
-        return getattr(symbol, "canon", None) in self._position
-
-    @cached_property
-    def layout(self) -> "SpaceLayout":
-        return SpaceLayout.of(self.symbols, self._position)
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceLayout:
-    """A space's symbols indexed by variant and attribute pair.
-
+    The space also indexes its symbols by variant and attribute pair.
     Every symbol has a few keys: its variant, and for each of its attribute
     pairs, the pair and the (pair, variant) cell.  Keys are numbered in the
     order the space's symbols first have them.  ``variants`` and ``pairs``
@@ -267,29 +238,24 @@ class SpaceLayout:
     to the ``(key, variant)`` of its cells.  ``keys_of`` lists each
     symbol's keys, and so does entry ``e`` of the flat arrays: symbol
     ``entry_symbol[e]`` has key ``entry_key[e]``.  A symbol's attribute
-    keys are distinct, so its cells are too.  ``position`` maps each
-    canonical string to its symbol's index.
+    keys are distinct, so its cells are too.
     """
 
-    variants: tuple[tuple[int, str], ...]
-    pairs: tuple[tuple[int, tuple[str, str]], ...]
-    cells: dict[tuple[str, str], tuple[tuple[int, str], ...]]
-    key_count: int
-    keys_of: tuple[tuple[int, ...], ...]
-    entry_symbol: np.ndarray
-    entry_key: np.ndarray
-    position: dict[str, int]
-
-    @staticmethod
-    def of(symbols, position: dict[str, int]) -> "SpaceLayout":
+    def __init__(self, domain: str, symbols):
+        ordered = sorted(symbols, key=lambda s: s.canon)
+        position: dict[str, int] = {}
         # A variant is a string, a pair a (key, value) tuple, and a cell a
         # (pair, variant) tuple, so one dictionary numbers all three.
         key: dict = {}
         keys_of = []
-        for s in symbols:
-            variant = s.variant
+        for j, sym in enumerate(ordered):
+            canon = sym.canon
+            if canon in position:
+                raise InvalidSpec(f"duplicate symbol {canon}")
+            position[canon] = j
+            variant = sym.variant
             keys = [key.setdefault(variant, len(key))]
-            for pair in s.attributes:
+            for pair in sym.attributes:
                 keys.append(key.setdefault(pair, len(key)))
                 keys.append(key.setdefault((pair, variant), len(key)))
             keys_of.append(tuple(keys))
@@ -301,16 +267,30 @@ class SpaceLayout:
                 pairs.append((k, name))
             else:
                 cells.setdefault(name[0], []).append((k, name[1]))
-        entry_symbol = np.repeat(np.arange(len(keys_of)),
-                                 [len(keys) for keys in keys_of])
-        entry_key = np.fromiter(itertools.chain.from_iterable(keys_of),
-                                dtype=np.intp, count=len(entry_symbol))
-        return SpaceLayout(
-            variants=tuple(variants), pairs=tuple(pairs),
-            cells={p: tuple(c) for p, c in cells.items()},
-            key_count=len(key), keys_of=tuple(keys_of),
-            entry_symbol=entry_symbol, entry_key=entry_key, position=position,
-        )
+        self.domain = domain
+        self.symbols = tuple(ordered)
+        self.position = position
+        self.variants = tuple(variants)
+        self.pairs = tuple(pairs)
+        self.cells = {p: tuple(c) for p, c in cells.items()}
+        self.key_count = len(key)
+        self.keys_of = tuple(keys_of)
+        self.entry_symbol = np.repeat(np.arange(len(keys_of)),
+                                      [len(keys) for keys in keys_of])
+        self.entry_key = np.fromiter(itertools.chain.from_iterable(keys_of),
+                                     dtype=np.intp, count=len(self.entry_symbol))
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __iter__(self):
+        return iter(self.symbols)
+
+    def __getitem__(self, j: int):
+        return self.symbols[j]
+
+    def __contains__(self, symbol) -> bool:
+        return getattr(symbol, "canon", None) in self.position
 
 
 @dataclass(frozen=True)
@@ -363,6 +343,16 @@ class ClassifierRegistry:
             object.__setattr__(self, field_name, table)
         if len(set(self.object_classes)) != len(self.object_classes):
             raise InvalidSpec("duplicate object class")
+        if len(set(self.colors)) != len(self.colors):
+            raise InvalidSpec("duplicate color")
+        kinds = [kind for kind, _ in self.kind_costs]
+        if kinds != sorted(CLASSIFIER_KINDS):
+            raise InvalidSpec(f"kind_costs must price each of"
+                              f" {sorted(CLASSIFIER_KINDS)} once, got {kinds}")
+        canons = {c.canon for c in self.classifier_set}
+        for canon, _ in self.cost_overrides:
+            if canon not in canons:
+                raise InvalidSpec(f"cost override for unknown classifier {canon}")
         if self.scene_cost_per_observation < 0:
             raise InvalidSpec("scene cost must be non-negative")
 
@@ -378,7 +368,7 @@ class ClassifierRegistry:
         return tuple(sorted(out, key=lambda s: s.canon))
 
     @cached_property
-    def _classifier_set(self) -> frozenset[PerceptionSymbol]:
+    def classifier_set(self) -> frozenset[PerceptionSymbol]:
         return frozenset(self.classifiers())
 
     @cached_property
@@ -386,15 +376,12 @@ class ClassifierRegistry:
         return SymbolSpace("perception", self.classifiers())
 
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
-        if symbol not in self._classifier_set:
+        if symbol not in self.classifier_set:
             raise UnknownClassifier(symbol.canon)
         for canon, model in self.cost_overrides:
             if canon == symbol.canon:
                 return model
-        for kind, model in self.kind_costs:
-            if kind == symbol.kind:
-                return model
-        raise UnknownClassifier(f"no cost model for {symbol.canon}")
+        return dict(self.kind_costs)[symbol.kind]
 
 
 def default_registry() -> ClassifierRegistry:

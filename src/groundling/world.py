@@ -9,14 +9,15 @@ it is taken.
 
 Perception is lazy and costed, and runs on a columnar ``DetectionSet``:
 one numpy array per field, one row per detection.  A build reads the
-records once and gathers into columns only those of a selected object
-detector's class; each detector then keeps the rows of its class.  The
-noise filter is a boolean mask, each color detector a masked assignment,
-and the bounding-box and pose estimators one vectorised rotation of every
-row into the world frame, element for element the IEEE operations of the
-scalar transform.  A detection only becomes a world-model object once the
-bounding-box and pose stages have run.  Duplicate detections of one
-physical object merge by class and proximity, read from the columns.
+records once, gathers into columns only those of a selected object
+detector's class, and sorts the rows once; every object detector charges
+for that one scan.  The noise filter is a boolean mask, each color
+detector a masked assignment, and the bounding-box and pose estimators
+one vectorised rotation of every row into the world frame, element for
+element the IEEE operations of the scalar transform.  A detection only
+becomes a world-model object once the bounding-box and pose stages have
+run.  Duplicate detections of one physical object merge by class and
+proximity, read from the columns.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .symbols import (
     BBOX_ESTIMATOR,
+    CLASSIFIER_KINDS,
     COLOR_DETECTOR,
     ClassifierRegistry,
     NOISE_FILTER,
@@ -279,14 +281,15 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry,
 class DetectionSet:
     """Detections routed through the perception pipeline, one array per field.
 
-    Row ``i`` is one raw detection.  ``obs[i]`` indexes ``observations``,
-    the observations the scan found rows in, and ``t[i]`` is that
-    observation's time; ``rel`` holds the pose relative to the robot frame,
-    ``cls``/``color`` the apparent class and colour, and ``noisy`` the
-    simulator's noise flag.  ``colored`` marks the rows whose colour a
-    colour detector confirmed.  ``position`` (x, y per row) and ``theta``
-    stay None until the bounding-box and pose stages compute them for
-    every row.  ``scanned`` counts the raw records read to find the rows.
+    Row ``i`` is one raw detection; rows are in (t, class, rel) order.
+    ``obs[i]`` indexes ``observations``, the observations the scan found
+    rows in, and ``t[i]`` is that observation's time; ``rel`` holds the
+    pose relative to the robot frame, ``cls``/``color`` the apparent class
+    and colour, and ``noisy`` the simulator's noise flag.  ``colored``
+    marks the rows whose colour a colour detector confirmed.  ``position``
+    (x, y per row) and ``theta`` stay None until the bounding-box and pose
+    stages compute them for every row.  ``scanned`` counts the raw records
+    read to find the rows.
     """
 
     observations: tuple[Observation, ...]
@@ -305,9 +308,10 @@ class DetectionSet:
     def scan(observations, classes) -> "DetectionSet":
         """The raw detections whose apparent class is in ``classes``.
 
-        One pass over the records gathers only the hits into columns, in
-        observation order and, within an observation, record order.  No
-        record is read when ``classes`` is empty.
+        One pass over the records gathers only the hits into columns, and
+        one stable sort puts them in (t, class, rel) order: rows with
+        equal keys keep their record order.  No record is read when
+        ``classes`` is empty.
         """
         sources: list[Observation] = []
         index: list[int] = []
@@ -323,15 +327,19 @@ class DetectionSet:
                 index += [len(sources)] * (len(hits) - before)
                 sources.append(o)
         obs = np.array(index, dtype=np.intp)
+        t = np.array([o.t for o in sources], dtype=np.int64)[obs]
+        rel = np.array([r.rel for r in hits], dtype=float).reshape(-1, 3)
+        cls = np.array([r.apparent_class for r in hits], dtype=str)
+        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
         return DetectionSet(
             observations=tuple(sources),
             scanned=scanned,
-            obs=obs,
-            t=np.array([o.t for o in sources], dtype=np.int64)[obs],
-            rel=np.array([r.rel for r in hits], dtype=float).reshape(-1, 3),
-            cls=np.array([r.apparent_class for r in hits], dtype=str),
-            color=np.array([r.apparent_color for r in hits], dtype=str),
-            noisy=np.array([r.noisy for r in hits], dtype=bool),
+            obs=obs[order],
+            t=t[order],
+            rel=rel[order],
+            cls=cls[order],
+            color=np.array([r.apparent_color for r in hits], dtype=str)[order],
+            noisy=np.array([r.noisy for r in hits], dtype=bool)[order],
             colored=np.zeros(len(hits), dtype=bool),
         )
 
@@ -347,26 +355,6 @@ class DetectionSet:
             noisy=self.noisy[rows], colored=self.colored[rows],
             position=None if self.position is None else self.position[rows],
             theta=None if self.theta is None else self.theta[rows],
-        )
-
-    def stack(self, parts) -> "DetectionSet":
-        """The rows of ``parts``, sets taken from this one before any
-        stage ran, in (t, class, rel) order.
-
-        The sort is stable, so rows with equal keys keep their order in
-        ``parts``.
-        """
-        def column(name):
-            return np.concatenate([getattr(self, name)[:0],
-                                   *(getattr(p, name) for p in parts)])
-
-        t, cls, rel = column("t"), column("cls"), column("rel")
-        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
-        return DetectionSet(
-            observations=self.observations, scanned=self.scanned,
-            obs=column("obs")[order], t=t[order], rel=rel[order],
-            cls=cls[order], color=column("color")[order],
-            noisy=column("noisy")[order], colored=column("colored")[order],
         )
 
     def robot_poses(self) -> np.ndarray:
@@ -416,18 +404,18 @@ def run_classifier(symbol: PerceptionSymbol, observations,
                    ) -> tuple[DetectionSet, float]:
     """Run one classifier and return (detections, cost).
 
-    An object detector keeps the rows of its class from ``detections``,
-    a scan of ``observations`` for at least that class.  The other stages
-    take the current detection set: the noise filter drops
-    simulator-flagged noise, color detectors confirm matching colors, and
-    the bounding-box / pose estimators compute absolute geometry.  Cost is
-    base + per-item times the number of records scanned; a classifier that
-    is never invoked (empty input) costs nothing.
+    An object detector passes ``detections``, the build's one scan of
+    ``observations`` for the selected detectors' classes, through
+    unchanged, and charges base + per-item times the records that scan
+    read (nothing without observations).  The other stages take the
+    current detection set and charge base + per-item times its rows
+    (nothing when it is empty): the noise filter drops simulator-flagged
+    noise, color detectors confirm matching colors, and the bounding-box /
+    pose estimators compute absolute geometry.
     """
     cost_model = registry.cost_for(symbol)
     if symbol.kind == OBJECT_DETECTOR:
-        found = detections.take(detections.cls == symbol.param)
-        return found, cost_model.cost(detections.scanned) if observations else 0.0
+        return detections, cost_model.cost(detections.scanned) if observations else 0.0
 
     if not len(detections):
         return detections, 0.0
@@ -571,63 +559,42 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Run the selected classifiers over the observations and merge objects.
 
-    Stage order: object detectors, noise filter, color detectors, bounding
-    box, pose.  The detectors share one scan of the records.  Without both
-    geometry stages no detection can become an object (their positions
-    are unknown), though costs for stages that did run still accrue.
-    Duplicate detections of one object -- same apparent class within the
-    merge radius -- collapse to a single object at the centroid.
+    The object detectors share one scan of the records for their classes.
+    The stages then run in ``CLASSIFIER_KINDS`` order -- object detectors,
+    noise filter, color detectors, bounding box, pose -- and in canonical
+    order within a kind; each stage that costs something adds a ledger
+    entry.  The bounding-box and pose stages run only as a pair: without
+    both no detection can become an object (its position is unknown), so
+    a build with one of them runs neither.  Duplicate detections of one
+    object -- same apparent class within the merge radius -- collapse to a
+    single object at the centroid.
     """
     obs = sorted(observations, key=lambda o: o.t)
     selected = frozenset(classifiers)
-    known = set(registry.classifiers())
-    for c in selected:
-        if c not in known:
-            raise UnknownClassifier(c.canon)
+    unknown = sorted(c.canon for c in selected - registry.classifier_set)
+    if unknown:
+        raise UnknownClassifier(unknown[0])
     if robot_pose is None:
         robot_pose = obs[-1].robot_pose if obs else (0.0, 0.0, 0.0)
 
+    geometry = {PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)}
+    stages = sorted(selected if geometry <= selected else selected - geometry,
+                    key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
+    current = DetectionSet.scan(
+        obs, frozenset(c.param for c in stages if c.kind == OBJECT_DETECTOR))
     ledger: list[tuple[str, float]] = []
-    detectors = sorted(
-        (c for c in selected if c.kind == OBJECT_DETECTOR), key=lambda c: c.canon
-    )
-    pool = DetectionSet.scan(obs, frozenset(det.param for det in detectors))
-    found: list[DetectionSet] = []
-    for det in detectors:
-        hits, cost = run_classifier(det, obs, registry, detections=pool)
-        if cost:
-            ledger.append((det.canon, cost))
-        found.append(hits)
-    current = pool.stack(found)
-
-    def stage(symbol):
-        nonlocal current
-        out, cost = run_classifier(symbol, obs, registry, detections=current)
+    for symbol in stages:
+        current, cost = run_classifier(symbol, obs, registry, current)
         if cost:
             ledger.append((symbol.canon, cost))
-        current = out
 
-    noise = PerceptionSymbol(NOISE_FILTER)
-    if noise in selected:
-        stage(noise)
-    for color in sorted((c for c in selected if c.kind == COLOR_DETECTOR),
-                        key=lambda c: c.canon):
-        stage(color)
-    geometry_ready = False
-    bbox, pose_est = PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)
-    if bbox in selected and pose_est in selected:
-        stage(bbox)
-        stage(pose_est)
-        geometry_ready = True
-
-    total_cost = sum(c for _, c in ledger)
-    objects = _merge(current) if geometry_ready and len(current) else []
+    objects = _merge(current) if current.theta is not None and len(current) else []
     objects.sort(key=lambda o: o.id)
     return WorldModel(
         objects=tuple(objects),
         built_from=frozenset(o.t for o in obs),
         classifiers_used=selected,
-        total_cost=total_cost,
+        total_cost=sum(c for _, c in ledger),
         robot_pose=robot_pose,
         cost_ledger=tuple(ledger),
     )

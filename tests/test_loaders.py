@@ -120,6 +120,25 @@ def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
         load_registry(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["colors"].append(doc["colors"][0]),
+    lambda doc: doc["kind_costs"].pop("noise_filter"),
+    lambda doc: doc["kind_costs"].__setitem__(
+        "laser", {"base_cost": 1.0, "per_item_cost": 0.1}),
+    lambda doc: doc["cost_overrides"].__setitem__(
+        "object_detector[dragon]", {"base_cost": 1.0, "per_item_cost": 0.1}),
+], ids=["repeated-color", "kind-costs-lack-a-kind", "kind-costs-unknown-kind",
+        "override-unknown-classifier"])
+def test_registry_file_rejects_inconsistent_tables(edit, valid_files, tmp_path):
+    # Each of these would load, then fail or be ignored at the first build.
+    doc = yaml.safe_load(valid_files["registry"].read_text())
+    edit(doc)
+    path = tmp_path / "registry.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(InvalidSpec):
+        load_registry(path)
+
+
 @pytest.mark.parametrize("name", ["registry"])
 def test_unparsable_yaml_is_invalid(name, tmp_path):
     path = tmp_path / f"{name}.yaml"

@@ -12,6 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_acceptance import strip_wall_time
 
@@ -21,6 +23,7 @@ from groundling.pipeline import (
     CSV_COLUMNS,
     MODES,
     ModelBundle,
+    RunResult,
     run,
 )
 from groundling.world import simulate
@@ -122,6 +125,28 @@ def test_noisy_colour_grounds_alike_in_every_mode(bundle, registry):
         run("drive to the nearest green chair", observations, bundle, registry,
             mode=mode, site="site-1") for mode in MODES)}
     assert len(outcomes) == 1, outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_on_noisy_cluttered_sites_returns_a_result(bundle, registry,
+                                                       corpus_split, data):
+    # Crash-freedom and cost bookkeeping only: whether the modes still
+    # agree under noise is a separate question.
+    _, heldout = corpus_split
+    instruction = data.draw(st.sampled_from([e.text for e in heldout]))
+    site = data.draw(st.sampled_from(["site-1", "site-2"]))
+    spec = replace(site_spec(site), noise=data.draw(st.floats(0.0, 0.3)),
+                   clutter_rate=data.draw(st.floats(0.0, 0.5)),
+                   seed=data.draw(st.integers(0, 2**32 - 1)))
+    observations = simulate(spec, registry)
+    result = run(instruction, observations, bundle, registry,
+                 mode=data.draw(st.sampled_from(MODES)), site=site)
+    assert isinstance(result, RunResult)
+    assert result.object_count == len(result.world.objects)
+    assert result.cost_units == (
+        registry.scene_cost_per_observation * len(observations)
+        + result.world.total_cost)
 
 
 def test_run_reports_out_of_grammar(bundle, registry, site_logs):

@@ -137,6 +137,35 @@ def test_run_classifier_rejects_unknown(registry, site_logs):
                        DetectionSet.scan(site_logs["site-1"], ("dragon",)))
 
 
+def test_build_calls_each_stage_once_through_the_module(registry, site_logs,
+                                                       monkeypatch):
+    # Tracers wrap the module attribute ``run_classifier`` and read the
+    # symbol from the first argument, so the build must call every stage
+    # it runs through that name, once, in stage order.
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args[0])
+        return run_classifier(*args, **kwargs)
+
+    monkeypatch.setattr("groundling.world.run_classifier", recorder)
+    detectors = [PerceptionSymbol("object_detector", c)
+                 for c in sorted(registry.object_classes)]
+    colours = [PerceptionSymbol("color_detector", c) for c in sorted(registry.colors)]
+    cup = PerceptionSymbol("object_detector", "cup")
+    noise = PerceptionSymbol("noise_filter")
+    geometry = [PerceptionSymbol("bbox_estimator"), PerceptionSymbol("pose_estimator")]
+    everything = full_classifiers(registry)
+    for selected, stages in [
+        (everything, [*detectors, noise, *colours, *geometry]),
+        ({cup, noise, *geometry}, [cup, noise, *geometry]),
+        (everything - {geometry[1]}, [*detectors, noise, *colours]),
+    ]:
+        calls.clear()
+        build_world_model(site_logs["site-1"], selected, registry)
+        assert calls == stages
+
+
 def test_build_finds_all_fixture_objects(registry, site_logs):
     world1 = build_world_model(site_logs["site-1"], full_classifiers(registry),
                                registry)
