@@ -98,7 +98,7 @@ def _cmd_ground(args) -> int:
     if result.error:
         print(result.error, file=sys.stderr)
         return 1
-    target = result.assignment.target
+    target = result.target
     print(f"grounding: {result.grounding}")
     print(f"target: {target.id} at ({target.pose[0]:.2f}, {target.pose[1]:.2f})"
           f" in {target.region}")

@@ -13,9 +13,11 @@ one ``bincount``.  Training builds its design rows from the same names.
 Inference walks the tree bottom-up: every variable is thresholded at one
 half given the already-resolved assignments of the phrase's children.
 ``Assignment.factor_evals`` still counts one factor per phrase-symbol
-pair, the number of logits scored.  Training fits the factor weights by
-penalized maximum likelihood with gold child assignments (teacher
-forcing).
+pair, the number of logits scored.  Inference only scores: picking the
+navigation target the root-true constraints imply is a second step,
+``resolve_action``, that the caller takes.  Training fits the factor
+weights by penalized maximum likelihood with gold child assignments
+(teacher forcing).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .grammar import ParseTree, Phrase
 from .symbols import GroundingSymbol, SymbolSpace, action_instance
-from .world import DetectedObject, WorldDigest, planar_distance
+from .world import DetectedObject, planar_distance
 
 MODEL_SCHEMA = 1
 DEFAULT_REGULARIZATION = 1e-4
@@ -54,7 +56,7 @@ FIRST_STEP = 0.1
 
 
 def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
-                     digest: WorldDigest | None):
+                     digest: frozenset):
     """Name the features of one phrase against every key of a space.
 
     Returns ``(names, keys, ceq)``: feature ``names[i]`` fires for every
@@ -86,12 +88,11 @@ def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
     keys = [k for k, _ in space.variants for _ in own]
     names += [f"{w}|a={a}={x}" for _, (a, x) in space.pairs for w in words]
     keys += [k for k, _ in space.pairs for _ in words]
-    world_pairs = digest.present if digest is not None else frozenset()
     for pair, cells in space.cells.items():
         fired = []
         if pair in child_pairs:
             fired.append("cmatch")
-        if pair in world_pairs:
+        if pair in digest:
             fired.append("dig")
         for template in fired:
             names += [f"{template}|{pair[0]}|v={v}" for _, v in cells]
@@ -104,12 +105,13 @@ def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
 
 def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
                   space: SymbolSpace, child_trues=(),
-                  digest: WorldDigest | None = None) -> np.ndarray:
+                  digest: frozenset = frozenset()) -> np.ndarray:
     """Logits of every symbol of ``space`` for ``phrase``, in space order.
 
     ``child_trues`` holds the symbols resolved true at the phrase's
-    children.  Weights are read only through ``model.weights.get``.  A
-    non-finite logit raises ``NonFiniteScore``.
+    children, and ``digest`` the world's (key, value) attribute pairs.
+    Weights are read only through ``model.weights.get``.  A non-finite
+    logit raises ``NonFiniteScore``.
     """
     names, keys, ceq = _phrase_features(phrase, space, child_trues, digest)
     get = model.weights.get
@@ -141,20 +143,18 @@ class CorrespondenceModel:
 
 @dataclass(eq=False)
 class Assignment:
-    """Resolved correspondence variables for one parse tree.
+    """Thresholded correspondence variables for one parse tree.
 
-    ``trues`` is indexed by phrase index (post-order, root last).  For
-    grounding inference against a world model, ``action`` and ``target``
-    carry the resolved navigation command and ``probabilities`` keeps the
-    raw factor outputs from before the action variables were overridden.
+    ``trues`` is indexed by phrase index (post-order, root last), and
+    ``probabilities[i, j]`` is the probability of symbol ``j`` of the
+    space at phrase ``i``: row ``i`` of ``trues`` holds exactly the
+    symbols whose probability there exceeds one half.
     """
 
     domain: str
     trues: tuple[frozenset, ...]
     factor_evals: int
     probabilities: np.ndarray | None = None
-    action: GroundingSymbol | None = None
-    target: DetectedObject | None = None
 
     def root_trues(self) -> frozenset:
         return self.trues[-1]
@@ -205,26 +205,21 @@ def resolve_action(root_trues, objects, robot_pose) -> tuple[GroundingSymbol, De
 
 
 def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
-          digest: WorldDigest | None = None, world=None) -> Assignment:
+          digest: frozenset = frozenset()) -> Assignment:
     """Greedy bottom-up inference: threshold each factor given its children.
 
     Each phrase scores every symbol at once with ``phrase_logits``; a
-    symbol is true where ``expit(z) > 0.5``.  Object and action instance
-    symbols are scored like the others, so the world's size is what reaches
-    inference cost, even though the action variables are overridden below
-    and nothing reads the object ones.  When ``world`` is given, the root-true constraints are resolved against
-    the world's objects and the action variables are overridden afterwards:
-    the selected action is true at the root only, every other action
-    variable is false everywhere.  Resolution failures (``NoTargetObject``,
-    which an empty world always raises, and ``AmbiguousRelation``)
-    propagate to the caller.
+    symbol is true where ``expit(z) > 0.5``.  ``digest`` is the world's
+    set of (key, value) attribute pairs (``WorldModel.digest``).  Object
+    and action instance symbols are scored like the others, so the
+    world's size is what reaches inference cost, even though nothing
+    reads them: the navigation target comes from ``resolve_action`` on
+    the root-true constraints.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
-    if digest is None and world is not None:
-        digest = world.digest()
     phrases = tree.phrases()
     symbols = space.symbols
     probabilities = np.empty((len(phrases), len(symbols)))
@@ -236,15 +231,9 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
         p = expit(phrase_logits(model, phrase, space, child_trues, digest))
         probabilities[phrase.index] = p
         trues[phrase.index] = frozenset(symbols[j] for j in (p > 0.5).nonzero()[0])
-    evals = len(phrases) * len(symbols)
-
-    action = target = None
-    if world is not None:
-        action, target = resolve_action(trues[-1], world.objects, world.robot_pose)
-        trues = [frozenset(s for s in row if s.variant != "action") for row in trues]
-        trues[-1] = trues[-1] | {action}
-    return Assignment(domain=model.domain, trues=tuple(trues), factor_evals=evals,
-                      probabilities=probabilities, action=action, target=target)
+    return Assignment(domain=model.domain, trues=tuple(trues),
+                      factor_evals=len(phrases) * len(symbols),
+                      probabilities=probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +245,7 @@ class TrainingExample:
 
     tree: ParseTree
     gold: tuple[frozenset, ...]
-    digest: WorldDigest | None = None
+    digest: frozenset = frozenset()
 
 
 def assemble_design(space: SymbolSpace, examples) -> tuple:

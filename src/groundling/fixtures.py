@@ -223,7 +223,6 @@ def reference_world(registry: ClassifierRegistry) -> WorldModel:
                     n += 1
     return WorldModel(
         objects=tuple(sorted(objects, key=lambda o: o.id)),
-        built_from=frozenset(), classifiers_used=frozenset(),
         total_cost=0.0, robot_pose=(0.0, 0.0, 0.0),
     )
 

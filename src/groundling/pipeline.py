@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import corpus
+from . import corpus, correspondence
 from .adapt import (
     ClassifierSelection,
     FilterDecision,
@@ -58,7 +58,7 @@ from .symbols import (
     enumerate_perception_space,
     enumerate_semantic_space,
 )
-from .world import WorldModel, build_world_model
+from .world import DetectedObject, WorldModel, build_world_model
 
 MODES = ("B", "OF", "AP", "OF_AP")
 CSV_COLUMNS = ("instruction", "site", "mode", "cost_units", "wall_time_s",
@@ -114,7 +114,14 @@ def train_bundle(examples, registry: ClassifierRegistry,
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """One (instruction, mode) build-and-ground outcome."""
+    """One (instruction, mode) build-and-ground outcome.
+
+    ``grounding`` is the canon of the resolved navigation action and
+    ``target`` the world-model object it drives to; both are empty when
+    ``error`` names the grounding failure.  ``assignment`` is grounding
+    inference's own output: its ``trues`` are the thresholded
+    ``probabilities`` and do not include the resolved action.
+    """
 
     instruction: str
     site: str
@@ -128,6 +135,7 @@ class RunResult:
     filter_decision: FilterDecision | None = None
     selection: ClassifierSelection | None = None
     assignment: Assignment | None = None
+    target: DetectedObject | None = None
 
     def row(self) -> tuple:
         return (self.instruction, self.site, self.mode,
@@ -138,7 +146,12 @@ class RunResult:
 def run(instruction: str, observations, models: ModelBundle,
         registry: ClassifierRegistry, mode: str = "B",
         site: str = "") -> RunResult:
-    """Build a world model under one mode and ground the instruction in it."""
+    """Build a world model under one mode and ground the instruction in it.
+
+    Grounding is two steps: ``infer`` scores the grounding space against
+    the world's digest, then ``correspondence.resolve_action`` picks the
+    target the root-true constraints imply among the world's objects.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     observations = tuple(observations)
@@ -146,7 +159,7 @@ def run(instruction: str, observations, models: ModelBundle,
     scene_cost = registry.scene_cost_per_observation * len(observations)
     robot_pose = observations[-1].robot_pose if observations else (0.0, 0.0, 0.0)
 
-    decision = selection = assignment = None
+    decision = selection = assignment = target = None
     world = None
     grounding = ""
     error = ""
@@ -164,8 +177,10 @@ def run(instruction: str, observations, models: ModelBundle,
         world = build_world_model(kept, classifiers, registry,
                                   robot_pose=robot_pose)
         space = enumerate_grounding_space(world, registry)
-        assignment = infer(models.grounding, tree, space, world=world)
-        grounding = assignment.action.canon
+        assignment = infer(models.grounding, tree, space, world.digest())
+        action, target = correspondence.resolve_action(
+            assignment.root_trues(), world.objects, world.robot_pose)
+        grounding = action.canon
     except (EmptyInstruction, OutOfGrammar, NoTargetObject,
             AmbiguousRelation) as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -178,6 +193,7 @@ def run(instruction: str, observations, models: ModelBundle,
         object_count=len(world.objects) if world is not None else 0,
         grounding=grounding, error=error, world=world,
         filter_decision=decision, selection=selection, assignment=assignment,
+        target=target,
     )
 
 

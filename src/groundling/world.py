@@ -1,11 +1,11 @@
 """Simulated robot world: sensing, scene classification, costed perception.
 
 The simulator walks a fixed trajectory through a planar world of latent
-objects.  At each waypoint it senses every object within range (3.5 m by
-default) as a raw detection carrying a pose relative to the robot frame
-and apparent class/color values (exact unless a confusion rate is
-configured).  A co-occurrence scene classifier labels every observation as
-it is taken.
+objects.  At each waypoint it senses every object within
+``SENSING_RANGE`` (3.5 m) as a raw detection carrying a pose relative to
+the robot frame and apparent class/color values (exact unless a
+confusion rate is configured).  A co-occurrence scene classifier labels
+every observation as it is taken.
 
 Perception is lazy and costed, and runs on a columnar ``DetectionSet``:
 one numpy array per field, one row per detection.  A build reads the
@@ -49,6 +49,8 @@ from .symbols import (
 
 SENSING_RANGE = 3.5
 MERGE_RADIUS = 0.5
+# Laplace pseudo-mass per characteristic class in the scene classifier.
+LAPLACE_ALPHA = 1.0
 FALLBACK_SCENE = "hallway"
 OBS_LOG_SCHEMA = 1
 
@@ -106,7 +108,6 @@ class CooccurrenceModel:
     table: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
     characteristic: frozenset[str]
     prior: tuple[tuple[str, float], ...] = ()
-    alpha: float = 1.0
 
     @staticmethod
     def from_dict(rows: dict[str, dict[str, float]], characteristic,
@@ -145,11 +146,11 @@ class CooccurrenceModel:
         raise KeyError(label)
 
     def smoothed_log_prob(self, cls: str, label: str) -> float:
-        # Laplace smoothing with alpha pseudo-mass per class on the
-        # normalized row; rows stay valid distributions.
+        # Laplace smoothing on the normalized row; rows stay valid
+        # distributions.
         k = len(self.characteristic)
         p = self.row(label).get(cls, 0.0)
-        return math.log((p + self.alpha) / (1.0 + self.alpha * k))
+        return math.log((p + LAPLACE_ALPHA) / (1.0 + LAPLACE_ALPHA * k))
 
     def log_prior(self, label: str) -> float:
         for l, p in self.prior:
@@ -203,7 +204,6 @@ class WorldSpec:
     cooccurrence: CooccurrenceModel
     noise: float = 0.0
     clutter_rate: float = 0.0
-    sensing_range: float = SENSING_RANGE
 
     def __post_init__(self):
         ids = [o.id for o in self.objects]
@@ -213,8 +213,6 @@ class WorldSpec:
             raise InvalidSpec("noise must be in [0, 1]")
         if not 0.0 <= self.clutter_rate <= 1.0:
             raise InvalidSpec("clutter rate must be in [0, 1]")
-        if self.sensing_range <= 0:
-            raise InvalidSpec("sensing range must be positive")
         for o in self.objects:
             if o.region not in SCENE_LABELS:
                 raise InvalidSpec(f"object {o.id} has unknown region {o.region!r}")
@@ -231,7 +229,7 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry,
     rng = np.random.default_rng(spec.seed)
     classes = registry.object_classes
     colors = tuple(sorted({o.color for o in spec.objects})) or ("white",)
-    range2 = spec.sensing_range * spec.sensing_range
+    range2 = SENSING_RANGE * SENSING_RANGE
 
     observations: list[Observation] = []
     prev_label: str | None = None
@@ -257,7 +255,7 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry,
             ))
         if spec.clutter_rate > 0 and rng.random() < spec.clutter_rate:
             angle = rng.random() * 2 * math.pi
-            radius = rng.random() * spec.sensing_range
+            radius = rng.random() * SENSING_RANGE
             sensed.append(RawDetection(
                 latent_id=None,
                 rel=(radius * math.cos(angle), radius * math.sin(angle), 0.0),
@@ -376,8 +374,6 @@ class DetectedObject:
 @dataclass(frozen=True)
 class WorldModel:
     objects: tuple[DetectedObject, ...]
-    built_from: frozenset[int]
-    classifiers_used: frozenset[PerceptionSymbol]
     total_cost: float
     robot_pose: Pose
     cost_ledger: tuple[tuple[str, float], ...] = ()
@@ -385,18 +381,12 @@ class WorldModel:
     def object_ids(self) -> frozenset[str]:
         return frozenset(o.id for o in self.objects)
 
-    def digest(self) -> "WorldDigest":
-        return WorldDigest(frozenset(
+    def digest(self) -> frozenset[tuple[str, str]]:
+        """The (key, value) attribute pairs of the objects: factor context."""
+        return frozenset(
             pair for o in self.objects
             for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
-            if pair[1] is not None))
-
-
-@dataclass(frozen=True)
-class WorldDigest:
-    """The attribute pairs of a world model, used as factor context."""
-
-    present: frozenset[tuple[str, str]] = frozenset()
+            if pair[1] is not None)
 
 
 def run_classifier(symbol: PerceptionSymbol, observations,
@@ -592,8 +582,6 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     objects.sort(key=lambda o: o.id)
     return WorldModel(
         objects=tuple(objects),
-        built_from=frozenset(o.t for o in obs),
-        classifiers_used=selected,
         total_cost=sum(c for _, c in ledger),
         robot_pose=robot_pose,
         cost_ledger=tuple(ledger),
@@ -679,7 +667,7 @@ def load_observations(path) -> tuple[Observation, ...]:
     that is not JSON, a missing or mistyped field, a non-finite pose (a
     NaN would become an object at ``nan,nan``) or scene score (-inf, a
     label with prior 0, is a score), and a repeated ``t`` (the build keys
-    provenance and ``built_from`` by ``t``).
+    provenance by ``t``).
     """
     try:
         lines = Path(path).read_text().splitlines()

@@ -43,7 +43,6 @@ from groundling.world import (
     DetectedObject,
     Pose,
     RawDetection,
-    WorldDigest,
     WorldModel,
     _cluster,
     _majority,
@@ -59,7 +58,7 @@ class TooLarge(GroundlingError):
 
 
 def extract_features(phrase: Phrase, symbol, child_trues=(),
-                     digest: WorldDigest | None = None) -> dict[str, float]:
+                     digest: frozenset = frozenset()) -> dict[str, float]:
     """Sparse binary features for one correspondence factor.
 
     Templates couple the phrase's own words with the candidate symbol's
@@ -90,16 +89,15 @@ def extract_features(phrase: Phrase, symbol, child_trues=(),
             for pair in child_symbol.attributes:
                 if pair in own:
                     features[f"cmatch|{pair[0]}|v={variant}"] = 1.0
-    if digest is not None:
-        for key, value in attributes:
-            if (key, value) in digest.present:
-                features[f"dig|{key}|v={variant}"] = 1.0
+    for key, value in attributes:
+        if (key, value) in digest:
+            features[f"dig|{key}|v={variant}"] = 1.0
     return features
 
 
 def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
                      space: SymbolSpace,
-                     digest: WorldDigest | None = None) -> Assignment:
+                     digest: frozenset = frozenset()) -> Assignment:
     """Reference inference by per-phrase enumeration.
 
     For each phrase (children already resolved) every joint setting of its
@@ -324,8 +322,6 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     objects.sort(key=lambda o: o.id)
     return WorldModel(
         objects=tuple(objects),
-        built_from=frozenset(o.t for o in obs),
-        classifiers_used=selected,
         total_cost=total_cost,
         robot_pose=robot_pose,
         cost_ledger=tuple(ledger),

@@ -200,8 +200,7 @@ def random_world(rng: np.random.Generator, registry, max_objects: int = 4):
             id=f"{cls}@{i}.0,0.0", cls=cls, color=color, pose=(float(i), 0.0, 0.0),
             region=SCENE_LABELS[int(rng.integers(len(SCENE_LABELS)))],
             provenance=frozenset()))
-    return WorldModel(objects=tuple(objects), built_from=frozenset(),
-                      classifiers_used=frozenset(), total_cost=0.0,
+    return WorldModel(objects=tuple(objects), total_cost=0.0,
                       robot_pose=(0.0, 0.0, 0.0))
 
 
@@ -222,7 +221,7 @@ def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
     }[domain]()
     weights = HashWeights(f"salt-{rng.integers(1 << 30)}")
     model = CorrespondenceModel(domain=space.domain, weights=weights)
-    digest = world.digest() if with_digest else None
+    digest = world.digest() if with_digest else frozenset()
     symbols = tuple(space)
     for phrase in random_tree(rng).phrases():
         picked = rng.random(len(symbols)) < rng.choice((0.0, 0.1, 0.5))

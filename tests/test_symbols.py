@@ -26,9 +26,7 @@ from groundling.world import WorldModel, build_world_model
 
 
 def empty_world() -> WorldModel:
-    return WorldModel(objects=(), built_from=frozenset(),
-                      classifiers_used=frozenset(), total_cost=0.0,
-                      robot_pose=(0.0, 0.0, 0.0))
+    return WorldModel(objects=(), total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
 
 
 def canons(space):

@@ -19,6 +19,7 @@ from groundling.fixtures import (
 from groundling.symbols import PerceptionSymbol
 from groundling.world import (
     MERGE_RADIUS,
+    SENSING_RANGE,
     CooccurrenceModel,
     LatentObject,
     Observation,
@@ -55,7 +56,7 @@ def test_sensed_objects_are_within_range(registry):
             if raw.noisy:
                 continue
             latent = by_id[raw.latent_id]
-            assert planar_distance(obs.robot_pose, latent.pose) <= spec.sensing_range + 1e-9
+            assert planar_distance(obs.robot_pose, latent.pose) <= SENSING_RANGE + 1e-9
 
 
 def test_scene_label_maximizes_stored_scores(site_logs):
