@@ -4,7 +4,8 @@ Each one is the plain, slow way to compute what the package computes
 fast: a per-factor feature dictionary, inference by enumerating every
 joint assignment of a phrase, merge clustering by comparing every pair of
 points, and a world-model build that copies one frozen detection per
-record through every perception stage.
+record through every perception stage.  The build clusters, votes and
+names objects with the helpers here, never with the package's own.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ from groundling.world import (
     Pose,
     RawDetection,
     WorldModel,
-    _cluster,
-    _majority,
-    _object_id,
 )
 
 ENUMERATION_LIMIT = 20
@@ -143,6 +141,27 @@ def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
             symbols[j] for j in range(n) if (best_row >> (n - 1 - j)) & 1
         )
     return Assignment(domain=model.domain, trues=tuple(trues), factor_evals=evals)
+
+
+def majority(values, default=None):
+    """Most common value, ties broken by lexicographic order."""
+    counts: dict = {}
+    for v in values:
+        if v is None:
+            continue
+        counts[v] = counts.get(v, 0) + 1
+    if not counts:
+        return default
+    top = max(counts.values())
+    return min(str(v) for v, n in counts.items() if n == top)
+
+
+def left_sum(values) -> float:
+    """``values`` added one at a time, left to right, from 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def pairwise_cluster(points: list[tuple[float, float]]) -> list[list[int]]:
@@ -302,24 +321,30 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
 
     for cls in sorted(by_class):
         members = by_class[cls]
-        for group in _cluster([d.position for d in members]):
+        for group in pairwise_cluster([d.position for d in members]):
             dets = [members[i] for i in group]
-            cx = sum(d.position[0] for d in dets) / len(dets)
-            cy = sum(d.position[1] for d in dets) / len(dets)
+            cx = left_sum(d.position[0] for d in dets) / len(dets)
+            cy = left_sum(d.position[1] for d in dets) / len(dets)
             # The most common apparent colour, if some member's colour
             # detector confirmed it.
-            apparent = _majority(d.raw.apparent_color for d in dets)
+            apparent = majority(d.raw.apparent_color for d in dets)
             objects.append(DetectedObject(
-                id=_object_id(cls, cx, cy),
+                id=f"{cls}@{cx:.1f},{cy:.1f}",
                 cls=cls,
                 color=apparent if any(d.color == apparent for d in dets) else None,
                 pose=(cx, cy, min((d.obs_t, d.theta) for d in dets)[1]),
-                region=_majority((obs_by_t[d.obs_t].scene_label for d in dets),
-                                 default=FALLBACK_SCENE),
+                region=majority((obs_by_t[d.obs_t].scene_label for d in dets),
+                                default=FALLBACK_SCENE),
                 provenance=frozenset(d.obs_t for d in dets),
             ))
 
+    # Objects that share an id keep their order and become id#2, id#3, ...
     objects.sort(key=lambda o: o.id)
+    seen: dict[str, int] = {}
+    for k, o in enumerate(objects):
+        seen[o.id] = seen.get(o.id, 0) + 1
+        if seen[o.id] > 1:
+            objects[k] = replace(o, id=f"{o.id}#{seen[o.id]}")
     return WorldModel(
         objects=tuple(objects),
         total_cost=total_cost,
