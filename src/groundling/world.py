@@ -8,16 +8,26 @@ confusion rate is configured).  A co-occurrence scene classifier labels
 every observation as it is taken.
 
 Perception is lazy and costed, and runs on a columnar ``DetectionSet``:
-one numpy array per field, one row per detection.  A build reads the
-records once, gathers into columns only those of a selected object
-detector's class, and sorts the rows once; every object detector charges
-for that one scan.  The noise filter is a boolean mask, each color
-detector a masked assignment, and the bounding-box and pose estimators
-one vectorised rotation of every row into the world frame, element for
-element the IEEE operations of the scalar transform.  A detection only
-becomes a world-model object once the bounding-box and pose stages have
-run.  Duplicate detections of one physical object merge by class and
-proximity, read from the columns.
+one numpy array per field, one row per detection, with class, colour and
+scene label as codes in string order.  A build reads the records once,
+gathers into columns only those of a selected object detector's class,
+and sorts the rows once; every object detector charges for that one
+scan.  The noise filter is a boolean mask, each color detector a masked
+assignment, and the bounding-box and pose estimators one vectorised
+rotation of every row into the world frame, element for element the IEEE
+operations of the scalar transform.  A detection only becomes a
+world-model object once the bounding-box and pose stages have run.
+
+Duplicate detections of one physical object merge by class and
+proximity.  From ``_COLUMNAR_ROWS`` rows on, the merge is array work over
+the columns: one grid pass links the rows of every class, and
+``bincount`` and one ``lexsort`` reduce each cluster to an object.  Below
+that, where numpy's fixed cost per call would dominate, the clusters are
+reduced row by row.  Both match the row-wise reference bit for bit:
+centroids summed left to right in row order, the earliest member's
+angle, vote ties broken towards the smallest string, a colour only when
+a detector confirmed it, and ``#2``, ``#3``, ... on objects that repeat
+an id.
 """
 
 from __future__ import annotations
@@ -275,6 +285,13 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry,
     return tuple(observations)
 
 
+def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values, sorted, and each value's index among them."""
+    vocabulary = tuple(sorted(set(values)))
+    code = {v: k for k, v in enumerate(vocabulary)}
+    return vocabulary, np.array([code[v] for v in values], dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionSet:
     """Detections routed through the perception pipeline, one array per field.
@@ -282,21 +299,28 @@ class DetectionSet:
     Row ``i`` is one raw detection; rows are in (t, class, rel) order.
     ``obs[i]`` indexes ``observations``, the observations the scan found
     rows in, and ``t[i]`` is that observation's time; ``rel`` holds the
-    pose relative to the robot frame, ``cls``/``color`` the apparent class
-    and colour, and ``noisy`` the simulator's noise flag.  ``colored``
-    marks the rows whose colour a colour detector confirmed.  ``position``
-    (x, y per row) and ``theta`` stay None until the bounding-box and pose
-    stages compute them for every row.  ``scanned`` counts the raw records
-    read to find the rows.
+    pose relative to the robot frame, and ``noisy`` the simulator's noise
+    flag.  The apparent class, the apparent colour and the observation's
+    scene label are codes: ``cls[i]`` indexes ``classes``, ``color[i]``
+    ``colors`` and ``region[i]`` ``regions``, each vocabulary sorted, so
+    that code order is string order.  ``colored`` marks the rows whose
+    colour a colour detector confirmed.  ``position`` (x, y per row) and
+    ``theta`` stay None until the bounding-box and pose stages compute
+    them for every row.  ``scanned`` counts the raw records read to find
+    the rows.
     """
 
     observations: tuple[Observation, ...]
     scanned: int
+    classes: tuple[str, ...]
+    colors: tuple[str, ...]
+    regions: tuple[str, ...]
     obs: np.ndarray
     t: np.ndarray
     rel: np.ndarray
     cls: np.ndarray
     color: np.ndarray
+    region: np.ndarray
     noisy: np.ndarray
     colored: np.ndarray
     position: np.ndarray | None = None
@@ -324,19 +348,26 @@ class DetectionSet:
             if len(hits) > before:
                 index += [len(sources)] * (len(hits) - before)
                 sources.append(o)
+        names, cls = _encode([r.apparent_class for r in hits])
+        colors, color = _encode([r.apparent_color for r in hits])
+        regions, region = _encode([o.scene_label for o in sources])
         obs = np.array(index, dtype=np.intp)
         t = np.array([o.t for o in sources], dtype=np.int64)[obs]
         rel = np.array([r.rel for r in hits], dtype=float).reshape(-1, 3)
-        cls = np.array([r.apparent_class for r in hits], dtype=str)
         order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
+        obs = obs[order]
         return DetectionSet(
             observations=tuple(sources),
             scanned=scanned,
-            obs=obs[order],
+            classes=names,
+            colors=colors,
+            regions=regions,
+            obs=obs,
             t=t[order],
             rel=rel[order],
             cls=cls[order],
-            color=np.array([r.apparent_color for r in hits], dtype=str)[order],
+            color=color[order],
+            region=region[obs],
             noisy=np.array([r.noisy for r in hits], dtype=bool)[order],
             colored=np.zeros(len(hits), dtype=bool),
         )
@@ -348,9 +379,11 @@ class DetectionSet:
         """The rows that ``rows`` (a mask or an index array) selects."""
         return DetectionSet(
             observations=self.observations, scanned=self.scanned,
+            classes=self.classes, colors=self.colors, regions=self.regions,
             obs=self.obs[rows], t=self.t[rows], rel=self.rel[rows],
             cls=self.cls[rows], color=self.color[rows],
-            noisy=self.noisy[rows], colored=self.colored[rows],
+            region=self.region[rows], noisy=self.noisy[rows],
+            colored=self.colored[rows],
             position=None if self.position is None else self.position[rows],
             theta=None if self.theta is None else self.theta[rows],
         )
@@ -413,8 +446,11 @@ def run_classifier(symbol: PerceptionSymbol, observations,
     if symbol.kind == NOISE_FILTER:
         return detections.take(~detections.noisy), cost
     if symbol.kind == COLOR_DETECTOR:
+        # A colour that no row shows has no code, and confirms no row.
+        colors = detections.colors
+        code = colors.index(symbol.param) if symbol.param in colors else -1
         return replace(detections, colored=detections.colored
-                       | (detections.color == symbol.param)), cost
+                       | (detections.color == code)), cost
     if symbol.kind == BBOX_ESTIMATOR:
         # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
         # and sin from ``math`` once per robot pose: every element goes
@@ -434,35 +470,109 @@ def run_classifier(symbol: PerceptionSymbol, observations,
     raise UnknownClassifier(symbol.canon)
 
 
-def _majority(values, default=None):
-    """Most common value, ties broken by lexicographic order."""
-    counts: dict = {}
-    for v in values:
-        if v is None:
-            continue
-        counts[v] = counts.get(v, 0) + 1
-    if not counts:
-        return default
+# Cell indices are clamped to [-_CELL_LIMIT, _CELL_LIMIT], so that a cell
+# and its neighbours, y - 1 to y + 1, fit in a span of _CELL_SPAN and
+# (class, cell x, cell y) packs into one int64 key (for fewer than 2**19
+# classes).
+_CELL_SIDE = 2.0 * MERGE_RADIUS
+_CELL_LIMIT = 1 << 20
+_CELL_SPAN = 1 << 22
+_RADIUS2 = MERGE_RADIUS * MERGE_RADIUS
+# searchsorted(side="right") offsets from a row's key: the end of its own
+# column at cell y + 1, and the start and end of column x + 1 from cell
+# y - 1 to y + 1.  The first column is overwritten with the row's next
+# position.
+_WINDOWS = np.array([0, 1, _CELL_SPAN - 2, _CELL_SPAN + 1])
+_XY = np.array([0, 1])
+# Merges of fewer rows run row by row in Python: inside grounding runs the
+# array version's fixed cost made it slower up to 26 rows and faster from
+# 36 (x1 and x2 benchmark sites, OF, AP and OF_AP builds).
+_COLUMNAR_ROWS = 32
+
+
+def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Single-linkage clusters of same-class rows at the merge radius.
+
+    Returns, for each row, the smallest row of its cluster.  Rows are
+    binned into square cells of side ``2 * MERGE_RADIUS`` and keyed by
+    (class, cell x, cell y).  Two rows the distance test links are less
+    than ``2 * MERGE_RADIUS`` apart on each axis, so they sit in the same
+    or adjacent cells; cells of side ``MERGE_RADIUS`` would not do,
+    because the test's subtraction can round a gap just over the radius
+    down to it (1.0 and 0.49999999999999994 link).  Clamping the cell
+    indices keeps adjacent cells adjacent, where an int64 cell of
+    1e300 / side would overflow: only cells beyond the clamp, and NaN,
+    which takes the lower bound, share an index, and the exact test
+    rejects the extra candidates that makes.
+
+    Sorted keys keep each (class, cell x) column contiguous, so a row's
+    candidates are two ``searchsorted`` windows: the later rows of its
+    own column up to cell y + 1, and column x + 1 from cell y - 1 to
+    y + 1.  Together they hold each pair of rows in the same or adjacent
+    cells once.  The exact ``dx*dx + dy*dy <= r2`` test runs on those
+    pairs, and a row with a non-finite coordinate passes it with no row.
+    Labels then propagate: both ends of a link take the smaller of their
+    labels, and every label jumps to its label's label, until all links
+    join equal labels.  A label is always a row of the same cluster, so
+    each cluster ends labelled by its smallest row.
+    """
+    n = len(cls)
+    cell = np.floor(xy / _CELL_SIDE)
+    np.fmax(cell, -_CELL_LIMIT, out=cell)
+    np.fmin(cell, _CELL_LIMIT, out=cell)
+    cell = cell.astype(np.int64)
+    key = cls * _CELL_SPAN + cell[:, 0]
+    key *= _CELL_SPAN
+    key += cell[:, 1]
+    order = key.argsort(kind="stable")
+    key = key[order]
+    window = key.searchsorted(key[:, None] + _WINDOWS, side="right")
+    window[:, 0] = np.arange(1, n + 1)
+    # Row p's windows are [p + 1, b0) and [b1, b2): (lo, hi) pairs.
+    window = window.reshape(-1, 2)
+    lo = window[:, 0]
+    count = window[:, 1] - lo
+    end = count.cumsum()
+    a = order.repeat(count[::2] + count[1::2])
+    b = order[np.arange(len(a)) + (lo - end + count).repeat(count)]
+    x, y = xy[:, 0], xy[:, 1]
+    # NaN, inf and overflow compare false, as Python floats do, unwarned.
+    with np.errstate(invalid="ignore", over="ignore"):
+        dx, dy = x[a] - x[b], y[a] - y[b]
+        near = (dx * dx + dy * dy <= _RADIUS2).nonzero()[0]
+    a, b = a[near], b[near]
+    # Every label starts as its own row.
+    label = np.arange(n)
+    low = np.minimum(a, b)
+    while len(a):
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        label = label[label]
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            break
+        low = np.minimum(la, lb)
+    return label
+
+
+def _vote(codes) -> int:
+    """The most common code; a tie goes to the smallest code, whose string
+    is the smallest."""
+    counts: dict[int, int] = {}
+    for code in codes:
+        counts[code] = counts.get(code, 0) + 1
     top = max(counts.values())
-    return min(str(v) for v, n in counts.items() if n == top)
-
-
-def _object_id(cls: str, x: float, y: float) -> str:
-    return f"{cls}@{x:.1f},{y:.1f}"
+    return min(code for code, n in counts.items() if n == top)
 
 
 def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
     """Union-find single-linkage clustering at the merge radius.
 
-    Points are binned into square cells of side ``2 * MERGE_RADIUS``, and
-    each point is tested only against the points of its own cell and the
-    eight around it.  Two points the distance test links are less than
-    ``2 * MERGE_RADIUS`` apart on each axis, so no link is missed; cells
-    of side ``MERGE_RADIUS`` would not do, because the test's subtraction
-    can round a gap just over the radius down to it (1.0 and
-    0.49999999999999994 link).  A point with a non-finite coordinate links
-    to nothing, as under the test.  Groups, and the members of each, come
-    out in ascending index order.
+    Points are binned into the cells of ``_link``, and each point is
+    tested only against the points of its own cell and the eight around
+    it.  A point with a non-finite coordinate links to nothing, as under
+    the test.  Groups, and the members of each, come out in ascending
+    index order.
     """
     n = len(points)
     parent = list(range(n))
@@ -473,13 +583,11 @@ def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
             a = parent[a]
         return a
 
-    side = 2.0 * MERGE_RADIUS
     cells: dict[tuple[int, int], list[int]] = {}
     for i, (x, y) in enumerate(points):
         if math.isfinite(x) and math.isfinite(y):
-            cells.setdefault((math.floor(x / side), math.floor(y / side)),
+            cells.setdefault((math.floor(x / _CELL_SIDE), math.floor(y / _CELL_SIDE)),
                              []).append(i)
-    r2 = MERGE_RADIUS * MERGE_RADIUS
     for (cx, cy), members in cells.items():
         for nx in (cx - 1, cx, cx + 1):
             for ny in (cy - 1, cy, cy + 1):
@@ -493,7 +601,7 @@ def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
                             continue
                         dx = xi - points[j][0]
                         dy = yi - points[j][1]
-                        if dx * dx + dy * dy <= r2:
+                        if dx * dx + dy * dy <= _RADIUS2:
                             ra, rb = find(i), find(j)
                             if ra != rb:
                                 parent[rb] = ra
@@ -503,45 +611,118 @@ def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _merge(detections: DetectionSet) -> list[DetectedObject]:
-    """One object per cluster of same-class detections, at the centroid.
+def _groups_by_rows(detections: DetectionSet):
+    """``_groups_by_columns``'s values, one member at a time in Python.
 
-    Centroids are Python's left-to-right sums over the members in row
-    order; the pose angle is that of the earliest member.  The colour is
-    the members' most common apparent colour, kept only when a colour
-    detector confirmed it on some member: which colour detectors ran
-    decides whether the colour is known, never which colour it is.
+    For a few rows this is the cheaper way: the array version pays a
+    fixed cost of about a hundred numpy calls.  Classes go in code order
+    and ``_cluster`` returns each class's groups by smallest member row;
+    sums run left to right in row order, and ``_vote`` breaks ties
+    towards the smallest code.
     """
-    ts = detections.t.tolist()
-    xs = detections.position[:, 0].tolist()
-    ys = detections.position[:, 1].tolist()
-    thetas = detections.theta.tolist()
-    colors = detections.color.tolist()
-    colored = detections.colored.tolist()
-    regions = [detections.observations[i].scene_label
-               for i in detections.obs.tolist()]
-    by_class: dict[str, list[int]] = {}
-    for i, cls in enumerate(detections.cls.tolist()):
-        by_class.setdefault(cls, []).append(i)
-    objects: list[DetectedObject] = []
-    for cls in sorted(by_class):
-        rows = by_class[cls]
+    xs, ys = detections.position[:, 0].tolist(), detections.position[:, 1].tolist()
+    ts, thetas = detections.t.tolist(), detections.theta.tolist()
+    colors, colored = detections.color.tolist(), detections.colored.tolist()
+    regions = detections.region.tolist()
+    by_class: dict[int, list[int]] = {}
+    for i, c in enumerate(detections.cls.tolist()):
+        by_class.setdefault(c, []).append(i)
+    for c in sorted(by_class):
+        rows = by_class[c]
         for group in _cluster([(xs[i], ys[i]) for i in rows]):
             members = [rows[k] for k in group]
-            cx = sum(xs[i] for i in members) / len(members)
-            cy = sum(ys[i] for i in members) / len(members)
-            color = _majority(colors[i] for i in members)
-            if not any(colored[i] for i in members if colors[i] == color):
-                color = None
-            objects.append(DetectedObject(
-                id=_object_id(cls, cx, cy),
-                cls=cls,
-                color=color,
-                pose=(cx, cy, min((ts[i], thetas[i]) for i in members)[1]),
-                region=_majority((regions[i] for i in members),
-                                 default=FALLBACK_SCENE),
-                provenance=frozenset(ts[i] for i in members),
-            ))
+            x = y = 0.0
+            for i in members:
+                x += xs[i]
+                y += ys[i]
+            colour = _vote(colors[i] for i in members)
+            yield (c, x / len(members), y / len(members),
+                   min((ts[i], thetas[i]) for i in members)[1], colour,
+                   any(colored[i] and colors[i] == colour for i in members),
+                   _vote(regions[i] for i in members),
+                   frozenset(ts[i] for i in members))
+
+
+def _groups_by_columns(detections: DetectionSet):
+    """Each group's values as array work over the columns.
+
+    ``_link`` clusters every class in one pass, and sorting by label puts
+    the groups in order of their smallest member row.  Then:
+
+    - the centroid comes from ``bincount`` sums, which add the members in
+      row order, as Python's left-to-right sums do;
+    - the angle is the earliest member's, by (t, theta), from the same
+      ``lexsort``;
+    - the colour and region votes are ``bincount`` over (group, code);
+      since code order is string order, ``argmax``'s first maximum breaks
+      a tie towards the smallest string.
+
+    Returns an iterator of (class, x, y, theta, colour, confirmed, region,
+    provenance), one per group, with codes for class, colour and region.
+    """
+    cls, xy, t, theta = detections.cls, detections.position, detections.t, detections.theta
+    color, region = detections.color, detections.region
+    n = len(cls)
+    # A label is a row of its cluster, so it names the group.
+    label = _link(cls, xy)
+    order = np.lexsort((theta, t, label))
+    label = label[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(label[1:], label[:-1], out=head[1:])
+    start = head.nonzero()[0]
+    k = len(start)
+    head[0] = False
+    group = np.empty(n, dtype=np.intp)
+    group[order] = head.cumsum()
+    size = np.bincount(group)
+    # x and y of each group sum in separate bins, each in row order.
+    bins = ((2 * group)[:, None] + _XY).ravel()
+    xs, ys = (np.bincount(bins, xy.ravel()).reshape(k, 2) / size[:, None]).T.tolist()
+    nc, nr = len(detections.colors), len(detections.regions)
+    winner = np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1)
+    confirmed = np.bincount(group, detections.colored & (color == winner[group]), k)
+    votes = np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr)
+    first = order[start]
+    ts = t[order].tolist()
+    return zip(cls[first].tolist(), xs, ys, theta[first].tolist(), winner.tolist(),
+               confirmed.tolist(), votes.argmax(axis=1).tolist(),
+               [frozenset(ts[s:e]) for s, e in zip(start.tolist(),
+                                                   (start + size).tolist())])
+
+
+def _merge(detections: DetectionSet) -> list[DetectedObject]:
+    """One object per cluster of same-class detections, sorted by id.
+
+    The pose is the members' centroid and the angle of the earliest
+    member, by (t, theta).  The colour is the members' most common
+    apparent colour, kept only when a colour detector confirmed it on
+    some member: which colour detectors ran decides whether the colour is
+    known, never which colour it is.  The region is the members' most
+    common scene label; both votes break ties towards the smallest
+    string.  The provenance is the set of the members' ``t``.
+
+    Below ``_COLUMNAR_ROWS`` rows the groups are reduced row by row, from
+    there on as array work; both give the same values.  The id is
+    ``class@x,y`` to one decimal.  Groups that repeat an id, which share a
+    class, become ``id#2``, ``id#3``, ... by smallest member row, the
+    order both give them.
+    """
+    if len(detections) < _COLUMNAR_ROWS:
+        groups = _groups_by_rows(detections)
+    else:
+        groups = _groups_by_columns(detections)
+    names, colors, regions = detections.classes, detections.colors, detections.regions
+    objects: list[DetectedObject] = []
+    seen: dict[str, int] = {}
+    for c, x, y, theta, colour, confirmed, region, provenance in groups:
+        name = f"{names[c]}@{x:.1f},{y:.1f}"
+        repeat = seen[name] = seen.get(name, 0) + 1
+        objects.append(DetectedObject(
+            id=name if repeat == 1 else f"{name}#{repeat}", cls=names[c],
+            color=colors[colour] if confirmed else None, pose=(x, y, theta),
+            region=regions[region], provenance=provenance))
+    objects.sort(key=lambda o: o.id)
     return objects
 
 
@@ -579,7 +760,6 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
             ledger.append((symbol.canon, cost))
 
     objects = _merge(current) if current.theta is not None and len(current) else []
-    objects.sort(key=lambda o: o.id)
     return WorldModel(
         objects=tuple(objects),
         total_cost=sum(c for _, c in ledger),

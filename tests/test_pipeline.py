@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import strip_wall_time
+from test_world import cups_sharing_an_id
 
 import groundling
 from groundling.fixtures import benchmark_manifest, site_spec
@@ -153,6 +154,16 @@ def test_run_on_noisy_cluttered_sites_returns_a_result(bundle, registry,
     assert result.cost_units == (
         registry.scene_cost_per_observation * len(observations)
         + result.world.total_cost)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_grounds_among_objects_that_share_an_id(bundle, registry, mode):
+    # Two cups whose centroids round to one id used to put a duplicate
+    # symbol in the grounding space, and run raised InvalidSpec.
+    result = run("go to the nearest cup", cups_sharing_an_id(), bundle,
+                 registry, mode=mode)
+    assert isinstance(result, RunResult)
+    assert result.object_count == 2
 
 
 def outcome(result):

@@ -27,6 +27,7 @@ from groundling.world import (
     DetectionSet,
     WorldSpec,
     _cluster,
+    _link,
     build_world_model,
     load_observations,
     planar_distance,
@@ -241,10 +242,12 @@ _COORDINATE = st.one_of(
     st.integers(-40, 40).map(lambda k: k * MERGE_RADIUS),
     st.integers(-40, 40).map(lambda k: math.nextafter(k * MERGE_RADIUS, -math.inf)),
     st.sampled_from((math.inf, -math.inf, math.nan)),
+    # finite, but past any int64 cell index: floor(x / side) overflows
+    st.sampled_from((2.0**63, -2.0**63, 1e19, -1e19, 1e300, -1e300)),
 )
 # unit offsets: points exactly MERGE_RADIUS from an earlier point
 _DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8),
-               (-0.8, -0.6))
+               (-0.8, -0.6), (0.6, -0.8), (-0.8, 0.6))
 
 
 @st.composite
@@ -254,6 +257,10 @@ def merge_points(draw):
         x, y = points[draw(st.integers(0, len(points) - 1))]
         ux, uy = draw(st.sampled_from(_DIRECTIONS))
         points.append((x + ux * MERGE_RADIUS, y + uy * MERGE_RADIUS))
+    # bursts of coincident points, as a robot that stands still senses them
+    for _ in range(draw(st.integers(0, 3)) if points else 0):
+        points += [points[draw(st.integers(0, len(points) - 1))]] * draw(
+            st.integers(2, 12))
     return draw(st.permutations(points))
 
 
@@ -262,8 +269,18 @@ def merge_points(draw):
 @example([(1.0, 0.0), (0.49999999999999994, 0.0)])
 @example([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (math.nan, 0.0),
           (math.inf, 0.0), (math.inf, 0.0)])
+# linked across a cell corner, to the right and below
+@example([(0.9, 0.05), (1.2, -0.3)])
 def test_grid_clustering_matches_pairwise(points):
-    assert _cluster(points) == oracles.pairwise_cluster(points)
+    expected = oracles.pairwise_cluster(points)
+    assert _cluster(points) == expected
+    labels = _link(np.zeros(len(points), dtype=np.intp),
+                   np.array(points, dtype=float).reshape(-1, 2))
+    groups: dict[int, list[int]] = {}
+    for row, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(row)
+    assert all(label == members[0] for label, members in groups.items())
+    assert list(groups.values()) == expected
 
 
 def _tiled(spec, copies):
@@ -284,10 +301,15 @@ def _float_bits(world):
 
 
 def assert_same_world(observations, classifiers, registry):
-    built = build_world_model(observations, classifiers, registry)
+    """The build equals the row oracle's, merging row by row and as array
+    work, whatever the number of rows."""
     expected = oracles.build_world_model(observations, classifiers, registry)
-    assert built == expected
-    assert _float_bits(built) == _float_bits(expected)
+    with pytest.MonkeyPatch.context() as patch:
+        for columnar_rows in (math.inf, 0):
+            patch.setattr("groundling.world._COLUMNAR_ROWS", columnar_rows)
+            built = build_world_model(observations, classifiers, registry)
+            assert built == expected
+            assert _float_bits(built) == _float_bits(expected)
 
 
 @pytest.mark.parametrize("copies", [1, 8])
@@ -311,6 +333,64 @@ def test_members_seen_together_merge_in_rel_order(registry):
     world = build_world_model(observations, full_classifiers(registry), registry)
     assert [o.pose[0] for o in world.objects] == [((0.25 + 0.17) + 0.19) / 3]
     assert_same_world(observations, full_classifiers(registry), registry)
+
+
+def _frame(t, *sensed, scene="kitchen"):
+    """An observation at ``t`` from the origin of (class, colour, rel)s."""
+    return Observation(
+        t=t, robot_pose=(0.0, 0.0, 0.0), scene_label=scene,
+        scene_scores=((scene, 0.0),),
+        sensed=tuple(RawDetection(None, rel, cls, colour)
+                     for cls, colour, rel in sensed))
+
+
+def cups_sharing_an_id():
+    """A cup, and one observation later a ring of eight cups 0.6 around it.
+
+    The ring links into one cluster, out of the centre's reach, whose
+    centroid rounds to the centre's id ``cup@5.0,1.0``.
+    """
+    ring = [(0.6, 0.0), (-0.6, 0.0), (0.0, 0.6), (0.0, -0.6),
+            (0.42, 0.42), (0.42, -0.42), (-0.42, 0.42), (-0.42, -0.42)]
+    return (
+        _frame(0, ("cup", "red", (5.0, 1.0, 0.0))),
+        _frame(1, *(("cup", "red", (5.0 + dx, 1.0 + dy, 0.0)) for dx, dy in ring)))
+
+
+def test_objects_that_share_an_id_get_a_suffix(registry):
+    observations = cups_sharing_an_id()
+    world = build_world_model(observations, full_classifiers(registry), registry)
+    assert [(o.id, o.provenance) for o in world.objects] == [
+        ("cup@5.0,1.0", {0}), ("cup@5.0,1.0#2", {1})]
+    assert_same_world(observations, full_classifiers(registry), registry)
+
+
+def _cup(colour, x=2.0, theta=0.0):
+    return ("cup", colour, (x, 0.0, theta))
+
+
+@pytest.mark.parametrize("observations, without, expected", [
+    # a 1-1-1 colour tie goes to the smallest string
+    ((_frame(0, _cup("white")), _frame(1, _cup("red")), _frame(2, _cup("blue"))),
+     (), {"color": "blue"}),
+    # and so does a region tie
+    ((_frame(0, _cup("red"), scene="office"), _frame(1, _cup("red"))),
+     (), {"region": "kitchen"}),
+    # the earliest t wins, then the smaller theta, not the first row
+    ((_frame(0, _cup("red", 2.0, 0.3), _cup("red", 2.2, 0.1)),
+      _frame(1, _cup("red", 2.1, -1.0))),
+     (), {"theta": 0.1}),
+    # blue is confirmed, but red wins the vote and no detector confirmed it
+    ((_frame(0, _cup("red")), _frame(1, _cup("red")), _frame(2, _cup("blue"))),
+     ("color_detector[red]",), {"color": None}),
+], ids=["colour-tie", "region-tie", "earliest-angle", "unconfirmed-winner"])
+def test_merge_votes_and_angle(registry, observations, without, expected):
+    classifiers = frozenset(c for c in full_classifiers(registry)
+                            if c.canon not in without)
+    (obj,) = build_world_model(observations, classifiers, registry).objects
+    seen = {"color": obj.color, "region": obj.region, "theta": obj.pose[2]}
+    assert {key: seen[key] for key in expected} == expected
+    assert_same_world(observations, classifiers, registry)
 
 
 def _turning(spec):
