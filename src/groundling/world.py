@@ -19,11 +19,9 @@ operations of the scalar transform.  A detection only becomes a
 world-model object once the bounding-box and pose stages have run.
 
 Duplicate detections of one physical object merge by class and
-proximity.  From ``_COLUMNAR_ROWS`` rows on, the merge is array work over
-the columns: one grid pass links the rows of every class, and
-``bincount`` and one ``lexsort`` reduce each cluster to an object.  Below
-that, where numpy's fixed cost per call would dominate, the clusters are
-reduced row by row.  Both match the row-wise reference bit for bit:
+proximity, as array work over the columns: one grid pass links the rows
+of every class, and ``bincount`` and one ``lexsort`` reduce each cluster
+to an object.  The merge matches the row-wise reference bit for bit:
 centroids summed left to right in row order, the earliest member's
 angle, vote ties broken towards the smallest string, a colour only when
 a detector confirmed it, and ``#2``, ``#3``, ... on objects that repeat
@@ -484,10 +482,18 @@ _RADIUS2 = MERGE_RADIUS * MERGE_RADIUS
 # position.
 _WINDOWS = np.array([0, 1, _CELL_SPAN - 2, _CELL_SPAN + 1])
 _XY = np.array([0, 1])
-# Merges of fewer rows run row by row in Python: inside grounding runs the
-# array version's fixed cost made it slower up to 26 rows and faster from
-# 36 (x1 and x2 benchmark sites, OF, AP and OF_AP builds).
-_COLUMNAR_ROWS = 32
+# Candidate pairs are tested in chunks of about this many, so that a burst
+# of k coincident rows costs time, not memory, in k * k.
+_PAIRS = 1 << 16
+
+
+def _flatten(label: np.ndarray) -> np.ndarray:
+    """The forest ``label`` with every row pointing at its root."""
+    while True:
+        up = label[label]
+        if (up == label).all():
+            return up
+        label = up
 
 
 def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
@@ -510,11 +516,14 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     own column up to cell y + 1, and column x + 1 from cell y - 1 to
     y + 1.  Together they hold each pair of rows in the same or adjacent
     cells once.  The exact ``dx*dx + dy*dy <= r2`` test runs on those
-    pairs, and a row with a non-finite coordinate passes it with no row.
-    Labels then propagate: both ends of a link take the smaller of their
-    labels, and every label jumps to its label's label, until all links
-    join equal labels.  A label is always a row of the same cluster, so
-    each cluster ends labelled by its smallest row.
+    pairs, about ``_PAIRS`` at a time, and a row with a non-finite
+    coordinate passes it with no row.
+
+    The clusters grow as a forest: ``label[i]`` is a row of i's tree no
+    greater than i, so each tree's root is its smallest row.  While some
+    link joins two trees, the larger root of each such link points at
+    the smaller one, and every row then at its root.  A chunk's links
+    are joined before the next chunk is tested, and are then dropped.
     """
     n = len(cls)
     cell = np.floor(xy / _CELL_SIDE)
@@ -532,118 +541,35 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     window = window.reshape(-1, 2)
     lo = window[:, 0]
     count = window[:, 1] - lo
-    end = count.cumsum()
-    a = order.repeat(count[::2] + count[1::2])
-    b = order[np.arange(len(a)) + (lo - end + count).repeat(count)]
+    pairs = count[::2] + count[1::2]
+    before = pairs.cumsum()
     x, y = xy[:, 0], xy[:, 1]
-    # NaN, inf and overflow compare false, as Python floats do, unwarned.
-    with np.errstate(invalid="ignore", over="ignore"):
-        dx, dy = x[a] - x[b], y[a] - y[b]
-        near = (dx * dx + dy * dy <= _RADIUS2).nonzero()[0]
-    a, b = a[near], b[near]
-    # Every label starts as its own row.
+    # Every row starts as a tree of its own.
     label = np.arange(n)
-    low = np.minimum(a, b)
-    while len(a):
-        np.minimum.at(label, a, low)
-        np.minimum.at(label, b, low)
-        label = label[label]
-        la, lb = label[a], label[b]
-        if (la == lb).all():
-            break
-        low = np.minimum(la, lb)
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(before.searchsorted(
+            before[start] - pairs[start] + _PAIRS, side="right")))
+        span = count[2 * start:2 * stop]
+        end = span.cumsum()
+        a = order[start:stop].repeat(pairs[start:stop])
+        b = order[np.arange(len(a)) + (lo[2 * start:2 * stop] - end + span).repeat(span)]
+        # NaN, inf and overflow compare false, as Python floats do, unwarned.
+        with np.errstate(invalid="ignore", over="ignore"):
+            dx, dy = x[a] - x[b], y[a] - y[b]
+            near = (dx * dx + dy * dy <= _RADIUS2).nonzero()[0]
+        a, b = a[near], b[near]
+        while True:
+            la, lb = label[a], label[b]
+            if (la == lb).all():
+                break
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            label = _flatten(label)
+        start = stop
     return label
 
 
-def _vote(codes) -> int:
-    """The most common code; a tie goes to the smallest code, whose string
-    is the smallest."""
-    counts: dict[int, int] = {}
-    for code in codes:
-        counts[code] = counts.get(code, 0) + 1
-    top = max(counts.values())
-    return min(code for code, n in counts.items() if n == top)
-
-
-def _cluster(points: list[tuple[float, float]]) -> list[list[int]]:
-    """Union-find single-linkage clustering at the merge radius.
-
-    Points are binned into the cells of ``_link``, and each point is
-    tested only against the points of its own cell and the eight around
-    it.  A point with a non-finite coordinate links to nothing, as under
-    the test.  Groups, and the members of each, come out in ascending
-    index order.
-    """
-    n = len(points)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(points):
-        if math.isfinite(x) and math.isfinite(y):
-            cells.setdefault((math.floor(x / _CELL_SIDE), math.floor(y / _CELL_SIDE)),
-                             []).append(i)
-    for (cx, cy), members in cells.items():
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                near = cells.get((nx, ny))
-                if near is None:
-                    continue
-                for i in members:
-                    xi, yi = points[i]
-                    for j in near:
-                        if j <= i:
-                            continue
-                        dx = xi - points[j][0]
-                        dy = yi - points[j][1]
-                        if dx * dx + dy * dy <= _RADIUS2:
-                            ra, rb = find(i), find(j)
-                            if ra != rb:
-                                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _groups_by_rows(detections: DetectionSet):
-    """``_groups_by_columns``'s values, one member at a time in Python.
-
-    For a few rows this is the cheaper way: the array version pays a
-    fixed cost of about a hundred numpy calls.  Classes go in code order
-    and ``_cluster`` returns each class's groups by smallest member row;
-    sums run left to right in row order, and ``_vote`` breaks ties
-    towards the smallest code.
-    """
-    xs, ys = detections.position[:, 0].tolist(), detections.position[:, 1].tolist()
-    ts, thetas = detections.t.tolist(), detections.theta.tolist()
-    colors, colored = detections.color.tolist(), detections.colored.tolist()
-    regions = detections.region.tolist()
-    by_class: dict[int, list[int]] = {}
-    for i, c in enumerate(detections.cls.tolist()):
-        by_class.setdefault(c, []).append(i)
-    for c in sorted(by_class):
-        rows = by_class[c]
-        for group in _cluster([(xs[i], ys[i]) for i in rows]):
-            members = [rows[k] for k in group]
-            x = y = 0.0
-            for i in members:
-                x += xs[i]
-                y += ys[i]
-            colour = _vote(colors[i] for i in members)
-            yield (c, x / len(members), y / len(members),
-                   min((ts[i], thetas[i]) for i in members)[1], colour,
-                   any(colored[i] and colors[i] == colour for i in members),
-                   _vote(regions[i] for i in members),
-                   frozenset(ts[i] for i in members))
-
-
-def _groups_by_columns(detections: DetectionSet):
+def _groups(detections: DetectionSet):
     """Each group's values as array work over the columns.
 
     ``_link`` clusters every class in one pass, and sorting by label puts
@@ -702,28 +628,23 @@ def _merge(detections: DetectionSet) -> list[DetectedObject]:
     common scene label; both votes break ties towards the smallest
     string.  The provenance is the set of the members' ``t``.
 
-    Below ``_COLUMNAR_ROWS`` rows the groups are reduced row by row, from
-    there on as array work; both give the same values.  The id is
-    ``class@x,y`` to one decimal.  Groups that repeat an id, which share a
-    class, become ``id#2``, ``id#3``, ... by smallest member row, the
-    order both give them.
+    ``_groups`` computes these as array work over the columns.  The id is
+    ``class@x,y`` to one decimal.  Groups that repeat an id, which share
+    a class, become ``id#2``, ``id#3``, ... by smallest member row, and
+    keep that order in the sort, which is by the id before the suffix.
     """
-    if len(detections) < _COLUMNAR_ROWS:
-        groups = _groups_by_rows(detections)
-    else:
-        groups = _groups_by_columns(detections)
     names, colors, regions = detections.classes, detections.colors, detections.regions
-    objects: list[DetectedObject] = []
+    objects: list[tuple[str, DetectedObject]] = []
     seen: dict[str, int] = {}
-    for c, x, y, theta, colour, confirmed, region, provenance in groups:
+    for c, x, y, theta, colour, confirmed, region, provenance in _groups(detections):
         name = f"{names[c]}@{x:.1f},{y:.1f}"
         repeat = seen[name] = seen.get(name, 0) + 1
-        objects.append(DetectedObject(
+        objects.append((name, DetectedObject(
             id=name if repeat == 1 else f"{name}#{repeat}", cls=names[c],
             color=colors[colour] if confirmed else None, pose=(x, y, theta),
-            region=regions[region], provenance=provenance))
-    objects.sort(key=lambda o: o.id)
-    return objects
+            region=regions[region], provenance=provenance)))
+    objects.sort(key=lambda pair: pair[0])
+    return [o for _, o in objects]
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,

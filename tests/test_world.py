@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groundling import world
 from groundling.errors import InvalidSpec, UnknownClassifier
 from groundling.fixtures import (
     default_cooccurrence,
@@ -26,7 +28,6 @@ from groundling.world import (
     RawDetection,
     DetectionSet,
     WorldSpec,
-    _cluster,
     _link,
     build_world_model,
     load_observations,
@@ -271,16 +272,21 @@ def merge_points(draw):
           (math.inf, 0.0), (math.inf, 0.0)])
 # linked across a cell corner, to the right and below
 @example([(0.9, 0.05), (1.2, -0.3)])
+# a chain whose links, one row's at a time, leave trees two deep
+@example([(3.0, 0.6), (2.7, 0.4), (2.3, 0.2), (1.9, 0.4)])
 def test_grid_clustering_matches_pairwise(points):
     expected = oracles.pairwise_cluster(points)
-    assert _cluster(points) == expected
-    labels = _link(np.zeros(len(points), dtype=np.intp),
-                   np.array(points, dtype=float).reshape(-1, 2))
-    groups: dict[int, list[int]] = {}
-    for row, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(row)
-    assert all(label == members[0] for label, members in groups.items())
-    assert list(groups.values()) == expected
+    # Candidate pairs tested all at once, and one row's at a time.
+    for chunk in (world._PAIRS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(world, "_PAIRS", chunk)
+            labels = _link(np.zeros(len(points), dtype=np.intp),
+                           np.array(points, dtype=float).reshape(-1, 2))
+        groups: dict[int, list[int]] = {}
+        for row, label in enumerate(labels.tolist()):
+            groups.setdefault(label, []).append(row)
+        assert all(label == members[0] for label, members in groups.items())
+        assert list(groups.values()) == expected
 
 
 def _tiled(spec, copies):
@@ -301,15 +307,11 @@ def _float_bits(world):
 
 
 def assert_same_world(observations, classifiers, registry):
-    """The build equals the row oracle's, merging row by row and as array
-    work, whatever the number of rows."""
+    """The build equals the row oracle's, float bits included."""
     expected = oracles.build_world_model(observations, classifiers, registry)
-    with pytest.MonkeyPatch.context() as patch:
-        for columnar_rows in (math.inf, 0):
-            patch.setattr("groundling.world._COLUMNAR_ROWS", columnar_rows)
-            built = build_world_model(observations, classifiers, registry)
-            assert built == expected
-            assert _float_bits(built) == _float_bits(expected)
+    built = build_world_model(observations, classifiers, registry)
+    assert built == expected
+    assert _float_bits(built) == _float_bits(expected)
 
 
 @pytest.mark.parametrize("copies", [1, 8])
@@ -357,12 +359,44 @@ def cups_sharing_an_id():
         _frame(1, *(("cup", "red", (5.0 + dx, 1.0 + dy, 0.0)) for dx, dy in ring)))
 
 
+def concentric_rings(rings):
+    """A cup at (5.0, 1.0), then at each t = k a ring of 8k cups 0.6k
+    around it: each ring links into one cluster, out of the reach of the
+    others, and every centroid rounds to ``cup@5.0,1.0``."""
+    return (_frame(0, ("cup", "red", (5.0, 1.0, 0.0))),) + tuple(
+        _frame(k, *(("cup", "red", (5.0 + 0.6 * k * math.cos(math.pi * j / (4 * k)),
+                                    1.0 + 0.6 * k * math.sin(math.pi * j / (4 * k)), 0.0))
+                    for j in range(8 * k)))
+        for k in range(1, rings + 1))
+
+
 def test_objects_that_share_an_id_get_a_suffix(registry):
     observations = cups_sharing_an_id()
     world = build_world_model(observations, full_classifiers(registry), registry)
     assert [(o.id, o.provenance) for o in world.objects] == [
         ("cup@5.0,1.0", {0}), ("cup@5.0,1.0#2", {1})]
     assert_same_world(observations, full_classifiers(registry), registry)
+    # From #10 on, the suffixes keep the order of the smallest member row,
+    # not the order of the suffixed strings.
+    observations = concentric_rings(10)
+    world = build_world_model(observations, full_classifiers(registry), registry)
+    assert [(o.id, o.provenance) for o in world.objects] == [("cup@5.0,1.0", {0})] + [
+        (f"cup@5.0,1.0#{k + 1}", {k}) for k in range(1, 11)]
+    assert_same_world(observations, full_classifiers(registry), registry)
+
+
+def test_a_burst_of_coincident_rows_links_in_bounded_memory():
+    # A robot parked in front of one cup for 3000 frames: 4.5 million
+    # linked pairs, tested a chunk at a time.
+    rows = 3000
+    tracemalloc.start()
+    try:
+        labels = _link(np.zeros(rows, dtype=np.intp), np.full((rows, 2), 0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (labels == 0).all()
+    assert peak < 16 * 2**20
 
 
 def _cup(colour, x=2.0, theta=0.0):
