@@ -5,10 +5,15 @@ probability is a logistic function of sparse binary features.  Every
 feature template crosses a phrase-side key (a word, the category, a
 resolved child's variant or attributes, the world digest) with a
 symbol-side key: the symbol's variant, one of its attribute pairs, or a
-(variant, pair) cell.  ``phrase_logits`` therefore names each phrase's
-features once per key of the ``SymbolSpace`` rather than once per
-symbol, and spreads the key weights onto every symbol with one gather and
-one ``bincount``.  Training builds its design rows from the same names.
+(variant, pair) cell.  A model is therefore compiled once against a
+space's key vocabulary: each phrase-side token (``bias``, ``cat=``,
+``w=``, ``cv=``, ``cmatch`` and ``dig``) gets one weight vector over
+the keys.  ``phrase_logits`` adds a phrase's few token
+vectors into key weights, sums them once per row of the ``SymbolSpace``
+(a constraint symbol, or a signature shared by instance symbols, which
+fire no ``ceq`` and so score alike) with one ``bincount``, and gathers
+the rows to the symbols.  Training builds its design rows from the
+feature names, in the same order.
 
 Inference walks the tree bottom-up: every variable is thresholded at one
 half given the already-resolved assignments of the phrase's children.
@@ -24,7 +29,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,17 +49,42 @@ from .errors import (
     UnknownSchemaVersion,
 )
 from .grammar import ParseTree, Phrase
-from .symbols import GroundingSymbol, SymbolSpace, action_instance
+from .symbols import (
+    INSTANCE_VARIANTS,
+    GroundingSymbol,
+    KeyVocabulary,
+    SymbolSpace,
+    action_instance,
+)
 from .world import DetectedObject, planar_distance
 
 MODEL_SCHEMA = 1
 DEFAULT_REGULARIZATION = 1e-4
-INSTANCE_VARIANTS = ("action", "object")
 # Training stops at this gradient max-norm, or after this many iterations;
 # a line search with no Barzilai-Borwein step at hand starts at FIRST_STEP.
 TOLERANCE = 1e-5
 MAX_ITERATIONS = 1000
 FIRST_STEP = 0.1
+
+
+def _variant_feature(token: str, variant: str) -> str:
+    return f"{token}|v={variant}"
+
+
+def _pair_feature(word: str, pair: tuple[str, str]) -> str:
+    return f"{word}|a={pair[0]}={pair[1]}"
+
+
+def _cell_feature(template: str, pair: tuple[str, str], variant: str) -> str:
+    return f"{template}|{pair[0]}|v={variant}"
+
+
+def _tokens(phrase: Phrase, kids) -> tuple[list[str], list[str]]:
+    """(own, words): a phrase's variant-side tokens, and its word tokens."""
+    words = [f"w={word}" for word in dict.fromkeys(phrase.words())]
+    own = ["bias", f"cat={phrase.category}", *words,
+           *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
+    return own, words
 
 
 def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
@@ -61,7 +93,7 @@ def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
 
     Returns ``(names, keys, ceq)``: feature ``names[i]`` fires for every
     symbol that has key ``keys[i]`` (see ``SymbolSpace``), and ``ceq``
-    lists ``(symbol index, name)`` for the symbols that repeat a
+    lists ``(row, name)`` for the rows of the symbols that repeat a
     child.  Names come in a fixed order, so sums over them do not depend
     on string hashing.  The templates, for a symbol of variant ``v``:
 
@@ -79,28 +111,110 @@ def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
     the world after inference and never appear as gold children during
     training.
     """
-    words = [f"w={word}" for word in dict.fromkeys(phrase.words())]
     kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
     child_pairs = {p for c in kids for p in c.attributes}
-    own = ["bias", f"cat={phrase.category}", *words,
-           *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
-    names = [f"{p}|v={v}" for _, v in space.variants for p in own]
-    keys = [k for k, _ in space.variants for _ in own]
-    names += [f"{w}|a={a}={x}" for _, (a, x) in space.pairs for w in words]
-    keys += [k for k, _ in space.pairs for _ in words]
-    for pair, cells in space.cells.items():
+    own, words = _tokens(phrase, kids)
+    vocabulary = space.vocabulary
+    names = [_variant_feature(p, v) for _, v in vocabulary.variants for p in own]
+    keys = [k for k, _ in vocabulary.variants for _ in own]
+    names += [_pair_feature(w, pair) for _, pair in vocabulary.pairs for w in words]
+    keys += [k for k, _ in vocabulary.pairs for _ in words]
+    for pair, cells in vocabulary.cells.items():
         fired = []
         if pair in child_pairs:
             fired.append("cmatch")
         if pair in digest:
             fired.append("dig")
         for template in fired:
-            names += [f"{template}|{pair[0]}|v={v}" for _, v in cells]
+            names += [_cell_feature(template, pair, v) for _, v in cells]
             keys += [key for key, _ in cells]
-    position = space.position
-    ceq = sorted((position[c.canon], f"ceq|v={c.variant}") for c in kids
-                 if c.canon in position)
+    rows = space.constraint_rows
+    ceq = sorted((rows[c.canon], _variant_feature("ceq", c.variant)) for c in kids
+                 if c.canon in rows)
     return names, keys, ceq
+
+
+class _Compiled:
+    """One model's weights laid out over one key vocabulary.
+
+    Each phrase-side token -- ``bias``, ``cat=C``, ``w=word``, ``cv=u``
+    -- has one weight vector over the keys: the weight of ``token|v`` at
+    each variant key ``v`` and, for a word, of ``w=word|a=k=x`` at each
+    pair key ``(k, x)``.  ``cmatch`` and ``dig`` hold the weights of
+    ``cmatch|k|v`` and ``dig|k|v`` at each cell ``((k, x), v)``.  Token
+    vectors are built on first use, from ``weights.get`` only.
+    """
+
+    def __init__(self, weights, vocabulary: KeyVocabulary):
+        self.get = weights.get
+        self.vocabulary = vocabulary
+        self.tokens: dict[str, np.ndarray] = {}
+        self.cmatch = self._cells("cmatch")
+        self.dig = self._cells("dig")
+
+    def _cells(self, template: str) -> np.ndarray:
+        vector = np.zeros(len(self.vocabulary))
+        for pair, cells in self.vocabulary.cells.items():
+            for k, v in cells:
+                vector[k] = self.get(_cell_feature(template, pair, v), 0.0)
+        return vector
+
+    def token(self, token: str) -> np.ndarray:
+        vector = self.tokens.get(token)
+        if vector is None:
+            vector = self.tokens[token] = np.zeros(len(self.vocabulary))
+            for k, v in self.vocabulary.variants:
+                vector[k] = self.get(_variant_feature(token, v), 0.0)
+            if token.startswith("w="):
+                for k, pair in self.vocabulary.pairs:
+                    vector[k] = self.get(_pair_feature(token, pair), 0.0)
+        return vector
+
+
+class _Scorer:
+    """Scores phrases against one space, for one model and world digest.
+
+    A phrase's key weights start from the ``dig`` weights of the digest's
+    cells, then add each of its tokens' vectors, in the order
+    ``_phrase_features`` names them, and the ``cmatch`` weights of the
+    children's cells.  Each key gets its terms in the order
+    ``assemble_design`` names them (a cell's two terms commute), so every
+    logit is bit-equal to the sum of its named features' weights in that
+    order.  Each row then sums its keys' weights once, and the rows are
+    gathered to the symbols.
+    """
+
+    def __init__(self, model: CorrespondenceModel, space: SymbolSpace,
+                 digest: frozenset):
+        vocabulary = space.vocabulary
+        compiled = model._compiled.get(vocabulary)
+        if compiled is None:
+            compiled = model._compiled[vocabulary] = _Compiled(model.weights, vocabulary)
+        self.compiled = compiled
+        self.space = space
+        self.base = np.where(vocabulary.cells_of(digest), compiled.dig, 0.0)
+
+    def __call__(self, phrase: Phrase, child_trues) -> np.ndarray:
+        compiled, space = self.compiled, self.space
+        kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
+        key_weights = self.base.copy()
+        for token in _tokens(phrase, kids)[0]:
+            key_weights += compiled.token(token)
+        child_pairs = {p for c in kids for p in c.attributes}
+        if child_pairs:
+            key_weights += np.where(space.vocabulary.cells_of(child_pairs),
+                                    compiled.cmatch, 0.0)
+        rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
+                           minlength=len(space.row_keys))
+        for c in kids:
+            row = space.constraint_rows.get(c.canon)
+            if row is not None:
+                rows[row] += compiled.get(_variant_feature("ceq", c.variant), 0.0)
+        z = rows[space.row_of]
+        if not np.all(np.isfinite(z)):
+            j = int(np.flatnonzero(~np.isfinite(z))[0])
+            raise NonFiniteScore(f"factor score for {space[j].canon} is {z[j]!r}")
+        return z
 
 
 def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
@@ -110,23 +224,16 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
 
     ``child_trues`` holds the symbols resolved true at the phrase's
     children, and ``digest`` the world's (key, value) attribute pairs.
-    Weights are read only through ``model.weights.get``.  A non-finite
-    logit raises ``NonFiniteScore``.
+    The logit of a symbol is the sum of the weights of the features
+    ``_phrase_features`` names for it.  The model is compiled against the
+    space's key vocabulary once (a weight vector over the keys per
+    phrase-side token, read through ``model.weights.get`` only), so a
+    phrase adds a few vectors, each row of the space sums its keys, and
+    the rows are gathered to the symbols: symbols that share a row, the
+    instances of one signature, are scored once.  A non-finite logit
+    raises ``NonFiniteScore``.
     """
-    names, keys, ceq = _phrase_features(phrase, space, child_trues, digest)
-    get = model.weights.get
-    key_weights = np.bincount(np.asarray(keys, dtype=np.intp),
-                              weights=[get(name, 0.0) for name in names],
-                              minlength=space.key_count)
-    z = np.bincount(space.entry_symbol,
-                    weights=key_weights[space.entry_key],
-                    minlength=len(space))
-    for j, name in ceq:
-        z[j] += get(name, 0.0)
-    if not np.all(np.isfinite(z)):
-        j = int(np.flatnonzero(~np.isfinite(z))[0])
-        raise NonFiniteScore(f"factor score for {space[j].canon} is {z[j]!r}")
-    return z
+    return _Scorer(model, space, digest)(phrase, child_trues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,30 +241,43 @@ class CorrespondenceModel:
     """Feature weights for one symbol domain.
 
     ``weights`` is any mapping-like object with ``get(name, default)``.
+    Inference reads them once per key vocabulary and keeps them compiled
+    against it, so they must not change after the first inference.
     """
 
     domain: str
     weights: dict[str, float]
     regularization: float = DEFAULT_REGULARIZATION
+    _compiled: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
 
 @dataclass(eq=False)
 class Assignment:
     """Thresholded correspondence variables for one parse tree.
 
-    ``trues`` is indexed by phrase index (post-order, root last), and
-    ``probabilities[i, j]`` is the probability of symbol ``j`` of the
-    space at phrase ``i``: row ``i`` of ``trues`` holds exactly the
-    symbols whose probability there exceeds one half.
+    ``probabilities[i, j]`` is the probability of symbol ``j`` of
+    ``space`` at phrase ``i`` (post-order, root last).  ``trues[i]`` holds
+    exactly the symbols whose probability at phrase ``i`` exceeds one
+    half; the sets are made on first read, so inference never hashes the
+    instance symbols it scores.
     """
 
     domain: str
-    trues: tuple[frozenset, ...]
     factor_evals: int
-    probabilities: np.ndarray | None = None
+    probabilities: np.ndarray
+    space: SymbolSpace
+
+    def _trues_at(self, i: int) -> frozenset:
+        return frozenset(map(self.space.__getitem__,
+                             np.flatnonzero(self.probabilities[i] > 0.5).tolist()))
+
+    @cached_property
+    def trues(self) -> tuple[frozenset, ...]:
+        return tuple(map(self._trues_at, range(len(self.probabilities))))
 
     def root_trues(self) -> frozenset:
-        return self.trues[-1]
+        return self._trues_at(-1)
 
     def true_sets(self) -> dict[int, frozenset]:
         return dict(enumerate(self.trues))
@@ -214,26 +334,30 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
     and action instance symbols are scored like the others, so the
     world's size is what reaches inference cost, even though nothing
     reads them: the navigation target comes from ``resolve_action`` on
-    the root-true constraints.
+    the root-true constraints.  Only the true constraint symbols are
+    passed up to a parent, since instances among the children fire no
+    feature.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
     phrases = tree.phrases()
-    symbols = space.symbols
-    probabilities = np.empty((len(phrases), len(symbols)))
-    trues: list[frozenset] = [frozenset()] * len(phrases)
+    score = _Scorer(model, space, digest)
+    constraints = space.constraints
+    probabilities = np.empty((len(phrases), len(space)))
+    kids: list[list] = [[]] * len(phrases)
     for phrase in phrases:
         child_trues: set = set()
         for child in phrase.children:
-            child_trues.update(trues[child.index])
-        p = expit(phrase_logits(model, phrase, space, child_trues, digest))
+            child_trues.update(kids[child.index])
+        p = expit(score(phrase, child_trues))
         probabilities[phrase.index] = p
-        trues[phrase.index] = frozenset(symbols[j] for j in (p > 0.5).nonzero()[0])
-    return Assignment(domain=model.domain, trues=tuple(trues),
-                      factor_evals=len(phrases) * len(symbols),
-                      probabilities=probabilities)
+        kids[phrase.index] = [space[j] for j in
+                              constraints[p[constraints] > 0.5].tolist()]
+    return Assignment(domain=model.domain,
+                      factor_evals=len(phrases) * len(space),
+                      probabilities=probabilities, space=space)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +380,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     assignments.  Returns ``(matrix, labels, feature_names)``.
     """
     symbols = tuple(space)
+    rows = space.row_of.tolist()
     by_canon = {s.canon: s for s in symbols}
     vocabulary: dict[str, int] = {}
     indices: list[int] = []
@@ -277,17 +402,16 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
                 child_trues.update(by_canon[c] for c in example.gold[child.index])
             names, keys, ceq = _phrase_features(phrase, space, child_trues,
                                                 example.digest)
-            columns_of: list[list[int]] = [[] for _ in range(space.key_count)]
+            columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
             for name, key in zip(names, keys):
                 columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
-            repeats = {j: vocabulary.setdefault(name, len(vocabulary))
-                       for j, name in ceq}
+            columns = [[c for key in row for c in columns_of[key]]
+                       for row in space.row_keys]
+            for row, name in ceq:
+                columns[row].append(vocabulary.setdefault(name, len(vocabulary)))
             gold_here = example.gold[phrase.index]
-            for j, symbol in enumerate(symbols):
-                for key in space.keys_of[j]:
-                    indices.extend(columns_of[key])
-                if j in repeats:
-                    indices.append(repeats[j])
+            for symbol, row in zip(symbols, rows):
+                indices.extend(columns[row])
                 indptr.append(len(indices))
                 labels.append(1.0 if symbol.canon in gold_here else 0.0)
     # Columns are numbered in first-seen order; renumber them by name so

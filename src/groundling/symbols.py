@@ -13,10 +13,22 @@ models:
 
 Every symbol renders to a canonical string; spaces are ordered
 lexicographically by that string so symbol indices are stable across runs.
+
+A symbol's logit sums weights over its layout keys: its variant, and for
+each attribute pair the pair and the (pair, variant) cell.  A space
+numbers these keys in a ``KeyVocabulary`` and groups symbols with the
+same keys into rows.  The grounding spaces of one registry share one
+vocabulary, fixed and cached on the registry with the type-level symbols
+and their rows: every key a grounding symbol over the registry's classes,
+colours, scene labels and relations can have.  A world's space then only
+adds its objects' instance rows, one action row and one object row per
+distinct (class, colour, region) signature, by lookups into that
+vocabulary.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -78,6 +90,10 @@ CLASSIFIER_KINDS = (OBJECT_DETECTOR, NOISE_FILTER, COLOR_DETECTOR,
                     BBOX_ESTIMATOR, POSE_ESTIMATOR)
 
 RELATION_KINDS = ("farthest", "nearest")
+
+# Grounding variants whose symbols denote one detected object each; the
+# symbols of every other variant are constraints.
+INSTANCE_VARIANTS = ("action", "object")
 
 REGISTRY_SCHEMA = 3
 
@@ -205,23 +221,79 @@ def relation_symbol(kind: str) -> GroundingSymbol:
     return GroundingSymbol("rel", kind)
 
 
-def _object_attrs(obj) -> tuple[tuple[str, str], ...]:
-    attrs = [("class", obj.cls)]
-    if obj.color is not None:
-        attrs.append(("color", obj.color))
-    if obj.region is not None:
-        attrs.append(("region", obj.region))
+def _signature_attrs(cls: str, color: str | None,
+                     region: str | None) -> tuple[tuple[str, str], ...]:
+    """The attributes of an object with this (class, colour, region)."""
+    attrs = [("class", cls)]
+    if color is not None:
+        attrs.append(("color", color))
+    if region is not None:
+        attrs.append(("region", region))
     return tuple(attrs)
 
 
 def object_instance(obj) -> GroundingSymbol:
     """Symbol for one detected object in the current world model."""
-    return GroundingSymbol("object", obj.id, _object_attrs(obj))
+    return GroundingSymbol("object", obj.id,
+                           _signature_attrs(obj.cls, obj.color, obj.region))
 
 
 def action_instance(obj) -> GroundingSymbol:
     """Navigate-to action targeting one detected object."""
-    return GroundingSymbol("action", obj.id, _object_attrs(obj))
+    return GroundingSymbol("action", obj.id,
+                           _signature_attrs(obj.cls, obj.color, obj.region))
+
+
+def key_names(variant: str, attributes) -> tuple:
+    """The names of a symbol's layout keys, in the order its logit adds them.
+
+    A symbol of variant ``v`` has the key ``v`` and, for each of its
+    attribute pairs ``p`` in order, the keys ``p`` and ``(p, v)``: a
+    variant is a string, a pair a (key, value) tuple and a cell a
+    (pair, variant) tuple.  A symbol's attribute keys are distinct, so its
+    cells are too.
+    """
+    names = [variant]
+    for pair in attributes:
+        names += (pair, (pair, variant))
+    return tuple(names)
+
+
+class KeyVocabulary:
+    """A numbering of layout keys: variants, attribute pairs and cells.
+
+    ``names[k]`` is the name of key ``k`` (see ``key_names``) and
+    ``index`` maps a name to its number.  ``variants`` and ``pairs`` list
+    ``(key, variant)`` and ``(key, pair)``, ``cells`` maps each pair to
+    the ``(key, variant)`` of its cells, and ``cell_pair[k]`` is the
+    position in ``pairs`` of cell ``k``'s pair, or ``len(pairs)`` when key
+    ``k`` is not a cell.
+    """
+
+    def __init__(self, names):
+        self.names = tuple(dict.fromkeys(names))
+        self.index = {name: k for k, name in enumerate(self.names)}
+        self.variants = tuple((k, n) for k, n in enumerate(self.names)
+                              if isinstance(n, str))
+        self.pairs = tuple((k, n) for k, n in enumerate(self.names)
+                           if not isinstance(n, str) and isinstance(n[0], str))
+        self.pair_index = {pair: i for i, (_, pair) in enumerate(self.pairs)}
+        cells: dict = {}
+        self.cell_pair = np.full(len(self.names), len(self.pairs), dtype=np.intp)
+        for k, name in enumerate(self.names):
+            if not isinstance(name, str) and not isinstance(name[0], str):
+                cells.setdefault(name[0], []).append((k, name[1]))
+                self.cell_pair[k] = self.pair_index[name[0]]
+        self.cells = {pair: tuple(c) for pair, c in cells.items()}
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def cells_of(self, pairs) -> np.ndarray:
+        """A mask over the keys: the cells of ``pairs`` that are numbered."""
+        fired = np.zeros(len(self.pairs) + 1, dtype=bool)
+        fired[[self.pair_index[p] for p in pairs if p in self.pair_index]] = True
+        return fired[self.cell_pair]
 
 
 class SymbolSpace:
@@ -230,64 +302,69 @@ class SymbolSpace:
     Symbols are sorted by canonical string, so a symbol's index is stable
     across runs; ``position`` maps each canonical string to its index.
 
-    The space also indexes its symbols by variant and attribute pair.
-    Every symbol has a few keys: its variant, and for each of its attribute
-    pairs, the pair and the (pair, variant) cell.  Keys are numbered in the
-    order the space's symbols first have them.  ``variants`` and ``pairs``
-    list ``(key, variant)`` and ``(key, pair)``; ``cells`` maps each pair
-    to the ``(key, variant)`` of its cells.  ``keys_of`` lists each
-    symbol's keys, and so does entry ``e`` of the flat arrays: symbol
-    ``entry_symbol[e]`` has key ``entry_key[e]``.  A symbol's attribute
-    keys are distinct, so its cells are too.
+    A symbol's logit is a sum over its layout keys (``key_names``), which
+    ``vocabulary`` numbers.  Symbols with the same keys share a row: row
+    ``r`` has the keys ``row_keys[r]`` and symbol ``j`` is in row
+    ``row_of[j]``, and entry ``e`` of the flat arrays is key
+    ``entry_key[e]`` of row ``entry_row[e]``.  Only instance symbols share
+    rows: a constraint symbol's keys name its variant and value.
+    ``constraints`` holds the indices of the constraint symbols, and
+    ``constraint_rows`` maps each one's canon to its row.
+
+    ``SymbolSpace(domain, symbols)`` sorts the symbols and numbers the keys
+    they have, in the order they first have them.  A world's grounding
+    space comes from ``enumerate_grounding_space`` instead, numbered by its
+    registry's vocabulary, and makes its instance symbols on first access.
     """
 
     def __init__(self, domain: str, symbols):
         ordered = sorted(symbols, key=lambda s: s.canon)
-        position: dict[str, int] = {}
-        # A variant is a string, a pair a (key, value) tuple, and a cell a
-        # (pair, variant) tuple, so one dictionary numbers all three.
-        key: dict = {}
-        keys_of = []
-        for j, sym in enumerate(ordered):
-            canon = sym.canon
-            if canon in position:
+        canons = [s.canon for s in ordered]
+        for canon, after in zip(canons, canons[1:]):
+            if canon == after:
                 raise InvalidSpec(f"duplicate symbol {canon}")
-            position[canon] = j
-            variant = sym.variant
-            keys = [key.setdefault(variant, len(key))]
-            for pair in sym.attributes:
-                keys.append(key.setdefault(pair, len(key)))
-                keys.append(key.setdefault((pair, variant), len(key)))
-            keys_of.append(tuple(keys))
-        variants, pairs, cells = [], [], {}
-        for name, k in key.items():
-            if isinstance(name, str):
-                variants.append((k, name))
-            elif isinstance(name[0], str):
-                pairs.append((k, name))
-            else:
-                cells.setdefault(name[0], []).append((k, name[1]))
+        named = [key_names(s.variant, s.attributes) for s in ordered]
+        vocabulary = KeyVocabulary(itertools.chain.from_iterable(named))
+        rows: dict[tuple, int] = {}
+        row_of = [rows.setdefault(tuple(map(vocabulary.index.__getitem__, names)),
+                                  len(rows)) for names in named]
+        constraints = [j for j, s in enumerate(ordered)
+                       if s.variant not in INSTANCE_VARIANTS]
+        self._lay_out(domain, vocabulary, ordered, tuple(rows), row_of,
+                      constraints, {canons[j]: row_of[j] for j in constraints})
+
+    def _lay_out(self, domain, vocabulary, symbols, row_keys, row_of,
+                 constraints, constraint_rows, instance=None) -> None:
         self.domain = domain
-        self.symbols = tuple(ordered)
-        self.position = position
-        self.variants = tuple(variants)
-        self.pairs = tuple(pairs)
-        self.cells = {p: tuple(c) for p, c in cells.items()}
-        self.key_count = len(key)
-        self.keys_of = tuple(keys_of)
-        self.entry_symbol = np.repeat(np.arange(len(keys_of)),
-                                      [len(keys) for keys in keys_of])
-        self.entry_key = np.fromiter(itertools.chain.from_iterable(keys_of),
-                                     dtype=np.intp, count=len(self.entry_symbol))
+        self.vocabulary = vocabulary
+        self.row_keys = row_keys
+        self.row_of = np.asarray(row_of, dtype=np.intp)
+        lengths = [len(keys) for keys in row_keys]
+        self.entry_row = np.repeat(np.arange(len(row_keys)), lengths)
+        self.entry_key = np.fromiter(itertools.chain.from_iterable(row_keys),
+                                     dtype=np.intp, count=sum(lengths))
+        self.constraints = np.asarray(constraints, dtype=np.intp)
+        self.constraint_rows = constraint_rows
+        # None marks a symbol that ``instance(j)`` makes on first access.
+        self._symbols = symbols
+        self._instance = instance
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {s.canon: j for j, s in enumerate(self)}
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self._symbols)
 
     def __iter__(self):
-        return iter(self.symbols)
+        return map(self.__getitem__, range(len(self._symbols)))
 
     def __getitem__(self, j: int):
-        return self.symbols[j]
+        symbol = self._symbols[j]
+        if symbol is None:
+            j = range(len(self._symbols))[j]
+            symbol = self._symbols[j] = self._instance(j)
+        return symbol
 
     def __contains__(self, symbol) -> bool:
         return getattr(symbol, "canon", None) in self.position
@@ -375,6 +452,10 @@ class ClassifierRegistry:
     def _perception_space(self) -> SymbolSpace:
         return SymbolSpace("perception", self.classifiers())
 
+    @cached_property
+    def _grounding_layout(self) -> "_GroundingLayout":
+        return _GroundingLayout(self)
+
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
         if symbol not in self.classifier_set:
             raise UnknownClassifier(symbol.canon)
@@ -412,17 +493,106 @@ def enumerate_grounding_type_space(registry: ClassifierRegistry) -> SymbolSpace:
     return SymbolSpace("grounding", _type_level_symbols(registry))
 
 
+class _GroundingLayout:
+    """The type-level part of a registry's grounding spaces, and their keys.
+
+    ``vocabulary`` numbers every key a grounding symbol over the registry
+    can have: the six variants, the attribute pairs over classes, colours,
+    scene labels and relations, and their cells with the constraint
+    variant and with both instance variants.  The type-level symbols are
+    rows 0 to T - 1, in canon order.  A world adds, for its i-th distinct
+    (class, colour, region) signature, row T + 2i for the action symbols
+    and row T + 2i + 1 for the object symbols that have it.
+    """
+
+    def __init__(self, registry: ClassifierRegistry):
+        self.types = tuple(sorted(_type_level_symbols(registry),
+                                  key=lambda s: s.canon))
+        instance_pairs = ([("class", c) for c in registry.object_classes]
+                          + [("color", c) for c in registry.colors]
+                          + [("region", l) for l in SCENE_LABELS])
+        self.vocabulary = KeyVocabulary(itertools.chain(
+            *(key_names(s.variant, s.attributes) for s in self.types),
+            *(key_names(v, instance_pairs) for v in INSTANCE_VARIANTS)))
+        index = self.vocabulary.index
+        self.type_keys = tuple(tuple(index[n] for n in key_names(s.variant, s.attributes))
+                               for s in self.types)
+        self.constraint_rows = {s.canon: r for r, s in enumerate(self.types)}
+        # No type-level canon starts with "action[" or "object[", so every
+        # action canon sorts at one place among them, and so does every
+        # object canon.
+        canons = [s.canon for s in self.types]
+        self.actions_at = bisect.bisect(canons, "action[")
+        self.objects_at = bisect.bisect(canons, "object[")
+        self._signature_keys: dict[tuple, tuple] = {}
+
+    def signature_keys(self, signature) -> tuple | None:
+        """The keys of the (action, object) symbols of one signature.
+
+        None when one of its attribute pairs is outside the vocabulary.
+        """
+        keys = self._signature_keys.get(signature)
+        if keys is None:
+            attrs = _signature_attrs(*signature)
+            try:
+                keys = tuple(tuple(self.vocabulary.index[n] for n in key_names(v, attrs))
+                             for v in INSTANCE_VARIANTS)
+            except KeyError:
+                return None
+            self._signature_keys[signature] = keys
+        return keys
+
+    def space(self, objects, codes: np.ndarray, keys) -> SymbolSpace:
+        """The grounding space of ``objects``, whose signatures have ``keys``.
+
+        ``codes[i]`` is the signature of ``objects[i]``.  An instance canon
+        is a prefix, the id and "]", so appending "]" to the ids sorts them
+        in canon order: ``cup@5.0,1.0#2`` before ``cup@5.0,1.0``.
+        """
+        n, t = len(objects), len(self.types)
+        ids = [o.id + "]" for o in objects]
+        order = sorted(range(n), key=ids.__getitem__)
+        ordered = [objects[i] for i in order]
+        a, b = self.actions_at, self.objects_at
+        rows = np.arange(t)
+        actions = t + 2 * codes[order]
+        # Actions at a .. a + n - 1, objects at b + n .. b + 2n - 1.
+        row_of = np.concatenate((rows[:a], actions, rows[a:b], actions + 1, rows[b:]))
+        constraints = np.concatenate((rows[:a], n + rows[a:b], 2 * n + rows[b:]))
+        symbols = [*self.types[:a], *[None] * n, *self.types[a:b], *[None] * n,
+                   *self.types[b:]]
+
+        def instance(j: int) -> GroundingSymbol:
+            if j < a + n:
+                return action_instance(ordered[j - a])
+            return object_instance(ordered[j - b - n])
+
+        space = SymbolSpace.__new__(SymbolSpace)
+        space._lay_out("grounding", self.vocabulary, symbols,
+                       self.type_keys + tuple(itertools.chain.from_iterable(keys)),
+                       row_of, constraints, self.constraint_rows, instance)
+        return space
+
+
 def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpace:
     """Type-level constraints plus object and action symbols for ``world``.
 
     The size is linear in the number of detected objects: two instance
-    symbols per object on top of the fixed type-level set.
+    symbols per object on top of the fixed type-level set.  The space is
+    laid out on the registry's key vocabulary from each object's
+    signature (``WorldModel.signatures``), so objects that share one share
+    a row.  A world with an attribute outside that vocabulary (a scene
+    label outside the taxonomy, say) gets a space that numbers its own
+    keys.
     """
-    syms = _type_level_symbols(registry)
-    for obj in world.objects:
-        syms.append(object_instance(obj))
-        syms.append(action_instance(obj))
-    return SymbolSpace("grounding", syms)
+    layout = registry._grounding_layout
+    signatures, codes = world.signatures
+    keys = [layout.signature_keys(s) for s in signatures]
+    if None in keys:
+        return SymbolSpace("grounding", [
+            *layout.types,
+            *(f(o) for o in world.objects for f in (object_instance, action_instance))])
+    return layout.space(world.objects, codes, keys)
 
 
 def save_registry(registry: ClassifierRegistry, path) -> None:

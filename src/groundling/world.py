@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,7 @@ class DetectionSet:
     region: np.ndarray
     noisy: np.ndarray
     colored: np.ndarray
+    poses: np.ndarray
     position: np.ndarray | None = None
     theta: np.ndarray | None = None
 
@@ -368,6 +370,8 @@ class DetectionSet:
             region=region[obs],
             noisy=np.array([r.noisy for r in hits], dtype=bool)[order],
             colored=np.zeros(len(hits), dtype=bool),
+            poses=np.array([o.robot_pose for o in sources],
+                           dtype=float).reshape(-1, 3),
         )
 
     def __len__(self) -> int:
@@ -381,15 +385,10 @@ class DetectionSet:
             obs=self.obs[rows], t=self.t[rows], rel=self.rel[rows],
             cls=self.cls[rows], color=self.color[rows],
             region=self.region[rows], noisy=self.noisy[rows],
-            colored=self.colored[rows],
+            colored=self.colored[rows], poses=self.poses,
             position=None if self.position is None else self.position[rows],
             theta=None if self.theta is None else self.theta[rows],
         )
-
-    def robot_poses(self) -> np.ndarray:
-        """One (x, y, theta) row per observation, indexed like ``obs``."""
-        return np.array([o.robot_pose for o in self.observations],
-                        dtype=float).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -412,11 +411,24 @@ class WorldModel:
     def object_ids(self) -> frozenset[str]:
         return frozenset(o.id for o in self.objects)
 
+    @cached_property
+    def signatures(self) -> tuple[tuple[tuple, ...], np.ndarray]:
+        """The objects' distinct (class, colour, region), and each one's.
+
+        Returns ``(signatures, codes)``: the distinct signatures in order of
+        first appearance, and ``codes[i]``, the position of object ``i``'s
+        among them.
+        """
+        index: dict[tuple, int] = {}
+        codes = [index.setdefault((o.cls, o.color, o.region), len(index))
+                 for o in self.objects]
+        return tuple(index), np.array(codes, dtype=np.intp)
+
     def digest(self) -> frozenset[tuple[str, str]]:
         """The (key, value) attribute pairs of the objects: factor context."""
         return frozenset(
-            pair for o in self.objects
-            for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
+            pair for cls, color, region in self.signatures[0]
+            for pair in (("class", cls), ("color", color), ("region", region))
             if pair[1] is not None)
 
 
@@ -454,7 +466,7 @@ def run_classifier(symbol: PerceptionSymbol, observations,
         # and sin from ``math`` once per robot pose: every element goes
         # through the same IEEE operations, in the same order, as the
         # scalar form.
-        poses = detections.robot_poses()
+        poses = detections.poses
         angles = poses[:, 2].tolist()
         cos = np.array([math.cos(a) for a in angles])[detections.obs]
         sin = np.array([math.sin(a) for a in angles])[detections.obs]
@@ -463,7 +475,7 @@ def run_classifier(symbol: PerceptionSymbol, observations,
         y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
         return replace(detections, position=np.stack((x, y), axis=1)), cost
     if symbol.kind == POSE_ESTIMATOR:
-        theta = detections.robot_poses()[detections.obs, 2] + detections.rel[:, 2]
+        theta = detections.poses[detections.obs, 2] + detections.rel[:, 2]
         return replace(detections, theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 

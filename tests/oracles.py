@@ -18,7 +18,6 @@ from scipy.special import log_expit
 
 from groundling.correspondence import (
     INSTANCE_VARIANTS,
-    Assignment,
     CorrespondenceModel,
     phrase_logits,
 )
@@ -93,9 +92,21 @@ def extract_features(phrase: Phrase, symbol, child_trues=(),
     return features
 
 
+@dataclass(frozen=True)
+class ExhaustiveAssignment:
+    """The true symbols per phrase that ``infer_exhaustive`` found."""
+
+    domain: str
+    trues: tuple[frozenset, ...]
+    factor_evals: int
+
+    def true_sets(self) -> dict[int, frozenset]:
+        return dict(enumerate(self.trues))
+
+
 def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
                      space: SymbolSpace,
-                     digest: frozenset = frozenset()) -> Assignment:
+                     digest: frozenset = frozenset()) -> ExhaustiveAssignment:
     """Reference inference by per-phrase enumeration.
 
     For each phrase (children already resolved) every joint setting of its
@@ -140,7 +151,8 @@ def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
         trues[phrase.index] = frozenset(
             symbols[j] for j in range(n) if (best_row >> (n - 1 - j)) & 1
         )
-    return Assignment(domain=model.domain, trues=tuple(trues), factor_evals=evals)
+    return ExhaustiveAssignment(domain=model.domain, trues=tuple(trues),
+                                factor_evals=evals)
 
 
 def majority(values, default=None):

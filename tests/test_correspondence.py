@@ -189,17 +189,25 @@ def test_non_finite_weights_rejected(registry):
         infer(model, tree, enumerate_semantic_space())
 
 
-def random_world(rng: np.random.Generator, registry, max_objects: int = 4):
-    """A small world model of objects with random attributes."""
+def random_signature(rng: np.random.Generator, registry) -> tuple:
+    cls = registry.object_classes[int(rng.integers(len(registry.object_classes)))]
+    color = (None if rng.random() < 0.3 else
+             registry.colors[int(rng.integers(len(registry.colors)))])
+    return cls, color, SCENE_LABELS[int(rng.integers(len(SCENE_LABELS)))]
+
+
+def random_world(rng: np.random.Generator, registry, max_objects: int = 6):
+    """A small world model of objects with random attributes.
+
+    Objects draw from one to three signatures, so some repeat one."""
+    signatures = [random_signature(rng, registry)
+                  for _ in range(int(rng.integers(1, 4)))]
     objects = []
     for i in range(int(rng.integers(0, max_objects + 1))):
-        cls = registry.object_classes[int(rng.integers(len(registry.object_classes)))]
-        color = (None if rng.random() < 0.3 else
-                 registry.colors[int(rng.integers(len(registry.colors)))])
+        cls, color, region = signatures[int(rng.integers(len(signatures)))]
         objects.append(DetectedObject(
             id=f"{cls}@{i}.0,0.0", cls=cls, color=color, pose=(float(i), 0.0, 0.0),
-            region=SCENE_LABELS[int(rng.integers(len(SCENE_LABELS)))],
-            provenance=frozenset()))
+            region=region, provenance=frozenset()))
     return WorldModel(objects=tuple(objects), total_cost=0.0,
                       robot_pose=(0.0, 0.0, 0.0))
 
@@ -223,10 +231,14 @@ def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
     model = CorrespondenceModel(domain=space.domain, weights=weights)
     digest = world.digest() if with_digest else frozenset()
     symbols = tuple(space)
+    # The same symbols, each in a row of its own, keys numbered afresh.
+    generic = SymbolSpace(space.domain, symbols)
     for phrase in random_tree(rng).phrases():
         picked = rng.random(len(symbols)) < rng.choice((0.0, 0.1, 0.5))
         child_trues = {s for s, keep in zip(symbols, picked) if keep}
         z = phrase_logits(model, phrase, space, child_trues, digest)
+        assert np.array_equal(z, phrase_logits(model, phrase, generic,
+                                                child_trues, digest))
         for j, symbol in enumerate(symbols):
             features = extract_features(phrase, symbol, child_trues, digest)
             terms = [weights.get(name, 0.0) * value
@@ -234,6 +246,37 @@ def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
             oracle = sum(terms)
             assert (expit(z[j]) > 0.5) == (expit(oracle) > 0.5)
             assert abs(z[j] - oracle) <= 1e-12 * (1.0 + sum(map(abs, terms)))
+
+
+@pytest.mark.parametrize("domain", ("semantic", "perception", "grounding"))
+def test_design_rows_score_like_phrase_logits(corpus_split, registry, reference,
+                                              domain):
+    # Training names features; inference adds compiled weight vectors.  On
+    # the seed-7 training set, each design row dotted with the weights is
+    # the logit phrase_logits gives that (phrase, symbol).
+    from groundling import corpus as corpus_mod
+    examples = corpus_mod.training_sets(corpus_split[0], registry,
+                                        reference)[domain]
+    space = {"semantic": enumerate_semantic_space,
+             "perception": lambda: enumerate_perception_space(registry),
+             "grounding": lambda: enumerate_grounding_type_space(registry),
+             }[domain]()
+    weights = HashWeights(f"design-{domain}")
+    model = CorrespondenceModel(domain=domain, weights=weights)
+    design, _, names = assemble_design(space, examples)
+    w = np.array([weights.get(name) for name in names])
+    rows, bounds = design @ w, 1.0 + abs(design) @ abs(w)
+    by_canon = {s.canon: s for s in space}
+    start = 0
+    for example in examples:
+        for phrase in example.tree.phrases():
+            child_trues = {by_canon[c] for child in phrase.children
+                           for c in example.gold[child.index]}
+            z = phrase_logits(model, phrase, space, child_trues, example.digest)
+            stop = start + len(space)
+            assert np.all(np.abs(z - rows[start:stop]) <= 1e-12 * bounds[start:stop])
+            start = stop
+    assert start == design.shape[0]
 
 
 _CUP_PROBABILITIES = """

@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from groundling.fixtures import benchmark_manifest
+from groundling.fixtures import benchmark_manifest, site_spec
+from groundling.grammar import parse_text
+from groundling.symbols import enumerate_grounding_type_space
+from groundling.world import simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +73,31 @@ def test_traced_run_records_each_layer_once(perfbench, bundle, registry,
         assert sum(self_time[s[0]] for s in tree) == root[3] - root[2]
     kinds = {s[6]["kind"] for s in roots["B"] if s[1] == "world.stage"}
     assert kinds == set(spans.STAGE_KINDS)
+
+
+def test_traced_run_at_scale_counts_symbols_and_factors(perfbench, bundle,
+                                                        registry):
+    # perfbench's symbols.space_size and factor_evals.grounding metrics
+    # count every symbol of the space, not the rows scoring shares among
+    # instances of one signature.
+    bench, spans = perfbench
+    from groundling import pipeline
+
+    log = simulate(bench.tiled(site_spec("site-1"), 2), registry)
+    instruction = "go to the farthest cup in the kitchen"
+    with spans.Tracer() as tracer:
+        result = pipeline.run(instruction, log, bundle, registry, mode="B",
+                              site="site-1")
+    assert not result.error
+    by_name = defaultdict(list)
+    for span in tracer.spans:
+        by_name[span[1]].append(span[6])
+    [built] = by_name["world.build"]
+    [space] = by_name["symbols.space"]
+    [grounding] = [a for a in by_name["correspondence.infer"]
+                   if a["domain"] == "grounding"]
+    type_level = len(enumerate_grounding_type_space(registry))
+    assert built["objects"] == result.object_count == 2 * 37
+    assert space["size"] == 2 * built["objects"] + type_level
+    assert grounding["factor_evals"] == (
+        len(parse_text(instruction, registry)) * space["size"])

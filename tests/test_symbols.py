@@ -6,23 +6,30 @@ from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groundling.errors import UnknownClassifier, UnknownSchemaVersion
 from groundling.symbols import (
+    INSTANCE_VARIANTS,
     SCENE_LABELS,
     STRUCTURAL_KINDS,
     ClassifierRegistry,
     CostModel,
     PerceptionSymbol,
+    SymbolSpace,
+    action_instance,
     default_registry,
     enumerate_grounding_space,
     enumerate_grounding_type_space,
     enumerate_perception_space,
     enumerate_semantic_space,
+    key_names,
     load_registry,
+    object_instance,
     save_registry,
 )
-from groundling.world import WorldModel, build_world_model
+from groundling.world import DetectedObject, WorldModel, build_world_model
 
 
 def empty_world() -> WorldModel:
@@ -60,6 +67,104 @@ def test_grounding_space_is_linear_in_objects(registry, site_logs):
                               frozenset(registry.classifiers()), registry)
     space = enumerate_grounding_space(world, registry)
     assert len(space) == 2 * len(world.objects) + constant
+
+
+def generic_space(world, registry) -> SymbolSpace:
+    """The grounding space of ``world`` built the generic way: all symbols
+    sorted by canon, keys numbered as they first appear."""
+    symbols = list(enumerate_grounding_type_space(registry))
+    symbols += [f(o) for o in world.objects for f in (object_instance, action_instance)]
+    return SymbolSpace("grounding", symbols)
+
+
+def laid_out(space) -> list:
+    """Each symbol with its canon and the names of its row's keys, in order."""
+    names = space.vocabulary.names
+    return [(symbol, symbol.canon, tuple(names[k] for k in space.row_keys[row]))
+            for symbol, row in zip(space, space.row_of.tolist())]
+
+
+# (class, colour, region) signatures, with a class and a scene label
+# outside the default registry's vocabulary.
+_SIGNATURES = st.tuples(
+    st.sampled_from(("cup", "ball", "drone")),
+    st.none() | st.sampled_from(("red", "blue")),
+    st.sampled_from(("kitchen", "office", "bathroom")))
+
+
+@st.composite
+def signature_worlds(draw):
+    """(registry, world): objects that repeat a few signatures, with ids
+    that share prefixes (``cup@5.0,1.0``, ``cup@5.0,1.0#2``, ``#10``), in
+    any order; the registry may add the class ``drone``."""
+    registry = default_registry()
+    if draw(st.booleans()):
+        registry = replace(registry,
+                           object_classes=registry.object_classes + ("drone",))
+    signatures = draw(st.lists(_SIGNATURES, min_size=1, max_size=3))
+    objects, seen = [], {}
+    for _ in range(draw(st.integers(0, 14))):
+        cls, color, region = draw(st.sampled_from(signatures))
+        name = f"{cls}@{draw(st.sampled_from(('5.0,1.0', '5.0,1.05', '5.0,10.0')))}"
+        repeat = seen[name] = seen.get(name, 0) + 1
+        objects.append(DetectedObject(
+            id=name if repeat == 1 else f"{name}#{repeat}", cls=cls,
+            color=color, pose=(0.0, 0.0, 0.0), region=region,
+            provenance=frozenset()))
+    objects = draw(st.permutations(objects))
+    return registry, WorldModel(objects=tuple(objects), total_cost=0.0,
+                                robot_pose=(0.0, 0.0, 0.0))
+
+
+def one_signature_world(count: int) -> WorldModel:
+    return WorldModel(objects=tuple(
+        DetectedObject(id=f"cup@5.0,1.0#{k}" if k > 1 else "cup@5.0,1.0",
+                       cls="cup", color=None, pose=(0.0, 0.0, 0.0),
+                       region="kitchen", provenance=frozenset())
+        for k in range(1, count + 1)), total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=signature_worlds())
+@example(case=(default_registry(), empty_world()))
+@example(case=(default_registry(), one_signature_world(12)))
+def test_grounding_space_matches_the_generic_construction(case):
+    registry, world = case
+    space = enumerate_grounding_space(world, registry)
+    reference = generic_space(world, registry)
+    assert len(space) == len(reference) == 2 * len(world.objects) + len(
+        enumerate_grounding_type_space(registry))
+    assert laid_out(space) == laid_out(reference)
+    assert space.constraints.tolist() == [
+        j for j, s in enumerate(reference) if s.variant not in INSTANCE_VARIANTS]
+    assert {canon: space.row_keys[row] for canon, row in space.constraint_rows.items()} == {
+        s.canon: space.row_keys[space.row_of[j]] for j, s in enumerate(space)
+        if s.variant not in INSTANCE_VARIANTS}
+    assert all(key_names(s.variant, s.attributes) == names
+               for s, _, names in laid_out(space))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=signature_worlds())
+def test_signatures_and_digest_cover_every_object(case):
+    _, world = case
+    signatures, codes = world.signatures
+    assert [signatures[c] for c in codes.tolist()] == [
+        (o.cls, o.color, o.region) for o in world.objects]
+    assert len(set(signatures)) == len(signatures)
+    assert world.digest() == frozenset(
+        pair for o in world.objects
+        for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
+        if pair[1] is not None)
+
+
+def test_instances_of_one_signature_share_a_row(registry):
+    space = enumerate_grounding_space(one_signature_world(12), registry)
+    rows = {s.variant: set() for s in space}
+    for s, row in zip(space, space.row_of.tolist()):
+        rows[s.variant].add(row)
+    assert len(rows["object"]) == len(rows["action"]) == 1
+    assert len(space.row_keys) == len(enumerate_grounding_type_space(registry)) + 2
 
 
 def test_instance_symbols_reference_world_ids(registry, site_logs):
