@@ -67,18 +67,6 @@ MAX_ITERATIONS = 1000
 FIRST_STEP = 0.1
 
 
-def _variant_feature(token: str, variant: str) -> str:
-    return f"{token}|v={variant}"
-
-
-def _pair_feature(word: str, pair: tuple[str, str]) -> str:
-    return f"{word}|a={pair[0]}={pair[1]}"
-
-
-def _cell_feature(template: str, pair: tuple[str, str], variant: str) -> str:
-    return f"{template}|{pair[0]}|v={variant}"
-
-
 def _tokens(phrase: Phrase, kids) -> tuple[list[str], list[str]]:
     """(own, words): a phrase's variant-side tokens, and its word tokens."""
     words = [f"w={word}" for word in dict.fromkeys(phrase.words())]
@@ -115,9 +103,9 @@ def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
     child_pairs = {p for c in kids for p in c.attributes}
     own, words = _tokens(phrase, kids)
     vocabulary = space.vocabulary
-    names = [_variant_feature(p, v) for _, v in vocabulary.variants for p in own]
+    names = [f"{p}|v={v}" for _, v in vocabulary.variants for p in own]
     keys = [k for k, _ in vocabulary.variants for _ in own]
-    names += [_pair_feature(w, pair) for _, pair in vocabulary.pairs for w in words]
+    names += [f"{w}|a={a}={x}" for _, (a, x) in vocabulary.pairs for w in words]
     keys += [k for k, _ in vocabulary.pairs for _ in words]
     for pair, cells in vocabulary.cells.items():
         fired = []
@@ -126,10 +114,10 @@ def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
         if pair in digest:
             fired.append("dig")
         for template in fired:
-            names += [_cell_feature(template, pair, v) for _, v in cells]
+            names += [f"{template}|{pair[0]}|v={v}" for _, v in cells]
             keys += [key for key, _ in cells]
     rows = space.constraint_rows
-    ceq = sorted((rows[c.canon], _variant_feature("ceq", c.variant)) for c in kids
+    ceq = sorted((rows[c.canon], f"ceq|v={c.variant}") for c in kids
                  if c.canon in rows)
     return names, keys, ceq
 
@@ -156,18 +144,19 @@ class _Compiled:
         vector = np.zeros(len(self.vocabulary))
         for pair, cells in self.vocabulary.cells.items():
             for k, v in cells:
-                vector[k] = self.get(_cell_feature(template, pair, v), 0.0)
+                vector[k] = self.get(f"{template}|{pair[0]}|v={v}", 0.0)
         return vector
 
     def token(self, token: str) -> np.ndarray:
         vector = self.tokens.get(token)
         if vector is None:
-            vector = self.tokens[token] = np.zeros(len(self.vocabulary))
+            vector = np.zeros(len(self.vocabulary))
             for k, v in self.vocabulary.variants:
-                vector[k] = self.get(_variant_feature(token, v), 0.0)
+                vector[k] = self.get(f"{token}|v={v}", 0.0)
             if token.startswith("w="):
-                for k, pair in self.vocabulary.pairs:
-                    vector[k] = self.get(_pair_feature(token, pair), 0.0)
+                for k, (a, x) in self.vocabulary.pairs:
+                    vector[k] = self.get(f"{token}|a={a}={x}", 0.0)
+            self.tokens[token] = vector
         return vector
 
 
@@ -178,7 +167,7 @@ class _Scorer:
     cells, then add each of its tokens' vectors, in the order
     ``_phrase_features`` names them, and the ``cmatch`` weights of the
     children's cells.  Each key gets its terms in the order
-    ``assemble_design`` names them (a cell's two terms commute), so every
+    ``_phrase_features`` names them (a cell's two terms commute), so every
     logit is bit-equal to the sum of its named features' weights in that
     order.  Each row then sums its keys' weights once, and the rows are
     gathered to the symbols.
@@ -209,7 +198,7 @@ class _Scorer:
         for c in kids:
             row = space.constraint_rows.get(c.canon)
             if row is not None:
-                rows[row] += compiled.get(_variant_feature("ceq", c.variant), 0.0)
+                rows[row] += compiled.get(f"ceq|v={c.variant}", 0.0)
         z = rows[space.row_of]
         if not np.all(np.isfinite(z)):
             j = int(np.flatnonzero(~np.isfinite(z))[0])
@@ -380,7 +369,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     assignments.  Returns ``(matrix, labels, feature_names)``.
     """
     symbols = tuple(space)
-    rows = space.row_of.tolist()
+    rows, row_keys = space.row_of.tolist(), space.row_keys
     by_canon = {s.canon: s for s in symbols}
     vocabulary: dict[str, int] = {}
     indices: list[int] = []
@@ -405,13 +394,14 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
             for name, key in zip(names, keys):
                 columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
-            columns = [[c for key in row for c in columns_of[key]]
-                       for row in space.row_keys]
-            for row, name in ceq:
-                columns[row].append(vocabulary.setdefault(name, len(vocabulary)))
+            repeats = {row: vocabulary.setdefault(name, len(vocabulary))
+                       for row, name in ceq}
             gold_here = example.gold[phrase.index]
             for symbol, row in zip(symbols, rows):
-                indices.extend(columns[row])
+                for key in row_keys[row]:
+                    indices.extend(columns_of[key])
+                if row in repeats:
+                    indices.append(repeats[row])
                 indptr.append(len(indices))
                 labels.append(1.0 if symbol.canon in gold_here else 0.0)
     # Columns are numbered in first-seen order; renumber them by name so

@@ -245,8 +245,9 @@ def action_instance(obj) -> GroundingSymbol:
 
 
 def key_names(variant: str, attributes) -> tuple:
-    """The names of a symbol's layout keys, in the order its logit adds them.
+    """The layout keys of a symbol of ``variant`` with ``attributes``.
 
+    The names come in the order the symbol's logit adds the keys' weights.
     A symbol of variant ``v`` has the key ``v`` and, for each of its
     attribute pairs ``p`` in order, the keys ``p`` and ``(p, v)``: a
     variant is a string, a pair a (key, value) tuple and a cell a
