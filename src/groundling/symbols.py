@@ -17,13 +17,13 @@ lexicographically by that string so symbol indices are stable across runs.
 A symbol's logit sums weights over its layout keys: its variant, and for
 each attribute pair the pair and the (pair, variant) cell.  A space
 numbers these keys in a ``KeyVocabulary`` and groups symbols with the
-same keys into rows.  The grounding spaces of one registry share one
-vocabulary, fixed and cached on the registry with the type-level symbols
-and their rows: every key a grounding symbol over the registry's classes,
-colours, scene labels and relations can have.  A world's space then only
-adds its objects' instance rows, one action row and one object row per
-distinct (class, colour, region) signature, by lookups into that
-vocabulary.
+same keys into rows.  One ``_Layout`` per domain numbers the keys of its
+constraint symbols once; the semantic space is cached per process, the
+perception and type-level grounding spaces and the grounding layout per
+registry.  The grounding layout also numbers every key an object or
+action symbol over the registry's classes, colours and scene labels can
+have, so a world's space only adds one action row and one object row per
+distinct (class, colour, region) signature, by lookups into it.
 """
 
 from __future__ import annotations
@@ -312,29 +312,12 @@ class SymbolSpace:
     ``constraints`` holds the indices of the constraint symbols, and
     ``constraint_rows`` maps each one's canon to its row.
 
-    ``SymbolSpace(domain, symbols)`` sorts the symbols and numbers the keys
-    they have, in the order they first have them.  A world's grounding
-    space comes from ``enumerate_grounding_space`` instead, numbered by its
-    registry's vocabulary, and makes its instance symbols on first access.
+    Spaces come from ``_Layout.space``, through the ``enumerate_*``
+    functions; a ``None`` among ``symbols`` marks an instance symbol that
+    ``instance(j)`` makes on first access.
     """
 
-    def __init__(self, domain: str, symbols):
-        ordered = sorted(symbols, key=lambda s: s.canon)
-        canons = [s.canon for s in ordered]
-        for canon, after in zip(canons, canons[1:]):
-            if canon == after:
-                raise InvalidSpec(f"duplicate symbol {canon}")
-        named = [key_names(s.variant, s.attributes) for s in ordered]
-        vocabulary = KeyVocabulary(itertools.chain.from_iterable(named))
-        rows: dict[tuple, int] = {}
-        row_of = [rows.setdefault(tuple(map(vocabulary.index.__getitem__, names)),
-                                  len(rows)) for names in named]
-        constraints = [j for j, s in enumerate(ordered)
-                       if s.variant not in INSTANCE_VARIANTS]
-        self._lay_out(domain, vocabulary, ordered, tuple(rows), row_of,
-                      constraints, {canons[j]: row_of[j] for j in constraints})
-
-    def _lay_out(self, domain, vocabulary, symbols, row_keys, row_of,
+    def __init__(self, domain, vocabulary, symbols, row_keys, row_of,
                  constraints, constraint_rows, instance=None) -> None:
         self.domain = domain
         self.vocabulary = vocabulary
@@ -346,7 +329,6 @@ class SymbolSpace:
                                      dtype=np.intp, count=sum(lengths))
         self.constraints = np.asarray(constraints, dtype=np.intp)
         self.constraint_rows = constraint_rows
-        # None marks a symbol that ``instance(j)`` makes on first access.
         self._symbols = symbols
         self._instance = instance
 
@@ -451,11 +433,18 @@ class ClassifierRegistry:
 
     @cached_property
     def _perception_space(self) -> SymbolSpace:
-        return SymbolSpace("perception", self.classifiers())
+        return _Layout("perception", self.classifiers()).space()
 
     @cached_property
-    def _grounding_layout(self) -> "_GroundingLayout":
-        return _GroundingLayout(self)
+    def _grounding_type_space(self) -> SymbolSpace:
+        return _Layout("grounding", _type_level_symbols(self)).space()
+
+    @cached_property
+    def _grounding_layout(self) -> "_Layout":
+        return _Layout("grounding", _type_level_symbols(self),
+                       [("class", c) for c in self.object_classes]
+                       + [("color", c) for c in self.colors]
+                       + [("region", l) for l in SCENE_LABELS])
 
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
         if symbol not in self.classifier_set:
@@ -473,7 +462,7 @@ def default_registry() -> ClassifierRegistry:
 @cache
 def enumerate_semantic_space() -> SymbolSpace:
     """The fixed scene-symbol space; always eight symbols, built once."""
-    return SymbolSpace("semantic", [SemanticSymbol(l) for l in SCENE_LABELS])
+    return _Layout("semantic", [SemanticSymbol(l) for l in SCENE_LABELS]).space()
 
 
 def enumerate_perception_space(registry: ClassifierRegistry) -> SymbolSpace:
@@ -490,47 +479,48 @@ def _type_level_symbols(registry: ClassifierRegistry) -> list[GroundingSymbol]:
 
 
 def enumerate_grounding_type_space(registry: ClassifierRegistry) -> SymbolSpace:
-    """Constraint symbols only -- the subspace the grounding model trains on."""
-    return SymbolSpace("grounding", _type_level_symbols(registry))
+    """Constraint symbols only -- the subspace the grounding model trains on.
+
+    Cached on the registry; its vocabulary has only these symbols' keys.
+    """
+    return registry._grounding_type_space
 
 
-class _GroundingLayout:
-    """The type-level part of a registry's grounding spaces, and their keys.
+class _Layout:
+    """A domain's constraint symbols and the numbering of their keys.
 
-    ``vocabulary`` numbers every key a grounding symbol over the registry
-    can have: the six variants, the attribute pairs over classes, colours,
-    scene labels and relations, and their cells with the constraint
-    variant and with both instance variants.  The type-level symbols are
-    rows 0 to T - 1, in canon order.  A world adds, for its i-th distinct
+    ``vocabulary`` numbers the keys of the constraint symbols, in canon
+    order and in the order each first has them, and then, when
+    ``instance_pairs`` is given, every key an action or object symbol
+    with some of those attribute pairs can have.  The constraint symbols
+    are rows 0 to T - 1.  A world adds, for its i-th distinct
     (class, colour, region) signature, row T + 2i for the action symbols
     and row T + 2i + 1 for the object symbols that have it.
     """
 
-    def __init__(self, registry: ClassifierRegistry):
-        self.types = tuple(sorted(_type_level_symbols(registry),
-                                  key=lambda s: s.canon))
-        instance_pairs = ([("class", c) for c in registry.object_classes]
-                          + [("color", c) for c in registry.colors]
-                          + [("region", l) for l in SCENE_LABELS])
+    def __init__(self, domain: str, constraint_symbols, instance_pairs=()):
+        self.domain = domain
+        self.constraints = tuple(sorted(constraint_symbols, key=lambda s: s.canon))
+        named = [key_names(s.variant, s.attributes) for s in self.constraints]
         self.vocabulary = KeyVocabulary(itertools.chain(
-            *(key_names(s.variant, s.attributes) for s in self.types),
-            *(key_names(v, instance_pairs) for v in INSTANCE_VARIANTS)))
+            *named, *(key_names(v, instance_pairs)
+                      for v in INSTANCE_VARIANTS if instance_pairs)))
         index = self.vocabulary.index
-        self.type_keys = tuple(tuple(index[n] for n in key_names(s.variant, s.attributes))
-                               for s in self.types)
-        self.constraint_rows = {s.canon: r for r, s in enumerate(self.types)}
-        # No type-level canon starts with "action[" or "object[", so every
+        self.constraint_keys = tuple(tuple(map(index.__getitem__, names))
+                                     for names in named)
+        self.constraint_rows = {s.canon: r for r, s in enumerate(self.constraints)}
+        # No constraint canon starts with "action[" or "object[", so every
         # action canon sorts at one place among them, and so does every
         # object canon.
-        canons = [s.canon for s in self.types]
+        canons = [s.canon for s in self.constraints]
         self.actions_at = bisect.bisect(canons, "action[")
         self.objects_at = bisect.bisect(canons, "object[")
         self._signature_keys: dict[tuple, tuple] = {}
 
-    def signature_keys(self, signature) -> tuple | None:
+    def signature_keys(self, signature) -> tuple:
         """The keys of the (action, object) symbols of one signature.
 
-        None when one of its attribute pairs is outside the vocabulary.
+        An attribute outside the vocabulary raises ``InvalidSpec``.
         """
         keys = self._signature_keys.get(signature)
         if keys is None:
@@ -539,40 +529,40 @@ class _GroundingLayout:
                 keys = tuple(tuple(self.vocabulary.index[n] for n in key_names(v, attrs))
                              for v in INSTANCE_VARIANTS)
             except KeyError:
-                return None
+                raise InvalidSpec(f"object signature {signature} is outside the"
+                                  f" {self.domain} vocabulary") from None
             self._signature_keys[signature] = keys
         return keys
 
-    def space(self, objects, codes: np.ndarray, keys) -> SymbolSpace:
-        """The grounding space of ``objects``, whose signatures have ``keys``.
+    def space(self, objects=(), codes=(), keys=()) -> SymbolSpace:
+        """The space of the constraint symbols and of ``objects``' instances.
 
-        ``codes[i]`` is the signature of ``objects[i]``.  An instance canon
-        is a prefix, the id and "]", so appending "]" to the ids sorts them
-        in canon order: ``cup@5.0,1.0#2`` before ``cup@5.0,1.0``.
+        ``codes[i]`` is the signature of ``objects[i]``, and that signature
+        has the keys ``keys[codes[i]]``.  An instance canon is a prefix,
+        the id and "]", so appending "]" to the ids sorts them in canon
+        order: ``cup@5.0,1.0#2`` before ``cup@5.0,1.0``.
         """
-        n, t = len(objects), len(self.types)
+        n, t = len(objects), len(self.constraints)
         ids = [o.id + "]" for o in objects]
         order = sorted(range(n), key=ids.__getitem__)
         ordered = [objects[i] for i in order]
         a, b = self.actions_at, self.objects_at
         rows = np.arange(t)
-        actions = t + 2 * codes[order]
+        actions = t + 2 * np.asarray(codes, dtype=np.intp)[order]
         # Actions at a .. a + n - 1, objects at b + n .. b + 2n - 1.
         row_of = np.concatenate((rows[:a], actions, rows[a:b], actions + 1, rows[b:]))
         constraints = np.concatenate((rows[:a], n + rows[a:b], 2 * n + rows[b:]))
-        symbols = [*self.types[:a], *[None] * n, *self.types[a:b], *[None] * n,
-                   *self.types[b:]]
+        symbols = [*self.constraints[:a], *[None] * n,
+                   *self.constraints[a:b], *[None] * n, *self.constraints[b:]]
 
         def instance(j: int) -> GroundingSymbol:
             if j < a + n:
                 return action_instance(ordered[j - a])
             return object_instance(ordered[j - b - n])
 
-        space = SymbolSpace.__new__(SymbolSpace)
-        space._lay_out("grounding", self.vocabulary, symbols,
-                       self.type_keys + tuple(itertools.chain.from_iterable(keys)),
-                       row_of, constraints, self.constraint_rows, instance)
-        return space
+        row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
+        return SymbolSpace(self.domain, self.vocabulary, symbols, row_keys,
+                           row_of, constraints, self.constraint_rows, instance)
 
 
 def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpace:
@@ -580,20 +570,15 @@ def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpac
 
     The size is linear in the number of detected objects: two instance
     symbols per object on top of the fixed type-level set.  The space is
-    laid out on the registry's key vocabulary from each object's
+    laid out on the registry's grounding layout from each object's
     signature (``WorldModel.signatures``), so objects that share one share
-    a row.  A world with an attribute outside that vocabulary (a scene
-    label outside the taxonomy, say) gets a space that numbers its own
-    keys.
+    a row.  An object whose class, colour or region the registry cannot
+    name raises ``InvalidSpec``.
     """
     layout = registry._grounding_layout
     signatures, codes = world.signatures
-    keys = [layout.signature_keys(s) for s in signatures]
-    if None in keys:
-        return SymbolSpace("grounding", [
-            *layout.types,
-            *(f(o) for o in world.objects for f in (object_instance, action_instance))])
-    return layout.space(world.objects, codes, keys)
+    return layout.space(world.objects, codes,
+                        [layout.signature_keys(s) for s in signatures])
 
 
 def save_registry(registry: ClassifierRegistry, path) -> None:

@@ -121,6 +121,9 @@ class CooccurrenceModel:
     @staticmethod
     def from_dict(rows: dict[str, dict[str, float]], characteristic,
                   prior: dict[str, float] | None = None) -> "CooccurrenceModel":
+        unknown = (set(rows) | set(prior or ())) - set(SCENE_LABELS)
+        if unknown:
+            raise InvalidSpec(f"scene labels outside the taxonomy: {sorted(unknown)}")
         table = []
         for label in sorted(rows):
             row = rows[label]
@@ -726,6 +729,12 @@ def _text(value, field: str) -> str:
     return value
 
 
+def _scene_label(value) -> str:
+    if value not in SCENE_LABELS:
+        raise InvalidSpec(f"scene_label must be one of {SCENE_LABELS}, got {value!r}")
+    return value
+
+
 def save_observations(observations, path) -> None:
     lines = [json.dumps({"schema": OBS_LOG_SCHEMA, "kind": "observation_log"},
                         sort_keys=True)]
@@ -757,7 +766,7 @@ def _observation(rec) -> Observation:
     return Observation(
         t=t,
         robot_pose=_pose(rec["robot_pose"], "robot_pose"),
-        scene_label=_text(rec["scene_label"], "scene_label"),
+        scene_label=_scene_label(rec["scene_label"]),
         scene_scores=tuple((_text(label, "scene_scores label"), _log_score(score))
                            for label, score in rec["scene_scores"]),
         sensed=tuple(
@@ -779,8 +788,9 @@ def load_observations(path) -> tuple[Observation, ...]:
     Anything malformed raises ``InvalidSpec``: undecodable bytes, a line
     that is not JSON, a missing or mistyped field, a non-finite pose (a
     NaN would become an object at ``nan,nan``) or scene score (-inf, a
-    label with prior 0, is a score), and a repeated ``t`` (the build keys
-    provenance by ``t``).
+    label with prior 0, is a score), a scene label outside
+    ``SCENE_LABELS`` (no instruction could name it as a region), and a
+    repeated ``t`` (the build keys provenance by ``t``).
     """
     try:
         lines = Path(path).read_text().splitlines()

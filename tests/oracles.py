@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 Each one is the plain, slow way to compute what the package computes
-fast: a per-factor feature dictionary, inference by enumerating every
+fast: a symbol space that numbers the keys of whatever symbols it is
+given, a per-factor feature dictionary, inference by enumerating every
 joint assignment of a phrase, merge clustering by comparing every pair of
 points, and a world-model build that copies one frozen detection per
 record through every perception stage.  The build clusters, votes and
@@ -10,6 +11,7 @@ names objects with the helpers here, never with the package's own.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,6 +26,7 @@ from groundling.correspondence import (
 from groundling.errors import (
     CorpusDomainMismatch,
     GroundlingError,
+    InvalidSpec,
     UnknownClassifier,
 )
 from groundling.grammar import ParseTree, Phrase
@@ -34,8 +37,10 @@ from groundling.symbols import (
     OBJECT_DETECTOR,
     POSE_ESTIMATOR,
     ClassifierRegistry,
+    KeyVocabulary,
     PerceptionSymbol,
     SymbolSpace,
+    key_names,
 )
 from groundling.world import (
     FALLBACK_SCENE,
@@ -52,6 +57,28 @@ _CHUNK_ROWS = 1 << 16
 
 class TooLarge(GroundlingError):
     """Exhaustive enumeration was requested for an instance above the guard."""
+
+
+def symbol_space(domain: str, symbols) -> SymbolSpace:
+    """The generic layout of any symbols, duplicates rejected.
+
+    Symbols are sorted by canon, keys numbered in the order the sorted
+    symbols first have them, and symbols with the same keys share a row.
+    """
+    ordered = sorted(symbols, key=lambda s: s.canon)
+    canons = [s.canon for s in ordered]
+    for canon, after in zip(canons, canons[1:]):
+        if canon == after:
+            raise InvalidSpec(f"duplicate symbol {canon}")
+    named = [key_names(s.variant, s.attributes) for s in ordered]
+    vocabulary = KeyVocabulary(itertools.chain.from_iterable(named))
+    rows: dict[tuple, int] = {}
+    row_of = [rows.setdefault(tuple(map(vocabulary.index.__getitem__, names)),
+                              len(rows)) for names in named]
+    constraints = [j for j, s in enumerate(ordered)
+                   if s.variant not in INSTANCE_VARIANTS]
+    return SymbolSpace(domain, vocabulary, ordered, tuple(rows), row_of,
+                       constraints, {canons[j]: row_of[j] for j in constraints})
 
 
 def extract_features(phrase: Phrase, symbol, child_trues=(),

@@ -31,14 +31,13 @@ from groundling.errors import CorpusDomainMismatch, NonFiniteScore
 from groundling.grammar import ParseTree, Phrase, Token, parse_text
 from groundling.symbols import (
     SCENE_LABELS,
-    SymbolSpace,
     enumerate_grounding_space,
     enumerate_grounding_type_space,
     enumerate_perception_space,
     enumerate_semantic_space,
 )
 from groundling.world import DetectedObject, WorldModel
-from oracles import TooLarge, extract_features, infer_exhaustive
+from oracles import TooLarge, extract_features, infer_exhaustive, symbol_space
 
 
 class HashWeights:
@@ -102,7 +101,7 @@ def random_instance(rng: np.random.Generator, registry, pair_limit: int = 16):
     max_symbols = min(len(pool), pair_limit // len(tree))
     n_symbols = int(rng.integers(1, max_symbols + 1))
     chosen = rng.choice(len(pool), size=n_symbols, replace=False)
-    space = SymbolSpace(domain, [pool[j] for j in sorted(chosen)])
+    space = symbol_space(domain, [pool[j] for j in sorted(chosen)])
     model = CorrespondenceModel(domain=domain,
                                 weights=HashWeights(f"salt-{rng.integers(1 << 30)}"))
     return model, tree, space
@@ -232,7 +231,7 @@ def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
     digest = world.digest() if with_digest else frozenset()
     symbols = tuple(space)
     # The same symbols, each in a row of its own, keys numbered afresh.
-    generic = SymbolSpace(space.domain, symbols)
+    generic = symbol_space(space.domain, symbols)
     for phrase in random_tree(rng).phrases():
         picked = rng.random(len(symbols)) < rng.choice((0.0, 0.1, 0.5))
         child_trues = {s for s, keep in zip(symbols, picked) if keep}

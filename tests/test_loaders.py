@@ -73,9 +73,10 @@ def _write_records(path, records):
     lambda r: r.__setitem__("t", 2**63),
     lambda r: r["sensed"][0].__setitem__("apparent_class", ["cup"]),
     lambda r: r["sensed"][0]["rel"].pop(),
+    lambda r: r.__setitem__("scene_label", "bathroom"),
 ], ids=["nan-rel", "inf-rel", "inf-robot-pose", "nan-scene-score",
         "inf-scene-score", "repeated-t", "float-t", "huge-t", "list-class",
-        "short-rel"])
+        "short-rel", "unknown-scene-label"])
 def test_observation_log_rejects(edit, valid_files, tmp_path):
     records = _records(valid_files["observations"])
     edit(records[2])

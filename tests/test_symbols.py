@@ -9,7 +9,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groundling.errors import UnknownClassifier, UnknownSchemaVersion
+from groundling.errors import InvalidSpec, UnknownClassifier, UnknownSchemaVersion
 from groundling.symbols import (
     INSTANCE_VARIANTS,
     SCENE_LABELS,
@@ -29,6 +29,7 @@ from groundling.symbols import (
     save_registry,
 )
 from groundling.world import DetectedObject, WorldModel, build_world_model
+from oracles import symbol_space
 
 
 def empty_world() -> WorldModel:
@@ -73,7 +74,7 @@ def generic_space(world, registry) -> SymbolSpace:
     sorted by canon, keys numbered as they first appear."""
     symbols = list(enumerate_grounding_type_space(registry))
     symbols += [f(o) for o in world.objects for f in (object_instance, action_instance)]
-    return SymbolSpace("grounding", symbols)
+    return symbol_space("grounding", symbols)
 
 
 def laid_out(space) -> list:
@@ -129,6 +130,18 @@ def one_signature_world(count: int) -> WorldModel:
 @example(case=(default_registry(), one_signature_world(12)))
 def test_grounding_space_matches_the_generic_construction(case):
     registry, world = case
+    # The fixed spaces number only their own symbols' keys, as the
+    # generic layout does, so training designs do not change.
+    for fixed in (enumerate_semantic_space(), enumerate_perception_space(registry),
+                  enumerate_grounding_type_space(registry)):
+        reference = symbol_space(fixed.domain, fixed)
+        assert fixed.vocabulary.names == reference.vocabulary.names
+        assert laid_out(fixed) == laid_out(reference)
+    if any(o.cls not in registry.object_classes or o.region not in SCENE_LABELS
+           for o in world.objects):
+        with pytest.raises(InvalidSpec):
+            enumerate_grounding_space(world, registry)
+        return
     space = enumerate_grounding_space(world, registry)
     reference = generic_space(world, registry)
     assert len(space) == len(reference) == 2 * len(world.objects) + len(

@@ -104,6 +104,18 @@ def test_cooccurrence_rejects_unnormalizable_rows():
             {"hallway": {"ball": 0.0}}, characteristic=["ball"])
 
 
+@pytest.mark.parametrize("rows, prior", [
+    ({"hallway": {"ball": 1.0}, "bathroom": {"cup": 1.0}}, None),
+    ({"hallway": {"ball": 1.0}}, {"hallway": 0.5, "bathroom": 0.5}),
+], ids=["row", "prior"])
+def test_cooccurrence_rejects_labels_outside_the_taxonomy(rows, prior):
+    # ``simulate`` labels frames with the table's scene labels, and an
+    # object's region is its frames' label: one outside the taxonomy is a
+    # region no instruction can name and no grounding space can hold.
+    with pytest.raises(InvalidSpec):
+        CooccurrenceModel.from_dict(rows, characteristic=["ball", "cup"], prior=prior)
+
+
 def test_smoothed_log_prob_matches_formula():
     model = default_cooccurrence()
     k = len(model.characteristic)
