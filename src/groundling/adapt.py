@@ -22,7 +22,7 @@ from .symbols import (
     enumerate_perception_space,
     enumerate_semantic_space,
 )
-from .world import Observation
+from .world import Observation, ObservationLog
 
 STRUCTURAL_STAGES = frozenset(PerceptionSymbol(kind) for kind in STRUCTURAL_KINDS)
 
@@ -31,7 +31,7 @@ STRUCTURAL_STAGES = frozenset(PerceptionSymbol(kind) for kind in STRUCTURAL_KIND
 class FilterDecision:
     """Outcome of instruction-guided observation filtering."""
 
-    kept: tuple[Observation, ...]
+    kept: ObservationLog
     dropped: tuple[Observation, ...]
     inferred_labels: frozenset[str]
     assignment: Assignment | None = None
@@ -64,15 +64,16 @@ def filter_by_labels(observations, labels,
     """Keep only observations whose scene label is in ``labels``.
 
     An empty label set keeps everything: with no evidence about where the
-    target is, dropping observations could hide it.
+    target is, dropping observations could hide it.  ``kept`` is the log
+    itself or a view of it, sharing its indexed records; both it and
+    ``dropped`` are in log order.
     """
-    observations = tuple(observations)
+    log = ObservationLog.of(observations)
     labels = frozenset(labels)
     if not labels:
-        return FilterDecision(kept=observations, dropped=(),
+        return FilterDecision(kept=log, dropped=(),
                               inferred_labels=labels, assignment=assignment)
-    kept = tuple(o for o in observations if o.scene_label in labels)
-    dropped = tuple(o for o in observations if o.scene_label not in labels)
+    kept, dropped = log.partition(labels)
     return FilterDecision(kept=kept, dropped=dropped, inferred_labels=labels,
                           assignment=assignment)
 

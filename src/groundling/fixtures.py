@@ -17,7 +17,7 @@ tricky rows record the competing hypothesis they defend against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidSpec
 from .symbols import SCENE_LABELS, ClassifierRegistry
@@ -197,6 +197,20 @@ def site_spec(name: str) -> WorldSpec:
         raise InvalidSpec(
             f"unknown site {name!r}; expected one of {sorted(specs)}")
     return specs[name]()
+
+
+def tiled(spec: WorldSpec, copies: int) -> WorldSpec:
+    """``spec`` repeated along the corridor, each copy 60 m further on.
+
+    Object ids get a ``~k`` suffix, so every copy's objects stay
+    distinct; a long log of a site is the simulation of its tiling.
+    """
+    objects = tuple(
+        replace(o, id=f"{o.id}~{k}", pose=(o.pose[0] + 60.0 * k, o.pose[1], o.pose[2]))
+        for k in range(copies) for o in spec.objects)
+    trajectory = tuple((x + 60.0 * k, y, theta)
+                       for k in range(copies) for x, y, theta in spec.trajectory)
+    return replace(spec, objects=objects, trajectory=trajectory)
 
 
 def reference_world(registry: ClassifierRegistry) -> WorldModel:

@@ -58,7 +58,7 @@ from .symbols import (
     enumerate_perception_space,
     enumerate_semantic_space,
 )
-from .world import DetectedObject, WorldModel, build_world_model
+from .world import DetectedObject, ObservationLog, WorldModel, build_world_model
 
 MODES = ("B", "OF", "AP", "OF_AP")
 CSV_COLUMNS = ("instruction", "site", "mode", "cost_units", "wall_time_s",
@@ -154,7 +154,7 @@ def run(instruction: str, observations, models: ModelBundle,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    observations = tuple(observations)
+    observations = ObservationLog.of(observations)
     started = time.perf_counter()
     scene_cost = registry.scene_cost_per_observation * len(observations)
     robot_pose = observations[-1].robot_pose if observations else (0.0, 0.0, 0.0)

@@ -7,16 +7,24 @@ the robot frame and apparent class/color values (exact unless a
 confusion rate is configured).  A co-occurrence scene classifier labels
 every observation as it is taken.
 
-Perception is lazy and costed, and runs on a columnar ``DetectionSet``:
-one numpy array per field, one row per detection, with class, colour and
-scene label as codes in string order.  A build reads the records once,
-gathers into columns only those of a selected object detector's class,
-and sorts the rows once; every object detector charges for that one
-scan.  The noise filter is a boolean mask, each color detector a masked
-assignment, and the bounding-box and pose estimators one vectorised
-rotation of every row into the world frame, element for element the IEEE
-operations of the scalar transform.  A detection only becomes a
-world-model object once the bounding-box and pose stages have run.
+An ``ObservationLog`` is the tuple of observations with its records
+indexed as columns, built once when the log is made: one numpy array per
+field, one row per record in (t, class, rel) order, class, colour and
+scene label as codes in string order, and each class's rows listed.
+``simulate`` and ``load_observations`` return one, and a build indexes
+any other sequence it is given.  Observation filtering makes a view of a
+log, an observation mask over the same columns.
+
+Perception is lazy and costed, and runs on a columnar ``DetectionSet``.
+A build reads no record in Python: it gathers the rows of the selected
+object detectors' classes from the log's columns, masked to a view's
+observations, and every object detector charges for the records of the
+log's observations.  The noise filter is a boolean mask, each color
+detector a masked assignment, and the bounding-box and pose estimators
+one vectorised rotation of every row into the world frame, element for
+element the IEEE operations of the scalar transform.  A detection only
+becomes a world-model object once the bounding-box and pose stages have
+run.
 
 Duplicate detections of one physical object merge by class and
 proximity, as array work over the columns: one grid pass links the rows
@@ -34,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -230,9 +239,9 @@ class WorldSpec:
                 raise InvalidSpec(f"object {o.id} has unknown region {o.region!r}")
 
 
-def simulate(spec: WorldSpec, registry: ClassifierRegistry,
-             ) -> tuple[Observation, ...]:
-    """Run the trajectory and return one labeled observation per waypoint.
+def simulate(spec: WorldSpec, registry: ClassifierRegistry) -> ObservationLog:
+    """Run the trajectory and return a log of one labeled observation per
+    waypoint.
 
     Deterministic for a fixed spec: all randomness (confusion draws,
     clutter) comes from a generator seeded with ``spec.seed``.  Confused
@@ -284,7 +293,7 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry,
             scene_label=label, scene_scores=scores,
         ))
         prev_label, prev_scores = label, scores
-    return tuple(observations)
+    return ObservationLog.of(observations)
 
 
 def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -295,24 +304,161 @@ def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
+class _Columns:
+    """The records and observations of a log, one array per field.
+
+    Rows are records in (t, class, rel) order: ``obs[i]`` indexes the
+    log's observations in input order, and ``t``, ``rel``, ``cls``,
+    ``color`` and ``noisy`` are the record's.  Class, colour and scene
+    label are codes into vocabularies sorted per log, so that code order
+    is string order.  ``class_rows[c]`` lists class ``c``'s rows in
+    ascending order.  Per observation: ``poses``, ``trig`` (the cosine
+    and sine of each pose angle, from ``math``), the scene-label code
+    ``region`` and the record count ``counts``.
+    """
+
+    classes: tuple[str, ...]
+    colors: tuple[str, ...]
+    regions: tuple[str, ...]
+    obs: np.ndarray
+    t: np.ndarray
+    rel: np.ndarray
+    cls: np.ndarray
+    color: np.ndarray
+    noisy: np.ndarray
+    class_rows: tuple[np.ndarray, ...]
+    poses: np.ndarray
+    trig: np.ndarray
+    region: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def index(observations: tuple[Observation, ...]) -> _Columns:
+        """One pass over the records, and one stable sort of the rows.
+
+        Rows with equal (t, class, rel) keep their record order, so any
+        subset of the rows, taken in row order, is in the order a stable
+        sort of that subset alone would give.
+        """
+        records = [r for o in observations for r in o.sensed]
+        counts = np.array([len(o.sensed) for o in observations], dtype=np.int64)
+        classes, cls = _encode([r.apparent_class for r in records])
+        colors, color = _encode([r.apparent_color for r in records])
+        regions, region = _encode([o.scene_label for o in observations])
+        obs = np.arange(len(observations)).repeat(counts)
+        t = np.array([o.t for o in observations], dtype=np.int64)[obs]
+        rel = np.array([r.rel for r in records], dtype=float).reshape(-1, 3)
+        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
+        cls = cls[order]
+        by_class = cls.argsort(kind="stable")
+        bounds = cls[by_class].searchsorted(np.arange(len(classes) + 1)).tolist()
+        class_rows = tuple(by_class[a:b] for a, b in zip(bounds, bounds[1:]))
+        poses = np.array([o.robot_pose for o in observations],
+                         dtype=float).reshape(-1, 3)
+        trig = np.array([(math.cos(a), math.sin(a))
+                         for a in poses[:, 2].tolist()]).reshape(-1, 2)
+        columns = _Columns(
+            classes=classes, colors=colors, regions=regions, obs=obs[order],
+            t=t[order], rel=rel[order], cls=cls, color=color[order],
+            noisy=np.array([r.noisy for r in records], dtype=bool)[order],
+            class_rows=class_rows, poses=poses, trig=trig, region=region,
+            counts=counts)
+        # Every build and view of the log shares these arrays.
+        for a in (columns.obs, columns.t, columns.rel, cls, columns.color,
+                  columns.noisy, *class_rows, poses, trig, region, counts):
+            a.flags.writeable = False
+        return columns
+
+
+class ObservationLog(tuple):
+    """A sequence of ``Observation`` whose records are indexed as columns.
+
+    The log is a tuple of its observations, in the order they were given;
+    ``_columns`` holds its records in (t, class, rel) order, indexed by
+    class, built once when the log is made.  A view, from ``partition``,
+    is a log of some of the observations of another: it shares the
+    parent's columns and carries ``_mask``, the parent's observations it
+    keeps.  ``records`` counts the records of the log's observations.
+    """
+
+    _columns: _Columns
+    _root: ObservationLog
+    _mask: np.ndarray | None
+    records: int
+
+    @classmethod
+    def of(cls, observations) -> ObservationLog:
+        """``observations`` if it is a log; otherwise a log of them."""
+        if isinstance(observations, ObservationLog):
+            return observations
+        log = super().__new__(cls, observations)
+        log._columns = _Columns.index(log)
+        log._root, log._mask = log, None
+        log.records = int(log._columns.counts.sum())
+        return log
+
+    def _view(self, mask: np.ndarray) -> ObservationLog:
+        view = super().__new__(ObservationLog, compress(self._root, mask))
+        view._columns, view._root, view._mask = self._columns, self._root, mask
+        view.records = int(self._columns.counts @ mask)
+        return view
+
+    def partition(self, labels) -> tuple[ObservationLog, tuple[Observation, ...]]:
+        """The observations whose scene label is in ``labels``, as a view,
+        and the others, each in log order."""
+        columns = self._columns
+        wanted = np.array([label in labels for label in columns.regions], dtype=bool)
+        keep = wanted[columns.region]
+        drop = ~keep
+        if self._mask is not None:
+            keep &= self._mask
+            drop &= self._mask
+        return self._view(keep), tuple(compress(self._root, drop))
+
+    def detections(self, classes) -> DetectionSet:
+        """The records whose apparent class is in ``classes``, as rows.
+
+        The selected classes' rows are gathered in row order, and a view's
+        rows from its kept observations only.  ``scanned`` is the records
+        of the log, or 0 when ``classes`` is empty.
+        """
+        columns = self._columns
+        picked = [rows for name, rows in zip(columns.classes, columns.class_rows)
+                  if name in classes]
+        rows = np.sort(np.concatenate(picked)) if picked else np.empty(0, np.intp)
+        if self._mask is not None:
+            rows = rows[self._mask[columns.obs[rows]]]
+        obs = columns.obs[rows]
+        return DetectionSet(
+            scanned=self.records if classes else 0,
+            classes=columns.classes, colors=columns.colors,
+            regions=columns.regions, obs=obs, t=columns.t[rows],
+            rel=columns.rel[rows], cls=columns.cls[rows],
+            color=columns.color[rows], region=columns.region[obs],
+            noisy=columns.noisy[rows], colored=np.zeros(len(obs), dtype=bool),
+            poses=columns.poses, trig=columns.trig,
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class DetectionSet:
     """Detections routed through the perception pipeline, one array per field.
 
     Row ``i`` is one raw detection; rows are in (t, class, rel) order.
-    ``obs[i]`` indexes ``observations``, the observations the scan found
-    rows in, and ``t[i]`` is that observation's time; ``rel`` holds the
-    pose relative to the robot frame, and ``noisy`` the simulator's noise
-    flag.  The apparent class, the apparent colour and the observation's
-    scene label are codes: ``cls[i]`` indexes ``classes``, ``color[i]``
-    ``colors`` and ``region[i]`` ``regions``, each vocabulary sorted, so
-    that code order is string order.  ``colored`` marks the rows whose
-    colour a colour detector confirmed.  ``position`` (x, y per row) and
-    ``theta`` stay None until the bounding-box and pose stages compute
-    them for every row.  ``scanned`` counts the raw records read to find
-    the rows.
+    ``obs[i]`` indexes ``poses`` and ``trig``, the pose of each
+    observation of the log and the cosine and sine of its angle, and
+    ``t[i]`` is that observation's time; ``rel`` holds the pose relative
+    to the robot frame, and ``noisy`` the simulator's noise flag.  The
+    apparent class, the apparent colour and the observation's scene label
+    are codes: ``cls[i]`` indexes ``classes``, ``color[i]`` ``colors`` and
+    ``region[i]`` ``regions``, each vocabulary sorted, so that code order
+    is string order.  ``colored`` marks the rows whose colour a colour
+    detector confirmed.  ``position`` (x, y per row) and ``theta`` stay
+    None until the bounding-box and pose stages compute them for every
+    row.  ``scanned`` counts the records of the observations the rows
+    were gathered from, or is 0 when no class was asked for.
     """
 
-    observations: tuple[Observation, ...]
     scanned: int
     classes: tuple[str, ...]
     colors: tuple[str, ...]
@@ -326,69 +472,22 @@ class DetectionSet:
     noisy: np.ndarray
     colored: np.ndarray
     poses: np.ndarray
+    trig: np.ndarray
     position: np.ndarray | None = None
     theta: np.ndarray | None = None
-
-    @staticmethod
-    def scan(observations, classes) -> "DetectionSet":
-        """The raw detections whose apparent class is in ``classes``.
-
-        One pass over the records gathers only the hits into columns, and
-        one stable sort puts them in (t, class, rel) order: rows with
-        equal keys keep their record order.  No record is read when
-        ``classes`` is empty.
-        """
-        sources: list[Observation] = []
-        index: list[int] = []
-        hits: list[RawDetection] = []
-        scanned = 0
-        for o in observations if classes else ():
-            scanned += len(o.sensed)
-            before = len(hits)
-            for raw in o.sensed:
-                if raw.apparent_class in classes:
-                    hits.append(raw)
-            if len(hits) > before:
-                index += [len(sources)] * (len(hits) - before)
-                sources.append(o)
-        names, cls = _encode([r.apparent_class for r in hits])
-        colors, color = _encode([r.apparent_color for r in hits])
-        regions, region = _encode([o.scene_label for o in sources])
-        obs = np.array(index, dtype=np.intp)
-        t = np.array([o.t for o in sources], dtype=np.int64)[obs]
-        rel = np.array([r.rel for r in hits], dtype=float).reshape(-1, 3)
-        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
-        obs = obs[order]
-        return DetectionSet(
-            observations=tuple(sources),
-            scanned=scanned,
-            classes=names,
-            colors=colors,
-            regions=regions,
-            obs=obs,
-            t=t[order],
-            rel=rel[order],
-            cls=cls[order],
-            color=color[order],
-            region=region[obs],
-            noisy=np.array([r.noisy for r in hits], dtype=bool)[order],
-            colored=np.zeros(len(hits), dtype=bool),
-            poses=np.array([o.robot_pose for o in sources],
-                           dtype=float).reshape(-1, 3),
-        )
 
     def __len__(self) -> int:
         return len(self.obs)
 
-    def take(self, rows) -> "DetectionSet":
+    def take(self, rows) -> DetectionSet:
         """The rows that ``rows`` (a mask or an index array) selects."""
         return DetectionSet(
-            observations=self.observations, scanned=self.scanned,
+            scanned=self.scanned,
             classes=self.classes, colors=self.colors, regions=self.regions,
             obs=self.obs[rows], t=self.t[rows], rel=self.rel[rows],
             cls=self.cls[rows], color=self.color[rows],
             region=self.region[rows], noisy=self.noisy[rows],
-            colored=self.colored[rows], poses=self.poses,
+            colored=self.colored[rows], poses=self.poses, trig=self.trig,
             position=None if self.position is None else self.position[rows],
             theta=None if self.theta is None else self.theta[rows],
         )
@@ -440,10 +539,10 @@ def run_classifier(symbol: PerceptionSymbol, observations,
                    ) -> tuple[DetectionSet, float]:
     """Run one classifier and return (detections, cost).
 
-    An object detector passes ``detections``, the build's one scan of
-    ``observations`` for the selected detectors' classes, through
-    unchanged, and charges base + per-item times the records that scan
-    read (nothing without observations).  The other stages take the
+    An object detector passes ``detections``, the build's one gather of
+    the selected detectors' classes from ``observations``, through
+    unchanged, and charges base + per-item times the records of
+    ``observations`` (nothing without observations).  The other stages take the
     current detection set and charge base + per-item times its rows
     (nothing when it is empty): the noise filter drops simulator-flagged
     noise, color detectors confirm matching colors, and the bounding-box /
@@ -466,14 +565,11 @@ def run_classifier(symbol: PerceptionSymbol, observations,
                        | (detections.color == code)), cost
     if symbol.kind == BBOX_ESTIMATOR:
         # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
-        # and sin from ``math`` once per robot pose: every element goes
+        # and sin from ``math`` once per log pose: every element goes
         # through the same IEEE operations, in the same order, as the
         # scalar form.
-        poses = detections.poses
-        angles = poses[:, 2].tolist()
-        cos = np.array([math.cos(a) for a in angles])[detections.obs]
-        sin = np.array([math.sin(a) for a in angles])[detections.obs]
-        robot, rel = poses[detections.obs], detections.rel
+        cos, sin = detections.trig[detections.obs].T
+        robot, rel = detections.poses[detections.obs], detections.rel
         x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
         y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
         return replace(detections, position=np.stack((x, y), axis=1)), cost
@@ -666,7 +762,9 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Run the selected classifiers over the observations and merge objects.
 
-    The object detectors share one scan of the records for their classes.
+    The observations are taken as an ``ObservationLog``, indexed once if
+    they are not one, and the object detectors share one gather of the
+    log's rows of their classes.
     The stages then run in ``CLASSIFIER_KINDS`` order -- object detectors,
     noise filter, color detectors, bounding box, pose -- and in canonical
     order within a kind; each stage that costs something adds a ledger
@@ -676,22 +774,24 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     object -- same apparent class within the merge radius -- collapse to a
     single object at the centroid.
     """
-    obs = sorted(observations, key=lambda o: o.t)
+    log = ObservationLog.of(observations)
     selected = frozenset(classifiers)
     unknown = sorted(c.canon for c in selected - registry.classifier_set)
     if unknown:
         raise UnknownClassifier(unknown[0])
     if robot_pose is None:
-        robot_pose = obs[-1].robot_pose if obs else (0.0, 0.0, 0.0)
+        # The latest observation's, the last given among equal t.
+        robot_pose = (max(reversed(log), key=lambda o: o.t).robot_pose
+                      if log else (0.0, 0.0, 0.0))
 
     geometry = {PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)}
     stages = sorted(selected if geometry <= selected else selected - geometry,
                     key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
-    current = DetectionSet.scan(
-        obs, frozenset(c.param for c in stages if c.kind == OBJECT_DETECTOR))
+    current = log.detections(
+        frozenset(c.param for c in stages if c.kind == OBJECT_DETECTOR))
     ledger: list[tuple[str, float]] = []
     for symbol in stages:
-        current, cost = run_classifier(symbol, obs, registry, current)
+        current, cost = run_classifier(symbol, log, registry, current)
         if cost:
             ledger.append((symbol.canon, cost))
 
@@ -782,7 +882,7 @@ def _observation(rec) -> Observation:
     )
 
 
-def load_observations(path) -> tuple[Observation, ...]:
+def load_observations(path) -> ObservationLog:
     """Read an observation log written by ``save_observations``.
 
     Anything malformed raises ``InvalidSpec``: undecodable bytes, a line
@@ -811,4 +911,4 @@ def load_observations(path) -> tuple[Observation, ...]:
             out.append(obs)
     except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed observation log {path}: {exc!r}") from exc
-    return tuple(out)
+    return ObservationLog.of(out)

@@ -33,7 +33,12 @@ from groundling.symbols import (
     enumerate_perception_space,
     enumerate_semantic_space,
 )
-from groundling.world import MERGE_RADIUS, planar_distance, simulate
+from groundling.world import (
+    MERGE_RADIUS,
+    build_world_model,
+    planar_distance,
+    simulate,
+)
 
 REPRODUCE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_benchmark.py"
 
@@ -154,6 +159,44 @@ def test_run_on_noisy_cluttered_sites_returns_a_result(bundle, registry,
     assert result.cost_units == (
         registry.scene_cost_per_observation * len(observations)
         + result.world.total_cost)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_hands_the_build_the_log_or_a_view_of_it(bundle, registry,
+                                                     site_logs, mode,
+                                                     monkeypatch):
+    built = []
+
+    def spy(observations, *args, **kwargs):
+        built.append(observations)
+        return build_world_model(observations, *args, **kwargs)
+
+    monkeypatch.setattr("groundling.pipeline.build_world_model", spy)
+    log = site_logs["site-1"]
+    result = run("go to the farthest cup in the kitchen", log, bundle,
+                 registry, mode=mode)
+    (observations,) = built
+    if mode in ("B", "AP"):
+        assert observations is log
+    else:
+        assert observations is result.filter_decision.kept
+        assert observations._columns is log._columns
+        assert len(observations) == 30
+
+
+def test_run_grounds_from_the_last_pose_given(bundle, registry, site_logs):
+    # The log's columns are in t order, and its world model does not
+    # depend on the order given, but the robot stands where the last
+    # observation given puts it.
+    shuffled = list(site_logs["site-1"])
+    np.random.default_rng(3).shuffle(shuffled)
+    for mode in MODES:
+        result = run("go to the farthest cup in the kitchen", shuffled, bundle,
+                     registry, mode=mode)
+        in_order = run("go to the farthest cup in the kitchen",
+                       site_logs["site-1"], bundle, registry, mode=mode)
+        assert result.world.robot_pose == shuffled[-1].robot_pose
+        assert result.world.objects == in_order.world.objects
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -12,21 +13,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groundling import world
+from groundling.adapt import filter_by_labels
 from groundling.errors import InvalidSpec, UnknownClassifier
 from groundling.fixtures import (
     default_cooccurrence,
     site1_spec,
     site_spec,
+    tiled,
 )
-from groundling.symbols import PerceptionSymbol
+from groundling.symbols import SCENE_LABELS, PerceptionSymbol
 from groundling.world import (
     MERGE_RADIUS,
     SENSING_RANGE,
     CooccurrenceModel,
     LatentObject,
     Observation,
+    ObservationLog,
     RawDetection,
-    DetectionSet,
     WorldSpec,
     _link,
     build_world_model,
@@ -140,7 +143,8 @@ def test_uninformative_frames_inherit_previous_label(site_logs):
 
 def test_run_classifier_on_empty_input(registry):
     symbol = PerceptionSymbol("object_detector", "ball")
-    found, cost = run_classifier(symbol, (), registry, DetectionSet.scan((), ()))
+    found, cost = run_classifier(symbol, (), registry,
+                                 ObservationLog.of(()).detections(()))
     assert len(found) == 0
     assert cost == 0.0
 
@@ -149,7 +153,7 @@ def test_run_classifier_rejects_unknown(registry, site_logs):
     with pytest.raises(UnknownClassifier):
         run_classifier(PerceptionSymbol("object_detector", "dragon"),
                        site_logs["site-1"], registry,
-                       DetectionSet.scan(site_logs["site-1"], ("dragon",)))
+                       ObservationLog.of(site_logs["site-1"]).detections(("dragon",)))
 
 
 def test_build_calls_each_stage_once_through_the_module(registry, site_logs,
@@ -301,16 +305,6 @@ def test_grid_clustering_matches_pairwise(points):
         assert list(groups.values()) == expected
 
 
-def _tiled(spec, copies):
-    """``spec`` repeated along the corridor, each copy 60 m further on."""
-    objects = tuple(
-        replace(o, id=f"{o.id}~{k}", pose=(o.pose[0] + 60.0 * k, o.pose[1], o.pose[2]))
-        for k in range(copies) for o in spec.objects)
-    trajectory = tuple((x + 60.0 * k, y, theta)
-                       for k in range(copies) for x, y, theta in spec.trajectory)
-    return replace(spec, objects=objects, trajectory=trajectory)
-
-
 def _float_bits(world):
     """Every float of a world model, spelled so that -0.0 differs from 0.0."""
     return ([tuple(float(v).hex() for v in o.pose) for o in world.objects],
@@ -329,7 +323,7 @@ def assert_same_world(observations, classifiers, registry):
 @pytest.mark.parametrize("copies", [1, 8])
 @pytest.mark.parametrize("site", ["site-1", "site-2"])
 def test_build_matches_row_oracle(registry, site, copies):
-    observations = simulate(_tiled(site_spec(site), copies), registry)
+    observations = simulate(tiled(site_spec(site), copies), registry)
     assert_same_world(observations, full_classifiers(registry), registry)
 
 
@@ -452,7 +446,7 @@ def sensed_sites(registry):
     logs = {}
     for site in ("site-1", "site-2"):
         for copies in (1, 2):
-            spec = _tiled(site_spec(site), copies)
+            spec = tiled(site_spec(site), copies)
             rough = replace(spec, noise=0.2, clutter_rate=0.3)
             for variant, sensed in (("exact", spec), ("noisy", rough),
                                     ("turning", _turning(rough))):
@@ -500,6 +494,62 @@ def test_colour_does_not_depend_on_which_colour_detectors_ran(
         assert obj.color == (reference.color if reference.color in ran else None)
 
 
+def _kept(observations, *label_sets):
+    return tuple(o for o in observations
+                 if all(not labels or o.scene_label in labels
+                        for labels in label_sets))
+
+
+labels_drawn = st.frozensets(st.sampled_from(SCENE_LABELS), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([("site-1", 1, "exact"), ("site-1", 2, "noisy"),
+                             ("site-2", 1, "turning"), "empty", "shuffled"]),
+       labels=labels_drawn, again=labels_drawn,
+       keep_cls=st.sampled_from([0.3, 0.7, 1.0]),
+       rng=st.randoms(use_true_random=False))
+# Keep everything; a label no observation has; every detector, cone and
+# suitcase among them, which site-1 never senses; the empty log.
+@example(name=("site-1", 1, "exact"), labels=frozenset(), again=frozenset(),
+         keep_cls=1.0, rng=random.Random(0))
+@example(name=("site-1", 1, "exact"), labels=frozenset({"parking_lot", "kitchen"}),
+         again=frozenset({"parking_lot"}), keep_cls=1.0, rng=random.Random(0))
+@example(name="empty", labels=frozenset({"kitchen"}), again=frozenset(),
+         keep_cls=1.0, rng=random.Random(0))
+@example(name="shuffled", labels=frozenset({"office"}), again=frozenset(),
+         keep_cls=1.0, rng=random.Random(0))
+def test_build_on_a_filtered_view_matches_row_oracle(
+        registry, sensed_sites, name, labels, again, keep_cls, rng):
+    # A filtered log is a view that shares the log's columns; filtering
+    # it again filters the view.  The build on it equals the row build on
+    # a plain tuple of the observations it keeps.  "shuffled" is a noisy
+    # log written out of t order.
+    if name == "empty":
+        log = ObservationLog.of(())
+    elif name == "shuffled":
+        shuffled = list(sensed_sites["site-2", 2, "noisy"])
+        rng.shuffle(shuffled)
+        log = ObservationLog.of(shuffled)
+    else:
+        log = sensed_sites[name]
+    once = filter_by_labels(log, labels)
+    view = filter_by_labels(once.kept, again).kept
+    assert isinstance(view, ObservationLog)
+    assert once.kept == _kept(log, labels)
+    assert once.dropped == tuple(o for o in log
+                                 if labels and o.scene_label not in labels)
+    assert view == _kept(log, labels, again)
+    assert view.detections({"cup"}).scanned == sum(len(o.sensed) for o in view)
+    subset_cls = frozenset(
+        c for c in sorted(full_classifiers(registry), key=lambda s: s.canon)
+        if rng.random() < keep_cls)
+    expected = oracles.build_world_model(tuple(view), subset_cls, registry)
+    built = build_world_model(view, subset_cls, registry)
+    assert built == expected
+    assert _float_bits(built) == _float_bits(expected)
+
+
 def test_geometry_needs_both_bbox_and_pose(registry, site_logs):
     partial = frozenset(
         s for s in full_classifiers(registry) if s.kind != "pose_estimator")
@@ -512,7 +562,12 @@ def test_geometry_needs_both_bbox_and_pose(registry, site_logs):
 def test_observation_log_round_trip(tmp_path, site_logs):
     path = tmp_path / "obs.jsonl"
     save_observations(site_logs["site-2"], path)
-    assert load_observations(path) == site_logs["site-2"]
+    loaded = load_observations(path)
+    assert loaded == site_logs["site-2"]
+    # Both ways of making a log index it, and a log is not indexed again.
+    for log in (loaded, site_logs["site-2"]):
+        assert isinstance(log, ObservationLog)
+        assert ObservationLog.of(log) is log
 
 
 def test_unsupported_schema_rejected(tmp_path, site_logs):
