@@ -7,6 +7,10 @@ are dropped), and the perception model predicts which classifiers are
 worth paying for (all others stay cold).  The structural stages -- noise
 filter, bounding box, pose -- are always selected because nothing can
 become a world-model object without them.
+
+Filtering reads no record: it masks the observation log by scene label
+and keeps a view that shares the log's indexed records, so the build
+gathers only the kept observations' rows.
 """
 
 from __future__ import annotations
