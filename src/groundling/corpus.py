@@ -228,8 +228,7 @@ def gold_root_symbols(example: CorpusExample) -> frozenset:
 
 def gold_action(example: CorpusExample, reference: WorldModel):
     """Resolve the gold navigation target against the reference world."""
-    return resolve_action(gold_root_symbols(example), reference.objects,
-                          reference.robot_pose)
+    return resolve_action(gold_root_symbols(example), reference)
 
 
 def training_sets(examples, registry: ClassifierRegistry,
@@ -314,8 +313,7 @@ def evaluate(semantic_model: CorrespondenceModel,
 
         inferred = infer(grounding_model, tree, grounding_space, digest=digest)
         try:
-            _, target = resolve_action(inferred.root_trues(), reference.objects,
-                                       reference.robot_pose)
+            _, target = resolve_action(inferred.root_trues(), reference)
             _, wanted = gold_action(example, reference)
             if target.id == wanted.id:
                 action_hits += 1

@@ -56,7 +56,7 @@ from .symbols import (
     SymbolSpace,
     action_instance,
 )
-from .world import DetectedObject, planar_distance
+from .world import DetectedObject
 
 MODEL_SCHEMA = 1
 DEFAULT_REGULARIZATION = 1e-4
@@ -272,25 +272,27 @@ class Assignment:
         return dict(enumerate(self.trues))
 
 
-def resolve_action(root_trues, objects, robot_pose) -> tuple[GroundingSymbol, DetectedObject]:
+def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
     """Pick the navigation target implied by root-true constraint symbols.
 
-    Objects are filtered by every class / color / region constraint that
-    holds at the root; the relation then selects by planar distance from
-    the robot, ties broken by object id.  A missing relation is only
-    acceptable when a single candidate survives the filters.
+    The world's objects are filtered by every class / color / region
+    constraint that holds at the root, one test per distinct signature
+    (``WorldModel.signatures``) gathered to the objects by their codes.
+    The relation then selects among the survivors by planar distance from
+    the world's robot pose, ties broken by object id.  A missing relation
+    is only acceptable when a single candidate survives the filters.  Only
+    the target is made a ``DetectedObject``.
     """
     classes = {s.value for s in root_trues if s.variant == "objtype"}
     colors = {s.value for s in root_trues if s.variant == "color"}
     regions = {s.value for s in root_trues if s.variant == "region"}
     relations = sorted(s.value for s in root_trues if s.variant == "rel")
-    candidates = [
-        o for o in objects
-        if (not classes or o.cls in classes)
-        and (not colors or o.color in colors)
-        and (not regions or o.region in regions)
-    ]
-    if not candidates:
+    signatures, codes = world.signatures
+    match = [(not classes or cls in classes) and (not colors or color in colors)
+             and (not regions or region in regions)
+             for cls, color, region in signatures]
+    candidates = np.array(match, dtype=bool)[codes].nonzero()[0]
+    if not len(candidates):
         raise NoTargetObject(
             "no object satisfies"
             f" classes={sorted(classes)} colors={sorted(colors)}"
@@ -298,18 +300,22 @@ def resolve_action(root_trues, objects, robot_pose) -> tuple[GroundingSymbol, De
         )
     if len(relations) > 1:
         raise AmbiguousRelation(f"conflicting relations {relations} hold at the root")
+    objects, rows = world.columns, candidates.tolist()
     if not relations:
-        if len(candidates) > 1:
+        if len(rows) > 1:
             raise AmbiguousRelation(
-                f"{len(candidates)} candidate objects and no relation to rank them"
+                f"{len(rows)} candidate objects and no relation to rank them"
             )
-        target = candidates[0]
-    elif relations[0] == "nearest":
-        target = min(candidates,
-                     key=lambda o: (planar_distance(o.pose, robot_pose), o.id))
+        target = rows[0]
     else:
-        target = min(candidates,
-                     key=lambda o: (-planar_distance(o.pose, robot_pose), o.id))
+        # planar_distance(pose, robot_pose): the same operands, in order.
+        rx, ry = world.robot_pose[0], world.robot_pose[1]
+        distance = [math.hypot(x - rx, y - ry) for x, y in zip(
+            objects.x[candidates].tolist(), objects.y[candidates].tolist())]
+        if relations[0] != "nearest":
+            distance = [-d for d in distance]
+        _, _, target = min(zip(distance, map(objects.ids.__getitem__, rows), rows))
+    target = objects.object(target)
     return action_instance(target), target
 
 

@@ -178,8 +178,7 @@ def run(instruction: str, observations, models: ModelBundle,
                                   robot_pose=robot_pose)
         space = enumerate_grounding_space(world, registry)
         assignment = infer(models.grounding, tree, space, world.digest())
-        action, target = correspondence.resolve_action(
-            assignment.root_trues(), world.objects, world.robot_pose)
+        action, target = correspondence.resolve_action(assignment.root_trues(), world)
         grounding = action.canon
     except (EmptyInstruction, OutOfGrammar, NoTargetObject,
             AmbiguousRelation) as exc:
@@ -190,7 +189,7 @@ def run(instruction: str, observations, models: ModelBundle,
     return RunResult(
         instruction=instruction, site=site, mode=mode,
         cost_units=cost, wall_time_s=elapsed,
-        object_count=len(world.objects) if world is not None else 0,
+        object_count=len(world.columns) if world is not None else 0,
         grounding=grounding, error=error, world=world,
         filter_decision=decision, selection=selection, assignment=assignment,
         target=target,

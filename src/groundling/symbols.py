@@ -534,21 +534,22 @@ class _Layout:
             self._signature_keys[signature] = keys
         return keys
 
-    def space(self, objects=(), codes=(), keys=()) -> SymbolSpace:
-        """The space of the constraint symbols and of ``objects``' instances.
+    def space(self, ids=(), codes=(), signatures=()) -> SymbolSpace:
+        """The space of the constraint symbols and of the objects' instances.
 
-        ``codes[i]`` is the signature of ``objects[i]``, and that signature
-        has the keys ``keys[codes[i]]``.  An instance canon is a prefix,
-        the id and "]", so appending "]" to the ids sorts them in canon
-        order: ``cup@5.0,1.0#2`` before ``cup@5.0,1.0``.
+        Object ``i`` has the id ``ids[i]`` and the signature
+        ``signatures[codes[i]]``.  An instance canon is a prefix, the id
+        and "]", so appending "]" to the ids sorts them in canon order:
+        ``cup@5.0,1.0#2`` before ``cup@5.0,1.0``.  Instance symbols are
+        made from the ids and signatures when read.
         """
-        n, t = len(objects), len(self.constraints)
-        ids = [o.id + "]" for o in objects]
-        order = sorted(range(n), key=ids.__getitem__)
-        ordered = [objects[i] for i in order]
+        n, t = len(ids), len(self.constraints)
+        marked = [i + "]" for i in ids]
+        order = sorted(range(n), key=marked.__getitem__)
+        codes = np.asarray(codes, dtype=np.intp)
         a, b = self.actions_at, self.objects_at
         rows = np.arange(t)
-        actions = t + 2 * np.asarray(codes, dtype=np.intp)[order]
+        actions = t + 2 * codes[order]
         # Actions at a .. a + n - 1, objects at b + n .. b + 2n - 1.
         row_of = np.concatenate((rows[:a], actions, rows[a:b], actions + 1, rows[b:]))
         constraints = np.concatenate((rows[:a], n + rows[a:b], 2 * n + rows[b:]))
@@ -556,10 +557,12 @@ class _Layout:
                    *self.constraints[a:b], *[None] * n, *self.constraints[b:]]
 
         def instance(j: int) -> GroundingSymbol:
-            if j < a + n:
-                return action_instance(ordered[j - a])
-            return object_instance(ordered[j - b - n])
+            variant, i = ("action", j - a) if j < a + n else ("object", j - b - n)
+            k = order[i]
+            return GroundingSymbol(variant, ids[k],
+                                   _signature_attrs(*signatures[codes[k]]))
 
+        keys = (self.signature_keys(s) for s in signatures)
         row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
         return SymbolSpace(self.domain, self.vocabulary, symbols, row_keys,
                            row_of, constraints, self.constraint_rows, instance)
@@ -570,15 +573,13 @@ def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpac
 
     The size is linear in the number of detected objects: two instance
     symbols per object on top of the fixed type-level set.  The space is
-    laid out on the registry's grounding layout from each object's
-    signature (``WorldModel.signatures``), so objects that share one share
-    a row.  An object whose class, colour or region the registry cannot
-    name raises ``InvalidSpec``.
+    laid out on the registry's grounding layout from the world's id column
+    and each object's signature (``WorldModel.signatures``), so objects
+    that share one share a row.  An object whose class, colour or region
+    the registry cannot name raises ``InvalidSpec``.
     """
-    layout = registry._grounding_layout
     signatures, codes = world.signatures
-    return layout.space(world.objects, codes,
-                        [layout.signature_keys(s) for s in signatures])
+    return registry._grounding_layout.space(world.columns.ids, codes, signatures)
 
 
 def save_registry(registry: ClassifierRegistry, path) -> None:

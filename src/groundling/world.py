@@ -33,7 +33,9 @@ to an object.  The merge matches the row-wise reference bit for bit:
 centroids summed left to right in row order, the earliest member's
 angle, vote ties broken towards the smallest string, a colour only when
 a detector confirmed it, and ``#2``, ``#3``, ... on objects that repeat
-an id.
+an id.  The merged objects stay columns (``ObjectColumns``) in the
+``WorldModel``; a ``DetectedObject`` is made only when something reads
+one.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 from pathlib import Path
 
 import numpy as np
@@ -503,15 +505,100 @@ class DetectedObject:
     provenance: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class ObjectColumns:
+    """A world model's objects, one array per field, in id order.
+
+    ``ids[i]`` is object i's id.  ``cls[i]``, ``color[i]`` and
+    ``region[i]`` are codes into the vocabularies ``classes``, ``colors``
+    and ``regions``; ``color[i]`` is -1 when no detector confirmed a
+    colour.  ``x``, ``y`` and ``theta`` are the pose, and the provenance
+    is the set of ``t[start[i]:stop[i]]``.
+    """
+
+    classes: tuple[str, ...]
+    colors: tuple[str, ...]
+    regions: tuple[str, ...]
+    ids: list[str]
+    cls: np.ndarray
+    color: np.ndarray
+    region: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    theta: np.ndarray
+    t: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @staticmethod
+    def encode(objects) -> ObjectColumns:
+        """The columns of ``objects``, in the order given."""
+        classes, cls = _encode([o.cls for o in objects])
+        colors = tuple(sorted({o.color for o in objects} - {None}))
+        code = {c: k for k, c in enumerate(colors)}
+        regions, region = _encode([o.region for o in objects])
+        pose = np.array([o.pose for o in objects], dtype=float).reshape(-1, 3)
+        provenance = [sorted(o.provenance) for o in objects]
+        size = np.array([len(p) for p in provenance], dtype=np.intp)
+        stop = size.cumsum()
+        return ObjectColumns(
+            classes=classes, colors=colors, regions=regions,
+            ids=[o.id for o in objects], cls=cls,
+            color=np.array([code.get(o.color, -1) for o in objects], dtype=np.intp),
+            region=region, x=pose[:, 0], y=pose[:, 1], theta=pose[:, 2],
+            t=np.array([t for p in provenance for t in p], dtype=np.int64),
+            start=stop - size, stop=stop)
+
+    def object(self, i: int) -> DetectedObject:
+        """Object ``i``, made from the columns."""
+        color = self.color.item(i)
+        return DetectedObject(
+            id=self.ids[i], cls=self.classes[self.cls.item(i)],
+            color=self.colors[color] if color >= 0 else None,
+            pose=(self.x.item(i), self.y.item(i), self.theta.item(i)),
+            region=self.regions[self.region.item(i)],
+            provenance=frozenset(self.t[self.start.item(i):self.stop.item(i)].tolist()))
+
+
 class WorldModel:
-    objects: tuple[DetectedObject, ...]
-    total_cost: float
-    robot_pose: Pose
-    cost_ledger: tuple[tuple[str, float], ...] = ()
+    """The objects a build found, as ``ObjectColumns``, and its cost.
+
+    ``objects`` is the columns themselves or a sequence of
+    ``DetectedObject``, which is encoded into columns.  Nothing reads a
+    whole object during a run except the target: ``objects`` makes every
+    ``DetectedObject`` on first access, and ``signatures``, ``digest``
+    and ``object_ids`` read the columns.  Two world models are equal when
+    their objects, costs, robot poses and ledgers are.
+    """
+
+    def __init__(self, objects, total_cost: float, robot_pose: Pose,
+                 cost_ledger: tuple[tuple[str, float], ...] = ()):
+        self.columns = (objects if isinstance(objects, ObjectColumns)
+                        else ObjectColumns.encode(tuple(objects)))
+        self.total_cost = total_cost
+        self.robot_pose = robot_pose
+        self.cost_ledger = cost_ledger
+
+    def __eq__(self, other):
+        if not isinstance(other, WorldModel):
+            return NotImplemented
+        return ((self.objects, self.total_cost, self.robot_pose, self.cost_ledger)
+                == (other.objects, other.total_cost, other.robot_pose,
+                    other.cost_ledger))
+
+    def __repr__(self) -> str:
+        return (f"WorldModel({len(self.columns)} objects, total_cost="
+                f"{self.total_cost!r}, robot_pose={self.robot_pose!r})")
+
+    @cached_property
+    def objects(self) -> tuple[DetectedObject, ...]:
+        return tuple(map(self.columns.object, range(len(self.columns))))
 
     def object_ids(self) -> frozenset[str]:
-        return frozenset(o.id for o in self.objects)
+        return frozenset(self.columns.ids)
 
     @cached_property
     def signatures(self) -> tuple[tuple[tuple, ...], np.ndarray]:
@@ -521,10 +608,13 @@ class WorldModel:
         first appearance, and ``codes[i]``, the position of object ``i``'s
         among them.
         """
+        c = self.columns
         index: dict[tuple, int] = {}
-        codes = [index.setdefault((o.cls, o.color, o.region), len(index))
-                 for o in self.objects]
-        return tuple(index), np.array(codes, dtype=np.intp)
+        codes = [index.setdefault(key, len(index)) for key in zip(
+            c.cls.tolist(), c.color.tolist(), c.region.tolist())]
+        colors = (*c.colors, None)
+        return (tuple((c.classes[k], colors[o], c.regions[r]) for k, o, r in index),
+                np.array(codes, dtype=np.intp))
 
     def digest(self) -> frozenset[tuple[str, str]]:
         """The (key, value) attribute pairs of the objects: factor context."""
@@ -602,7 +692,7 @@ def _flatten(label: np.ndarray) -> np.ndarray:
     """The forest ``label`` with every row pointing at its root."""
     while True:
         up = label[label]
-        if (up == label).all():
+        if not np.count_nonzero(up != label):
             return up
         label = up
 
@@ -672,7 +762,7 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
         a, b = a[near], b[near]
         while True:
             la, lb = label[a], label[b]
-            if (la == lb).all():
+            if not np.count_nonzero(la != lb):
                 break
             np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
             label = _flatten(label)
@@ -694,8 +784,10 @@ def _groups(detections: DetectionSet):
       since code order is string order, ``argmax``'s first maximum breaks
       a tie towards the smallest string.
 
-    Returns an iterator of (class, x, y, theta, colour, confirmed, region,
-    provenance), one per group, with codes for class, colour and region.
+    Returns per group, in that order, the class, x, y, theta, the colour
+    (-1 unless a detector confirmed it) and the region, as arrays with
+    codes for class, colour and region; and the members' ``t``, group by
+    group, with each group's start and stop in it.
     """
     cls, xy, t, theta = detections.cls, detections.position, detections.t, detections.theta
     color, region = detections.color, detections.region
@@ -715,20 +807,18 @@ def _groups(detections: DetectionSet):
     size = np.bincount(group)
     # x and y of each group sum in separate bins, each in row order.
     bins = ((2 * group)[:, None] + _XY).ravel()
-    xs, ys = (np.bincount(bins, xy.ravel()).reshape(k, 2) / size[:, None]).T.tolist()
+    x, y = (np.bincount(bins, xy.ravel()).reshape(k, 2) / size[:, None]).T
     nc, nr = len(detections.colors), len(detections.regions)
     winner = np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1)
     confirmed = np.bincount(group, detections.colored & (color == winner[group]), k)
     votes = np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr)
+    winner[confirmed == 0] = -1
     first = order[start]
-    ts = t[order].tolist()
-    return zip(cls[first].tolist(), xs, ys, theta[first].tolist(), winner.tolist(),
-               confirmed.tolist(), votes.argmax(axis=1).tolist(),
-               [frozenset(ts[s:e]) for s, e in zip(start.tolist(),
-                                                   (start + size).tolist())])
+    return (cls[first], x, y, theta[first], winner, votes.argmax(axis=1),
+            t[order], start, start + size)
 
 
-def _merge(detections: DetectionSet) -> list[DetectedObject]:
+def _merge(detections: DetectionSet) -> ObjectColumns:
     """One object per cluster of same-class detections, sorted by id.
 
     The pose is the members' centroid and the angle of the earliest
@@ -739,23 +829,27 @@ def _merge(detections: DetectionSet) -> list[DetectedObject]:
     common scene label; both votes break ties towards the smallest
     string.  The provenance is the set of the members' ``t``.
 
-    ``_groups`` computes these as array work over the columns.  The id is
-    ``class@x,y`` to one decimal.  Groups that repeat an id, which share
-    a class, become ``id#2``, ``id#3``, ... by smallest member row, and
-    keep that order in the sort, which is by the id before the suffix.
+    ``_groups`` computes these as array work over the columns, and the
+    objects stay columns.  The id is ``class@x,y`` to one decimal.
+    Groups that repeat an id, which share a class, become ``id#2``,
+    ``id#3``, ... by smallest member row, and keep that order in the
+    sort, which is by the id before the suffix.
     """
-    names, colors, regions = detections.classes, detections.colors, detections.regions
-    objects: list[tuple[str, DetectedObject]] = []
-    seen: dict[str, int] = {}
-    for c, x, y, theta, colour, confirmed, region, provenance in _groups(detections):
-        name = f"{names[c]}@{x:.1f},{y:.1f}"
-        repeat = seen[name] = seen.get(name, 0) + 1
-        objects.append((name, DetectedObject(
-            id=name if repeat == 1 else f"{name}#{repeat}", cls=names[c],
-            color=colors[colour] if confirmed else None, pose=(x, y, theta),
-            region=regions[region], provenance=provenance)))
-    objects.sort(key=lambda pair: pair[0])
-    return [o for _, o in objects]
+    cls, x, y, theta, color, region, t, start, stop = _groups(detections)
+    names = detections.classes
+    name = [f"{names[c]}@{a:.1f},{b:.1f}"
+            for c, a, b in zip(cls.tolist(), x.tolist(), y.tolist())]
+    order = sorted(range(len(name)), key=name.__getitem__)
+    ids = list(map(name.__getitem__, order))
+    order = np.array(order, dtype=np.intp)
+    if len(set(ids)) < len(ids):
+        ids = [f"{base}#{k}" if k > 1 else base
+               for base, repeats in groupby(ids) for k, _ in enumerate(repeats, 1)]
+    return ObjectColumns(
+        classes=names, colors=detections.colors, regions=detections.regions,
+        ids=ids, cls=cls[order], color=color[order], region=region[order],
+        x=x[order], y=y[order], theta=theta[order], t=t,
+        start=start[order], stop=stop[order])
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
@@ -795,9 +889,8 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         if cost:
             ledger.append((symbol.canon, cost))
 
-    objects = _merge(current) if current.theta is not None and len(current) else []
     return WorldModel(
-        objects=tuple(objects),
+        objects=_merge(current) if current.theta is not None and len(current) else (),
         total_cost=sum(c for _, c in ledger),
         robot_pose=robot_pose,
         cost_ledger=tuple(ledger),

@@ -24,9 +24,11 @@ from groundling.correspondence import (
     phrase_logits,
 )
 from groundling.errors import (
+    AmbiguousRelation,
     CorpusDomainMismatch,
     GroundlingError,
     InvalidSpec,
+    NoTargetObject,
     UnknownClassifier,
 )
 from groundling.grammar import ParseTree, Phrase
@@ -40,6 +42,7 @@ from groundling.symbols import (
     KeyVocabulary,
     PerceptionSymbol,
     SymbolSpace,
+    action_instance,
     key_names,
 )
 from groundling.world import (
@@ -49,6 +52,7 @@ from groundling.world import (
     Pose,
     RawDetection,
     WorldModel,
+    planar_distance,
 )
 
 ENUMERATION_LIMIT = 20
@@ -390,3 +394,44 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         robot_pose=robot_pose,
         cost_ledger=tuple(ledger),
     )
+
+
+def resolve_action(root_trues, objects, robot_pose):
+    """Reference resolution over a list of objects.
+
+    Objects are filtered by every class / color / region constraint that
+    holds at the root; the relation then selects by planar distance from
+    the robot, ties broken by object id.  A missing relation is only
+    acceptable when a single candidate survives the filters.
+    """
+    classes = {s.value for s in root_trues if s.variant == "objtype"}
+    colors = {s.value for s in root_trues if s.variant == "color"}
+    regions = {s.value for s in root_trues if s.variant == "region"}
+    relations = sorted(s.value for s in root_trues if s.variant == "rel")
+    candidates = [
+        o for o in objects
+        if (not classes or o.cls in classes)
+        and (not colors or o.color in colors)
+        and (not regions or o.region in regions)
+    ]
+    if not candidates:
+        raise NoTargetObject(
+            "no object satisfies"
+            f" classes={sorted(classes)} colors={sorted(colors)}"
+            f" regions={sorted(regions)}"
+        )
+    if len(relations) > 1:
+        raise AmbiguousRelation(f"conflicting relations {relations} hold at the root")
+    if not relations:
+        if len(candidates) > 1:
+            raise AmbiguousRelation(
+                f"{len(candidates)} candidate objects and no relation to rank them"
+            )
+        target = candidates[0]
+    elif relations[0] == "nearest":
+        target = min(candidates,
+                     key=lambda o: (planar_distance(o.pose, robot_pose), o.id))
+    else:
+        target = min(candidates,
+                     key=lambda o: (-planar_distance(o.pose, robot_pose), o.id))
+    return action_instance(target), target

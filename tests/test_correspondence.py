@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -24,19 +25,31 @@ from groundling.correspondence import (
     load_model,
     objective_and_gradient,
     phrase_logits,
+    resolve_action,
     save_model,
     train,
 )
-from groundling.errors import CorpusDomainMismatch, NonFiniteScore
+from groundling.errors import (
+    AmbiguousRelation,
+    CorpusDomainMismatch,
+    NoTargetObject,
+    NonFiniteScore,
+)
+from groundling.fixtures import site_spec
 from groundling.grammar import ParseTree, Phrase, Token, parse_text
 from groundling.symbols import (
     SCENE_LABELS,
+    color_symbol,
     enumerate_grounding_space,
     enumerate_grounding_type_space,
     enumerate_perception_space,
     enumerate_semantic_space,
+    object_type,
+    region_symbol,
+    relation_symbol,
 )
-from groundling.world import DetectedObject, WorldModel
+from groundling.world import DetectedObject, WorldModel, build_world_model, simulate
+import oracles
 from oracles import TooLarge, extract_features, infer_exhaustive, symbol_space
 
 
@@ -245,6 +258,98 @@ def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
             oracle = sum(terms)
             assert (expit(z[j]) > 0.5) == (expit(oracle) > 0.5)
             assert abs(z[j] - oracle) <= 1e-12 * (1.0 + sum(map(abs, terms)))
+
+
+# Class, colour and region constraints, each with a value no object has.
+_CLASSES = ("cup", "ball", "umbrella")
+_COLORS = ("red", "blue")
+_REGIONS = ("kitchen", "office", "hallway")
+
+
+@st.composite
+def root_trues(draw):
+    """Root-true constraints: any classes, colours and regions (one
+    outside every world), and no, one or two relations."""
+    return frozenset(
+        [object_type(c) for c in draw(st.sets(st.sampled_from(_CLASSES + ("drone",))))]
+        + [color_symbol(c) for c in draw(st.sets(st.sampled_from(_COLORS + ("green",))))]
+        + [region_symbol(r) for r in draw(st.sets(st.sampled_from(_REGIONS + ("lab",))))]
+        + [relation_symbol(r) for r in draw(st.sets(st.sampled_from(("nearest", "farthest"))))])
+
+
+@st.composite
+def tied_worlds(draw):
+    """Worlds whose objects tie on distance: a few points, each shared by
+    objects ``cup@5.0,1.0``, ``cup@5.0,1.0#2``, ...  in any order, some
+    without a colour."""
+    points = draw(st.lists(st.sampled_from(
+        ((5.0, 1.0), (-5.0, -1.0), (1.0, 5.0), (0.0, 0.0), (3.0, 4.0))), min_size=0, max_size=12))
+    objects, seen = [], {}
+    for x, y in points:
+        cls = draw(st.sampled_from(_CLASSES))
+        name = f"{cls}@{x:.1f},{y:.1f}" if draw(st.booleans()) else f"{cls}@5.0,1.0"
+        repeat = seen[name] = seen.get(name, 0) + 1
+        objects.append(DetectedObject(
+            id=name if repeat == 1 else f"{name}#{repeat}", cls=cls,
+            color=draw(st.none() | st.sampled_from(_COLORS)), pose=(x, y, 0.0),
+            region=draw(st.sampled_from(_REGIONS)),
+            provenance=frozenset(draw(st.sets(st.integers(0, 9), max_size=3)))))
+    return WorldModel(objects=draw(st.permutations(objects)), total_cost=0.0,
+                      robot_pose=draw(st.sampled_from(((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)))))
+
+
+def assert_resolves_like_the_oracle(trues, world):
+    """The columnar resolution equals the object-list one: the same action
+    and target, float bits included, or the same error and message."""
+    try:
+        expected = oracles.resolve_action(trues, world.objects, world.robot_pose)
+    except (NoTargetObject, AmbiguousRelation) as exc:
+        with pytest.raises(type(exc)) as raised:
+            resolve_action(trues, world)
+        assert str(raised.value) == str(exc)
+        return
+    action, target = resolve_action(trues, world)
+    assert (action, target) == expected
+    assert [v.hex() for v in target.pose] == [v.hex() for v in expected[1].pose]
+
+
+def twins() -> WorldModel:
+    """``cup@5.0,1.0#2`` and ``cup@5.0,1.0`` at one point, in that order."""
+    return WorldModel(objects=[
+        DetectedObject(id=i, cls="cup", color=None, pose=(5.0, 1.0, 0.0),
+                       region="kitchen", provenance=frozenset())
+        for i in ("cup@5.0,1.0#2", "cup@5.0,1.0")], total_cost=0.0,
+        robot_pose=(0.0, 0.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trues=root_trues(), world=tied_worlds())
+@example(trues=frozenset({object_type("cup"), relation_symbol("nearest")}), world=twins())
+@example(trues=frozenset({object_type("cup"), relation_symbol("farthest")}), world=twins())
+def test_resolution_matches_the_object_list_oracle(trues, world):
+    assert_resolves_like_the_oracle(trues, world)
+
+
+@pytest.fixture(scope="module")
+def built_worlds(registry):
+    """Both sites at x1, exact and with noise 0.2 and clutter 0.3, built
+    with every classifier and without the colour detectors."""
+    every = frozenset(registry.classifiers())
+    colourless = frozenset(c for c in every if c.kind != "color_detector")
+    worlds = []
+    for site in ("site-1", "site-2"):
+        for spec in (site_spec(site), replace(site_spec(site), noise=0.2, clutter_rate=0.3)):
+            observations = simulate(spec, registry)
+            worlds += [build_world_model(observations, c, registry) for c in (every, colourless)]
+    return worlds
+
+
+@settings(max_examples=200, deadline=None)
+@given(trues=root_trues(), data=st.data())
+def test_resolution_matches_the_oracle_on_built_worlds(built_worlds, reference,
+                                                       trues, data):
+    world = data.draw(st.sampled_from([reference, *built_worlds]))
+    assert_resolves_like_the_oracle(trues, world)
 
 
 @pytest.mark.parametrize("domain", ("semantic", "perception", "grounding"))

@@ -20,7 +20,8 @@ from test_acceptance import strip_wall_time
 from test_world import cups_sharing_an_id
 
 import groundling
-from groundling.fixtures import benchmark_manifest, site_spec
+from groundling import world
+from groundling.fixtures import benchmark_manifest, site_spec, tiled
 from groundling.pipeline import (
     CSV_COLUMNS,
     MODES,
@@ -159,6 +160,28 @@ def test_run_on_noisy_cluttered_sites_returns_a_result(bundle, registry,
     assert result.cost_units == (
         registry.scene_cost_per_observation * len(observations)
         + result.world.total_cost)
+
+
+def test_a_run_makes_no_object_but_its_target(bundle, registry, monkeypatch):
+    # The world model keeps its objects as columns: a B run on an x8 tile
+    # of site-1 makes one DetectedObject, the target, and the objects
+    # themselves only when something reads them.
+    observations = simulate(tiled(site_spec("site-1"), 8), registry)
+    made = []
+    detected_object = world.DetectedObject
+
+    def spy(*args, **fields):
+        made.append(detected_object(*args, **fields))
+        return made[-1]
+
+    monkeypatch.setattr(world, "DetectedObject", spy)
+    result = run("go to the farthest cup in the kitchen", observations, bundle,
+                 registry, mode="B", site="site-1")
+    assert result.error == ""
+    assert made == [result.target]
+    assert result.object_count == len(result.world.objects) == 296
+    assert result.target in result.world.objects
+    assert len(made) == 1 + 296
 
 
 @pytest.mark.parametrize("mode", MODES)

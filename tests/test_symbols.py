@@ -28,7 +28,8 @@ from groundling.symbols import (
     object_instance,
     save_registry,
 )
-from groundling.world import DetectedObject, WorldModel, build_world_model
+from groundling.fixtures import site_spec, tiled
+from groundling.world import DetectedObject, WorldModel, build_world_model, simulate
 from oracles import symbol_space
 
 
@@ -154,6 +155,21 @@ def test_grounding_space_matches_the_generic_construction(case):
         if s.variant not in INSTANCE_VARIANTS}
 
 
+def assert_signatures_follow_the_objects(world):
+    """The column-derived signatures and digest equal the ones read off
+    the objects, signatures in order of first appearance."""
+    index: dict[tuple, int] = {}
+    codes = [index.setdefault((o.cls, o.color, o.region), len(index))
+             for o in world.objects]
+    signatures, got = world.signatures
+    assert signatures == tuple(index)
+    assert got.tolist() == codes
+    assert world.digest() == frozenset(
+        pair for o in world.objects
+        for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
+        if pair[1] is not None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=signature_worlds())
 def test_signatures_and_digest_cover_every_object(case):
@@ -162,10 +178,25 @@ def test_signatures_and_digest_cover_every_object(case):
     assert [signatures[c] for c in codes.tolist()] == [
         (o.cls, o.color, o.region) for o in world.objects]
     assert len(set(signatures)) == len(signatures)
-    assert world.digest() == frozenset(
-        pair for o in world.objects
-        for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
-        if pair[1] is not None)
+    assert_signatures_follow_the_objects(world)
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+@pytest.mark.parametrize("site", ["site-1", "site-2"])
+def test_signatures_and_digest_of_built_worlds(registry, site, copies):
+    # Exact and noisy sensing, every classifier and no colour detector, the
+    # whole log and filtered views of it.
+    every = frozenset(registry.classifiers())
+    classifier_sets = (every, frozenset(c for c in every if c.kind != "color_detector"))
+    spec = tiled(site_spec(site), copies)
+    for sensed in (spec, replace(spec, noise=0.2, clutter_rate=0.3)):
+        log = simulate(sensed, registry)
+        regions = sorted({o.scene_label for o in log})
+        views = [log, log.partition(regions[:1])[0], log.partition(regions[1::2])[0]]
+        for observations in views:
+            for classifiers in classifier_sets:
+                assert_signatures_follow_the_objects(
+                    build_world_model(observations, classifiers, registry))
 
 
 def test_instances_of_one_signature_share_a_row(registry):

@@ -26,10 +26,12 @@ from groundling.world import (
     MERGE_RADIUS,
     SENSING_RANGE,
     CooccurrenceModel,
+    DetectedObject,
     LatentObject,
     Observation,
     ObservationLog,
     RawDetection,
+    WorldModel,
     WorldSpec,
     _link,
     build_world_model,
@@ -548,6 +550,28 @@ def test_build_on_a_filtered_view_matches_row_oracle(
     built = build_world_model(view, subset_cls, registry)
     assert built == expected
     assert _float_bits(built) == _float_bits(expected)
+
+
+_OBJECTS = st.lists(st.builds(
+    DetectedObject,
+    id=st.text(max_size=6),
+    cls=st.sampled_from(("cup", "ball", "zebra")),
+    color=st.none() | st.sampled_from(("red", "blue")),
+    pose=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3),
+    region=st.sampled_from(("kitchen", "office")),
+    provenance=st.frozensets(st.integers(-2**63, 2**63 - 1), max_size=4)), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(objects=_OBJECTS)
+def test_a_world_model_gives_back_the_objects_it_encodes(objects):
+    world = WorldModel(objects=objects, total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    made = world.objects
+    assert [(o.id, o.cls, o.color, o.region, o.provenance) for o in made] == [
+        (o.id, o.cls, o.color, o.region, o.provenance) for o in objects]
+    assert [[v.hex() for v in o.pose] for o in made] == [
+        [float(v).hex() for v in o.pose] for o in objects]
+    assert world.object_ids() == frozenset(o.id for o in objects)
 
 
 def test_geometry_needs_both_bbox_and_pose(registry, site_logs):
