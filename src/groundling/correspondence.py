@@ -56,7 +56,7 @@ from .symbols import (
     SymbolSpace,
     action_instance,
 )
-from .world import DetectedObject
+from .world import DetectedObject, planar_distance
 
 MODEL_SCHEMA = 1
 DEFAULT_REGULARIZATION = 1e-4
@@ -200,7 +200,7 @@ class _Scorer:
             if row is not None:
                 rows[row] += compiled.get(f"ceq|v={c.variant}", 0.0)
         z = rows[space.row_of]
-        if not np.all(np.isfinite(z)):
+        if np.count_nonzero(np.isfinite(z)) < len(z):
             j = int(np.flatnonzero(~np.isfinite(z))[0])
             raise NonFiniteScore(f"factor score for {space[j].canon} is {z[j]!r}")
         return z
@@ -308,10 +308,8 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
             )
         target = rows[0]
     else:
-        # planar_distance(pose, robot_pose): the same operands, in order.
-        rx, ry = world.robot_pose[0], world.robot_pose[1]
-        distance = [math.hypot(x - rx, y - ry) for x, y in zip(
-            objects.x[candidates].tolist(), objects.y[candidates].tolist())]
+        distance = [planar_distance(pose, world.robot_pose)
+                    for pose in zip(*objects.pose[:2, candidates].tolist())]
         if relations[0] != "nearest":
             distance = [-d for d in distance]
         _, _, target = min(zip(distance, map(objects.ids.__getitem__, rows), rows))

@@ -507,25 +507,21 @@ class DetectedObject:
 
 @dataclass(frozen=True, eq=False)
 class ObjectColumns:
-    """A world model's objects, one array per field, in id order.
+    """A world model's objects as columns, in id order.
 
-    ``ids[i]`` is object i's id.  ``cls[i]``, ``color[i]`` and
-    ``region[i]`` are codes into the vocabularies ``classes``, ``colors``
-    and ``regions``; ``color[i]`` is -1 when no detector confirmed a
-    colour.  ``x``, ``y`` and ``theta`` are the pose, and the provenance
-    is the set of ``t[start[i]:stop[i]]``.
+    Object ``i`` has the id ``ids[i]``.  Column ``i`` of ``codes`` holds
+    its class, colour and region as codes into the vocabularies
+    ``classes``, ``colors`` and ``regions``, the colour -1 when no
+    detector confirmed one; column ``i`` of ``pose`` holds its x, y and
+    theta; and its provenance is the set of ``t[start[i]:stop[i]]``.
     """
 
     classes: tuple[str, ...]
     colors: tuple[str, ...]
     regions: tuple[str, ...]
     ids: list[str]
-    cls: np.ndarray
-    color: np.ndarray
-    region: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
+    codes: np.ndarray
+    pose: np.ndarray
     t: np.ndarray
     start: np.ndarray
     stop: np.ndarray
@@ -540,27 +536,26 @@ class ObjectColumns:
         colors = tuple(sorted({o.color for o in objects} - {None}))
         code = {c: k for k, c in enumerate(colors)}
         regions, region = _encode([o.region for o in objects])
-        pose = np.array([o.pose for o in objects], dtype=float).reshape(-1, 3)
         provenance = [sorted(o.provenance) for o in objects]
         size = np.array([len(p) for p in provenance], dtype=np.intp)
         stop = size.cumsum()
         return ObjectColumns(
             classes=classes, colors=colors, regions=regions,
-            ids=[o.id for o in objects], cls=cls,
-            color=np.array([code.get(o.color, -1) for o in objects], dtype=np.intp),
-            region=region, x=pose[:, 0], y=pose[:, 1], theta=pose[:, 2],
+            ids=[o.id for o in objects],
+            codes=np.array([cls, [code.get(o.color, -1) for o in objects], region],
+                           dtype=np.intp),
+            pose=np.array([o.pose for o in objects], dtype=float).reshape(-1, 3).T,
             t=np.array([t for p in provenance for t in p], dtype=np.int64),
             start=stop - size, stop=stop)
 
     def object(self, i: int) -> DetectedObject:
         """Object ``i``, made from the columns."""
-        color = self.color.item(i)
+        cls, color, region = self.codes[:, i].tolist()
         return DetectedObject(
-            id=self.ids[i], cls=self.classes[self.cls.item(i)],
+            id=self.ids[i], cls=self.classes[cls],
             color=self.colors[color] if color >= 0 else None,
-            pose=(self.x.item(i), self.y.item(i), self.theta.item(i)),
-            region=self.regions[self.region.item(i)],
-            provenance=frozenset(self.t[self.start.item(i):self.stop.item(i)].tolist()))
+            pose=tuple(self.pose[:, i].tolist()), region=self.regions[region],
+            provenance=frozenset(self.t[self.start[i]:self.stop[i]].tolist()))
 
 
 class WorldModel:
@@ -610,8 +605,7 @@ class WorldModel:
         """
         c = self.columns
         index: dict[tuple, int] = {}
-        codes = [index.setdefault(key, len(index)) for key in zip(
-            c.cls.tolist(), c.color.tolist(), c.region.tolist())]
+        codes = [index.setdefault(key, len(index)) for key in zip(*c.codes.tolist())]
         colors = (*c.colors, None)
         return (tuple((c.classes[k], colors[o], c.regions[r]) for k, o, r in index),
                 np.array(codes, dtype=np.intp))
@@ -682,7 +676,8 @@ _RADIUS2 = MERGE_RADIUS * MERGE_RADIUS
 # y - 1 to y + 1.  The first column is overwritten with the row's next
 # position.
 _WINDOWS = np.array([0, 1, _CELL_SPAN - 2, _CELL_SPAN + 1])
-_XY = np.array([0, 1])
+# A (cell x, cell y) pair's part of the key: cell x * _CELL_SPAN + cell y.
+_SPANS = np.array([_CELL_SPAN, 1])
 # Candidate pairs are tested in chunks of about this many, so that a burst
 # of k coincident rows costs time, not memory, in k * k.
 _PAIRS = 1 << 16
@@ -730,10 +725,8 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     cell = np.floor(xy / _CELL_SIDE)
     np.fmax(cell, -_CELL_LIMIT, out=cell)
     np.fmin(cell, _CELL_LIMIT, out=cell)
-    cell = cell.astype(np.int64)
-    key = cls * _CELL_SPAN + cell[:, 0]
-    key *= _CELL_SPAN
-    key += cell[:, 1]
+    key = cell.astype(np.int64) @ _SPANS
+    key += cls * (_CELL_SPAN * _CELL_SPAN)
     order = key.argsort(kind="stable")
     key = key[order]
     window = key.searchsorted(key[:, None] + _WINDOWS, side="right")
@@ -773,49 +766,49 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
 def _groups(detections: DetectionSet):
     """Each group's values as array work over the columns.
 
-    ``_link`` clusters every class in one pass, and sorting by label puts
-    the groups in order of their smallest member row.  Then:
+    ``_link`` clusters every class in one pass, and the groups are
+    numbered in order of their smallest member row.  Then:
 
     - the centroid comes from ``bincount`` sums, which add the members in
       row order, as Python's left-to-right sums do;
-    - the angle is the earliest member's, by (t, theta), from the same
-      ``lexsort``;
+    - the angle is the earliest member's, by (t, theta), from one
+      ``lexsort`` by (group, t, theta);
     - the colour and region votes are ``bincount`` over (group, code);
       since code order is string order, ``argmax``'s first maximum breaks
       a tie towards the smallest string.
 
-    Returns per group, in that order, the class, x, y, theta, the colour
-    (-1 unless a detector confirmed it) and the region, as arrays with
-    codes for class, colour and region; and the members' ``t``, group by
-    group, with each group's start and stop in it.
+    Returns, with a column per group in that order, the class, colour
+    (-1 unless a detector confirmed it) and region codes, and x, y and
+    theta; and the members' ``t``, group by group, with each group's start
+    and stop in it.
     """
-    cls, xy, t, theta = detections.cls, detections.position, detections.t, detections.theta
+    xy, t, theta = detections.position, detections.t, detections.theta
     color, region = detections.color, detections.region
-    n = len(cls)
-    # A label is a row of its cluster, so it names the group.
-    label = _link(cls, xy)
-    order = np.lexsort((theta, t, label))
-    label = label[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(label[1:], label[:-1], out=head[1:])
-    start = head.nonzero()[0]
-    k = len(start)
-    head[0] = False
-    group = np.empty(n, dtype=np.intp)
-    group[order] = head.cumsum()
+    label = _link(detections.cls, xy)
+    # Each cluster's smallest row labels itself; numbering those rows in
+    # order numbers the groups.
+    smallest = label == np.arange(len(label))
+    group = (smallest.cumsum() - 1)[label]
+    k = np.count_nonzero(smallest)
+    order = np.lexsort((theta, t, group))
     size = np.bincount(group)
-    # x and y of each group sum in separate bins, each in row order.
-    bins = ((2 * group)[:, None] + _XY).ravel()
-    x, y = (np.bincount(bins, xy.ravel()).reshape(k, 2) / size[:, None]).T
+    stop = size.cumsum()
+    start = stop - size
     nc, nr = len(detections.colors), len(detections.regions)
-    winner = np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1)
+    # The class, colour and region rows of ``codes`` are filled in place.
+    codes = np.empty((3, k), dtype=np.intp)
+    cls, winner, votes = codes
+    np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1, out=winner)
     confirmed = np.bincount(group, detections.colored & (color == winner[group]), k)
-    votes = np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr)
     winner[confirmed == 0] = -1
+    np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr).argmax(axis=1, out=votes)
     first = order[start]
-    return (cls[first], x, y, theta[first], winner, votes.argmax(axis=1),
-            t[order], start, start + size)
+    np.take(detections.cls, first, out=cls)
+    pose = np.empty((3, k))
+    np.divide(np.bincount(group, xy[:, 0]), size, out=pose[0])
+    np.divide(np.bincount(group, xy[:, 1]), size, out=pose[1])
+    np.take(theta, first, out=pose[2])
+    return codes, pose, t[order], start, stop
 
 
 def _merge(detections: DetectionSet) -> ObjectColumns:
@@ -835,10 +828,10 @@ def _merge(detections: DetectionSet) -> ObjectColumns:
     ``id#3``, ... by smallest member row, and keep that order in the
     sort, which is by the id before the suffix.
     """
-    cls, x, y, theta, color, region, t, start, stop = _groups(detections)
+    codes, pose, t, start, stop = _groups(detections)
     names = detections.classes
-    name = [f"{names[c]}@{a:.1f},{b:.1f}"
-            for c, a, b in zip(cls.tolist(), x.tolist(), y.tolist())]
+    name = [f"{names[c]}@{x:.1f},{y:.1f}"
+            for c, x, y in zip(codes[0].tolist(), *pose[:2].tolist())]
     order = sorted(range(len(name)), key=name.__getitem__)
     ids = list(map(name.__getitem__, order))
     order = np.array(order, dtype=np.intp)
@@ -847,8 +840,7 @@ def _merge(detections: DetectionSet) -> ObjectColumns:
                for base, repeats in groupby(ids) for k, _ in enumerate(repeats, 1)]
     return ObjectColumns(
         classes=names, colors=detections.colors, regions=detections.regions,
-        ids=ids, cls=cls[order], color=color[order], region=region[order],
-        x=x[order], y=y[order], theta=theta[order], t=t,
+        ids=ids, codes=codes[:, order], pose=pose[:, order], t=t,
         start=start[order], stop=stop[order])
 
 

@@ -4,9 +4,10 @@ Each one is the plain, slow way to compute what the package computes
 fast: a symbol space that numbers the keys of whatever symbols it is
 given, a per-factor feature dictionary, inference by enumerating every
 joint assignment of a phrase, merge clustering by comparing every pair of
-points, and a world-model build that copies one frozen detection per
-record through every perception stage.  The build clusters, votes and
-names objects with the helpers here, never with the package's own.
+points, a world-model build that copies one frozen detection per
+record through every perception stage, and target resolution over a
+list of objects.  The build clusters, votes and names objects with the
+helpers here, never with the package's own.
 """
 
 from __future__ import annotations
