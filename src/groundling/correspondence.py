@@ -309,7 +309,7 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
         target = rows[0]
     else:
         distance = [planar_distance(pose, world.robot_pose)
-                    for pose in zip(*objects.pose[:2, candidates].tolist())]
+                    for pose in zip(*objects.pose[:2].take(candidates, axis=1).tolist())]
         if relations[0] != "nearest":
             distance = [-d for d in distance]
         _, _, target = min(zip(distance, map(objects.ids.__getitem__, rows), rows))

@@ -803,11 +803,11 @@ def _groups(detections: DetectionSet):
     winner[confirmed == 0] = -1
     np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr).argmax(axis=1, out=votes)
     first = order[start]
-    np.take(detections.cls, first, out=cls)
+    detections.cls.take(first, out=cls)
     pose = np.empty((3, k))
     np.divide(np.bincount(group, xy[:, 0]), size, out=pose[0])
     np.divide(np.bincount(group, xy[:, 1]), size, out=pose[1])
-    np.take(theta, first, out=pose[2])
+    theta.take(first, out=pose[2])
     return codes, pose, t[order], start, stop
 
 
@@ -840,7 +840,7 @@ def _merge(detections: DetectionSet) -> ObjectColumns:
                for base, repeats in groupby(ids) for k, _ in enumerate(repeats, 1)]
     return ObjectColumns(
         classes=names, colors=detections.colors, regions=detections.regions,
-        ids=ids, codes=codes[:, order], pose=pose[:, order], t=t,
+        ids=ids, codes=codes.take(order, axis=1), pose=pose.take(order, axis=1), t=t,
         start=start[order], stop=stop[order])
 
 
