@@ -27,6 +27,7 @@ weights by penalized maximum likelihood with gold child assignments
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import weakref
@@ -368,17 +369,23 @@ class TrainingExample:
 def assemble_design(space: SymbolSpace, examples) -> tuple:
     """Build the sparse design matrix and label vector for a training set.
 
-    One row per (phrase, symbol) pair, holding the features that
-    ``phrase_logits`` would sum for it; child conditioning uses the gold
-    assignments.  Returns ``(matrix, labels, feature_names)``.
+    One row per (phrase, symbol) pair, in phrase order, holding the
+    features that ``phrase_logits`` would sum for it; child conditioning
+    uses the gold assignments.  A phrase's rows depend only on its
+    category and words, its children's gold symbols and the digest, so
+    the rows of each distinct phrase are built once and repeated.
+    Returns ``(matrix, labels, feature_names)``.
     """
     symbols = tuple(space)
     rows, row_keys = space.row_of.tolist(), space.row_keys
     by_canon = {s.canon: s for s in symbols}
+    position = {s.canon: j for j, s in enumerate(symbols)}
     vocabulary: dict[str, int] = {}
-    indices: list[int] = []
-    indptr = [0]
-    labels: list[float] = []
+    # Each distinct phrase's column indices and row lengths, and the
+    # block of each phrase in phrase order.
+    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    order: list[tuple[np.ndarray, np.ndarray]] = []
+    trues: list[int] = []  # the rows labelled 1
     for example in examples:
         phrases = example.tree.phrases()
         if len(example.gold) != len(phrases):
@@ -390,24 +397,32 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
                         f"gold symbol {canon!r} is outside the {space.domain!r} space"
                     )
         for phrase in phrases:
-            child_trues = set()
-            for child in phrase.children:
-                child_trues.update(by_canon[c] for c in example.gold[child.index])
-            names, keys, ceq = _phrase_features(phrase, space, child_trues,
-                                                example.digest)
-            columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
-            for name, key in zip(names, keys):
-                columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
-            repeats = {row: vocabulary.setdefault(name, len(vocabulary))
-                       for row, name in ceq}
-            gold_here = example.gold[phrase.index]
-            for symbol, row in zip(symbols, rows):
-                for key in row_keys[row]:
-                    indices.extend(columns_of[key])
-                if row in repeats:
-                    indices.append(repeats[row])
-                indptr.append(len(indices))
-                labels.append(1.0 if symbol.canon in gold_here else 0.0)
+            children = frozenset(c for child in phrase.children
+                                 for c in example.gold[child.index])
+            seen = (phrase.category, phrase.words(), children, example.digest)
+            block = blocks.get(seen)
+            if block is None:
+                names, keys, ceq = _phrase_features(
+                    phrase, space, {by_canon[c] for c in children}, example.digest)
+                columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
+                for name, key in zip(names, keys):
+                    columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
+                repeats = {row: vocabulary.setdefault(name, len(vocabulary))
+                           for row, name in ceq}
+                indices: list[int] = []
+                lengths: list[int] = []
+                for row in rows:
+                    start = len(indices)
+                    for key in row_keys[row]:
+                        indices.extend(columns_of[key])
+                    if row in repeats:
+                        indices.append(repeats[row])
+                    lengths.append(len(indices) - start)
+                block = blocks[seen] = (np.array(indices, dtype=np.int32),
+                                        np.array(lengths, dtype=np.int64))
+            offset = len(order) * len(symbols)
+            trues.extend(offset + position[c] for c in example.gold[phrase.index])
+            order.append(block)
     # Columns are numbered in first-seen order; renumber them by name so
     # the design, and the floating-point sums over it, do not depend on
     # the order in which examples name their features.
@@ -415,22 +430,56 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     renumber = np.empty(len(names), dtype=np.int32)
     for column, name in enumerate(names):
         renumber[vocabulary[name]] = column
+    # An empty block first, so that a set without phrases concatenates too.
+    indices = np.concatenate([np.empty(0, dtype=np.int32), *(b[0] for b in order)])
+    lengths = np.concatenate([np.empty(0, dtype=np.int64), *(b[1] for b in order)])
+    labels = np.zeros(len(order) * len(symbols))
+    labels[trues] = 1.0
     matrix = sparse.csr_matrix(
-        (np.ones(len(indices)), renumber[np.asarray(indices, dtype=np.int32)],
-         np.asarray(indptr)),
+        (np.ones(len(indices)), renumber[indices],
+         np.concatenate(([0], np.cumsum(lengths)))),
         shape=(len(labels), len(names)),
     )
     matrix.sort_indices()
-    return matrix, np.asarray(labels), tuple(names)
+    return matrix, labels, tuple(names)
 
 
-def objective_and_gradient(design, labels, weights, regularization):
-    """Penalized log-likelihood of the label vector and its gradient."""
+def collapse_design(design, labels) -> tuple:
+    """The distinct rows of a binary design, each with how often it occurs.
+
+    Two rows are one when they list the same columns, in the same order,
+    and carry the same label; the entries, all one, are not compared.
+    Returns ``(design, labels, counts, inverse)``: the distinct rows in
+    the order they first occur, their labels and counts, and for each
+    input row the distinct row it is, so ``design[inverse]`` is the
+    input design.
+    """
+    columns = design.indices
+    lengths = np.diff(design.indptr).tolist()
+    bounds = itertools.pairwise(itertools.accumulate(lengths, initial=0))
+    first: dict[tuple, int] = {}
+    # One pass that keeps no object per row: training's peak memory is
+    # here, while the full design is still alive.
+    inverse = np.fromiter(
+        (first.setdefault((columns[a:b].tobytes(), label), len(first))
+         for (a, b), label in zip(bounds, labels)),
+        dtype=np.intp, count=len(labels))
+    rows = np.unique(inverse, return_index=True)[1]
+    return design[rows], labels[rows], np.bincount(inverse), inverse
+
+
+def objective_and_gradient(design, labels, weights, regularization, counts=1):
+    """Penalized log-likelihood of the label vector and its gradient.
+
+    ``counts[i]`` is how many times row ``i`` occurs in the training set,
+    one for every row by default.
+    """
     logits = design @ weights
     signs = np.where(labels > 0.5, 1.0, -1.0)
-    objective = float(np.sum(log_expit(signs * logits)))
+    objective = float(np.sum(counts * log_expit(signs * logits)))
     objective -= regularization * float(weights @ weights)
-    gradient = design.T @ (labels - expit(logits)) - 2.0 * regularization * weights
+    gradient = (design.T @ (counts * (labels - expit(logits)))
+                - 2.0 * regularization * weights)
     return objective, gradient
 
 
@@ -454,11 +503,16 @@ def train(space: SymbolSpace, examples,
     when the gradient's max-norm falls under ``TOLERANCE``; it stops
     unconverged when the step underflows or after ``MAX_ITERATIONS``.  A
     non-finite objective raises ``DivergedLoss``.
+
+    A row that repeats adds the same term to the likelihood each time, so
+    the fit runs on the design's distinct rows (``collapse_design``), each
+    weighted by its count; the full design is dropped once collapsed.
     """
     design, labels, names = assemble_design(space, examples)
+    design, labels, counts, _ = collapse_design(design, labels)
     weights = np.zeros(design.shape[1])
     objective, gradient = objective_and_gradient(design, labels, weights,
-                                                 regularization)
+                                                 regularization, counts)
     if not math.isfinite(objective):
         raise DivergedLoss(f"objective is {objective!r} at the start of training")
     iterations = 0
@@ -474,7 +528,8 @@ def train(space: SymbolSpace, examples,
             candidate = weights + trial * gradient
             cand_obj, cand_grad = objective_and_gradient(design, labels,
                                                          candidate,
-                                                         regularization)
+                                                         regularization,
+                                                         counts)
             if math.isnan(cand_obj):
                 raise DivergedLoss("objective became non-finite during training")
             if cand_obj > objective:

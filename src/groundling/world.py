@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, groupby
 from pathlib import Path
@@ -314,9 +314,9 @@ class _Columns:
     ``color`` and ``noisy`` are the record's.  Class, colour and scene
     label are codes into vocabularies sorted per log, so that code order
     is string order.  ``class_rows[c]`` lists class ``c``'s rows in
-    ascending order.  Per observation: ``poses``, ``trig`` (the cosine
-    and sine of each pose angle, from ``math``), the scene-label code
-    ``region`` and the record count ``counts``.
+    ascending order.  Per observation: ``times``, ``poses``, ``trig``
+    (the cosine and sine of each pose angle, from ``math``), the
+    scene-label code ``region`` and the record count ``counts``.
     """
 
     classes: tuple[str, ...]
@@ -329,6 +329,7 @@ class _Columns:
     color: np.ndarray
     noisy: np.ndarray
     class_rows: tuple[np.ndarray, ...]
+    times: np.ndarray
     poses: np.ndarray
     trig: np.ndarray
     region: np.ndarray
@@ -348,7 +349,8 @@ class _Columns:
         colors, color = _encode([r.apparent_color for r in records])
         regions, region = _encode([o.scene_label for o in observations])
         obs = np.arange(len(observations)).repeat(counts)
-        t = np.array([o.t for o in observations], dtype=np.int64)[obs]
+        times = np.array([o.t for o in observations], dtype=np.int64)
+        t = times[obs]
         rel = np.array([r.rel for r in records], dtype=float).reshape(-1, 3)
         order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
         cls = cls[order]
@@ -363,11 +365,12 @@ class _Columns:
             classes=classes, colors=colors, regions=regions, obs=obs[order],
             t=t[order], rel=rel[order], cls=cls, color=color[order],
             noisy=np.array([r.noisy for r in records], dtype=bool)[order],
-            class_rows=class_rows, poses=poses, trig=trig, region=region,
-            counts=counts)
+            class_rows=class_rows, times=times, poses=poses, trig=trig,
+            region=region, counts=counts)
         # Every build and view of the log shares these arrays.
         for a in (columns.obs, columns.t, columns.rel, cls, columns.color,
-                  columns.noisy, *class_rows, poses, trig, region, counts):
+                  columns.noisy, *class_rows, times, poses, trig, region,
+                  counts):
             a.flags.writeable = False
         return columns
 
@@ -404,6 +407,13 @@ class ObservationLog(tuple):
         view._columns, view._root, view._mask = self._columns, self._root, mask
         view.records = int(self._columns.counts @ mask)
         return view
+
+    def latest(self) -> Observation:
+        """The observation with the largest ``t``, the last given on ties."""
+        times = self._columns.times
+        if self._mask is not None:
+            times = times[self._mask]
+        return self[len(times) - 1 - int(times[::-1].argmax())]
 
     def partition(self, labels) -> tuple[ObservationLog, tuple[Observation, ...]]:
         """The observations whose scene label is in ``labels``, as a view,
@@ -493,6 +503,17 @@ class DetectionSet:
             position=None if self.position is None else self.position[rows],
             theta=None if self.theta is None else self.theta[rows],
         )
+
+    def with_column(self, name: str, values: np.ndarray) -> DetectionSet:
+        """A copy whose field ``name`` is ``values``; the others are shared.
+
+        Unlike ``dataclasses.replace``, it reads no other field and does
+        not run the frozen ``__init__`` again.
+        """
+        copy = object.__new__(DetectionSet)
+        copy.__dict__.update(self.__dict__)
+        copy.__dict__[name] = values
+        return copy
 
 
 @dataclass(frozen=True)
@@ -645,8 +666,8 @@ def run_classifier(symbol: PerceptionSymbol, observations,
         # A colour that no row shows has no code, and confirms no row.
         colors = detections.colors
         code = colors.index(symbol.param) if symbol.param in colors else -1
-        return replace(detections, colored=detections.colored
-                       | (detections.color == code)), cost
+        return detections.with_column(
+            "colored", detections.colored | (detections.color == code)), cost
     if symbol.kind == BBOX_ESTIMATOR:
         # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
         # and sin from ``math`` once per log pose: every element goes
@@ -656,10 +677,10 @@ def run_classifier(symbol: PerceptionSymbol, observations,
         robot, rel = detections.poses[detections.obs], detections.rel
         x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
         y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
-        return replace(detections, position=np.stack((x, y), axis=1)), cost
+        return detections.with_column("position", np.stack((x, y), axis=1)), cost
     if symbol.kind == POSE_ESTIMATOR:
         theta = detections.poses[detections.obs, 2] + detections.rel[:, 2]
-        return replace(detections, theta=theta), cost
+        return detections.with_column("theta", theta), cost
     raise UnknownClassifier(symbol.canon)
 
 
@@ -858,7 +879,8 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     both no detection can become an object (its position is unknown), so
     a build with one of them runs neither.  Duplicate detections of one
     object -- same apparent class within the merge radius -- collapse to a
-    single object at the centroid.
+    single object at the centroid.  Without ``robot_pose`` the robot is
+    where the log's latest observation puts it (``ObservationLog.latest``).
     """
     log = ObservationLog.of(observations)
     selected = frozenset(classifiers)
@@ -866,9 +888,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     if unknown:
         raise UnknownClassifier(unknown[0])
     if robot_pose is None:
-        # The latest observation's, the last given among equal t.
-        robot_pose = (max(reversed(log), key=lambda o: o.t).robot_pose
-                      if log else (0.0, 0.0, 0.0))
+        robot_pose = log.latest().robot_pose if log else (0.0, 0.0, 0.0)
 
     geometry = {PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)}
     stages = sorted(selected if geometry <= selected else selected - geometry,

@@ -5,8 +5,9 @@ fast: a symbol space that numbers the keys of whatever symbols it is
 given, a per-factor feature dictionary, inference by enumerating every
 joint assignment of a phrase, merge clustering by comparing every pair of
 points, a world-model build that copies one frozen detection per
-record through every perception stage, and target resolution over a
-list of objects.  The build clusters, votes and names objects with the
+record through every perception stage, target resolution over a list
+of objects, and a training design that lays out every phrase's rows
+anew.  The build clusters, votes and names objects with the
 helpers here, never with the package's own.
 """
 
@@ -17,11 +18,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.special import log_expit
 
 from groundling.correspondence import (
     INSTANCE_VARIANTS,
     CorrespondenceModel,
+    _phrase_features,
     phrase_logits,
 )
 from groundling.errors import (
@@ -122,6 +125,62 @@ def extract_features(phrase: Phrase, symbol, child_trues=(),
         if (key, value) in digest:
             features[f"dig|{key}|v={variant}"] = 1.0
     return features
+
+
+def assemble_design(space: SymbolSpace, examples) -> tuple:
+    """The design matrix, labels and feature names, every phrase built anew.
+
+    One row per (phrase, symbol) pair, in phrase order: each phrase names
+    its features and lays out its rows, however often an equal phrase
+    came before.
+    """
+    symbols = tuple(space)
+    rows, row_keys = space.row_of.tolist(), space.row_keys
+    by_canon = {s.canon: s for s in symbols}
+    vocabulary: dict[str, int] = {}
+    indices: list[int] = []
+    indptr = [0]
+    labels: list[float] = []
+    for example in examples:
+        phrases = example.tree.phrases()
+        if len(example.gold) != len(phrases):
+            raise CorpusDomainMismatch("gold annotation does not cover every phrase")
+        for canons in example.gold:
+            for canon in canons:
+                if canon not in by_canon:
+                    raise CorpusDomainMismatch(
+                        f"gold symbol {canon!r} is outside the {space.domain!r} space"
+                    )
+        for phrase in phrases:
+            child_trues = set()
+            for child in phrase.children:
+                child_trues.update(by_canon[c] for c in example.gold[child.index])
+            names, keys, ceq = _phrase_features(phrase, space, child_trues,
+                                                example.digest)
+            columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
+            for name, key in zip(names, keys):
+                columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
+            repeats = {row: vocabulary.setdefault(name, len(vocabulary))
+                       for row, name in ceq}
+            gold_here = example.gold[phrase.index]
+            for symbol, row in zip(symbols, rows):
+                for key in row_keys[row]:
+                    indices.extend(columns_of[key])
+                if row in repeats:
+                    indices.append(repeats[row])
+                indptr.append(len(indices))
+                labels.append(1.0 if symbol.canon in gold_here else 0.0)
+    names = sorted(vocabulary)
+    renumber = np.empty(len(names), dtype=np.int32)
+    for column, name in enumerate(names):
+        renumber[vocabulary[name]] = column
+    matrix = sparse.csr_matrix(
+        (np.ones(len(indices)), renumber[np.asarray(indices, dtype=np.int32)],
+         np.asarray(indptr)),
+        shape=(len(labels), len(names)),
+    )
+    matrix.sort_indices()
+    return matrix, np.asarray(labels), tuple(names)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from groundling.correspondence import (
     CorrespondenceModel,
     TrainingExample,
     assemble_design,
+    collapse_design,
     infer,
     load_model,
     objective_and_gradient,
@@ -352,19 +353,26 @@ def test_resolution_matches_the_oracle_on_built_worlds(built_worlds, reference,
     assert_resolves_like_the_oracle(trues, world)
 
 
-@pytest.mark.parametrize("domain", ("semantic", "perception", "grounding"))
-def test_design_rows_score_like_phrase_logits(corpus_split, registry, reference,
-                                              domain):
+DOMAINS = ("semantic", "perception", "grounding")
+
+
+@pytest.fixture(scope="module")
+def seed7_training(corpus_split, registry, reference):
+    """{domain: (training space, seed-7 training set)}."""
+    from groundling import corpus as corpus_mod
+    sets = corpus_mod.training_sets(corpus_split[0], registry, reference)
+    spaces = {"semantic": enumerate_semantic_space(),
+              "perception": enumerate_perception_space(registry),
+              "grounding": enumerate_grounding_type_space(registry)}
+    return {domain: (spaces[domain], sets[domain]) for domain in DOMAINS}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_design_rows_score_like_phrase_logits(seed7_training, domain):
     # Training names features; inference adds compiled weight vectors.  On
     # the seed-7 training set, each design row dotted with the weights is
     # the logit phrase_logits gives that (phrase, symbol).
-    from groundling import corpus as corpus_mod
-    examples = corpus_mod.training_sets(corpus_split[0], registry,
-                                        reference)[domain]
-    space = {"semantic": enumerate_semantic_space,
-             "perception": lambda: enumerate_perception_space(registry),
-             "grounding": lambda: enumerate_grounding_type_space(registry),
-             }[domain]()
+    space, examples = seed7_training[domain]
     weights = HashWeights(f"design-{domain}")
     model = CorrespondenceModel(domain=domain, weights=weights)
     design, _, names = assemble_design(space, examples)
@@ -381,6 +389,78 @@ def test_design_rows_score_like_phrase_logits(corpus_split, registry, reference,
             assert np.all(np.abs(z - rows[start:stop]) <= 1e-12 * bounds[start:stop])
             start = stop
     assert start == design.shape[0]
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("digests", ("as given", "varied"))
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_design_matches_the_phrase_by_phrase_oracle(seed7_training, reference,
+                                                    domain, digests):
+    # Each distinct phrase's rows are built once and repeated; the design
+    # is the one that lays out every phrase anew, array for array.  Every
+    # seed-7 example of a domain has the same digest, so "varied" gives
+    # the examples different parts of the reference world's.
+    space, examples = seed7_training[domain]
+    if digests == "varied":
+        pairs = sorted(reference.digest())
+        examples = [replace(e, digest=frozenset(pairs[:i % (len(pairs) + 1)]))
+                    for i, e in enumerate(examples)]
+    design, labels, names = assemble_design(space, examples)
+    want, want_labels, want_names = oracles.assemble_design(space, examples)
+    assert_same_csr(design, want)
+    assert labels.dtype == want_labels.dtype
+    assert np.array_equal(labels, want_labels)
+    assert names == want_names
+
+
+def draw_design(data, seed7_training):
+    """The design of a few seed-7 training examples, some of them repeated."""
+    space, examples = seed7_training[data.draw(st.sampled_from(DOMAINS))]
+    picked = data.draw(st.lists(st.integers(0, len(examples) - 1),
+                                min_size=1, max_size=8))
+    return assemble_design(space, [examples[i] for i in picked])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_collapsed_rows_expand_to_the_design(seed7_training, data):
+    design, labels, _ = draw_design(data, seed7_training)
+    # Flipped labels make equal rows that differ only in their label.
+    flips = data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=40))
+    labels[flips] = 1.0 - labels[flips]
+    rows, row_labels, counts, inverse = collapse_design(design, labels)
+    assert_same_csr(rows[inverse], design)
+    assert np.array_equal(row_labels[inverse], labels)
+    assert np.array_equal(counts, np.bincount(inverse))
+    # Distinct, and in the order they first occur.
+    distinct = {(tuple(rows.indices[a:b]), y) for a, b, y in
+                zip(rows.indptr, rows.indptr[1:], row_labels)}
+    assert len(distinct) == rows.shape[0]
+    assert np.all(np.diff(np.unique(inverse, return_index=True)[1]) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([0.1, 1.0, 5.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_collapsed_objective_matches_the_full_design(seed7_training, data,
+                                                     scale, seed):
+    design, labels, _ = draw_design(data, seed7_training)
+    rows, row_labels, counts, _ = collapse_design(design, labels)
+    w = np.random.default_rng(seed).normal(scale=scale, size=design.shape[1])
+    full, gradient = objective_and_gradient(design, labels, w, 1e-4)
+    collapsed, collapsed_gradient = objective_and_gradient(
+        rows, row_labels, w, 1e-4, counts)
+    # Every term of the objective is negative, so it cannot cancel; a
+    # gradient entry is bounded by the sum of its terms' magnitudes.
+    assert abs(collapsed - full) <= 1e-12 * abs(full)
+    bound = abs(design).T @ abs(labels - expit(design @ w)) + 2e-4 * abs(w)
+    assert np.all(np.abs(collapsed_gradient - gradient) <= 1e-12 * bound)
 
 
 _CUP_PROBABILITIES = """

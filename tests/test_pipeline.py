@@ -42,6 +42,7 @@ from groundling.world import (
 )
 
 REPRODUCE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_benchmark.py"
+DATA = Path(__file__).parent / "data"
 
 
 def by_case_and_mode(report):
@@ -65,6 +66,19 @@ def test_report_covers_every_case_and_mode(bench_report):
 
 def test_no_run_errors_on_the_manifest(bench_report):
     assert all(r.error == "" for r in bench_report.results)
+
+
+def test_benchmark_matches_the_golden_files(bench_report, tmp_path):
+    # The seed-7 bundle's benchmark CSV, without wall time, and audit
+    # JSON, as ``groundling benchmark --out --audit`` wrote them with a
+    # bundle that ``groundling train`` fit on the seed-7 corpus.  A change
+    # that moves the trained weights' bits must not move the grounded
+    # actions, costs or audit.
+    assert (strip_wall_time(bench_report.to_csv())
+            == (DATA / "seed7_benchmark.csv").read_text())
+    bench_report.write_audit(tmp_path / "audit.json")
+    assert ((tmp_path / "audit.json").read_text()
+            == (DATA / "seed7_audit.json").read_text())
 
 
 def test_cost_dominance_per_case(bench_report):

@@ -552,6 +552,28 @@ def test_build_on_a_filtered_view_matches_row_oracle(
     assert _float_bits(built) == _float_bits(expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(st.integers(-3, 3), max_size=12),
+       labels=labels_drawn, again=labels_drawn, data=st.data())
+@example(times=[], labels=frozenset(), again=frozenset(), data=None)
+@example(times=[2, 2, 2], labels=frozenset(), again=frozenset(), data=None)
+def test_latest_observation_is_the_last_given_at_the_largest_t(
+        times, labels, again, data):
+    # Logs written out of t order and with repeated t, and views of them:
+    # the latest observation is what the row-by-row expression picks.
+    frames = [Observation(t=t, robot_pose=(float(i), 0.0, 0.0),
+                          scene_label=SCENE_LABELS[(i * 7 + t) % len(SCENE_LABELS)],
+                          scene_scores=(), sensed=())
+              for i, t in enumerate(times)]
+    if data is not None:
+        frames = data.draw(st.permutations(frames))
+    log = ObservationLog.of(frames)
+    once = filter_by_labels(log, labels).kept
+    for view in (log, once, filter_by_labels(once, again).kept):
+        if view:
+            assert view.latest() is max(reversed(view), key=lambda o: o.t)
+
+
 _OBJECTS = st.lists(st.builds(
     DetectedObject,
     id=st.text(max_size=6),
