@@ -269,6 +269,13 @@ class Assignment:
     def root_trues(self) -> frozenset:
         return self._trues_at(-1)
 
+    def root_constraints(self) -> frozenset:
+        """The constraint symbols among ``root_trues``, made without
+        making an instance symbol."""
+        constraints = self.space.constraints
+        return frozenset(map(self.space.__getitem__, constraints[
+            self.probabilities[-1, constraints] > 0.5].tolist()))
+
     def true_sets(self) -> dict[int, frozenset]:
         return dict(enumerate(self.trues))
 
@@ -282,7 +289,8 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
     The relation then selects among the survivors by planar distance from
     the world's robot pose, ties broken by object id.  A missing relation
     is only acceptable when a single candidate survives the filters.  Only
-    the target is made a ``DetectedObject``.
+    the candidates at the target's distance are named, and only the
+    target is made a ``DetectedObject``.
     """
     classes = {s.value for s in root_trues if s.variant == "objtype"}
     colors = {s.value for s in root_trues if s.variant == "color"}
@@ -302,19 +310,22 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
     if len(relations) > 1:
         raise AmbiguousRelation(f"conflicting relations {relations} hold at the root")
     objects, rows = world.columns, candidates.tolist()
-    if not relations:
-        if len(rows) > 1:
-            raise AmbiguousRelation(
-                f"{len(rows)} candidate objects and no relation to rank them"
-            )
-        target = rows[0]
-    else:
+    if len(rows) > 1 and not relations:
+        raise AmbiguousRelation(
+            f"{len(rows)} candidate objects and no relation to rank them"
+        )
+    if len(rows) > 1:
         distance = [planar_distance(pose, world.robot_pose)
                     for pose in zip(*objects.pose[:2].take(candidates, axis=1).tolist())]
         if relations[0] != "nearest":
             distance = [-d for d in distance]
-        _, _, target = min(zip(distance, map(objects.ids.__getitem__, rows), rows))
-    target = objects.object(target)
+        # A NaN distance, from a non-finite position, ranks last.
+        best = min((d for d in distance if d == d), default=None)
+        rows = [row for d, row in zip(distance, rows) if d == best or best is None]
+    target, name = rows[0], None
+    if len(rows) > 1:
+        name, target = min((objects.id(row), row) for row in rows)
+    target = objects.object(target, name)
     return action_instance(target), target
 
 

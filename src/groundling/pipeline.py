@@ -150,14 +150,16 @@ def run(instruction: str, observations, models: ModelBundle,
 
     Grounding is two steps: ``infer`` scores the grounding space against
     the world's digest, then ``correspondence.resolve_action`` picks the
-    target the root-true constraints imply among the world's objects.
+    target the root-true constraints imply among the world's objects; no
+    instance symbol is made.  Every mode grounds from the pose of the
+    log's latest observation (``ObservationLog.latest``).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     observations = ObservationLog.of(observations)
     started = time.perf_counter()
     scene_cost = registry.scene_cost_per_observation * len(observations)
-    robot_pose = observations[-1].robot_pose if observations else (0.0, 0.0, 0.0)
+    robot_pose = observations.latest().robot_pose if observations else (0.0, 0.0, 0.0)
 
     decision = selection = assignment = target = None
     world = None
@@ -178,7 +180,8 @@ def run(instruction: str, observations, models: ModelBundle,
                                   robot_pose=robot_pose)
         space = enumerate_grounding_space(world, registry)
         assignment = infer(models.grounding, tree, space, world.digest())
-        action, target = correspondence.resolve_action(assignment.root_trues(), world)
+        action, target = correspondence.resolve_action(
+            assignment.root_constraints(), world)
         grounding = action.canon
     except (EmptyInstruction, OutOfGrammar, NoTargetObject,
             AmbiguousRelation) as exc:

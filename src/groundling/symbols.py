@@ -12,7 +12,9 @@ models:
   symbol per detected object.
 
 Every symbol renders to a canonical string; spaces are ordered
-lexicographically by that string so symbol indices are stable across runs.
+lexicographically by that string so symbol indices are stable across runs,
+except that a grounding space keeps a world's instance symbols in blocks,
+in the world's column order.
 
 A symbol's logit sums weights over its layout keys: its variant, and for
 each attribute pair the pair and the (pair, variant) cell.  A space
@@ -300,8 +302,12 @@ class KeyVocabulary:
 class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
-    Symbols are sorted by canonical string, so a symbol's index is stable
-    across runs; ``position`` maps each canonical string to its index.
+    Constraint symbols are sorted by canonical string, so a symbol's
+    index is stable across runs.  In a grounding space, the action
+    symbols sit together where "action[" sorts among the constraint
+    canons, and the object symbols where "object[" sorts, each block in
+    the world's column order.  ``position`` maps each canonical string to
+    its index.
 
     A symbol's logit is a sum over its layout keys (``key_names``), which
     ``vocabulary`` numbers.  Symbols with the same keys share a row: row
@@ -446,13 +452,17 @@ class ClassifierRegistry:
                        + [("color", c) for c in self.colors]
                        + [("region", l) for l in SCENE_LABELS])
 
+    @cached_property
+    def _costs(self) -> dict[PerceptionSymbol, CostModel]:
+        """Each classifier's cost model: its override, else its kind's."""
+        kinds, overrides = dict(self.kind_costs), dict(self.cost_overrides)
+        return {s: overrides.get(s.canon, kinds[s.kind]) for s in self.classifiers()}
+
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
-        if symbol not in self.classifier_set:
+        model = self._costs.get(symbol)
+        if model is None:
             raise UnknownClassifier(symbol.canon)
-        for canon, model in self.cost_overrides:
-            if canon == symbol.canon:
-                return model
-        return dict(self.kind_costs)[symbol.kind]
+        return model
 
 
 def default_registry() -> ClassifierRegistry:
@@ -534,22 +544,21 @@ class _Layout:
             self._signature_keys[signature] = keys
         return keys
 
-    def space(self, ids=(), codes=(), signatures=()) -> SymbolSpace:
+    def space(self, name=None, codes=(), signatures=()) -> SymbolSpace:
         """The space of the constraint symbols and of the objects' instances.
 
-        Object ``i`` has the id ``ids[i]`` and the signature
-        ``signatures[codes[i]]``.  An instance canon is a prefix, the id
-        and "]", so appending "]" to the ids sorts them in canon order:
-        ``cup@5.0,1.0#2`` before ``cup@5.0,1.0``.  Instance symbols are
-        made from the ids and signatures when read.
+        Object ``i`` has the id ``name(i)`` and the signature
+        ``signatures[codes[i]]``.  Its action symbol is the i-th of the
+        action block, where "action[" sorts among the constraint canons,
+        and its object symbol the i-th of the object block: instances are
+        laid out in object order, not sorted.  Instance symbols are made
+        when read, and only then is ``name`` called.
         """
-        n, t = len(ids), len(self.constraints)
-        marked = [i + "]" for i in ids]
-        order = sorted(range(n), key=marked.__getitem__)
         codes = np.asarray(codes, dtype=np.intp)
+        n, t = len(codes), len(self.constraints)
         a, b = self.actions_at, self.objects_at
         rows = np.arange(t)
-        actions = t + 2 * codes[order]
+        actions = t + 2 * codes
         # Actions at a .. a + n - 1, objects at b + n .. b + 2n - 1.
         row_of = np.concatenate((rows[:a], actions, rows[a:b], actions + 1, rows[b:]))
         constraints = np.concatenate((rows[:a], n + rows[a:b], 2 * n + rows[b:]))
@@ -558,9 +567,8 @@ class _Layout:
 
         def instance(j: int) -> GroundingSymbol:
             variant, i = ("action", j - a) if j < a + n else ("object", j - b - n)
-            k = order[i]
-            return GroundingSymbol(variant, ids[k],
-                                   _signature_attrs(*signatures[codes[k]]))
+            return GroundingSymbol(variant, name(i),
+                                   _signature_attrs(*signatures[codes[i]]))
 
         keys = (self.signature_keys(s) for s in signatures)
         row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
@@ -573,13 +581,15 @@ def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpac
 
     The size is linear in the number of detected objects: two instance
     symbols per object on top of the fixed type-level set.  The space is
-    laid out on the registry's grounding layout from the world's id column
-    and each object's signature (``WorldModel.signatures``), so objects
-    that share one share a row.  An object whose class, colour or region
-    the registry cannot name raises ``InvalidSpec``.
+    laid out on the registry's grounding layout from each object's
+    signature (``WorldModel.signatures``), in the world's column order, so
+    objects that share one share a row; an instance symbol names its
+    object (``ObjectColumns.id``) only when it is read.  An object whose
+    class, colour or region the registry cannot name raises
+    ``InvalidSpec``.
     """
     signatures, codes = world.signatures
-    return registry._grounding_layout.space(world.columns.ids, codes, signatures)
+    return registry._grounding_layout.space(world.columns.id, codes, signatures)
 
 
 def save_registry(registry: ClassifierRegistry, path) -> None:

@@ -31,11 +31,12 @@ proximity, as array work over the columns: one grid pass links the rows
 of every class, and ``bincount`` and one ``lexsort`` reduce each cluster
 to an object.  The merge matches the row-wise reference bit for bit:
 centroids summed left to right in row order, the earliest member's
-angle, vote ties broken towards the smallest string, a colour only when
-a detector confirmed it, and ``#2``, ``#3``, ... on objects that repeat
-an id.  The merged objects stay columns (``ObjectColumns``) in the
-``WorldModel``; a ``DetectedObject`` is made only when something reads
-one.
+angle, vote ties broken towards the smallest string, and a colour only
+when a detector confirmed it.  The merged objects stay columns
+(``ObjectColumns``) in the ``WorldModel``, in order of their smallest
+member row; an id (``class@x,y``, with ``#2``, ``#3``, ... on objects
+that repeat one) and a ``DetectedObject`` are made only when something
+reads them.
 """
 
 from __future__ import annotations
@@ -526,29 +527,38 @@ class DetectedObject:
     provenance: frozenset[int]
 
 
+# An object's id before any ``#k``: ``class@x,y`` to one decimal.
+_BASE = "{}@{:.1f},{:.1f}".format
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectColumns:
-    """A world model's objects as columns, in id order.
+    """A world model's objects as columns.
 
-    Object ``i`` has the id ``ids[i]``.  Column ``i`` of ``codes`` holds
-    its class, colour and region as codes into the vocabularies
-    ``classes``, ``colors`` and ``regions``, the colour -1 when no
-    detector confirmed one; column ``i`` of ``pose`` holds its x, y and
-    theta; and its provenance is the set of ``t[start[i]:stop[i]]``.
+    Column ``i`` of ``codes`` holds object ``i``'s class, colour and
+    region as codes into the vocabularies ``classes``, ``colors`` and
+    ``regions``, the colour -1 when no detector confirmed one; column
+    ``i`` of ``pose`` holds its x, y and theta; and its provenance is the
+    set of ``t[start[i]:stop[i]]``.
+
+    A build's columns are in the merge's group order, by smallest member
+    row, and ``given`` is None: an object's id is made when it is read
+    (``id``).  Columns encoded from objects keep the order given, and
+    ``given`` holds their ids.
     """
 
     classes: tuple[str, ...]
     colors: tuple[str, ...]
     regions: tuple[str, ...]
-    ids: list[str]
     codes: np.ndarray
     pose: np.ndarray
     t: np.ndarray
     start: np.ndarray
     stop: np.ndarray
+    given: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.codes.shape[1]
 
     @staticmethod
     def encode(objects) -> ObjectColumns:
@@ -562,18 +572,56 @@ class ObjectColumns:
         stop = size.cumsum()
         return ObjectColumns(
             classes=classes, colors=colors, regions=regions,
-            ids=[o.id for o in objects],
             codes=np.array([cls, [code.get(o.color, -1) for o in objects], region],
                            dtype=np.intp),
             pose=np.array([o.pose for o in objects], dtype=float).reshape(-1, 3).T,
             t=np.array([t for p in provenance for t in p], dtype=np.int64),
-            start=stop - size, stop=stop)
+            start=stop - size, stop=stop, given=tuple(o.id for o in objects))
 
-    def object(self, i: int) -> DetectedObject:
-        """Object ``i``, made from the columns."""
+    def id(self, i: int) -> str:
+        """Object ``i``'s id.
+
+        A built object's id is ``class@x,y`` to one decimal, and
+        ``base#k`` for the k-th column with that base, k > 1.  Two
+        positions that print alike lie within 0.1 of each other on both
+        axes, a test that float subtraction keeps and that NaN passes, so
+        only the earlier columns of the same class that pass it are
+        printed.
+        """
+        if self.given is not None:
+            return self.given[i]
+        name = self.classes[self.codes[0, i]]
+        x, y = self.pose[:2, i].tolist()
+        base = _BASE(name, x, y)
+        same = (self.codes[0, :i] == self.codes[0, i]).nonzero()[0]
+        k = 1 + sum(not (abs(u - x) > 0.1 or abs(v - y) > 0.1) and _BASE(name, u, v) == base
+                    for u, v in zip(*self.pose[:2, same].tolist()))
+        return f"{base}#{k}" if k > 1 else base
+
+    @cached_property
+    def named(self) -> tuple[list[str], list[int]]:
+        """Every object's id, in column order, and the columns in id order.
+
+        Id order is the given order for encoded columns.  For a build's it
+        is by base, and by k among the columns that share one, as the ids
+        were sorted before the suffixes were added.
+        """
+        if self.given is not None:
+            return list(self.given), list(range(len(self)))
+        ids = list(map(_BASE, map(self.classes.__getitem__, self.codes[0].tolist()),
+                       *self.pose[:2].tolist()))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        for _, same in groupby(order, key=ids.__getitem__):
+            next(same)
+            for k, i in enumerate(same, 2):
+                ids[i] = f"{ids[i]}#{k}"
+        return ids, order
+
+    def object(self, i: int, id: str | None = None) -> DetectedObject:
+        """Object ``i``, made from the columns; ``id`` when it is known."""
         cls, color, region = self.codes[:, i].tolist()
         return DetectedObject(
-            id=self.ids[i], cls=self.classes[cls],
+            id=self.id(i) if id is None else id, cls=self.classes[cls],
             color=self.colors[color] if color >= 0 else None,
             pose=tuple(self.pose[:, i].tolist()), region=self.regions[region],
             provenance=frozenset(self.t[self.start[i]:self.stop[i]].tolist()))
@@ -584,10 +632,11 @@ class WorldModel:
 
     ``objects`` is the columns themselves or a sequence of
     ``DetectedObject``, which is encoded into columns.  Nothing reads a
-    whole object during a run except the target: ``objects`` makes every
-    ``DetectedObject`` on first access, and ``signatures``, ``digest``
-    and ``object_ids`` read the columns.  Two world models are equal when
-    their objects, costs, robot poses and ledgers are.
+    whole object during a run except the target, and nothing names any
+    other object but the candidates tied with it: ``objects`` names and
+    makes every ``DetectedObject`` on first access, in id order, and
+    ``signatures`` and ``digest`` read the columns.  Two world models are
+    equal when their objects, costs, robot poses and ledgers are.
     """
 
     def __init__(self, objects, total_cost: float, robot_pose: Pose,
@@ -611,25 +660,36 @@ class WorldModel:
 
     @cached_property
     def objects(self) -> tuple[DetectedObject, ...]:
-        return tuple(map(self.columns.object, range(len(self.columns))))
+        ids, order = self.columns.named
+        return tuple(self.columns.object(i, ids[i]) for i in order)
 
     def object_ids(self) -> frozenset[str]:
-        return frozenset(self.columns.ids)
+        return frozenset(self.columns.named[0])
 
     @cached_property
     def signatures(self) -> tuple[tuple[tuple, ...], np.ndarray]:
         """The objects' distinct (class, colour, region), and each one's.
 
         Returns ``(signatures, codes)``: the distinct signatures in order of
-        first appearance, and ``codes[i]``, the position of object ``i``'s
-        among them.
+        first appearance in the columns, and ``codes[i]``, the position of
+        column ``i``'s among them.  The three codes pack into one int key
+        (the colour shifted by one, so that none is 0); one
+        ``dict.fromkeys`` lists the distinct keys, and a table indexed by
+        key numbers the columns.
         """
         c = self.columns
-        index: dict[tuple, int] = {}
-        codes = [index.setdefault(key, len(index)) for key in zip(*c.codes.tolist())]
+        nc, nr = len(c.colors) + 1, len(c.regions)
+        key = np.array([nc * nr, nr, 1]) @ c.codes + nr
+        distinct = list(dict.fromkeys(key.tolist()))
+        number = np.empty(len(c.classes) * nc * nr, dtype=np.intp)
+        number[distinct] = np.arange(len(distinct))
         colors = (*c.colors, None)
-        return (tuple((c.classes[k], colors[o], c.regions[r]) for k, o, r in index),
-                np.array(codes, dtype=np.intp))
+        signatures = []
+        for k in distinct:
+            rest, region = divmod(k, nr)
+            cls, color = divmod(rest, nc)
+            signatures.append((c.classes[cls], colors[color - 1], c.regions[region]))
+        return tuple(signatures), number[key]
 
     def digest(self) -> frozenset[tuple[str, str]]:
         """The (key, value) attribute pairs of the objects: factor context."""
@@ -833,7 +893,7 @@ def _groups(detections: DetectionSet):
 
 
 def _merge(detections: DetectionSet) -> ObjectColumns:
-    """One object per cluster of same-class detections, sorted by id.
+    """One object per cluster of same-class detections, in group order.
 
     The pose is the members' centroid and the angle of the earliest
     member, by (t, theta).  The colour is the members' most common
@@ -844,25 +904,14 @@ def _merge(detections: DetectionSet) -> ObjectColumns:
     string.  The provenance is the set of the members' ``t``.
 
     ``_groups`` computes these as array work over the columns, and the
-    objects stay columns.  The id is ``class@x,y`` to one decimal.
-    Groups that repeat an id, which share a class, become ``id#2``,
-    ``id#3``, ... by smallest member row, and keep that order in the
-    sort, which is by the id before the suffix.
+    objects stay columns, in order of their smallest member row.  No id
+    is made here: ``ObjectColumns.id`` makes one when it is read.
     """
     codes, pose, t, start, stop = _groups(detections)
-    names = detections.classes
-    name = [f"{names[c]}@{x:.1f},{y:.1f}"
-            for c, x, y in zip(codes[0].tolist(), *pose[:2].tolist())]
-    order = sorted(range(len(name)), key=name.__getitem__)
-    ids = list(map(name.__getitem__, order))
-    order = np.array(order, dtype=np.intp)
-    if len(set(ids)) < len(ids):
-        ids = [f"{base}#{k}" if k > 1 else base
-               for base, repeats in groupby(ids) for k, _ in enumerate(repeats, 1)]
     return ObjectColumns(
-        classes=names, colors=detections.colors, regions=detections.regions,
-        ids=ids, codes=codes.take(order, axis=1), pose=pose.take(order, axis=1), t=t,
-        start=start[order], stop=stop[order])
+        classes=detections.classes, colors=detections.colors,
+        regions=detections.regions, codes=codes, pose=pose, t=t,
+        start=start, stop=stop)
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,

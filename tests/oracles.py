@@ -5,9 +5,9 @@ fast: a symbol space that numbers the keys of whatever symbols it is
 given, a per-factor feature dictionary, inference by enumerating every
 joint assignment of a phrase, merge clustering by comparing every pair of
 points, a world-model build that copies one frozen detection per
-record through every perception stage, target resolution over a list
-of objects, and a training design that lays out every phrase's rows
-anew.  The build clusters, votes and names objects with the
+record through every perception stage and names every object at once,
+target resolution over a list of objects, and a training design that
+lays out every phrase's rows anew.  The build clusters, votes and names objects with the
 helpers here, never with the package's own.
 """
 
@@ -67,17 +67,25 @@ class TooLarge(GroundlingError):
     """Exhaustive enumeration was requested for an instance above the guard."""
 
 
+def _layout_key(symbol) -> str:
+    # An instance canon's prefix, "action[" or "object[", sorts where
+    # every canon of the variant would, and ties keep the order given.
+    canon = symbol.canon
+    return canon[:len("action[")] if symbol.variant in INSTANCE_VARIANTS else canon
+
+
 def symbol_space(domain: str, symbols) -> SymbolSpace:
     """The generic layout of any symbols, duplicates rejected.
 
-    Symbols are sorted by canon, keys numbered in the order the sorted
-    symbols first have them, and symbols with the same keys share a row.
+    Constraint symbols are sorted by canon, and the instance symbols of
+    each variant sit in one block where the variant's canons sort, in the
+    order given.  Keys are numbered in the order the laid-out symbols
+    first have them, and symbols with the same keys share a row.
     """
-    ordered = sorted(symbols, key=lambda s: s.canon)
+    ordered = sorted(symbols, key=_layout_key)
     canons = [s.canon for s in ordered]
-    for canon, after in zip(canons, canons[1:]):
-        if canon == after:
-            raise InvalidSpec(f"duplicate symbol {canon}")
+    if len(set(canons)) < len(canons):
+        raise InvalidSpec(f"duplicate symbol among {canons}")
     named = [key_names(s.variant, s.attributes) for s in ordered]
     vocabulary = KeyVocabulary(itertools.chain.from_iterable(named))
     rows: dict[tuple, int] = {}
@@ -293,6 +301,24 @@ def pairwise_cluster(points: list[tuple[float, float]]) -> list[list[int]]:
     return list(groups.values())
 
 
+def eager_naming(classes, xs, ys) -> tuple[list[str], list[int]]:
+    """The ids of objects of these classes and positions, made all at once.
+
+    Each object's name is ``class@x,y`` to one decimal.  The names are
+    sorted, stably, and the k-th object of a name, k > 1, becomes
+    ``name#k``.  Returns the ids, in the order given, and the order that
+    sorts the objects by name and by k within one: id order.
+    """
+    name = [f"{c}@{x:.1f},{y:.1f}" for c, x, y in zip(classes, xs, ys)]
+    order = sorted(range(len(name)), key=name.__getitem__)
+    ids = list(name)
+    for base, same in itertools.groupby(order, key=name.__getitem__):
+        for k, i in enumerate(same, 1):
+            if k > 1:
+                ids[i] = f"{base}#{k}"
+    return ids, order
+
+
 def _from_robot_frame(robot: Pose, rel: Pose) -> Pose:
     c, s = math.cos(robot[2]), math.sin(robot[2])
     return (
@@ -365,9 +391,14 @@ def run_classifier(symbol: PerceptionSymbol, observations,
     raise UnknownClassifier(symbol.canon)
 
 
-def build_world_model(observations, classifiers, registry: ClassifierRegistry,
-                      robot_pose: Pose | None = None) -> WorldModel:
-    """Reference build: one frozen ``Detection`` per record, copied per stage."""
+def _build(observations, classifiers, registry: ClassifierRegistry,
+           robot_pose: Pose | None = None):
+    """One frozen ``Detection`` per record, copied per stage.
+
+    Returns the objects in order of smallest member row, named all at
+    once (``eager_naming``), their id order, the ledger, the total cost
+    and the robot pose.
+    """
     obs = sorted(observations, key=lambda o: o.t)
     selected = frozenset(classifiers)
     known = set(registry.classifiers())
@@ -417,42 +448,55 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         usable = [d for d in current if d.position is not None and d.theta is not None]
 
     obs_by_t = {o.t: o for o in obs}
-    objects: list[DetectedObject] = []
-    by_class: dict[str, list[Detection]] = {}
-    for d in usable:
-        by_class.setdefault(d.raw.apparent_class, []).append(d)
+    # (smallest member row, object without its id)
+    merged = []
+    by_class: dict[str, list[tuple[int, Detection]]] = {}
+    for row, d in enumerate(usable):
+        by_class.setdefault(d.raw.apparent_class, []).append((row, d))
 
     for cls in sorted(by_class):
         members = by_class[cls]
-        for group in pairwise_cluster([d.position for d in members]):
-            dets = [members[i] for i in group]
+        for group in pairwise_cluster([d.position for _, d in members]):
+            dets = [members[i][1] for i in group]
             cx = left_sum(d.position[0] for d in dets) / len(dets)
             cy = left_sum(d.position[1] for d in dets) / len(dets)
             # The most common apparent colour, if some member's colour
             # detector confirmed it.
             apparent = majority(d.raw.apparent_color for d in dets)
-            objects.append(DetectedObject(
-                id=f"{cls}@{cx:.1f},{cy:.1f}",
+            merged.append((min(members[i][0] for i in group), DetectedObject(
+                id="",
                 cls=cls,
                 color=apparent if any(d.color == apparent for d in dets) else None,
                 pose=(cx, cy, min((d.obs_t, d.theta) for d in dets)[1]),
                 region=majority((obs_by_t[d.obs_t].scene_label for d in dets),
                                 default=FALLBACK_SCENE),
                 provenance=frozenset(d.obs_t for d in dets),
-            ))
+            )))
+    objects = [o for _, o in sorted(merged, key=lambda m: m[0])]
+    ids, order = eager_naming([o.cls for o in objects], [o.pose[0] for o in objects],
+                              [o.pose[1] for o in objects])
+    return ([replace(o, id=i) for o, i in zip(objects, ids)], order,
+            tuple(ledger), total_cost, robot_pose)
 
-    # Objects that share an id keep their order and become id#2, id#3, ...
-    objects.sort(key=lambda o: o.id)
-    seen: dict[str, int] = {}
-    for k, o in enumerate(objects):
-        seen[o.id] = seen.get(o.id, 0) + 1
-        if seen[o.id] > 1:
-            objects[k] = replace(o, id=f"{o.id}#{seen[o.id]}")
+
+def build_columns(observations, classifiers, registry: ClassifierRegistry,
+                  robot_pose: Pose | None = None) -> list[DetectedObject]:
+    """The reference build's objects in order of smallest member row:
+    the order of a build's columns."""
+    return _build(observations, classifiers, registry, robot_pose)[0]
+
+
+def build_world_model(observations, classifiers, registry: ClassifierRegistry,
+                      robot_pose: Pose | None = None) -> WorldModel:
+    """Reference build: one frozen ``Detection`` per record, copied per
+    stage, and its objects in id order."""
+    objects, order, ledger, total_cost, robot_pose = _build(
+        observations, classifiers, registry, robot_pose)
     return WorldModel(
-        objects=tuple(objects),
+        objects=tuple(objects[i] for i in order),
         total_cost=total_cost,
         robot_pose=robot_pose,
-        cost_ledger=tuple(ledger),
+        cost_ledger=ledger,
     )
 
 

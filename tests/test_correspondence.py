@@ -49,7 +49,14 @@ from groundling.symbols import (
     region_symbol,
     relation_symbol,
 )
-from groundling.world import DetectedObject, WorldModel, build_world_model, simulate
+from groundling.world import (
+    DetectedObject,
+    Observation,
+    RawDetection,
+    WorldModel,
+    build_world_model,
+    simulate,
+)
 import oracles
 from oracles import TooLarge, extract_features, infer_exhaustive, symbol_space
 
@@ -329,6 +336,25 @@ def twins() -> WorldModel:
 @example(trues=frozenset({object_type("cup"), relation_symbol("farthest")}), world=twins())
 def test_resolution_matches_the_object_list_oracle(trues, world):
     assert_resolves_like_the_oracle(trues, world)
+
+
+@pytest.mark.parametrize("relation", ["nearest", "farthest"])
+def test_a_non_finite_position_ranks_last(registry, relation):
+    # A record at a NaN range puts its object at (nan, nan), whose
+    # distance is NaN: the other cup wins either way, and among NaN
+    # distances alone the smaller id does.
+    sensed = (RawDetection(None, (math.nan, 0.0, 0.0), "cup", "red"),
+              RawDetection(None, (3.0, 0.0, 0.0), "cup", "red"))
+    frame = Observation(t=0, robot_pose=(0.0, 0.0, 0.0), sensed=sensed,
+                        scene_label="kitchen", scene_scores=(("kitchen", 0.0),))
+    world = build_world_model([frame], frozenset(registry.classifiers()), registry)
+    assert sorted(world.object_ids()) == ["cup@3.0,0.0", "cup@nan,nan"]
+    trues = frozenset({object_type("cup"), relation_symbol(relation)})
+    assert resolve_action(trues, world)[1].id == "cup@3.0,0.0"
+    lost = next(o for o in world.objects if o.id == "cup@nan,nan")
+    alone = WorldModel(objects=[replace(lost, id="cup@nan,nan#2"), lost],
+                       total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    assert resolve_action(trues, alone)[1].id == "cup@nan,nan"
 
 
 @pytest.fixture(scope="module")

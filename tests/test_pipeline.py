@@ -221,19 +221,56 @@ def test_run_hands_the_build_the_log_or_a_view_of_it(bundle, registry,
         assert len(observations) == 30
 
 
-def test_run_grounds_from_the_last_pose_given(bundle, registry, site_logs):
-    # The log's columns are in t order, and its world model does not
-    # depend on the order given, but the robot stands where the last
-    # observation given puts it.
-    shuffled = list(site_logs["site-1"])
-    np.random.default_rng(3).shuffle(shuffled)
-    for mode in MODES:
-        result = run("go to the farthest cup in the kitchen", shuffled, bundle,
-                     registry, mode=mode)
-        in_order = run("go to the farthest cup in the kitchen",
-                       site_logs["site-1"], bundle, registry, mode=mode)
-        assert result.world.robot_pose == shuffled[-1].robot_pose
-        assert result.world.objects == in_order.world.objects
+def test_a_shuffled_log_grounds_like_the_ordered_log(bundle, registry, site_logs):
+    # The log's columns are in t order, so its world model does not depend
+    # on the order given, and the robot stands where the latest
+    # observation puts it, not the last one given.
+    shuffled = {}
+    for site, log in site_logs.items():
+        shuffled[site] = list(log)
+        np.random.default_rng(3).shuffle(shuffled[site])
+        assert shuffled[site][-1].robot_pose != log[-1].robot_pose
+    for case in benchmark_manifest():
+        for mode in MODES:
+            result = run(case.instruction, shuffled[case.site], bundle, registry,
+                         mode=mode, site=case.site)
+            in_order = run(case.instruction, site_logs[case.site], bundle,
+                           registry, mode=mode, site=case.site)
+            assert result.world.robot_pose == site_logs[case.site][-1].robot_pose
+            assert result.row()[:4] + result.row()[5:] == (
+                in_order.row()[:4] + in_order.row()[5:])
+            assert result.target == in_order.target
+            assert result.world == in_order.world
+
+
+def test_a_run_names_only_its_target_and_the_candidates_tied_with_it(
+        bundle, registry, monkeypatch):
+    # A B run on an x8 tile of site-1 makes the id of its target, and of
+    # the candidates at the target's distance, and no other: neither the
+    # grounding space nor the resolution names the world's objects.
+    observations = simulate(tiled(site_spec("site-1"), 8), registry)
+    named = []
+    make_id = world.ObjectColumns.id
+
+    def spy(columns, i):
+        named.append(i)
+        return make_id(columns, i)
+
+    monkeypatch.setattr(world.ObjectColumns, "id", spy)
+    for case in benchmark_manifest():
+        if case.site != "site-1":
+            continue
+        named.clear()
+        result = run(case.instruction, observations, bundle, registry, mode="B")
+        assert result.error == ""
+        columns = result.world.columns
+        assert "named" not in columns.__dict__
+        assert result.assignment.space._symbols.count(None) == 2 * len(columns)
+        robot = result.world.robot_pose
+        reach = planar_distance(result.target.pose, robot)
+        assert result.target.id in [make_id(columns, i) for i in named]
+        assert all(planar_distance(columns.pose[:2, i].tolist(), robot) == reach
+                   for i in named)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -30,6 +30,7 @@ from groundling.symbols import (
 )
 from groundling.fixtures import site_spec, tiled
 from groundling.world import DetectedObject, WorldModel, build_world_model, simulate
+import oracles
 from oracles import symbol_space
 
 
@@ -70,11 +71,13 @@ def test_grounding_space_is_linear_in_objects(registry, site_logs):
     assert len(space) == 2 * len(world.objects) + constant
 
 
-def generic_space(world, registry) -> SymbolSpace:
-    """The grounding space of ``world`` built the generic way: all symbols
-    sorted by canon, keys numbered as they first appear."""
+def generic_space(objects, registry) -> SymbolSpace:
+    """The grounding space of a world whose columns hold ``objects``, in
+    that order, built the generic way: constraint symbols sorted by
+    canon, each variant's instance symbols in one block in column order,
+    and keys numbered as they first appear."""
     symbols = list(enumerate_grounding_type_space(registry))
-    symbols += [f(o) for o in world.objects for f in (object_instance, action_instance)]
+    symbols += [f(o) for o in objects for f in (object_instance, action_instance)]
     return symbol_space("grounding", symbols)
 
 
@@ -143,11 +146,20 @@ def test_grounding_space_matches_the_generic_construction(case):
         with pytest.raises(InvalidSpec):
             enumerate_grounding_space(world, registry)
         return
+    # The world's columns hold the objects in the order drawn.
+    assert_laid_out_in_column_order(world, world.objects, registry)
+
+
+def assert_laid_out_in_column_order(world, objects, registry):
+    """The world's grounding space is the generic layout of its constraint
+    symbols and of ``objects``' instances, in that order, row for row."""
     space = enumerate_grounding_space(world, registry)
-    reference = generic_space(world, registry)
-    assert len(space) == len(reference) == 2 * len(world.objects) + len(
+    reference = generic_space(objects, registry)
+    assert len(space) == len(reference) == 2 * len(objects) + len(
         enumerate_grounding_type_space(registry))
     assert laid_out(space) == laid_out(reference)
+    instances = [s for s in reference if s.variant in INSTANCE_VARIANTS]
+    assert [s.value for s in instances] == [o.id for o in objects] * 2
     assert space.constraints.tolist() == [
         j for j, s in enumerate(reference) if s.variant not in INSTANCE_VARIANTS]
     assert {canon: space.row_keys[row] for canon, row in space.constraint_rows.items()} == {
@@ -155,17 +167,31 @@ def test_grounding_space_matches_the_generic_construction(case):
         if s.variant not in INSTANCE_VARIANTS}
 
 
-def assert_signatures_follow_the_objects(world):
+@pytest.mark.parametrize("copies", [1, 8])
+def test_grounding_space_of_a_built_world_is_in_column_order(registry, copies):
+    # A build's columns are in order of smallest member row, which is not
+    # id order: ``umbrella@3.0,1.0`` comes first, before ``ball@5.5,1.0``.
+    observations = simulate(tiled(site_spec("site-1"), copies), registry)
+    every = frozenset(registry.classifiers())
+    world = build_world_model(observations, every, registry)
+    columns = oracles.build_columns(observations, every, registry)
+    assert columns[0].id == "umbrella@3.0,1.0" != world.objects[0].id
+    assert_laid_out_in_column_order(world, columns, registry)
+
+
+def assert_signatures_follow_the_objects(world, objects):
     """The column-derived signatures and digest equal the ones read off
-    the objects, signatures in order of first appearance."""
+    ``objects``, the world's objects in column order: signatures in order
+    of first appearance among them, and one code per object."""
+    assert len(objects) == len(world.columns)
     index: dict[tuple, int] = {}
     codes = [index.setdefault((o.cls, o.color, o.region), len(index))
-             for o in world.objects]
+             for o in objects]
     signatures, got = world.signatures
     assert signatures == tuple(index)
     assert got.tolist() == codes
     assert world.digest() == frozenset(
-        pair for o in world.objects
+        pair for o in objects
         for pair in (("class", o.cls), ("color", o.color), ("region", o.region))
         if pair[1] is not None)
 
@@ -178,7 +204,7 @@ def test_signatures_and_digest_cover_every_object(case):
     assert [signatures[c] for c in codes.tolist()] == [
         (o.cls, o.color, o.region) for o in world.objects]
     assert len(set(signatures)) == len(signatures)
-    assert_signatures_follow_the_objects(world)
+    assert_signatures_follow_the_objects(world, world.objects)
 
 
 @pytest.mark.parametrize("copies", [1, 8])
@@ -196,7 +222,8 @@ def test_signatures_and_digest_of_built_worlds(registry, site, copies):
         for observations in views:
             for classifiers in classifier_sets:
                 assert_signatures_follow_the_objects(
-                    build_world_model(observations, classifiers, registry))
+                    build_world_model(observations, classifiers, registry),
+                    oracles.build_columns(observations, classifiers, registry))
 
 
 def test_instances_of_one_signature_share_a_row(registry):
@@ -253,6 +280,39 @@ def test_cost_override_beats_kind_cost(registry):
     assert patched.cost_for(symbol) == override
     other = PerceptionSymbol("object_detector", "cup")
     assert patched.cost_for(other) == registry.cost_for(other)
+
+
+def listed_cost(registry, symbol) -> CostModel:
+    """The cost rule read off the tables: the first override with the
+    symbol's canon, else the cost of its kind."""
+    for canon, model in registry.cost_overrides:
+        if canon == symbol.canon:
+            return model
+    return dict(registry.kind_costs)[symbol.kind]
+
+
+_COSTS = st.builds(CostModel, st.floats(0.0, 10.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cost_for_follows_the_tables(data):
+    registry = default_registry()
+    if data.draw(st.booleans()):
+        registry = replace(registry,
+                           object_classes=registry.object_classes + ("drone",))
+    symbols = registry.classifiers()
+    overridden = data.draw(st.lists(st.sampled_from(symbols), unique=True))
+    registry = replace(
+        registry,
+        kind_costs=tuple((kind, data.draw(_COSTS)) for kind, _ in registry.kind_costs),
+        cost_overrides=tuple((s.canon, data.draw(_COSTS)) for s in overridden))
+    for symbol in symbols:
+        assert registry.cost_for(symbol) == listed_cost(registry, symbol)
+    for symbol in (PerceptionSymbol("object_detector", "dragon"),
+                   PerceptionSymbol("color_detector", "mauve")):
+        with pytest.raises(UnknownClassifier):
+            registry.cost_for(symbol)
 
 
 def test_unknown_classifier_rejected(registry):

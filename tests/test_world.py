@@ -393,6 +393,79 @@ def test_objects_that_share_an_id_get_a_suffix(registry):
     assert_same_world(observations, full_classifiers(registry), registry)
 
 
+def assert_ids_made_alike(columns):
+    """Each id made on its own, when read, equals the one the eager rule
+    gives, and so do all the ids and the id order made at once."""
+    x, y = columns.pose[:2].tolist()
+    expected = oracles.eager_naming(
+        [columns.classes[c] for c in columns.codes[0].tolist()], x, y)
+    assert "named" not in columns.__dict__
+    assert [columns.id(i) for i in range(len(columns))] == expected[0]
+    assert columns.named == expected
+
+
+def test_ids_made_when_read_repeat_past_nine(registry):
+    # The rings' columns are in t order, and their ids are made alone.
+    world = build_world_model(concentric_rings(10), full_classifiers(registry), registry)
+    assert world.columns.id(10) == "cup@5.0,1.0#11"
+    assert world.columns.id(1) == "cup@5.0,1.0#2"
+    assert_ids_made_alike(world.columns)
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+@pytest.mark.parametrize("site", ["site-1", "site-2"])
+def test_ids_made_when_read_match_eager_naming(registry, site, copies):
+    # Exact and noisy, cluttered sensing, every classifier and no colour
+    # detector, the whole log and filtered views of it: the columns are
+    # the row oracle's objects in order of smallest member row, each id
+    # made when read is the one all of them named at once give, and the
+    # objects come in id order.
+    every = full_classifiers(registry)
+    classifier_sets = (every, frozenset(c for c in every if c.kind != "color_detector"))
+    spec = tiled(site_spec(site), copies)
+    for sensed in (spec, replace(spec, noise=0.2, clutter_rate=0.3)):
+        log = simulate(sensed, registry)
+        regions = sorted({o.scene_label for o in log})
+        for view in (log, log.partition(regions[:1])[0], log.partition(regions[1::2])[0]):
+            for classifiers in classifier_sets:
+                built = build_world_model(view, classifiers, registry)
+                columns = built.columns
+                assert_ids_made_alike(columns)
+                assert list(map(columns.object, range(len(columns)))) == (
+                    oracles.build_columns(view, classifiers, registry))
+                assert built == oracles.build_world_model(view, classifiers, registry)
+
+
+# Coordinates that print alike or nearly so to one decimal: -0.04 and
+# -0.0 print "-0.0", the exact halves 0.25 and -0.25 round to even, and
+# 0.35 and 0.45 lie just below and above their halves.
+_PRINTED = st.one_of(
+    st.sampled_from((-0.04, 0.04, -0.0, 0.0, 0.05, -0.05, 0.25, -0.25,
+                     0.15000000000000002, 0.35, 0.45, 0.95, 1.05, 14.45, 14.5,
+                     14.55, math.nan, math.inf, -math.inf, 1e300, -1e300)),
+    st.integers(-40, 40).map(lambda k: k * 0.05),
+    st.integers(-40, 40).map(lambda k: math.nextafter(k * 0.05, math.inf)),
+    st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(st.sampled_from((0, 1)), _PRINTED, _PRINTED),
+                       max_size=24))
+@example(points=[(0, -0.04, 0.0), (0, -0.0, 0.0), (0, 0.04, 0.0), (0, -0.01, -0.0)])
+@example(points=[(0, 0.25, 0.35), (0, 0.15000000000000002, 0.35), (0, 0.2, 0.3),
+                 (1, 0.2, 0.3), (0, math.nan, math.inf), (0, math.nan, math.inf)])
+def test_ids_made_when_read_match_eager_naming_at_print_boundaries(points):
+    classes = [c for c, _, _ in points]
+    columns = world.ObjectColumns(
+        classes=("ball", "cup"), colors=(), regions=("kitchen",),
+        codes=np.array([classes, [-1] * len(points), [0] * len(points)],
+                       dtype=np.intp).reshape(3, -1),
+        pose=np.array([(x, y, 0.0) for _, x, y in points], dtype=float).reshape(-1, 3).T,
+        t=np.empty(0, dtype=np.int64), start=np.zeros(len(points), dtype=np.intp),
+        stop=np.zeros(len(points), dtype=np.intp))
+    assert_ids_made_alike(columns)
+
+
 def test_a_burst_of_coincident_rows_links_in_bounded_memory():
     # A robot parked in front of one cup for 3000 frames: 4.5 million
     # linked pairs, tested a chunk at a time.
