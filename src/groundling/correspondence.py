@@ -7,13 +7,14 @@ resolved child's variant or attributes, the world digest) with a
 symbol-side key: the symbol's variant, one of its attribute pairs, or a
 (variant, pair) cell.  A model is therefore compiled once against a
 space's key vocabulary: each phrase-side token (``bias``, ``cat=``,
-``w=``, ``cv=``, ``cmatch`` and ``dig``) gets one weight vector over
-the keys.  ``phrase_logits`` adds a phrase's few token
-vectors into key weights, sums them once per row of the ``SymbolSpace``
-(a constraint symbol, or a signature shared by instance symbols, which
-fire no ``ceq`` and so score alike) with one ``bincount``, and gathers
-the rows to the symbols.  Training builds its design rows from the
-feature names, in the same order.
+``w=``, ``cv=``, ``cmatch``, ``dig`` and ``ceq``) gets one weight vector
+over the keys.  ``phrase_logits`` adds a phrase's few token vectors into
+key weights, sums them once per row of the ``SymbolSpace`` (a constraint
+symbol, or a signature shared by instance symbols, which fire no ``ceq``
+and so score alike) with one ``bincount``, and gathers the rows to the
+symbols.  Training builds its design rows from the same
+tokens and keys: ``_features`` is the one table of feature names, and
+``_phrase_side`` the one step that finds a phrase's tokens.
 
 Inference walks the tree bottom-up: every variable is thresholded at one
 half given the already-resolved assignments of the phrase's children.
@@ -27,6 +28,7 @@ weights by penalized maximum likelihood with gold child assignments
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -68,95 +70,72 @@ MAX_ITERATIONS = 1000
 FIRST_STEP = 0.1
 
 
-def _tokens(phrase: Phrase, kids) -> tuple[list[str], list[str]]:
-    """(own, words): a phrase's variant-side tokens, and its word tokens."""
-    words = [f"w={word}" for word in dict.fromkeys(phrase.words())]
-    own = ["bias", f"cat={phrase.category}", *words,
-           *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
-    return own, words
+def _features(vocabulary: KeyVocabulary, token: str) -> list[tuple[int, str]]:
+    """The keys a phrase-side token fires at, and its feature name at each.
+
+    This is the one place the feature templates are spelled.  A token
+    fires at each variant key ``v`` as ``token|v=v``; a word ``w=word``
+    also fires at each pair key ``(k, x)`` as ``w=word|a=k=x``, without the
+    variant, so that weights learned on type-level symbols transfer to
+    instance symbols sharing the attribute.  The tokens ``cmatch`` and
+    ``dig`` fire at each cell ``((k, x), v)`` as ``cmatch|k|v=v`` instead,
+    though a phrase fires them only at the cells of its children's pairs
+    and of the world digest's.  ``ceq`` is a row's feature, not a key's:
+    it is named at the variant key of the child it repeats.
+    """
+    if token in ("cmatch", "dig"):
+        return [(k, f"{token}|{pair[0]}|v={v}")
+                for pair, cells in vocabulary.cells.items() for k, v in cells]
+    fired = [(k, f"{token}|v={v}") for k, v in vocabulary.variants]
+    if token.startswith("w="):
+        fired += [(k, f"{token}|a={a}={x}") for k, (a, x) in vocabulary.pairs]
+    return fired
 
 
-def _phrase_features(phrase: Phrase, space: SymbolSpace, child_trues,
-                     digest: frozenset):
-    """Name the features of one phrase against every key of a space.
+def _phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
+    """``(tokens, child_pairs, ceq)``: what a phrase fires against a space.
 
-    Returns ``(names, keys, ceq)``: feature ``names[i]`` fires for every
-    symbol that has key ``keys[i]`` (see ``SymbolSpace``), and ``ceq``
-    lists ``(row, name)`` for the rows of the symbols that repeat a
-    child.  Names come in a fixed order, so sums over them do not depend
-    on string hashing.  The templates, for a symbol of variant ``v``:
-
-    * ``bias|v``, ``cat=C|v``, ``w=word|v`` for each word the phrase owns,
-      and ``cv=u|v`` for each variant ``u`` among the resolved children;
-    * ``w=word|a=k=x`` for each of the symbol's attribute pairs ``(k, x)``,
-      without the variant, so that weights learned on type-level symbols
-      transfer to instance symbols sharing the attribute;
-    * ``cmatch|k|v`` when a child has the pair ``(k, x)``, and ``dig|k|v``
-      when the world digest has it;
-    * ``ceq|v`` when the symbol itself is among the children.
-
-    Only constraint symbols condition parents: object and action instances
-    among the children are skipped, because instances are resolved against
-    the world after inference and never appear as gold children during
-    training.
+    ``tokens`` are ``bias``, ``cat=C``, ``w=word`` for each word the
+    phrase owns and ``cv=u`` for each variant ``u`` among the resolved
+    children, in a fixed order, so sums over them do not depend on string
+    hashing; ``child_pairs`` are the children's attribute pairs, at whose
+    cells ``cmatch`` fires; and ``ceq`` lists ``(row, key)`` for the row
+    of each child the space has, with the key of its variant.  Only
+    constraint symbols condition parents: object and action instances
+    among the children are skipped, because instances are resolved
+    against the world after inference and never appear as gold children
+    during training.
     """
     kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
-    child_pairs = {p for c in kids for p in c.attributes}
-    own, words = _tokens(phrase, kids)
-    vocabulary = space.vocabulary
-    names = [f"{p}|v={v}" for _, v in vocabulary.variants for p in own]
-    keys = [k for k, _ in vocabulary.variants for _ in own]
-    names += [f"{w}|a={a}={x}" for _, (a, x) in vocabulary.pairs for w in words]
-    keys += [k for k, _ in vocabulary.pairs for _ in words]
-    for pair, cells in vocabulary.cells.items():
-        fired = []
-        if pair in child_pairs:
-            fired.append("cmatch")
-        if pair in digest:
-            fired.append("dig")
-        for template in fired:
-            names += [f"{template}|{pair[0]}|v={v}" for _, v in cells]
-            keys += [key for key, _ in cells]
-    rows = space.constraint_rows
-    ceq = sorted((rows[c.canon], f"ceq|v={c.variant}") for c in kids
-                 if c.canon in rows)
-    return names, keys, ceq
+    tokens = ["bias", f"cat={phrase.category}",
+              *(f"w={word}" for word in dict.fromkeys(phrase.words())),
+              *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
+    rows, index = space.constraint_rows, space.vocabulary.index
+    ceq = [(rows[c.canon], index[c.variant]) for c in kids if c.canon in rows]
+    return tokens, {p for c in kids for p in c.attributes}, ceq
 
 
 class _Compiled:
     """One model's weights laid out over one key vocabulary.
 
-    Each phrase-side token -- ``bias``, ``cat=C``, ``w=word``, ``cv=u``
-    -- has one weight vector over the keys: the weight of ``token|v`` at
-    each variant key ``v`` and, for a word, of ``w=word|a=k=x`` at each
-    pair key ``(k, x)``.  ``cmatch`` and ``dig`` hold the weights of
-    ``cmatch|k|v`` and ``dig|k|v`` at each cell ``((k, x), v)``.  Token
-    vectors are built on first use, from ``weights.get`` only.
+    Each phrase-side token has one weight vector over the keys: the
+    weight of its feature at each key it fires at (``_features``), zero
+    elsewhere.  ``cmatch``, ``dig`` and ``ceq`` are built at once, the
+    other tokens' vectors on first use, from ``weights.get`` only.
     """
 
     def __init__(self, weights, vocabulary: KeyVocabulary):
         self.get = weights.get
         self.vocabulary = vocabulary
         self.tokens: dict[str, np.ndarray] = {}
-        self.cmatch = self._cells("cmatch")
-        self.dig = self._cells("dig")
-
-    def _cells(self, template: str) -> np.ndarray:
-        vector = np.zeros(len(self.vocabulary))
-        for pair, cells in self.vocabulary.cells.items():
-            for k, v in cells:
-                vector[k] = self.get(f"{template}|{pair[0]}|v={v}", 0.0)
-        return vector
+        self.cmatch, self.dig, self.ceq = map(self.token, ("cmatch", "dig", "ceq"))
 
     def token(self, token: str) -> np.ndarray:
         vector = self.tokens.get(token)
         if vector is None:
             vector = np.zeros(len(self.vocabulary))
-            for k, v in self.vocabulary.variants:
-                vector[k] = self.get(f"{token}|v={v}", 0.0)
-            if token.startswith("w="):
-                for k, (a, x) in self.vocabulary.pairs:
-                    vector[k] = self.get(f"{token}|a={a}={x}", 0.0)
+            for k, name in _features(self.vocabulary, token):
+                vector[k] = self.get(name, 0.0)
             self.tokens[token] = vector
         return vector
 
@@ -165,13 +144,13 @@ class _Scorer:
     """Scores phrases against one space, for one model and world digest.
 
     A phrase's key weights start from the ``dig`` weights of the digest's
-    cells, then add each of its tokens' vectors, in the order
-    ``_phrase_features`` names them, and the ``cmatch`` weights of the
-    children's cells.  Each key gets its terms in the order
-    ``_phrase_features`` names them (a cell's two terms commute), so every
-    logit is bit-equal to the sum of its named features' weights in that
-    order.  Each row then sums its keys' weights once, and the rows are
-    gathered to the symbols.
+    cells, then add each of its tokens' vectors, in ``_phrase_side``'s
+    order, and the ``cmatch`` weights of the children's cells.  Each key
+    gets its terms in the order ``assemble_design`` lists its columns (a
+    cell's two terms commute), so every logit is bit-equal to the sum of
+    its features' weights in that order.  Each row then sums its keys'
+    weights once, adds the ``ceq`` weight of a child it repeats, and the
+    rows are gathered to the symbols.
     """
 
     def __init__(self, model: CorrespondenceModel, space: SymbolSpace,
@@ -186,20 +165,17 @@ class _Scorer:
 
     def __call__(self, phrase: Phrase, child_trues) -> np.ndarray:
         compiled, space = self.compiled, self.space
-        kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
+        tokens, child_pairs, ceq = _phrase_side(phrase, child_trues, space)
         key_weights = self.base.copy()
-        for token in _tokens(phrase, kids)[0]:
+        for token in tokens:
             key_weights += compiled.token(token)
-        child_pairs = {p for c in kids for p in c.attributes}
         if child_pairs:
             key_weights += np.where(space.vocabulary.cells_of(child_pairs),
                                     compiled.cmatch, 0.0)
         rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
                            minlength=len(space.row_keys))
-        for c in kids:
-            row = space.constraint_rows.get(c.canon)
-            if row is not None:
-                rows[row] += compiled.get(f"ceq|v={c.variant}", 0.0)
+        for row, key in ceq:
+            rows[row] += compiled.ceq[key]
         z = rows[space.row_of]
         if np.count_nonzero(np.isfinite(z)) < len(z):
             j = int(np.flatnonzero(~np.isfinite(z))[0])
@@ -214,10 +190,10 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
 
     ``child_trues`` holds the symbols resolved true at the phrase's
     children, and ``digest`` the world's (key, value) attribute pairs.
-    The logit of a symbol is the sum of the weights of the features
-    ``_phrase_features`` names for it.  The model is compiled against the
-    space's key vocabulary once (a weight vector over the keys per
-    phrase-side token, read through ``model.weights.get`` only), so a
+    The logit of a symbol is the sum of the weights of its features, the
+    columns of its row in ``assemble_design``.  The model is compiled
+    against the space's key vocabulary once (a weight vector over the keys
+    per phrase-side token, read through ``model.weights.get`` only), so a
     phrase adds a few vectors, each row of the space sums its keys, and
     the rows are gathered to the symbols: symbols that share a row, the
     instances of one signature, are scored once.  A non-finite logit
@@ -384,14 +360,20 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     features that ``phrase_logits`` would sum for it; child conditioning
     uses the gold assignments.  A phrase's rows depend only on its
     category and words, its children's gold symbols and the digest, so
-    the rows of each distinct phrase are built once and repeated.
+    the rows of each distinct phrase are built once and repeated.  A
+    column is a feature name, named by ``_features`` once per token, and
+    is numbered when it first fires.
     Returns ``(matrix, labels, feature_names)``.
     """
     symbols = tuple(space)
     rows, row_keys = space.row_of.tolist(), space.row_keys
+    vocabulary = space.vocabulary
     by_canon = {s.canon: s for s in symbols}
     position = {s.canon: j for j, s in enumerate(symbols)}
-    vocabulary: dict[str, int] = {}
+    # A token's feature name at each key it fires at, and each feature
+    # name's column, numbered in the order the features first fire.
+    names_of = functools.cache(lambda token: dict(_features(vocabulary, token)))
+    named: dict[str, int] = {}
     # Each distinct phrase's column indices and row lengths, and the
     # block of each phrase in phrase order.
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -413,13 +395,19 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             seen = (phrase.category, phrase.words(), children, example.digest)
             block = blocks.get(seen)
             if block is None:
-                names, keys, ceq = _phrase_features(
-                    phrase, space, {by_canon[c] for c in children}, example.digest)
-                columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
-                for name, key in zip(names, keys):
-                    columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
-                repeats = {row: vocabulary.setdefault(name, len(vocabulary))
-                           for row, name in ceq}
+                tokens, child_pairs, ceq = _phrase_side(
+                    phrase, {by_canon[c] for c in children}, space)
+                fires = [(t, None) for t in tokens] + [
+                    (t, np.flatnonzero(vocabulary.cells_of(pairs)).tolist())
+                    for t, pairs in (("cmatch", child_pairs), ("dig", example.digest))]
+                columns_of: list[list[int]] = [[] for _ in range(len(vocabulary))]
+                for token, keys in fires:
+                    name_at = names_of(token)
+                    for key in name_at if keys is None else keys:
+                        columns_of[key].append(named.setdefault(name_at[key], len(named)))
+                name_at = names_of("ceq")
+                repeats = {row: named.setdefault(name_at[key], len(named))
+                           for row, key in ceq}
                 indices: list[int] = []
                 lengths: list[int] = []
                 for row in rows:
@@ -434,13 +422,13 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             offset = len(order) * len(symbols)
             trues.extend(offset + position[c] for c in example.gold[phrase.index])
             order.append(block)
-    # Columns are numbered in first-seen order; renumber them by name so
+    # Columns are numbered in first-fired order; renumber them by name so
     # the design, and the floating-point sums over it, do not depend on
-    # the order in which examples name their features.
-    names = sorted(vocabulary)
+    # the order in which examples fire their features.
+    names = sorted(named)
     renumber = np.empty(len(names), dtype=np.int32)
     for column, name in enumerate(names):
-        renumber[vocabulary[name]] = column
+        renumber[named[name]] = column
     # An empty block first, so that a set without phrases concatenates too.
     indices = np.concatenate([np.empty(0, dtype=np.int32), *(b[0] for b in order)])
     lengths = np.concatenate([np.empty(0, dtype=np.int64), *(b[1] for b in order)])

@@ -6,9 +6,11 @@ given, a per-factor feature dictionary, inference by enumerating every
 joint assignment of a phrase, merge clustering by comparing every pair of
 points, a world-model build that copies one frozen detection per
 record through every perception stage and names every object at once,
-target resolution over a list of objects, and a training design that
-lays out every phrase's rows anew.  The build clusters, votes and names objects with the
-helpers here, never with the package's own.
+target resolution over a list of objects, and a training design whose
+every row is built anew from the per-factor feature dictionary.  The
+build clusters, votes and names objects with the helpers here, never with
+the package's own, and the design names its features with
+``extract_features``, never with the package's featurizer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from scipy.special import log_expit
 from groundling.correspondence import (
     INSTANCE_VARIANTS,
     CorrespondenceModel,
-    _phrase_features,
     phrase_logits,
 )
 from groundling.errors import (
@@ -136,18 +137,15 @@ def extract_features(phrase: Phrase, symbol, child_trues=(),
 
 
 def assemble_design(space: SymbolSpace, examples) -> tuple:
-    """The design matrix, labels and feature names, every phrase built anew.
+    """The design matrix, labels and feature names, every row built anew.
 
-    One row per (phrase, symbol) pair, in phrase order: each phrase names
-    its features and lays out its rows, however often an equal phrase
-    came before.
+    One row per (phrase, symbol) pair, in phrase order, holding the
+    columns of the features ``extract_features`` names for it, however
+    often an equal phrase came before.
     """
     symbols = tuple(space)
-    rows, row_keys = space.row_of.tolist(), space.row_keys
     by_canon = {s.canon: s for s in symbols}
-    vocabulary: dict[str, int] = {}
-    indices: list[int] = []
-    indptr = [0]
+    rows: list[list[str]] = []
     labels: list[float] = []
     for example in examples:
         phrases = example.tree.phrases()
@@ -160,34 +158,21 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
                         f"gold symbol {canon!r} is outside the {space.domain!r} space"
                     )
         for phrase in phrases:
-            child_trues = set()
-            for child in phrase.children:
-                child_trues.update(by_canon[c] for c in example.gold[child.index])
-            names, keys, ceq = _phrase_features(phrase, space, child_trues,
-                                                example.digest)
-            columns_of: list[list[int]] = [[] for _ in range(len(space.vocabulary))]
-            for name, key in zip(names, keys):
-                columns_of[key].append(vocabulary.setdefault(name, len(vocabulary)))
-            repeats = {row: vocabulary.setdefault(name, len(vocabulary))
-                       for row, name in ceq}
+            child_trues = {by_canon[c] for child in phrase.children
+                           for c in example.gold[child.index]}
             gold_here = example.gold[phrase.index]
-            for symbol, row in zip(symbols, rows):
-                for key in row_keys[row]:
-                    indices.extend(columns_of[key])
-                if row in repeats:
-                    indices.append(repeats[row])
-                indptr.append(len(indices))
+            for symbol in symbols:
+                rows.append(sorted(extract_features(phrase, symbol, child_trues,
+                                                    example.digest)))
                 labels.append(1.0 if symbol.canon in gold_here else 0.0)
-    names = sorted(vocabulary)
-    renumber = np.empty(len(names), dtype=np.int32)
-    for column, name in enumerate(names):
-        renumber[vocabulary[name]] = column
+    names = sorted({name for row in rows for name in row})
+    column = {name: c for c, name in enumerate(names)}
     matrix = sparse.csr_matrix(
-        (np.ones(len(indices)), renumber[np.asarray(indices, dtype=np.int32)],
-         np.asarray(indptr)),
+        (np.ones(sum(map(len, rows))),
+         np.array([column[name] for row in rows for name in row], dtype=np.int32),
+         np.concatenate(([0], np.cumsum([len(row) for row in rows], dtype=np.int64)))),
         shape=(len(labels), len(names)),
     )
-    matrix.sort_indices()
     return matrix, np.asarray(labels), tuple(names)
 
 

@@ -380,27 +380,36 @@ def test_resolution_matches_the_oracle_on_built_worlds(built_worlds, reference,
 
 
 DOMAINS = ("semantic", "perception", "grounding")
+# The type-level spaces give every symbol a row of its own; a built
+# world's grounding space also has instance symbols that share rows.
+DESIGN_SPACES = (*DOMAINS, "grounding-world")
 
 
 @pytest.fixture(scope="module")
 def seed7_training(corpus_split, registry, reference):
-    """{domain: (training space, seed-7 training set)}."""
+    """{domain: (training space, seed-7 training set)}, and under
+    "grounding-world" the reference world's grounding space with a few of
+    the grounding examples (2332 symbols in 1180 rows)."""
     from groundling import corpus as corpus_mod
     sets = corpus_mod.training_sets(corpus_split[0], registry, reference)
     spaces = {"semantic": enumerate_semantic_space(),
               "perception": enumerate_perception_space(registry),
               "grounding": enumerate_grounding_type_space(registry)}
-    return {domain: (spaces[domain], sets[domain]) for domain in DOMAINS}
+    training = {domain: (spaces[domain], sets[domain]) for domain in DOMAINS}
+    training["grounding-world"] = (enumerate_grounding_space(reference, registry),
+                                   sets["grounding"][:6])
+    return training
 
 
-@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("domain", DESIGN_SPACES)
 def test_design_rows_score_like_phrase_logits(seed7_training, domain):
-    # Training names features; inference adds compiled weight vectors.  On
-    # the seed-7 training set, each design row dotted with the weights is
-    # the logit phrase_logits gives that (phrase, symbol).
+    # Training lists each row's feature columns; inference adds compiled
+    # weight vectors, both from the one table of feature names.  On the
+    # seed-7 training set, each design row dotted with the weights is the
+    # logit phrase_logits gives that (phrase, symbol).
     space, examples = seed7_training[domain]
     weights = HashWeights(f"design-{domain}")
-    model = CorrespondenceModel(domain=domain, weights=weights)
+    model = CorrespondenceModel(domain=space.domain, weights=weights)
     design, _, names = assemble_design(space, examples)
     w = np.array([weights.get(name) for name in names])
     rows, bounds = design @ w, 1.0 + abs(design) @ abs(w)
@@ -425,13 +434,13 @@ def assert_same_csr(got, want):
 
 
 @pytest.mark.parametrize("digests", ("as given", "varied"))
-@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("domain", DESIGN_SPACES)
 def test_design_matches_the_phrase_by_phrase_oracle(seed7_training, reference,
                                                     domain, digests):
     # Each distinct phrase's rows are built once and repeated; the design
-    # is the one that lays out every phrase anew, array for array.  Every
-    # seed-7 example of a domain has the same digest, so "varied" gives
-    # the examples different parts of the reference world's.
+    # is the one built row by row from extract_features, array for array.
+    # Every seed-7 example of a domain has the same digest, so "varied"
+    # gives the examples different parts of the reference world's.
     space, examples = seed7_training[domain]
     if digests == "varied":
         pairs = sorted(reference.digest())
@@ -594,19 +603,25 @@ def test_model_round_trip(tmp_path, corpus_examples, registry):
     assert dict(loaded.weights) == dict(model.weights)
 
 
-_TRAIN_PERCEPTION = """
+# Perception, and grounding: the one domain whose digest fires ``dig``
+# from a frozenset.
+_TRAIN_MODELS = """
 import sys
+from pathlib import Path
 from groundling import corpus
 from groundling.correspondence import save_model, train
 from groundling.fixtures import reference_world
-from groundling.symbols import default_registry, enumerate_perception_space
+from groundling.symbols import (default_registry, enumerate_grounding_type_space,
+                                enumerate_perception_space)
 
 registry = default_registry()
 config = corpus.CorpusConfig(plain=10, color=10, region=10, color_region=10)
 examples = corpus.generate(config, registry)
 sets = corpus.training_sets(examples, registry, reference_world(registry))
-result = train(enumerate_perception_space(registry), sets["perception"])
-save_model(result.model, sys.argv[1])
+for space in (enumerate_perception_space(registry),
+              enumerate_grounding_type_space(registry)):
+    result = train(space, sets[space.domain])
+    save_model(result.model, Path(sys.argv[1]) / f"{space.domain}.json")
 """
 
 
@@ -614,11 +629,13 @@ def test_trained_weights_do_not_depend_on_string_hashing(tmp_path):
     package_root = str(Path(groundling.__file__).parents[1])
     written = []
     for hash_seed in ("1", "2"):
-        path = tmp_path / f"perception-{hash_seed}.json"
+        out = tmp_path / f"models-{hash_seed}"
+        out.mkdir()
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-        subprocess.run([sys.executable, "-c", _TRAIN_PERCEPTION, str(path)],
+        subprocess.run([sys.executable, "-c", _TRAIN_MODELS, str(out)],
                        check=True, capture_output=True, env=env)
-        written.append(path.read_bytes())
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(written[0]) == ["grounding.json", "perception.json"]
     assert written[0] == written[1]
