@@ -6,15 +6,24 @@ feature template crosses a phrase-side key (a word, the category, a
 resolved child's variant or attributes, the world digest) with a
 symbol-side key: the symbol's variant, one of its attribute pairs, or a
 (variant, pair) cell.  A model is therefore compiled once against a
-space's key vocabulary: each phrase-side token (``bias``, ``cat=``,
-``w=``, ``cv=``, ``cmatch``, ``dig`` and ``ceq``) gets one weight vector
-over the keys.  ``phrase_logits`` adds a phrase's few token vectors into
-key weights, sums them once per row of the ``SymbolSpace`` (a constraint
-symbol, or a signature shared by instance symbols, which fire no ``ceq``
-and so score alike) with one ``bincount``, and gathers the rows to the
-symbols.  Training builds its design rows from the same
-tokens and keys: ``_features`` is the one table of feature names, and
-``_phrase_side`` the one step that finds a phrase's tokens.
+space's layout: each phrase-side token (``bias``, ``cat=``, ``w=``,
+``cv=``, ``cmatch``, ``dig`` and ``ceq``) gets one weight vector over the
+keys.  A phrase adds its few token vectors into key weights, sums them
+once per row of the ``SymbolSpace`` (a constraint symbol, or a signature
+shared by instance symbols, which fire no ``ceq`` and so score alike) with
+one ``bincount``, and the rows are gathered to the symbols.
+
+What a phrase fires is known before any scoring.  A phrase's own tokens
+are ``grammar.feature_tokens``; a run's parse tree keeps them
+(``ParseTree.feature_tokens``), so the three models of a run share them,
+and training makes them once per distinct phrase.  What a resolved child
+fires (its ``cv=`` variant, its ``cmatch`` cells and its ``ceq`` row) is
+the layout's ``ChildTable``, built once per layout and shared by every
+space the layout makes, a run's grounding space included; children are
+passed up as ordinals into it, so inference makes no symbol and reads no
+symbol property.  ``phrase_logits``, ``infer`` and ``assemble_design``
+read both the same way, and ``_features`` is the one table of feature
+names.
 
 Inference walks the tree bottom-up: every variable is thresholded at one
 half given the already-resolved assignments of the phrase's children.
@@ -51,9 +60,10 @@ from .errors import (
     NoTargetObject,
     UnknownSchemaVersion,
 )
-from .grammar import ParseTree, Phrase
+from .grammar import ParseTree, Phrase, feature_tokens
 from .symbols import (
     INSTANCE_VARIANTS,
+    ChildTable,
     GroundingSymbol,
     KeyVocabulary,
     SymbolSpace,
@@ -92,95 +102,96 @@ def _features(vocabulary: KeyVocabulary, token: str) -> list[tuple[int, str]]:
     return fired
 
 
-def _phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
-    """``(tokens, child_pairs, ceq)``: what a phrase fires against a space.
+class _Compiled(dict):
+    """One model's weights laid out over one layout's keys and children.
 
-    ``tokens`` are ``bias``, ``cat=C``, ``w=word`` for each word the
-    phrase owns and ``cv=u`` for each variant ``u`` among the resolved
-    children, in a fixed order, so sums over them do not depend on string
-    hashing; ``child_pairs`` are the children's attribute pairs, at whose
-    cells ``cmatch`` fires; and ``ceq`` lists ``(row, key)`` for the row
-    of each child the space has, with the key of its variant.  Only
-    constraint symbols condition parents: object and action instances
-    among the children are skipped, because instances are resolved
-    against the world after inference and never appear as gold children
-    during training.
-    """
-    kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
-    tokens = ["bias", f"cat={phrase.category}",
-              *(f"w={word}" for word in dict.fromkeys(phrase.words())),
-              *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
-    rows, index = space.constraint_rows, space.vocabulary.index
-    ceq = [(rows[c.canon], index[c.variant]) for c in kids if c.canon in rows]
-    return tokens, {p for c in kids for p in c.attributes}, ceq
-
-
-class _Compiled:
-    """One model's weights laid out over one key vocabulary.
-
-    Each phrase-side token has one weight vector over the keys: the
-    weight of its feature at each key it fires at (``_features``), zero
-    elsewhere.  ``cmatch``, ``dig`` and ``ceq`` are built at once, the
-    other tokens' vectors on first use, from ``weights.get`` only.
+    ``self[t]`` is phrase-side token ``t``'s weight vector over the keys:
+    the weight of its feature at each key it fires at (``_features``),
+    zero elsewhere, made on first use from ``weights.get`` only.  Per
+    constraint ``c`` of the layout's ``ChildTable``, ``cmatch[c]`` holds
+    the ``cmatch`` weights of its cells, zero elsewhere, and ``ceq[c]`` is
+    ``(row, weight)``: the row of ``c`` and the ``ceq`` weight that row
+    adds when it repeats ``c``.  ``cv[r]`` is the vector of ``cv=`` the
+    table's r-th variant.
     """
 
-    def __init__(self, weights, vocabulary: KeyVocabulary):
-        self.get = weights.get
-        self.vocabulary = vocabulary
-        self.tokens: dict[str, np.ndarray] = {}
-        self.cmatch, self.dig, self.ceq = map(self.token, ("cmatch", "dig", "ceq"))
+    def __init__(self, weights, children: ChildTable):
+        super().__init__()
+        self.get, self.vocabulary = weights.get, children.vocabulary
+        self.dig, cmatch, ceq = self["dig"], self["cmatch"], self["ceq"]
+        self.cmatch = [np.zeros(len(cmatch)) for _ in children.cells]
+        for vector, cells in zip(self.cmatch, children.cells):
+            vector[list(cells)] = cmatch[list(cells)]
+        self.ceq = list(zip(children.row.tolist(), ceq[children.key].tolist()))
+        self.cv = [self[f"cv={v}"] for v in children.variants]
 
-    def token(self, token: str) -> np.ndarray:
-        vector = self.tokens.get(token)
-        if vector is None:
-            vector = np.zeros(len(self.vocabulary))
-            for k, name in _features(self.vocabulary, token):
-                vector[k] = self.get(name, 0.0)
-            self.tokens[token] = vector
+    def __missing__(self, token: str) -> np.ndarray:
+        vector = self[token] = np.zeros(len(self.vocabulary))
+        for k, name in _features(self.vocabulary, token):
+            vector[k] = self.get(name, 0.0)
         return vector
 
 
-class _Scorer:
+class _RowScorer:
     """Scores phrases against one space, for one model and world digest.
 
-    A phrase's key weights start from the ``dig`` weights of the digest's
-    cells, then add each of its tokens' vectors, in ``_phrase_side``'s
-    order, and the ``cmatch`` weights of the children's cells.  Each key
-    gets its terms in the order ``assemble_design`` lists its columns (a
-    cell's two terms commute), so every logit is bit-equal to the sum of
-    its features' weights in that order.  Each row then sums its keys'
-    weights once, adds the ``ceq`` weight of a child it repeats, and the
-    rows are gathered to the symbols.
+    A phrase's key weights add its tokens' vectors in order: its own
+    (``grammar.feature_tokens``), then ``cv=`` for each distinct variant
+    among its children's true constraints, in sorted order.  Then come the
+    ``dig`` weights of the digest's cells and each child's ``cmatch``
+    weights; no other token fires at a cell, and no two constraints share
+    a cell (``ChildTable``).  Each key thus gets its terms in the order
+    ``assemble_design`` lists its columns (a cell's two terms commute), so
+    every logit is bit-equal to the sum of its features' weights in that
+    order.  Each row then sums its keys' weights once and adds the ``ceq``
+    weight of a child it repeats.  Children are ordinals into the space's
+    ``ChildTable``: scoring makes no symbol and reads none.
     """
 
     def __init__(self, model: CorrespondenceModel, space: SymbolSpace,
                  digest: frozenset):
-        vocabulary = space.vocabulary
-        compiled = model._compiled.get(vocabulary)
+        table = space.children
+        compiled = model._compiled.get(table)
         if compiled is None:
-            compiled = model._compiled[vocabulary] = _Compiled(model.weights, vocabulary)
-        self.compiled = compiled
-        self.space = space
-        self.base = np.where(vocabulary.cells_of(digest), compiled.dig, 0.0)
+            compiled = model._compiled[table] = _Compiled(model.weights, table)
+        self.compiled, self.space, self.variant = compiled, space, table.variant
+        # Without a digest, as in the semantic and perception spaces, no
+        # cell has a dig weight to add.
+        self.base = ([np.where(space.vocabulary.cells_of(digest), compiled.dig, 0.0)]
+                     if digest else [])
 
-    def __call__(self, phrase: Phrase, child_trues) -> np.ndarray:
+    def __call__(self, tokens, kids) -> np.ndarray:
+        """The row logits of a phrase with ``tokens`` (``bias`` and
+        ``cat=`` first) whose children's true constraints are ``kids``,
+        distinct ordinals."""
         compiled, space = self.compiled, self.space
-        tokens, child_pairs, ceq = _phrase_side(phrase, child_trues, space)
-        key_weights = self.base.copy()
-        for token in tokens:
-            key_weights += compiled.token(token)
-        if child_pairs:
-            key_weights += np.where(space.vocabulary.cells_of(child_pairs),
-                                    compiled.cmatch, 0.0)
+        vectors = [compiled[t] for t in tokens]
+        if kids:
+            vectors += [compiled.cv[r] for r in sorted({self.variant[c] for c in kids})]
+        vectors += self.base
+        vectors += [compiled.cmatch[c] for c in kids]
+        key_weights = vectors[0] + vectors[1]
+        for vector in vectors[2:]:
+            key_weights += vector
         rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
                            minlength=len(space.row_keys))
-        for row, key in ceq:
-            rows[row] += compiled.ceq[key]
-        z = rows[space.row_of]
-        if np.count_nonzero(np.isfinite(z)) < len(z):
-            j = int(np.flatnonzero(~np.isfinite(z))[0])
-            raise NonFiniteScore(f"factor score for {space[j].canon} is {z[j]!r}")
-        return z
+        for c in kids:
+            row, weight = compiled.ceq[c]
+            rows[row] += weight
+        return rows
+
+
+def _finite(z: np.ndarray, space: SymbolSpace) -> np.ndarray:
+    """``z``, logits over ``space`` (one row per phrase, or one phrase's).
+
+    The first non-finite logit, in phrase order, raises ``NonFiniteScore``
+    naming its symbol.
+    """
+    finite = np.isfinite(z)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), z.shape)
+        raise NonFiniteScore(f"factor score for {space[int(at[-1])].canon} is {z[at]!r}")
+    return z
 
 
 def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
@@ -188,18 +199,31 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
                   digest: frozenset = frozenset()) -> np.ndarray:
     """Logits of every symbol of ``space`` for ``phrase``, in space order.
 
-    ``child_trues`` holds the symbols resolved true at the phrase's
-    children, and ``digest`` the world's (key, value) attribute pairs.
-    The logit of a symbol is the sum of the weights of its features, the
-    columns of its row in ``assemble_design``.  The model is compiled
-    against the space's key vocabulary once (a weight vector over the keys
-    per phrase-side token, read through ``model.weights.get`` only), so a
-    phrase adds a few vectors, each row of the space sums its keys, and
-    the rows are gathered to the symbols: symbols that share a row, the
-    instances of one signature, are scored once.  A non-finite logit
+    ``child_trues`` holds the symbols of ``space`` resolved true at the
+    phrase's children, and ``digest`` the world's (key, value) attribute
+    pairs.  The logit of a symbol is the sum of the weights of its
+    features, the columns of its row in ``assemble_design``.  The model is
+    compiled against the space's layout once (a weight vector over the
+    keys per phrase-side token, read through ``model.weights.get`` only),
+    so a phrase adds a few vectors, each row of the space sums its keys,
+    and the rows are gathered to the symbols: symbols that share a row,
+    the instances of one signature, are scored once.  Only constraint
+    children condition the phrase, and they are read from the layout's
+    ``ChildTable``; instance children are skipped, and a constraint the
+    space lacks raises ``CorpusDomainMismatch``.  A non-finite logit
     raises ``NonFiniteScore``.
     """
-    return _Scorer(model, space, digest)(phrase, child_trues)
+    ordinal = space.children.ordinal
+    kids = set()
+    for child in child_trues:
+        if child.variant in INSTANCE_VARIANTS:
+            continue
+        if child.canon not in ordinal:
+            raise CorpusDomainMismatch(
+                f"child symbol {child.canon!r} is outside the {space.domain!r} space")
+        kids.add(ordinal[child.canon])
+    rows = _RowScorer(model, space, digest)(feature_tokens(phrase), sorted(kids))
+    return _finite(rows[space.row_of], space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +231,9 @@ class CorrespondenceModel:
     """Feature weights for one symbol domain.
 
     ``weights`` is any mapping-like object with ``get(name, default)``.
-    Inference reads them once per key vocabulary and keeps them compiled
-    against it, so they must not change after the first inference.
+    Inference reads them once per symbol layout (keyed by its
+    ``ChildTable``) and keeps them compiled against it, so they must not
+    change after the first inference.
     """
 
     domain: str
@@ -309,36 +334,38 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
           digest: frozenset = frozenset()) -> Assignment:
     """Greedy bottom-up inference: threshold each factor given its children.
 
-    Each phrase scores every symbol at once with ``phrase_logits``; a
-    symbol is true where ``expit(z) > 0.5``.  ``digest`` is the world's
-    set of (key, value) attribute pairs (``WorldModel.digest``).  Object
-    and action instance symbols are scored like the others, so the
-    world's size is what reaches inference cost, even though nothing
-    reads them: the navigation target comes from ``resolve_action`` on
-    the root-true constraints.  Only the true constraint symbols are
-    passed up to a parent, since instances among the children fire no
-    feature.
+    Each phrase scores every row of the space at once, as
+    ``phrase_logits`` does; a symbol is true where ``expit(z) > 0.5``.
+    ``digest`` is the world's set of (key, value) attribute pairs
+    (``WorldModel.digest``).  Object and action instance symbols are
+    scored like the others, so the world's size is what reaches inference
+    cost, even though nothing reads them: the navigation target comes from
+    ``resolve_action`` on the root-true constraints.  Only the true
+    constraints are passed up to a parent, as ordinals into the space's
+    ``ChildTable``, since instances among the children fire no feature;
+    no symbol is made.  The phrases' tokens and post-order are the tree's
+    own, made once for the three models of a run.  Every logit is checked
+    once, after the last phrase: the first non-finite one, in phrase
+    order, raises ``NonFiniteScore``.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
     phrases = tree.phrases()
-    score = _Scorer(model, space, digest)
-    constraints = space.constraints
-    probabilities = np.empty((len(phrases), len(space)))
-    kids: list[list] = [[]] * len(phrases)
-    for phrase in phrases:
-        child_trues: set = set()
-        for child in phrase.children:
-            child_trues.update(kids[child.index])
-        p = expit(score(phrase, child_trues))
-        probabilities[phrase.index] = p
-        kids[phrase.index] = [space[j] for j in
-                              constraints[p[constraints] > 0.5].tolist()]
+    score = _RowScorer(model, space, digest)
+    constraint_rows = space.children.row
+    logits = np.empty((len(phrases), len(space.row_keys)))
+    kids: list[list[int]] = [[]] * len(phrases)
+    for phrase, tokens in zip(phrases, tree.feature_tokens):
+        below = [kids[child.index] for child in phrase.children]
+        children = below[0] if len(below) == 1 else sorted(set().union(*below))
+        rows = logits[phrase.index] = score(tokens, children)
+        kids[phrase.index] = (expit(rows[constraint_rows]) > 0.5).nonzero()[0].tolist()
+    z = _finite(logits[:, space.row_of], space)
     return Assignment(domain=model.domain,
                       factor_evals=len(phrases) * len(space),
-                      probabilities=probabilities, space=space)
+                      probabilities=expit(z), space=space)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +385,17 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
 
     One row per (phrase, symbol) pair, in phrase order, holding the
     features that ``phrase_logits`` would sum for it; child conditioning
-    uses the gold assignments.  A phrase's rows depend only on its
-    category and words, its children's gold symbols and the digest, so
-    the rows of each distinct phrase are built once and repeated.  A
-    column is a feature name, named by ``_features`` once per token, and
-    is numbered when it first fires.
+    uses the gold assignments, read from the space's ``ChildTable`` as
+    inference reads them.  A phrase's rows depend only on its category
+    and words, its children's gold symbols and the digest, so the rows of
+    each distinct phrase are built once and repeated.  A column is a
+    feature name, named by ``_features`` once per token, and is numbered
+    when it first fires.
     Returns ``(matrix, labels, feature_names)``.
     """
     symbols = tuple(space)
     rows, row_keys = space.row_of.tolist(), space.row_keys
-    vocabulary = space.vocabulary
-    by_canon = {s.canon: s for s in symbols}
+    vocabulary, table = space.vocabulary, space.children
     position = {s.canon: j for j, s in enumerate(symbols)}
     # A token's feature name at each key it fires at, and each feature
     # name's column, numbered in the order the features first fire.
@@ -385,7 +412,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             raise CorpusDomainMismatch("gold annotation does not cover every phrase")
         for canons in example.gold:
             for canon in canons:
-                if canon not in by_canon:
+                if canon not in position:
                     raise CorpusDomainMismatch(
                         f"gold symbol {canon!r} is outside the {space.domain!r} space"
                     )
@@ -395,19 +422,22 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             seen = (phrase.category, phrase.words(), children, example.digest)
             block = blocks.get(seen)
             if block is None:
-                tokens, child_pairs, ceq = _phrase_side(
-                    phrase, {by_canon[c] for c in children}, space)
+                # Instances among the children fire nothing.
+                kids = [table.ordinal[c] for c in children if c in table.ordinal]
+                tokens = [*feature_tokens(phrase), *(
+                    f"cv={table.variants[r]}"
+                    for r in sorted({table.variant[c] for c in kids}))]
                 fires = [(t, None) for t in tokens] + [
-                    (t, np.flatnonzero(vocabulary.cells_of(pairs)).tolist())
-                    for t, pairs in (("cmatch", child_pairs), ("dig", example.digest))]
+                    ("cmatch", sorted({k for c in kids for k in table.cells[c]})),
+                    ("dig", np.flatnonzero(vocabulary.cells_of(example.digest)).tolist())]
                 columns_of: list[list[int]] = [[] for _ in range(len(vocabulary))]
                 for token, keys in fires:
                     name_at = names_of(token)
                     for key in name_at if keys is None else keys:
                         columns_of[key].append(named.setdefault(name_at[key], len(named)))
                 name_at = names_of("ceq")
-                repeats = {row: named.setdefault(name_at[key], len(named))
-                           for row, key in ceq}
+                repeats = {int(table.row[c]): named.setdefault(
+                    name_at[int(table.key[c])], len(named)) for c in kids}
                 indices: list[int] = []
                 lengths: list[int] = []
                 for row in rows:

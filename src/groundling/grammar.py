@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import EmptyInstruction, OutOfGrammar
 from .symbols import ClassifierRegistry, REGION_SURFACE_FORMS
@@ -62,13 +62,38 @@ class Phrase:
         return tuple(t.text for t in self.tokens)
 
 
+def feature_tokens(phrase: Phrase) -> tuple[str, ...]:
+    """What the correspondence models read of a phrase itself.
+
+    ``bias``, ``cat=C`` and ``w=word`` for each distinct word the phrase
+    owns, in order.
+    """
+    return ("bias", f"cat={phrase.category}",
+            *(f"w={word}" for word in dict.fromkeys(phrase.words())))
+
+
 @dataclass(frozen=True)
 class ParseTree:
+    """A parsed instruction.
+
+    Its post-order and its phrases' ``feature_tokens`` are made on first
+    read and kept, so the three correspondence models of a run share them.
+    """
+
     root: Phrase
     source_text: str
 
     def phrases(self) -> tuple[Phrase, ...]:
         """All phrases in post-order; position in the tuple equals .index."""
+        return self._post_order
+
+    @cached_property
+    def feature_tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each phrase's ``feature_tokens``, in post-order."""
+        return tuple(map(feature_tokens, self.phrases()))
+
+    @cached_property
+    def _post_order(self) -> tuple[Phrase, ...]:
         out: list[Phrase] = []
 
         def walk(p: Phrase):

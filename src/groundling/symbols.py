@@ -20,12 +20,14 @@ A symbol's logit sums weights over its layout keys: its variant, and for
 each attribute pair the pair and the (pair, variant) cell.  A space
 numbers these keys in a ``KeyVocabulary`` and groups symbols with the
 same keys into rows.  One ``_Layout`` per domain numbers the keys of its
-constraint symbols once; the semantic space is cached per process, the
-perception and type-level grounding spaces and the grounding layout per
-registry.  The grounding layout also numbers every key an object or
-action symbol over the registry's classes, colours and scene labels can
-have, so a world's space only adds one action row and one object row per
-distinct (class, colour, region) signature, by lookups into it.
+constraint symbols once, and builds once the ``ChildTable`` of what each
+constraint fires when it is a resolved child; the semantic space is
+cached per process, the perception and type-level grounding spaces and
+the grounding layout per registry.  The grounding layout also numbers
+every key an object or action symbol over the registry's classes,
+colours and scene labels can have, so a world's space only adds one
+action row and one object row per distinct (class, colour, region)
+signature, by lookups into it.
 """
 
 from __future__ import annotations
@@ -99,6 +101,15 @@ INSTANCE_VARIANTS = ("action", "object")
 
 REGISTRY_SCHEMA = 3
 
+# The variant of each classifier kind's perception symbols.
+_KIND_VARIANTS = {
+    OBJECT_DETECTOR: "detector",
+    COLOR_DETECTOR: "colordet",
+    BBOX_ESTIMATOR: "bbox",
+    POSE_ESTIMATOR: "posest",
+    NOISE_FILTER: "denoise",
+}
+
 
 @dataclass(frozen=True)
 class SemanticSymbol:
@@ -144,13 +155,7 @@ class PerceptionSymbol:
 
     @property
     def variant(self) -> str:
-        return {
-            OBJECT_DETECTOR: "detector",
-            COLOR_DETECTOR: "colordet",
-            BBOX_ESTIMATOR: "bbox",
-            POSE_ESTIMATOR: "posest",
-            NOISE_FILTER: "denoise",
-        }[self.kind]
+        return _KIND_VARIANTS[self.kind]
 
     @property
     def attributes(self) -> tuple[tuple[str, str], ...]:
@@ -299,6 +304,47 @@ class KeyVocabulary:
         return fired[self.cell_pair]
 
 
+class ChildTable:
+    """What each constraint symbol of a layout fires when it is a child.
+
+    A constraint resolved true at a phrase conditions the phrase's parent.
+    Constraint ``c``, the c-th of ``SymbolSpace.constraints`` (canon
+    order), has the variant ``variants[variant[c]]``, where ``cv=`` fires;
+    ``variants`` is sorted, so the ranks ``variant[c]`` sort as the
+    variants do.  It sits in row ``row[c]`` and its variant has the key
+    ``key[c]``, where a parent's row that repeats it fires ``ceq``; and
+    ``cells[c]`` lists the keys of the cells of its attribute pairs, where
+    ``cmatch`` fires.  ``ordinal`` maps each
+    constraint's canon to ``c``.  A layout builds its table once, and every
+    space it makes shares it, so inference reads children as ordinals and
+    makes or reads no symbol.
+
+    A constraint's attribute pair names its variant's key and its value,
+    so no two constraints share a pair, nor a cell; constraints that did
+    would make a set of children fire ``cmatch`` at a cell twice, and
+    raise ``InvalidSpec``.
+    """
+
+    def __init__(self, vocabulary: KeyVocabulary, constraint_symbols, rows):
+        self.vocabulary = vocabulary
+        self.ordinal = {s.canon: c for c, s in enumerate(constraint_symbols)}
+        self.variants = tuple(sorted({s.variant for s in constraint_symbols}))
+        rank = {v: r for r, v in enumerate(self.variants)}
+        self.variant = tuple(rank[s.variant] for s in constraint_symbols)
+        self.row = np.asarray(rows, dtype=np.intp)
+        self.key = np.array([vocabulary.index[s.variant] for s in constraint_symbols],
+                            dtype=np.intp)
+        self.cells = tuple(tuple(k for pair in s.attributes
+                                 for k, _ in vocabulary.cells.get(pair, ()))
+                           for s in constraint_symbols)
+        pairs = [pair for s in constraint_symbols for pair in s.attributes]
+        if len(set(pairs)) < len(pairs):
+            raise InvalidSpec("constraint symbols share an attribute pair")
+
+    def __len__(self) -> int:
+        return len(self.variant)
+
+
 class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
@@ -315,8 +361,8 @@ class SymbolSpace:
     ``row_of[j]``, and entry ``e`` of the flat arrays is key
     ``entry_key[e]`` of row ``entry_row[e]``.  Only instance symbols share
     rows: a constraint symbol's keys name its variant and value.
-    ``constraints`` holds the indices of the constraint symbols, and
-    ``constraint_rows`` maps each one's canon to its row.
+    ``constraints`` holds the indices of the constraint symbols, in canon
+    order, and ``children`` is their layout's ``ChildTable``.
 
     Spaces come from ``_Layout.space``, through the ``enumerate_*``
     functions; a ``None`` among ``symbols`` marks an instance symbol that
@@ -324,7 +370,7 @@ class SymbolSpace:
     """
 
     def __init__(self, domain, vocabulary, symbols, row_keys, row_of,
-                 constraints, constraint_rows, instance=None) -> None:
+                 constraints, children, instance=None) -> None:
         self.domain = domain
         self.vocabulary = vocabulary
         self.row_keys = row_keys
@@ -334,7 +380,7 @@ class SymbolSpace:
         self.entry_key = np.fromiter(itertools.chain.from_iterable(row_keys),
                                      dtype=np.intp, count=sum(lengths))
         self.constraints = np.asarray(constraints, dtype=np.intp)
-        self.constraint_rows = constraint_rows
+        self.children = children
         self._symbols = symbols
         self._instance = instance
 
@@ -518,7 +564,8 @@ class _Layout:
         index = self.vocabulary.index
         self.constraint_keys = tuple(tuple(map(index.__getitem__, names))
                                      for names in named)
-        self.constraint_rows = {s.canon: r for r, s in enumerate(self.constraints)}
+        self.children = ChildTable(self.vocabulary, self.constraints,
+                                   range(len(self.constraints)))
         # No constraint canon starts with "action[" or "object[", so every
         # action canon sorts at one place among them, and so does every
         # object canon.
@@ -573,7 +620,7 @@ class _Layout:
         keys = (self.signature_keys(s) for s in signatures)
         row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
         return SymbolSpace(self.domain, self.vocabulary, symbols, row_keys,
-                           row_of, constraints, self.constraint_rows, instance)
+                           row_of, constraints, self.children, instance)
 
 
 def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpace:

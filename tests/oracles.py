@@ -2,9 +2,11 @@
 
 Each one is the plain, slow way to compute what the package computes
 fast: a symbol space that numbers the keys of whatever symbols it is
-given, a per-factor feature dictionary, inference by enumerating every
-joint assignment of a phrase, merge clustering by comparing every pair of
-points, a world-model build that copies one frozen detection per
+given, a per-factor feature dictionary, scoring and inference that
+derive each phrase's tokens and each child's features from the symbols
+themselves and pass child symbols up the tree, inference by enumerating
+every joint assignment of a phrase, merge clustering by comparing every
+pair of points, a world-model build that copies one frozen detection per
 record through every perception stage and names every object at once,
 target resolution over a list of objects, and a training design whose
 every row is built anew from the per-factor feature dictionary.  The
@@ -17,15 +19,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.special import log_expit
+from scipy.special import expit, log_expit
 
 from groundling.correspondence import (
     INSTANCE_VARIANTS,
+    Assignment,
     CorrespondenceModel,
+    _features,
     phrase_logits,
 )
 from groundling.errors import (
@@ -33,6 +38,7 @@ from groundling.errors import (
     CorpusDomainMismatch,
     GroundlingError,
     InvalidSpec,
+    NonFiniteScore,
     NoTargetObject,
     UnknownClassifier,
 )
@@ -43,6 +49,7 @@ from groundling.symbols import (
     NOISE_FILTER,
     OBJECT_DETECTOR,
     POSE_ESTIMATOR,
+    ChildTable,
     ClassifierRegistry,
     KeyVocabulary,
     PerceptionSymbol,
@@ -94,8 +101,117 @@ def symbol_space(domain: str, symbols) -> SymbolSpace:
                               len(rows)) for names in named]
     constraints = [j for j, s in enumerate(ordered)
                    if s.variant not in INSTANCE_VARIANTS]
+    children = ChildTable(vocabulary, [ordered[j] for j in constraints],
+                          [row_of[j] for j in constraints])
     return SymbolSpace(domain, vocabulary, ordered, tuple(rows), row_of,
-                       constraints, {canons[j]: row_of[j] for j in constraints})
+                       constraints, children)
+
+
+def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
+    """``(tokens, child_pairs, ceq)``: what a phrase fires against a space,
+    derived from its words and from the child symbols themselves.
+
+    ``tokens`` are ``bias``, ``cat=C``, ``w=word`` for each word the
+    phrase owns and ``cv=u`` for each variant ``u`` among the children,
+    sorted; ``child_pairs`` are the children's attribute pairs, at whose
+    cells ``cmatch`` fires; and ``ceq`` lists ``(row, key)`` for the row
+    of each child the space has, with the key of its variant.  Object and
+    action instances among the children are skipped.
+    """
+    kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
+    tokens = ["bias", f"cat={phrase.category}",
+              *(f"w={word}" for word in dict.fromkeys(phrase.words())),
+              *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
+    rows = {space[j].canon: int(space.row_of[j]) for j in space.constraints.tolist()}
+    index = space.vocabulary.index
+    ceq = [(rows[c.canon], index[c.variant]) for c in kids if c.canon in rows]
+    return tokens, {p for c in kids for p in c.attributes}, ceq
+
+
+class _TokenVectors:
+    """One model's weight vector over a vocabulary's keys per token."""
+
+    def __init__(self, weights, vocabulary: KeyVocabulary):
+        self.get = weights.get
+        self.vocabulary = vocabulary
+        self.tokens: dict[str, np.ndarray] = {}
+        self.cmatch, self.dig, self.ceq = map(self.token, ("cmatch", "dig", "ceq"))
+
+    def token(self, token: str) -> np.ndarray:
+        vector = self.tokens.get(token)
+        if vector is None:
+            vector = np.zeros(len(self.vocabulary))
+            for k, name in _features(self.vocabulary, token):
+                vector[k] = self.get(name, 0.0)
+            self.tokens[token] = vector
+        return vector
+
+
+_VECTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def symbol_logits(model: CorrespondenceModel, phrase: Phrase, space: SymbolSpace,
+                  child_trues=(), digest: frozenset = frozenset()) -> np.ndarray:
+    """A phrase's logits, with every token and child feature derived from
+    the symbols (``phrase_side``), term by term in ``phrase_logits``' order.
+
+    The key weights start from the ``dig`` weights of the digest's cells,
+    add each token's vector in ``phrase_side``'s order and then the
+    ``cmatch`` weights of the children's cells.  Each row sums its keys'
+    weights, adds the ``ceq`` weight of a child it repeats, and the rows
+    are gathered to the symbols; a non-finite logit raises
+    ``NonFiniteScore`` at once.
+    """
+    by_vocabulary = _VECTORS.setdefault(model, {})
+    vectors = by_vocabulary.get(space.vocabulary)
+    if vectors is None:
+        vectors = by_vocabulary[space.vocabulary] = _TokenVectors(model.weights,
+                                                                  space.vocabulary)
+    tokens, child_pairs, ceq = phrase_side(phrase, child_trues, space)
+    key_weights = np.where(space.vocabulary.cells_of(digest), vectors.dig, 0.0)
+    for token in tokens:
+        key_weights += vectors.token(token)
+    if child_pairs:
+        key_weights += np.where(space.vocabulary.cells_of(child_pairs),
+                                vectors.cmatch, 0.0)
+    rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
+                       minlength=len(space.row_keys))
+    for row, key in ceq:
+        rows[row] += vectors.ceq[key]
+    z = rows[space.row_of]
+    if np.count_nonzero(np.isfinite(z)) < len(z):
+        j = int(np.flatnonzero(~np.isfinite(z))[0])
+        raise NonFiniteScore(f"factor score for {space[j].canon} is {z[j]!r}")
+    return z
+
+
+def infer_by_symbols(model: CorrespondenceModel, tree: ParseTree,
+                     space: SymbolSpace,
+                     digest: frozenset = frozenset()) -> Assignment:
+    """Greedy bottom-up inference that passes child symbols up the tree.
+
+    Each phrase is scored with ``symbol_logits`` given the union of its
+    children's true constraint symbols, thresholded at one half.
+    """
+    if model.domain != space.domain:
+        raise CorpusDomainMismatch(
+            f"model domain {model.domain!r} does not match space {space.domain!r}"
+        )
+    phrases = tree.phrases()
+    constraints = space.constraints
+    probabilities = np.empty((len(phrases), len(space)))
+    kids: list[list] = [[]] * len(phrases)
+    for phrase in phrases:
+        child_trues: set = set()
+        for child in phrase.children:
+            child_trues.update(kids[child.index])
+        p = expit(symbol_logits(model, phrase, space, child_trues, digest))
+        probabilities[phrase.index] = p
+        kids[phrase.index] = [space[j] for j in
+                              constraints[p[constraints] > 0.5].tolist()]
+    return Assignment(domain=model.domain,
+                      factor_evals=len(phrases) * len(space),
+                      probabilities=probabilities, space=space)
 
 
 def extract_features(phrase: Phrase, symbol, child_trues=(),

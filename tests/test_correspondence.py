@@ -33,13 +33,16 @@ from groundling.correspondence import (
 from groundling.errors import (
     AmbiguousRelation,
     CorpusDomainMismatch,
+    InvalidSpec,
     NoTargetObject,
     NonFiniteScore,
 )
-from groundling.fixtures import site_spec
+from groundling.fixtures import site_spec, tiled
 from groundling.grammar import ParseTree, Phrase, Token, parse_text
+from groundling.pipeline import ModelBundle
 from groundling.symbols import (
     SCENE_LABELS,
+    PerceptionSymbol,
     color_symbol,
     enumerate_grounding_space,
     enumerate_grounding_type_space,
@@ -199,14 +202,147 @@ def test_domain_mismatch_rejected(registry):
     tree = parse_text("go to the nearest ball", registry)
     with pytest.raises(CorpusDomainMismatch):
         infer(model, tree, enumerate_perception_space(registry))
+    # A child constraint must be one of the space's.
+    with pytest.raises(CorpusDomainMismatch):
+        phrase_logits(model, tree.phrases()[1], enumerate_semantic_space(),
+                      {object_type("ball")})
 
 
-def test_non_finite_weights_rejected(registry):
-    model = CorrespondenceModel(domain="semantic",
-                                weights={"bias|v=scene": math.inf})
+def assert_non_finite(model, tree, space, digest, canon, value):
+    """Inference and the symbol oracle both raise ``NonFiniteScore``
+    naming ``canon`` and ``value``."""
+    message = f"factor score for {canon} is {np.float64(value)!r}"
+    for infer_with in (infer, oracles.infer_by_symbols):
+        with pytest.raises(NonFiniteScore) as raised:
+            infer_with(model, tree, space, digest)
+        assert str(raised.value) == message
+
+
+def test_non_finite_weights_rejected(registry, reference):
     tree = parse_text("go to the nearest ball", registry)
-    with pytest.raises(NonFiniteScore):
-        infer(model, tree, enumerate_semantic_space())
+    space = enumerate_grounding_space(reference, registry)
+    # The first phrase's first object symbol: object rows are the only
+    # ones a bias|v=object weight reaches.
+    first_object = next(s for s in space if s.variant == "object")
+    for value in (math.inf, -math.inf, math.nan):
+        model = CorrespondenceModel(domain="semantic",
+                                    weights={"bias|v=scene": value})
+        assert_non_finite(model, tree, enumerate_semantic_space(), frozenset(),
+                          "scene=hallway", value)
+        model = CorrespondenceModel(domain="grounding",
+                                    weights={"bias|v=object": value})
+        assert_non_finite(model, tree, space, reference.digest(),
+                          first_object.canon, value)
+
+
+# A weight each child token fires at, and the symbol it first reaches.
+_CHILD_WEIGHTS = {
+    "cv": ("semantic", "cv=scene|v=scene", "scene=hallway"),
+    "cmatch": ("semantic", "cmatch|scene|v=scene", "scene=kitchen"),
+    "ceq": ("semantic", "ceq|v=scene", "scene=kitchen"),
+    "cmatch-instance": ("grounding", "cmatch|class|v=action", None),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("token", sorted(_CHILD_WEIGHTS))
+def test_a_child_token_trips_the_parent(bundle, registry, reference, token, value):
+    # The trained model resolves scene=kitchen, or type[ball], at the noun
+    # phrase; a non-finite weight that only a true child fires leaves the
+    # noun phrase finite and trips its parent.
+    domain, name, canon = _CHILD_WEIGHTS[token]
+    trained = getattr(bundle, domain)
+    text, child = {"semantic": ("go to the kitchen", "scene=kitchen"),
+                   "grounding": ("go to the ball", "type[ball]")}[domain]
+    tree = parse_text(text, registry)
+    noun = tree.phrases()[0]
+    if domain == "semantic":
+        space, digest = enumerate_semantic_space(), frozenset()
+    else:
+        space, digest = enumerate_grounding_space(reference, registry), reference.digest()
+        canon = next(s.canon for s in space
+                     if s.variant == "action" and ("class", "ball") in s.attributes)
+    assert child in {s.canon for s in infer(trained, tree, space, digest).trues[noun.index]}
+    model = CorrespondenceModel(domain=domain, weights={**trained.weights, name: value})
+    assert np.all(np.isfinite(phrase_logits(model, noun, space, (), digest)))
+    assert_non_finite(model, tree, space, digest, canon, value)
+
+
+@pytest.fixture(scope="module")
+def site_worlds(registry):
+    """{(site, copies, noisy): world}: both sites at x1 and x8, exact and
+    with noise 0.2 and clutter 0.3, built with every classifier."""
+    worlds = {}
+    for site in ("site-1", "site-2"):
+        for copies in (1, 8):
+            for noisy in (False, True):
+                spec = tiled(site_spec(site), copies)
+                if noisy:
+                    spec = replace(spec, noise=0.2, clutter_rate=0.3)
+                worlds[site, copies, noisy] = build_world_model(
+                    simulate(spec, registry), registry.classifier_set, registry)
+    return worlds
+
+
+def test_infer_is_bit_equal_to_the_symbol_oracle(bundle, corpus_split, registry,
+                                                 site_worlds):
+    # The oracle derives each phrase's tokens and each child's features
+    # from the symbols and passes child symbols up the tree; inference
+    # reads them from the tree and the layout's child table.  Every
+    # probability has the same bits, with the seed-7 models and with
+    # hashed weights, under which many more children hold.
+    hashed = ModelBundle(**{d: CorrespondenceModel(domain=d, weights=HashWeights(f"bits-{d}"))
+                            for d in ("semantic", "perception", "grounding")})
+    fixed = [enumerate_semantic_space(), enumerate_perception_space(registry)]
+    grounding = [(enumerate_grounding_space(w, registry), w.digest())
+                 for w in site_worlds.values()]
+    calls = 0
+    for example in corpus_split[1]:
+        tree = parse_text(example.text, registry)
+        for models in (bundle, hashed):
+            for space, digest in ([(s, frozenset()) for s in fixed] + grounding):
+                model = getattr(models, space.domain)
+                got = infer(model, tree, space, digest)
+                want = oracles.infer_by_symbols(model, tree, space, digest)
+                assert got.factor_evals == want.factor_evals
+                assert np.array_equal(got.probabilities.view(np.int64),
+                                      want.probabilities.view(np.int64))
+                calls += 1
+    assert calls == len(corpus_split[1]) * 2 * (2 + 8)
+
+
+def test_child_table_matches_the_symbols(registry, site_worlds):
+    # For every constraint, the cv= variant, the cmatch cells and the ceq
+    # (row, key) that inference reads from the table are what the oracle
+    # derives from the symbol, in layout-made spaces and in the generic
+    # layout of the same symbols.
+    worlds = [site_worlds[site, copies, False]
+              for site in ("site-1", "site-2") for copies in (1, 8)]
+    made = [enumerate_semantic_space(), enumerate_perception_space(registry),
+            enumerate_grounding_type_space(registry),
+            *(enumerate_grounding_space(w, registry) for w in worlds)]
+    # One table per layout, shared by every space it makes.
+    assert len({id(space.children) for space in made[2:]}) == 2
+    assert all(space.children is made[3].children for space in made[3:])
+    phrase = parse_text("go to the ball", registry).phrases()[0]
+    for space in made + [symbol_space(s.domain, tuple(s)) for s in made[:4]]:
+        table = space.children
+        constraints = space.constraints.tolist()
+        assert len(table) == len(constraints)
+        assert table.ordinal == {space[j].canon: c for c, j in enumerate(constraints)}
+        assert list(table.variants) == sorted(set(table.variants))
+        for c, j in enumerate(constraints):
+            tokens, pairs, ceq = oracles.phrase_side(phrase, {space[j]}, space)
+            assert tokens[-1] == f"cv={table.variants[table.variant[c]]}"
+            assert sorted(table.cells[c]) == np.flatnonzero(
+                space.vocabulary.cells_of(pairs)).tolist()
+            assert ceq == [(int(table.row[c]), int(table.key[c]))]
+        cells = [k for keys in table.cells for k in keys]
+        assert len(set(cells)) == len(cells)
+    # Children sharing a cell would fire cmatch at it twice.
+    with pytest.raises(InvalidSpec):
+        symbol_space("grounding", [object_type("cup"),
+                                   PerceptionSymbol("object_detector", "cup")])
 
 
 def random_signature(rng: np.random.Generator, registry) -> tuple:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from groundling.errors import EmptyInstruction, OutOfGrammar
-from groundling.grammar import dump_tree, parse_text, tokenize
+from groundling.grammar import dump_tree, feature_tokens, parse_text, tokenize
 
 
 def all_phrase_words(tree):
@@ -25,6 +25,20 @@ def test_post_order_indices_are_dense(corpus_examples, registry):
     for example in corpus_examples[:50]:
         phrases = parse_text(example.text, registry).phrases()
         assert [p.index for p in phrases] == list(range(len(phrases)))
+
+
+def test_feature_tokens_are_made_once_per_tree(registry):
+    # The three models of a run read one tree's post-order and tokens.
+    tree = parse_text("walk to the closest blue person in the parking lot", registry)
+    assert tree.phrases() is tree.phrases()
+    assert tree.feature_tokens is tree.feature_tokens
+    assert tree.feature_tokens == tuple(map(feature_tokens, tree.phrases()))
+    assert tree.feature_tokens[0] == (
+        "bias", "cat=NP", "w=the", "w=closest", "w=blue", "w=person")
+    # A word the phrase owns twice is one token.
+    parking = tree.phrases()[1]
+    assert feature_tokens(replace(parking, tokens=parking.tokens * 2)) == (
+        "bias", "cat=NP", "w=the", "w=parking", "w=lot")
 
 
 def test_phrases_partition_the_tokens(corpus_examples, registry):

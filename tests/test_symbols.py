@@ -162,7 +162,9 @@ def assert_laid_out_in_column_order(world, objects, registry):
     assert [s.value for s in instances] == [o.id for o in objects] * 2
     assert space.constraints.tolist() == [
         j for j, s in enumerate(reference) if s.variant not in INSTANCE_VARIANTS]
-    assert {canon: space.row_keys[row] for canon, row in space.constraint_rows.items()} == {
+    children = space.children
+    assert {canon: space.row_keys[children.row[c]]
+            for canon, c in children.ordinal.items()} == {
         s.canon: space.row_keys[space.row_of[j]] for j, s in enumerate(space)
         if s.variant not in INSTANCE_VARIANTS}
 
