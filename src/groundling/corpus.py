@@ -346,6 +346,11 @@ def save_corpus(examples, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# A corpus line's fields: strings, and the optional ones may be null.
+_TEXT_FIELDS = ("uid", "text", "template", "verb", "superlative", "noun")
+_OPTIONAL_FIELDS = ("color", "region", "region_surface")
+
+
 def load_corpus(path) -> tuple[CorpusExample, ...]:
     try:
         lines = Path(path).read_text().splitlines()
@@ -359,12 +364,12 @@ def load_corpus(path) -> tuple[CorpusExample, ...]:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            out.append(CorpusExample(
-                uid=rec["uid"], text=rec["text"], template=rec["template"],
-                verb=rec["verb"], superlative=rec["superlative"], noun=rec["noun"],
-                color=rec.get("color"), region=rec.get("region"),
-                region_surface=rec.get("region_surface"),
-            ))
+            fields = ({k: rec[k] for k in _TEXT_FIELDS}
+                      | {k: rec.get(k) for k in _OPTIONAL_FIELDS})
+            for k, v in fields.items():
+                if not (isinstance(v, str) or v is None and k in _OPTIONAL_FIELDS):
+                    raise InvalidSpec(f"corpus field {k} must be a string, got {v!r}")
+            out.append(CorpusExample(**fields))
     except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed corpus file {path}: {exc!r}") from exc
     return tuple(out)

@@ -657,6 +657,13 @@ def save_registry(registry: ClassifierRegistry, path) -> None:
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=True))
 
 
+def _names(value, field: str) -> tuple[str, ...]:
+    # ``tuple("cup")`` would be three one-letter classes.
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidSpec(f"{field} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_registry(path) -> ClassifierRegistry:
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -673,8 +680,8 @@ def load_registry(path) -> ClassifierRegistry:
             for canon, m in sorted(doc["cost_overrides"].items())
         )
         return ClassifierRegistry(
-            object_classes=tuple(doc["object_classes"]),
-            colors=tuple(doc["colors"]),
+            object_classes=_names(doc["object_classes"], "object_classes"),
+            colors=_names(doc["colors"], "colors"),
             kind_costs=kind_costs,
             cost_overrides=overrides,
             scene_cost_per_observation=float(doc["scene_cost_per_observation"]),

@@ -15,24 +15,25 @@ scene label as codes in string order, and each class's rows listed.
 any other sequence it is given.  Observation filtering makes a view of a
 log, an observation mask over the same columns.
 
-Perception is lazy and costed, and runs on a columnar ``DetectionSet``.
-A build reads no record in Python: it gathers the rows of the selected
-object detectors' classes from the log's columns, masked to a view's
-observations, and every object detector charges for the records of the
-log's observations.  The noise filter is a boolean mask, each color
-detector a masked assignment, and the bounding-box and pose estimators
-one vectorised rotation of every row into the world frame, element for
-element the IEEE operations of the scalar transform.  A detection only
-becomes a world-model object once the bounding-box and pose stages have
-run.
+Perception is lazy and costed, and runs on a ``DetectionSet``: rows of
+the log's columns, plus what the stages compute.  A build reads no record
+in Python and copies no record field: it gathers the row numbers of the
+selected object detectors' classes, masked to a view's observations, and
+every object detector charges for the records of the log's observations.
+The noise filter narrows the rows, each color detector adds its colour's
+code to the build's confirmed colours, and the bounding-box and pose
+estimators one vectorised rotation of every row into the world frame,
+element for element the IEEE operations of the scalar transform.  A
+detection only becomes a world-model object once the bounding-box and
+pose stages have run.
 
 Duplicate detections of one physical object merge by class and
 proximity, as array work over the columns: one grid pass links the rows
 of every class, and ``bincount`` and one ``lexsort`` reduce each cluster
 to an object.  The merge matches the row-wise reference bit for bit:
 centroids summed left to right in row order, the earliest member's
-angle, vote ties broken towards the smallest string, and a colour only
-when a detector confirmed it.  The merged objects stay columns
+angle, vote ties broken towards the smallest string, and the winning
+colour only when the build confirmed it.  The merged objects stay columns
 (``ObjectColumns``) in the ``WorldModel``, in order of their smallest
 member row; an id (``class@x,y``, with ``#2``, ``#3``, ... on objects
 that repeat one) and a ``DetectedObject`` are made only when something
@@ -177,10 +178,17 @@ class CooccurrenceModel:
         return math.log((p + LAPLACE_ALPHA) / (1.0 + LAPLACE_ALPHA * k))
 
     def log_prior(self, label: str) -> float:
-        for l, p in self.prior:
-            if l == label:
-                return math.log(p) if p > 0 else -math.inf
-        return -math.inf
+        p = dict(self.prior).get(label, 0.0)
+        return math.log(p) if p > 0 else -math.inf
+
+    @cached_property
+    def terms(self) -> tuple[tuple[str, float, dict[str, float]], ...]:
+        """Per label, in table order: the label, its log prior, and each
+        characteristic class's smoothed log probability, computed once."""
+        return tuple(
+            (label, self.log_prior(label),
+             {c: self.smoothed_log_prob(c, label) for c in self.characteristic})
+            for label in self.labels())
 
 
 def _default_scores() -> tuple[tuple[str, float], ...]:
@@ -207,10 +215,9 @@ def classify_detections(classes, model: CooccurrenceModel,
         scores = _default_scores()
         return FALLBACK_SCENE, scores
     scores = []
-    for label in model.labels():
-        s = model.log_prior(label)
+    for label, s, log_prob in model.terms:
         for c in voting:
-            s += model.smoothed_log_prob(c, label)
+            s += log_prob[c]
         scores.append((label, s))
     top = max(v for _, v in scores)
     label = min(l for l, v in scores if v == top)
@@ -441,80 +448,47 @@ class ObservationLog(tuple):
         rows = np.sort(np.concatenate(picked)) if picked else np.empty(0, np.intp)
         if self._mask is not None:
             rows = rows[self._mask[columns.obs[rows]]]
-        obs = columns.obs[rows]
-        return DetectionSet(
-            scanned=self.records if classes else 0,
-            classes=columns.classes, colors=columns.colors,
-            regions=columns.regions, obs=obs, t=columns.t[rows],
-            rel=columns.rel[rows], cls=columns.cls[rows],
-            color=columns.color[rows], region=columns.region[obs],
-            noisy=columns.noisy[rows], colored=np.zeros(len(obs), dtype=bool),
-            poses=columns.poses, trig=columns.trig,
-        )
+        return DetectionSet(columns=columns, rows=rows,
+                            scanned=self.records if classes else 0,
+                            confirmed=frozenset())
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionSet:
-    """Detections routed through the perception pipeline, one array per field.
+    """Detections routed through the perception pipeline: rows of a log.
 
-    Row ``i`` is one raw detection; rows are in (t, class, rel) order.
-    ``obs[i]`` indexes ``poses`` and ``trig``, the pose of each
-    observation of the log and the cosine and sine of its angle, and
-    ``t[i]`` is that observation's time; ``rel`` holds the pose relative
-    to the robot frame, and ``noisy`` the simulator's noise flag.  The
-    apparent class, the apparent colour and the observation's scene label
-    are codes: ``cls[i]`` indexes ``classes``, ``color[i]`` ``colors`` and
-    ``region[i]`` ``regions``, each vocabulary sorted, so that code order
-    is string order.  ``colored`` marks the rows whose colour a colour
-    detector confirmed.  ``position`` (x, y per row) and ``theta`` stay
+    ``rows`` lists rows of the log's ``columns``, in row order, so in
+    (t, class, rel) order; every record field is read through it, and no
+    stage copies one.  ``confirmed`` holds the codes of the colours whose
+    colour detector ran.  ``position`` (x, y per row) and ``theta`` stay
     None until the bounding-box and pose stages compute them for every
     row.  ``scanned`` counts the records of the observations the rows
     were gathered from, or is 0 when no class was asked for.
     """
 
+    columns: _Columns
+    rows: np.ndarray
     scanned: int
-    classes: tuple[str, ...]
-    colors: tuple[str, ...]
-    regions: tuple[str, ...]
-    obs: np.ndarray
-    t: np.ndarray
-    rel: np.ndarray
-    cls: np.ndarray
-    color: np.ndarray
-    region: np.ndarray
-    noisy: np.ndarray
-    colored: np.ndarray
-    poses: np.ndarray
-    trig: np.ndarray
+    confirmed: frozenset[int]
     position: np.ndarray | None = None
     theta: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.obs)
+        return len(self.rows)
 
-    def take(self, rows) -> DetectionSet:
-        """The rows that ``rows`` (a mask or an index array) selects."""
-        return DetectionSet(
-            scanned=self.scanned,
-            classes=self.classes, colors=self.colors, regions=self.regions,
-            obs=self.obs[rows], t=self.t[rows], rel=self.rel[rows],
-            cls=self.cls[rows], color=self.color[rows],
-            region=self.region[rows], noisy=self.noisy[rows],
-            colored=self.colored[rows], poses=self.poses, trig=self.trig,
-            position=None if self.position is None else self.position[rows],
-            theta=None if self.theta is None else self.theta[rows],
-        )
-
-    def with_column(self, name: str, values: np.ndarray) -> DetectionSet:
-        """A copy whose field ``name`` is ``values``; the others are shared.
-
-        Unlike ``dataclasses.replace``, it reads no other field and does
-        not run the frozen ``__init__`` again.
-        """
+    def _replace(self, **fields) -> DetectionSet:
+        # A copy with ``fields`` replaced: one ``__dict__`` copy, without
+        # the frozen ``__init__``.
         copy = object.__new__(DetectionSet)
-        copy.__dict__.update(self.__dict__)
-        copy.__dict__[name] = values
+        copy.__dict__.update(self.__dict__, **fields)
         return copy
+
+    def take(self, keep) -> DetectionSet:
+        """The rows that ``keep`` (a mask or an index array) selects."""
+        return self._replace(
+            rows=self.rows[keep],
+            position=None if self.position is None else self.position[keep],
+            theta=None if self.theta is None else self.theta[keep])
 
 
 @dataclass(frozen=True)
@@ -707,11 +681,13 @@ def run_classifier(symbol: PerceptionSymbol, observations,
     An object detector passes ``detections``, the build's one gather of
     the selected detectors' classes from ``observations``, through
     unchanged, and charges base + per-item times the records of
-    ``observations`` (nothing without observations).  The other stages take the
-    current detection set and charge base + per-item times its rows
-    (nothing when it is empty): the noise filter drops simulator-flagged
-    noise, color detectors confirm matching colors, and the bounding-box /
-    pose estimators compute absolute geometry.
+    ``observations`` (nothing without observations).  The other stages
+    take the current detection set and charge base + per-item times its
+    rows (nothing when it is empty).  None copies a record field: the
+    noise filter narrows the rows to those without the simulator's noise
+    flag, a color detector adds its colour's code to ``confirmed``, and
+    the bounding-box / pose estimators compute absolute geometry, read
+    through the rows.
     """
     cost_model = registry.cost_for(symbol)
     if symbol.kind == OBJECT_DETECTOR:
@@ -720,27 +696,29 @@ def run_classifier(symbol: PerceptionSymbol, observations,
     if not len(detections):
         return detections, 0.0
     cost = cost_model.cost(len(detections))
+    columns, rows = detections.columns, detections.rows
     if symbol.kind == NOISE_FILTER:
-        return detections.take(~detections.noisy), cost
+        return detections.take(~columns.noisy[rows]), cost
     if symbol.kind == COLOR_DETECTOR:
-        # A colour that no row shows has no code, and confirms no row.
-        colors = detections.colors
-        code = colors.index(symbol.param) if symbol.param in colors else -1
-        return detections.with_column(
-            "colored", detections.colored | (detections.color == code)), cost
+        # A colour that no row of the log shows has no code to confirm.
+        if symbol.param not in columns.colors:
+            return detections, cost
+        code = columns.colors.index(symbol.param)
+        return detections._replace(confirmed=detections.confirmed | {code}), cost
+    obs = columns.obs[rows]
     if symbol.kind == BBOX_ESTIMATOR:
         # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
         # and sin from ``math`` once per log pose: every element goes
         # through the same IEEE operations, in the same order, as the
         # scalar form.
-        cos, sin = detections.trig[detections.obs].T
-        robot, rel = detections.poses[detections.obs], detections.rel
+        cos, sin = columns.trig[obs].T
+        robot, rel = columns.poses[obs], columns.rel[rows]
         x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
         y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
-        return detections.with_column("position", np.stack((x, y), axis=1)), cost
+        return detections._replace(position=np.stack((x, y), axis=1)), cost
     if symbol.kind == POSE_ESTIMATOR:
-        theta = detections.poses[detections.obs, 2] + detections.rel[:, 2]
-        return detections.with_column("theta", theta), cost
+        theta = columns.poses[obs, 2] + columns.rel[rows, 2]
+        return detections._replace(theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 
 
@@ -859,13 +837,15 @@ def _groups(detections: DetectionSet):
       a tie towards the smallest string.
 
     Returns, with a column per group in that order, the class, colour
-    (-1 unless a detector confirmed it) and region codes, and x, y and
+    (-1 unless its code is confirmed) and region codes, and x, y and
     theta; and the members' ``t``, group by group, with each group's start
     and stop in it.
     """
-    xy, t, theta = detections.position, detections.t, detections.theta
-    color, region = detections.color, detections.region
-    label = _link(detections.cls, xy)
+    columns, rows = detections.columns, detections.rows
+    xy, theta = detections.position, detections.theta
+    t, row_cls = columns.t[rows], columns.cls[rows]
+    color, region = columns.color[rows], columns.region[columns.obs[rows]]
+    label = _link(row_cls, xy)
     # Each cluster's smallest row labels itself; numbering those rows in
     # order numbers the groups.
     smallest = label == np.arange(len(label))
@@ -875,16 +855,17 @@ def _groups(detections: DetectionSet):
     size = np.bincount(group)
     stop = size.cumsum()
     start = stop - size
-    nc, nr = len(detections.colors), len(detections.regions)
+    nc, nr = len(columns.colors), len(columns.regions)
     # The class, colour and region rows of ``codes`` are filled in place.
     codes = np.empty((3, k), dtype=np.intp)
     cls, winner, votes = codes
     np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1, out=winner)
-    confirmed = np.bincount(group, detections.colored & (color == winner[group]), k)
-    winner[confirmed == 0] = -1
+    known = np.zeros(nc, dtype=bool)
+    known[list(detections.confirmed)] = True
+    winner[~known[winner]] = -1
     np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr).argmax(axis=1, out=votes)
     first = order[start]
-    detections.cls.take(first, out=cls)
+    row_cls.take(first, out=cls)
     pose = np.empty((3, k))
     np.divide(np.bincount(group, xy[:, 0]), size, out=pose[0])
     np.divide(np.bincount(group, xy[:, 1]), size, out=pose[1])
@@ -897,20 +878,22 @@ def _merge(detections: DetectionSet) -> ObjectColumns:
 
     The pose is the members' centroid and the angle of the earliest
     member, by (t, theta).  The colour is the members' most common
-    apparent colour, kept only when a colour detector confirmed it on
-    some member: which colour detectors ran decides whether the colour is
-    known, never which colour it is.  The region is the members' most
-    common scene label; both votes break ties towards the smallest
-    string.  The provenance is the set of the members' ``t``.
+    apparent colour, kept only when its code is among the build's
+    ``confirmed`` colours: which colour detectors ran decides whether the
+    colour is known, never which colour it is.  The region is the
+    members' most common scene label; both votes break ties towards the
+    smallest string.  The provenance is the set of the members' ``t``.
 
-    ``_groups`` computes these as array work over the columns, and the
-    objects stay columns, in order of their smallest member row.  No id
-    is made here: ``ObjectColumns.id`` makes one when it is read.
+    ``_groups`` computes these as array work over the log's columns,
+    read through the detections' rows, and the objects stay columns, in
+    order of their smallest member row.  No id is made here:
+    ``ObjectColumns.id`` makes one when it is read.
     """
     codes, pose, t, start, stop = _groups(detections)
+    columns = detections.columns
     return ObjectColumns(
-        classes=detections.classes, colors=detections.colors,
-        regions=detections.regions, codes=codes, pose=pose, t=t,
+        classes=columns.classes, colors=columns.colors,
+        regions=columns.regions, codes=codes, pose=pose, t=t,
         start=start, stop=stop)
 
 
@@ -977,9 +960,11 @@ def _pose(values, field: str) -> Pose:
     return tuple(float(v) for v in values)
 
 
-def _text(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise InvalidSpec(f"{field} must be a string, got {value!r}")
+def _typed(value, kinds: tuple[type, ...], field: str):
+    # The exact type: ``bool("false")`` is True, so only a JSON boolean is a flag.
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InvalidSpec(f"{field} must be of type {names}, got {value!r}")
     return value
 
 
@@ -1021,15 +1006,15 @@ def _observation(rec) -> Observation:
         t=t,
         robot_pose=_pose(rec["robot_pose"], "robot_pose"),
         scene_label=_scene_label(rec["scene_label"]),
-        scene_scores=tuple((_text(label, "scene_scores label"), _log_score(score))
-                           for label, score in rec["scene_scores"]),
+        scene_scores=tuple((_typed(label, (str,), "scene_scores label"),
+                            _log_score(score)) for label, score in rec["scene_scores"]),
         sensed=tuple(
             RawDetection(
-                latent_id=d["latent_id"],
+                latent_id=_typed(d["latent_id"], (str, type(None)), "latent_id"),
                 rel=_pose(d["rel"], "rel"),
-                apparent_class=_text(d["apparent_class"], "apparent_class"),
-                apparent_color=_text(d["apparent_color"], "apparent_color"),
-                noisy=bool(d["noisy"]),
+                apparent_class=_typed(d["apparent_class"], (str,), "apparent_class"),
+                apparent_color=_typed(d["apparent_color"], (str,), "apparent_color"),
+                noisy=_typed(d["noisy"], (bool,), "noisy"),
             )
             for d in rec["sensed"]
         ),
@@ -1040,7 +1025,8 @@ def load_observations(path) -> ObservationLog:
     """Read an observation log written by ``save_observations``.
 
     Anything malformed raises ``InvalidSpec``: undecodable bytes, a line
-    that is not JSON, a missing or mistyped field, a non-finite pose (a
+    that is not JSON, a missing or mistyped field (``noisy`` must be a
+    JSON boolean, ``latent_id`` a string or null), a non-finite pose (a
     NaN would become an object at ``nan,nan``) or scene score (-inf, a
     label with prior 0, is a score), a scene label outside
     ``SCENE_LABELS`` (no instruction could name it as a region), and a

@@ -74,9 +74,11 @@ def _write_records(path, records):
     lambda r: r["sensed"][0].__setitem__("apparent_class", ["cup"]),
     lambda r: r["sensed"][0]["rel"].pop(),
     lambda r: r.__setitem__("scene_label", "bathroom"),
+    lambda r: r["sensed"][0].__setitem__("noisy", "false"),
+    lambda r: r["sensed"][0].__setitem__("latent_id", 17),
 ], ids=["nan-rel", "inf-rel", "inf-robot-pose", "nan-scene-score",
         "inf-scene-score", "repeated-t", "float-t", "huge-t", "list-class",
-        "short-rel", "unknown-scene-label"])
+        "short-rel", "unknown-scene-label", "string-noisy", "int-latent-id"])
 def test_observation_log_rejects(edit, valid_files, tmp_path):
     records = _records(valid_files["observations"])
     edit(records[2])
@@ -128,8 +130,10 @@ def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
         "laser", {"base_cost": 1.0, "per_item_cost": 0.1}),
     lambda doc: doc["cost_overrides"].__setitem__(
         "object_detector[dragon]", {"base_cost": 1.0, "per_item_cost": 0.1}),
+    lambda doc: doc.__setitem__("object_classes", "cup"),
+    lambda doc: doc.__setitem__("colors", [1, 2]),
 ], ids=["repeated-color", "kind-costs-lack-a-kind", "kind-costs-unknown-kind",
-        "override-unknown-classifier"])
+        "override-unknown-classifier", "string-object-classes", "int-colors"])
 def test_registry_file_rejects_inconsistent_tables(edit, valid_files, tmp_path):
     # Each of these would load, then fail or be ignored at the first build.
     doc = yaml.safe_load(valid_files["registry"].read_text())

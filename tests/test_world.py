@@ -130,6 +130,37 @@ def test_smoothed_log_prob_matches_formula():
             assert model.smoothed_log_prob(cls, label) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("zero_prior", [None, "kitchen"])
+def test_scene_scores_keep_the_formula_bits(registry, zero_prior):
+    # Scene scores are written to log files: each label's score is its log
+    # prior plus, left to right, the smoothed log probability of every
+    # characteristic class sensed.
+    base = default_cooccurrence()
+    prior = {label: 0.0 if label == zero_prior else 1.0 for label in base.labels()}
+    model = CooccurrenceModel.from_dict(
+        {label: dict(row) for label, row in base.table}, base.characteristic, prior)
+    k = len(model.characteristic)
+    rng = random.Random(11)
+    classes = sorted(registry.object_classes)
+    assert set(classes) - model.characteristic
+    for _ in range(300):
+        sensed = [rng.choice(classes) for _ in range(rng.randrange(8))]
+        label, scores = world.classify_detections(sensed, model)
+        voting = [c for c in sensed if c in model.characteristic]
+        if not voting:
+            assert label == world.FALLBACK_SCENE
+            continue
+        expected = []
+        for name, row in model.table:
+            p = dict(model.prior)[name]
+            s = math.log(p) if p > 0 else -math.inf
+            for c in voting:
+                s += math.log((dict(row).get(c, 0.0) + world.LAPLACE_ALPHA)
+                              / (1.0 + world.LAPLACE_ALPHA * k))
+            expected.append((name, s.hex()))
+        assert [(name, s.hex()) for name, s in scores] == expected
+
+
 def test_uninformative_frames_inherit_previous_label(site_logs):
     observations = site_logs["site-1"]
     characteristic = default_cooccurrence().characteristic
