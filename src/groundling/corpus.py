@@ -98,7 +98,6 @@ class CorpusConfig:
 @dataclass(frozen=True)
 class CorpusExample:
     uid: str
-    text: str
     template: str
     verb: str
     superlative: str
@@ -106,6 +105,17 @@ class CorpusExample:
     color: str | None = None
     region: str | None = None
     region_surface: str | None = None
+
+    @property
+    def text(self) -> str:
+        """The instruction, spelled from the fields by the templates."""
+        words = [self.verb, "to", "the", self.superlative]
+        if self.color:
+            words.append(self.color)
+        words.append(self.noun)
+        if self.region_surface:
+            words += ["in", "the", self.region_surface]
+        return " ".join(words)
 
     def relation(self) -> str:
         return RELATION_FOR_SUPERLATIVE[self.superlative]
@@ -132,15 +142,8 @@ def generate(config: CorpusConfig,
                 region = _pick(rng, SCENE_LABELS)
                 forms = REGION_SURFACE_FORMS[region]
                 surface = " ".join(forms[int(rng.integers(len(forms)))])
-            words = [verb, "to", "the", superlative]
-            if color:
-                words.append(color)
-            words.append(noun)
-            if surface:
-                words += ["in", "the", surface]
             examples.append(CorpusExample(
                 uid=f"ex{len(examples):04d}",
-                text=" ".join(words),
                 template=template,
                 verb=verb,
                 superlative=superlative,
@@ -369,7 +372,20 @@ def load_corpus(path) -> tuple[CorpusExample, ...]:
             for k, v in fields.items():
                 if not (isinstance(v, str) or v is None and k in _OPTIONAL_FIELDS):
                     raise InvalidSpec(f"corpus field {k} must be a string, got {v!r}")
-            out.append(CorpusExample(**fields))
+            text = fields.pop("text")
+            example = CorpusExample(**fields)
+            surfaces = ([" ".join(form) for form in REGION_SURFACE_FORMS.get(example.region, ())]
+                        if example.region is not None else [None])
+            for k, known in (("template", TEMPLATES), ("verb", VERBS),
+                             ("superlative", RELATION_FOR_SUPERLATIVE),
+                             ("region_surface", surfaces)):
+                if fields[k] not in known:
+                    raise InvalidSpec(f"corpus example {example.uid}: {k} {fields[k]!r}"
+                                      f" is not one of {list(known)}")
+            if text != example.text:
+                raise InvalidSpec(f"corpus example {example.uid}: text {text!r} is not"
+                                  f" its fields' {example.text!r}")
+            out.append(example)
     except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed corpus file {path}: {exc!r}") from exc
     return tuple(out)

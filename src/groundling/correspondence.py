@@ -32,13 +32,14 @@ pair, the number of logits scored.  Inference only scores: picking the
 navigation target the root-true constraints imply is a second step,
 ``resolve_action``, that the caller takes.  Training fits the factor
 weights by penalized maximum likelihood with gold child assignments
-(teacher forcing).
+(teacher forcing).  Its design has one row per (phrase, symbol) pair, but
+``assemble_design`` builds only the distinct rows, each with its count,
+and the fit weights each row by its count.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import weakref
@@ -381,41 +382,48 @@ class TrainingExample:
 
 
 def assemble_design(space: SymbolSpace, examples) -> tuple:
-    """Build the sparse design matrix and label vector for a training set.
+    """Build the distinct rows of a training set's design, with their counts.
 
-    One row per (phrase, symbol) pair, in phrase order, holding the
-    features that ``phrase_logits`` would sum for it; child conditioning
+    The design has one row per (phrase, symbol) pair, in phrase order,
+    holding the features that ``phrase_logits`` would sum for it, and
+    labelled 1 where the symbol is gold at the phrase; child conditioning
     uses the gold assignments, read from the space's ``ChildTable`` as
-    inference reads them.  A phrase's rows depend only on its category
-    and words, its children's gold symbols and the digest, so the rows of
-    each distinct phrase are built once and repeated.  A column is a
-    feature name, named by ``_features`` once per token, and is numbered
-    when it first fires.
-    Returns ``(matrix, labels, feature_names)``.
+    inference reads them.  Only its distinct (column set, label) rows are
+    built, in the order they first occur, each with how often it occurs.
+    A phrase's rows depend only on its category and words, its children's
+    gold symbols and the digest, so each distinct phrase numbers the
+    column set of each row of the space once, and a phrase is its rows'
+    numbers gathered to the symbols, plus its gold labels.  A column is a
+    feature name, named by ``_features`` once per token.
+    Returns ``(matrix, labels, counts, feature_names)``.
     """
-    symbols = tuple(space)
-    rows, row_keys = space.row_of.tolist(), space.row_keys
+    position = {s.canon: j for j, s in enumerate(space)}
     vocabulary, table = space.vocabulary, space.children
-    position = {s.canon: j for j, s in enumerate(symbols)}
-    # A token's feature name at each key it fires at, and each feature
-    # name's column, numbered in the order the features first fire.
-    names_of = functools.cache(lambda token: dict(_features(vocabulary, token)))
+    # Each feature name's column, numbered when it is first named, and
+    # each token's (key, column) at every key a full token fires at.
     named: dict[str, int] = {}
-    # Each distinct phrase's column indices and row lengths, and the
-    # block of each phrase in phrase order.
-    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    order: list[tuple[np.ndarray, np.ndarray]] = []
-    trues: list[int] = []  # the rows labelled 1
+    names_of = functools.cache(lambda token: dict(_features(vocabulary, token)))
+
+    def column(token: str, key: int) -> int:
+        return named.setdefault(names_of(token)[key], len(named))
+
+    fired = functools.cache(lambda token: [(key, column(token, key))
+                                           for key in names_of(token)])
+    # Each distinct column set, by its sorted columns, and its number.
+    numbered: dict[tuple, int] = {}
+    # Each distinct phrase's column-set numbers per symbol, and the block
+    # of each phrase in phrase order.
+    blocks: dict[tuple, np.ndarray] = {}
+    order: list[np.ndarray] = []
+    trues: list[int] = []  # the (phrase, symbol) pairs labelled 1
     for example in examples:
         phrases = example.tree.phrases()
         if len(example.gold) != len(phrases):
             raise CorpusDomainMismatch("gold annotation does not cover every phrase")
-        for canons in example.gold:
-            for canon in canons:
-                if canon not in position:
-                    raise CorpusDomainMismatch(
-                        f"gold symbol {canon!r} is outside the {space.domain!r} space"
-                    )
+        outside = frozenset().union(*example.gold) - position.keys()
+        if outside:
+            raise CorpusDomainMismatch(
+                f"gold symbol {min(outside)!r} is outside the {space.domain!r} space")
         for phrase in phrases:
             children = frozenset(c for child in phrase.children
                                  for c in example.gold[child.index])
@@ -427,74 +435,53 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
                 tokens = [*feature_tokens(phrase), *(
                     f"cv={table.variants[r]}"
                     for r in sorted({table.variant[c] for c in kids}))]
-                fires = [(t, None) for t in tokens] + [
-                    ("cmatch", sorted({k for c in kids for k in table.cells[c]})),
-                    ("dig", np.flatnonzero(vocabulary.cells_of(example.digest)).tolist())]
                 columns_of: list[list[int]] = [[] for _ in range(len(vocabulary))]
-                for token, keys in fires:
-                    name_at = names_of(token)
-                    for key in name_at if keys is None else keys:
-                        columns_of[key].append(named.setdefault(name_at[key], len(named)))
-                name_at = names_of("ceq")
-                repeats = {int(table.row[c]): named.setdefault(
-                    name_at[int(table.key[c])], len(named)) for c in kids}
-                indices: list[int] = []
-                lengths: list[int] = []
-                for row in rows:
-                    start = len(indices)
-                    for key in row_keys[row]:
-                        indices.extend(columns_of[key])
+                for token in tokens:
+                    for key, c in fired(token):
+                        columns_of[key].append(c)
+                for token, keys in (
+                        ("cmatch", sorted({k for c in kids for k in table.cells[c]})),
+                        ("dig", np.flatnonzero(vocabulary.cells_of(example.digest)).tolist())):
+                    for key in keys:
+                        columns_of[key].append(column(token, key))
+                repeats = {int(table.row[c]): column("ceq", int(table.key[c]))
+                           for c in kids}
+                numbers = []
+                for row, keys in enumerate(space.row_keys):
+                    columns = [c for key in keys for c in columns_of[key]]
                     if row in repeats:
-                        indices.append(repeats[row])
-                    lengths.append(len(indices) - start)
-                block = blocks[seen] = (np.array(indices, dtype=np.int32),
-                                        np.array(lengths, dtype=np.int64))
-            offset = len(order) * len(symbols)
+                        columns.append(repeats[row])
+                    columns.sort()
+                    numbers.append(numbered.setdefault(tuple(columns), len(numbered)))
+                block = blocks[seen] = np.array(numbers, dtype=np.intp)[space.row_of]
+            offset = len(order) * len(position)
             trues.extend(offset + position[c] for c in example.gold[phrase.index])
             order.append(block)
-    # Columns are numbered in first-fired order; renumber them by name so
+    # A row is its column set's number and its label, one code; the
+    # distinct codes, in the order they first occur, are the rows.
+    codes = 2 * np.concatenate([np.empty(0, dtype=np.intp), *order])
+    codes[trues] += 1
+    codes, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    ranked = np.argsort(first)
+    codes, counts = codes[ranked], counts[ranked]
+    # Columns are numbered in first-named order; renumber them by name so
     # the design, and the floating-point sums over it, do not depend on
     # the order in which examples fire their features.
     names = sorted(named)
     renumber = np.empty(len(names), dtype=np.int32)
-    for column, name in enumerate(names):
-        renumber[named[name]] = column
-    # An empty block first, so that a set without phrases concatenates too.
-    indices = np.concatenate([np.empty(0, dtype=np.int32), *(b[0] for b in order)])
-    lengths = np.concatenate([np.empty(0, dtype=np.int64), *(b[1] for b in order)])
-    labels = np.zeros(len(order) * len(symbols))
-    labels[trues] = 1.0
+    renumber[[named[name] for name in names]] = np.arange(len(names))
+    column_sets = list(numbered)
+    rows = [column_sets[n] for n in (codes // 2).tolist()]
+    lengths = [len(row) for row in rows]
+    indices = np.fromiter((c for row in rows for c in row), dtype=np.int32,
+                          count=sum(lengths))
     matrix = sparse.csr_matrix(
         (np.ones(len(indices)), renumber[indices],
-         np.concatenate(([0], np.cumsum(lengths)))),
-        shape=(len(labels), len(names)),
+         np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))),
+        shape=(len(rows), len(names)),
     )
     matrix.sort_indices()
-    return matrix, labels, tuple(names)
-
-
-def collapse_design(design, labels) -> tuple:
-    """The distinct rows of a binary design, each with how often it occurs.
-
-    Two rows are one when they list the same columns, in the same order,
-    and carry the same label; the entries, all one, are not compared.
-    Returns ``(design, labels, counts, inverse)``: the distinct rows in
-    the order they first occur, their labels and counts, and for each
-    input row the distinct row it is, so ``design[inverse]`` is the
-    input design.
-    """
-    columns = design.indices
-    lengths = np.diff(design.indptr).tolist()
-    bounds = itertools.pairwise(itertools.accumulate(lengths, initial=0))
-    first: dict[tuple, int] = {}
-    # One pass that keeps no object per row: training's peak memory is
-    # here, while the full design is still alive.
-    inverse = np.fromiter(
-        (first.setdefault((columns[a:b].tobytes(), label), len(first))
-         for (a, b), label in zip(bounds, labels)),
-        dtype=np.intp, count=len(labels))
-    rows = np.unique(inverse, return_index=True)[1]
-    return design[rows], labels[rows], np.bincount(inverse), inverse
+    return matrix, (codes % 2).astype(np.float64), counts, tuple(names)
 
 
 def objective_and_gradient(design, labels, weights, regularization, counts=1):
@@ -534,11 +521,10 @@ def train(space: SymbolSpace, examples,
     non-finite objective raises ``DivergedLoss``.
 
     A row that repeats adds the same term to the likelihood each time, so
-    the fit runs on the design's distinct rows (``collapse_design``), each
-    weighted by its count; the full design is dropped once collapsed.
+    the fit runs on the design's distinct rows, each weighted by its count,
+    as ``assemble_design`` builds them; the full design is never built.
     """
-    design, labels, names = assemble_design(space, examples)
-    design, labels, counts, _ = collapse_design(design, labels)
+    design, labels, counts, names = assemble_design(space, examples)
     weights = np.zeros(design.shape[1])
     objective, gradient = objective_and_gradient(design, labels, weights,
                                                  regularization, counts)
@@ -552,13 +538,10 @@ def train(space: SymbolSpace, examples,
             iterations -= 1
             break
         trial = step
-        improved = False
         while trial >= 1e-12:
             candidate = weights + trial * gradient
-            cand_obj, cand_grad = objective_and_gradient(design, labels,
-                                                         candidate,
-                                                         regularization,
-                                                         counts)
+            cand_obj, cand_grad = objective_and_gradient(
+                design, labels, candidate, regularization, counts)
             if math.isnan(cand_obj):
                 raise DivergedLoss("objective became non-finite during training")
             if cand_obj > objective:
@@ -566,10 +549,9 @@ def train(space: SymbolSpace, examples,
                 sy = float(s @ y)
                 step = float(s @ s) / sy if sy > 0.0 else FIRST_STEP
                 weights, objective, gradient = candidate, cand_obj, cand_grad
-                improved = True
                 break
             trial /= 2.0
-        if not improved:
+        else:  # the step underflowed without improving
             break
     grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
     packed = {name: float(w) for name, w in zip(names, weights) if w != 0.0}

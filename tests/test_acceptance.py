@@ -76,17 +76,17 @@ def test_criterion_2_gradient_check(corpus_examples, registry, verdict):
         examples.append(corpus_mod.TrainingExample(
             tree=tree,
             gold=corpus_mod.gold_annotations(example, tree, "semantic")))
-    design, labels, _ = assemble_design(space, examples)
+    design, labels, counts, _ = assemble_design(space, examples)
     rng = np.random.default_rng(1002)
     h, probes, worst = 1e-5, 100, 0.0
     for _ in range(probes):
         w = rng.normal(scale=0.5, size=design.shape[1])
         d = rng.normal(size=design.shape[1])
         d /= np.linalg.norm(d)
-        _, grad = objective_and_gradient(design, labels, w, 1e-4)
+        _, grad = objective_and_gradient(design, labels, w, 1e-4, counts)
         analytic = float(grad @ d)
-        up, _ = objective_and_gradient(design, labels, w + h * d, 1e-4)
-        down, _ = objective_and_gradient(design, labels, w - h * d, 1e-4)
+        up, _ = objective_and_gradient(design, labels, w + h * d, 1e-4, counts)
+        down, _ = objective_and_gradient(design, labels, w - h * d, 1e-4, counts)
         numeric = (up - down) / (2.0 * h)
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         worst = max(worst, rel)

@@ -141,11 +141,14 @@ def _not_utf8(record):
     ("ground", "directory", None),
     ("ground", "observations", _set("scene_label", "bathroom")),
     ("train", "corpus", _set("text", 5)),
+    ("train", "corpus", _set("superlative", "biggest")),
+    ("train", "corpus", _set("noun", "dragon")),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
         "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
         "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
         "registry-bad-yaml", "registry-not-utf8", "obs-directory",
-        "obs-unknown-scene-label", "corpus-int-text"])
+        "obs-unknown-scene-label", "corpus-int-text",
+        "corpus-superlative-off-text", "corpus-noun-off-text"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"

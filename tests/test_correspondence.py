@@ -21,7 +21,6 @@ from groundling.correspondence import (
     CorrespondenceModel,
     TrainingExample,
     assemble_design,
-    collapse_design,
     infer,
     load_model,
     objective_and_gradient,
@@ -541,12 +540,13 @@ def seed7_training(corpus_split, registry, reference):
 def test_design_rows_score_like_phrase_logits(seed7_training, domain):
     # Training lists each row's feature columns; inference adds compiled
     # weight vectors, both from the one table of feature names.  On the
-    # seed-7 training set, each design row dotted with the weights is the
-    # logit phrase_logits gives that (phrase, symbol).
+    # seed-7 training set, each row of the full design (the oracle's, which
+    # the package's distinct rows are tied to below) dotted with the
+    # weights is the logit phrase_logits gives that (phrase, symbol).
     space, examples = seed7_training[domain]
     weights = HashWeights(f"design-{domain}")
     model = CorrespondenceModel(domain=space.domain, weights=weights)
-    design, _, names = assemble_design(space, examples)
+    design, _, names = oracles.assemble_design(space, examples)
     w = np.array([weights.get(name) for name in names])
     rows, bounds = design @ w, 1.0 + abs(design) @ abs(w)
     by_canon = {s.canon: s for s in space}
@@ -569,51 +569,85 @@ def assert_same_csr(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def oracle_rows(space, examples):
+    """The oracle's full design, labels and names, and its distinct
+    (column list, label) rows in the order they first occur, with their
+    labels and how often each occurs."""
+    design, labels, names = oracles.assemble_design(space, examples)
+    rank: dict[tuple, int] = {}
+    firsts: list[int] = []
+    counts: list[int] = []
+    for i, (a, b, y) in enumerate(zip(design.indptr, design.indptr[1:], labels)):
+        r = rank.setdefault((tuple(design.indices[a:b]), y), len(rank))
+        if r == len(firsts):
+            firsts.append(i)
+            counts.append(0)
+        counts[r] += 1
+    return design, labels, names, (design[firsts], labels[firsts], np.array(counts))
+
+
+def assert_same_rows(space, examples):
+    """The package's design is the oracle's distinct rows, array for array;
+    returns the package's design and the oracle's full one."""
+    design, labels, counts, names = assemble_design(space, examples)
+    full, full_labels, want_names, (want, want_labels, want_counts) = \
+        oracle_rows(space, examples)
+    assert_same_csr(design, want)
+    for got, wanted in ((labels, want_labels), (counts, want_counts)):
+        assert got.dtype == wanted.dtype and np.array_equal(got, wanted)
+    assert names == want_names
+    return (design, labels, counts), (full, full_labels)
+
+
 @pytest.mark.parametrize("digests", ("as given", "varied"))
 @pytest.mark.parametrize("domain", DESIGN_SPACES)
 def test_design_matches_the_phrase_by_phrase_oracle(seed7_training, reference,
                                                     domain, digests):
-    # Each distinct phrase's rows are built once and repeated; the design
-    # is the one built row by row from extract_features, array for array.
-    # Every seed-7 example of a domain has the same digest, so "varied"
-    # gives the examples different parts of the reference world's.
+    # Only the distinct rows are built, each distinct phrase's once; they
+    # are the rows of the design built row by row from extract_features,
+    # counted in the order they first occur.  Every seed-7 example of a
+    # domain has the same digest, so "varied" gives the examples different
+    # parts of the reference world's.
     space, examples = seed7_training[domain]
     if digests == "varied":
         pairs = sorted(reference.digest())
         examples = [replace(e, digest=frozenset(pairs[:i % (len(pairs) + 1)]))
                     for i, e in enumerate(examples)]
-    design, labels, names = assemble_design(space, examples)
-    want, want_labels, want_names = oracles.assemble_design(space, examples)
-    assert_same_csr(design, want)
-    assert labels.dtype == want_labels.dtype
-    assert np.array_equal(labels, want_labels)
-    assert names == want_names
+    assert_same_rows(space, examples)
 
 
-def draw_design(data, seed7_training):
-    """The design of a few seed-7 training examples, some of them repeated."""
+def draw_rows(data, seed7_training):
+    """A few seed-7 examples, some repeated, with in-space canons added to
+    or removed from their gold, so that some equal rows differ only in
+    their label; returns the package's distinct rows and the oracle's full
+    design, after checking the one against the other."""
     space, examples = seed7_training[data.draw(st.sampled_from(DOMAINS))]
-    picked = data.draw(st.lists(st.integers(0, len(examples) - 1),
-                                min_size=1, max_size=8))
-    return assemble_design(space, [examples[i] for i in picked])
+    canons = sorted(s.canon for s in space)
+    picked = []
+    for i in data.draw(st.lists(st.integers(0, len(examples) - 1),
+                                min_size=1, max_size=8)):
+        gold = list(examples[i].gold)
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(gold) - 1))
+            remove = bool(gold[at]) and data.draw(st.booleans())
+            gold[at] ^= {data.draw(st.sampled_from(sorted(gold[at]) if remove else canons))}
+        picked.append(replace(examples[i], gold=tuple(gold)))
+    rows, full = assert_same_rows(space, picked)
+    phrases = sum(len(e.tree.phrases()) for e in picked)
+    return rows, full, phrases * len(space)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_collapsed_rows_expand_to_the_design(seed7_training, data):
-    design, labels, _ = draw_design(data, seed7_training)
-    # Flipped labels make equal rows that differ only in their label.
-    flips = data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=40))
-    labels[flips] = 1.0 - labels[flips]
-    rows, row_labels, counts, inverse = collapse_design(design, labels)
-    assert_same_csr(rows[inverse], design)
-    assert np.array_equal(row_labels[inverse], labels)
-    assert np.array_equal(counts, np.bincount(inverse))
-    # Distinct, and in the order they first occur.
-    distinct = {(tuple(rows.indices[a:b]), y) for a, b, y in
-                zip(rows.indptr, rows.indptr[1:], row_labels)}
-    assert len(distinct) == rows.shape[0]
-    assert np.all(np.diff(np.unique(inverse, return_index=True)[1]) > 0)
+    # The rows are the oracle's distinct rows in the order they first
+    # occur, counted; they are distinct, and their counts add up to the
+    # full design's rows.
+    (design, labels, counts), (full, _), n_rows = draw_rows(data, seed7_training)
+    distinct = {(tuple(design.indices[a:b]), y) for a, b, y in
+                zip(design.indptr, design.indptr[1:], labels)}
+    assert len(distinct) == design.shape[0]
+    assert counts.sum() == n_rows == full.shape[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,17 +655,35 @@ def test_collapsed_rows_expand_to_the_design(seed7_training, data):
        seed=st.integers(0, 2**32 - 1))
 def test_collapsed_objective_matches_the_full_design(seed7_training, data,
                                                      scale, seed):
-    design, labels, _ = draw_design(data, seed7_training)
-    rows, row_labels, counts, _ = collapse_design(design, labels)
-    w = np.random.default_rng(seed).normal(scale=scale, size=design.shape[1])
-    full, gradient = objective_and_gradient(design, labels, w, 1e-4)
-    collapsed, collapsed_gradient = objective_and_gradient(
-        rows, row_labels, w, 1e-4, counts)
+    (design, labels, counts), (full, full_labels), _ = draw_rows(data, seed7_training)
     # Every term of the objective is negative, so it cannot cancel; a
     # gradient entry is bounded by the sum of its terms' magnitudes.
-    assert abs(collapsed - full) <= 1e-12 * abs(full)
-    bound = abs(design).T @ abs(labels - expit(design @ w)) + 2e-4 * abs(w)
-    assert np.all(np.abs(collapsed_gradient - gradient) <= 1e-12 * bound)
+    w = np.random.default_rng(seed).normal(scale=scale, size=design.shape[1])
+    want, want_gradient = objective_and_gradient(full, full_labels, w, 1e-4)
+    objective, gradient = objective_and_gradient(design, labels, w, 1e-4, counts)
+    assert abs(objective - want) <= 1e-12 * abs(want)
+    bound = abs(full).T @ abs(full_labels - expit(full @ w)) + 2e-4 * abs(w)
+    assert np.all(np.abs(gradient - want_gradient) <= 1e-12 * bound)
+
+
+def test_design_rejects_gold_that_does_not_fit_the_space(seed7_training):
+    space, examples = seed7_training["semantic"]
+    example = examples[0]
+    with pytest.raises(CorpusDomainMismatch, match="does not cover every phrase"):
+        assemble_design(space, [replace(example, gold=example.gold[:-1])])
+    gold = (*example.gold[:-1], example.gold[-1] | {"objtype=dragon"})
+    with pytest.raises(CorpusDomainMismatch, match="outside the 'semantic' space"):
+        assemble_design(space, [example, replace(example, gold=gold)])
+
+
+def test_an_empty_training_set_has_no_rows_and_trains_no_weights(seed7_training):
+    space, _ = seed7_training["grounding"]
+    design, labels, counts, names = assemble_design(space, [])
+    assert design.shape == (0, 0) and names == ()
+    assert labels.shape == counts.shape == (0,)
+    result = train(space, [])
+    assert result.converged and result.iterations == 0
+    assert result.model.weights == {}
 
 
 _CUP_PROBABILITIES = """
@@ -688,17 +740,17 @@ def make_semantic_training_set(corpus_examples, registry, count=40):
 def test_gradient_matches_finite_differences(corpus_examples, registry):
     space = enumerate_semantic_space()
     examples = make_semantic_training_set(corpus_examples, registry)
-    design, labels, _ = assemble_design(space, examples)
+    design, labels, counts, _ = assemble_design(space, examples)
     rng = np.random.default_rng(21)
     h = 1e-5
     for _ in range(20):
         w = rng.normal(scale=0.5, size=design.shape[1])
         d = rng.normal(size=design.shape[1])
         d /= np.linalg.norm(d)
-        _, grad = objective_and_gradient(design, labels, w, 1e-4)
+        _, grad = objective_and_gradient(design, labels, w, 1e-4, counts)
         analytic = float(grad @ d)
-        f_plus, _ = objective_and_gradient(design, labels, w + h * d, 1e-4)
-        f_minus, _ = objective_and_gradient(design, labels, w - h * d, 1e-4)
+        f_plus, _ = objective_and_gradient(design, labels, w + h * d, 1e-4, counts)
+        f_minus, _ = objective_and_gradient(design, labels, w - h * d, 1e-4, counts)
         numeric = (f_plus - f_minus) / (2.0 * h)
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         assert rel < 1e-5
@@ -707,9 +759,9 @@ def test_gradient_matches_finite_differences(corpus_examples, registry):
 def test_training_improves_objective(corpus_examples, registry):
     space = enumerate_semantic_space()
     examples = make_semantic_training_set(corpus_examples, registry, count=30)
-    design, labels, _ = assemble_design(space, examples)
+    design, labels, counts, _ = assemble_design(space, examples)
     zero = np.zeros(design.shape[1])
-    initial, _ = objective_and_gradient(design, labels, zero, 1e-4)
+    initial, _ = objective_and_gradient(design, labels, zero, 1e-4, counts)
     result = train(space, examples)
     assert result.objective > initial
     assert result.iterations >= 1

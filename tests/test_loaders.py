@@ -88,6 +88,31 @@ def test_observation_log_rejects(edit, valid_files, tmp_path):
         load_observations(path)
 
 
+@pytest.mark.parametrize("edit", [
+    {"template": "fancy"},
+    {"verb": "run"},
+    {"superlative": "biggest"},
+    {"superlative": "nearest"},
+    {"noun": "dragon"},
+    {"color": "red"},
+    {"region": "kitchen"},
+    {"region_surface": "lab"},
+    {"region": "kitchen", "region_surface": "lab"},
+    {"text": "go to the farthest microwave"},
+], ids=["unknown-template", "unknown-verb", "unknown-superlative",
+        "superlative-off-text", "noun-off-text", "color-off-text",
+        "region-without-surface", "surface-without-region",
+        "surface-not-a-form", "text-off-fields"])
+def test_corpus_line_whose_fields_disagree_is_rejected(edit, valid_files, tmp_path):
+    # The first example reads "walk to the farthest microwave".
+    records = _records(valid_files["corpus"])
+    records[1] |= edit
+    path = tmp_path / "corpus.jsonl"
+    _write_records(path, records)
+    with pytest.raises(InvalidSpec):
+        load_corpus(path)
+
+
 def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
     # A scene with prior 0 scores -inf wherever characteristic classes
     # vote; the log must read back what the simulator wrote.

@@ -81,6 +81,16 @@ def test_benchmark_matches_the_golden_files(bench_report, tmp_path):
             == (DATA / "seed7_audit.json").read_text())
 
 
+def test_trained_bundle_matches_the_golden_model_files(bundle, tmp_path):
+    # The seed-7 bundle's three model files, as ``groundling train`` wrote
+    # them with the default seed and split.  The benchmark goldens above
+    # would miss a small drift in the weights; these do not.
+    bundle.save(tmp_path)
+    for name in ("semantic.json", "perception.json", "grounding.json"):
+        assert ((tmp_path / name).read_bytes()
+                == (DATA / "seed7_models" / name).read_bytes()), name
+
+
 def test_cost_dominance_per_case(bench_report):
     rows = by_case_and_mode(bench_report)
     for case in benchmark_manifest():
