@@ -14,6 +14,7 @@ import argparse
 from pathlib import Path
 
 from groundling import corpus
+from groundling.cli import seed
 from groundling.fixtures import benchmark_manifest, site_spec
 from groundling.pipeline import ModelBundle, benchmark, train_bundle
 from groundling.symbols import default_registry
@@ -26,7 +27,7 @@ def main(argv=None) -> int:
                         help="load a saved bundle instead of training")
     parser.add_argument("--out", type=Path, default=Path("benchmark.csv"))
     parser.add_argument("--audit", type=Path, default=Path("benchmark_audit.json"))
-    parser.add_argument("--seed", type=int, default=7, help="corpus sampling seed")
+    parser.add_argument("--seed", type=seed, default=7, help="corpus sampling seed")
     args = parser.parse_args(argv)
 
     registry = default_registry()

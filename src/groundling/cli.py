@@ -130,6 +130,13 @@ def _cmd_dump_registry(args) -> int:
     return 0
 
 
+def seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, else a usage error."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groundling",
@@ -142,21 +149,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-corpus", help="sample an instruction corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed, default=7)
     p.set_defaults(func=_cmd_generate_corpus)
 
     p = sub.add_parser("generate-world",
                        help="simulate a site into an observation log")
     p.add_argument("--site", default="site-1", choices=("site-1", "site-2"))
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=_cmd_generate_world)
 
     p = sub.add_parser("train", help="train the three correspondence models")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0, help="split seed")
+    p.add_argument("--seed", type=seed, default=0, help="split seed")
     p.add_argument("--regularization", type=float, default=1e-4)
     p.set_defaults(func=_cmd_train)
 
@@ -164,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--models", required=True)
     p.add_argument("--fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0, help="split seed")
+    p.add_argument("--seed", type=seed, default=0, help="split seed")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("ground", help="ground one instruction in a site")

@@ -1,14 +1,13 @@
 """Synthetic instruction corpus: generation, gold labels, and evaluation.
 
-Instructions follow four templates over the registry vocabulary::
-
-    <verb> to the <superlative> <noun>
-    <verb> to the <superlative> <color> <noun>
-    <verb> to the <superlative> <noun> in the <region>
-    <verb> to the <superlative> <color> <noun> in the <region>
+An instruction reads ``<verb> to the <superlative> [<color>] <noun> [in
+the <region>]``.  ``TEMPLATES`` is the one table of templates and the
+optional slots each fills; an example's template, text and gold symbols
+are made from its slots (``CorpusExample.slots``), and ``_SLOT_SYMBOLS``
+is the one table of the symbol each slot licenses in each domain.
 
 Gold correspondence annotations are derived from the surface form: each
-constraint symbol is licensed at the phrase that owns its trigger words
+constraint symbol is licensed at the phrase that owns its slot's words
 and propagates to every ancestor, so the root carries the full constraint
 set.  Evaluation measures exact-match of inferred root symbols per domain
 and of the resolved navigation action against a fixed reference world.
@@ -17,7 +16,8 @@ and of the resolved navigation action against a fixed reference world.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .symbols import (
     PerceptionSymbol,
     REGION_SURFACE_FORMS,
     SCENE_LABELS,
-    STRUCTURAL_KINDS,
+    SUPERLATIVE_RELATIONS,
     SemanticSymbol,
     color_symbol,
     enumerate_grounding_type_space,
@@ -58,12 +58,18 @@ from .symbols import (
 from .world import WorldModel
 
 CORPUS_SCHEMA = 1
-TEMPLATES = ("plain", "color", "region", "color_region")
-RELATION_FOR_SUPERLATIVE = {
-    "closest": "nearest",
-    "nearest": "nearest",
-    "farthest": "farthest",
+# Each template and the optional slots it fills, in the order ``generate``
+# samples them.  Every template fills the noun and superlative slots.
+TEMPLATES = {
+    "plain": (),
+    "color": ("color",),
+    "region": ("region",),
+    "color_region": ("color", "region"),
 }
+_TEMPLATE_OF_SLOTS = {slots: template for template, slots in TEMPLATES.items()}
+# Each scene label's surface forms, as an instruction spells them.
+_SURFACES = {label: [" ".join(form) for form in forms]
+             for label, forms in REGION_SURFACE_FORMS.items()}
 
 
 @dataclass(frozen=True)
@@ -77,28 +83,19 @@ class CorpusConfig:
     seed: int = 7
 
     def __post_init__(self):
-        counts = (self.plain, self.color, self.region, self.color_region)
+        counts = [self.count(template) for template in TEMPLATES]
         if any(c < 0 for c in counts):
             raise InvalidConfig("template counts must be non-negative")
         if sum(counts) == 0:
             raise InvalidConfig("corpus would be empty")
 
     def count(self, template: str) -> int:
-        return {
-            "plain": self.plain,
-            "color": self.color,
-            "region": self.region,
-            "color_region": self.color_region,
-        }[template]
-
-    def total(self) -> int:
-        return self.plain + self.color + self.region + self.color_region
+        return getattr(self, template)
 
 
 @dataclass(frozen=True)
 class CorpusExample:
     uid: str
-    template: str
     verb: str
     superlative: str
     noun: str
@@ -117,12 +114,43 @@ class CorpusExample:
             words += ["in", "the", self.region_surface]
         return " ".join(words)
 
+    def slots(self) -> dict[str, tuple[str, tuple[str, ...]]]:
+        """Each filled slot: the value it names and the words that spell it.
+
+        The noun and superlative, which names its relation, come first;
+        the colour and region are filled when the text spells them.
+        """
+        slots = {"noun": (self.noun, (self.noun,)),
+                 "superlative": (self.relation(), (self.superlative,))}
+        if self.color:
+            slots["color"] = (self.color, (self.color,))
+        if self.region_surface:
+            slots["region"] = (self.region, tuple(self.region_surface.split()))
+        return slots
+
+    @property
+    def template(self) -> str:
+        """The template whose optional slots this example fills."""
+        return _TEMPLATE_OF_SLOTS[tuple(self.slots())[2:]]
+
     def relation(self) -> str:
-        return RELATION_FOR_SUPERLATIVE[self.superlative]
+        return SUPERLATIVE_RELATIONS[self.superlative]
 
 
 def _pick(rng: np.random.Generator, values) -> str:
     return str(values[int(rng.integers(len(values)))])
+
+
+def _sample_region(rng: np.random.Generator, registry: ClassifierRegistry) -> dict:
+    region = _pick(rng, SCENE_LABELS)
+    return {"region": region, "region_surface": _pick(rng, _SURFACES[region])}
+
+
+# The fields each optional slot samples.
+_SAMPLE_SLOT = {
+    "color": lambda rng, registry: {"color": _pick(rng, registry.colors)},
+    "region": _sample_region,
+}
 
 
 def generate(config: CorpusConfig,
@@ -130,28 +158,14 @@ def generate(config: CorpusConfig,
     """Sample the corpus deterministically from the config seed."""
     rng = np.random.default_rng(config.seed)
     examples: list[CorpusExample] = []
-    for template in TEMPLATES:
+    for template, slots in TEMPLATES.items():
         for _ in range(config.count(template)):
-            verb = _pick(rng, VERBS)
-            superlative = _pick(rng, SUPERLATIVES)
-            noun = _pick(rng, registry.object_classes)
-            color = region = surface = None
-            if template in ("color", "color_region"):
-                color = _pick(rng, registry.colors)
-            if template in ("region", "color_region"):
-                region = _pick(rng, SCENE_LABELS)
-                forms = REGION_SURFACE_FORMS[region]
-                surface = " ".join(forms[int(rng.integers(len(forms)))])
-            examples.append(CorpusExample(
-                uid=f"ex{len(examples):04d}",
-                template=template,
-                verb=verb,
-                superlative=superlative,
-                noun=noun,
-                color=color,
-                region=region,
-                region_surface=surface,
-            ))
+            fields = {"verb": _pick(rng, VERBS),
+                      "superlative": _pick(rng, SUPERLATIVES),
+                      "noun": _pick(rng, registry.object_classes)}
+            for slot in slots:
+                fields |= _SAMPLE_SLOT[slot](rng, registry)
+            examples.append(CorpusExample(uid=f"ex{len(examples):04d}", **fields))
     return tuple(examples)
 
 
@@ -177,41 +191,32 @@ def split(examples, fraction: float = 0.8,
 # ---------------------------------------------------------------------------
 # Gold annotation
 
-def _licensed_canons(example: CorpusExample, words: frozenset,
-                     domain: str) -> set[str]:
-    out: set[str] = set()
-    surface_words = (frozenset(example.region_surface.split())
-                     if example.region_surface else None)
-    region_here = surface_words is not None and surface_words <= words
-    if domain == "semantic":
-        if region_here:
-            out.add(SemanticSymbol(example.region).canon)
-    elif domain == "perception":
-        if example.noun in words:
-            out.add(PerceptionSymbol(OBJECT_DETECTOR, example.noun).canon)
-        if example.color and example.color in words:
-            out.add(PerceptionSymbol(COLOR_DETECTOR, example.color).canon)
-    elif domain == "grounding":
-        if example.noun in words:
-            out.add(object_type(example.noun).canon)
-        if example.color and example.color in words:
-            out.add(color_symbol(example.color).canon)
-        if example.superlative in words:
-            out.add(relation_symbol(example.relation()).canon)
-        if region_here:
-            out.add(region_symbol(example.region).canon)
-    else:
-        raise InvalidConfig(f"unknown annotation domain {domain!r}")
-    return out
+# The symbol each slot's value licenses, per domain.
+_SLOT_SYMBOLS = {
+    "semantic": {"region": SemanticSymbol},
+    "perception": {"noun": partial(PerceptionSymbol, OBJECT_DETECTOR),
+                   "color": partial(PerceptionSymbol, COLOR_DETECTOR)},
+    "grounding": {"noun": object_type, "superlative": relation_symbol,
+                  "color": color_symbol, "region": region_symbol},
+}
 
 
 def gold_annotations(example: CorpusExample, tree: ParseTree,
                      domain: str) -> tuple[frozenset, ...]:
-    """Gold true-symbol canons per phrase: licensed locally, unioned upward."""
+    """Gold true-symbol canons per phrase: licensed locally, unioned upward.
+
+    A slot's symbol is licensed at each phrase that owns all its words.
+    """
+    if domain not in _SLOT_SYMBOLS:
+        raise InvalidConfig(f"unknown annotation domain {domain!r}")
+    symbols = _SLOT_SYMBOLS[domain]
+    licensed = [(frozenset(words), symbols[slot](value).canon)
+                for slot, (value, words) in example.slots().items() if slot in symbols]
     phrases = tree.phrases()
     gold: list[frozenset] = [frozenset()] * len(phrases)
     for phrase in phrases:
-        here = _licensed_canons(example, frozenset(phrase.words()), domain)
+        words = frozenset(phrase.words())
+        here = {canon for spelled, canon in licensed if spelled <= words}
         for child in phrase.children:
             here |= gold[child.index]
         gold[phrase.index] = frozenset(here)
@@ -220,13 +225,9 @@ def gold_annotations(example: CorpusExample, tree: ParseTree,
 
 def gold_root_symbols(example: CorpusExample) -> frozenset:
     """Type-level grounding symbols implied by the whole instruction."""
-    symbols = {object_type(example.noun),
-               relation_symbol(example.relation())}
-    if example.color:
-        symbols.add(color_symbol(example.color))
-    if example.region:
-        symbols.add(region_symbol(example.region))
-    return frozenset(symbols)
+    symbols = _SLOT_SYMBOLS["grounding"]
+    return frozenset(symbols[slot](value)
+                     for slot, (value, _) in example.slots().items())
 
 
 def gold_action(example: CorpusExample, reference: WorldModel):
@@ -279,8 +280,7 @@ class EvaluationReport:
 
 
 def _structural_free(symbols) -> frozenset:
-    return frozenset(s.canon for s in symbols
-                     if getattr(s, "kind", None) not in STRUCTURAL_KINDS)
+    return frozenset(s.canon for s in symbols if s.attributes)
 
 
 def evaluate(semantic_model: CorrespondenceModel,
@@ -331,27 +331,20 @@ def evaluate(semantic_model: CorrespondenceModel,
 # ---------------------------------------------------------------------------
 # Serialization
 
+# A corpus line's fields: strings, and the optional ones may be null.  The
+# text and the template are made from the others.
+_TEXT_FIELDS = ("uid", "verb", "superlative", "noun")
+_OPTIONAL_FIELDS = ("color", "region", "region_surface")
+_MADE_FIELDS = ("text", "template")
+
+
 def save_corpus(examples, path) -> None:
     lines = [json.dumps({"schema": CORPUS_SCHEMA, "kind": "corpus"},
                         sort_keys=True)]
     for e in examples:
-        lines.append(json.dumps({
-            "uid": e.uid,
-            "text": e.text,
-            "template": e.template,
-            "verb": e.verb,
-            "superlative": e.superlative,
-            "noun": e.noun,
-            "color": e.color,
-            "region": e.region,
-            "region_surface": e.region_surface,
-        }, sort_keys=True))
+        record = asdict(e) | {k: getattr(e, k) for k in _MADE_FIELDS}
+        lines.append(json.dumps(record, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# A corpus line's fields: strings, and the optional ones may be null.
-_TEXT_FIELDS = ("uid", "text", "template", "verb", "superlative", "noun")
-_OPTIONAL_FIELDS = ("color", "region", "region_surface")
 
 
 def load_corpus(path) -> tuple[CorpusExample, ...]:
@@ -369,22 +362,22 @@ def load_corpus(path) -> tuple[CorpusExample, ...]:
             rec = json.loads(line)
             fields = ({k: rec[k] for k in _TEXT_FIELDS}
                       | {k: rec.get(k) for k in _OPTIONAL_FIELDS})
-            for k, v in fields.items():
+            made = {k: rec[k] for k in _MADE_FIELDS}
+            for k, v in (fields | made).items():
                 if not (isinstance(v, str) or v is None and k in _OPTIONAL_FIELDS):
                     raise InvalidSpec(f"corpus field {k} must be a string, got {v!r}")
-            text = fields.pop("text")
             example = CorpusExample(**fields)
-            surfaces = ([" ".join(form) for form in REGION_SURFACE_FORMS.get(example.region, ())]
-                        if example.region is not None else [None])
-            for k, known in (("template", TEMPLATES), ("verb", VERBS),
-                             ("superlative", RELATION_FOR_SUPERLATIVE),
+            surfaces = (_SURFACES.get(example.region, []) if example.region is not None
+                        else [None])
+            for k, known in (("verb", VERBS), ("superlative", SUPERLATIVE_RELATIONS),
                              ("region_surface", surfaces)):
                 if fields[k] not in known:
                     raise InvalidSpec(f"corpus example {example.uid}: {k} {fields[k]!r}"
                                       f" is not one of {list(known)}")
-            if text != example.text:
-                raise InvalidSpec(f"corpus example {example.uid}: text {text!r} is not"
-                                  f" its fields' {example.text!r}")
+            for k, given in made.items():
+                if given != getattr(example, k):
+                    raise InvalidSpec(f"corpus example {example.uid}: {k} {given!r} is"
+                                      f" not its fields' {getattr(example, k)!r}")
             out.append(example)
     except MALFORMED_INPUT as exc:
         raise InvalidSpec(f"malformed corpus file {path}: {exc!r}") from exc

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import EmptyInstruction, OutOfGrammar
-from .symbols import ClassifierRegistry, REGION_SURFACE_FORMS
+from .symbols import ClassifierRegistry, REGION_SURFACE_FORMS, SUPERLATIVE_RELATIONS
 
 VERBS = ("drive", "go", "navigate", "walk")
 PREPOSITIONS = ("in", "to")
 DETERMINERS = ("the",)
-SUPERLATIVES = ("closest", "farthest", "nearest")
+SUPERLATIVES = tuple(SUPERLATIVE_RELATIONS)
 
 _PUNCT = re.compile(r"[^\w\s]")
 
@@ -81,7 +81,6 @@ class ParseTree:
     """
 
     root: Phrase
-    source_text: str
 
     def phrases(self) -> tuple[Phrase, ...]:
         """All phrases in post-order; position in the tuple equals .index."""
@@ -213,7 +212,7 @@ def parse(tokens: tuple[Token, ...], registry: ClassifierRegistry) -> ParseTree:
         if t.text not in lexicon:
             raise OutOfGrammar(t.text)
     root = _Parser(tokens, lexicon).vp()
-    return ParseTree(root=root, source_text=" ".join(t.text for t in tokens))
+    return ParseTree(root=root)
 
 
 def parse_text(text: str, registry: ClassifierRegistry) -> ParseTree:

@@ -11,6 +11,11 @@ models:
   spatial relation) plus one object symbol and one navigate-to action
   symbol per detected object.
 
+Two closed vocabularies are one table each: ``KIND_TABLE`` gives each
+classifier kind, in build order, its variant and the attribute its
+parameter names, and ``SUPERLATIVE_RELATIONS`` the relation each
+superlative names.  The kind and relation lists derive from them.
+
 Every symbol renders to a canonical string; spaces are ordered
 lexicographically by that string so symbol indices are stable across runs,
 except that a grounding space keeps a world's instance symbols in blocks,
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -87,28 +93,28 @@ BBOX_ESTIMATOR = "bbox_estimator"
 POSE_ESTIMATOR = "pose_estimator"
 NOISE_FILTER = "noise_filter"
 
-STRUCTURAL_KINDS = (BBOX_ESTIMATOR, NOISE_FILTER, POSE_ESTIMATOR)
+# Each classifier kind, in build order: (variant, attribute its parameter
+# names); a structural stage names none and takes no parameter.
+KIND_TABLE = {
+    OBJECT_DETECTOR: ("detector", "class"),
+    NOISE_FILTER: ("denoise", None),
+    COLOR_DETECTOR: ("colordet", "color"),
+    BBOX_ESTIMATOR: ("bbox", None),
+    POSE_ESTIMATOR: ("posest", None),
+}
+CLASSIFIER_KINDS = tuple(KIND_TABLE)
+STRUCTURAL_KINDS = tuple(k for k, (_, attribute) in KIND_TABLE.items()
+                         if attribute is None)
 
-# Every classifier kind, in the order a world-model build runs them.
-CLASSIFIER_KINDS = (OBJECT_DETECTOR, NOISE_FILTER, COLOR_DETECTOR,
-                    BBOX_ESTIMATOR, POSE_ESTIMATOR)
-
-RELATION_KINDS = ("farthest", "nearest")
+# Every superlative the grammar reads, sorted, and the relation it names.
+SUPERLATIVE_RELATIONS = {"closest": "nearest", "farthest": "farthest", "nearest": "nearest"}
+RELATION_KINDS = tuple(sorted(set(SUPERLATIVE_RELATIONS.values())))
 
 # Grounding variants whose symbols denote one detected object each; the
 # symbols of every other variant are constraints.
 INSTANCE_VARIANTS = ("action", "object")
 
 REGISTRY_SCHEMA = 3
-
-# The variant of each classifier kind's perception symbols.
-_KIND_VARIANTS = {
-    OBJECT_DETECTOR: "detector",
-    COLOR_DETECTOR: "colordet",
-    BBOX_ESTIMATOR: "bbox",
-    POSE_ESTIMATOR: "posest",
-    NOISE_FILTER: "denoise",
-}
 
 
 @dataclass(frozen=True)
@@ -138,14 +144,13 @@ class PerceptionSymbol:
     param: str | None = None
 
     def __post_init__(self):
-        if self.kind in (OBJECT_DETECTOR, COLOR_DETECTOR):
-            if not self.param:
-                raise InvalidSpec(f"{self.kind} needs a parameter")
-        elif self.kind in STRUCTURAL_KINDS:
+        if self.kind not in KIND_TABLE:
+            raise InvalidSpec(f"unknown classifier kind {self.kind!r}")
+        if KIND_TABLE[self.kind][1] is None:
             if self.param is not None:
                 raise InvalidSpec(f"{self.kind} takes no parameter")
-        else:
-            raise InvalidSpec(f"unknown classifier kind {self.kind!r}")
+        elif not self.param:
+            raise InvalidSpec(f"{self.kind} needs a parameter")
 
     @property
     def canon(self) -> str:
@@ -155,15 +160,12 @@ class PerceptionSymbol:
 
     @property
     def variant(self) -> str:
-        return _KIND_VARIANTS[self.kind]
+        return KIND_TABLE[self.kind][0]
 
     @property
     def attributes(self) -> tuple[tuple[str, str], ...]:
-        if self.kind == OBJECT_DETECTOR:
-            return (("class", self.param),)
-        if self.kind == COLOR_DETECTOR:
-            return (("color", self.param),)
-        return ()
+        attribute = KIND_TABLE[self.kind][1]
+        return () if attribute is None else ((attribute, self.param),)
 
 
 @dataclass(frozen=True)
@@ -405,6 +407,14 @@ class SymbolSpace:
         return getattr(symbol, "canon", None) in self.position
 
 
+def _check_costs(*costs) -> None:
+    """Raise ``InvalidSpec`` unless each cost is a finite number >= 0."""
+    for cost in costs:
+        if (isinstance(cost, bool) or not isinstance(cost, (int, float))
+                or not 0 <= cost < math.inf):
+            raise InvalidSpec(f"a cost must be a finite number >= 0, got {cost!r}")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Fixed invocation cost plus a per-scanned-item increment."""
@@ -413,8 +423,7 @@ class CostModel:
     per_item_cost: float
 
     def __post_init__(self):
-        if self.base_cost < 0 or self.per_item_cost < 0:
-            raise InvalidSpec("costs must be non-negative")
+        _check_costs(self.base_cost, self.per_item_cost)
 
     def cost(self, items_scanned: int) -> float:
         return self.base_cost + self.per_item_cost * items_scanned
@@ -465,8 +474,7 @@ class ClassifierRegistry:
         for canon, _ in self.cost_overrides:
             if canon not in canons:
                 raise InvalidSpec(f"cost override for unknown classifier {canon}")
-        if self.scene_cost_per_observation < 0:
-            raise InvalidSpec("scene cost must be non-negative")
+        _check_costs(self.scene_cost_per_observation)
 
     @property
     def scene_labels(self) -> tuple[str, ...]:
@@ -644,14 +652,8 @@ def save_registry(registry: ClassifierRegistry, path) -> None:
         "schema": REGISTRY_SCHEMA,
         "object_classes": list(registry.object_classes),
         "colors": list(registry.colors),
-        "kind_costs": {
-            kind: {"base_cost": m.base_cost, "per_item_cost": m.per_item_cost}
-            for kind, m in registry.kind_costs
-        },
-        "cost_overrides": {
-            canon: {"base_cost": m.base_cost, "per_item_cost": m.per_item_cost}
-            for canon, m in registry.cost_overrides
-        },
+        "kind_costs": {kind: asdict(m) for kind, m in registry.kind_costs},
+        "cost_overrides": {canon: asdict(m) for canon, m in registry.cost_overrides},
         "scene_cost_per_observation": registry.scene_cost_per_observation,
     }
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=True))
@@ -664,6 +666,11 @@ def _names(value, field: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _cost_table(table) -> tuple[tuple[str, CostModel], ...]:
+    return tuple((name, CostModel(m["base_cost"], m["per_item_cost"]))
+                 for name, m in table.items())
+
+
 def load_registry(path) -> ClassifierRegistry:
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -671,20 +678,12 @@ def load_registry(path) -> ClassifierRegistry:
             raise InvalidSpec("registry file is not a mapping")
         if doc.get("schema") != REGISTRY_SCHEMA:
             raise UnknownSchemaVersion(doc.get("schema"), REGISTRY_SCHEMA)
-        kind_costs = tuple(
-            (kind, CostModel(m["base_cost"], m["per_item_cost"]))
-            for kind, m in sorted(doc["kind_costs"].items())
-        )
-        overrides = tuple(
-            (canon, CostModel(m["base_cost"], m["per_item_cost"]))
-            for canon, m in sorted(doc["cost_overrides"].items())
-        )
         return ClassifierRegistry(
             object_classes=_names(doc["object_classes"], "object_classes"),
             colors=_names(doc["colors"], "colors"),
-            kind_costs=kind_costs,
-            cost_overrides=overrides,
-            scene_cost_per_observation=float(doc["scene_cost_per_observation"]),
+            kind_costs=_cost_table(doc["kind_costs"]),
+            cost_overrides=_cost_table(doc["cost_overrides"]),
+            scene_cost_per_observation=doc["scene_cost_per_observation"],
         )
     except (*MALFORMED_INPUT, yaml.YAMLError) as exc:
         raise InvalidSpec(f"malformed registry file {path}: {exc!r}") from exc

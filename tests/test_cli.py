@@ -88,6 +88,25 @@ def test_usage_error_exits_two():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["generate-corpus", "generate-world",
+                                     "train", "evaluate"])
+def test_negative_seed_exits_two_without_traceback(
+        command, tmp_path, corpus_examples, capsys):
+    # A negative seed reached numpy's ValueError after the corpus was read.
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus_examples[:20], corpus_path)
+    args = {
+        "generate-corpus": ["--out", str(tmp_path / "out.jsonl")],
+        "generate-world": ["--out", str(tmp_path / "out.jsonl")],
+        "train": ["--corpus", str(corpus_path), "--out", str(tmp_path / "out")],
+        "evaluate": ["--corpus", str(corpus_path), "--models", str(tmp_path / "models")],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, *args, "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_custom_registry_flows_through(tmp_path, capsys):
     registry_path = tmp_path / "registry.yaml"
     assert cli.main(["dump-registry", "--out", str(registry_path)]) == 0
@@ -143,12 +162,15 @@ def _not_utf8(record):
     ("train", "corpus", _set("text", 5)),
     ("train", "corpus", _set("superlative", "biggest")),
     ("train", "corpus", _set("noun", "dragon")),
+    ("train", "corpus", lambda record: json.dumps(
+        {**record, "color": "red", "text": "walk to the farthest red microwave"})),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
         "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
         "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
         "registry-bad-yaml", "registry-not-utf8", "obs-directory",
         "obs-unknown-scene-label", "corpus-int-text",
-        "corpus-superlative-off-text", "corpus-noun-off-text"])
+        "corpus-superlative-off-text", "corpus-noun-off-text",
+        "corpus-template-off-slots"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"

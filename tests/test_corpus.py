@@ -64,9 +64,12 @@ def test_closest_maps_to_nearest(corpus_examples):
         assert example.relation() == expected
 
 
-def test_gold_root_symbols_are_consistent(corpus_examples):
+def test_gold_root_symbols_are_consistent(corpus_examples, registry):
     for example in corpus_examples[::4]:
         gold = corpus.gold_root_symbols(example)
+        tree = parse_text(example.text, registry)
+        assert ({s.canon for s in gold}
+                == corpus.gold_annotations(example, tree, "grounding")[-1])
         assert object_type(example.noun) in gold
         assert relation_symbol(example.relation()) in gold
         assert (color_symbol(example.color) in gold if example.color

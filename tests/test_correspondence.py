@@ -108,7 +108,7 @@ def random_tree(rng: np.random.Generator, max_phrases: int = 4) -> ParseTree:
             position += 1
         category = _CATS[int(rng.integers(0, len(_CATS)))]
         roots.append(Phrase(category, tuple(tokens), children, index=i))
-    return ParseTree(root=roots[0], source_text="synthetic")
+    return ParseTree(root=roots[0])
 
 
 def random_instance(rng: np.random.Generator, registry, pair_limit: int = 16):

@@ -99,10 +99,11 @@ def test_observation_log_rejects(edit, valid_files, tmp_path):
     {"region_surface": "lab"},
     {"region": "kitchen", "region_surface": "lab"},
     {"text": "go to the farthest microwave"},
+    {"color": "red", "text": "walk to the farthest red microwave"},
 ], ids=["unknown-template", "unknown-verb", "unknown-superlative",
         "superlative-off-text", "noun-off-text", "color-off-text",
         "region-without-surface", "surface-without-region",
-        "surface-not-a-form", "text-off-fields"])
+        "surface-not-a-form", "text-off-fields", "template-off-slots"])
 def test_corpus_line_whose_fields_disagree_is_rejected(edit, valid_files, tmp_path):
     # The first example reads "walk to the farthest microwave".
     records = _records(valid_files["corpus"])
@@ -157,8 +158,13 @@ def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
         "object_detector[dragon]", {"base_cost": 1.0, "per_item_cost": 0.1}),
     lambda doc: doc.__setitem__("object_classes", "cup"),
     lambda doc: doc.__setitem__("colors", [1, 2]),
+    lambda doc: doc.__setitem__("scene_cost_per_observation", float("nan")),
+    lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("base_cost", float("inf")),
+    lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("per_item_cost", True),
+    lambda doc: doc.__setitem__("scene_cost_per_observation", "0.2"),
 ], ids=["repeated-color", "kind-costs-lack-a-kind", "kind-costs-unknown-kind",
-        "override-unknown-classifier", "string-object-classes", "int-colors"])
+        "override-unknown-classifier", "string-object-classes", "int-colors",
+        "nan-scene-cost", "inf-base-cost", "bool-per-item-cost", "string-scene-cost"])
 def test_registry_file_rejects_inconsistent_tables(edit, valid_files, tmp_path):
     # Each of these would load, then fail or be ignored at the first build.
     doc = yaml.safe_load(valid_files["registry"].read_text())

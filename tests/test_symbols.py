@@ -274,6 +274,18 @@ def test_schema_2_registry_rejected(registry, tmp_path):
         load_registry(path)
 
 
+@pytest.mark.parametrize("kind, param, message", [
+    ("object_detector", None, "object_detector needs a parameter"),
+    ("color_detector", "", "color_detector needs a parameter"),
+    ("noise_filter", "cup", "noise_filter takes no parameter"),
+    ("laser", None, "unknown classifier kind 'laser'"),
+])
+def test_perception_symbol_checks_kind_and_parameter(kind, param, message):
+    with pytest.raises(InvalidSpec) as excinfo:
+        PerceptionSymbol(kind, param)
+    assert str(excinfo.value) == message
+
+
 def test_cost_override_beats_kind_cost(registry):
     symbol = PerceptionSymbol("object_detector", "ball")
     override = CostModel(base_cost=9.0, per_item_cost=0.5)
