@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
+from .correspondence import DEFAULT_REGULARIZATION
 from .errors import GroundlingError
 from .fixtures import benchmark_manifest, reference_world, site_spec
 from .pipeline import MODES, ModelBundle, benchmark, run, train_bundle
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fraction", type=float, default=0.8)
     p.add_argument("--seed", type=seed, default=0, help="split seed")
-    p.add_argument("--regularization", type=float, default=1e-4)
+    p.add_argument("--regularization", type=float, default=DEFAULT_REGULARIZATION)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a model bundle on corpus gold")

@@ -15,10 +15,8 @@ and of the resolved navigation action against a fixed reference world.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -33,9 +31,10 @@ from .errors import (
     InvalidConfig,
     InvalidFraction,
     InvalidSpec,
-    MALFORMED_INPUT,
     NoTargetObject,
-    UnknownSchemaVersion,
+    read_records,
+    typed,
+    write_records,
 )
 from .grammar import SUPERLATIVES, VERBS, ParseTree, parse_text
 from .symbols import (
@@ -339,46 +338,29 @@ _MADE_FIELDS = ("text", "template")
 
 
 def save_corpus(examples, path) -> None:
-    lines = [json.dumps({"schema": CORPUS_SCHEMA, "kind": "corpus"},
-                        sort_keys=True)]
-    for e in examples:
-        record = asdict(e) | {k: getattr(e, k) for k in _MADE_FIELDS}
-        lines.append(json.dumps(record, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_records(path, CORPUS_SCHEMA, "corpus",
+                  (asdict(e) | {k: getattr(e, k) for k in _MADE_FIELDS}
+                   for e in examples))
+
+
+def _example(rec) -> CorpusExample:
+    fields = ({k: typed(rec[k], (str,), k) for k in _TEXT_FIELDS}
+              | {k: typed(rec.get(k), (str, type(None)), k) for k in _OPTIONAL_FIELDS})
+    made = {k: typed(rec[k], (str,), k) for k in _MADE_FIELDS}
+    example = CorpusExample(**fields)
+    surfaces = (_SURFACES.get(example.region, []) if example.region is not None
+                else [None])
+    for k, known in (("verb", VERBS), ("superlative", SUPERLATIVE_RELATIONS),
+                     ("region_surface", surfaces)):
+        if fields[k] not in known:
+            raise InvalidSpec(f"corpus example {example.uid}: {k} {fields[k]!r}"
+                              f" is not one of {list(known)}")
+    for k, given in made.items():
+        if given != getattr(example, k):
+            raise InvalidSpec(f"corpus example {example.uid}: {k} {given!r} is"
+                              f" not its fields' {getattr(example, k)!r}")
+    return example
 
 
 def load_corpus(path) -> tuple[CorpusExample, ...]:
-    try:
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise UnknownSchemaVersion(None, CORPUS_SCHEMA)
-        header = json.loads(lines[0])
-        if header.get("schema") != CORPUS_SCHEMA:
-            raise UnknownSchemaVersion(header.get("schema"), CORPUS_SCHEMA)
-        out = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            fields = ({k: rec[k] for k in _TEXT_FIELDS}
-                      | {k: rec.get(k) for k in _OPTIONAL_FIELDS})
-            made = {k: rec[k] for k in _MADE_FIELDS}
-            for k, v in (fields | made).items():
-                if not (isinstance(v, str) or v is None and k in _OPTIONAL_FIELDS):
-                    raise InvalidSpec(f"corpus field {k} must be a string, got {v!r}")
-            example = CorpusExample(**fields)
-            surfaces = (_SURFACES.get(example.region, []) if example.region is not None
-                        else [None])
-            for k, known in (("verb", VERBS), ("superlative", SUPERLATIVE_RELATIONS),
-                             ("region_surface", surfaces)):
-                if fields[k] not in known:
-                    raise InvalidSpec(f"corpus example {example.uid}: {k} {fields[k]!r}"
-                                      f" is not one of {list(known)}")
-            for k, given in made.items():
-                if given != getattr(example, k):
-                    raise InvalidSpec(f"corpus example {example.uid}: {k} {given!r} is"
-                                      f" not its fields' {getattr(example, k)!r}")
-            out.append(example)
-    except MALFORMED_INPUT as exc:
-        raise InvalidSpec(f"malformed corpus file {path}: {exc!r}") from exc
-    return tuple(out)
+    return tuple(read_records(path, CORPUS_SCHEMA, "corpus", _example))

@@ -56,10 +56,12 @@ from .errors import (
     CorpusDomainMismatch,
     DivergedLoss,
     InvalidSpec,
-    MALFORMED_INPUT,
     NonFiniteScore,
     NoTargetObject,
     UnknownSchemaVersion,
+    number,
+    reading,
+    typed,
 )
 from .grammar import ParseTree, Phrase, feature_tokens
 from .symbols import (
@@ -523,7 +525,9 @@ def train(space: SymbolSpace, examples,
     A row that repeats adds the same term to the likelihood each time, so
     the fit runs on the design's distinct rows, each weighted by its count,
     as ``assemble_design`` builds them; the full design is never built.
+    A negative or non-finite ``regularization`` raises ``InvalidSpec``.
     """
+    number(regularization, "regularization", 0)
     design, labels, counts, names = assemble_design(space, examples)
     weights = np.zeros(design.shape[1])
     objective, gradient = objective_and_gradient(design, labels, weights,
@@ -574,13 +578,16 @@ def save_model(model: CorrespondenceModel, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path) -> CorrespondenceModel:
-    try:
+def load_model(path, domain: str | None = None) -> CorrespondenceModel:
+    """Read a model file: finite weights, a finite ``regularization`` >= 0,
+    and the given ``domain``, if one is given."""
+    with reading(path, "model file"):
         doc = json.loads(Path(path).read_text())
         if doc.get("schema") != MODEL_SCHEMA:
             raise UnknownSchemaVersion(doc.get("schema"), MODEL_SCHEMA)
-        weights = {str(k): float(v) for k, v in doc["weights"].items()}
-        return CorrespondenceModel(domain=str(doc["domain"]), weights=weights,
-                                   regularization=float(doc["regularization"]))
-    except MALFORMED_INPUT as exc:
-        raise InvalidSpec(f"malformed model file {path}: {exc!r}") from exc
+        if domain not in (None, doc["domain"]):
+            raise InvalidSpec(f"domain {doc['domain']!r} is not {domain!r}")
+        weights = {k: float(number(w, f"weight {k}")) for k, w in doc["weights"].items()}
+        return CorrespondenceModel(
+            domain=typed(doc["domain"], (str,), "domain"), weights=weights,
+            regularization=float(number(doc["regularization"], "regularization", 0)))

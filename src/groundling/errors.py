@@ -3,7 +3,16 @@
 Domain errors (bad instruction, impossible grounding, malformed input files)
 all derive from GroundlingError so callers -- the CLI in particular -- can
 distinguish them from genuine bugs.
+
+Every file reader names its file through ``reading`` and checks fields
+with ``typed`` and ``number``; ``write_records`` and ``read_records`` are
+the one JSON-lines format, of the observation log and the corpus.
 """
+
+import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class GroundlingError(Exception):
@@ -79,3 +88,65 @@ class InvalidConfig(GroundlingError):
 
 class InvalidFraction(GroundlingError):
     """A split fraction falls outside the open interval (0, 1)."""
+
+
+@contextmanager
+def reading(where, what: str, *also: type[Exception]):
+    """Re-raise an ``InvalidSpec``, ``MALFORMED_INPUT`` or ``also`` met inside
+    as ``InvalidSpec("malformed <what> <where>: <reason>")``."""
+    try:
+        yield
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"malformed {what} {where}: {exc}") from exc
+    except (*MALFORMED_INPUT, *also) as exc:
+        raise InvalidSpec(f"malformed {what} {where}: {exc!r}") from exc
+
+
+def typed(value, kinds: tuple[type, ...], field: str):
+    # The exact type: ``bool("false")`` is True, so only a JSON boolean is a flag.
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InvalidSpec(f"{field} must be of type {names}, got {value!r}")
+    return value
+
+
+def number(value, field: str, low: float = -sys.float_info.max):
+    """``value`` if it is an int or a float, never a bool, from ``low`` up to
+    the largest float; the default ``low`` admits every finite number."""
+    # An int past the largest float would overflow the first sum it is in.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not low <= value <= sys.float_info.max):
+        wanted = "a finite number" if low == -sys.float_info.max else f"a number in [{low:g}, inf)"
+        raise InvalidSpec(f"{field} must be {wanted}, got {value!r}")
+    return value
+
+
+def write_records(path, schema: int, kind: str, records) -> None:
+    """A header naming ``schema`` and ``kind``, then one record per line."""
+    lines = [json.dumps({"schema": schema, "kind": kind}, sort_keys=True)]
+    lines += (json.dumps(record, sort_keys=True) for record in records)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_records(path, schema: int, kind: str, convert) -> list:
+    """``convert`` of each record of a file that ``write_records`` wrote.
+
+    Another schema raises ``UnknownSchemaVersion``; anything else wrong
+    raises ``InvalidSpec`` naming the file and a record's line (from 1).
+    """
+    what = kind.replace("_", " ")
+    with reading(path, what):
+        lines = Path(path).read_bytes().splitlines()
+        if not lines:
+            raise InvalidSpec("empty file")
+        header = json.loads(lines[0].decode())
+        if header.get("schema") != schema:
+            raise UnknownSchemaVersion(header.get("schema"), schema)
+        if header.get("kind") != kind:
+            raise InvalidSpec(f"header kind {header.get('kind')!r} is not {kind!r}")
+    out = []
+    for n, line in enumerate(lines[1:], 2):
+        if line.strip():
+            with reading(f"{path} line {n}", what):
+                out.append(convert(json.loads(line.decode())))
+    return out

@@ -61,6 +61,7 @@ from .symbols import (
 from .world import DetectedObject, ObservationLog, WorldModel, build_world_model
 
 MODES = ("B", "OF", "AP", "OF_AP")
+DOMAINS = ("semantic", "perception", "grounding")
 CSV_COLUMNS = ("instruction", "site", "mode", "cost_units", "wall_time_s",
                "object_count", "grounding", "error")
 
@@ -76,18 +77,14 @@ class ModelBundle:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        save_model(self.semantic, directory / "semantic.json")
-        save_model(self.perception, directory / "perception.json")
-        save_model(self.grounding, directory / "grounding.json")
+        for domain in DOMAINS:
+            save_model(getattr(self, domain), directory / f"{domain}.json")
 
     @staticmethod
     def load(directory) -> "ModelBundle":
-        directory = Path(directory)
-        return ModelBundle(
-            semantic=load_model(directory / "semantic.json"),
-            perception=load_model(directory / "perception.json"),
-            grounding=load_model(directory / "grounding.json"),
-        )
+        """Read ``<domain>.json`` for each domain; each must hold its domain's model."""
+        return ModelBundle(**{domain: load_model(Path(directory) / f"{domain}.json", domain)
+                              for domain in DOMAINS})
 
 
 def train_bundle(examples, registry: ClassifierRegistry,

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -49,9 +48,11 @@ import yaml
 
 from .errors import (
     InvalidSpec,
-    MALFORMED_INPUT,
     UnknownClassifier,
     UnknownSchemaVersion,
+    number,
+    reading,
+    typed,
 )
 
 # Surface word sequences that name each scene label in instructions.
@@ -407,14 +408,6 @@ class SymbolSpace:
         return getattr(symbol, "canon", None) in self.position
 
 
-def _check_costs(*costs) -> None:
-    """Raise ``InvalidSpec`` unless each cost is a finite number >= 0."""
-    for cost in costs:
-        if (isinstance(cost, bool) or not isinstance(cost, (int, float))
-                or not 0 <= cost < math.inf):
-            raise InvalidSpec(f"a cost must be a finite number >= 0, got {cost!r}")
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Fixed invocation cost plus a per-scanned-item increment."""
@@ -423,7 +416,8 @@ class CostModel:
     per_item_cost: float
 
     def __post_init__(self):
-        _check_costs(self.base_cost, self.per_item_cost)
+        number(self.base_cost, "base_cost", 0)
+        number(self.per_item_cost, "per_item_cost", 0)
 
     def cost(self, items_scanned: int) -> float:
         return self.base_cost + self.per_item_cost * items_scanned
@@ -474,7 +468,7 @@ class ClassifierRegistry:
         for canon, _ in self.cost_overrides:
             if canon not in canons:
                 raise InvalidSpec(f"cost override for unknown classifier {canon}")
-        _check_costs(self.scene_cost_per_observation)
+        number(self.scene_cost_per_observation, "scene_cost_per_observation", 0)
 
     @property
     def scene_labels(self) -> tuple[str, ...]:
@@ -661,9 +655,7 @@ def save_registry(registry: ClassifierRegistry, path) -> None:
 
 def _names(value, field: str) -> tuple[str, ...]:
     # ``tuple("cup")`` would be three one-letter classes.
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise InvalidSpec(f"{field} must be a list of strings, got {value!r}")
-    return tuple(value)
+    return tuple(typed(v, (str,), field) for v in typed(value, (list,), field))
 
 
 def _cost_table(table) -> tuple[tuple[str, CostModel], ...]:
@@ -672,10 +664,10 @@ def _cost_table(table) -> tuple[tuple[str, CostModel], ...]:
 
 
 def load_registry(path) -> ClassifierRegistry:
-    try:
+    with reading(path, "registry file", yaml.YAMLError):
         doc = yaml.safe_load(Path(path).read_text())
         if not isinstance(doc, dict):
-            raise InvalidSpec("registry file is not a mapping")
+            raise InvalidSpec("not a mapping")
         if doc.get("schema") != REGISTRY_SCHEMA:
             raise UnknownSchemaVersion(doc.get("schema"), REGISTRY_SCHEMA)
         return ClassifierRegistry(
@@ -685,5 +677,3 @@ def load_registry(path) -> ClassifierRegistry:
             cost_overrides=_cost_table(doc["cost_overrides"]),
             scene_cost_per_observation=doc["scene_cost_per_observation"],
         )
-    except (*MALFORMED_INPUT, yaml.YAMLError) as exc:
-        raise InvalidSpec(f"malformed registry file {path}: {exc!r}") from exc

@@ -42,20 +42,20 @@ reads them.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import compress, groupby
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     InvalidSpec,
-    MALFORMED_INPUT,
     UnknownClassifier,
-    UnknownSchemaVersion,
+    number,
+    read_records,
+    typed,
+    write_records,
 )
 from .symbols import (
     BBOX_ESTIMATOR,
@@ -944,28 +944,10 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _log_score(value) -> float:
-    # A log-probability: -inf is a label with prior 0, which ``simulate``
-    # writes; NaN and +inf are not scores.
-    if type(value) not in (int, float) or math.isnan(value) or value == math.inf:
-        raise InvalidSpec(f"scene score must be a number below +inf, got {value!r}")
-    return float(value)
-
-
 def _pose(values, field: str) -> Pose:
-    if (not isinstance(values, list) or len(values) != 3
-            or any(type(v) not in (int, float) or not math.isfinite(v)
-                   for v in values)):
-        raise InvalidSpec(f"{field} must be three finite numbers, got {values!r}")
-    return tuple(float(v) for v in values)
-
-
-def _typed(value, kinds: tuple[type, ...], field: str):
-    # The exact type: ``bool("false")`` is True, so only a JSON boolean is a flag.
-    if type(value) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise InvalidSpec(f"{field} must be of type {names}, got {value!r}")
-    return value
+    if len(typed(values, (list,), field)) != 3:
+        raise InvalidSpec(f"{field} must be three numbers, got {values!r}")
+    return tuple(float(number(v, field)) for v in values)
 
 
 def _scene_label(value) -> str:
@@ -975,46 +957,33 @@ def _scene_label(value) -> str:
 
 
 def save_observations(observations, path) -> None:
-    lines = [json.dumps({"schema": OBS_LOG_SCHEMA, "kind": "observation_log"},
-                        sort_keys=True)]
-    for o in observations:
-        lines.append(json.dumps({
-            "t": o.t,
-            "robot_pose": list(o.robot_pose),
-            "scene_label": o.scene_label,
-            "scene_scores": [[l, s] for l, s in o.scene_scores],
-            "sensed": [
-                {
-                    "latent_id": d.latent_id,
-                    "rel": list(d.rel),
-                    "apparent_class": d.apparent_class,
-                    "apparent_color": d.apparent_color,
-                    "noisy": d.noisy,
-                }
-                for d in o.sensed
-            ],
-        }, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_records(path, OBS_LOG_SCHEMA, "observation_log", map(asdict, observations))
 
 
-def _observation(rec) -> Observation:
+def _observation(rec, seen: set[int]) -> Observation:
     t = rec["t"]
     # The build keeps t in an int64 column.
     if type(t) is not int or not -2**63 <= t < 2**63:
         raise InvalidSpec(f"t must be a 64-bit integer, got {t!r}")
+    if t in seen:
+        raise InvalidSpec(f"repeats t={t}")
+    seen.add(t)
     return Observation(
         t=t,
         robot_pose=_pose(rec["robot_pose"], "robot_pose"),
         scene_label=_scene_label(rec["scene_label"]),
-        scene_scores=tuple((_typed(label, (str,), "scene_scores label"),
-                            _log_score(score)) for label, score in rec["scene_scores"]),
+        # A log-probability: -inf is a label with prior 0, which ``simulate``
+        # writes; NaN and +inf are not scores.
+        scene_scores=tuple((typed(label, (str,), "scene_scores label"),
+                            float(number(score, "scene score", -math.inf)))
+                           for label, score in rec["scene_scores"]),
         sensed=tuple(
             RawDetection(
-                latent_id=_typed(d["latent_id"], (str, type(None)), "latent_id"),
+                latent_id=typed(d["latent_id"], (str, type(None)), "latent_id"),
                 rel=_pose(d["rel"], "rel"),
-                apparent_class=_typed(d["apparent_class"], (str,), "apparent_class"),
-                apparent_color=_typed(d["apparent_color"], (str,), "apparent_color"),
-                noisy=_typed(d["noisy"], (bool,), "noisy"),
+                apparent_class=typed(d["apparent_class"], (str,), "apparent_class"),
+                apparent_color=typed(d["apparent_color"], (str,), "apparent_color"),
+                noisy=typed(d["noisy"], (bool,), "noisy"),
             )
             for d in rec["sensed"]
         ),
@@ -1032,23 +1001,6 @@ def load_observations(path) -> ObservationLog:
     ``SCENE_LABELS`` (no instruction could name it as a region), and a
     repeated ``t`` (the build keys provenance by ``t``).
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise InvalidSpec("empty observation log")
-        header = json.loads(lines[0])
-        if header.get("schema") != OBS_LOG_SCHEMA:
-            raise UnknownSchemaVersion(header.get("schema"), OBS_LOG_SCHEMA)
-        out: list[Observation] = []
-        seen: set[int] = set()
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            obs = _observation(json.loads(line))
-            if obs.t in seen:
-                raise InvalidSpec(f"observation log {path} repeats t={obs.t}")
-            seen.add(obs.t)
-            out.append(obs)
-    except MALFORMED_INPUT as exc:
-        raise InvalidSpec(f"malformed observation log {path}: {exc!r}") from exc
-    return ObservationLog.of(out)
+    seen: set[int] = set()
+    return ObservationLog.of(read_records(path, OBS_LOG_SCHEMA, "observation_log",
+                                          lambda rec: _observation(rec, seen)))

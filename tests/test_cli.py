@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 import groundling
 from groundling import cli
 from groundling.corpus import load_corpus, save_corpus
-from groundling.symbols import default_registry, load_registry
+from groundling.correspondence import DEFAULT_REGULARIZATION
+from groundling.symbols import default_registry, load_registry, save_registry
 from groundling.world import load_observations, save_observations
 
 
@@ -107,6 +109,34 @@ def test_negative_seed_exits_two_without_traceback(
     assert "Traceback" not in capsys.readouterr().err
 
 
+# SHA-256 of what each writer writes for the default registry and seeds.
+@pytest.mark.parametrize("args, digest", [
+    (["generate-corpus"], "b3cb84115adb1c531fa5646fe7bd33c26c264edb38dfd03d875ed10185925b97"),
+    (["generate-world", "--site", "site-1"],
+     "24b7b81272a239f43997db4919377817eadfe2293202712f29f58053e30c102c"),
+    (["generate-world", "--site", "site-2"],
+     "c9f1a23fa304d0de5d86ab604464cf18e1ba2c5e2f609cf1bcd0ad85f331b4e1"),
+    (["dump-registry"], "74577db8b0d4b5b54611f39b74c9aed4dbdb7a450297d15622ffb7fd0218a920"),
+], ids=["corpus", "site-1", "site-2", "registry"])
+def test_writers_write_the_pinned_bytes(args, digest, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+def test_train_rejects_a_negative_or_non_finite_regularization(
+        value, tmp_path, corpus_examples, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus_examples[:20], corpus_path)
+    assert cli.main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"),
+                     f"--regularization={value}"]) == 1
+    assert capsys.readouterr().err.startswith("InvalidSpec: regularization must be")
+    assert not (tmp_path / "out").exists()
+    defaults = cli.build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
+    assert defaults.regularization == DEFAULT_REGULARIZATION
+
+
 def test_custom_registry_flows_through(tmp_path, capsys):
     registry_path = tmp_path / "registry.yaml"
     assert cli.main(["dump-registry", "--out", str(registry_path)]) == 0
@@ -140,6 +170,13 @@ def _nan_rel(record):
     return json.dumps({**record, "sensed": sensed})
 
 
+def _first_weight(value):
+    def edit(doc):
+        name = next(iter(doc["weights"]))
+        return json.dumps({**doc, "weights": {**doc["weights"], name: value}})
+    return edit
+
+
 def _not_utf8(record):
     return b'{"t": "\xff\xfe"}'
 
@@ -164,13 +201,19 @@ def _not_utf8(record):
     ("train", "corpus", _set("noun", "dragon")),
     ("train", "corpus", lambda record: json.dumps(
         {**record, "color": "red", "text": "walk to the farthest red microwave"})),
+    ("ground", "observations", _set("t", "x")),
+    ("ground", "models", _first_weight(True)),
+    ("ground", "registry", lambda text: text.replace(
+        "scene_cost_per_observation: 0.2", "scene_cost_per_observation: .nan")),
+    ("ground", "corpus-as-log", None),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
         "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
         "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
         "registry-bad-yaml", "registry-not-utf8", "obs-directory",
         "obs-unknown-scene-label", "corpus-int-text",
         "corpus-superlative-off-text", "corpus-noun-off-text",
-        "corpus-template-off-slots"])
+        "corpus-template-off-slots", "obs-string-t", "model-bool-weight",
+        "registry-nan-scene-cost", "corpus-as-observations"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"
@@ -184,14 +227,23 @@ def test_malformed_input_exits_one_without_traceback(
     if broken == "models":
         model_path = models_dir / "semantic.json"
         model_path.write_bytes(_encoded(edit(json.loads(model_path.read_text()))))
+        named = f"{model_path}:"
     elif broken == "registry":
-        registry_path.write_bytes(_encoded(edit(None)))
+        save_registry(default_registry(), registry_path)
+        registry_path.write_bytes(_encoded(edit(registry_path.read_text())))
         options = ["--registry", str(registry_path)]
+        named = f"{registry_path}:"
     elif broken == "directory":
         obs_path = tmp_path / "logs"
         obs_path.mkdir()
+        named = f"{obs_path}:"
+    elif broken == "corpus-as-log":
+        obs_path = corpus_path
+        named = f"{corpus_path}:"
     else:
-        _rewrite_jsonl(obs_path if broken == "observations" else corpus_path, 1, edit)
+        path = obs_path if broken == "observations" else corpus_path
+        _rewrite_jsonl(path, 1, edit)
+        named = f"{path} line "
 
     args = {
         "ground": ["--instruction", "go to the nearest ball",
@@ -209,6 +261,8 @@ def test_malformed_input_exits_one_without_traceback(
     assert "Traceback" not in done.stderr
     expected = f"{obs_path}: " if broken == "directory" else "InvalidSpec: "
     assert done.stderr.startswith(expected)
+    # Every error names the file, and a JSON-lines file's line.
+    assert named in done.stderr
 
 
 def test_closed_stdout_exits_one_without_traceback(tmp_path, bundle):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import groundling
+from groundling import correspondence
 from groundling.correspondence import (
     CorrespondenceModel,
     TrainingExample,
@@ -32,6 +33,7 @@ from groundling.correspondence import (
 from groundling.errors import (
     AmbiguousRelation,
     CorpusDomainMismatch,
+    DivergedLoss,
     InvalidSpec,
     NoTargetObject,
     NonFiniteScore,
@@ -765,6 +767,32 @@ def test_training_improves_objective(corpus_examples, registry):
     result = train(space, examples)
     assert result.objective > initial
     assert result.iterations >= 1
+
+
+@pytest.mark.parametrize("nan_call, message", [
+    (1, "at the start of training"), (3, "during training")])
+def test_a_non_finite_objective_raises_diverged_loss(nan_call, message, corpus_examples,
+                                                     registry, monkeypatch):
+    # ``train`` looks the objective up on its module at every call.
+    calls = []
+
+    def objective(*args):
+        calls.append(args)
+        value, gradient = objective_and_gradient(*args)
+        return (math.nan if len(calls) == nan_call else value), gradient
+
+    monkeypatch.setattr(correspondence, "objective_and_gradient", objective)
+    examples = make_semantic_training_set(corpus_examples, registry, count=20)
+    with pytest.raises(DivergedLoss, match=message):
+        train(enumerate_semantic_space(), examples)
+    assert len(calls) == nan_call
+
+
+@pytest.mark.parametrize("regularization", [-1.0, math.inf, math.nan, True, "0.1"])
+def test_training_rejects_a_negative_or_non_finite_regularization(regularization):
+    # At -1 training ran its 1000 iterations to an objective of 2.5e152.
+    with pytest.raises(InvalidSpec, match="regularization"):
+        train(enumerate_semantic_space(), [], regularization=regularization)
 
 
 def test_trained_model_fits_its_training_set(corpus_examples, registry):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -84,7 +85,7 @@ def test_observation_log_rejects(edit, valid_files, tmp_path):
     edit(records[2])
     path = tmp_path / "obs.jsonl"
     _write_records(path, records)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match=re.escape(f"{path} line 3:")):
         load_observations(path)
 
 
@@ -110,8 +111,16 @@ def test_corpus_line_whose_fields_disagree_is_rejected(edit, valid_files, tmp_pa
     records[1] |= edit
     path = tmp_path / "corpus.jsonl"
     _write_records(path, records)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match=re.escape(f"{path} line 2:")):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("name, other", [("observations", "corpus"),
+                                         ("corpus", "observations")])
+def test_a_file_of_the_other_kind_is_rejected(name, other, valid_files):
+    # Both JSON-lines files are schema 1; only the header's kind tells them apart.
+    with pytest.raises(InvalidSpec, match="header kind"):
+        LOADERS[name](valid_files[other])
 
 
 def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
@@ -126,6 +135,25 @@ def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
     path = tmp_path / "obs.jsonl"
     save_observations(observations, path)
     assert load_observations(path) == observations
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["weights"].__setitem__("bias|v=scene", True),
+    lambda doc: doc["weights"].__setitem__("bias|v=scene", "0.5"),
+    lambda doc: doc["weights"].__setitem__("bias|v=scene", float("nan")),
+    lambda doc: doc["weights"].__setitem__("bias|v=scene", float("-inf")),
+    lambda doc: doc.__setitem__("regularization", -1.0),
+    lambda doc: doc.__setitem__("regularization", float("inf")),
+    lambda doc: doc.__setitem__("domain", 3),
+], ids=["bool-weight", "string-weight", "nan-weight", "infinite-weight",
+        "negative-regularization", "infinite-regularization", "int-domain"])
+def test_model_file_rejects(edit, valid_files, tmp_path):
+    doc = json.loads(valid_files["model"].read_text())
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidSpec, match=re.escape(str(path))):
+        load_model(path)
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
@@ -162,16 +190,18 @@ def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
     lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("base_cost", float("inf")),
     lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("per_item_cost", True),
     lambda doc: doc.__setitem__("scene_cost_per_observation", "0.2"),
+    lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("base_cost", 10**400),
 ], ids=["repeated-color", "kind-costs-lack-a-kind", "kind-costs-unknown-kind",
         "override-unknown-classifier", "string-object-classes", "int-colors",
-        "nan-scene-cost", "inf-base-cost", "bool-per-item-cost", "string-scene-cost"])
+        "nan-scene-cost", "inf-base-cost", "bool-per-item-cost", "string-scene-cost",
+        "huge-int-base-cost"])
 def test_registry_file_rejects_inconsistent_tables(edit, valid_files, tmp_path):
     # Each of these would load, then fail or be ignored at the first build.
     doc = yaml.safe_load(valid_files["registry"].read_text())
     edit(doc)
     path = tmp_path / "registry.yaml"
     path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match=re.escape(str(path))):
         load_registry(path)
 
 
@@ -186,11 +216,15 @@ def test_unparsable_yaml_is_invalid(name, tmp_path):
 # --- properties -----------------------------------------------------------------
 
 def _outcome(loader, path):
-    """Load ``path``; a GroundlingError is an accepted outcome."""
+    """Load ``path``; a GroundlingError is an accepted outcome, and an
+    ``InvalidSpec`` names the file."""
     try:
         return loader(path)
+    except InvalidSpec as exc:
+        assert str(path) in str(exc)
     except GroundlingError:
-        return None
+        pass
+    return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,19 +270,25 @@ def mutated(draw, doc):
     return doc
 
 
-@settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(["observations", "corpus", "model"]), data=st.data())
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), data=st.data())
 def test_one_field_mutations_load_or_raise_domain_error(
         name, data, valid_files, scratch_file, registry):
     if name == "model":
         doc = json.loads(valid_files["model"].read_text())
         scratch_file.write_text(json.dumps(data.draw(mutated(doc))))
+    elif name == "registry":
+        doc = yaml.safe_load(valid_files["registry"].read_text())
+        scratch_file.write_text(yaml.safe_dump(data.draw(mutated(doc))))
     else:
         records = _records(valid_files[name])
         line = data.draw(st.integers(0, len(records) - 1))
         records[line] = data.draw(mutated(records[line]))
         _write_records(scratch_file, records)
     loaded = _outcome(LOADERS[name], scratch_file)
+    if name == "model" and loaded is not None:
+        values = [*loaded.weights.values(), loaded.regularization]
+        assert all(type(v) is float and math.isfinite(v) for v in values)
     if name == "observations" and loaded is not None:
         try:
             build_world_model(loaded, registry.classifiers(), registry)

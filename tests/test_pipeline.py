@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,9 +22,11 @@ from test_world import cups_sharing_an_id
 
 import groundling
 from groundling import world
+from groundling.errors import InvalidSpec
 from groundling.fixtures import benchmark_manifest, site_spec, tiled
 from groundling.pipeline import (
     CSV_COLUMNS,
+    DOMAINS,
     MODES,
     ModelBundle,
     RunResult,
@@ -434,11 +437,23 @@ def test_training_converges_in_every_domain(train_results):
 def test_bundle_round_trip(bundle, tmp_path):
     bundle.save(tmp_path / "models")
     loaded = ModelBundle.load(tmp_path / "models")
-    for domain in ("semantic", "perception", "grounding"):
+    for domain in DOMAINS:
         original = getattr(bundle, domain)
         restored = getattr(loaded, domain)
         assert restored.domain == original.domain
         assert dict(restored.weights) == dict(original.weights)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_a_model_file_of_another_domain_is_rejected(domain, bundle, tmp_path):
+    # A semantic.json holding the grounding model grounded under B with
+    # exit 0, and failed under OF with an error that named no file.
+    bundle.save(tmp_path)
+    other = DOMAINS[(DOMAINS.index(domain) + 1) % len(DOMAINS)]
+    path = tmp_path / f"{domain}.json"
+    path.write_bytes((tmp_path / f"{other}.json").read_bytes())
+    with pytest.raises(InvalidSpec, match=re.escape(f"{path}: domain {other!r}")):
+        ModelBundle.load(tmp_path)
 
 
 def test_reproduce_script_matches_the_sweep(bench_report, bundle, tmp_path):
