@@ -17,7 +17,7 @@ What a phrase fires is known before any scoring.  A phrase's own tokens
 are ``grammar.feature_tokens``; a run's parse tree keeps them
 (``ParseTree.feature_tokens``), so the three models of a run share them,
 and training makes them once per distinct phrase.  What a resolved child
-fires (its ``cv=`` variant, its ``cmatch`` cells and its ``ceq`` row) is
+fires (its ``cv=`` variant, its ``cmatch`` cells and its ``ceq`` key) is
 the layout's ``ChildTable``, built once per layout and shared by every
 space the layout makes, a run's grounding space included; children are
 passed up as ordinals into it, so inference makes no symbol and reads no
@@ -113,9 +113,8 @@ class _Compiled(dict):
     zero elsewhere, made on first use from ``weights.get`` only.  Per
     constraint ``c`` of the layout's ``ChildTable``, ``cmatch[c]`` holds
     the ``cmatch`` weights of its cells, zero elsewhere, and ``ceq[c]`` is
-    ``(row, weight)``: the row of ``c`` and the ``ceq`` weight that row
-    adds when it repeats ``c``.  ``cv[r]`` is the vector of ``cv=`` the
-    table's r-th variant.
+    the ``ceq`` weight that row ``c`` adds when it repeats ``c``.
+    ``cv[r]`` is the vector of ``cv=`` the table's r-th variant.
     """
 
     def __init__(self, weights, children: ChildTable):
@@ -125,7 +124,7 @@ class _Compiled(dict):
         self.cmatch = [np.zeros(len(cmatch)) for _ in children.cells]
         for vector, cells in zip(self.cmatch, children.cells):
             vector[list(cells)] = cmatch[list(cells)]
-        self.ceq = list(zip(children.row.tolist(), ceq[children.key].tolist()))
+        self.ceq = ceq[children.key].tolist()
         self.cv = [self[f"cv={v}"] for v in children.variants]
 
     def __missing__(self, token: str) -> np.ndarray:
@@ -146,9 +145,10 @@ class _RowScorer:
     a cell (``ChildTable``).  Each key thus gets its terms in the order
     ``assemble_design`` lists its columns (a cell's two terms commute), so
     every logit is bit-equal to the sum of its features' weights in that
-    order.  Each row then sums its keys' weights once and adds the ``ceq``
-    weight of a child it repeats.  Children are ordinals into the space's
-    ``ChildTable``: scoring makes no symbol and reads none.
+    order.  Each row then sums its keys' weights once, and row ``c`` adds
+    the ``ceq`` weight of child ``c``, which it repeats.  Children are
+    ordinals into the space's ``ChildTable``: scoring makes no symbol and
+    reads none.
     """
 
     def __init__(self, model: CorrespondenceModel, space: SymbolSpace,
@@ -179,8 +179,7 @@ class _RowScorer:
         rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
                            minlength=len(space.row_keys))
         for c in kids:
-            row, weight = compiled.ceq[c]
-            rows[row] += weight
+            rows[c] += compiled.ceq[c]
         return rows
 
 
@@ -274,11 +273,10 @@ class Assignment:
         return self._trues_at(-1)
 
     def root_constraints(self) -> frozenset:
-        """The constraint symbols among ``root_trues``, made without
-        making an instance symbol."""
-        constraints = self.space.constraints
-        return frozenset(map(self.space.__getitem__, constraints[
-            self.probabilities[-1, constraints] > 0.5].tolist()))
+        """The constraint symbols among ``root_trues``, the space's leading
+        columns, made without making an instance symbol."""
+        leading = self.probabilities[-1, :len(self.space.children)] > 0.5
+        return frozenset(map(self.space.__getitem__, np.flatnonzero(leading).tolist()))
 
     def true_sets(self) -> dict[int, frozenset]:
         return dict(enumerate(self.trues))
@@ -344,8 +342,9 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
     scored like the others, so the world's size is what reaches inference
     cost, even though nothing reads them: the navigation target comes from
     ``resolve_action`` on the root-true constraints.  Only the true
-    constraints are passed up to a parent, as ordinals into the space's
-    ``ChildTable``, since instances among the children fire no feature;
+    constraints, the space's leading rows, are passed up to a parent, as
+    ordinals into the space's ``ChildTable``, since instances among the
+    children fire no feature;
     no symbol is made.  The phrases' tokens and post-order are the tree's
     own, made once for the three models of a run.  Every logit is checked
     once, after the last phrase: the first non-finite one, in phrase
@@ -357,14 +356,14 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
         )
     phrases = tree.phrases()
     score = _RowScorer(model, space, digest)
-    constraint_rows = space.children.row
+    constraints = len(space.children)
     logits = np.empty((len(phrases), len(space.row_keys)))
     kids: list[list[int]] = [[]] * len(phrases)
     for phrase, tokens in zip(phrases, tree.feature_tokens):
         below = [kids[child.index] for child in phrase.children]
         children = below[0] if len(below) == 1 else sorted(set().union(*below))
         rows = logits[phrase.index] = score(tokens, children)
-        kids[phrase.index] = (expit(rows[constraint_rows]) > 0.5).nonzero()[0].tolist()
+        kids[phrase.index] = (expit(rows[:constraints]) > 0.5).nonzero()[0].tolist()
     z = _finite(logits[:, space.row_of], space)
     return Assignment(domain=model.domain,
                       factor_evals=len(phrases) * len(space),
@@ -446,8 +445,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
                         ("dig", np.flatnonzero(vocabulary.cells_of(example.digest)).tolist())):
                     for key in keys:
                         columns_of[key].append(column(token, key))
-                repeats = {int(table.row[c]): column("ceq", int(table.key[c]))
-                           for c in kids}
+                repeats = {c: column("ceq", int(table.key[c])) for c in kids}
                 numbers = []
                 for row, keys in enumerate(space.row_keys):
                     columns = [c for key in keys for c in columns_of[key]]

@@ -93,9 +93,13 @@ class InvalidFraction(GroundlingError):
 @contextmanager
 def reading(where, what: str, *also: type[Exception]):
     """Re-raise an ``InvalidSpec``, ``MALFORMED_INPUT`` or ``also`` met inside
-    as ``InvalidSpec("malformed <what> <where>: <reason>")``."""
+    as ``InvalidSpec("malformed <what> <where>: <reason>")``, and an
+    ``UnknownSchemaVersion`` as itself, naming ``<what> <where>``."""
     try:
         yield
+    except UnknownSchemaVersion as exc:
+        exc.args = (f"{what} {where}: {exc}",)
+        raise
     except InvalidSpec as exc:
         raise InvalidSpec(f"malformed {what} {where}: {exc}") from exc
     except (*MALFORMED_INPUT, *also) as exc:

@@ -11,15 +11,18 @@ models:
   spatial relation) plus one object symbol and one navigate-to action
   symbol per detected object.
 
-Two closed vocabularies are one table each: ``KIND_TABLE`` gives each
+Three closed vocabularies are one table each: ``KIND_TABLE`` gives each
 classifier kind, in build order, its variant and the attribute its
-parameter names, and ``SUPERLATIVE_RELATIONS`` the relation each
-superlative names.  The kind and relation lists derive from them.
+parameter names, ``GROUNDING_VARIANTS`` each grounding variant its canon
+form and the attribute its value names, and ``SUPERLATIVE_RELATIONS`` the
+relation each superlative names.  The kind, instance-variant and
+relation lists derive from them.
 
-Every symbol renders to a canonical string; spaces are ordered
-lexicographically by that string so symbol indices are stable across runs,
-except that a grounding space keeps a world's instance symbols in blocks,
-in the world's column order.
+Every symbol renders to a canonical string.  A space lays out its
+constraint symbols first, sorted by that string so their indices are
+stable across runs; a grounding space then holds a world's action
+symbols and then its object symbols, each block in the world's column
+order.
 
 A symbol's logit sums weights over its layout keys: its variant, and for
 each attribute pair the pair and the (pair, variant) cell.  A space
@@ -37,7 +40,6 @@ signature, by lookups into it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
@@ -111,9 +113,20 @@ STRUCTURAL_KINDS = tuple(k for k, (_, attribute) in KIND_TABLE.items()
 SUPERLATIVE_RELATIONS = {"closest": "nearest", "farthest": "farthest", "nearest": "nearest"}
 RELATION_KINDS = tuple(sorted(set(SUPERLATIVE_RELATIONS.values())))
 
-# Grounding variants whose symbols denote one detected object each; the
-# symbols of every other variant are constraints.
-INSTANCE_VARIANTS = ("action", "object")
+# Each grounding variant: (canon form of its value, attribute its value
+# names).  An instance variant's value is an object id and names none: its
+# symbols denote one detected object each, and carry that object's
+# attributes.  The symbols of every other variant are constraints.
+GROUNDING_VARIANTS = {
+    "objtype": ("type[{}]", "class"),
+    "color": ("color[{}]", "color"),
+    "region": ("region[{}]", "region"),
+    "rel": ("relation[{}]", "rel"),
+    "action": ("action[navigate_to:{}]", None),
+    "object": ("object[{}]", None),
+}
+INSTANCE_VARIANTS = tuple(v for v, (_, attribute) in GROUNDING_VARIANTS.items()
+                          if attribute is None)
 
 REGISTRY_SCHEMA = 3
 
@@ -173,44 +186,31 @@ class PerceptionSymbol:
 class GroundingSymbol:
     """A grounding-space symbol.
 
-    ``variant`` is one of objtype / color / region / rel / object / action;
-    ``value`` carries the class, color, label, relation kind, or object id.
-    Instance symbols (object, action) additionally carry the attributes of
-    the detected object they denote, so features can compare them against
-    child constraints.
+    ``variant`` is a key of ``GROUNDING_VARIANTS``; ``value`` carries the
+    class, color, label, relation kind, or object id.  Instance symbols
+    (object, action) additionally carry the attributes of the detected
+    object they denote, so features can compare them against child
+    constraints.
     """
 
     variant: str
     value: str
     attrs: tuple[tuple[str, str], ...] = ()
 
+    def _form(self) -> tuple[str, str | None]:
+        try:
+            return GROUNDING_VARIANTS[self.variant]
+        except KeyError:
+            raise InvalidSpec(f"unknown grounding variant {self.variant!r}") from None
+
     @property
     def canon(self) -> str:
-        if self.variant == "objtype":
-            return f"type[{self.value}]"
-        if self.variant == "color":
-            return f"color[{self.value}]"
-        if self.variant == "region":
-            return f"region[{self.value}]"
-        if self.variant == "rel":
-            return f"relation[{self.value}]"
-        if self.variant == "object":
-            return f"object[{self.value}]"
-        if self.variant == "action":
-            return f"action[navigate_to:{self.value}]"
-        raise InvalidSpec(f"unknown grounding variant {self.variant!r}")
+        return self._form()[0].format(self.value)
 
     @property
     def attributes(self) -> tuple[tuple[str, str], ...]:
-        if self.variant == "objtype":
-            return (("class", self.value),)
-        if self.variant == "color":
-            return (("color", self.value),)
-        if self.variant == "region":
-            return (("region", self.value),)
-        if self.variant == "rel":
-            return (("rel", self.value),)
-        return self.attrs
+        attribute = self._form()[1]
+        return self.attrs if attribute is None else ((attribute, self.value),)
 
 
 def object_type(cls: str) -> GroundingSymbol:
@@ -231,8 +231,8 @@ def relation_symbol(kind: str) -> GroundingSymbol:
     return GroundingSymbol("rel", kind)
 
 
-def _signature_attrs(cls: str, color: str | None,
-                     region: str | None) -> tuple[tuple[str, str], ...]:
+def signature_attrs(cls: str, color: str | None,
+                    region: str | None) -> tuple[tuple[str, str], ...]:
     """The attributes of an object with this (class, colour, region)."""
     attrs = [("class", cls)]
     if color is not None:
@@ -245,13 +245,13 @@ def _signature_attrs(cls: str, color: str | None,
 def object_instance(obj) -> GroundingSymbol:
     """Symbol for one detected object in the current world model."""
     return GroundingSymbol("object", obj.id,
-                           _signature_attrs(obj.cls, obj.color, obj.region))
+                           signature_attrs(obj.cls, obj.color, obj.region))
 
 
 def action_instance(obj) -> GroundingSymbol:
     """Navigate-to action targeting one detected object."""
     return GroundingSymbol("action", obj.id,
-                           _signature_attrs(obj.cls, obj.color, obj.region))
+                           signature_attrs(obj.cls, obj.color, obj.region))
 
 
 def key_names(variant: str, attributes) -> tuple:
@@ -311,16 +311,15 @@ class ChildTable:
     """What each constraint symbol of a layout fires when it is a child.
 
     A constraint resolved true at a phrase conditions the phrase's parent.
-    Constraint ``c``, the c-th of ``SymbolSpace.constraints`` (canon
-    order), has the variant ``variants[variant[c]]``, where ``cv=`` fires;
-    ``variants`` is sorted, so the ranks ``variant[c]`` sort as the
-    variants do.  It sits in row ``row[c]`` and its variant has the key
-    ``key[c]``, where a parent's row that repeats it fires ``ceq``; and
-    ``cells[c]`` lists the keys of the cells of its attribute pairs, where
-    ``cmatch`` fires.  ``ordinal`` maps each
-    constraint's canon to ``c``.  A layout builds its table once, and every
-    space it makes shares it, so inference reads children as ordinals and
-    makes or reads no symbol.
+    Constraint ``c``, symbol and row ``c`` of every space of the layout
+    (canon order), has the variant ``variants[variant[c]]``, where ``cv=``
+    fires; ``variants`` is sorted, so the ranks ``variant[c]`` sort as the
+    variants do.  Its variant has the key ``key[c]``, where a parent's row
+    ``c``, which repeats it, fires ``ceq``; and ``cells[c]`` lists the keys
+    of the cells of its attribute pairs, where ``cmatch`` fires.
+    ``ordinal`` maps each constraint's canon to ``c``.  A layout builds its
+    table once, and every space it makes shares it, so inference reads
+    children as ordinals and makes or reads no symbol.
 
     A constraint's attribute pair names its variant's key and its value,
     so no two constraints share a pair, nor a cell; constraints that did
@@ -328,13 +327,12 @@ class ChildTable:
     raise ``InvalidSpec``.
     """
 
-    def __init__(self, vocabulary: KeyVocabulary, constraint_symbols, rows):
+    def __init__(self, vocabulary: KeyVocabulary, constraint_symbols):
         self.vocabulary = vocabulary
         self.ordinal = {s.canon: c for c, s in enumerate(constraint_symbols)}
         self.variants = tuple(sorted({s.variant for s in constraint_symbols}))
         rank = {v: r for r, v in enumerate(self.variants)}
         self.variant = tuple(rank[s.variant] for s in constraint_symbols)
-        self.row = np.asarray(rows, dtype=np.intp)
         self.key = np.array([vocabulary.index[s.variant] for s in constraint_symbols],
                             dtype=np.intp)
         self.cells = tuple(tuple(k for pair in s.attributes
@@ -351,12 +349,12 @@ class ChildTable:
 class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
-    Constraint symbols are sorted by canonical string, so a symbol's
-    index is stable across runs.  In a grounding space, the action
-    symbols sit together where "action[" sorts among the constraint
-    canons, and the object symbols where "object[" sorts, each block in
-    the world's column order.  ``position`` maps each canonical string to
-    its index.
+    The constraint symbols come first, sorted by canonical string, so a
+    symbol's index is stable across runs: they are symbols and rows 0 to
+    ``len(children) - 1``, and ``children`` is their layout's
+    ``ChildTable``.  A grounding space then holds the world's action
+    symbols and then its object symbols, each block in the world's column
+    order.  ``position`` maps each canonical string to its index.
 
     A symbol's logit is a sum over its layout keys (``key_names``), which
     ``vocabulary`` numbers.  Symbols with the same keys share a row: row
@@ -364,8 +362,6 @@ class SymbolSpace:
     ``row_of[j]``, and entry ``e`` of the flat arrays is key
     ``entry_key[e]`` of row ``entry_row[e]``.  Only instance symbols share
     rows: a constraint symbol's keys name its variant and value.
-    ``constraints`` holds the indices of the constraint symbols, in canon
-    order, and ``children`` is their layout's ``ChildTable``.
 
     Spaces come from ``_Layout.space``, through the ``enumerate_*``
     functions; a ``None`` among ``symbols`` marks an instance symbol that
@@ -373,7 +369,7 @@ class SymbolSpace:
     """
 
     def __init__(self, domain, vocabulary, symbols, row_keys, row_of,
-                 constraints, children, instance=None) -> None:
+                 children, instance=None) -> None:
         self.domain = domain
         self.vocabulary = vocabulary
         self.row_keys = row_keys
@@ -382,7 +378,6 @@ class SymbolSpace:
         self.entry_row = np.repeat(np.arange(len(row_keys)), lengths)
         self.entry_key = np.fromiter(itertools.chain.from_iterable(row_keys),
                                      dtype=np.intp, count=sum(lengths))
-        self.constraints = np.asarray(constraints, dtype=np.intp)
         self.children = children
         self._symbols = symbols
         self._instance = instance
@@ -456,6 +451,9 @@ class ClassifierRegistry:
         for field_name in ("kind_costs", "cost_overrides"):
             table = tuple(sorted(getattr(self, field_name), key=lambda item: item[0]))
             object.__setattr__(self, field_name, table)
+        # The corpus samples a class and a colour for every instruction.
+        if not self.object_classes or not self.colors:
+            raise InvalidSpec("object_classes and colors must not be empty")
         if len(set(self.object_classes)) != len(self.object_classes):
             raise InvalidSpec("duplicate object class")
         if len(set(self.colors)) != len(self.colors):
@@ -550,8 +548,8 @@ class _Layout:
     ``vocabulary`` numbers the keys of the constraint symbols, in canon
     order and in the order each first has them, and then, when
     ``instance_pairs`` is given, every key an action or object symbol
-    with some of those attribute pairs can have.  The constraint symbols
-    are rows 0 to T - 1.  A world adds, for its i-th distinct
+    with some of those attribute pairs can have.  The T constraint symbols
+    are symbols and rows 0 to T - 1.  A world adds, for its i-th distinct
     (class, colour, region) signature, row T + 2i for the action symbols
     and row T + 2i + 1 for the object symbols that have it.
     """
@@ -566,14 +564,7 @@ class _Layout:
         index = self.vocabulary.index
         self.constraint_keys = tuple(tuple(map(index.__getitem__, names))
                                      for names in named)
-        self.children = ChildTable(self.vocabulary, self.constraints,
-                                   range(len(self.constraints)))
-        # No constraint canon starts with "action[" or "object[", so every
-        # action canon sorts at one place among them, and so does every
-        # object canon.
-        canons = [s.canon for s in self.constraints]
-        self.actions_at = bisect.bisect(canons, "action[")
-        self.objects_at = bisect.bisect(canons, "object[")
+        self.children = ChildTable(self.vocabulary, self.constraints)
         self._signature_keys: dict[tuple, tuple] = {}
 
     def signature_keys(self, signature) -> tuple:
@@ -583,7 +574,7 @@ class _Layout:
         """
         keys = self._signature_keys.get(signature)
         if keys is None:
-            attrs = _signature_attrs(*signature)
+            attrs = signature_attrs(*signature)
             try:
                 keys = tuple(tuple(self.vocabulary.index[n] for n in key_names(v, attrs))
                              for v in INSTANCE_VARIANTS)
@@ -597,32 +588,27 @@ class _Layout:
         """The space of the constraint symbols and of the objects' instances.
 
         Object ``i`` has the id ``name(i)`` and the signature
-        ``signatures[codes[i]]``.  Its action symbol is the i-th of the
-        action block, where "action[" sorts among the constraint canons,
-        and its object symbol the i-th of the object block: instances are
-        laid out in object order, not sorted.  Instance symbols are made
-        when read, and only then is ``name`` called.
+        ``signatures[codes[i]]``.  The T constraint symbols come first;
+        then object ``i``'s action symbol is symbol T + i and its object
+        symbol T + n + i: instances are laid out in object order, not
+        sorted.  Instance symbols are made when read, and only then is
+        ``name`` called.
         """
         codes = np.asarray(codes, dtype=np.intp)
         n, t = len(codes), len(self.constraints)
-        a, b = self.actions_at, self.objects_at
-        rows = np.arange(t)
         actions = t + 2 * codes
-        # Actions at a .. a + n - 1, objects at b + n .. b + 2n - 1.
-        row_of = np.concatenate((rows[:a], actions, rows[a:b], actions + 1, rows[b:]))
-        constraints = np.concatenate((rows[:a], n + rows[a:b], 2 * n + rows[b:]))
-        symbols = [*self.constraints[:a], *[None] * n,
-                   *self.constraints[a:b], *[None] * n, *self.constraints[b:]]
+        row_of = np.concatenate((np.arange(t), actions, actions + 1))
 
         def instance(j: int) -> GroundingSymbol:
-            variant, i = ("action", j - a) if j < a + n else ("object", j - b - n)
-            return GroundingSymbol(variant, name(i),
-                                   _signature_attrs(*signatures[codes[i]]))
+            variant, i = divmod(j - t, n)
+            return GroundingSymbol(INSTANCE_VARIANTS[variant], name(i),
+                                   signature_attrs(*signatures[codes[i]]))
 
         keys = (self.signature_keys(s) for s in signatures)
         row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
-        return SymbolSpace(self.domain, self.vocabulary, symbols, row_keys,
-                           row_of, constraints, self.children, instance)
+        return SymbolSpace(self.domain, self.vocabulary,
+                           [*self.constraints, *[None] * (2 * n)], row_keys,
+                           row_of, self.children, instance)
 
 
 def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpace:

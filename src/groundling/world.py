@@ -67,6 +67,7 @@ from .symbols import (
     POSE_ESTIMATOR,
     PerceptionSymbol,
     SCENE_LABELS,
+    signature_attrs,
 )
 
 SENSING_RANGE = 3.5
@@ -667,10 +668,8 @@ class WorldModel:
 
     def digest(self) -> frozenset[tuple[str, str]]:
         """The (key, value) attribute pairs of the objects: factor context."""
-        return frozenset(
-            pair for cls, color, region in self.signatures[0]
-            for pair in (("class", cls), ("color", color), ("region", region))
-            if pair[1] is not None)
+        return frozenset(pair for signature in self.signatures[0]
+                         for pair in signature_attrs(*signature))
 
 
 def run_classifier(symbol: PerceptionSymbol, observations,

@@ -75,20 +75,22 @@ class TooLarge(GroundlingError):
     """Exhaustive enumeration was requested for an instance above the guard."""
 
 
-def _layout_key(symbol) -> str:
-    # An instance canon's prefix, "action[" or "object[", sorts where
-    # every canon of the variant would, and ties keep the order given.
-    canon = symbol.canon
-    return canon[:len("action[")] if symbol.variant in INSTANCE_VARIANTS else canon
+def _layout_key(symbol) -> tuple:
+    # Constraints first, by canon; then each instance variant's block, in
+    # INSTANCE_VARIANTS order, where ties keep the order given.
+    if symbol.variant in INSTANCE_VARIANTS:
+        return 1 + INSTANCE_VARIANTS.index(symbol.variant), ""
+    return 0, symbol.canon
 
 
 def symbol_space(domain: str, symbols) -> SymbolSpace:
     """The generic layout of any symbols, duplicates rejected.
 
-    Constraint symbols are sorted by canon, and the instance symbols of
-    each variant sit in one block where the variant's canons sort, in the
-    order given.  Keys are numbered in the order the laid-out symbols
-    first have them, and symbols with the same keys share a row.
+    Constraint symbols come first, sorted by canon, and then the instance
+    symbols of each variant in one block, in the order given.  Keys are
+    numbered in the order the laid-out symbols first have them, and
+    symbols with the same keys share a row, numbered as it first appears;
+    so the T constraints are rows 0 to T - 1.
     """
     ordered = sorted(symbols, key=_layout_key)
     canons = [s.canon for s in ordered]
@@ -99,12 +101,10 @@ def symbol_space(domain: str, symbols) -> SymbolSpace:
     rows: dict[tuple, int] = {}
     row_of = [rows.setdefault(tuple(map(vocabulary.index.__getitem__, names)),
                               len(rows)) for names in named]
-    constraints = [j for j, s in enumerate(ordered)
-                   if s.variant not in INSTANCE_VARIANTS]
-    children = ChildTable(vocabulary, [ordered[j] for j in constraints],
-                          [row_of[j] for j in constraints])
+    constraints = [s for s in ordered if s.variant not in INSTANCE_VARIANTS]
+    assert row_of[:len(constraints)] == list(range(len(constraints)))
     return SymbolSpace(domain, vocabulary, ordered, tuple(rows), row_of,
-                       constraints, children)
+                       ChildTable(vocabulary, constraints))
 
 
 def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
@@ -122,7 +122,7 @@ def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
     tokens = ["bias", f"cat={phrase.category}",
               *(f"w={word}" for word in dict.fromkeys(phrase.words())),
               *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
-    rows = {space[j].canon: int(space.row_of[j]) for j in space.constraints.tolist()}
+    rows = {space[j].canon: int(space.row_of[j]) for j in range(len(space.children))}
     index = space.vocabulary.index
     ceq = [(rows[c.canon], index[c.variant]) for c in kids if c.canon in rows]
     return tokens, {p for c in kids for p in c.attributes}, ceq
@@ -198,7 +198,7 @@ def infer_by_symbols(model: CorrespondenceModel, tree: ParseTree,
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
     phrases = tree.phrases()
-    constraints = space.constraints
+    constraints = len(space.children)
     probabilities = np.empty((len(phrases), len(space)))
     kids: list[list] = [[]] * len(phrases)
     for phrase in phrases:
@@ -208,7 +208,7 @@ def infer_by_symbols(model: CorrespondenceModel, tree: ParseTree,
         p = expit(symbol_logits(model, phrase, space, child_trues, digest))
         probabilities[phrase.index] = p
         kids[phrase.index] = [space[j] for j in
-                              constraints[p[constraints] > 0.5].tolist()]
+                              np.flatnonzero(p[:constraints] > 0.5).tolist()]
     return Assignment(domain=model.domain,
                       factor_evals=len(phrases) * len(space),
                       probabilities=probabilities, space=space)

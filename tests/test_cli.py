@@ -16,7 +16,13 @@ import groundling
 from groundling import cli
 from groundling.corpus import load_corpus, save_corpus
 from groundling.correspondence import DEFAULT_REGULARIZATION
-from groundling.symbols import default_registry, load_registry, save_registry
+from groundling.symbols import (
+    DEFAULT_COLORS,
+    REGISTRY_SCHEMA,
+    default_registry,
+    load_registry,
+    save_registry,
+)
 from groundling.world import load_observations, save_observations
 
 
@@ -181,6 +187,16 @@ def _not_utf8(record):
     return b'{"t": "\xff\xfe"}'
 
 
+def _schema(value):
+    """Declare schema ``value`` in a registry's text or a JSON document."""
+    def edit(doc):
+        if isinstance(doc, str):
+            return doc.replace(f"schema: {REGISTRY_SCHEMA}", f"schema: {value}")
+        return json.dumps({**doc, "schema": value})
+    edit.error = "UnknownSchemaVersion"
+    return edit
+
+
 @pytest.mark.parametrize("command, broken, edit", [
     ("ground", "observations", lambda record: "{not json"),
     ("ground", "observations", _drop("robot_pose")),
@@ -206,6 +222,12 @@ def _not_utf8(record):
     ("ground", "registry", lambda text: text.replace(
         "scene_cost_per_observation: 0.2", "scene_cost_per_observation: .nan")),
     ("ground", "corpus-as-log", None),
+    ("ground", "registry", _schema(2)),
+    ("ground", "observations-header", _schema(9)),
+    ("ground", "models", _schema(9)),
+    ("train", "corpus-header", _schema(9)),
+    ("generate-corpus", "registry", lambda text: text.replace(
+        "colors:\n- " + "\n- ".join(DEFAULT_COLORS), "colors: []")),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
         "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
         "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
@@ -213,7 +235,8 @@ def _not_utf8(record):
         "obs-unknown-scene-label", "corpus-int-text",
         "corpus-superlative-off-text", "corpus-noun-off-text",
         "corpus-template-off-slots", "obs-string-t", "model-bool-weight",
-        "registry-nan-scene-cost", "corpus-as-observations"])
+        "registry-nan-scene-cost", "corpus-as-observations", "registry-schema-2",
+        "obs-schema-9", "model-schema-9", "corpus-schema-9", "registry-no-colors"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"
@@ -241,15 +264,17 @@ def test_malformed_input_exits_one_without_traceback(
         obs_path = corpus_path
         named = f"{corpus_path}:"
     else:
-        path = obs_path if broken == "observations" else corpus_path
-        _rewrite_jsonl(path, 1, edit)
-        named = f"{path} line "
+        path = obs_path if broken.startswith("observations") else corpus_path
+        header = broken.endswith("-header")
+        _rewrite_jsonl(path, 0 if header else 1, edit)
+        named = f"{path}:" if header else f"{path} line "
 
     args = {
         "ground": ["--instruction", "go to the nearest ball",
                    "--models", str(models_dir), "--observations", str(obs_path)],
         "evaluate": ["--corpus", str(corpus_path), "--models", str(models_dir)],
         "train": ["--corpus", str(corpus_path), "--out", str(tmp_path / "out")],
+        "generate-corpus": ["--out", str(tmp_path / "generated.jsonl")],
     }[command]
     src = Path(groundling.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -259,7 +284,8 @@ def test_malformed_input_exits_one_without_traceback(
         capture_output=True, text=True, env=env)
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
-    expected = f"{obs_path}: " if broken == "directory" else "InvalidSpec: "
+    expected = (f"{obs_path}: " if broken == "directory"
+                else f"{getattr(edit, 'error', 'InvalidSpec')}: ")
     assert done.stderr.startswith(expected)
     # Every error names the file, and a JSON-lines file's line.
     assert named in done.stderr

@@ -42,6 +42,7 @@ from groundling.fixtures import site_spec, tiled
 from groundling.grammar import ParseTree, Phrase, Token, parse_text
 from groundling.pipeline import ModelBundle
 from groundling.symbols import (
+    INSTANCE_VARIANTS,
     SCENE_LABELS,
     PerceptionSymbol,
     color_symbol,
@@ -328,16 +329,15 @@ def test_child_table_matches_the_symbols(registry, site_worlds):
     phrase = parse_text("go to the ball", registry).phrases()[0]
     for space in made + [symbol_space(s.domain, tuple(s)) for s in made[:4]]:
         table = space.children
-        constraints = space.constraints.tolist()
-        assert len(table) == len(constraints)
-        assert table.ordinal == {space[j].canon: c for c, j in enumerate(constraints)}
+        assert table.ordinal == {space[c].canon: c for c in range(len(table))}
+        assert all(s.variant in INSTANCE_VARIANTS for s in list(space)[len(table):])
         assert list(table.variants) == sorted(set(table.variants))
-        for c, j in enumerate(constraints):
-            tokens, pairs, ceq = oracles.phrase_side(phrase, {space[j]}, space)
+        for c in range(len(table)):
+            tokens, pairs, ceq = oracles.phrase_side(phrase, {space[c]}, space)
             assert tokens[-1] == f"cv={table.variants[table.variant[c]]}"
             assert sorted(table.cells[c]) == np.flatnonzero(
                 space.vocabulary.cells_of(pairs)).tolist()
-            assert ceq == [(int(table.row[c]), int(table.key[c]))]
+            assert ceq == [(c, int(table.key[c]))]
         cells = [k for keys in table.cells for k in keys]
         assert len(set(cells)) == len(cells)
     # Children sharing a cell would fire cmatch at it twice.

@@ -191,10 +191,12 @@ def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
     lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("per_item_cost", True),
     lambda doc: doc.__setitem__("scene_cost_per_observation", "0.2"),
     lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("base_cost", 10**400),
+    lambda doc: doc.__setitem__("object_classes", []),
+    lambda doc: doc.__setitem__("colors", []),
 ], ids=["repeated-color", "kind-costs-lack-a-kind", "kind-costs-unknown-kind",
         "override-unknown-classifier", "string-object-classes", "int-colors",
         "nan-scene-cost", "inf-base-cost", "bool-per-item-cost", "string-scene-cost",
-        "huge-int-base-cost"])
+        "huge-int-base-cost", "no-object-classes", "no-colors"])
 def test_registry_file_rejects_inconsistent_tables(edit, valid_files, tmp_path):
     # Each of these would load, then fail or be ignored at the first build.
     doc = yaml.safe_load(valid_files["registry"].read_text())

@@ -44,7 +44,6 @@ from groundling.world import (
     simulate,
 )
 
-REPRODUCE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_benchmark.py"
 DATA = Path(__file__).parent / "data"
 
 
@@ -456,13 +455,15 @@ def test_a_model_file_of_another_domain_is_rejected(domain, bundle, tmp_path):
         ModelBundle.load(tmp_path)
 
 
-def test_reproduce_script_matches_the_sweep(bench_report, bundle, tmp_path):
+def test_benchmark_command_matches_the_sweep(bench_report, bundle, tmp_path):
+    # ``groundling benchmark --models --out --audit`` on a saved bundle
+    # writes the sweep's CSV, wall time aside, and audit.
     bundle.save(tmp_path / "models")
     csv_path, audit_path = tmp_path / "bench.csv", tmp_path / "audit.json"
     package_root = str(Path(groundling.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    subprocess.run([sys.executable, str(REPRODUCE_SCRIPT),
+    subprocess.run([sys.executable, "-m", "groundling", "benchmark",
                     "--models", str(tmp_path / "models"),
                     "--out", str(csv_path), "--audit", str(audit_path)],
                    check=True, capture_output=True, env=env)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groundling.correspondence import Assignment
 from groundling.errors import InvalidSpec, UnknownClassifier, UnknownSchemaVersion
 from groundling.symbols import (
     INSTANCE_VARIANTS,
@@ -151,22 +153,25 @@ def test_grounding_space_matches_the_generic_construction(case):
 
 
 def assert_laid_out_in_column_order(world, objects, registry):
-    """The world's grounding space is the generic layout of its constraint
-    symbols and of ``objects``' instances, in that order, row for row."""
+    """The world's grounding space is the type space, symbol for symbol
+    and row for row, then the action symbols and then the object symbols
+    of ``objects``, each in column order; and it is the generic layout of
+    the same symbols."""
     space = enumerate_grounding_space(world, registry)
-    reference = generic_space(objects, registry)
-    assert len(space) == len(reference) == 2 * len(objects) + len(
-        enumerate_grounding_type_space(registry))
-    assert laid_out(space) == laid_out(reference)
-    instances = [s for s in reference if s.variant in INSTANCE_VARIANTS]
-    assert [s.value for s in instances] == [o.id for o in objects] * 2
-    assert space.constraints.tolist() == [
-        j for j, s in enumerate(reference) if s.variant not in INSTANCE_VARIANTS]
-    children = space.children
-    assert {canon: space.row_keys[children.row[c]]
-            for canon, c in children.ordinal.items()} == {
-        s.canon: space.row_keys[space.row_of[j]] for j, s in enumerate(space)
-        if s.variant not in INSTANCE_VARIANTS}
+    types = enumerate_grounding_type_space(registry)
+    t, n = len(space.children), len(objects)
+    assert t == len(types) and len(space) == t + 2 * n
+    assert laid_out(space)[:t] == laid_out(types)
+    assert space.children.ordinal == {s.canon: c for c, s in enumerate(types)}
+    assert [(s.variant, s.value) for s in list(space)[t:]] == [
+        (v, o.id) for v in ("action", "object") for o in objects]
+    assert laid_out(space) == laid_out(generic_space(objects, registry))
+    # The constraints among any assignment's root-true symbols are its
+    # leading columns.
+    probabilities = np.random.default_rng(len(space)).random((2, len(space)))
+    assignment = Assignment("grounding", 0, probabilities, space)
+    assert assignment.root_constraints() == {
+        s for s in assignment.root_trues() if s.variant not in INSTANCE_VARIANTS}
 
 
 @pytest.mark.parametrize("copies", [1, 8])
