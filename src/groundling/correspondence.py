@@ -34,7 +34,10 @@ navigation target the root-true constraints imply is a second step,
 weights by penalized maximum likelihood with gold child assignments
 (teacher forcing).  Its design has one row per (phrase, symbol) pair, but
 ``assemble_design`` builds only the distinct rows, each with its count,
-and the fit weights each row by its count.
+and the fit weights each row by its count.  ``train`` climbs the
+likelihood by limited-memory BFGS (L-BFGS) with a backtracking line
+search, written on numpy: importing ``scipy.optimize`` would add about
+19 MB to the peak memory of every process that imports this module.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import functools
 import json
 import math
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -76,11 +80,13 @@ from .world import DetectedObject, planar_distance
 
 MODEL_SCHEMA = 1
 DEFAULT_REGULARIZATION = 1e-4
-# Training stops at this gradient max-norm, or after this many iterations;
-# a line search with no Barzilai-Borwein step at hand starts at FIRST_STEP.
+# Training stops at this gradient max-norm, or after this many iterations.
+# L-BFGS keeps the last HISTORY (s, y) pairs, and a step is accepted when
+# it gains at least ARMIJO times the gain the slope predicts.
 TOLERANCE = 1e-5
 MAX_ITERATIONS = 1000
-FIRST_STEP = 0.1
+HISTORY = 10
+ARMIJO = 1e-4
 
 
 def _features(vocabulary: KeyVocabulary, token: str) -> list[tuple[int, str]]:
@@ -508,17 +514,40 @@ class TrainResult:
     converged: bool
 
 
+def _direction(gradient: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS ascent direction: ``gradient`` times the inverse-Hessian
+    estimate of the (s, y, 1 / s.y) ``pairs``, oldest first, by the
+    two-loop recursion, with the initial scale ``s.y / y.y`` of the newest
+    pair.  With no pair, it is the gradient scaled to at most unit length.
+    """
+    if not pairs:
+        return gradient / max(1.0, float(np.linalg.norm(gradient)))
+    direction = gradient.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ direction)
+        direction -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    direction /= rho * float(y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        direction += (alpha - rho * float(y @ direction)) * s
+    return direction
+
+
 def train(space: SymbolSpace, examples,
           regularization: float = DEFAULT_REGULARIZATION) -> TrainResult:
-    """Fit factor weights by full-batch gradient ascent.
+    """Fit factor weights by full-batch limited-memory BFGS (L-BFGS) ascent.
 
-    Each line search starts from the Barzilai-Borwein step ``s.s / s.y`` of
-    the last accepted move (``s`` the change in weights, ``y`` the fall in
-    gradient), or from ``FIRST_STEP`` when there is none or ``s.y <= 0``,
-    and halves it until the objective improves.  Training stops, converged,
-    when the gradient's max-norm falls under ``TOLERANCE``; it stops
-    unconverged when the step underflows or after ``MAX_ITERATIONS``.  A
-    non-finite objective raises ``DivergedLoss``.
+    Each iteration moves along ``_direction``, the gradient scaled by an
+    inverse-Hessian estimate built from the last ``HISTORY`` accepted moves
+    (``s`` the change in weights, ``y`` the fall in gradient); a move with
+    ``s.y <= 0``, which a strictly concave objective never makes, is not
+    kept.  The line search starts from a unit step and halves it until the
+    Armijo test ``f(w + t d) >= f(w) + ARMIJO t (g.d)`` holds.  Training
+    stops, converged, when the gradient's max-norm falls under
+    ``TOLERANCE``; it stops unconverged when the step underflows or after
+    ``MAX_ITERATIONS``.  A non-finite objective raises ``DivergedLoss``.
 
     A row that repeats adds the same term to the likelihood each time, so
     the fit runs on the design's distinct rows, each weighted by its count,
@@ -533,27 +562,30 @@ def train(space: SymbolSpace, examples,
     if not math.isfinite(objective):
         raise DivergedLoss(f"objective is {objective!r} at the start of training")
     iterations = 0
-    step = FIRST_STEP
+    pairs = deque(maxlen=HISTORY)
     for iterations in range(1, MAX_ITERATIONS + 1):
         grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
         if grad_norm < TOLERANCE:
             iterations -= 1
             break
-        trial = step
+        direction = _direction(gradient, pairs)
+        slope = ARMIJO * float(gradient @ direction)
+        trial = 1.0
         while trial >= 1e-12:
-            candidate = weights + trial * gradient
+            candidate = weights + trial * direction
             cand_obj, cand_grad = objective_and_gradient(
                 design, labels, candidate, regularization, counts)
             if math.isnan(cand_obj):
                 raise DivergedLoss("objective became non-finite during training")
-            if cand_obj > objective:
+            if cand_obj >= objective + trial * slope:
                 s, y = candidate - weights, gradient - cand_grad
                 sy = float(s @ y)
-                step = float(s @ s) / sy if sy > 0.0 else FIRST_STEP
+                if sy > 0.0:
+                    pairs.append((s, y, 1.0 / sy))
                 weights, objective, gradient = candidate, cand_obj, cand_grad
                 break
             trial /= 2.0
-        else:  # the step underflowed without improving
+        else:  # the step underflowed without passing the test
             break
     grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
     packed = {name: float(w) for name, w in zip(names, weights) if w != 0.0}

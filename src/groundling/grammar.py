@@ -20,19 +20,21 @@ highest index.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import EmptyInstruction, OutOfGrammar
-from .symbols import ClassifierRegistry, REGION_SURFACE_FORMS, SUPERLATIVE_RELATIONS
+from .symbols import (
+    REGION_SURFACE_FORMS,
+    SUPERLATIVE_RELATIONS,
+    ClassifierRegistry,
+    split_words,
+)
 
 VERBS = ("drive", "go", "navigate", "walk")
 PREPOSITIONS = ("in", "to")
 DETERMINERS = ("the",)
 SUPERLATIVES = tuple(SUPERLATIVE_RELATIONS)
-
-_PUNCT = re.compile(r"[^\w\s]")
 
 # Multi-word nouns; their words are only derivable inside the compound.
 _COMPOUNDS = tuple(form for forms in REGION_SURFACE_FORMS.values()
@@ -108,12 +110,11 @@ class ParseTree:
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
-    """Lowercase, strip punctuation, split on whitespace.
+    """The words of ``text`` (``symbols.split_words``), numbered.
 
     Raises EmptyInstruction when nothing is left.
     """
-    cleaned = _PUNCT.sub(" ", text.lower())
-    words = cleaned.split()
+    words = split_words(text)
     if not words:
         raise EmptyInstruction("instruction contains no tokens")
     return tuple(Token(w, i) for i, w in enumerate(words))

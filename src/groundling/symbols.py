@@ -41,6 +41,7 @@ signature, by lookups into it.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -88,6 +89,16 @@ DEFAULT_OBJECT_CLASSES = (
 )
 
 DEFAULT_COLORS = ("black", "blue", "green", "red", "white", "yellow")
+
+_PUNCT = re.compile(r"[^\w\s]")
+
+
+def split_words(text: str) -> list[str]:
+    """The words of ``text``: lower-cased, every punctuation mark read as a
+    space, split on whitespace.  This is how the grammar tokenizes an
+    instruction, so a registry name must be its own one word."""
+    return _PUNCT.sub(" ", text.lower()).split()
+
 
 # Classifier kinds.
 OBJECT_DETECTOR = "object_detector"
@@ -454,6 +465,11 @@ class ClassifierRegistry:
         # The corpus samples a class and a colour for every instruction.
         if not self.object_classes or not self.colors:
             raise InvalidSpec("object_classes and colors must not be empty")
+        # An instruction names a class or colour in one word.
+        for name in (*self.object_classes, *self.colors):
+            if split_words(name) != [name]:
+                raise InvalidSpec(f"{name!r} is not one lower-case word"
+                                  " an instruction can spell")
         if len(set(self.object_classes)) != len(self.object_classes):
             raise InvalidSpec("duplicate object class")
         if len(set(self.colors)) != len(self.colors):

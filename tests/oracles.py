@@ -8,8 +8,9 @@ themselves and pass child symbols up the tree, inference by enumerating
 every joint assignment of a phrase, merge clustering by comparing every
 pair of points, a world-model build that copies one frozen detection per
 record through every perception stage and names every object at once,
-target resolution over a list of objects, and a training design whose
-every row is built anew from the per-factor feature dictionary.  The
+target resolution over a list of objects, a training design whose
+every row is built anew from the per-factor feature dictionary, and a
+fit by gradient ascent with Barzilai-Borwein steps.  The
 build clusters, votes and names objects with the helpers here, never with
 the package's own, and the design names its features with
 ``extract_features``, never with the package's featurizer.
@@ -26,16 +27,19 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
+from groundling import correspondence
 from groundling.correspondence import (
     INSTANCE_VARIANTS,
     Assignment,
     CorrespondenceModel,
+    TrainResult,
     _features,
     phrase_logits,
 )
 from groundling.errors import (
     AmbiguousRelation,
     CorpusDomainMismatch,
+    DivergedLoss,
     GroundlingError,
     InvalidSpec,
     NonFiniteScore,
@@ -353,6 +357,62 @@ def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
         )
     return ExhaustiveAssignment(domain=model.domain, trues=tuple(trues),
                                 factor_evals=evals)
+
+
+FIRST_STEP = 0.1
+
+
+def train(space: SymbolSpace, examples,
+          regularization: float = correspondence.DEFAULT_REGULARIZATION
+          ) -> TrainResult:
+    """Reference fit: full-batch gradient ascent with Barzilai-Borwein steps.
+
+    Each line search starts from the step ``s.s / s.y`` of the last
+    accepted move (``s`` the change in weights, ``y`` the fall in
+    gradient), or from ``FIRST_STEP`` when there is none or ``s.y <= 0``,
+    and halves it until the objective improves.  The design, the objective
+    and the stop rules are the package's: ``assemble_design`` and
+    ``objective_and_gradient`` are looked up on their module at each call,
+    so a test can count the evaluations, and the fit stops when the
+    gradient's max-norm falls under ``TOLERANCE``, when the step
+    underflows, or after ``MAX_ITERATIONS``.
+    """
+    design, labels, counts, names = correspondence.assemble_design(space, examples)
+    weights = np.zeros(design.shape[1])
+    objective, gradient = correspondence.objective_and_gradient(
+        design, labels, weights, regularization, counts)
+    if not math.isfinite(objective):
+        raise DivergedLoss(f"objective is {objective!r} at the start of training")
+    iterations = 0
+    step = FIRST_STEP
+    for iterations in range(1, correspondence.MAX_ITERATIONS + 1):
+        grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
+        if grad_norm < correspondence.TOLERANCE:
+            iterations -= 1
+            break
+        trial = step
+        while trial >= 1e-12:
+            candidate = weights + trial * gradient
+            cand_obj, cand_grad = correspondence.objective_and_gradient(
+                design, labels, candidate, regularization, counts)
+            if math.isnan(cand_obj):
+                raise DivergedLoss("objective became non-finite during training")
+            if cand_obj > objective:
+                s, y = candidate - weights, gradient - cand_grad
+                sy = float(s @ y)
+                step = float(s @ s) / sy if sy > 0.0 else FIRST_STEP
+                weights, objective, gradient = candidate, cand_obj, cand_grad
+                break
+            trial /= 2.0
+        else:  # the step underflowed without improving
+            break
+    grad_norm = float(np.max(np.abs(gradient))) if gradient.size else 0.0
+    packed = {name: float(w) for name, w in zip(names, weights) if w != 0.0}
+    model = CorrespondenceModel(domain=space.domain, weights=packed,
+                                regularization=regularization)
+    return TrainResult(model=model, iterations=iterations, objective=objective,
+                       grad_norm=grad_norm,
+                       converged=grad_norm < correspondence.TOLERANCE)
 
 
 def majority(values, default=None):

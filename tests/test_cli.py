@@ -228,6 +228,7 @@ def _schema(value):
     ("train", "corpus-header", _schema(9)),
     ("generate-corpus", "registry", lambda text: text.replace(
         "colors:\n- " + "\n- ".join(DEFAULT_COLORS), "colors: []")),
+    ("generate-corpus", "registry", lambda text: text.replace("\n- cup\n", "\n- Cup\n")),
 ], ids=["obs-not-json", "obs-no-robot-pose", "model-no-weights",
         "corpus-no-text", "corpus-bad-json", "obs-nan-rel", "obs-repeated-t",
         "obs-not-utf8", "model-not-utf8", "corpus-not-utf8",
@@ -236,7 +237,8 @@ def _schema(value):
         "corpus-superlative-off-text", "corpus-noun-off-text",
         "corpus-template-off-slots", "obs-string-t", "model-bool-weight",
         "registry-nan-scene-cost", "corpus-as-observations", "registry-schema-2",
-        "obs-schema-9", "model-schema-9", "corpus-schema-9", "registry-no-colors"])
+        "obs-schema-9", "model-schema-9", "corpus-schema-9", "registry-no-colors",
+        "registry-upper-case-class"])
 def test_malformed_input_exits_one_without_traceback(
         command, broken, edit, tmp_path, bundle, site_logs, corpus_examples):
     models_dir = tmp_path / "models"

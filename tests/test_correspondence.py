@@ -788,6 +788,80 @@ def test_a_non_finite_objective_raises_diverged_loss(nan_call, message, corpus_e
     assert len(calls) == nan_call
 
 
+def test_a_nan_gradient_raises_diverged_loss(corpus_examples, registry, monkeypatch):
+    # A finite objective whose gradient is NaN sends the next step to NaN
+    # weights, where the objective is NaN.
+    calls = []
+
+    def objective(*args):
+        calls.append(args)
+        value, gradient = objective_and_gradient(*args)
+        return value, (np.full_like(gradient, math.nan) if len(calls) == 2 else gradient)
+
+    monkeypatch.setattr(correspondence, "objective_and_gradient", objective)
+    examples = make_semantic_training_set(corpus_examples, registry, count=20)
+    with pytest.raises(DivergedLoss, match="during training"):
+        train(enumerate_semantic_space(), examples)
+    assert len(calls) == 3
+
+
+def test_training_stops_unconverged_after_max_iterations(corpus_examples, registry,
+                                                         monkeypatch):
+    monkeypatch.setattr(correspondence, "MAX_ITERATIONS", 3)
+    space = enumerate_semantic_space()
+    examples = make_semantic_training_set(corpus_examples, registry, count=20)
+    result = train(space, examples)
+    assert not result.converged and result.iterations == 3
+    assert result.grad_norm >= correspondence.TOLERANCE
+    # The model is still one that inference can use.
+    assert result.model.weights
+    assert all(math.isfinite(w) for w in result.model.weights.values())
+    assert np.isfinite(infer(result.model, examples[0].tree, space).probabilities).all()
+
+
+EXACT_RATE = {"semantic": "semantic_exact", "perception": "perception_exact",
+              "grounding": "action_exact"}
+
+
+@pytest.fixture(scope="module")
+def seed7_fits(seed7_training, corpus_split, registry, reference):
+    """{"package" | "oracle": ({domain: TrainResult}, {domain: objective
+    evaluations}, held-out EvaluationReport of the three models)}."""
+    from groundling import corpus as corpus_mod
+    fits = {}
+    for side, fit in (("package", train), ("oracle", oracles.train)):
+        results, evaluations = {}, {}
+        for domain in DOMAINS:
+            calls = []
+
+            def objective(*args, calls=calls):
+                calls.append(None)
+                return objective_and_gradient(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(correspondence, "objective_and_gradient", objective)
+                results[domain] = fit(*seed7_training[domain])
+            evaluations[domain] = len(calls)
+        report = corpus_mod.evaluate(*(results[d].model for d in DOMAINS),
+                                     corpus_split[1], registry, reference)
+        fits[side] = (results, evaluations, report)
+    return fits
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_lbfgs_fits_like_the_reference_ascent_in_half_its_evaluations(seed7_fits,
+                                                                      domain):
+    results, evaluations, report = seed7_fits["package"]
+    want, want_evaluations, want_report = seed7_fits["oracle"]
+    got = results[domain]
+    assert got.converged and got.grad_norm < correspondence.TOLERANCE
+    reference_objective = want[domain].objective
+    assert got.objective >= reference_objective - 1e-6 * abs(reference_objective)
+    assert 2 * evaluations[domain] <= want_evaluations[domain]
+    rate = EXACT_RATE[domain]
+    assert getattr(report, rate) == getattr(want_report, rate)
+
+
 @pytest.mark.parametrize("regularization", [-1.0, math.inf, math.nan, True, "0.1"])
 def test_training_rejects_a_negative_or_non_finite_regularization(regularization):
     # At -1 training ran its 1000 iterations to an objective of 2.5e152.

@@ -193,10 +193,14 @@ def test_registry_file_rejects_missing_key(key, valid_files, tmp_path):
     lambda doc: doc["kind_costs"]["noise_filter"].__setitem__("base_cost", 10**400),
     lambda doc: doc.__setitem__("object_classes", []),
     lambda doc: doc.__setitem__("colors", []),
+    lambda doc: doc["object_classes"].append("Vase"),
+    lambda doc: doc["object_classes"].append("ice cream"),
+    lambda doc: doc["colors"].append("navy-blue"),
 ], ids=["repeated-color", "kind-costs-lack-a-kind", "kind-costs-unknown-kind",
         "override-unknown-classifier", "string-object-classes", "int-colors",
         "nan-scene-cost", "inf-base-cost", "bool-per-item-cost", "string-scene-cost",
-        "huge-int-base-cost", "no-object-classes", "no-colors"])
+        "huge-int-base-cost", "no-object-classes", "no-colors", "upper-case-class",
+        "two-word-class", "punctuated-color"])
 def test_registry_file_rejects_inconsistent_tables(edit, valid_files, tmp_path):
     # Each of these would load, then fail or be ignored at the first build.
     doc = yaml.safe_load(valid_files["registry"].read_text())

@@ -93,6 +93,29 @@ def test_trained_bundle_matches_the_golden_model_files(bundle, tmp_path):
                 == (DATA / "seed7_models" / name).read_bytes()), name
 
 
+_LOADED_MODULES = """
+import sys
+import groundling.cli, groundling.pipeline
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def test_importing_the_program_loads_no_optimiser_or_graph_module():
+    # On Python 3.11.7, importing scipy.optimize raised the peak RSS of a
+    # process that imports the program from 58.4 to 77.7 MB, and
+    # scipy.sparse.csgraph costs about 7.6 MB more; either one is past the
+    # 0.1 bound on perfbench's peak_rss_mb.
+    package_root = str(Path(groundling.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _LOADED_MODULES],
+                          check=True, capture_output=True, text=True, env=env)
+    loaded = done.stdout.split()
+    assert "groundling.correspondence" in loaded
+    heavy = ("scipy.optimize", "scipy.sparse.csgraph")
+    assert [m for m in loaded if m.startswith(heavy)] == []
+
+
 def test_cost_dominance_per_case(bench_report):
     rows = by_case_and_mode(bench_report)
     for case in benchmark_manifest():
