@@ -77,10 +77,13 @@ def _cmd_evaluate(args) -> int:
         report = corpus_mod.evaluate(bundle.semantic, bundle.perception,
                                      bundle.grounding, examples, registry,
                                      reference)
-        print(f"{name}: {report.examples} examples |"
-              f" semantic {report.semantic_exact:.3f} |"
-              f" perception {report.perception_exact:.3f} |"
-              f" action {report.action_exact:.3f}")
+        # An empty split has no rate to print, not a rate of zero.
+        rates = (("semantic", report.semantic_exact),
+                 ("perception", report.perception_exact),
+                 ("action", report.action_exact))
+        print(f"{name}: {report.examples} examples", *(
+            f"{domain} {rate:.3f}" if report.examples else f"{domain} n/a"
+            for domain, rate in rates), sep=" | ")
     return 0
 
 

@@ -120,7 +120,6 @@ class _Compiled(dict):
     constraint ``c`` of the layout's ``ChildTable``, ``cmatch[c]`` holds
     the ``cmatch`` weights of its cells, zero elsewhere, and ``ceq[c]`` is
     the ``ceq`` weight that row ``c`` adds when it repeats ``c``.
-    ``cv[r]`` is the vector of ``cv=`` the table's r-th variant.
     """
 
     def __init__(self, weights, children: ChildTable):
@@ -131,7 +130,6 @@ class _Compiled(dict):
         for vector, cells in zip(self.cmatch, children.cells):
             vector[list(cells)] = cmatch[list(cells)]
         self.ceq = ceq[children.key].tolist()
-        self.cv = [self[f"cv={v}"] for v in children.variants]
 
     def __missing__(self, token: str) -> np.ndarray:
         vector = self[token] = np.zeros(len(self.vocabulary))
@@ -143,9 +141,10 @@ class _Compiled(dict):
 class _RowScorer:
     """Scores phrases against one space, for one model and world digest.
 
-    A phrase's key weights add its tokens' vectors in order: its own
-    (``grammar.feature_tokens``), then ``cv=`` for each distinct variant
-    among its children's true constraints, in sorted order.  Then come the
+    A phrase's key weights add its tokens' vectors in the order
+    ``ChildTable.tokens`` gives: its own (``grammar.feature_tokens``), then
+    ``cv=`` for each distinct variant among its children's true
+    constraints, in sorted order.  Then come the
     ``dig`` weights of the digest's cells and each child's ``cmatch``
     weights; no other token fires at a cell, and no two constraints share
     a cell (``ChildTable``).  Each key thus gets its terms in the order
@@ -163,7 +162,7 @@ class _RowScorer:
         compiled = model._compiled.get(table)
         if compiled is None:
             compiled = model._compiled[table] = _Compiled(model.weights, table)
-        self.compiled, self.space, self.variant = compiled, space, table.variant
+        self.compiled, self.space, self.table = compiled, space, table
         # Without a digest, as in the semantic and perception spaces, no
         # cell has a dig weight to add.
         self.base = ([np.where(space.vocabulary.cells_of(digest), compiled.dig, 0.0)]
@@ -174,9 +173,7 @@ class _RowScorer:
         ``cat=`` first) whose children's true constraints are ``kids``,
         distinct ordinals."""
         compiled, space = self.compiled, self.space
-        vectors = [compiled[t] for t in tokens]
-        if kids:
-            vectors += [compiled.cv[r] for r in sorted({self.variant[c] for c in kids})]
+        vectors = [compiled[t] for t in self.table.tokens(tokens, kids)]
         vectors += self.base
         vectors += [compiled.cmatch[c] for c in kids]
         key_weights = vectors[0] + vectors[1]
@@ -317,14 +314,14 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
         )
     if len(relations) > 1:
         raise AmbiguousRelation(f"conflicting relations {relations} hold at the root")
-    objects, rows = world.columns, candidates.tolist()
+    rows = candidates.tolist()
     if len(rows) > 1 and not relations:
         raise AmbiguousRelation(
             f"{len(rows)} candidate objects and no relation to rank them"
         )
     if len(rows) > 1:
         distance = [planar_distance(pose, world.robot_pose)
-                    for pose in zip(*objects.pose[:2].take(candidates, axis=1).tolist())]
+                    for pose in zip(*world.pose[:2].take(candidates, axis=1).tolist())]
         if relations[0] != "nearest":
             distance = [-d for d in distance]
         # A NaN distance, from a non-finite position, ranks last.
@@ -332,8 +329,8 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
         rows = [row for d, row in zip(distance, rows) if d == best or best is None]
     target, name = rows[0], None
     if len(rows) > 1:
-        name, target = min((objects.id(row), row) for row in rows)
-    target = objects.object(target, name)
+        name, target = min((world.id(row), row) for row in rows)
+    target = world.object(target, name)
     return action_instance(target), target
 
 
@@ -401,13 +398,16 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     gold symbols and the digest, so each distinct phrase numbers the
     column set of each row of the space once, and a phrase is its rows'
     numbers gathered to the symbols, plus its gold labels.  A column is a
-    feature name, named by ``_features`` once per token.
+    feature name, named by ``_features`` once per token, and only at a
+    key that some row of the space has: a layout's vocabulary also numbers
+    the keys of instances that a space may not hold.
     Returns ``(matrix, labels, counts, feature_names)``.
     """
-    position = {s.canon: j for j, s in enumerate(space)}
-    vocabulary, table = space.vocabulary, space.children
+    position, vocabulary, table = space.position, space.vocabulary, space.children
+    present = np.zeros(len(vocabulary), dtype=bool)
+    present[space.entry_key] = True
     # Each feature name's column, numbered when it is first named, and
-    # each token's (key, column) at every key a full token fires at.
+    # each token's (key, column) at every present key a full token fires at.
     named: dict[str, int] = {}
     names_of = functools.cache(lambda token: dict(_features(vocabulary, token)))
 
@@ -415,7 +415,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
         return named.setdefault(names_of(token)[key], len(named))
 
     fired = functools.cache(lambda token: [(key, column(token, key))
-                                           for key in names_of(token)])
+                                           for key in names_of(token) if present[key]])
     # Each distinct column set, by its sorted columns, and its number.
     numbered: dict[tuple, int] = {}
     # Each distinct phrase's column-set numbers per symbol, and the block
@@ -439,16 +439,13 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             if block is None:
                 # Instances among the children fire nothing.
                 kids = [table.ordinal[c] for c in children if c in table.ordinal]
-                tokens = [*feature_tokens(phrase), *(
-                    f"cv={table.variants[r]}"
-                    for r in sorted({table.variant[c] for c in kids}))]
                 columns_of: list[list[int]] = [[] for _ in range(len(vocabulary))]
-                for token in tokens:
+                for token in table.tokens(feature_tokens(phrase), kids):
                     for key, c in fired(token):
                         columns_of[key].append(c)
-                for token, keys in (
-                        ("cmatch", sorted({k for c in kids for k in table.cells[c]})),
-                        ("dig", np.flatnonzero(vocabulary.cells_of(example.digest)).tolist())):
+                cmatch = {k for c in kids for k in table.cells[c] if present[k]}
+                dig = np.flatnonzero(vocabulary.cells_of(example.digest) & present)
+                for token, keys in (("cmatch", sorted(cmatch)), ("dig", dig.tolist())):
                     for key in keys:
                         columns_of[key].append(column(token, key))
                 repeats = {c: column("ceq", int(table.key[c])) for c in kids}

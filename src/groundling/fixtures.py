@@ -235,10 +235,8 @@ def reference_world(registry: ClassifierRegistry) -> WorldModel:
                         region=region, provenance=frozenset(),
                     ))
                     n += 1
-    return WorldModel(
-        objects=tuple(sorted(objects, key=lambda o: o.id)),
-        total_cost=0.0, robot_pose=(0.0, 0.0, 0.0),
-    )
+    return WorldModel.of(sorted(objects, key=lambda o: o.id),
+                         total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,7 @@ def run(instruction: str, observations, models: ModelBundle,
     return RunResult(
         instruction=instruction, site=site, mode=mode,
         cost_units=cost, wall_time_s=elapsed,
-        object_count=len(world.columns) if world is not None else 0,
+        object_count=len(world) if world is not None else 0,
         grounding=grounding, error=error, world=world,
         filter_decision=decision, selection=selection, assignment=assignment,
         target=target,

@@ -30,12 +30,13 @@ numbers these keys in a ``KeyVocabulary`` and groups symbols with the
 same keys into rows.  One ``_Layout`` per domain numbers the keys of its
 constraint symbols once, and builds once the ``ChildTable`` of what each
 constraint fires when it is a resolved child; the semantic space is
-cached per process, the perception and type-level grounding spaces and
-the grounding layout per registry.  The grounding layout also numbers
-every key an object or action symbol over the registry's classes,
-colours and scene labels can have, so a world's space only adds one
-action row and one object row per distinct (class, colour, region)
-signature, by lookups into it.
+cached per process, the perception space and the grounding layout per
+registry.  The grounding layout also numbers every key an object or
+action symbol over the registry's classes, colours and scene labels can
+have.  Its space with no world is the type-level space that training
+uses; a world's space only adds one action row and one object row per
+distinct (class, colour, region) signature, by lookups into it, and
+shares its ``ChildTable``.
 """
 
 from __future__ import annotations
@@ -323,8 +324,8 @@ class ChildTable:
 
     A constraint resolved true at a phrase conditions the phrase's parent.
     Constraint ``c``, symbol and row ``c`` of every space of the layout
-    (canon order), has the variant ``variants[variant[c]]``, where ``cv=``
-    fires; ``variants`` is sorted, so the ranks ``variant[c]`` sort as the
+    (canon order), fires the token ``cv[variant[c]]``, ``cv=`` its
+    variant; ``cv`` is sorted, so the ranks ``variant[c]`` sort as the
     variants do.  Its variant has the key ``key[c]``, where a parent's row
     ``c``, which repeats it, fires ``ceq``; and ``cells[c]`` lists the keys
     of the cells of its attribute pairs, where ``cmatch`` fires.
@@ -341,9 +342,9 @@ class ChildTable:
     def __init__(self, vocabulary: KeyVocabulary, constraint_symbols):
         self.vocabulary = vocabulary
         self.ordinal = {s.canon: c for c, s in enumerate(constraint_symbols)}
-        self.variants = tuple(sorted({s.variant for s in constraint_symbols}))
-        rank = {v: r for r, v in enumerate(self.variants)}
-        self.variant = tuple(rank[s.variant] for s in constraint_symbols)
+        self.cv = tuple(sorted({f"cv={s.variant}" for s in constraint_symbols}))
+        rank = {token: r for r, token in enumerate(self.cv)}
+        self.variant = tuple(rank[f"cv={s.variant}"] for s in constraint_symbols)
         self.key = np.array([vocabulary.index[s.variant] for s in constraint_symbols],
                             dtype=np.intp)
         self.cells = tuple(tuple(k for pair in s.attributes
@@ -355,6 +356,15 @@ class ChildTable:
 
     def __len__(self) -> int:
         return len(self.variant)
+
+    def tokens(self, own, kids):
+        """What a phrase whose own tokens are ``own`` fires given ``kids``,
+        the ordinals of its children's true constraints: ``own``, then
+        ``cv=`` for each distinct variant among the children, in sorted
+        order."""
+        if not kids:
+            return own
+        return [*own, *(self.cv[r] for r in sorted({self.variant[c] for c in kids}))]
 
 
 class SymbolSpace:
@@ -504,10 +514,6 @@ class ClassifierRegistry:
         return _Layout("perception", self.classifiers()).space()
 
     @cached_property
-    def _grounding_type_space(self) -> SymbolSpace:
-        return _Layout("grounding", _type_level_symbols(self)).space()
-
-    @cached_property
     def _grounding_layout(self) -> "_Layout":
         return _Layout("grounding", _type_level_symbols(self),
                        [("class", c) for c in self.object_classes]
@@ -553,9 +559,11 @@ def _type_level_symbols(registry: ClassifierRegistry) -> list[GroundingSymbol]:
 def enumerate_grounding_type_space(registry: ClassifierRegistry) -> SymbolSpace:
     """Constraint symbols only -- the subspace the grounding model trains on.
 
-    Cached on the registry; its vocabulary has only these symbols' keys.
+    It is the grounding layout's space with no world, cached on the
+    registry: its vocabulary also numbers the instance keys, which no row
+    of it has, and it shares its ``ChildTable`` with every world's space.
     """
-    return registry._grounding_type_space
+    return registry._grounding_layout.constraint_space
 
 
 class _Layout:
@@ -582,6 +590,11 @@ class _Layout:
                                      for names in named)
         self.children = ChildTable(self.vocabulary, self.constraints)
         self._signature_keys: dict[tuple, tuple] = {}
+
+    @cached_property
+    def constraint_space(self) -> SymbolSpace:
+        """The space of the constraint symbols alone: a world with no objects."""
+        return self.space()
 
     def signature_keys(self, signature) -> tuple:
         """The keys of the (action, object) symbols of one signature.
@@ -635,12 +648,12 @@ def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpac
     laid out on the registry's grounding layout from each object's
     signature (``WorldModel.signatures``), in the world's column order, so
     objects that share one share a row; an instance symbol names its
-    object (``ObjectColumns.id``) only when it is read.  An object whose
+    object (``WorldModel.id``) only when it is read.  An object whose
     class, colour or region the registry cannot name raises
     ``InvalidSpec``.
     """
     signatures, codes = world.signatures
-    return registry._grounding_layout.space(world.columns.id, codes, signatures)
+    return registry._grounding_layout.space(world.id, codes, signatures)
 
 
 def save_registry(registry: ClassifierRegistry, path) -> None:

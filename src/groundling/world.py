@@ -33,9 +33,9 @@ of every class, and ``bincount`` and one ``lexsort`` reduce each cluster
 to an object.  The merge matches the row-wise reference bit for bit:
 centroids summed left to right in row order, the earliest member's
 angle, vote ties broken towards the smallest string, and the winning
-colour only when the build confirmed it.  The merged objects stay columns
-(``ObjectColumns``) in the ``WorldModel``, in order of their smallest
-member row; an id (``class@x,y``, with ``#2``, ``#3``, ... on objects
+colour only when the build confirmed it.  A ``WorldModel`` is the merged
+objects as columns, in order of their smallest member row, plus the
+build's cost; an id (``class@x,y``, with ``#2``, ``#3``, ... on objects
 that repeat one) and a ``DetectedObject`` are made only when something
 reads them.
 """
@@ -507,8 +507,8 @@ _BASE = "{}@{:.1f},{:.1f}".format
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectColumns:
-    """A world model's objects as columns.
+class WorldModel:
+    """The objects a build found, as columns, and its cost.
 
     Column ``i`` of ``codes`` holds object ``i``'s class, colour and
     region as codes into the vocabularies ``classes``, ``colors`` and
@@ -518,8 +518,13 @@ class ObjectColumns:
 
     A build's columns are in the merge's group order, by smallest member
     row, and ``given`` is None: an object's id is made when it is read
-    (``id``).  Columns encoded from objects keep the order given, and
-    ``given`` holds their ids.
+    (``id``).  A world model ``of`` objects keeps the order given, and
+    ``given`` holds their ids.  Nothing reads a whole object during a run
+    except the target, and nothing names any other object but the
+    candidates tied with it: ``objects`` names and makes every
+    ``DetectedObject`` on first access, in id order, and ``signatures``
+    and ``digest`` read the columns.  Two world models are equal when
+    their objects, costs, robot poses and ledgers are.
     """
 
     classes: tuple[str, ...]
@@ -530,14 +535,17 @@ class ObjectColumns:
     t: np.ndarray
     start: np.ndarray
     stop: np.ndarray
-    given: tuple[str, ...] | None = None
-
-    def __len__(self) -> int:
-        return self.codes.shape[1]
+    given: tuple[str, ...] | None
+    total_cost: float
+    robot_pose: Pose
+    cost_ledger: tuple[tuple[str, float], ...] = ()
 
     @staticmethod
-    def encode(objects) -> ObjectColumns:
-        """The columns of ``objects``, in the order given."""
+    def of(objects, total_cost: float, robot_pose: Pose,
+           cost_ledger: tuple[tuple[str, float], ...] = ()) -> WorldModel:
+        """A world model of ``objects``, a sequence of ``DetectedObject``,
+        in the order given."""
+        objects = tuple(objects)
         classes, cls = _encode([o.cls for o in objects])
         colors = tuple(sorted({o.color for o in objects} - {None}))
         code = {c: k for k, c in enumerate(colors)}
@@ -545,13 +553,28 @@ class ObjectColumns:
         provenance = [sorted(o.provenance) for o in objects]
         size = np.array([len(p) for p in provenance], dtype=np.intp)
         stop = size.cumsum()
-        return ObjectColumns(
+        return WorldModel(
             classes=classes, colors=colors, regions=regions,
             codes=np.array([cls, [code.get(o.color, -1) for o in objects], region],
                            dtype=np.intp),
             pose=np.array([o.pose for o in objects], dtype=float).reshape(-1, 3).T,
             t=np.array([t for p in provenance for t in p], dtype=np.int64),
-            start=stop - size, stop=stop, given=tuple(o.id for o in objects))
+            start=stop - size, stop=stop, given=tuple(o.id for o in objects),
+            total_cost=total_cost, robot_pose=robot_pose, cost_ledger=cost_ledger)
+
+    def __len__(self) -> int:
+        return self.codes.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, WorldModel):
+            return NotImplemented
+        return ((self.objects, self.total_cost, self.robot_pose, self.cost_ledger)
+                == (other.objects, other.total_cost, other.robot_pose,
+                    other.cost_ledger))
+
+    def __repr__(self) -> str:
+        return (f"WorldModel({len(self)} objects, total_cost="
+                f"{self.total_cost!r}, robot_pose={self.robot_pose!r})")
 
     def id(self, i: int) -> str:
         """Object ``i``'s id.
@@ -577,9 +600,9 @@ class ObjectColumns:
     def named(self) -> tuple[list[str], list[int]]:
         """Every object's id, in column order, and the columns in id order.
 
-        Id order is the given order for encoded columns.  For a build's it
-        is by base, and by k among the columns that share one, as the ids
-        were sorted before the suffixes were added.
+        Id order is the given order for a world model ``of`` objects.  For
+        a build's it is by base, and by k among the columns that share
+        one, as the ids were sorted before the suffixes were added.
         """
         if self.given is not None:
             return list(self.given), list(range(len(self)))
@@ -601,45 +624,13 @@ class ObjectColumns:
             pose=tuple(self.pose[:, i].tolist()), region=self.regions[region],
             provenance=frozenset(self.t[self.start[i]:self.stop[i]].tolist()))
 
-
-class WorldModel:
-    """The objects a build found, as ``ObjectColumns``, and its cost.
-
-    ``objects`` is the columns themselves or a sequence of
-    ``DetectedObject``, which is encoded into columns.  Nothing reads a
-    whole object during a run except the target, and nothing names any
-    other object but the candidates tied with it: ``objects`` names and
-    makes every ``DetectedObject`` on first access, in id order, and
-    ``signatures`` and ``digest`` read the columns.  Two world models are
-    equal when their objects, costs, robot poses and ledgers are.
-    """
-
-    def __init__(self, objects, total_cost: float, robot_pose: Pose,
-                 cost_ledger: tuple[tuple[str, float], ...] = ()):
-        self.columns = (objects if isinstance(objects, ObjectColumns)
-                        else ObjectColumns.encode(tuple(objects)))
-        self.total_cost = total_cost
-        self.robot_pose = robot_pose
-        self.cost_ledger = cost_ledger
-
-    def __eq__(self, other):
-        if not isinstance(other, WorldModel):
-            return NotImplemented
-        return ((self.objects, self.total_cost, self.robot_pose, self.cost_ledger)
-                == (other.objects, other.total_cost, other.robot_pose,
-                    other.cost_ledger))
-
-    def __repr__(self) -> str:
-        return (f"WorldModel({len(self.columns)} objects, total_cost="
-                f"{self.total_cost!r}, robot_pose={self.robot_pose!r})")
-
     @cached_property
     def objects(self) -> tuple[DetectedObject, ...]:
-        ids, order = self.columns.named
-        return tuple(self.columns.object(i, ids[i]) for i in order)
+        ids, order = self.named
+        return tuple(self.object(i, ids[i]) for i in order)
 
     def object_ids(self) -> frozenset[str]:
-        return frozenset(self.columns.named[0])
+        return frozenset(self.named[0])
 
     @cached_property
     def signatures(self) -> tuple[tuple[tuple, ...], np.ndarray]:
@@ -652,18 +643,17 @@ class WorldModel:
         ``dict.fromkeys`` lists the distinct keys, and a table indexed by
         key numbers the columns.
         """
-        c = self.columns
-        nc, nr = len(c.colors) + 1, len(c.regions)
-        key = np.array([nc * nr, nr, 1]) @ c.codes + nr
+        nc, nr = len(self.colors) + 1, len(self.regions)
+        key = np.array([nc * nr, nr, 1]) @ self.codes + nr
         distinct = list(dict.fromkeys(key.tolist()))
-        number = np.empty(len(c.classes) * nc * nr, dtype=np.intp)
+        number = np.empty(len(self.classes) * nc * nr, dtype=np.intp)
         number[distinct] = np.arange(len(distinct))
-        colors = (*c.colors, None)
+        colors = (*self.colors, None)
         signatures = []
         for k in distinct:
             rest, region = divmod(k, nr)
             cls, color = divmod(rest, nc)
-            signatures.append((c.classes[cls], colors[color - 1], c.regions[region]))
+            signatures.append((self.classes[cls], colors[color - 1], self.regions[region]))
         return tuple(signatures), number[key]
 
     def digest(self) -> frozenset[tuple[str, str]]:
@@ -821,11 +811,21 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return label
 
 
-def _groups(detections: DetectionSet):
-    """Each group's values as array work over the columns.
+def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
+           cost_ledger: tuple[tuple[str, float], ...]) -> WorldModel:
+    """One object per cluster of same-class detections, in group order.
 
-    ``_link`` clusters every class in one pass, and the groups are
-    numbered in order of their smallest member row.  Then:
+    The pose is the members' centroid and the angle of the earliest
+    member, by (t, theta).  The colour is the members' most common
+    apparent colour, kept only when its code is among the build's
+    ``confirmed`` colours: which colour detectors ran decides whether the
+    colour is known, never which colour it is.  The region is the
+    members' most common scene label; both votes break ties towards the
+    smallest string.  The provenance is the set of the members' ``t``.
+
+    All of it is array work over the log's columns, read through the
+    detections' rows.  ``_link`` clusters every class in one pass, and
+    the groups are numbered in order of their smallest member row.  Then:
 
     - the centroid comes from ``bincount`` sums, which add the members in
       row order, as Python's left-to-right sums do;
@@ -835,10 +835,9 @@ def _groups(detections: DetectionSet):
       since code order is string order, ``argmax``'s first maximum breaks
       a tie towards the smallest string.
 
-    Returns, with a column per group in that order, the class, colour
-    (-1 unless its code is confirmed) and region codes, and x, y and
-    theta; and the members' ``t``, group by group, with each group's start
-    and stop in it.
+    The objects stay columns, one per group in that order, with the
+    members' ``t`` group by group.  No id is made here: ``WorldModel.id``
+    makes one when it is read.
     """
     columns, rows = detections.columns, detections.rows
     xy, theta = detections.position, detections.theta
@@ -869,31 +868,10 @@ def _groups(detections: DetectionSet):
     np.divide(np.bincount(group, xy[:, 0]), size, out=pose[0])
     np.divide(np.bincount(group, xy[:, 1]), size, out=pose[1])
     theta.take(first, out=pose[2])
-    return codes, pose, t[order], start, stop
-
-
-def _merge(detections: DetectionSet) -> ObjectColumns:
-    """One object per cluster of same-class detections, in group order.
-
-    The pose is the members' centroid and the angle of the earliest
-    member, by (t, theta).  The colour is the members' most common
-    apparent colour, kept only when its code is among the build's
-    ``confirmed`` colours: which colour detectors ran decides whether the
-    colour is known, never which colour it is.  The region is the
-    members' most common scene label; both votes break ties towards the
-    smallest string.  The provenance is the set of the members' ``t``.
-
-    ``_groups`` computes these as array work over the log's columns,
-    read through the detections' rows, and the objects stay columns, in
-    order of their smallest member row.  No id is made here:
-    ``ObjectColumns.id`` makes one when it is read.
-    """
-    codes, pose, t, start, stop = _groups(detections)
-    columns = detections.columns
-    return ObjectColumns(
-        classes=columns.classes, colors=columns.colors,
-        regions=columns.regions, codes=codes, pose=pose, t=t,
-        start=start, stop=stop)
+    return WorldModel(
+        classes=columns.classes, colors=columns.colors, regions=columns.regions,
+        codes=codes, pose=pose, t=t[order], start=start, stop=stop, given=None,
+        total_cost=total_cost, robot_pose=robot_pose, cost_ledger=cost_ledger)
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
@@ -932,12 +910,10 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         if cost:
             ledger.append((symbol.canon, cost))
 
-    return WorldModel(
-        objects=_merge(current) if current.theta is not None and len(current) else (),
-        total_cost=sum(c for _, c in ledger),
-        robot_pose=robot_pose,
-        cost_ledger=tuple(ledger),
-    )
+    total_cost = sum(c for _, c in ledger)
+    if current.theta is None or not len(current):
+        return WorldModel.of((), total_cost, robot_pose, tuple(ledger))
+    return _merge(current, total_cost, robot_pose, tuple(ledger))
 
 
 # ---------------------------------------------------------------------------

@@ -653,7 +653,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     stage, and its objects in id order."""
     objects, order, ledger, total_cost, robot_pose = _build(
         observations, classifiers, registry, robot_pose)
-    return WorldModel(
+    return WorldModel.of(
         objects=tuple(objects[i] for i in order),
         total_cost=total_cost,
         robot_pose=robot_pose,

@@ -71,6 +71,18 @@ def test_full_workflow(tmp_path, capsys):
     assert load_registry(registry_path) == default_registry()
 
 
+def test_evaluate_prints_no_rate_for_an_empty_split(tmp_path, capsys, corpus_examples):
+    # With --fraction 1.0 the held-out split is empty: 0 of 0 is no score.
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus_examples[:20], corpus_path)
+    models = Path(__file__).parent / "data" / "seed7_models"
+    assert cli.main(["evaluate", "--corpus", str(corpus_path), "--models", str(models),
+                     "--fraction", "1.0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "train: 20 examples | semantic 1.000 | perception 1.000 | action 1.000",
+        "held-out: 0 examples | semantic n/a | perception n/a | action n/a"]
+
+
 def test_missing_input_exits_one(tmp_path):
     missing = tmp_path / "nope.jsonl"
     code = cli.main(["train", "--corpus", str(missing),

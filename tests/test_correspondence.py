@@ -323,18 +323,19 @@ def test_child_table_matches_the_symbols(registry, site_worlds):
     made = [enumerate_semantic_space(), enumerate_perception_space(registry),
             enumerate_grounding_type_space(registry),
             *(enumerate_grounding_space(w, registry) for w in worlds)]
-    # One table per layout, shared by every space it makes.
-    assert len({id(space.children) for space in made[2:]}) == 2
-    assert all(space.children is made[3].children for space in made[3:])
+    # One table per layout, shared by every space it makes: the grounding
+    # type space is the grounding layout's space with no world.
+    assert all(space.children is made[2].children for space in made[2:])
     phrase = parse_text("go to the ball", registry).phrases()[0]
     for space in made + [symbol_space(s.domain, tuple(s)) for s in made[:4]]:
         table = space.children
         assert table.ordinal == {space[c].canon: c for c in range(len(table))}
         assert all(s.variant in INSTANCE_VARIANTS for s in list(space)[len(table):])
-        assert list(table.variants) == sorted(set(table.variants))
+        assert list(table.cv) == sorted(set(table.cv))
         for c in range(len(table)):
             tokens, pairs, ceq = oracles.phrase_side(phrase, {space[c]}, space)
-            assert tokens[-1] == f"cv={table.variants[table.variant[c]]}"
+            assert tokens[-1] == table.cv[table.variant[c]]
+            assert table.tokens(tokens[:-1], [c]) == tokens
             assert sorted(table.cells[c]) == np.flatnonzero(
                 space.vocabulary.cells_of(pairs)).tolist()
             assert ceq == [(c, int(table.key[c]))]
@@ -365,7 +366,7 @@ def random_world(rng: np.random.Generator, registry, max_objects: int = 6):
         objects.append(DetectedObject(
             id=f"{cls}@{i}.0,0.0", cls=cls, color=color, pose=(float(i), 0.0, 0.0),
             region=region, provenance=frozenset()))
-    return WorldModel(objects=tuple(objects), total_cost=0.0,
+    return WorldModel.of(objects=tuple(objects), total_cost=0.0,
                       robot_pose=(0.0, 0.0, 0.0))
 
 
@@ -439,7 +440,7 @@ def tied_worlds(draw):
             color=draw(st.none() | st.sampled_from(_COLORS)), pose=(x, y, 0.0),
             region=draw(st.sampled_from(_REGIONS)),
             provenance=frozenset(draw(st.sets(st.integers(0, 9), max_size=3)))))
-    return WorldModel(objects=draw(st.permutations(objects)), total_cost=0.0,
+    return WorldModel.of(objects=draw(st.permutations(objects)), total_cost=0.0,
                       robot_pose=draw(st.sampled_from(((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)))))
 
 
@@ -460,7 +461,7 @@ def assert_resolves_like_the_oracle(trues, world):
 
 def twins() -> WorldModel:
     """``cup@5.0,1.0#2`` and ``cup@5.0,1.0`` at one point, in that order."""
-    return WorldModel(objects=[
+    return WorldModel.of(objects=[
         DetectedObject(id=i, cls="cup", color=None, pose=(5.0, 1.0, 0.0),
                        region="kitchen", provenance=frozenset())
         for i in ("cup@5.0,1.0#2", "cup@5.0,1.0")], total_cost=0.0,
@@ -489,7 +490,7 @@ def test_a_non_finite_position_ranks_last(registry, relation):
     trues = frozenset({object_type("cup"), relation_symbol(relation)})
     assert resolve_action(trues, world)[1].id == "cup@3.0,0.0"
     lost = next(o for o in world.objects if o.id == "cup@nan,nan")
-    alone = WorldModel(objects=[replace(lost, id="cup@nan,nan#2"), lost],
+    alone = WorldModel.of(objects=[replace(lost, id="cup@nan,nan#2"), lost],
                        total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
     assert resolve_action(trues, alone)[1].id == "cup@nan,nan"
 
@@ -616,6 +617,27 @@ def test_design_matches_the_phrase_by_phrase_oracle(seed7_training, reference,
         examples = [replace(e, digest=frozenset(pairs[:i % (len(pairs) + 1)]))
                     for i, e in enumerate(examples)]
     assert_same_rows(space, examples)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_fixed_designs_match_the_generic_layout(seed7_training, domain):
+    # A fixed space's design is the design on the generic layout of the
+    # same symbols, whose vocabulary numbers only their own keys.  The
+    # grounding type space is the grounding layout's space with no world,
+    # so its vocabulary also numbers the instance keys; no column is named
+    # at them, nor at their cmatch and dig cells.
+    space, examples = seed7_training[domain]
+    generic = symbol_space(space.domain, space)
+    if domain == "grounding":
+        assert len(space.vocabulary) > len(generic.vocabulary)
+    else:
+        assert space.vocabulary.names == generic.vocabulary.names
+    design, labels, counts, names = assemble_design(space, examples)
+    want, want_labels, want_counts, want_names = assemble_design(generic, examples)
+    assert_same_csr(design, want)
+    for got, wanted in ((labels, want_labels), (counts, want_counts)):
+        assert got.dtype == wanted.dtype and np.array_equal(got, wanted)
+    assert names == want_names
 
 
 def draw_rows(data, seed7_training):

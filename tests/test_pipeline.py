@@ -285,26 +285,26 @@ def test_a_run_names_only_its_target_and_the_candidates_tied_with_it(
     # grounding space nor the resolution names the world's objects.
     observations = simulate(tiled(site_spec("site-1"), 8), registry)
     named = []
-    make_id = world.ObjectColumns.id
+    make_id = world.WorldModel.id
 
-    def spy(columns, i):
+    def spy(built, i):
         named.append(i)
-        return make_id(columns, i)
+        return make_id(built, i)
 
-    monkeypatch.setattr(world.ObjectColumns, "id", spy)
+    monkeypatch.setattr(world.WorldModel, "id", spy)
     for case in benchmark_manifest():
         if case.site != "site-1":
             continue
         named.clear()
         result = run(case.instruction, observations, bundle, registry, mode="B")
         assert result.error == ""
-        columns = result.world.columns
-        assert "named" not in columns.__dict__
-        assert result.assignment.space._symbols.count(None) == 2 * len(columns)
-        robot = result.world.robot_pose
+        built = result.world
+        assert "named" not in built.__dict__
+        assert result.assignment.space._symbols.count(None) == 2 * len(built)
+        robot = built.robot_pose
         reach = planar_distance(result.target.pose, robot)
-        assert result.target.id in [make_id(columns, i) for i in named]
-        assert all(planar_distance(columns.pose[:2, i].tolist(), robot) == reach
+        assert result.target.id in [make_id(built, i) for i in named]
+        assert all(planar_distance(built.pose[:2, i].tolist(), robot) == reach
                    for i in named)
 
 

@@ -37,7 +37,7 @@ from oracles import symbol_space
 
 
 def empty_world() -> WorldModel:
-    return WorldModel(objects=(), total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    return WorldModel.of(objects=(), total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
 
 
 def canons(space):
@@ -118,12 +118,12 @@ def signature_worlds(draw):
             color=color, pose=(0.0, 0.0, 0.0), region=region,
             provenance=frozenset()))
     objects = draw(st.permutations(objects))
-    return registry, WorldModel(objects=tuple(objects), total_cost=0.0,
+    return registry, WorldModel.of(objects=tuple(objects), total_cost=0.0,
                                 robot_pose=(0.0, 0.0, 0.0))
 
 
 def one_signature_world(count: int) -> WorldModel:
-    return WorldModel(objects=tuple(
+    return WorldModel.of(objects=tuple(
         DetectedObject(id=f"cup@5.0,1.0#{k}" if k > 1 else "cup@5.0,1.0",
                        cls="cup", color=None, pose=(0.0, 0.0, 0.0),
                        region="kitchen", provenance=frozenset())
@@ -136,12 +136,15 @@ def one_signature_world(count: int) -> WorldModel:
 @example(case=(default_registry(), one_signature_world(12)))
 def test_grounding_space_matches_the_generic_construction(case):
     registry, world = case
-    # The fixed spaces number only their own symbols' keys, as the
-    # generic layout does, so training designs do not change.
-    for fixed in (enumerate_semantic_space(), enumerate_perception_space(registry),
-                  enumerate_grounding_type_space(registry)):
+    # The fixed spaces lay out their symbols as the generic layout does.
+    # The semantic and perception spaces number only their own symbols'
+    # keys; the grounding type space's vocabulary also numbers instance
+    # keys, which no row of it has (test_fixed_designs_match_the_generic_layout).
+    types = enumerate_grounding_type_space(registry)
+    for fixed in (enumerate_semantic_space(), enumerate_perception_space(registry), types):
         reference = symbol_space(fixed.domain, fixed)
-        assert fixed.vocabulary.names == reference.vocabulary.names
+        if fixed is not types:
+            assert fixed.vocabulary.names == reference.vocabulary.names
         assert laid_out(fixed) == laid_out(reference)
     if any(o.cls not in registry.object_classes or o.region not in SCENE_LABELS
            for o in world.objects):
@@ -162,6 +165,7 @@ def assert_laid_out_in_column_order(world, objects, registry):
     t, n = len(space.children), len(objects)
     assert t == len(types) and len(space) == t + 2 * n
     assert laid_out(space)[:t] == laid_out(types)
+    assert space.children is types.children
     assert space.children.ordinal == {s.canon: c for c, s in enumerate(types)}
     assert [(s.variant, s.value) for s in list(space)[t:]] == [
         (v, o.id) for v in ("action", "object") for o in objects]
@@ -190,7 +194,7 @@ def assert_signatures_follow_the_objects(world, objects):
     """The column-derived signatures and digest equal the ones read off
     ``objects``, the world's objects in column order: signatures in order
     of first appearance among them, and one code per object."""
-    assert len(objects) == len(world.columns)
+    assert len(objects) == len(world)
     index: dict[tuple, int] = {}
     codes = [index.setdefault((o.cls, o.color, o.region), len(index))
              for o in objects]
@@ -231,6 +235,29 @@ def test_signatures_and_digest_of_built_worlds(registry, site, copies):
                 assert_signatures_follow_the_objects(
                     build_world_model(observations, classifiers, registry),
                     oracles.build_columns(observations, classifiers, registry))
+
+
+def test_an_empty_build_is_the_world_model_of_no_objects(registry, site_logs):
+    # No observations, no object detector, and no pose stage: each build
+    # finds no object, and agrees with a world model of none.
+    every = frozenset(registry.classifiers())
+    log = site_logs["site-1"]
+    builds = [build_world_model((), every, registry),
+              build_world_model(log, {c for c in every if c.kind != "object_detector"},
+                                registry),
+              build_world_model(log, {c for c in every if c.kind != "pose_estimator"},
+                                registry)]
+    none = WorldModel.of((), 0.0, (0.0, 0.0, 0.0))
+    types = enumerate_grounding_type_space(registry)
+    assert types is enumerate_grounding_type_space(registry)
+    for world in [*builds, none]:
+        assert len(world) == 0 and world.objects == () == none.objects
+        signatures, codes = world.signatures
+        assert signatures == () and codes.tolist() == []
+        assert world.digest() == frozenset() == none.digest()
+        space = enumerate_grounding_space(world, registry)
+        assert len(space) == len(types) and space.children is types.children
+    assert builds[2].total_cost > 0 and builds[2].cost_ledger
 
 
 def test_instances_of_one_signature_share_a_row(registry):

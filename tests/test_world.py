@@ -424,23 +424,23 @@ def test_objects_that_share_an_id_get_a_suffix(registry):
     assert_same_world(observations, full_classifiers(registry), registry)
 
 
-def assert_ids_made_alike(columns):
+def assert_ids_made_alike(world):
     """Each id made on its own, when read, equals the one the eager rule
     gives, and so do all the ids and the id order made at once."""
-    x, y = columns.pose[:2].tolist()
+    x, y = world.pose[:2].tolist()
     expected = oracles.eager_naming(
-        [columns.classes[c] for c in columns.codes[0].tolist()], x, y)
-    assert "named" not in columns.__dict__
-    assert [columns.id(i) for i in range(len(columns))] == expected[0]
-    assert columns.named == expected
+        [world.classes[c] for c in world.codes[0].tolist()], x, y)
+    assert "named" not in world.__dict__
+    assert [world.id(i) for i in range(len(world))] == expected[0]
+    assert world.named == expected
 
 
 def test_ids_made_when_read_repeat_past_nine(registry):
     # The rings' columns are in t order, and their ids are made alone.
     world = build_world_model(concentric_rings(10), full_classifiers(registry), registry)
-    assert world.columns.id(10) == "cup@5.0,1.0#11"
-    assert world.columns.id(1) == "cup@5.0,1.0#2"
-    assert_ids_made_alike(world.columns)
+    assert world.id(10) == "cup@5.0,1.0#11"
+    assert world.id(1) == "cup@5.0,1.0#2"
+    assert_ids_made_alike(world)
 
 
 @pytest.mark.parametrize("copies", [1, 8])
@@ -460,9 +460,8 @@ def test_ids_made_when_read_match_eager_naming(registry, site, copies):
         for view in (log, log.partition(regions[:1])[0], log.partition(regions[1::2])[0]):
             for classifiers in classifier_sets:
                 built = build_world_model(view, classifiers, registry)
-                columns = built.columns
-                assert_ids_made_alike(columns)
-                assert list(map(columns.object, range(len(columns)))) == (
+                assert_ids_made_alike(built)
+                assert list(map(built.object, range(len(built)))) == (
                     oracles.build_columns(view, classifiers, registry))
                 assert built == oracles.build_world_model(view, classifiers, registry)
 
@@ -487,14 +486,15 @@ _PRINTED = st.one_of(
                  (1, 0.2, 0.3), (0, math.nan, math.inf), (0, math.nan, math.inf)])
 def test_ids_made_when_read_match_eager_naming_at_print_boundaries(points):
     classes = [c for c, _, _ in points]
-    columns = world.ObjectColumns(
+    built = world.WorldModel(
         classes=("ball", "cup"), colors=(), regions=("kitchen",),
         codes=np.array([classes, [-1] * len(points), [0] * len(points)],
                        dtype=np.intp).reshape(3, -1),
         pose=np.array([(x, y, 0.0) for _, x, y in points], dtype=float).reshape(-1, 3).T,
         t=np.empty(0, dtype=np.int64), start=np.zeros(len(points), dtype=np.intp),
-        stop=np.zeros(len(points), dtype=np.intp))
-    assert_ids_made_alike(columns)
+        stop=np.zeros(len(points), dtype=np.intp), given=None,
+        total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    assert_ids_made_alike(built)
 
 
 def test_a_burst_of_coincident_rows_links_in_bounded_memory():
@@ -691,7 +691,7 @@ _OBJECTS = st.lists(st.builds(
 @settings(max_examples=100, deadline=None)
 @given(objects=_OBJECTS)
 def test_a_world_model_gives_back_the_objects_it_encodes(objects):
-    world = WorldModel(objects=objects, total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    world = WorldModel.of(objects=objects, total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
     made = world.objects
     assert [(o.id, o.cls, o.color, o.region, o.provenance) for o in made] == [
         (o.id, o.cls, o.color, o.region, o.provenance) for o in objects]
