@@ -26,7 +26,7 @@ from .symbols import (
     enumerate_perception_space,
     enumerate_semantic_space,
 )
-from .world import Observation, ObservationLog
+from .world import ObservationLog
 
 STRUCTURAL_STAGES = frozenset(PerceptionSymbol(kind) for kind in STRUCTURAL_KINDS)
 
@@ -36,7 +36,7 @@ class FilterDecision:
     """Outcome of instruction-guided observation filtering."""
 
     kept: ObservationLog
-    dropped: tuple[Observation, ...]
+    dropped: ObservationLog
     inferred_labels: frozenset[str]
     assignment: Assignment | None = None
 
@@ -69,15 +69,15 @@ def filter_by_labels(observations, labels,
 
     An empty label set keeps everything: with no evidence about where the
     target is, dropping observations could hide it.  ``kept`` is the log
-    itself or a view of it, sharing its indexed records; both it and
-    ``dropped`` are in log order.
+    itself or a view of it, and ``dropped`` a view, both sharing the log's
+    columns and in log order.
     """
     log = ObservationLog.of(observations)
     labels = frozenset(labels)
-    if not labels:
-        return FilterDecision(kept=log, dropped=(),
-                              inferred_labels=labels, assignment=assignment)
     kept, dropped = log.partition(labels)
+    if not labels:
+        # No label is in the empty set: keep the log itself, and drop none.
+        kept, dropped = log, kept
     return FilterDecision(kept=kept, dropped=dropped, inferred_labels=labels,
                           assignment=assignment)
 

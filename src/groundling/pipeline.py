@@ -149,14 +149,14 @@ def run(instruction: str, observations, models: ModelBundle,
     the world's digest, then ``correspondence.resolve_action`` picks the
     target the root-true constraints imply among the world's objects; no
     instance symbol is made.  Every mode grounds from the pose of the
-    log's latest observation (``ObservationLog.latest``).
+    log's latest observation (``ObservationLog.latest_pose``).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     observations = ObservationLog.of(observations)
     started = time.perf_counter()
     scene_cost = registry.scene_cost_per_observation * len(observations)
-    robot_pose = observations.latest().robot_pose if observations else (0.0, 0.0, 0.0)
+    robot_pose = observations.latest_pose()
 
     decision = selection = assignment = target = None
     world = None

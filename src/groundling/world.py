@@ -2,18 +2,14 @@
 
 The simulator walks a fixed trajectory through a planar world of latent
 objects.  At each waypoint it senses every object within
-``SENSING_RANGE`` (3.5 m) as a raw detection carrying a pose relative to
+``SENSING_RANGE`` (3.5 m) as a record carrying a pose relative to
 the robot frame and apparent class/color values (exact unless a
 confusion rate is configured).  A co-occurrence scene classifier labels
 every observation as it is taken.
 
-An ``ObservationLog`` is the tuple of observations with its records
-indexed as columns, built once when the log is made: one numpy array per
-field, one row per record in (t, class, rel) order, class, colour and
-scene label as codes in string order, and each class's rows listed.
-``simulate`` and ``load_observations`` return one, and a build indexes
-any other sequence it is given.  Observation filtering makes a view of a
-log, an observation mask over the same columns.
+An ``ObservationLog`` is its records and observations as columns; an
+``Observation`` is made only when the log is read.  Observation
+filtering makes views of a log, masks over its columns.
 
 Perception is lazy and costed, and runs on a ``DetectionSet``: rows of
 the log's columns, plus what the stages compute.  A build reads no record
@@ -43,9 +39,9 @@ reads them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
-from itertools import compress, groupby
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -248,27 +244,37 @@ class WorldSpec:
         for o in self.objects:
             if o.region not in SCENE_LABELS:
                 raise InvalidSpec(f"object {o.id} has unknown region {o.region!r}")
+        points = [o.pose for o in self.objects] + list(self.trajectory)
+        if not all(math.isfinite(v) for point in points for v in point[:2]):
+            raise InvalidSpec("object and waypoint positions must be finite")
 
 
 def simulate(spec: WorldSpec, registry: ClassifierRegistry) -> ObservationLog:
     """Run the trajectory and return a log of one labeled observation per
     waypoint.
 
-    Deterministic for a fixed spec: all randomness (confusion draws,
-    clutter) comes from a generator seeded with ``spec.seed``.  Confused
-    and clutter classes are drawn from the registry's object classes.
+    Deterministic for a fixed spec: all randomness (confusion draws for
+    each sensed object in object order, then clutter) comes from a
+    generator seeded with ``spec.seed``.  Confused and clutter classes are
+    drawn from the registry's object classes.  The range test runs on the
+    objects within 1 m past the range along x, in object order.
     """
     rng = np.random.default_rng(spec.seed)
     classes = registry.object_classes
     colors = tuple(sorted({o.color for o in spec.objects})) or ("white",)
     range2 = SENSING_RANGE * SENSING_RANGE
+    x = np.array([o.pose[0] for o in spec.objects], dtype=float)
+    by_x = x.argsort(kind="stable")
+    along = np.array([robot[0] for robot in spec.trajectory], dtype=float)
+    start = x[by_x].searchsorted(along - (SENSING_RANGE + 1.0), side="left").tolist()
+    stop = x[by_x].searchsorted(along + (SENSING_RANGE + 1.0), side="right").tolist()
 
-    observations: list[Observation] = []
-    prev_label: str | None = None
-    prev_scores = None
-    for t, robot in enumerate(spec.trajectory):
-        sensed: list[RawDetection] = []
-        for obj in spec.objects:
+    frames = []
+    prev_label = prev_scores = None
+    for t, (robot, lo, hi) in enumerate(zip(spec.trajectory, start, stop)):
+        sensed = []
+        for i in sorted(by_x[lo:hi].tolist()):
+            obj = spec.objects[i]
             dx, dy = obj.pose[0] - robot[0], obj.pose[1] - robot[1]
             if dx * dx + dy * dy > range2:
                 continue
@@ -279,59 +285,57 @@ def simulate(spec: WorldSpec, registry: ClassifierRegistry) -> ObservationLog:
                     apparent_class = str(rng.choice(classes))
                 if rng.random() < spec.noise:
                     apparent_color = str(rng.choice(colors))
-            sensed.append(RawDetection(
-                latent_id=obj.id,
-                rel=_to_robot_frame(robot, obj.pose),
-                apparent_class=apparent_class,
-                apparent_color=apparent_color,
-            ))
+            sensed.append((obj.id, _to_robot_frame(robot, obj.pose),
+                           apparent_class, apparent_color, False))
         if spec.clutter_rate > 0 and rng.random() < spec.clutter_rate:
             angle = rng.random() * 2 * math.pi
             radius = rng.random() * SENSING_RANGE
-            sensed.append(RawDetection(
-                latent_id=None,
-                rel=(radius * math.cos(angle), radius * math.sin(angle), 0.0),
-                apparent_class=str(rng.choice(classes)),
-                apparent_color=str(rng.choice(colors)),
-                noisy=True,
-            ))
+            sensed.append((None, (radius * math.cos(angle), radius * math.sin(angle), 0.0),
+                           str(rng.choice(classes)), str(rng.choice(colors)), True))
         label, scores = classify_detections(
-            [d.apparent_class for d in sensed],
+            [apparent for _, _, apparent, _, _ in sensed],
             spec.cooccurrence, prev_label, prev_scores,
         )
-        observations.append(Observation(
-            t=t, robot_pose=robot, sensed=tuple(sensed),
-            scene_label=label, scene_scores=scores,
-        ))
+        frames.append((t, robot, sensed, label, scores))
         prev_label, prev_scores = label, scores
-    return ObservationLog.of(observations)
+    return ObservationLog.from_frames(frames)
 
 
-def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def _encode(values) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct values, sorted, and each value's index among them."""
     vocabulary = tuple(sorted(set(values)))
     code = {v: k for k, v in enumerate(vocabulary)}
     return vocabulary, np.array([code[v] for v in values], dtype=np.intp)
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """The records and observations of a log, one array per field.
+@dataclass(frozen=True, eq=False, repr=False)
+class ObservationLog:
+    """A sequence of ``Observation``, held as one array per field.
 
-    Rows are records in (t, class, rel) order: ``obs[i]`` indexes the
-    log's observations in input order, and ``t``, ``rel``, ``cls``,
-    ``color`` and ``noisy`` are the record's.  Class, colour and scene
-    label are codes into vocabularies sorted per log, so that code order
-    is string order.  ``class_rows[c]`` lists class ``c``'s rows in
-    ascending order.  Per observation: ``times``, ``poses``, ``trig``
-    (the cosine and sine of each pose angle, from ``math``), the
-    scene-label code ``region`` and the record count ``counts``.
+    Rows are records in (t, class, rel) order: ``position[i]`` is row
+    ``i``'s place among the records in input order, ``obs[i]`` indexes its
+    observation, and ``t``, ``rel``, ``cls``, ``color`` and ``noisy`` are
+    the record's; ``latent`` holds the latent ids in input order.  Class,
+    colour and scene label are codes into vocabularies sorted per log, so
+    that code order is string order.  ``class_rows[c]`` lists class
+    ``c``'s rows in ascending order.  Per observation, in input order:
+    ``times``, ``poses``, ``trig`` (the cosine and sine of each pose angle,
+    from ``math``), the scene-label code ``region``, the ``scores`` as
+    given and the record count ``counts``.
+
+    A view, from ``partition``, shares its log's columns, and ``mask``
+    marks the observations it keeps (None for a whole log); ``size`` and
+    ``records`` count its observations and records.  ``len``, indexing,
+    slicing and iteration read ``Observation``s, made from the columns
+    once per whole log, on first read, and shared with its views.
     """
 
     classes: tuple[str, ...]
     colors: tuple[str, ...]
     regions: tuple[str, ...]
+    position: np.ndarray
     obs: np.ndarray
+    latent: tuple[str | None, ...]
     t: np.ndarray
     rel: np.ndarray
     cls: np.ndarray
@@ -342,99 +346,106 @@ class _Columns:
     poses: np.ndarray
     trig: np.ndarray
     region: np.ndarray
+    scores: tuple[tuple[tuple[str, float], ...], ...]
     counts: np.ndarray
+    mask: np.ndarray | None
+    size: int
+    records: int
+    _made: list = field(default_factory=list)
 
     @staticmethod
-    def index(observations: tuple[Observation, ...]) -> _Columns:
-        """One pass over the records, and one stable sort of the rows.
+    def from_frames(frames) -> ObservationLog:
+        """The log of ``frames``, each an ``Observation``'s fields in order,
+        with each record a ``RawDetection``'s.
 
-        Rows with equal (t, class, rel) keep their record order, so any
-        subset of the rows, taken in row order, is in the order a stable
-        sort of that subset alone would give.
+        One stable sort orders the rows, so rows with equal (t, class, rel)
+        keep their record order, and any subset of the rows, in row order,
+        is in the order a stable sort of that subset alone would give.
         """
-        records = [r for o in observations for r in o.sensed]
-        counts = np.array([len(o.sensed) for o in observations], dtype=np.int64)
-        classes, cls = _encode([r.apparent_class for r in records])
-        colors, color = _encode([r.apparent_color for r in records])
-        regions, region = _encode([o.scene_label for o in observations])
-        obs = np.arange(len(observations)).repeat(counts)
-        times = np.array([o.t for o in observations], dtype=np.int64)
-        t = times[obs]
-        rel = np.array([r.rel for r in records], dtype=float).reshape(-1, 3)
-        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, t))
+        times, poses, sensed, labels, scores = list(zip(*frames)) or [()] * 5
+        records = [r for s in sensed for r in s]
+        latent, rel, classes, colors, noisy = list(zip(*records)) or [()] * 5
+        counts = np.array([len(s) for s in sensed], dtype=np.int64)
+        classes, cls = _encode(classes)
+        colors, color = _encode(colors)
+        regions, region = _encode(labels)
+        times = np.array(times, dtype=np.int64)
+        obs = np.arange(len(times)).repeat(counts)
+        rel = np.array(rel, dtype=float).reshape(-1, 3)
+        order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, times[obs]))
         cls = cls[order]
         by_class = cls.argsort(kind="stable")
         bounds = cls[by_class].searchsorted(np.arange(len(classes) + 1)).tolist()
         class_rows = tuple(by_class[a:b] for a, b in zip(bounds, bounds[1:]))
-        poses = np.array([o.robot_pose for o in observations],
-                         dtype=float).reshape(-1, 3)
-        trig = np.array([(math.cos(a), math.sin(a))
+        poses = np.array(poses, dtype=float).reshape(-1, 3)
+        # ``math`` raises on an infinite angle: its cosine and sine are NaN.
+        trig = np.array([(math.nan,) * 2 if math.isinf(a) else (math.cos(a), math.sin(a))
                          for a in poses[:, 2].tolist()]).reshape(-1, 2)
-        columns = _Columns(
-            classes=classes, colors=colors, regions=regions, obs=obs[order],
-            t=t[order], rel=rel[order], cls=cls, color=color[order],
-            noisy=np.array([r.noisy for r in records], dtype=bool)[order],
-            class_rows=class_rows, times=times, poses=poses, trig=trig,
-            region=region, counts=counts)
+        arrays = dict(
+            position=order, obs=obs[order], t=times[obs][order], rel=rel[order],
+            cls=cls, color=color[order], noisy=np.array(noisy, dtype=bool)[order],
+            times=times, poses=poses, trig=trig, region=region, counts=counts)
         # Every build and view of the log shares these arrays.
-        for a in (columns.obs, columns.t, columns.rel, cls, columns.color,
-                  columns.noisy, *class_rows, times, poses, trig, region,
-                  counts):
+        for a in (*arrays.values(), *class_rows):
             a.flags.writeable = False
-        return columns
+        return ObservationLog(
+            classes=classes, colors=colors, regions=regions,
+            latent=latent, class_rows=class_rows, scores=scores, mask=None,
+            size=len(times), records=len(order), **arrays)
 
-
-class ObservationLog(tuple):
-    """A sequence of ``Observation`` whose records are indexed as columns.
-
-    The log is a tuple of its observations, in the order they were given;
-    ``_columns`` holds its records in (t, class, rel) order, indexed by
-    class, built once when the log is made.  A view, from ``partition``,
-    is a log of some of the observations of another: it shares the
-    parent's columns and carries ``_mask``, the parent's observations it
-    keeps.  ``records`` counts the records of the log's observations.
-    """
-
-    _columns: _Columns
-    _root: ObservationLog
-    _mask: np.ndarray | None
-    records: int
-
-    @classmethod
-    def of(cls, observations) -> ObservationLog:
-        """``observations`` if it is a log; otherwise a log of them."""
+    @staticmethod
+    def of(observations) -> ObservationLog:
+        """``observations`` if it is a log; otherwise the log of them."""
         if isinstance(observations, ObservationLog):
             return observations
-        log = super().__new__(cls, observations)
-        log._columns = _Columns.index(log)
-        log._root, log._mask = log, None
-        log.records = int(log._columns.counts.sum())
-        return log
+        return ObservationLog.from_frames(map(astuple, observations))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        return self._observations()[index]
+
+    def __iter__(self):
+        return iter(self._observations())
+
+    def _observations(self) -> tuple[Observation, ...]:
+        if not self._made:
+            row = self.position.argsort()
+            records = map(
+                RawDetection, self.latent, map(tuple, self.rel[row].tolist()),
+                map(self.classes.__getitem__, self.cls[row].tolist()),
+                map(self.colors.__getitem__, self.color[row].tolist()),
+                self.noisy[row].tolist())
+            self._made.append(tuple(map(
+                Observation, self.times.tolist(), map(tuple, self.poses.tolist()),
+                (tuple(islice(records, n)) for n in self.counts.tolist()),
+                map(self.regions.__getitem__, self.region.tolist()), self.scores)))
+        made = self._made[0]
+        if self.mask is None:
+            return made
+        return tuple(made[i] for i in self.mask.nonzero()[0].tolist())
+
+    def latest_pose(self) -> Pose:
+        """The robot pose of the observation with the largest ``t``, the
+        last given on ties; the origin for an empty log."""
+        if not self:
+            return (0.0, 0.0, 0.0)
+        last = (np.arange(self.size) if self.mask is None else self.mask.nonzero()[0])[::-1]
+        return tuple(self.poses[last[self.times[last].argmax()]].tolist())
+
+    def partition(self, labels) -> tuple[ObservationLog, ObservationLog]:
+        """Views of the observations whose scene label is in ``labels`` and
+        of the others, each in log order."""
+        keep = np.array([label in labels for label in self.regions], dtype=bool)[self.region]
+        mask = True if self.mask is None else self.mask
+        return self._view(keep & mask), self._view(~keep & mask)
 
     def _view(self, mask: np.ndarray) -> ObservationLog:
-        view = super().__new__(ObservationLog, compress(self._root, mask))
-        view._columns, view._root, view._mask = self._columns, self._root, mask
-        view.records = int(self._columns.counts @ mask)
+        view = object.__new__(ObservationLog)
+        view.__dict__.update(self.__dict__, mask=mask, size=int(np.count_nonzero(mask)),
+                             records=int(self.counts @ mask))
         return view
-
-    def latest(self) -> Observation:
-        """The observation with the largest ``t``, the last given on ties."""
-        times = self._columns.times
-        if self._mask is not None:
-            times = times[self._mask]
-        return self[len(times) - 1 - int(times[::-1].argmax())]
-
-    def partition(self, labels) -> tuple[ObservationLog, tuple[Observation, ...]]:
-        """The observations whose scene label is in ``labels``, as a view,
-        and the others, each in log order."""
-        columns = self._columns
-        wanted = np.array([label in labels for label in columns.regions], dtype=bool)
-        keep = wanted[columns.region]
-        drop = ~keep
-        if self._mask is not None:
-            keep &= self._mask
-            drop &= self._mask
-        return self._view(keep), tuple(compress(self._root, drop))
 
     def detections(self, classes) -> DetectionSet:
         """The records whose apparent class is in ``classes``, as rows.
@@ -443,13 +454,12 @@ class ObservationLog(tuple):
         rows from its kept observations only.  ``scanned`` is the records
         of the log, or 0 when ``classes`` is empty.
         """
-        columns = self._columns
-        picked = [rows for name, rows in zip(columns.classes, columns.class_rows)
+        picked = [rows for name, rows in zip(self.classes, self.class_rows)
                   if name in classes]
         rows = np.sort(np.concatenate(picked)) if picked else np.empty(0, np.intp)
-        if self._mask is not None:
-            rows = rows[self._mask[columns.obs[rows]]]
-        return DetectionSet(columns=columns, rows=rows,
+        if self.mask is not None:
+            rows = rows[self.mask[self.obs[rows]]]
+        return DetectionSet(log=self, rows=rows,
                             scanned=self.records if classes else 0,
                             confirmed=frozenset())
 
@@ -458,7 +468,7 @@ class ObservationLog(tuple):
 class DetectionSet:
     """Detections routed through the perception pipeline: rows of a log.
 
-    ``rows`` lists rows of the log's ``columns``, in row order, so in
+    ``rows`` lists rows of the columns of ``log``, in row order, so in
     (t, class, rel) order; every record field is read through it, and no
     stage copies one.  ``confirmed`` holds the codes of the colours whose
     colour detector ran.  ``position`` (x, y per row) and ``theta`` stay
@@ -467,7 +477,7 @@ class DetectionSet:
     were gathered from, or is 0 when no class was asked for.
     """
 
-    columns: _Columns
+    log: ObservationLog
     rows: np.ndarray
     scanned: int
     confirmed: frozenset[int]
@@ -685,28 +695,28 @@ def run_classifier(symbol: PerceptionSymbol, observations,
     if not len(detections):
         return detections, 0.0
     cost = cost_model.cost(len(detections))
-    columns, rows = detections.columns, detections.rows
+    log, rows = detections.log, detections.rows
     if symbol.kind == NOISE_FILTER:
-        return detections.take(~columns.noisy[rows]), cost
+        return detections.take(~log.noisy[rows]), cost
     if symbol.kind == COLOR_DETECTOR:
         # A colour that no row of the log shows has no code to confirm.
-        if symbol.param not in columns.colors:
+        if symbol.param not in log.colors:
             return detections, cost
-        code = columns.colors.index(symbol.param)
+        code = log.colors.index(symbol.param)
         return detections._replace(confirmed=detections.confirmed | {code}), cost
-    obs = columns.obs[rows]
+    obs = log.obs[rows]
     if symbol.kind == BBOX_ESTIMATOR:
         # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
         # and sin from ``math`` once per log pose: every element goes
         # through the same IEEE operations, in the same order, as the
         # scalar form.
-        cos, sin = columns.trig[obs].T
-        robot, rel = columns.poses[obs], columns.rel[rows]
+        cos, sin = log.trig[obs].T
+        robot, rel = log.poses[obs], log.rel[rows]
         x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
         y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
         return detections._replace(position=np.stack((x, y), axis=1)), cost
     if symbol.kind == POSE_ESTIMATOR:
-        theta = columns.poses[obs, 2] + columns.rel[rows, 2]
+        theta = log.poses[obs, 2] + log.rel[rows, 2]
         return detections._replace(theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 
@@ -839,10 +849,10 @@ def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
     members' ``t`` group by group.  No id is made here: ``WorldModel.id``
     makes one when it is read.
     """
-    columns, rows = detections.columns, detections.rows
+    log, rows = detections.log, detections.rows
     xy, theta = detections.position, detections.theta
-    t, row_cls = columns.t[rows], columns.cls[rows]
-    color, region = columns.color[rows], columns.region[columns.obs[rows]]
+    t, row_cls = log.t[rows], log.cls[rows]
+    color, region = log.color[rows], log.region[log.obs[rows]]
     label = _link(row_cls, xy)
     # Each cluster's smallest row labels itself; numbering those rows in
     # order numbers the groups.
@@ -853,7 +863,7 @@ def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
     size = np.bincount(group)
     stop = size.cumsum()
     start = stop - size
-    nc, nr = len(columns.colors), len(columns.regions)
+    nc, nr = len(log.colors), len(log.regions)
     # The class, colour and region rows of ``codes`` are filled in place.
     codes = np.empty((3, k), dtype=np.intp)
     cls, winner, votes = codes
@@ -869,7 +879,7 @@ def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
     np.divide(np.bincount(group, xy[:, 1]), size, out=pose[1])
     theta.take(first, out=pose[2])
     return WorldModel(
-        classes=columns.classes, colors=columns.colors, regions=columns.regions,
+        classes=log.classes, colors=log.colors, regions=log.regions,
         codes=codes, pose=pose, t=t[order], start=start, stop=stop, given=None,
         total_cost=total_cost, robot_pose=robot_pose, cost_ledger=cost_ledger)
 
@@ -889,7 +899,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     a build with one of them runs neither.  Duplicate detections of one
     object -- same apparent class within the merge radius -- collapse to a
     single object at the centroid.  Without ``robot_pose`` the robot is
-    where the log's latest observation puts it (``ObservationLog.latest``).
+    where the log's latest observation puts it (``ObservationLog.latest_pose``).
     """
     log = ObservationLog.of(observations)
     selected = frozenset(classifiers)
@@ -897,7 +907,7 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     if unknown:
         raise UnknownClassifier(unknown[0])
     if robot_pose is None:
-        robot_pose = log.latest().robot_pose if log else (0.0, 0.0, 0.0)
+        robot_pose = log.latest_pose()
 
     geometry = {PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)}
     stages = sorted(selected if geometry <= selected else selected - geometry,
@@ -925,17 +935,11 @@ def _pose(values, field: str) -> Pose:
     return tuple(float(number(v, field)) for v in values)
 
 
-def _scene_label(value) -> str:
-    if value not in SCENE_LABELS:
-        raise InvalidSpec(f"scene_label must be one of {SCENE_LABELS}, got {value!r}")
-    return value
-
-
 def save_observations(observations, path) -> None:
     write_records(path, OBS_LOG_SCHEMA, "observation_log", map(asdict, observations))
 
 
-def _observation(rec, seen: set[int]) -> Observation:
+def _frame(rec, seen: set[int]) -> tuple:
     t = rec["t"]
     # The build keeps t in an int64 column.
     if type(t) is not int or not -2**63 <= t < 2**63:
@@ -943,26 +947,22 @@ def _observation(rec, seen: set[int]) -> Observation:
     if t in seen:
         raise InvalidSpec(f"repeats t={t}")
     seen.add(t)
-    return Observation(
-        t=t,
-        robot_pose=_pose(rec["robot_pose"], "robot_pose"),
-        scene_label=_scene_label(rec["scene_label"]),
+    if rec["scene_label"] not in SCENE_LABELS:
+        raise InvalidSpec(f"scene_label must be one of {SCENE_LABELS}, "
+                          f"got {rec['scene_label']!r}")
+    return (
+        t, _pose(rec["robot_pose"], "robot_pose"),
+        [(typed(d["latent_id"], (str, type(None)), "latent_id"), _pose(d["rel"], "rel"),
+          typed(d["apparent_class"], (str,), "apparent_class"),
+          typed(d["apparent_color"], (str,), "apparent_color"),
+          typed(d["noisy"], (bool,), "noisy"))
+         for d in rec["sensed"]],
+        rec["scene_label"],
         # A log-probability: -inf is a label with prior 0, which ``simulate``
         # writes; NaN and +inf are not scores.
-        scene_scores=tuple((typed(label, (str,), "scene_scores label"),
-                            float(number(score, "scene score", -math.inf)))
-                           for label, score in rec["scene_scores"]),
-        sensed=tuple(
-            RawDetection(
-                latent_id=typed(d["latent_id"], (str, type(None)), "latent_id"),
-                rel=_pose(d["rel"], "rel"),
-                apparent_class=typed(d["apparent_class"], (str,), "apparent_class"),
-                apparent_color=typed(d["apparent_color"], (str,), "apparent_color"),
-                noisy=typed(d["noisy"], (bool,), "noisy"),
-            )
-            for d in rec["sensed"]
-        ),
-    )
+        tuple((typed(label, (str,), "scene_scores label"),
+               float(number(score, "scene score", -math.inf)))
+              for label, score in rec["scene_scores"]))
 
 
 def load_observations(path) -> ObservationLog:
@@ -977,5 +977,5 @@ def load_observations(path) -> ObservationLog:
     repeated ``t`` (the build keys provenance by ``t``).
     """
     seen: set[int] = set()
-    return ObservationLog.of(read_records(path, OBS_LOG_SCHEMA, "observation_log",
-                                          lambda rec: _observation(rec, seen)))
+    return ObservationLog.from_frames(read_records(
+        path, OBS_LOG_SCHEMA, "observation_log", lambda rec: _frame(rec, seen)))

@@ -6,7 +6,8 @@ given, a per-factor feature dictionary, scoring and inference that
 derive each phrase's tokens and each child's features from the symbols
 themselves and pass child symbols up the tree, inference by enumerating
 every joint assignment of a phrase, merge clustering by comparing every
-pair of points, a world-model build that copies one frozen detection per
+pair of points, a simulator that tests every object for range from
+every waypoint, a world-model build that copies one frozen detection per
 record through every perception stage and names every object at once,
 target resolution over a list of objects, a training design whose
 every row is built anew from the per-factor feature dictionary, and a
@@ -64,10 +65,15 @@ from groundling.symbols import (
 from groundling.world import (
     FALLBACK_SCENE,
     MERGE_RADIUS,
+    SENSING_RANGE,
     DetectedObject,
+    Observation,
     Pose,
     RawDetection,
     WorldModel,
+    WorldSpec,
+    _to_robot_frame,
+    classify_detections,
     planar_distance,
 )
 
@@ -478,6 +484,58 @@ def eager_naming(classes, xs, ys) -> tuple[list[str], list[int]]:
             if k > 1:
                 ids[i] = f"{base}#{k}"
     return ids, order
+
+
+def simulate(spec: WorldSpec, registry: ClassifierRegistry) -> tuple[Observation, ...]:
+    """Reference simulator: every waypoint tests every object for range,
+    and each record is a ``RawDetection`` of an ``Observation``."""
+    rng = np.random.default_rng(spec.seed)
+    classes = registry.object_classes
+    colors = tuple(sorted({o.color for o in spec.objects})) or ("white",)
+    range2 = SENSING_RANGE * SENSING_RANGE
+
+    observations: list[Observation] = []
+    prev_label: str | None = None
+    prev_scores = None
+    for t, robot in enumerate(spec.trajectory):
+        sensed: list[RawDetection] = []
+        for obj in spec.objects:
+            dx, dy = obj.pose[0] - robot[0], obj.pose[1] - robot[1]
+            if dx * dx + dy * dy > range2:
+                continue
+            apparent_class = obj.cls
+            apparent_color = obj.color
+            if spec.noise > 0:
+                if rng.random() < spec.noise:
+                    apparent_class = str(rng.choice(classes))
+                if rng.random() < spec.noise:
+                    apparent_color = str(rng.choice(colors))
+            sensed.append(RawDetection(
+                latent_id=obj.id,
+                rel=_to_robot_frame(robot, obj.pose),
+                apparent_class=apparent_class,
+                apparent_color=apparent_color,
+            ))
+        if spec.clutter_rate > 0 and rng.random() < spec.clutter_rate:
+            angle = rng.random() * 2 * math.pi
+            radius = rng.random() * SENSING_RANGE
+            sensed.append(RawDetection(
+                latent_id=None,
+                rel=(radius * math.cos(angle), radius * math.sin(angle), 0.0),
+                apparent_class=str(rng.choice(classes)),
+                apparent_color=str(rng.choice(colors)),
+                noisy=True,
+            ))
+        label, scores = classify_detections(
+            [d.apparent_class for d in sensed],
+            spec.cooccurrence, prev_label, prev_scores,
+        )
+        observations.append(Observation(
+            t=t, robot_pose=robot, sensed=tuple(sensed),
+            scene_label=label, scene_scores=scores,
+        ))
+        prev_label, prev_scores = label, scores
+    return tuple(observations)
 
 
 def _from_robot_frame(robot: Pose, rel: Pose) -> Pose:

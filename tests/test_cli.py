@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import groundling
 from groundling import cli
 from groundling.corpus import load_corpus, save_corpus
 from groundling.correspondence import DEFAULT_REGULARIZATION
+from groundling.fixtures import site_spec, tiled
 from groundling.symbols import (
     DEFAULT_COLORS,
     REGISTRY_SCHEMA,
@@ -23,7 +25,7 @@ from groundling.symbols import (
     load_registry,
     save_registry,
 )
-from groundling.world import load_observations, save_observations
+from groundling.world import load_observations, save_observations, simulate
 
 
 def test_full_workflow(tmp_path, capsys):
@@ -139,6 +141,22 @@ def test_negative_seed_exits_two_without_traceback(
 def test_writers_write_the_pinned_bytes(args, digest, tmp_path):
     out = tmp_path / "out"
     assert cli.main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("site, rough, digest", [
+    ("site-1", False, "651a7db0ebaad9edbb655c8eb8d6fecc74286b025286cef8f47a2b458b52fb78"),
+    ("site-1", True, "63186c7fe0e4cb5fd4524b526f5b7085c75c870f76f9c04e0e875d0055146aca"),
+    ("site-2", False, "5580c9b06b80770238355128ec89b1e524245c2d91743cb28b5200f41255107a"),
+    ("site-2", True, "9f2773d1294dbbc80f760b6e1ba1a22596bfd61b02c3483a051435db466d2e5d"),
+], ids=["site-1", "site-1-rough", "site-2", "site-2-rough"])
+def test_long_logs_write_the_pinned_bytes(site, rough, digest, tmp_path):
+    # Each site tiled x8, exact and at noise 0.2 with clutter 0.3.
+    spec = tiled(site_spec(site), 8)
+    if rough:
+        spec = replace(spec, noise=0.2, clutter_rate=0.3)
+    out = tmp_path / "log.jsonl"
+    save_observations(simulate(spec, default_registry()), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -233,6 +233,36 @@ def test_a_run_makes_no_object_but_its_target(bundle, registry, monkeypatch):
     assert len(made) == 1 + 296
 
 
+def test_no_observation_is_made_to_simulate_load_or_run(bundle, registry, tmp_path,
+                                                        monkeypatch):
+    # A log is its columns: simulating, loading and every mode's run on
+    # either log make no Observation and no RawDetection, and reading
+    # the log makes them.
+    spec = replace(tiled(site_spec("site-1"), 2), noise=0.2, clutter_rate=0.3)
+    path = tmp_path / "log.jsonl"
+    world.save_observations(simulate(spec, registry), path)
+    made = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def spy(self, *args, **fields):
+            made.append(cls.__name__)
+            init(self, *args, **fields)
+        return spy
+
+    for cls in (world.Observation, world.RawDetection):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    logs = (simulate(spec, registry), world.load_observations(path))
+    for log in logs:
+        for instruction in ("go to the farthest cup in the kitchen", "go to the nearest ball"):
+            for mode in MODES:
+                run(instruction, log, bundle, registry, mode=mode, site="site-1")
+    assert made == []
+    assert logs[1][0].sensed
+    assert set(made) == {"Observation", "RawDetection"}
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_run_hands_the_build_the_log_or_a_view_of_it(bundle, registry,
                                                      site_logs, mode,
@@ -252,7 +282,7 @@ def test_run_hands_the_build_the_log_or_a_view_of_it(bundle, registry,
         assert observations is log
     else:
         assert observations is result.filter_decision.kept
-        assert observations._columns is log._columns
+        assert observations.rel is log.rel
         assert len(observations) == 30
 
 
