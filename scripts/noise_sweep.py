@@ -25,13 +25,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from groundling import corpus
-from groundling.fixtures import site_spec
+from groundling.fixtures import SITES, site_spec
 from groundling.pipeline import MODES, ModelBundle, run, train_bundle
 from groundling.symbols import default_registry
 from groundling.world import simulate
 
 CORPUS_SEED = 7
-SITES = ("site-1", "site-2")
 NOISE = (0.0, 0.1, 0.2, 0.3)
 CLUTTER = (0.0, 0.25, 0.5)
 

@@ -16,7 +16,7 @@ import sys
 from . import corpus as corpus_mod
 from .correspondence import DEFAULT_REGULARIZATION
 from .errors import GroundlingError
-from .fixtures import benchmark_manifest, reference_world, site_spec
+from .fixtures import SITES, benchmark_manifest, reference_world, site_spec
 from .pipeline import MODES, ModelBundle, benchmark, run, train_bundle
 from .symbols import default_registry, load_registry, save_registry
 from .world import load_observations, save_observations, simulate
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-world",
                        help="simulate a site into an observation log")
-    p.add_argument("--site", default="site-1", choices=("site-1", "site-2"))
+    p.add_argument("--site", default="site-1", choices=tuple(SITES))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=_cmd_generate_world)

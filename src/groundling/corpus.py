@@ -214,7 +214,7 @@ def gold_annotations(example: CorpusExample, tree: ParseTree,
     phrases = tree.phrases()
     gold: list[frozenset] = [frozenset()] * len(phrases)
     for phrase in phrases:
-        words = frozenset(phrase.words())
+        words = frozenset(phrase.words)
         here = {canon for spelled, canon in licensed if spelled <= words}
         for child in phrase.children:
             here |= gold[child.index]

@@ -434,7 +434,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
         for phrase in phrases:
             children = frozenset(c for child in phrase.children
                                  for c in example.gold[child.index])
-            seen = (phrase.category, phrase.words(), children, example.digest)
+            seen = (phrase.category, phrase.words, children, example.digest)
             block = blocks.get(seen)
             if block is None:
                 # Instances among the children fire nothing.

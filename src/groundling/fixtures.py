@@ -41,7 +41,7 @@ CHARACTERISTIC_CLASSES = (
 )
 
 # P(class | scene) over the characteristic classes; every row sums to one.
-_COOCCURRENCE_ROWS = {
+COOCCURRENCE_ROWS = {
     "hallway": {
         "umbrella": 0.40, "ball": 0.15, "suitcase": 0.10, "bottle": 0.05,
         "chair": 0.05, "cone": 0.05, "couch": 0.05, "cup": 0.05,
@@ -90,7 +90,7 @@ _COOCCURRENCE_ROWS = {
 
 
 def default_cooccurrence() -> CooccurrenceModel:
-    return CooccurrenceModel.from_dict(_COOCCURRENCE_ROWS,
+    return CooccurrenceModel.from_dict(COOCCURRENCE_ROWS,
                                        CHARACTERISTIC_CLASSES)
 
 
@@ -191,12 +191,15 @@ def site2_spec() -> WorldSpec:
     )
 
 
+# Site name -> the function that builds its spec.
+SITES = {"site-1": site1_spec, "site-2": site2_spec}
+
+
 def site_spec(name: str) -> WorldSpec:
-    specs = {"site-1": site1_spec, "site-2": site2_spec}
-    if name not in specs:
+    if name not in SITES:
         raise InvalidSpec(
-            f"unknown site {name!r}; expected one of {sorted(specs)}")
-    return specs[name]()
+            f"unknown site {name!r}; expected one of {sorted(SITES)}")
+    return SITES[name]()
 
 
 def tiled(spec: WorldSpec, copies: int) -> WorldSpec:
@@ -236,7 +239,7 @@ def reference_world(registry: ClassifierRegistry) -> WorldModel:
                     ))
                     n += 1
     return WorldModel.of(sorted(objects, key=lambda o: o.id),
-                         total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+                         robot_pose=(0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)

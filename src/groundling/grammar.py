@@ -42,26 +42,17 @@ _COMPOUNDS = tuple(form for forms in REGION_SURFACE_FORMS.values()
 
 
 @dataclass(frozen=True)
-class Token:
-    text: str
-    position: int
-
-
-@dataclass(frozen=True)
 class Phrase:
     """One node of a parse tree.
 
-    ``tokens`` are the words this phrase owns directly (not those of its
+    ``words`` are the words this phrase owns directly (not those of its
     children); ``index`` is the phrase's dense post-order position.
     """
 
     category: str
-    tokens: tuple[Token, ...]
+    words: tuple[str, ...]
     children: tuple["Phrase", ...]
     index: int
-
-    def words(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
 
 
 def feature_tokens(phrase: Phrase) -> tuple[str, ...]:
@@ -71,7 +62,7 @@ def feature_tokens(phrase: Phrase) -> tuple[str, ...]:
     owns, in order.
     """
     return ("bias", f"cat={phrase.category}",
-            *(f"w={word}" for word in dict.fromkeys(phrase.words())))
+            *(f"w={word}" for word in dict.fromkeys(phrase.words)))
 
 
 @dataclass(frozen=True)
@@ -109,15 +100,15 @@ class ParseTree:
         return len(self.phrases())
 
 
-def tokenize(text: str) -> tuple[Token, ...]:
-    """The words of ``text`` (``symbols.split_words``), numbered.
+def tokenize(text: str) -> tuple[str, ...]:
+    """The words of ``text`` (``symbols.split_words``).
 
     Raises EmptyInstruction when nothing is left.
     """
     words = split_words(text)
     if not words:
         raise EmptyInstruction("instruction contains no tokens")
-    return tuple(Token(w, i) for i, w in enumerate(words))
+    return tuple(words)
 
 
 @cache
@@ -140,7 +131,7 @@ def _lexicon(registry: ClassifierRegistry) -> dict[str, frozenset[str]]:
 class _Parser:
     """One left-to-right pass that builds phrases in post-order."""
 
-    def __init__(self, tokens: tuple[Token, ...], lexicon):
+    def __init__(self, tokens: tuple[str, ...], lexicon):
         self.tokens = tokens
         self.lexicon = lexicon
         self.pos = 0
@@ -149,18 +140,18 @@ class _Parser:
     def cats(self, i: int) -> frozenset[str]:
         if i >= len(self.tokens):
             return frozenset()
-        return self.lexicon[self.tokens[i].text]
+        return self.lexicon[self.tokens[i]]
 
     def noun_width(self, i: int) -> int:
         for form in _COMPOUNDS:
-            if tuple(t.text for t in self.tokens[i:i + len(form)]) == form:
+            if self.tokens[i:i + len(form)] == form:
                 return len(form)
         return 1 if "NOUN" in self.cats(i) else 0
 
     def fail(self):
-        raise OutOfGrammar(self.tokens[min(self.pos, len(self.tokens) - 1)].text)
+        raise OutOfGrammar(self.tokens[min(self.pos, len(self.tokens) - 1)])
 
-    def take(self, category: str) -> Token:
+    def take(self, category: str) -> str:
         if category not in self.cats(self.pos):
             self.fail()
         self.pos += 1
@@ -203,15 +194,15 @@ class _Parser:
             and self.noun_width(after + 1)))
 
 
-def parse(tokens: tuple[Token, ...], registry: ClassifierRegistry) -> ParseTree:
+def parse(tokens: tuple[str, ...], registry: ClassifierRegistry) -> ParseTree:
     """Parse a token sequence; OutOfGrammar names the first unknown word,
     else the first token the grammar cannot consume."""
     if not tokens:
         raise EmptyInstruction("no tokens to parse")
     lexicon = _lexicon(registry)
     for t in tokens:
-        if t.text not in lexicon:
-            raise OutOfGrammar(t.text)
+        if t not in lexicon:
+            raise OutOfGrammar(t)
     root = _Parser(tokens, lexicon).vp()
     return ParseTree(root=root)
 
@@ -224,7 +215,7 @@ def dump_tree(tree: ParseTree) -> str:
     """Serialize to the bracketed form ``(VP go (PP to (NP the ball)))``."""
 
     def render(p: Phrase) -> str:
-        parts = [p.category] + [t.text for t in p.tokens] + [render(c) for c in p.children]
+        parts = [p.category, *p.words] + [render(c) for c in p.children]
         return "(" + " ".join(parts) + ")"
 
     return render(tree.root)

@@ -4,8 +4,8 @@ The simulator walks a fixed trajectory through a planar world of latent
 objects.  At each waypoint it senses every object within
 ``SENSING_RANGE`` (3.5 m) as a record carrying a pose relative to
 the robot frame and apparent class/color values (exact unless a
-confusion rate is configured).  A co-occurrence scene classifier labels
-every observation as it is taken.
+confusion rate is configured).  A co-occurrence scene classifier, held
+as the log terms of its vote, labels every observation as it is taken.
 
 An ``ObservationLog`` is its records and observations as columns; an
 ``Observation`` is made only when the log is read.  Observation
@@ -31,9 +31,9 @@ centroids summed left to right in row order, the earliest member's
 angle, vote ties broken towards the smallest string, and the winning
 colour only when the build confirmed it.  A ``WorldModel`` is the merged
 objects as columns, in order of their smallest member row, plus the
-build's cost; an id (``class@x,y``, with ``#2``, ``#3``, ... on objects
-that repeat one) and a ``DetectedObject`` are made only when something
-reads them.
+build's cost ledger, whose sum is its cost; an id (``class@x,y``, with
+``#2``, ``#3``, ... on objects that repeat one) and a ``DetectedObject``
+are made only when something reads them.
 """
 
 from __future__ import annotations
@@ -117,16 +117,16 @@ class Observation:
 
 @dataclass(frozen=True)
 class CooccurrenceModel:
-    """Per-scene class-conditional table used by the scene classifier.
+    """The per-scene terms of the scene classifier's naive-Bayes vote.
 
-    ``table`` maps scene label -> (class -> probability); rows are
-    normalized over the characteristic classes.  Non-characteristic
-    classes never vote.
+    ``terms`` holds, per scene label in sorted order, the label, its log
+    prior, and each characteristic class's Laplace-smoothed log
+    probability under the label's row, normalized over the
+    characteristic classes.  Non-characteristic classes never vote.
     """
 
-    table: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
     characteristic: frozenset[str]
-    prior: tuple[tuple[str, float], ...] = ()
+    terms: tuple[tuple[str, float, dict[str, float]], ...]
 
     @staticmethod
     def from_dict(rows: dict[str, dict[str, float]], characteristic,
@@ -134,58 +134,33 @@ class CooccurrenceModel:
         unknown = (set(rows) | set(prior or ())) - set(SCENE_LABELS)
         if unknown:
             raise InvalidSpec(f"scene labels outside the taxonomy: {sorted(unknown)}")
-        table = []
-        for label in sorted(rows):
-            row = rows[label]
-            total = sum(row.values())
-            if total <= 0 or any(v < 0 for v in row.values()):
-                raise InvalidSpec(f"co-occurrence row for {label!r} is not normalizable")
-            # Already-normalised rows pass through untouched, so a table
-            # written as probabilities keeps them bit for bit.
-            if abs(total - 1.0) < 1e-9:
-                total = 1.0
-            table.append((label, tuple((c, row[c] / total) for c in sorted(row))))
-        labels = [label for label, _ in table]
+        characteristic = frozenset(characteristic)
+        k = len(characteristic)
         if prior is None:
-            prior = {label: 1.0 / len(labels) for label in labels}
-        ptotal = sum(prior.values())
+            prior = {label: 1.0 / len(rows) for label in rows}
+        ptotal = sum(number(p, f"prior of {label!r}", 0) for label, p in prior.items())
+        if not 0 < ptotal < math.inf:
+            raise InvalidSpec("scene prior is not normalizable")
+        # Already-normalised rows and priors pass through untouched, so a
+        # table written as probabilities keeps them bit for bit.
         if abs(ptotal - 1.0) < 1e-9:
             ptotal = 1.0
-        prior_t = tuple((l, prior[l] / ptotal) for l in sorted(prior))
-        return CooccurrenceModel(
-            table=tuple(table),
-            characteristic=frozenset(characteristic),
-            prior=prior_t,
-        )
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.table)
-
-    def row(self, label: str) -> dict[str, float]:
-        for l, row in self.table:
-            if l == label:
-                return dict(row)
-        raise KeyError(label)
-
-    def smoothed_log_prob(self, cls: str, label: str) -> float:
-        # Laplace smoothing on the normalized row; rows stay valid
-        # distributions.
-        k = len(self.characteristic)
-        p = self.row(label).get(cls, 0.0)
-        return math.log((p + LAPLACE_ALPHA) / (1.0 + LAPLACE_ALPHA * k))
-
-    def log_prior(self, label: str) -> float:
-        p = dict(self.prior).get(label, 0.0)
-        return math.log(p) if p > 0 else -math.inf
-
-    @cached_property
-    def terms(self) -> tuple[tuple[str, float, dict[str, float]], ...]:
-        """Per label, in table order: the label, its log prior, and each
-        characteristic class's smoothed log probability, computed once."""
-        return tuple(
-            (label, self.log_prior(label),
-             {c: self.smoothed_log_prob(c, label) for c in self.characteristic})
-            for label in self.labels())
+        terms = []
+        for label in sorted(rows):
+            row = rows[label]
+            total = sum(number(v, f"co-occurrence row for {label!r}", 0) for v in row.values())
+            if not 0 < total < math.inf:
+                raise InvalidSpec(f"co-occurrence row for {label!r} is not normalizable")
+            if abs(total - 1.0) < 1e-9:
+                total = 1.0
+            p = prior.get(label, 0.0) / ptotal
+            # Laplace smoothing on the normalized row; rows stay valid
+            # distributions.
+            terms.append((label, math.log(p) if p > 0 else -math.inf,
+                          {c: math.log((row.get(c, 0.0) / total + LAPLACE_ALPHA)
+                                       / (1.0 + LAPLACE_ALPHA * k))
+                           for c in characteristic}))
+        return CooccurrenceModel(characteristic=characteristic, terms=tuple(terms))
 
 
 def _default_scores() -> tuple[tuple[str, float], ...]:
@@ -314,8 +289,8 @@ class ObservationLog:
 
     Rows are records in (t, class, rel) order: ``position[i]`` is row
     ``i``'s place among the records in input order, ``obs[i]`` indexes its
-    observation, and ``t``, ``rel``, ``cls``, ``color`` and ``noisy`` are
-    the record's; ``latent`` holds the latent ids in input order.  Class,
+    observation, and ``rel``, ``cls``, ``color`` and ``noisy`` are the
+    record's; ``latent`` holds the latent ids in input order.  Class,
     colour and scene label are codes into vocabularies sorted per log, so
     that code order is string order.  ``class_rows[c]`` lists class
     ``c``'s rows in ascending order.  Per observation, in input order:
@@ -336,7 +311,6 @@ class ObservationLog:
     position: np.ndarray
     obs: np.ndarray
     latent: tuple[str | None, ...]
-    t: np.ndarray
     rel: np.ndarray
     cls: np.ndarray
     color: np.ndarray
@@ -382,7 +356,7 @@ class ObservationLog:
         trig = np.array([(math.nan,) * 2 if math.isinf(a) else (math.cos(a), math.sin(a))
                          for a in poses[:, 2].tolist()]).reshape(-1, 2)
         arrays = dict(
-            position=order, obs=obs[order], t=times[obs][order], rel=rel[order],
+            position=order, obs=obs[order], rel=rel[order],
             cls=cls, color=color[order], noisy=np.array(noisy, dtype=bool)[order],
             times=times, poses=poses, trig=trig, region=region, counts=counts)
         # Every build and view of the log shares these arrays.
@@ -451,17 +425,14 @@ class ObservationLog:
         """The records whose apparent class is in ``classes``, as rows.
 
         The selected classes' rows are gathered in row order, and a view's
-        rows from its kept observations only.  ``scanned`` is the records
-        of the log, or 0 when ``classes`` is empty.
+        rows from its kept observations only.
         """
         picked = [rows for name, rows in zip(self.classes, self.class_rows)
                   if name in classes]
         rows = np.sort(np.concatenate(picked)) if picked else np.empty(0, np.intp)
         if self.mask is not None:
             rows = rows[self.mask[self.obs[rows]]]
-        return DetectionSet(log=self, rows=rows,
-                            scanned=self.records if classes else 0,
-                            confirmed=frozenset())
+        return DetectionSet(log=self, rows=rows, confirmed=frozenset())
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,13 +444,11 @@ class DetectionSet:
     stage copies one.  ``confirmed`` holds the codes of the colours whose
     colour detector ran.  ``position`` (x, y per row) and ``theta`` stay
     None until the bounding-box and pose stages compute them for every
-    row.  ``scanned`` counts the records of the observations the rows
-    were gathered from, or is 0 when no class was asked for.
+    row.
     """
 
     log: ObservationLog
     rows: np.ndarray
-    scanned: int
     confirmed: frozenset[int]
     position: np.ndarray | None = None
     theta: np.ndarray | None = None
@@ -493,13 +462,6 @@ class DetectionSet:
         copy = object.__new__(DetectionSet)
         copy.__dict__.update(self.__dict__, **fields)
         return copy
-
-    def take(self, keep) -> DetectionSet:
-        """The rows that ``keep`` (a mask or an index array) selects."""
-        return self._replace(
-            rows=self.rows[keep],
-            position=None if self.position is None else self.position[keep],
-            theta=None if self.theta is None else self.theta[keep])
 
 
 @dataclass(frozen=True)
@@ -518,7 +480,7 @@ _BASE = "{}@{:.1f},{:.1f}".format
 
 @dataclass(frozen=True, eq=False)
 class WorldModel:
-    """The objects a build found, as columns, and its cost.
+    """The objects a build found, as columns, and the ledger of its cost.
 
     Column ``i`` of ``codes`` holds object ``i``'s class, colour and
     region as codes into the vocabularies ``classes``, ``colors`` and
@@ -534,7 +496,7 @@ class WorldModel:
     candidates tied with it: ``objects`` names and makes every
     ``DetectedObject`` on first access, in id order, and ``signatures``
     and ``digest`` read the columns.  Two world models are equal when
-    their objects, costs, robot poses and ledgers are.
+    their objects, robot poses and ledgers are.
     """
 
     classes: tuple[str, ...]
@@ -546,12 +508,11 @@ class WorldModel:
     start: np.ndarray
     stop: np.ndarray
     given: tuple[str, ...] | None
-    total_cost: float
     robot_pose: Pose
     cost_ledger: tuple[tuple[str, float], ...] = ()
 
     @staticmethod
-    def of(objects, total_cost: float, robot_pose: Pose,
+    def of(objects, robot_pose: Pose,
            cost_ledger: tuple[tuple[str, float], ...] = ()) -> WorldModel:
         """A world model of ``objects``, a sequence of ``DetectedObject``,
         in the order given."""
@@ -570,7 +531,12 @@ class WorldModel:
             pose=np.array([o.pose for o in objects], dtype=float).reshape(-1, 3).T,
             t=np.array([t for p in provenance for t in p], dtype=np.int64),
             start=stop - size, stop=stop, given=tuple(o.id for o in objects),
-            total_cost=total_cost, robot_pose=robot_pose, cost_ledger=cost_ledger)
+            robot_pose=robot_pose, cost_ledger=cost_ledger)
+
+    @property
+    def total_cost(self) -> float:
+        """The ledger's costs, summed left to right."""
+        return sum(c for _, c in self.cost_ledger)
 
     def __len__(self) -> int:
         return self.codes.shape[1]
@@ -578,9 +544,8 @@ class WorldModel:
     def __eq__(self, other):
         if not isinstance(other, WorldModel):
             return NotImplemented
-        return ((self.objects, self.total_cost, self.robot_pose, self.cost_ledger)
-                == (other.objects, other.total_cost, other.robot_pose,
-                    other.cost_ledger))
+        return ((self.objects, self.robot_pose, self.cost_ledger)
+                == (other.objects, other.robot_pose, other.cost_ledger))
 
     def __repr__(self) -> str:
         return (f"WorldModel({len(self)} objects, total_cost="
@@ -672,32 +637,30 @@ class WorldModel:
                          for pair in signature_attrs(*signature))
 
 
-def run_classifier(symbol: PerceptionSymbol, observations,
-                   registry: ClassifierRegistry, detections: DetectionSet,
-                   ) -> tuple[DetectionSet, float]:
+def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
+                   detections: DetectionSet) -> tuple[DetectionSet, float]:
     """Run one classifier and return (detections, cost).
 
     An object detector passes ``detections``, the build's one gather of
-    the selected detectors' classes from ``observations``, through
-    unchanged, and charges base + per-item times the records of
-    ``observations`` (nothing without observations).  The other stages
-    take the current detection set and charge base + per-item times its
-    rows (nothing when it is empty).  None copies a record field: the
-    noise filter narrows the rows to those without the simulator's noise
-    flag, a color detector adds its colour's code to ``confirmed``, and
-    the bounding-box / pose estimators compute absolute geometry, read
-    through the rows.
+    the selected detectors' classes from its log, through unchanged, and
+    charges base + per-item times the records of the log (nothing
+    without observations).  The other stages take the current detection
+    set and charge base + per-item times its rows (nothing when it is
+    empty).  None copies a record field: the noise filter narrows the
+    rows to those without the simulator's noise flag, a color detector
+    adds its colour's code to ``confirmed``, and the bounding-box / pose
+    estimators compute absolute geometry, read through the rows.
     """
     cost_model = registry.cost_for(symbol)
+    log, rows = detections.log, detections.rows
     if symbol.kind == OBJECT_DETECTOR:
-        return detections, cost_model.cost(detections.scanned) if observations else 0.0
+        return detections, cost_model.cost(log.records) if log.size else 0.0
 
     if not len(detections):
         return detections, 0.0
     cost = cost_model.cost(len(detections))
-    log, rows = detections.log, detections.rows
     if symbol.kind == NOISE_FILTER:
-        return detections.take(~log.noisy[rows]), cost
+        return detections._replace(rows=rows[~log.noisy[rows]]), cost
     if symbol.kind == COLOR_DETECTOR:
         # A colour that no row of the log shows has no code to confirm.
         if symbol.param not in log.colors:
@@ -821,7 +784,7 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return label
 
 
-def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
+def _merge(detections: DetectionSet, robot_pose: Pose,
            cost_ledger: tuple[tuple[str, float], ...]) -> WorldModel:
     """One object per cluster of same-class detections, in group order.
 
@@ -851,8 +814,8 @@ def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
     """
     log, rows = detections.log, detections.rows
     xy, theta = detections.position, detections.theta
-    t, row_cls = log.t[rows], log.cls[rows]
-    color, region = log.color[rows], log.region[log.obs[rows]]
+    obs, row_cls, color = log.obs[rows], log.cls[rows], log.color[rows]
+    t, region = log.times[obs], log.region[obs]
     label = _link(row_cls, xy)
     # Each cluster's smallest row labels itself; numbering those rows in
     # order numbers the groups.
@@ -881,7 +844,7 @@ def _merge(detections: DetectionSet, total_cost: float, robot_pose: Pose,
     return WorldModel(
         classes=log.classes, colors=log.colors, regions=log.regions,
         codes=codes, pose=pose, t=t[order], start=start, stop=stop, given=None,
-        total_cost=total_cost, robot_pose=robot_pose, cost_ledger=cost_ledger)
+        robot_pose=robot_pose, cost_ledger=cost_ledger)
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
@@ -916,14 +879,13 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
         frozenset(c.param for c in stages if c.kind == OBJECT_DETECTOR))
     ledger: list[tuple[str, float]] = []
     for symbol in stages:
-        current, cost = run_classifier(symbol, log, registry, current)
+        current, cost = run_classifier(symbol, registry, current)
         if cost:
             ledger.append((symbol.canon, cost))
 
-    total_cost = sum(c for _, c in ledger)
     if current.theta is None or not len(current):
-        return WorldModel.of((), total_cost, robot_pose, tuple(ledger))
-    return _merge(current, total_cost, robot_pose, tuple(ledger))
+        return WorldModel.of((), robot_pose, tuple(ledger))
+    return _merge(current, robot_pose, tuple(ledger))
 
 
 # ---------------------------------------------------------------------------

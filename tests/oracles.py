@@ -130,7 +130,7 @@ def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
     """
     kids = [c for c in child_trues if c.variant not in INSTANCE_VARIANTS]
     tokens = ["bias", f"cat={phrase.category}",
-              *(f"w={word}" for word in dict.fromkeys(phrase.words())),
+              *(f"w={word}" for word in dict.fromkeys(phrase.words)),
               *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
     rows = {space[j].canon: int(space.row_of[j]) for j in range(len(space.children))}
     index = space.vocabulary.index
@@ -240,7 +240,7 @@ def extract_features(phrase: Phrase, symbol, child_trues=(),
         f"cat={phrase.category}|v={variant}": 1.0,
     }
     attributes = symbol.attributes
-    for word in phrase.words():
+    for word in phrase.words:
         features[f"w={word}|v={variant}"] = 1.0
         for key, value in attributes:
             features[f"w={word}|a={key}={value}"] = 1.0
@@ -615,8 +615,8 @@ def _build(observations, classifiers, registry: ClassifierRegistry,
     """One frozen ``Detection`` per record, copied per stage.
 
     Returns the objects in order of smallest member row, named all at
-    once (``eager_naming``), their id order, the ledger, the total cost
-    and the robot pose.
+    once (``eager_naming``), their id order, the ledger and the robot
+    pose.
     """
     obs = sorted(observations, key=lambda o: o.t)
     selected = frozenset(classifiers)
@@ -660,7 +660,6 @@ def _build(observations, classifiers, registry: ClassifierRegistry,
         stage(pose_est)
         geometry_ready = True
 
-    total_cost = sum(c for _, c in ledger)
     if not geometry_ready:
         usable: list[Detection] = []
     else:
@@ -695,7 +694,7 @@ def _build(observations, classifiers, registry: ClassifierRegistry,
     ids, order = eager_naming([o.cls for o in objects], [o.pose[0] for o in objects],
                               [o.pose[1] for o in objects])
     return ([replace(o, id=i) for o, i in zip(objects, ids)], order,
-            tuple(ledger), total_cost, robot_pose)
+            tuple(ledger), robot_pose)
 
 
 def build_columns(observations, classifiers, registry: ClassifierRegistry,
@@ -709,11 +708,10 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Reference build: one frozen ``Detection`` per record, copied per
     stage, and its objects in id order."""
-    objects, order, ledger, total_cost, robot_pose = _build(
+    objects, order, ledger, robot_pose = _build(
         observations, classifiers, registry, robot_pose)
     return WorldModel.of(
         objects=tuple(objects[i] for i in order),
-        total_cost=total_cost,
         robot_pose=robot_pose,
         cost_ledger=ledger,
     )

@@ -106,14 +106,14 @@ def test_gold_is_licensed_at_trigger_phrases(corpus_examples, registry):
             subtree_words = set()
 
             def collect(p):
-                subtree_words.update(p.words())
+                subtree_words.update(p.words)
                 for c in p.children:
                     collect(c)
 
             collect(phrase)
             if noun_canon in here:
                 assert example.noun in subtree_words
-            if example.noun in phrase.words():
+            if example.noun in phrase.words:
                 assert noun_canon in here
 
 

@@ -39,7 +39,7 @@ from groundling.errors import (
     NonFiniteScore,
 )
 from groundling.fixtures import site_spec, tiled
-from groundling.grammar import ParseTree, Phrase, Token, parse_text
+from groundling.grammar import ParseTree, Phrase, parse_text
 from groundling.pipeline import ModelBundle
 from groundling.symbols import (
     INSTANCE_VARIANTS,
@@ -98,19 +98,15 @@ def random_tree(rng: np.random.Generator, max_phrases: int = 4) -> ParseTree:
     """
     count = int(rng.integers(1, max_phrases + 1))
     roots: list[Phrase] = []
-    position = 0
     for i in range(count):
         last = i == count - 1
         adopt = len(roots) if last else int(rng.integers(0, len(roots) + 1))
         children = tuple(roots[len(roots) - adopt:]) if adopt else ()
         del roots[len(roots) - adopt:]
-        tokens = []
-        for _ in range(int(rng.integers(1, 4))):
-            word = _VOCAB[int(rng.integers(0, len(_VOCAB)))]
-            tokens.append(Token(word, position))
-            position += 1
+        words = tuple(_VOCAB[int(rng.integers(0, len(_VOCAB)))]
+                      for _ in range(int(rng.integers(1, 4))))
         category = _CATS[int(rng.integers(0, len(_CATS)))]
-        roots.append(Phrase(category, tuple(tokens), children, index=i))
+        roots.append(Phrase(category, words, children, index=i))
     return ParseTree(root=roots[0])
 
 
@@ -366,8 +362,7 @@ def random_world(rng: np.random.Generator, registry, max_objects: int = 6):
         objects.append(DetectedObject(
             id=f"{cls}@{i}.0,0.0", cls=cls, color=color, pose=(float(i), 0.0, 0.0),
             region=region, provenance=frozenset()))
-    return WorldModel.of(objects=tuple(objects), total_cost=0.0,
-                      robot_pose=(0.0, 0.0, 0.0))
+    return WorldModel.of(objects=tuple(objects), robot_pose=(0.0, 0.0, 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,7 +435,7 @@ def tied_worlds(draw):
             color=draw(st.none() | st.sampled_from(_COLORS)), pose=(x, y, 0.0),
             region=draw(st.sampled_from(_REGIONS)),
             provenance=frozenset(draw(st.sets(st.integers(0, 9), max_size=3)))))
-    return WorldModel.of(objects=draw(st.permutations(objects)), total_cost=0.0,
+    return WorldModel.of(objects=draw(st.permutations(objects)),
                       robot_pose=draw(st.sampled_from(((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)))))
 
 
@@ -464,8 +459,7 @@ def twins() -> WorldModel:
     return WorldModel.of(objects=[
         DetectedObject(id=i, cls="cup", color=None, pose=(5.0, 1.0, 0.0),
                        region="kitchen", provenance=frozenset())
-        for i in ("cup@5.0,1.0#2", "cup@5.0,1.0")], total_cost=0.0,
-        robot_pose=(0.0, 0.0, 0.0))
+        for i in ("cup@5.0,1.0#2", "cup@5.0,1.0")], robot_pose=(0.0, 0.0, 0.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -491,7 +485,7 @@ def test_a_non_finite_position_ranks_last(registry, relation):
     assert resolve_action(trues, world)[1].id == "cup@3.0,0.0"
     lost = next(o for o in world.objects if o.id == "cup@nan,nan")
     alone = WorldModel.of(objects=[replace(lost, id="cup@nan,nan#2"), lost],
-                       total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+                          robot_pose=(0.0, 0.0, 0.0))
     assert resolve_action(trues, alone)[1].id == "cup@nan,nan"
 
 

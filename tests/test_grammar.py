@@ -11,7 +11,7 @@ from groundling.grammar import dump_tree, feature_tokens, parse_text, tokenize
 
 
 def all_phrase_words(tree):
-    return [w for p in tree.phrases() for w in p.words()]
+    return [w for p in tree.phrases() for w in p.words]
 
 
 def test_parse_is_total_over_corpus(corpus_examples, registry):
@@ -37,7 +37,7 @@ def test_feature_tokens_are_made_once_per_tree(registry):
         "bias", "cat=NP", "w=the", "w=closest", "w=blue", "w=person")
     # A word the phrase owns twice is one token.
     parking = tree.phrases()[1]
-    assert feature_tokens(replace(parking, tokens=parking.tokens * 2)) == (
+    assert feature_tokens(replace(parking, words=parking.words * 2)) == (
         "bias", "cat=NP", "w=the", "w=parking", "w=lot")
 
 
@@ -45,7 +45,7 @@ def test_phrases_partition_the_tokens(corpus_examples, registry):
     for example in corpus_examples[:50]:
         tree = parse_text(example.text, registry)
         words = all_phrase_words(tree)
-        assert sorted(words) == sorted(t.text for t in tokenize(example.text))
+        assert sorted(words) == sorted(tokenize(example.text))
 
 
 def test_parse_is_deterministic(registry):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from groundling.correspondence import CorrespondenceModel, load_model, save_model
 from groundling.corpus import load_corpus, save_corpus
 from groundling.errors import GroundlingError, InvalidSpec
-from groundling.fixtures import default_cooccurrence, site_spec
+from groundling.fixtures import CHARACTERISTIC_CLASSES, COOCCURRENCE_ROWS, site_spec
 from groundling.symbols import load_registry, save_registry
 from groundling.world import (
     CooccurrenceModel,
@@ -126,10 +126,8 @@ def test_a_file_of_the_other_kind_is_rejected(name, other, valid_files):
 def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
     # A scene with prior 0 scores -inf wherever characteristic classes
     # vote; the log must read back what the simulator wrote.
-    cooc = default_cooccurrence()
-    prior = {label: 0.0 if label == "kitchen" else 1.0 for label in cooc.labels()}
-    model = CooccurrenceModel.from_dict(
-        {label: dict(row) for label, row in cooc.table}, cooc.characteristic, prior)
+    prior = {label: 0.0 if label == "kitchen" else 1.0 for label in COOCCURRENCE_ROWS}
+    model = CooccurrenceModel.from_dict(COOCCURRENCE_ROWS, CHARACTERISTIC_CLASSES, prior)
     observations = simulate(replace(site_spec("site-1"), cooccurrence=model), registry)
     assert any(score == -math.inf for o in observations for _, score in o.scene_scores)
     path = tmp_path / "obs.jsonl"

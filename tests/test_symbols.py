@@ -37,7 +37,7 @@ from oracles import symbol_space
 
 
 def empty_world() -> WorldModel:
-    return WorldModel.of(objects=(), total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    return WorldModel.of(objects=(), robot_pose=(0.0, 0.0, 0.0))
 
 
 def canons(space):
@@ -118,8 +118,7 @@ def signature_worlds(draw):
             color=color, pose=(0.0, 0.0, 0.0), region=region,
             provenance=frozenset()))
     objects = draw(st.permutations(objects))
-    return registry, WorldModel.of(objects=tuple(objects), total_cost=0.0,
-                                robot_pose=(0.0, 0.0, 0.0))
+    return registry, WorldModel.of(objects=tuple(objects), robot_pose=(0.0, 0.0, 0.0))
 
 
 def one_signature_world(count: int) -> WorldModel:
@@ -127,7 +126,7 @@ def one_signature_world(count: int) -> WorldModel:
         DetectedObject(id=f"cup@5.0,1.0#{k}" if k > 1 else "cup@5.0,1.0",
                        cls="cup", color=None, pose=(0.0, 0.0, 0.0),
                        region="kitchen", provenance=frozenset())
-        for k in range(1, count + 1)), total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+        for k in range(1, count + 1)), robot_pose=(0.0, 0.0, 0.0))
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,8 @@ from groundling import world
 from groundling.adapt import filter_by_labels
 from groundling.errors import InvalidSpec, UnknownClassifier
 from groundling.fixtures import (
+    CHARACTERISTIC_CLASSES,
+    COOCCURRENCE_ROWS,
     default_cooccurrence,
     site1_spec,
     site_spec,
@@ -157,11 +159,16 @@ def test_site_fixture_zone_runs(site_logs):
 # --- co-occurrence model ---------------------------------------------------
 
 def test_cooccurrence_rows_are_distributions():
+    # The fixture's rows are distributions over the characteristic
+    # classes, and so are their smoothed rows: the model's terms.
     model = default_cooccurrence()
-    for label, row in model.table:
-        total = sum(v for _, v in row)
-        assert total == pytest.approx(1.0, abs=1e-12)
-        assert all(v >= 0 for _, v in row)
+    assert [label for label, _, _ in model.terms] == sorted(COOCCURRENCE_ROWS)
+    for (label, row), (_, _, log_prob) in zip(sorted(COOCCURRENCE_ROWS.items()),
+                                              model.terms):
+        assert set(row) == model.characteristic == set(log_prob)
+        assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(v >= 0 for v in row.values())
+        assert math.fsum(map(math.exp, log_prob.values())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cooccurrence_rejects_unnormalizable_rows():
@@ -185,13 +192,32 @@ def test_cooccurrence_rejects_labels_outside_the_taxonomy(rows, prior):
         CooccurrenceModel.from_dict(rows, characteristic=["ball", "cup"], prior=prior)
 
 
+@pytest.mark.parametrize("rows, prior", [
+    ({"hallway": {"ball": math.nan, "cup": 1.0}}, None),
+    ({"hallway": {"ball": math.inf, "cup": 1.0}}, None),
+    ({"hallway": {"ball": 1.0}, "office": {"cup": 1.0}}, {"hallway": math.nan, "office": 1.0}),
+    ({"hallway": {"ball": 1.0}, "office": {"cup": 1.0}}, {"hallway": -1.0, "office": 2.0}),
+    ({"hallway": {"ball": 1.0}, "office": {"cup": 1.0}}, {"hallway": 0.0, "office": 0.0}),
+    ({"hallway": {"ball": 1e308, "cup": 1e308}}, None),
+    ({"hallway": {"ball": 1.0}, "office": {"cup": 1.0}}, {"hallway": 1e308, "office": 1e308}),
+], ids=["nan-entry", "inf-entry", "nan-prior", "negative-prior", "zero-prior-sum",
+        "overflowing-row-sum", "overflowing-prior-sum"])
+def test_cooccurrence_rejects_non_numbers_and_bad_priors(rows, prior):
+    # Each would reach ``classify_detections``: a NaN score leaves no
+    # label to pick, and a negative weight or a sum that overflows to inf
+    # (every probability 0) gives wrong log terms.
+    with pytest.raises(InvalidSpec):
+        CooccurrenceModel.from_dict(rows, characteristic=["ball", "cup"], prior=prior)
+
+
 def test_smoothed_log_prob_matches_formula():
     model = default_cooccurrence()
     k = len(model.characteristic)
-    for label, row in model.table:
-        for cls, p in row:
+    terms = {label: log_prob for label, _, log_prob in model.terms}
+    for label, row in COOCCURRENCE_ROWS.items():
+        for cls, p in row.items():
             expected = np.log((p + 1.0) / (1.0 + k))
-            assert model.smoothed_log_prob(cls, label) == pytest.approx(expected)
+            assert terms[label][cls] == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("zero_prior", [None, "kitchen"])
@@ -199,10 +225,8 @@ def test_scene_scores_keep_the_formula_bits(registry, zero_prior):
     # Scene scores are written to log files: each label's score is its log
     # prior plus, left to right, the smoothed log probability of every
     # characteristic class sensed.
-    base = default_cooccurrence()
-    prior = {label: 0.0 if label == zero_prior else 1.0 for label in base.labels()}
-    model = CooccurrenceModel.from_dict(
-        {label: dict(row) for label, row in base.table}, base.characteristic, prior)
+    prior = {label: 0.0 if label == zero_prior else 1.0 for label in COOCCURRENCE_ROWS}
+    model = CooccurrenceModel.from_dict(COOCCURRENCE_ROWS, CHARACTERISTIC_CLASSES, prior)
     k = len(model.characteristic)
     rng = random.Random(11)
     classes = sorted(registry.object_classes)
@@ -215,11 +239,11 @@ def test_scene_scores_keep_the_formula_bits(registry, zero_prior):
             assert label == world.FALLBACK_SCENE
             continue
         expected = []
-        for name, row in model.table:
-            p = dict(model.prior)[name]
+        for name, row in sorted(COOCCURRENCE_ROWS.items()):
+            p = prior[name] / sum(prior.values())
             s = math.log(p) if p > 0 else -math.inf
             for c in voting:
-                s += math.log((dict(row).get(c, 0.0) + world.LAPLACE_ALPHA)
+                s += math.log((row.get(c, 0.0) + world.LAPLACE_ALPHA)
                               / (1.0 + world.LAPLACE_ALPHA * k))
             expected.append((name, s.hex()))
         assert [(name, s.hex()) for name, s in scores] == expected
@@ -240,16 +264,14 @@ def test_uninformative_frames_inherit_previous_label(site_logs):
 
 def test_run_classifier_on_empty_input(registry):
     symbol = PerceptionSymbol("object_detector", "ball")
-    found, cost = run_classifier(symbol, (), registry,
-                                 ObservationLog.of(()).detections(()))
+    found, cost = run_classifier(symbol, registry, ObservationLog.of(()).detections(()))
     assert len(found) == 0
     assert cost == 0.0
 
 
 def test_run_classifier_rejects_unknown(registry, site_logs):
     with pytest.raises(UnknownClassifier):
-        run_classifier(PerceptionSymbol("object_detector", "dragon"),
-                       site_logs["site-1"], registry,
+        run_classifier(PerceptionSymbol("object_detector", "dragon"), registry,
                        ObservationLog.of(site_logs["site-1"]).detections(("dragon",)))
 
 
@@ -556,8 +578,7 @@ def test_ids_made_when_read_match_eager_naming_at_print_boundaries(points):
                        dtype=np.intp).reshape(3, -1),
         pose=np.array([(x, y, 0.0) for _, x, y in points], dtype=float).reshape(-1, 3).T,
         t=np.empty(0, dtype=np.int64), start=np.zeros(len(points), dtype=np.intp),
-        stop=np.zeros(len(points), dtype=np.intp), given=None,
-        total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+        stop=np.zeros(len(points), dtype=np.intp), given=None, robot_pose=(0.0, 0.0, 0.0))
     assert_ids_made_alike(built)
 
 
@@ -710,7 +731,7 @@ def test_build_on_a_filtered_view_matches_row_oracle(
     assert tuple(once.dropped) == tuple(o for o in log
                                         if labels and o.scene_label not in labels)
     assert tuple(view) == _kept(log, labels, again)
-    assert view.detections({"cup"}).scanned == sum(len(o.sensed) for o in view)
+    assert view.records == sum(len(o.sensed) for o in view)
     subset_cls = frozenset(
         c for c in sorted(full_classifiers(registry), key=lambda s: s.canon)
         if rng.random() < keep_cls)
@@ -807,7 +828,7 @@ _OBJECTS = st.lists(st.builds(
 @settings(max_examples=100, deadline=None)
 @given(objects=_OBJECTS)
 def test_a_world_model_gives_back_the_objects_it_encodes(objects):
-    world = WorldModel.of(objects=objects, total_cost=0.0, robot_pose=(0.0, 0.0, 0.0))
+    world = WorldModel.of(objects=objects, robot_pose=(0.0, 0.0, 0.0))
     made = world.objects
     assert [(o.id, o.cls, o.color, o.region, o.provenance) for o in made] == [
         (o.id, o.cls, o.color, o.region, o.provenance) for o in objects]
