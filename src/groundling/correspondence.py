@@ -18,12 +18,12 @@ are ``grammar.feature_tokens``; a run's parse tree keeps them
 (``ParseTree.feature_tokens``), so the three models of a run share them,
 and training makes them once per distinct phrase.  What a resolved child
 fires (its ``cv=`` variant, its ``cmatch`` cells and its ``ceq`` key) is
-the layout's ``ChildTable``, built once per layout and shared by every
-space the layout makes, a run's grounding space included; children are
-passed up as ordinals into it, so inference makes no symbol and reads no
-symbol property.  ``phrase_logits``, ``infer`` and ``assemble_design``
-read both the same way, and ``_features`` is the one table of feature
-names.
+held by the domain's ``symbols.Layout``, the one object that numbers the
+keys and makes every space of the domain, a run's grounding space
+included; children are passed up as ordinals into it, so inference makes
+no symbol and reads no symbol property.  ``phrase_logits``, ``infer`` and
+``assemble_design`` read the layout the same way, and ``_features`` is
+the one table of feature names.
 
 Inference walks the tree bottom-up: every variable is thresholded at one
 half given the already-resolved assignments of the phrase's children.
@@ -70,9 +70,8 @@ from .errors import (
 from .grammar import ParseTree, Phrase, feature_tokens
 from .symbols import (
     INSTANCE_VARIANTS,
-    ChildTable,
     GroundingSymbol,
-    KeyVocabulary,
+    Layout,
     SymbolSpace,
     action_instance,
 )
@@ -89,7 +88,7 @@ HISTORY = 10
 ARMIJO = 1e-4
 
 
-def _features(vocabulary: KeyVocabulary, token: str) -> list[tuple[int, str]]:
+def _features(layout: Layout, token: str) -> list[tuple[int, str]]:
     """The keys a phrase-side token fires at, and its feature name at each.
 
     This is the one place the feature templates are spelled.  A token
@@ -104,36 +103,36 @@ def _features(vocabulary: KeyVocabulary, token: str) -> list[tuple[int, str]]:
     """
     if token in ("cmatch", "dig"):
         return [(k, f"{token}|{pair[0]}|v={v}")
-                for pair, cells in vocabulary.cells.items() for k, v in cells]
-    fired = [(k, f"{token}|v={v}") for k, v in vocabulary.variants]
+                for pair, cells in layout.cells.items() for k, v in cells]
+    fired = [(k, f"{token}|v={v}") for k, v in layout.variants]
     if token.startswith("w="):
-        fired += [(k, f"{token}|a={a}={x}") for k, (a, x) in vocabulary.pairs]
+        fired += [(k, f"{token}|a={a}={x}") for k, (a, x) in layout.pairs]
     return fired
 
 
 class _Compiled(dict):
-    """One model's weights laid out over one layout's keys and children.
+    """One model's weights laid out over one layout's keys and constraints.
 
     ``self[t]`` is phrase-side token ``t``'s weight vector over the keys:
     the weight of its feature at each key it fires at (``_features``),
     zero elsewhere, made on first use from ``weights.get`` only.  Per
-    constraint ``c`` of the layout's ``ChildTable``, ``cmatch[c]`` holds
-    the ``cmatch`` weights of its cells, zero elsewhere, and ``ceq[c]`` is
-    the ``ceq`` weight that row ``c`` adds when it repeats ``c``.
+    constraint ``c`` of the layout, ``cmatch[c]`` holds the ``cmatch``
+    weights of its cells, zero elsewhere, and ``ceq[c]`` is the ``ceq``
+    weight that row ``c`` adds when it repeats ``c``.
     """
 
-    def __init__(self, weights, children: ChildTable):
+    def __init__(self, weights, layout: Layout):
         super().__init__()
-        self.get, self.vocabulary = weights.get, children.vocabulary
+        self.get, self.layout = weights.get, layout
         self.dig, cmatch, ceq = self["dig"], self["cmatch"], self["ceq"]
-        self.cmatch = [np.zeros(len(cmatch)) for _ in children.cells]
-        for vector, cells in zip(self.cmatch, children.cells):
+        self.cmatch = [np.zeros(len(cmatch)) for _ in layout.cmatch_cells]
+        for vector, cells in zip(self.cmatch, layout.cmatch_cells):
             vector[list(cells)] = cmatch[list(cells)]
-        self.ceq = ceq[children.key].tolist()
+        self.ceq = ceq[[keys[0] for keys in layout.constraint_keys]].tolist()
 
     def __missing__(self, token: str) -> np.ndarray:
-        vector = self[token] = np.zeros(len(self.vocabulary))
-        for k, name in _features(self.vocabulary, token):
+        vector = self[token] = np.zeros(len(self.layout.names))
+        for k, name in _features(self.layout, token):
             vector[k] = self.get(name, 0.0)
         return vector
 
@@ -142,30 +141,30 @@ class _RowScorer:
     """Scores phrases against one space, for one model and world digest.
 
     A phrase's key weights add its tokens' vectors in the order
-    ``ChildTable.tokens`` gives: its own (``grammar.feature_tokens``), then
+    ``Layout.tokens`` gives: its own (``grammar.feature_tokens``), then
     ``cv=`` for each distinct variant among its children's true
     constraints, in sorted order.  Then come the
     ``dig`` weights of the digest's cells and each child's ``cmatch``
     weights; no other token fires at a cell, and no two constraints share
-    a cell (``ChildTable``).  Each key thus gets its terms in the order
+    a cell (``Layout``).  Each key thus gets its terms in the order
     ``assemble_design`` lists its columns (a cell's two terms commute), so
     every logit is bit-equal to the sum of its features' weights in that
     order.  Each row then sums its keys' weights once, and row ``c`` adds
     the ``ceq`` weight of child ``c``, which it repeats.  Children are
-    ordinals into the space's ``ChildTable``: scoring makes no symbol and
-    reads none.
+    ordinals into the space's layout: scoring makes no symbol and reads
+    none.
     """
 
     def __init__(self, model: CorrespondenceModel, space: SymbolSpace,
                  digest: frozenset):
-        table = space.children
-        compiled = model._compiled.get(table)
+        layout = space.layout
+        compiled = model._compiled.get(layout)
         if compiled is None:
-            compiled = model._compiled[table] = _Compiled(model.weights, table)
-        self.compiled, self.space, self.table = compiled, space, table
+            compiled = model._compiled[layout] = _Compiled(model.weights, layout)
+        self.compiled, self.space, self.layout = compiled, space, layout
         # Without a digest, as in the semantic and perception spaces, no
         # cell has a dig weight to add.
-        self.base = ([np.where(space.vocabulary.cells_of(digest), compiled.dig, 0.0)]
+        self.base = ([np.where(layout.cells_of(digest), compiled.dig, 0.0)]
                      if digest else [])
 
     def __call__(self, tokens, kids) -> np.ndarray:
@@ -173,7 +172,7 @@ class _RowScorer:
         ``cat=`` first) whose children's true constraints are ``kids``,
         distinct ordinals."""
         compiled, space = self.compiled, self.space
-        vectors = [compiled[t] for t in self.table.tokens(tokens, kids)]
+        vectors = [compiled[t] for t in self.layout.tokens(tokens, kids)]
         vectors += self.base
         vectors += [compiled.cmatch[c] for c in kids]
         key_weights = vectors[0] + vectors[1]
@@ -213,12 +212,12 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
     so a phrase adds a few vectors, each row of the space sums its keys,
     and the rows are gathered to the symbols: symbols that share a row,
     the instances of one signature, are scored once.  Only constraint
-    children condition the phrase, and they are read from the layout's
-    ``ChildTable``; instance children are skipped, and a constraint the
+    children condition the phrase, and they are read from the space's
+    layout; instance children are skipped, and a constraint the
     space lacks raises ``CorpusDomainMismatch``.  A non-finite logit
     raises ``NonFiniteScore``.
     """
-    ordinal = space.children.ordinal
+    ordinal = space.layout.ordinal
     kids = set()
     for child in child_trues:
         if child.variant in INSTANCE_VARIANTS:
@@ -236,9 +235,9 @@ class CorrespondenceModel:
     """Feature weights for one symbol domain.
 
     ``weights`` is any mapping-like object with ``get(name, default)``.
-    Inference reads them once per symbol layout (keyed by its
-    ``ChildTable``) and keeps them compiled against it, so they must not
-    change after the first inference.
+    Inference reads them once per symbol ``Layout`` and keeps them
+    compiled against it, so they must not change after the first
+    inference.
     """
 
     domain: str
@@ -278,7 +277,7 @@ class Assignment:
     def root_constraints(self) -> frozenset:
         """The constraint symbols among ``root_trues``, the space's leading
         columns, made without making an instance symbol."""
-        leading = self.probabilities[-1, :len(self.space.children)] > 0.5
+        leading = self.probabilities[-1, :len(self.space.layout.constraints)] > 0.5
         return frozenset(map(self.space.__getitem__, np.flatnonzero(leading).tolist()))
 
     def true_sets(self) -> dict[int, frozenset]:
@@ -346,12 +345,11 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
     cost, even though nothing reads them: the navigation target comes from
     ``resolve_action`` on the root-true constraints.  Only the true
     constraints, the space's leading rows, are passed up to a parent, as
-    ordinals into the space's ``ChildTable``, since instances among the
-    children fire no feature;
-    no symbol is made.  The phrases' tokens and post-order are the tree's
-    own, made once for the three models of a run.  Every logit is checked
-    once, after the last phrase: the first non-finite one, in phrase
-    order, raises ``NonFiniteScore``.
+    ordinals into the space's layout, since instances among the children
+    fire no feature; no symbol is made.  The phrases' tokens and
+    post-order are the tree's own, made once for the three models of a
+    run.  Every logit is checked once, after the last phrase: the first
+    non-finite one, in phrase order, raises ``NonFiniteScore``.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
@@ -359,7 +357,7 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
         )
     phrases = tree.phrases()
     score = _RowScorer(model, space, digest)
-    constraints = len(space.children)
+    constraints = len(space.layout.constraints)
     logits = np.empty((len(phrases), len(space.row_keys)))
     kids: list[list[int]] = [[]] * len(phrases)
     for phrase, tokens in zip(phrases, tree.feature_tokens):
@@ -391,25 +389,25 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     The design has one row per (phrase, symbol) pair, in phrase order,
     holding the features that ``phrase_logits`` would sum for it, and
     labelled 1 where the symbol is gold at the phrase; child conditioning
-    uses the gold assignments, read from the space's ``ChildTable`` as
-    inference reads them.  Only its distinct (column set, label) rows are
+    uses the gold assignments, read from the space's layout as inference
+    reads them.  Only its distinct (column set, label) rows are
     built, in the order they first occur, each with how often it occurs.
     A phrase's rows depend only on its category and words, its children's
     gold symbols and the digest, so each distinct phrase numbers the
     column set of each row of the space once, and a phrase is its rows'
     numbers gathered to the symbols, plus its gold labels.  A column is a
     feature name, named by ``_features`` once per token, and only at a
-    key that some row of the space has: a layout's vocabulary also numbers
-    the keys of instances that a space may not hold.
+    key that some row of the space has: a layout also numbers the keys of
+    instances that a space may not hold.
     Returns ``(matrix, labels, counts, feature_names)``.
     """
-    position, vocabulary, table = space.position, space.vocabulary, space.children
-    present = np.zeros(len(vocabulary), dtype=bool)
+    position, layout = space.position, space.layout
+    present = np.zeros(len(layout.names), dtype=bool)
     present[space.entry_key] = True
     # Each feature name's column, numbered when it is first named, and
     # each token's (key, column) at every present key a full token fires at.
     named: dict[str, int] = {}
-    names_of = functools.cache(lambda token: dict(_features(vocabulary, token)))
+    names_of = functools.cache(lambda token: dict(_features(layout, token)))
 
     def column(token: str, key: int) -> int:
         return named.setdefault(names_of(token)[key], len(named))
@@ -438,17 +436,17 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
             block = blocks.get(seen)
             if block is None:
                 # Instances among the children fire nothing.
-                kids = [table.ordinal[c] for c in children if c in table.ordinal]
-                columns_of: list[list[int]] = [[] for _ in range(len(vocabulary))]
-                for token in table.tokens(feature_tokens(phrase), kids):
+                kids = [layout.ordinal[c] for c in children if c in layout.ordinal]
+                columns_of: list[list[int]] = [[] for _ in range(len(layout.names))]
+                for token in layout.tokens(feature_tokens(phrase), kids):
                     for key, c in fired(token):
                         columns_of[key].append(c)
-                cmatch = {k for c in kids for k in table.cells[c] if present[k]}
-                dig = np.flatnonzero(vocabulary.cells_of(example.digest) & present)
+                cmatch = {k for c in kids for k in layout.cmatch_cells[c] if present[k]}
+                dig = np.flatnonzero(layout.cells_of(example.digest) & present)
                 for token, keys in (("cmatch", sorted(cmatch)), ("dig", dig.tolist())):
                     for key in keys:
                         columns_of[key].append(column(token, key))
-                repeats = {c: column("ceq", int(table.key[c])) for c in kids}
+                repeats = {c: column("ceq", layout.constraint_keys[c][0]) for c in kids}
                 numbers = []
                 for row, keys in enumerate(space.row_keys):
                     columns = [c for key in keys for c in columns_of[key]]

@@ -25,18 +25,17 @@ symbols and then its object symbols, each block in the world's column
 order.
 
 A symbol's logit sums weights over its layout keys: its variant, and for
-each attribute pair the pair and the (pair, variant) cell.  A space
-numbers these keys in a ``KeyVocabulary`` and groups symbols with the
-same keys into rows.  One ``_Layout`` per domain numbers the keys of its
-constraint symbols once, and builds once the ``ChildTable`` of what each
-constraint fires when it is a resolved child; the semantic space is
-cached per process, the perception space and the grounding layout per
-registry.  The grounding layout also numbers every key an object or
-action symbol over the registry's classes, colours and scene labels can
-have.  Its space with no world is the type-level space that training
-uses; a world's space only adds one action row and one object row per
-distinct (class, colour, region) signature, by lookups into it, and
-shares its ``ChildTable``.
+each attribute pair the pair and the (pair, variant) cell.  Each domain
+has one ``Layout``: it numbers the keys, holds the constraint symbols
+and what each fires when it is a resolved child, and makes every space
+of the domain, which groups symbols with the same keys into rows.  The
+semantic layout is built once per process, the perception and grounding
+layouts once per registry.  The grounding layout also numbers every key
+an object or action symbol over the registry's classes, colours and
+scene labels can have.  Its space with no world is the type-level space
+that training uses; a world's space only adds one action row and one
+object row per distinct (class, colour, region) signature, by lookups
+into it.
 """
 
 from __future__ import annotations
@@ -282,19 +281,52 @@ def key_names(variant: str, attributes) -> tuple:
     return tuple(names)
 
 
-class KeyVocabulary:
-    """A numbering of layout keys: variants, attribute pairs and cells.
+class Layout:
+    """One domain's symbol layout: its keys, its constraints, its spaces.
 
+    Keys are layout keys: variants, attribute pairs and cells.
     ``names[k]`` is the name of key ``k`` (see ``key_names``) and
-    ``index`` maps a name to its number.  ``variants`` and ``pairs`` list
-    ``(key, variant)`` and ``(key, pair)``, ``cells`` maps each pair to
-    the ``(key, variant)`` of its cells, and ``cell_pair[k]`` is the
-    position in ``pairs`` of cell ``k``'s pair, or ``len(pairs)`` when key
-    ``k`` is not a cell.
+    ``index`` maps a name to its number.  The keys are the constraint
+    symbols', in canon order and in the order each first has them, and
+    then, when ``instance_pairs`` is given, every key an action or object
+    symbol with some of those attribute pairs can have.  ``variants`` and
+    ``pairs`` list ``(key, variant)`` and ``(key, pair)``, ``cells`` maps
+    each pair to the ``(key, variant)`` of its cells, and ``cell_pair[k]``
+    is the position in ``pairs`` of cell ``k``'s pair, or ``len(pairs)``
+    when key ``k`` is not a cell.
+
+    The T ``constraints``, sorted by canon, are symbols and rows 0 to
+    T - 1 of every space the layout makes, and ``constraint_keys[c]`` are
+    constraint ``c``'s keys, its variant's first.  A world adds, for its
+    i-th distinct (class, colour, region) signature, row T + 2i for the
+    action symbols and row T + 2i + 1 for the object symbols that have it.
+
+    A constraint resolved true at a phrase conditions the phrase's
+    parent, and the layout holds what each one fires as a child, so
+    inference reads children as ordinals and makes or reads no symbol.
+    ``ordinal`` maps each constraint's canon to ``c``.  Constraint ``c``
+    fires the token ``cv[cv_rank[c]]``, ``cv=`` its variant; ``cv`` is
+    sorted, so the ranks sort as the variants do.  A parent's row ``c``,
+    which repeats it, fires ``ceq`` at its variant's key
+    ``constraint_keys[c][0]``, and ``cmatch_cells[c]`` lists the keys of
+    the cells of its attribute pairs, where ``cmatch`` fires.
+
+    A constraint's attribute pair names its variant's key and its value,
+    so no two constraints share a pair, nor a cell; constraints that did
+    would make a set of children fire ``cmatch`` at a cell twice, and
+    raise ``InvalidSpec``.
     """
 
-    def __init__(self, names):
-        self.names = tuple(dict.fromkeys(names))
+    def __init__(self, domain: str, constraint_symbols, instance_pairs=()):
+        self.domain = domain
+        self.constraints = tuple(sorted(constraint_symbols, key=lambda s: s.canon))
+        pairs = [pair for s in self.constraints for pair in s.attributes]
+        if len(set(pairs)) < len(pairs):
+            raise InvalidSpec("constraint symbols share an attribute pair")
+        named = [key_names(s.variant, s.attributes) for s in self.constraints]
+        self.names = tuple(dict.fromkeys(itertools.chain(
+            *named, *(key_names(v, instance_pairs)
+                      for v in INSTANCE_VARIANTS if instance_pairs))))
         self.index = {name: k for k, name in enumerate(self.names)}
         self.variants = tuple((k, n) for k, n in enumerate(self.names)
                               if isinstance(n, str))
@@ -308,54 +340,22 @@ class KeyVocabulary:
                 cells.setdefault(name[0], []).append((k, name[1]))
                 self.cell_pair[k] = self.pair_index[name[0]]
         self.cells = {pair: tuple(c) for pair, c in cells.items()}
-
-    def __len__(self) -> int:
-        return len(self.names)
+        self.constraint_keys = tuple(tuple(map(self.index.__getitem__, names))
+                                     for names in named)
+        self.ordinal = {s.canon: c for c, s in enumerate(self.constraints)}
+        self.cv = tuple(sorted({f"cv={s.variant}" for s in self.constraints}))
+        rank = {token: r for r, token in enumerate(self.cv)}
+        self.cv_rank = tuple(rank[f"cv={s.variant}"] for s in self.constraints)
+        self.cmatch_cells = tuple(tuple(k for pair in s.attributes
+                                        for k, _ in self.cells.get(pair, ()))
+                                  for s in self.constraints)
+        self._signature_keys: dict[tuple, tuple] = {}
 
     def cells_of(self, pairs) -> np.ndarray:
         """A mask over the keys: the cells of ``pairs`` that are numbered."""
         fired = np.zeros(len(self.pairs) + 1, dtype=bool)
         fired[[self.pair_index[p] for p in pairs if p in self.pair_index]] = True
         return fired[self.cell_pair]
-
-
-class ChildTable:
-    """What each constraint symbol of a layout fires when it is a child.
-
-    A constraint resolved true at a phrase conditions the phrase's parent.
-    Constraint ``c``, symbol and row ``c`` of every space of the layout
-    (canon order), fires the token ``cv[variant[c]]``, ``cv=`` its
-    variant; ``cv`` is sorted, so the ranks ``variant[c]`` sort as the
-    variants do.  Its variant has the key ``key[c]``, where a parent's row
-    ``c``, which repeats it, fires ``ceq``; and ``cells[c]`` lists the keys
-    of the cells of its attribute pairs, where ``cmatch`` fires.
-    ``ordinal`` maps each constraint's canon to ``c``.  A layout builds its
-    table once, and every space it makes shares it, so inference reads
-    children as ordinals and makes or reads no symbol.
-
-    A constraint's attribute pair names its variant's key and its value,
-    so no two constraints share a pair, nor a cell; constraints that did
-    would make a set of children fire ``cmatch`` at a cell twice, and
-    raise ``InvalidSpec``.
-    """
-
-    def __init__(self, vocabulary: KeyVocabulary, constraint_symbols):
-        self.vocabulary = vocabulary
-        self.ordinal = {s.canon: c for c, s in enumerate(constraint_symbols)}
-        self.cv = tuple(sorted({f"cv={s.variant}" for s in constraint_symbols}))
-        rank = {token: r for r, token in enumerate(self.cv)}
-        self.variant = tuple(rank[f"cv={s.variant}"] for s in constraint_symbols)
-        self.key = np.array([vocabulary.index[s.variant] for s in constraint_symbols],
-                            dtype=np.intp)
-        self.cells = tuple(tuple(k for pair in s.attributes
-                                 for k, _ in vocabulary.cells.get(pair, ()))
-                           for s in constraint_symbols)
-        pairs = [pair for s in constraint_symbols for pair in s.attributes]
-        if len(set(pairs)) < len(pairs):
-            raise InvalidSpec("constraint symbols share an attribute pair")
-
-    def __len__(self) -> int:
-        return len(self.variant)
 
     def tokens(self, own, kids):
         """What a phrase whose own tokens are ``own`` fires given ``kids``,
@@ -364,42 +364,89 @@ class ChildTable:
         order."""
         if not kids:
             return own
-        return [*own, *(self.cv[r] for r in sorted({self.variant[c] for c in kids}))]
+        return [*own, *(self.cv[r] for r in sorted({self.cv_rank[c] for c in kids}))]
+
+    @cached_property
+    def constraint_space(self) -> SymbolSpace:
+        """The space of the constraint symbols alone: a world with no objects."""
+        return self.space()
+
+    def signature_keys(self, signature) -> tuple:
+        """The keys of the (action, object) symbols of one signature.
+
+        An attribute the layout does not number raises ``InvalidSpec``.
+        """
+        keys = self._signature_keys.get(signature)
+        if keys is None:
+            attrs = signature_attrs(*signature)
+            try:
+                keys = tuple(tuple(self.index[n] for n in key_names(v, attrs))
+                             for v in INSTANCE_VARIANTS)
+            except KeyError:
+                raise InvalidSpec(f"object signature {signature} is outside the"
+                                  f" {self.domain} vocabulary") from None
+            self._signature_keys[signature] = keys
+        return keys
+
+    def space(self, name=None, codes=(), signatures=()) -> SymbolSpace:
+        """The space of the constraint symbols and of the objects' instances.
+
+        Object ``i`` has the id ``name(i)`` and the signature
+        ``signatures[codes[i]]``.  The T constraint symbols come first;
+        then object ``i``'s action symbol is symbol T + i and its object
+        symbol T + n + i: instances are laid out in object order, not
+        sorted.  Instance symbols are made when read, and only then is
+        ``name`` called.
+        """
+        codes = np.asarray(codes, dtype=np.intp)
+        n, t = len(codes), len(self.constraints)
+        actions = t + 2 * codes
+        row_of = np.concatenate((np.arange(t), actions, actions + 1))
+
+        def instance(j: int) -> GroundingSymbol:
+            variant, i = divmod(j - t, n)
+            return GroundingSymbol(INSTANCE_VARIANTS[variant], name(i),
+                                   signature_attrs(*signatures[codes[i]]))
+
+        keys = (self.signature_keys(s) for s in signatures)
+        row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
+        return SymbolSpace(self, [*self.constraints, *[None] * (2 * n)], row_keys,
+                           row_of, instance)
 
 
 class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
-    The constraint symbols come first, sorted by canonical string, so a
-    symbol's index is stable across runs: they are symbols and rows 0 to
-    ``len(children) - 1``, and ``children`` is their layout's
-    ``ChildTable``.  A grounding space then holds the world's action
-    symbols and then its object symbols, each block in the world's column
-    order.  ``position`` maps each canonical string to its index.
+    ``layout`` is the domain's ``Layout``, which numbers the keys and
+    holds the constraint symbols: they come first, sorted by canonical
+    string, so a symbol's index is stable across runs, and they are
+    symbols and rows 0 to ``len(layout.constraints) - 1``.  A grounding
+    space then holds the world's action symbols and then its object
+    symbols, each block in the world's column order.  ``position`` maps
+    each canonical string to its index.
 
-    A symbol's logit is a sum over its layout keys (``key_names``), which
-    ``vocabulary`` numbers.  Symbols with the same keys share a row: row
-    ``r`` has the keys ``row_keys[r]`` and symbol ``j`` is in row
-    ``row_of[j]``, and entry ``e`` of the flat arrays is key
-    ``entry_key[e]`` of row ``entry_row[e]``.  Only instance symbols share
-    rows: a constraint symbol's keys name its variant and value.
+    A symbol's logit is a sum over its layout keys (``key_names``).
+    Symbols with the same keys share a row: row ``r`` has the keys
+    ``row_keys[r]`` and symbol ``j`` is in row ``row_of[j]``, and entry
+    ``e`` of the flat arrays is key ``entry_key[e]`` of row
+    ``entry_row[e]``.  Only instance symbols share rows: a constraint
+    symbol's keys name its variant and value.
 
-    Spaces come from ``_Layout.space``, through the ``enumerate_*``
+    Spaces come from ``Layout.space``, through the ``enumerate_*``
     functions; a ``None`` among ``symbols`` marks an instance symbol that
     ``instance(j)`` makes on first access.
     """
 
-    def __init__(self, domain, vocabulary, symbols, row_keys, row_of,
-                 children, instance=None) -> None:
-        self.domain = domain
-        self.vocabulary = vocabulary
+    def __init__(self, layout: Layout, symbols, row_keys, row_of,
+                 instance=None) -> None:
+        self.domain = layout.domain
+        self.layout = layout
         self.row_keys = row_keys
         self.row_of = np.asarray(row_of, dtype=np.intp)
         lengths = [len(keys) for keys in row_keys]
         self.entry_row = np.repeat(np.arange(len(row_keys)), lengths)
         self.entry_key = np.fromiter(itertools.chain.from_iterable(row_keys),
                                      dtype=np.intp, count=sum(lengths))
-        self.children = children
         self._symbols = symbols
         self._instance = instance
 
@@ -419,9 +466,6 @@ class SymbolSpace:
             j = range(len(self._symbols))[j]
             symbol = self._symbols[j] = self._instance(j)
         return symbol
-
-    def __contains__(self, symbol) -> bool:
-        return getattr(symbol, "canon", None) in self.position
 
 
 @dataclass(frozen=True)
@@ -510,15 +554,15 @@ class ClassifierRegistry:
         return frozenset(self.classifiers())
 
     @cached_property
-    def _perception_space(self) -> SymbolSpace:
-        return _Layout("perception", self.classifiers()).space()
+    def _perception_layout(self) -> Layout:
+        return Layout("perception", self.classifiers())
 
     @cached_property
-    def _grounding_layout(self) -> "_Layout":
-        return _Layout("grounding", _type_level_symbols(self),
-                       [("class", c) for c in self.object_classes]
-                       + [("color", c) for c in self.colors]
-                       + [("region", l) for l in SCENE_LABELS])
+    def _grounding_layout(self) -> Layout:
+        return Layout("grounding", _type_level_symbols(self),
+                      [("class", c) for c in self.object_classes]
+                      + [("color", c) for c in self.colors]
+                      + [("region", l) for l in SCENE_LABELS])
 
     @cached_property
     def _costs(self) -> dict[PerceptionSymbol, CostModel]:
@@ -540,12 +584,12 @@ def default_registry() -> ClassifierRegistry:
 @cache
 def enumerate_semantic_space() -> SymbolSpace:
     """The fixed scene-symbol space; always eight symbols, built once."""
-    return _Layout("semantic", [SemanticSymbol(l) for l in SCENE_LABELS]).space()
+    return Layout("semantic", [SemanticSymbol(l) for l in SCENE_LABELS]).constraint_space
 
 
 def enumerate_perception_space(registry: ClassifierRegistry) -> SymbolSpace:
     """One symbol per registered classifier; built once per registry."""
-    return registry._perception_space
+    return registry._perception_layout.constraint_space
 
 
 def _type_level_symbols(registry: ClassifierRegistry) -> list[GroundingSymbol]:
@@ -560,84 +604,10 @@ def enumerate_grounding_type_space(registry: ClassifierRegistry) -> SymbolSpace:
     """Constraint symbols only -- the subspace the grounding model trains on.
 
     It is the grounding layout's space with no world, cached on the
-    registry: its vocabulary also numbers the instance keys, which no row
-    of it has, and it shares its ``ChildTable`` with every world's space.
+    registry: its layout also numbers the instance keys, which no row of
+    it has, and is every world's space's layout.
     """
     return registry._grounding_layout.constraint_space
-
-
-class _Layout:
-    """A domain's constraint symbols and the numbering of their keys.
-
-    ``vocabulary`` numbers the keys of the constraint symbols, in canon
-    order and in the order each first has them, and then, when
-    ``instance_pairs`` is given, every key an action or object symbol
-    with some of those attribute pairs can have.  The T constraint symbols
-    are symbols and rows 0 to T - 1.  A world adds, for its i-th distinct
-    (class, colour, region) signature, row T + 2i for the action symbols
-    and row T + 2i + 1 for the object symbols that have it.
-    """
-
-    def __init__(self, domain: str, constraint_symbols, instance_pairs=()):
-        self.domain = domain
-        self.constraints = tuple(sorted(constraint_symbols, key=lambda s: s.canon))
-        named = [key_names(s.variant, s.attributes) for s in self.constraints]
-        self.vocabulary = KeyVocabulary(itertools.chain(
-            *named, *(key_names(v, instance_pairs)
-                      for v in INSTANCE_VARIANTS if instance_pairs)))
-        index = self.vocabulary.index
-        self.constraint_keys = tuple(tuple(map(index.__getitem__, names))
-                                     for names in named)
-        self.children = ChildTable(self.vocabulary, self.constraints)
-        self._signature_keys: dict[tuple, tuple] = {}
-
-    @cached_property
-    def constraint_space(self) -> SymbolSpace:
-        """The space of the constraint symbols alone: a world with no objects."""
-        return self.space()
-
-    def signature_keys(self, signature) -> tuple:
-        """The keys of the (action, object) symbols of one signature.
-
-        An attribute outside the vocabulary raises ``InvalidSpec``.
-        """
-        keys = self._signature_keys.get(signature)
-        if keys is None:
-            attrs = signature_attrs(*signature)
-            try:
-                keys = tuple(tuple(self.vocabulary.index[n] for n in key_names(v, attrs))
-                             for v in INSTANCE_VARIANTS)
-            except KeyError:
-                raise InvalidSpec(f"object signature {signature} is outside the"
-                                  f" {self.domain} vocabulary") from None
-            self._signature_keys[signature] = keys
-        return keys
-
-    def space(self, name=None, codes=(), signatures=()) -> SymbolSpace:
-        """The space of the constraint symbols and of the objects' instances.
-
-        Object ``i`` has the id ``name(i)`` and the signature
-        ``signatures[codes[i]]``.  The T constraint symbols come first;
-        then object ``i``'s action symbol is symbol T + i and its object
-        symbol T + n + i: instances are laid out in object order, not
-        sorted.  Instance symbols are made when read, and only then is
-        ``name`` called.
-        """
-        codes = np.asarray(codes, dtype=np.intp)
-        n, t = len(codes), len(self.constraints)
-        actions = t + 2 * codes
-        row_of = np.concatenate((np.arange(t), actions, actions + 1))
-
-        def instance(j: int) -> GroundingSymbol:
-            variant, i = divmod(j - t, n)
-            return GroundingSymbol(INSTANCE_VARIANTS[variant], name(i),
-                                   signature_attrs(*signatures[codes[i]]))
-
-        keys = (self.signature_keys(s) for s in signatures)
-        row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
-        return SymbolSpace(self.domain, self.vocabulary,
-                           [*self.constraints, *[None] * (2 * n)], row_keys,
-                           row_of, self.children, instance)
 
 
 def enumerate_grounding_space(world, registry: ClassifierRegistry) -> SymbolSpace:

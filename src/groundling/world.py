@@ -134,6 +134,10 @@ class CooccurrenceModel:
         unknown = (set(rows) | set(prior or ())) - set(SCENE_LABELS)
         if unknown:
             raise InvalidSpec(f"scene labels outside the taxonomy: {sorted(unknown)}")
+        rowless = set(prior or ()) - set(rows)
+        if rowless:
+            raise InvalidSpec(f"prior weights for scene labels with no"
+                              f" co-occurrence row: {sorted(rowless)}")
         characteristic = frozenset(characteristic)
         k = len(characteristic)
         if prior is None:
@@ -668,19 +672,22 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
         code = log.colors.index(symbol.param)
         return detections._replace(confirmed=detections.confirmed | {code}), cost
     obs = log.obs[rows]
-    if symbol.kind == BBOX_ESTIMATOR:
-        # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with cos
-        # and sin from ``math`` once per log pose: every element goes
-        # through the same IEEE operations, in the same order, as the
-        # scalar form.
-        cos, sin = log.trig[obs].T
-        robot, rel = log.poses[obs], log.rel[rows]
-        x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
-        y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
-        return detections._replace(position=np.stack((x, y), axis=1)), cost
-    if symbol.kind == POSE_ESTIMATOR:
-        theta = log.poses[obs, 2] + log.rel[rows, 2]
-        return detections._replace(theta=theta), cost
+    # Finite poses can sum to inf, and inf to NaN, as Python floats do,
+    # unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if symbol.kind == BBOX_ESTIMATOR:
+            # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with
+            # cos and sin from ``math`` once per log pose: every element
+            # goes through the same IEEE operations, in the same order, as
+            # the scalar form.
+            cos, sin = log.trig[obs].T
+            robot, rel = log.poses[obs], log.rel[rows]
+            x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
+            y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
+            return detections._replace(position=np.stack((x, y), axis=1)), cost
+        if symbol.kind == POSE_ESTIMATOR:
+            theta = log.poses[obs, 2] + log.rel[rows, 2]
+            return detections._replace(theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 
 

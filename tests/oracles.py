@@ -54,9 +54,8 @@ from groundling.symbols import (
     NOISE_FILTER,
     OBJECT_DETECTOR,
     POSE_ESTIMATOR,
-    ChildTable,
     ClassifierRegistry,
-    KeyVocabulary,
+    Layout,
     PerceptionSymbol,
     SymbolSpace,
     action_instance,
@@ -98,23 +97,27 @@ def symbol_space(domain: str, symbols) -> SymbolSpace:
 
     Constraint symbols come first, sorted by canon, and then the instance
     symbols of each variant in one block, in the order given.  Keys are
-    numbered in the order the laid-out symbols first have them, and
-    symbols with the same keys share a row, numbered as it first appears;
-    so the T constraints are rows 0 to T - 1.
+    numbered in the order the laid-out symbols first have them, which is
+    checked to be how a ``Layout`` of the constraints and of the
+    instances' attribute pairs, in the order they first appear, numbers
+    them: so it is when each instance block holds the same objects in
+    the same order.  Symbols with the same keys share a row, numbered as
+    it first appears; so the T constraints are rows 0 to T - 1.
     """
     ordered = sorted(symbols, key=_layout_key)
     canons = [s.canon for s in ordered]
     if len(set(canons)) < len(canons):
         raise InvalidSpec(f"duplicate symbol among {canons}")
-    named = [key_names(s.variant, s.attributes) for s in ordered]
-    vocabulary = KeyVocabulary(itertools.chain.from_iterable(named))
-    rows: dict[tuple, int] = {}
-    row_of = [rows.setdefault(tuple(map(vocabulary.index.__getitem__, names)),
-                              len(rows)) for names in named]
     constraints = [s for s in ordered if s.variant not in INSTANCE_VARIANTS]
+    layout = Layout(domain, constraints, tuple(dict.fromkeys(
+        pair for s in ordered[len(constraints):] for pair in s.attributes)))
+    named = [key_names(s.variant, s.attributes) for s in ordered]
+    assert layout.names == tuple(dict.fromkeys(itertools.chain.from_iterable(named)))
+    rows: dict[tuple, int] = {}
+    row_of = [rows.setdefault(tuple(map(layout.index.__getitem__, names)),
+                              len(rows)) for names in named]
     assert row_of[:len(constraints)] == list(range(len(constraints)))
-    return SymbolSpace(domain, vocabulary, ordered, tuple(rows), row_of,
-                       ChildTable(vocabulary, constraints))
+    return SymbolSpace(layout, ordered, tuple(rows), row_of)
 
 
 def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
@@ -132,26 +135,27 @@ def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:
     tokens = ["bias", f"cat={phrase.category}",
               *(f"w={word}" for word in dict.fromkeys(phrase.words)),
               *(f"cv={u}" for u in sorted({c.variant for c in kids}))]
-    rows = {space[j].canon: int(space.row_of[j]) for j in range(len(space.children))}
-    index = space.vocabulary.index
+    rows = {space[j].canon: int(space.row_of[j])
+            for j in range(len(space.layout.constraints))}
+    index = space.layout.index
     ceq = [(rows[c.canon], index[c.variant]) for c in kids if c.canon in rows]
     return tokens, {p for c in kids for p in c.attributes}, ceq
 
 
 class _TokenVectors:
-    """One model's weight vector over a vocabulary's keys per token."""
+    """One model's weight vector over a layout's keys per token."""
 
-    def __init__(self, weights, vocabulary: KeyVocabulary):
+    def __init__(self, weights, layout: Layout):
         self.get = weights.get
-        self.vocabulary = vocabulary
+        self.layout = layout
         self.tokens: dict[str, np.ndarray] = {}
         self.cmatch, self.dig, self.ceq = map(self.token, ("cmatch", "dig", "ceq"))
 
     def token(self, token: str) -> np.ndarray:
         vector = self.tokens.get(token)
         if vector is None:
-            vector = np.zeros(len(self.vocabulary))
-            for k, name in _features(self.vocabulary, token):
+            vector = np.zeros(len(self.layout.names))
+            for k, name in _features(self.layout, token):
                 vector[k] = self.get(name, 0.0)
             self.tokens[token] = vector
         return vector
@@ -172,17 +176,16 @@ def symbol_logits(model: CorrespondenceModel, phrase: Phrase, space: SymbolSpace
     are gathered to the symbols; a non-finite logit raises
     ``NonFiniteScore`` at once.
     """
-    by_vocabulary = _VECTORS.setdefault(model, {})
-    vectors = by_vocabulary.get(space.vocabulary)
+    by_layout = _VECTORS.setdefault(model, {})
+    vectors = by_layout.get(space.layout)
     if vectors is None:
-        vectors = by_vocabulary[space.vocabulary] = _TokenVectors(model.weights,
-                                                                  space.vocabulary)
+        vectors = by_layout[space.layout] = _TokenVectors(model.weights, space.layout)
     tokens, child_pairs, ceq = phrase_side(phrase, child_trues, space)
-    key_weights = np.where(space.vocabulary.cells_of(digest), vectors.dig, 0.0)
+    key_weights = np.where(space.layout.cells_of(digest), vectors.dig, 0.0)
     for token in tokens:
         key_weights += vectors.token(token)
     if child_pairs:
-        key_weights += np.where(space.vocabulary.cells_of(child_pairs),
+        key_weights += np.where(space.layout.cells_of(child_pairs),
                                 vectors.cmatch, 0.0)
     rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
                        minlength=len(space.row_keys))
@@ -208,7 +211,7 @@ def infer_by_symbols(model: CorrespondenceModel, tree: ParseTree,
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
     phrases = tree.phrases()
-    constraints = len(space.children)
+    constraints = len(space.layout.constraints)
     probabilities = np.empty((len(phrases), len(space)))
     kids: list[list] = [[]] * len(phrases)
     for phrase in phrases:

@@ -286,7 +286,7 @@ def test_infer_is_bit_equal_to_the_symbol_oracle(bundle, corpus_split, registry,
                                                  site_worlds):
     # The oracle derives each phrase's tokens and each child's features
     # from the symbols and passes child symbols up the tree; inference
-    # reads them from the tree and the layout's child table.  Every
+    # reads them from the tree and the space's layout.  Every
     # probability has the same bits, with the seed-7 models and with
     # hashed weights, under which many more children hold.
     hashed = ModelBundle(**{d: CorrespondenceModel(domain=d, weights=HashWeights(f"bits-{d}"))
@@ -319,23 +319,24 @@ def test_child_table_matches_the_symbols(registry, site_worlds):
     made = [enumerate_semantic_space(), enumerate_perception_space(registry),
             enumerate_grounding_type_space(registry),
             *(enumerate_grounding_space(w, registry) for w in worlds)]
-    # One table per layout, shared by every space it makes: the grounding
+    # One layout per domain, shared by every space it makes: the grounding
     # type space is the grounding layout's space with no world.
-    assert all(space.children is made[2].children for space in made[2:])
+    assert all(space.layout is made[2].layout for space in made[2:])
     phrase = parse_text("go to the ball", registry).phrases()[0]
     for space in made + [symbol_space(s.domain, tuple(s)) for s in made[:4]]:
-        table = space.children
-        assert table.ordinal == {space[c].canon: c for c in range(len(table))}
-        assert all(s.variant in INSTANCE_VARIANTS for s in list(space)[len(table):])
+        table = space.layout
+        assert table.ordinal == {space[c].canon: c for c in range(len(table.constraints))}
+        assert all(s.variant in INSTANCE_VARIANTS
+                   for s in list(space)[len(table.constraints):])
         assert list(table.cv) == sorted(set(table.cv))
-        for c in range(len(table)):
+        for c in range(len(table.constraints)):
             tokens, pairs, ceq = oracles.phrase_side(phrase, {space[c]}, space)
-            assert tokens[-1] == table.cv[table.variant[c]]
+            assert tokens[-1] == table.cv[table.cv_rank[c]]
             assert table.tokens(tokens[:-1], [c]) == tokens
-            assert sorted(table.cells[c]) == np.flatnonzero(
-                space.vocabulary.cells_of(pairs)).tolist()
-            assert ceq == [(c, int(table.key[c]))]
-        cells = [k for keys in table.cells for k in keys]
+            assert sorted(table.cmatch_cells[c]) == np.flatnonzero(
+                space.layout.cells_of(pairs)).tolist()
+            assert ceq == [(c, int(table.constraint_keys[c][0]))]
+        cells = [k for keys in table.cmatch_cells for k in keys]
         assert len(set(cells)) == len(cells)
     # Children sharing a cell would fire cmatch at it twice.
     with pytest.raises(InvalidSpec):
@@ -616,16 +617,16 @@ def test_design_matches_the_phrase_by_phrase_oracle(seed7_training, reference,
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_fixed_designs_match_the_generic_layout(seed7_training, domain):
     # A fixed space's design is the design on the generic layout of the
-    # same symbols, whose vocabulary numbers only their own keys.  The
+    # same symbols, whose layout numbers only their own keys.  The
     # grounding type space is the grounding layout's space with no world,
-    # so its vocabulary also numbers the instance keys; no column is named
+    # so its layout also numbers the instance keys; no column is named
     # at them, nor at their cmatch and dig cells.
     space, examples = seed7_training[domain]
     generic = symbol_space(space.domain, space)
     if domain == "grounding":
-        assert len(space.vocabulary) > len(generic.vocabulary)
+        assert len(space.layout.names) > len(generic.layout.names)
     else:
-        assert space.vocabulary.names == generic.vocabulary.names
+        assert space.layout.names == generic.layout.names
     design, labels, counts, names = assemble_design(space, examples)
     want, want_labels, want_counts, want_names = assemble_design(generic, examples)
     assert_same_csr(design, want)

@@ -85,9 +85,20 @@ def generic_space(objects, registry) -> SymbolSpace:
 
 def laid_out(space) -> list:
     """Each symbol with its canon and the names of its row's keys, in order."""
-    names = space.vocabulary.names
+    names = space.layout.names
     return [(symbol, symbol.canon, tuple(names[k] for k in space.row_keys[row]))
             for symbol, row in zip(space, space.row_of.tolist())]
+
+
+def fired_as_children(space) -> list:
+    """What each constraint of ``space``'s layout fires as a child, by
+    name: its canon and ordinal, its ``cv=`` token, its ``ceq`` key, and
+    the ``cmatch`` cells of it that some row of the space has."""
+    layout, present = space.layout, set(space.entry_key.tolist())
+    names = layout.names
+    return [(canon, c, layout.cv[layout.cv_rank[c]], names[layout.constraint_keys[c][0]],
+             sorted(names[k] for k in layout.cmatch_cells[c] if k in present))
+            for canon, c in layout.ordinal.items()]
 
 
 # (class, colour, region) signatures, with a class and a scene label
@@ -102,11 +113,18 @@ _SIGNATURES = st.tuples(
 def signature_worlds(draw):
     """(registry, world): objects that repeat a few signatures, with ids
     that share prefixes (``cup@5.0,1.0``, ``cup@5.0,1.0#2``, ``#10``), in
-    any order; the registry may add the class ``drone``."""
+    any order.  The registry is the default one, or one whose classes and
+    colours are drawn, in any order, from a few names, so that it may
+    lack a class or a colour of the objects."""
     registry = default_registry()
     if draw(st.booleans()):
-        registry = replace(registry,
-                           object_classes=registry.object_classes + ("drone",))
+        names = st.sampled_from
+        registry = replace(
+            registry,
+            object_classes=tuple(draw(st.lists(names(("cup", "ball", "drone", "chair")),
+                                               min_size=1, unique=True))),
+            colors=tuple(draw(st.lists(names(("red", "blue", "green")),
+                                       min_size=1, unique=True))))
     signatures = draw(st.lists(_SIGNATURES, min_size=1, max_size=3))
     objects, seen = [], {}
     for _ in range(draw(st.integers(0, 14))):
@@ -137,16 +155,17 @@ def test_grounding_space_matches_the_generic_construction(case):
     registry, world = case
     # The fixed spaces lay out their symbols as the generic layout does.
     # The semantic and perception spaces number only their own symbols'
-    # keys; the grounding type space's vocabulary also numbers instance
+    # keys; the grounding type space's layout also numbers instance
     # keys, which no row of it has (test_fixed_designs_match_the_generic_layout).
     types = enumerate_grounding_type_space(registry)
     for fixed in (enumerate_semantic_space(), enumerate_perception_space(registry), types):
         reference = symbol_space(fixed.domain, fixed)
         if fixed is not types:
-            assert fixed.vocabulary.names == reference.vocabulary.names
+            assert fixed.layout.names == reference.layout.names
         assert laid_out(fixed) == laid_out(reference)
+        assert fired_as_children(fixed) == fired_as_children(reference)
     if any(o.cls not in registry.object_classes or o.region not in SCENE_LABELS
-           for o in world.objects):
+           or o.color not in (None, *registry.colors) for o in world.objects):
         with pytest.raises(InvalidSpec):
             enumerate_grounding_space(world, registry)
         return
@@ -161,14 +180,16 @@ def assert_laid_out_in_column_order(world, objects, registry):
     the same symbols."""
     space = enumerate_grounding_space(world, registry)
     types = enumerate_grounding_type_space(registry)
-    t, n = len(space.children), len(objects)
+    t, n = len(space.layout.constraints), len(objects)
     assert t == len(types) and len(space) == t + 2 * n
     assert laid_out(space)[:t] == laid_out(types)
-    assert space.children is types.children
-    assert space.children.ordinal == {s.canon: c for c, s in enumerate(types)}
+    assert space.layout is types.layout
+    assert space.layout.ordinal == {s.canon: c for c, s in enumerate(types)}
     assert [(s.variant, s.value) for s in list(space)[t:]] == [
         (v, o.id) for v in ("action", "object") for o in objects]
-    assert laid_out(space) == laid_out(generic_space(objects, registry))
+    generic = generic_space(objects, registry)
+    assert laid_out(space) == laid_out(generic)
+    assert fired_as_children(space) == fired_as_children(generic)
     # The constraints among any assignment's root-true symbols are its
     # leading columns.
     probabilities = np.random.default_rng(len(space)).random((2, len(space)))
@@ -255,7 +276,7 @@ def test_an_empty_build_is_the_world_model_of_no_objects(registry, site_logs):
         assert signatures == () and codes.tolist() == []
         assert world.digest() == frozenset() == none.digest()
         space = enumerate_grounding_space(world, registry)
-        assert len(space) == len(types) and space.children is types.children
+        assert len(space) == len(types) and space.layout is types.layout
     assert builds[2].total_cost > 0 and builds[2].cost_ledger
 
 

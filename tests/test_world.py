@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -200,12 +201,15 @@ def test_cooccurrence_rejects_labels_outside_the_taxonomy(rows, prior):
     ({"hallway": {"ball": 1.0}, "office": {"cup": 1.0}}, {"hallway": 0.0, "office": 0.0}),
     ({"hallway": {"ball": 1e308, "cup": 1e308}}, None),
     ({"hallway": {"ball": 1.0}, "office": {"cup": 1.0}}, {"hallway": 1e308, "office": 1e308}),
+    ({"hallway": {"ball": 1.0}}, {"hallway": 1.0, "kitchen": 1.0}),
 ], ids=["nan-entry", "inf-entry", "nan-prior", "negative-prior", "zero-prior-sum",
-        "overflowing-row-sum", "overflowing-prior-sum"])
+        "overflowing-row-sum", "overflowing-prior-sum", "prior-label-without-row"])
 def test_cooccurrence_rejects_non_numbers_and_bad_priors(rows, prior):
     # Each would reach ``classify_detections``: a NaN score leaves no
     # label to pick, and a negative weight or a sum that overflows to inf
-    # (every probability 0) gives wrong log terms.
+    # (every probability 0) gives wrong log terms.  A prior weight of a
+    # label with no row would count in the prior's sum, so the priors of
+    # the labels that can win would not sum to 1.
     with pytest.raises(InvalidSpec):
         CooccurrenceModel.from_dict(rows, characteristic=["ball", "cup"], prior=prior)
 
@@ -622,6 +626,28 @@ def test_merge_votes_and_angle(registry, observations, without, expected):
     seen = {"color": obj.color, "region": obj.region, "theta": obj.pose[2]}
     assert {key: seen[key] for key in expected} == expected
     assert_same_world(observations, classifiers, registry)
+
+
+def test_finite_poses_that_overflow_build_the_oracles_world(registry, tmp_path):
+    # Each pose is finite, so the loader takes it, but the robot's x plus
+    # the first record's rel x, and the robot's heading plus the second
+    # record's rel heading, are inf; the geometry stages sum them as
+    # Python floats do, with no RuntimeWarning.
+    path = tmp_path / "log.jsonl"
+    save_observations([Observation(
+        t=0, robot_pose=(1.7e308, 0.0, 0.0), scene_label="kitchen",
+        scene_scores=(("kitchen", 0.0),),
+        sensed=(RawDetection(None, (1.7e308, 0.0, 0.0), "cup", "red"),)), Observation(
+        t=1, robot_pose=(0.0, 0.0, 1.7e308), scene_label="kitchen",
+        scene_scores=(("kitchen", 0.0),),
+        sensed=(RawDetection(None, (0.0, 0.0, 1.7e308), "ball", "red"),))], path)
+    log = load_observations(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_same_world(log, full_classifiers(registry), registry)
+        built = build_world_model(log, full_classifiers(registry), registry)
+    assert [(o.id, o.pose[2]) for o in built.objects] == [
+        ("ball@0.0,0.0", math.inf), ("cup@inf,0.0", 0.0)]
 
 
 def _turning(spec):
