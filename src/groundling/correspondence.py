@@ -42,7 +42,7 @@ search, written on numpy: importing ``scipy.optimize`` would add about
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import weakref
@@ -146,9 +146,9 @@ class _RowScorer:
     constraints, in sorted order.  Then come the
     ``dig`` weights of the digest's cells and each child's ``cmatch``
     weights; no other token fires at a cell, and no two constraints share
-    a cell (``Layout``).  Each key thus gets its terms in the order
-    ``assemble_design`` lists its columns (a cell's two terms commute), so
-    every logit is bit-equal to the sum of its features' weights in that
+    a cell (``Layout``).  Each key thus gets its terms in one fixed order,
+    the tokens' and then, at a cell, two terms that commute, so every
+    logit is bit-equal to the sum of its features' weights in that
     order.  Each row then sums its keys' weights once, and row ``c`` adds
     the ``ceq`` weight of child ``c``, which it repeats.  Children are
     ordinals into the space's layout: scoring makes no symbol and reads
@@ -383,6 +383,45 @@ class TrainingExample:
     digest: frozenset = frozenset()
 
 
+def _row_arrays(space: SymbolSpace) -> tuple:
+    """What a row's columns read of the row, as arrays over the rows.
+
+    Returns ``(classes, token_keys, cell_keys)``.  ``token_keys[r]`` are
+    row ``r``'s variant key, where every phrase token fires, and then its
+    pair keys, where a word also fires.  So a row of a phrase with a word
+    is told from the space's other rows by its variant and pair keys,
+    numbered by ``classes[1]``, and one without by its variant alone,
+    numbered by ``classes[0]``.  ``cell_keys[r, a]`` is the key of row
+    ``r``'s cell of the ``a``-th attribute name: ``cmatch`` and ``dig``
+    name one column per (attribute name, variant), whatever the value.
+    Missing keys are ``len(layout.names)``.
+    """
+    layout = space.layout
+    variants, pad = dict(layout.variants), len(layout.names)
+    is_cell = layout.cell_pair < len(layout.pairs)
+    slots: dict[str, int] = {}
+    by_variant: dict[int, int] = {}
+    by_keys: dict[tuple, int] = {}
+    classes, token_keys, cells = [], [], []
+    for keys in space.row_keys:
+        (variant,) = (k for k in keys if k in variants)
+        pairs = sorted(k for k in keys if k != variant and not is_cell[k])
+        classes.append((by_variant.setdefault(variant, len(by_variant)),
+                        by_keys.setdefault((variant, *pairs), len(by_keys))))
+        token_keys.append([variant, *pairs])
+        cells.append({slots.setdefault(layout.names[k][0][0], len(slots)): k
+                      for k in keys if is_cell[k]})
+    width = max(map(len, token_keys))
+    cell_keys = np.full((len(cells), len(slots)), pad, dtype=np.intp)
+    for r, row in enumerate(cells):
+        for a, k in row.items():
+            cell_keys[r, a] = k
+    return (np.array(classes, dtype=np.int64).T,
+            np.array([keys + [pad] * (width - len(keys)) for keys in token_keys],
+                     dtype=np.intp),
+            cell_keys)
+
+
 def assemble_design(space: SymbolSpace, examples) -> tuple:
     """Build the distinct rows of a training set's design, with their counts.
 
@@ -390,36 +429,35 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     holding the features that ``phrase_logits`` would sum for it, and
     labelled 1 where the symbol is gold at the phrase; child conditioning
     uses the gold assignments, read from the space's layout as inference
-    reads them.  Only its distinct (column set, label) rows are
-    built, in the order they first occur, each with how often it occurs.
-    A phrase's rows depend only on its category and words, its children's
-    gold symbols and the digest, so each distinct phrase numbers the
-    column set of each row of the space once, and a phrase is its rows'
-    numbers gathered to the symbols, plus its gold labels.  A column is a
-    feature name, named by ``_features`` once per token, and only at a
-    key that some row of the space has: a layout also numbers the keys of
-    instances that a space may not hold.
+    reads them.  Only its distinct (column set, label) rows are built, in
+    the order they first occur, each with how often it occurs.
+
+    A row's column set depends on four things only: the phrase's token
+    set (``Layout.tokens``), the row, which of the row's cells fire
+    ``cmatch`` (a child's cell) or ``dig`` (the digest's), and whether the
+    row repeats a child (``ceq``).  Each (distinct phrase, row) packs them
+    into one int64 code, the row read as ``_row_arrays`` classes it, so
+    that two codes are equal exactly when the column sets are; with the
+    label in the low bit, one ``np.unique`` over the (phrase, symbol)
+    pairs finds the distinct rows and their counts.  Only the distinct
+    rows get their columns, gathered from each token's key-to-column
+    array and sorted.  A column is a feature name, named by ``_features``,
+    and numbered by sorted name among the names some row has: a layout
+    also numbers the keys of instances that a space may not hold.
     Returns ``(matrix, labels, counts, feature_names)``.
     """
     position, layout = space.position, space.layout
-    present = np.zeros(len(layout.names), dtype=bool)
-    present[space.entry_key] = True
-    # Each feature name's column, numbered when it is first named, and
-    # each token's (key, column) at every present key a full token fires at.
-    named: dict[str, int] = {}
-    names_of = functools.cache(lambda token: dict(_features(layout, token)))
-
-    def column(token: str, key: int) -> int:
-        return named.setdefault(names_of(token)[key], len(named))
-
-    fired = functools.cache(lambda token: [(key, column(token, key))
-                                           for key in names_of(token) if present[key]])
-    # Each distinct column set, by its sorted columns, and its number.
-    numbered: dict[tuple, int] = {}
-    # Each distinct phrase's column-set numbers per symbol, and the block
-    # of each phrase in phrase order.
-    blocks: dict[tuple, np.ndarray] = {}
-    order: list[np.ndarray] = []
+    classes, token_keys, cell_keys = _row_arrays(space)
+    # Each distinct phrase, numbered as first seen: its token set's number,
+    # its digest's, and its children's true constraints as (phrase, kid).
+    distinct: dict[tuple, int] = {}
+    token_sets: dict[tuple, int] = {}
+    digests: dict[frozenset, int] = {}
+    phrase_tokens: list[int] = []
+    phrase_digest: list[int] = []
+    kid_phrase: list[int] = []
+    kids: list[int] = []
+    occurrences: list[int] = []  # the distinct phrase of each phrase
     trues: list[int] = []  # the (phrase, symbol) pairs labelled 1
     for example in examples:
         phrases = example.tree.phrases()
@@ -429,60 +467,98 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
         if outside:
             raise CorpusDomainMismatch(
                 f"gold symbol {min(outside)!r} is outside the {space.domain!r} space")
-        for phrase in phrases:
+        for phrase, own in zip(phrases, example.tree.feature_tokens):
             children = frozenset(c for child in phrase.children
                                  for c in example.gold[child.index])
             seen = (phrase.category, phrase.words, children, example.digest)
-            block = blocks.get(seen)
-            if block is None:
+            p = distinct.get(seen)
+            if p is None:
+                p = distinct[seen] = len(distinct)
                 # Instances among the children fire nothing.
-                kids = [layout.ordinal[c] for c in children if c in layout.ordinal]
-                columns_of: list[list[int]] = [[] for _ in range(len(layout.names))]
-                for token in layout.tokens(feature_tokens(phrase), kids):
-                    for key, c in fired(token):
-                        columns_of[key].append(c)
-                cmatch = {k for c in kids for k in layout.cmatch_cells[c] if present[k]}
-                dig = np.flatnonzero(layout.cells_of(example.digest) & present)
-                for token, keys in (("cmatch", sorted(cmatch)), ("dig", dig.tolist())):
-                    for key in keys:
-                        columns_of[key].append(column(token, key))
-                repeats = {c: column("ceq", layout.constraint_keys[c][0]) for c in kids}
-                numbers = []
-                for row, keys in enumerate(space.row_keys):
-                    columns = [c for key in keys for c in columns_of[key]]
-                    if row in repeats:
-                        columns.append(repeats[row])
-                    columns.sort()
-                    numbers.append(numbered.setdefault(tuple(columns), len(numbered)))
-                block = blocks[seen] = np.array(numbers, dtype=np.intp)[space.row_of]
-            offset = len(order) * len(position)
+                ordinals = [layout.ordinal[c] for c in children if c in layout.ordinal]
+                tokens = tuple(sorted(layout.tokens(own, ordinals)))
+                phrase_tokens.append(token_sets.setdefault(tokens, len(token_sets)))
+                phrase_digest.append(digests.setdefault(example.digest, len(digests)))
+                kid_phrase += [p] * len(ordinals)
+                kids += ordinals
+            offset = len(occurrences) * len(position)
             trues.extend(offset + position[c] for c in example.gold[phrase.index])
-            order.append(block)
-    # A row is its column set's number and its label, one code; the
-    # distinct codes, in the order they first occur, are the rows.
-    codes = 2 * np.concatenate([np.empty(0, dtype=np.intp), *order])
-    codes[trues] += 1
-    codes, first, counts = np.unique(codes, return_index=True, return_counts=True)
+            occurrences.append(p)
+    # Each token's column at each key it fires at, -1 elsewhere: columns
+    # are first numbered by sorted name among every name of every token,
+    # and the last row, for no token, and last column, for no key, are -1.
+    vocabulary = sorted({t for tokens in token_sets for t in tokens})
+    vocabulary += ("cmatch", "dig", "ceq")
+    fired = [(t, k, name) for t, token in enumerate(vocabulary)
+             for k, name in _features(layout, token)]
+    candidates = sorted({name for _, _, name in fired})
+    numbered = {name: n for n, name in enumerate(candidates)}
+    column = np.full((len(vocabulary) + 1, len(layout.names) + 1), -1, dtype=np.int32)
+    t, k, name = zip(*fired)
+    column[t, k] = [numbered[n] for n in name]
+    cmatch_column, dig_column, ceq_column = column[-4:-1]
+    by_set = np.full((len(token_sets), max(map(len, token_sets), default=0)),
+                     len(vocabulary), dtype=np.intp)
+    rank = {token: t for t, token in enumerate(vocabulary)}
+    for s, tokens in enumerate(token_sets):
+        by_set[s, :len(tokens)] = [rank[token] for token in tokens]
+    has_word = np.array([any(t.startswith("w=") for t in tokens) for tokens in token_sets],
+                        dtype=bool)
+    # Each distinct phrase's code at each row: its token set, the row's
+    # class, then two bits per attribute name (cmatch, dig) and ceq.
+    n_phrases, n_keys = len(phrase_tokens), len(layout.names)
+    tokens_of = np.array(phrase_tokens, dtype=np.int64)
+    ceq = np.zeros((n_phrases, len(space.row_keys)), dtype=np.int64)
+    ceq[kid_phrase, kids] = 1
+    cmatch = np.zeros((n_phrases, n_keys + 1), dtype=np.int64)
+    width = max(map(len, layout.cmatch_cells), default=0)
+    cmatch_cells = np.array([[*keys, *[n_keys] * (width - len(keys))]
+                             for keys in layout.cmatch_cells], dtype=np.intp)
+    cmatch[np.array(kid_phrase, dtype=np.intp)[:, None], cmatch_cells[kids]] = 1
+    cmatch[:, n_keys] = 0
+    dig = np.zeros((len(digests), n_keys + 1), dtype=np.int64)
+    for digest, d in digests.items():
+        dig[d, :n_keys] = layout.cells_of(digest)
+    dig = dig[np.array(phrase_digest, dtype=np.intp)]
+    row_class = np.where(has_word[tokens_of][:, None], classes[1], classes[0])
+    codes = tokens_of[:, None] * (classes[1].max() + 1) + row_class
+    for keys in cell_keys.T:
+        codes = (codes << 2) | (cmatch[:, keys] << 1) | dig[:, keys]
+    codes = (codes << 1) | ceq
+    # A (phrase, symbol) pair is its code and its label, in the low bit;
+    # the distinct pairs, in the order they first occur, are the rows.
+    occurrences = np.array(occurrences, dtype=np.intp)
+    pairs = (codes[:, space.row_of][occurrences] << 1).ravel()
+    pairs[trues] |= 1
+    pairs, first, counts = np.unique(pairs, return_index=True, return_counts=True)
     ranked = np.argsort(first)
-    codes, counts = codes[ranked], counts[ranked]
-    # Columns are numbered in first-named order; renumber them by name so
-    # the design, and the floating-point sums over it, do not depend on
-    # the order in which examples fire their features.
-    names = sorted(named)
-    renumber = np.empty(len(names), dtype=np.int32)
-    renumber[[named[name] for name in names]] = np.arange(len(names))
-    column_sets = list(numbered)
-    rows = [column_sets[n] for n in (codes // 2).tolist()]
-    lengths = [len(row) for row in rows]
-    indices = np.fromiter((c for row in rows for c in row), dtype=np.int32,
-                          count=sum(lengths))
+    pairs, counts = pairs[ranked], counts[ranked]
+    at, symbol = np.divmod(first[ranked], len(position))
+    p = occurrences[at]
+    r = space.row_of[symbol]
+    # Each distinct row's columns: its tokens' at its variant and pair
+    # keys, cmatch's and dig's at its cells where they fire, and ceq's.
+    keys, cells = token_keys[r], cell_keys[r]
+    columns = np.concatenate((
+        column[by_set[tokens_of[p]][:, :, None], keys[:, None, :]]
+        .reshape(len(r), by_set.shape[1] * keys.shape[1]),
+        np.where(cmatch[p[:, None], cells], cmatch_column[cells], -1),
+        np.where(dig[p[:, None], cells], dig_column[cells], -1),
+        np.where(ceq[p, r], ceq_column[keys[:, 0]], -1)[:, None]), axis=1)
+    columns.sort(axis=1)
+    kept = columns >= 0
+    indices = columns[kept]
+    # Renumber the columns among the names some row has.
+    used = np.zeros(len(candidates), dtype=bool)
+    used[indices] = True
+    renumber = np.cumsum(used, dtype=np.int32) - 1
+    names = tuple(itertools.compress(candidates, used))
     matrix = sparse.csr_matrix(
         (np.ones(len(indices)), renumber[indices],
-         np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))),
-        shape=(len(rows), len(names)),
+         np.concatenate(([0], np.cumsum(kept.sum(axis=1), dtype=np.int64)))),
+        shape=(len(r), len(names)),
     )
-    matrix.sort_indices()
-    return matrix, (codes % 2).astype(np.float64), counts, tuple(names)
+    return matrix, (pairs & 1).astype(np.float64), counts, names
 
 
 def objective_and_gradient(design, labels, weights, regularization, counts=1):

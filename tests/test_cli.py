@@ -174,12 +174,21 @@ def test_train_rejects_a_negative_or_non_finite_regularization(
 
 
 def test_custom_registry_flows_through(tmp_path, capsys):
+    # A registry of 3 classes and 2 colours gives every layout other sizes
+    # than the default's; the corpus, training and evaluation all read it.
     registry_path = tmp_path / "registry.yaml"
-    assert cli.main(["dump-registry", "--out", str(registry_path)]) == 0
-    out_path = tmp_path / "corpus.jsonl"
-    assert cli.main(["--registry", str(registry_path),
-                     "generate-corpus", "--out", str(out_path)]) == 0
-    assert out_path.exists()
+    save_registry(replace(default_registry(), object_classes=("chair", "cup", "umbrella"),
+                          colors=("red", "white")), registry_path)
+    corpus_path, models_dir = tmp_path / "corpus.jsonl", tmp_path / "models"
+    for command in (["generate-corpus", "--out", str(corpus_path)],
+                    ["train", "--corpus", str(corpus_path), "--out", str(models_dir)],
+                    ["evaluate", "--corpus", str(corpus_path), "--models", str(models_dir)]):
+        capsys.readouterr()
+        assert cli.main(["--registry", str(registry_path), *command]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "train: 400 examples | semantic 1.000 | perception 1.000 | action 1.000",
+        "held-out: 100 examples | semantic 1.000 | perception 1.000 | action 1.000",
+    ]
 
 
 def _encoded(content):

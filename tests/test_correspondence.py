@@ -635,12 +635,23 @@ def test_fixed_designs_match_the_generic_layout(seed7_training, domain):
     assert names == want_names
 
 
+def without_pp_words(phrase):
+    words = () if phrase.category == "PP" else phrase.words
+    return replace(phrase, words=words,
+                   children=tuple(map(without_pp_words, phrase.children)))
+
+
 def draw_rows(data, seed7_training):
     """A few seed-7 examples, some repeated, with in-space canons added to
     or removed from their gold, so that some equal rows differ only in
     their label; returns the package's distinct rows and the oracle's full
-    design, after checking the one against the other."""
-    space, examples = seed7_training[data.draw(st.sampled_from(DOMAINS))]
+    design, after checking the one against the other.  In the world's
+    space, an instance row has several cells, and a child of each of its
+    attributes fires ``cmatch`` at each of them.  Some trees lose the words
+    of their prepositional phrases, which the grammar never does: a phrase
+    with no word gives the rows of one variant the same columns, whatever
+    their attribute values."""
+    space, examples = seed7_training[data.draw(st.sampled_from(DESIGN_SPACES))]
     canons = sorted(s.canon for s in space)
     picked = []
     for i in data.draw(st.lists(st.integers(0, len(examples) - 1),
@@ -650,7 +661,10 @@ def draw_rows(data, seed7_training):
             at = data.draw(st.integers(0, len(gold) - 1))
             remove = bool(gold[at]) and data.draw(st.booleans())
             gold[at] ^= {data.draw(st.sampled_from(sorted(gold[at]) if remove else canons))}
-        picked.append(replace(examples[i], gold=tuple(gold)))
+        tree = examples[i].tree
+        if data.draw(st.booleans()):
+            tree = ParseTree(root=without_pp_words(tree.root))
+        picked.append(replace(examples[i], tree=tree, gold=tuple(gold)))
     rows, full = assert_same_rows(space, picked)
     phrases = sum(len(e.tree.phrases()) for e in picked)
     return rows, full, phrases * len(space)
