@@ -11,18 +11,26 @@ become a world-model object without them.
 Filtering reads no record: it masks the observation log by scene label
 and keeps a view that shares the log's indexed records, so the build
 gathers only the kept observations' rows.
+
+Neither model reads the world, only the parse tree.  A run that both
+filters and selects infers the two assignments in one walk of the tree
+(``infer_instruction``): the stacked model of the two scores the stacked
+space of the two domains, and the result splits into the assignment of
+each, bit for bit what the two walks would give.  ``filter_observations``
+and ``infer_classifiers`` then take their assignment already made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .correspondence import Assignment, CorrespondenceModel, infer
+from .correspondence import Assignment, CorrespondenceModel, StackedModel, infer
 from .grammar import ParseTree
 from .symbols import (
     ClassifierRegistry,
     PerceptionSymbol,
     STRUCTURAL_KINDS,
+    enumerate_instruction_space,
     enumerate_perception_space,
     enumerate_semantic_space,
 )
@@ -59,6 +67,19 @@ def infer_semantics(model: CorrespondenceModel, tree: ParseTree) -> Assignment:
     return infer(model, tree, enumerate_semantic_space())
 
 
+def infer_instruction(model: StackedModel, tree: ParseTree,
+                      registry: ClassifierRegistry) -> tuple[Assignment, ...]:
+    """The semantic and the perception assignment of an instruction, in
+    one walk of its parse tree.
+
+    ``model`` stacks the semantic and perception models
+    (``ModelBundle.instruction``); it scores the registry's instruction
+    space, the semantic symbols and then the perception symbols, and the
+    result is split into one assignment per domain.
+    """
+    return infer(model, tree, enumerate_instruction_space(registry)).parts()
+
+
 def scene_labels(assignment: Assignment) -> frozenset[str]:
     return frozenset(s.scene_label for s in assignment.root_trues())
 
@@ -83,20 +104,30 @@ def filter_by_labels(observations, labels,
 
 
 def filter_observations(observations, model: CorrespondenceModel,
-                        tree: ParseTree) -> FilterDecision:
-    """Keep only observations whose scene label the instruction mentions."""
-    assignment = infer_semantics(model, tree)
+                        tree: ParseTree,
+                        assignment: Assignment | None = None) -> FilterDecision:
+    """Keep only observations whose scene label the instruction mentions.
+
+    ``assignment`` is the semantic assignment of ``tree`` when it is
+    already made (``infer_instruction``); otherwise ``model`` infers it.
+    """
+    if assignment is None:
+        assignment = infer_semantics(model, tree)
     return filter_by_labels(observations, scene_labels(assignment), assignment)
 
 
 def infer_classifiers(model: CorrespondenceModel, tree: ParseTree,
-                      registry: ClassifierRegistry) -> ClassifierSelection:
+                      registry: ClassifierRegistry,
+                      assignment: Assignment | None = None) -> ClassifierSelection:
     """Select the classifiers an instruction needs.
 
     The model's root-true perception symbols are taken verbatim and the
-    structural stages are appended unconditionally.
+    structural stages are appended unconditionally.  ``assignment`` is
+    the perception assignment of ``tree`` when it is already made
+    (``infer_instruction``); otherwise ``model`` infers it.
     """
-    assignment = infer(model, tree, enumerate_perception_space(registry))
+    if assignment is None:
+        assignment = infer(model, tree, enumerate_perception_space(registry))
     inferred = frozenset(assignment.root_trues())
     return ClassifierSelection(selected=inferred | STRUCTURAL_STAGES,
                                inferred=inferred, assignment=assignment)

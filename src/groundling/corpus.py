@@ -16,7 +16,7 @@ and of the resolved navigation action against a fixed reference world.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -200,26 +200,46 @@ _SLOT_SYMBOLS = {
 }
 
 
+@cache
+def _slot_canon(domain: str, slot: str, value: str) -> str | None:
+    """The canon of the symbol a slot's value licenses in ``domain``."""
+    symbols = _SLOT_SYMBOLS[domain]
+    return symbols[slot](value).canon if slot in symbols else None
+
+
 def gold_annotations(example: CorpusExample, tree: ParseTree,
                      domain: str) -> tuple[frozenset, ...]:
     """Gold true-symbol canons per phrase: licensed locally, unioned upward.
 
     A slot's symbol is licensed at each phrase that owns all its words.
     """
-    if domain not in _SLOT_SYMBOLS:
-        raise InvalidConfig(f"unknown annotation domain {domain!r}")
-    symbols = _SLOT_SYMBOLS[domain]
-    licensed = [(frozenset(words), symbols[slot](value).canon)
-                for slot, (value, words) in example.slots().items() if slot in symbols]
+    return _gold(example, tree, (domain,))[0]
+
+
+def _gold(example: CorpusExample, tree: ParseTree,
+          domains) -> list[tuple[frozenset, ...]]:
+    """``gold_annotations`` of each of ``domains``, in one walk of the tree."""
+    for domain in domains:
+        if domain not in _SLOT_SYMBOLS:
+            raise InvalidConfig(f"unknown annotation domain {domain!r}")
+    # Each slot's words, and the canon it licenses in each domain, if any.
+    licensed = [(frozenset(words), [_slot_canon(d, slot, value) for d in domains])
+                for slot, (value, words) in example.slots().items()]
     phrases = tree.phrases()
-    gold: list[frozenset] = [frozenset()] * len(phrases)
+    gold = [[frozenset()] * len(phrases) for _ in domains]
     for phrase in phrases:
         words = frozenset(phrase.words)
-        here = {canon for spelled, canon in licensed if spelled <= words}
-        for child in phrase.children:
-            here |= gold[child.index]
-        gold[phrase.index] = frozenset(here)
-    return tuple(gold)
+        here = [set() for _ in domains]
+        for spelled, canons in licensed:
+            if spelled <= words:
+                for found, canon in zip(here, canons):
+                    if canon is not None:
+                        found.add(canon)
+        for found, below in zip(here, gold):
+            for child in phrase.children:
+                found |= below[child.index]
+            below[phrase.index] = frozenset(found)
+    return list(map(tuple, gold))
 
 
 def gold_root_symbols(example: CorpusExample) -> frozenset:
@@ -243,13 +263,11 @@ def training_sets(examples, registry: ClassifierRegistry,
     }
     for example in examples:
         tree = parse_text(example.text, registry)
-        sets["semantic"].append(TrainingExample(
-            tree=tree, gold=gold_annotations(example, tree, "semantic")))
-        sets["perception"].append(TrainingExample(
-            tree=tree, gold=gold_annotations(example, tree, "perception")))
-        sets["grounding"].append(TrainingExample(
-            tree=tree, gold=gold_annotations(example, tree, "grounding"),
-            digest=digest))
+        for (domain, domain_set), gold in zip(sets.items(),
+                                              _gold(example, tree, tuple(sets))):
+            domain_set.append(TrainingExample(
+                tree=tree, gold=gold,
+                digest=digest if domain == "grounding" else frozenset()))
     return sets
 
 

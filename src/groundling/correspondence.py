@@ -86,6 +86,9 @@ TOLERANCE = 1e-5
 MAX_ITERATIONS = 1000
 HISTORY = 10
 ARMIJO = 1e-4
+# The smallest double whose expit exceeds one half: for every double z,
+# the infinities and NaN included, expit(z) > 0.5 exactly when z >= _HALF.
+_HALF = float.fromhex("0x1.8000000000001p-53")
 
 
 def _features(layout: Layout, token: str) -> list[tuple[int, str]]:
@@ -119,11 +122,20 @@ class _Compiled(dict):
     constraint ``c`` of the layout, ``cmatch[c]`` holds the ``cmatch``
     weights of its cells, zero elsewhere, and ``ceq[c]`` is the ``ceq``
     weight that row ``c`` adds when it repeats ``c``.
+
+    Over a stacked layout (``Layout.stack``) of a ``StackedModel``, each
+    part's block of the keys holds what its own model compiles over its
+    own layout, so a token's vector is the parts' vectors side by side.
+    A child's ``cv=`` token fires only in the block of its domain, and is
+    zero in the others; a ``cmatch`` vector and a ``ceq`` weight are a
+    constraint's, so they stay in its block too.
     """
 
-    def __init__(self, weights, layout: Layout):
+    def __init__(self, model, layout: Layout):
         super().__init__()
-        self.get, self.layout = weights.get, layout
+        self.layout = layout
+        self.blocks = [(part.weights.get, part_layout, keys)
+                       for part, (part_layout, keys, _) in zip(model.parts, layout.parts)]
         self.dig, cmatch, ceq = self["dig"], self["cmatch"], self["ceq"]
         self.cmatch = [np.zeros(len(cmatch)) for _ in layout.cmatch_cells]
         for vector, cells in zip(self.cmatch, layout.cmatch_cells):
@@ -132,8 +144,12 @@ class _Compiled(dict):
 
     def __missing__(self, token: str) -> np.ndarray:
         vector = self[token] = np.zeros(len(self.layout.names))
-        for k, name in _features(self.layout, token):
-            vector[k] = self.get(name, 0.0)
+        for get, part_layout, keys in self.blocks:
+            if token.startswith("cv=") and token not in part_layout.cv:
+                continue
+            block = vector[keys]
+            for k, name in _features(part_layout, token):
+                block[k] = get(name, 0.0)
         return vector
 
 
@@ -155,12 +171,12 @@ class _RowScorer:
     none.
     """
 
-    def __init__(self, model: CorrespondenceModel, space: SymbolSpace,
-                 digest: frozenset):
+    def __init__(self, model: CorrespondenceModel | StackedModel,
+                 space: SymbolSpace, digest: frozenset):
         layout = space.layout
         compiled = model._compiled.get(layout)
         if compiled is None:
-            compiled = model._compiled[layout] = _Compiled(model.weights, layout)
+            compiled = model._compiled[layout] = _Compiled(model, layout)
         self.compiled, self.space, self.layout = compiled, space, layout
         # Without a digest, as in the semantic and perception spaces, no
         # cell has a dig weight to add.
@@ -189,12 +205,18 @@ def _finite(z: np.ndarray, space: SymbolSpace) -> np.ndarray:
     """``z``, logits over ``space`` (one row per phrase, or one phrase's).
 
     The first non-finite logit, in phrase order, raises ``NonFiniteScore``
-    naming its symbol.
+    naming its symbol.  Over a stacked space each part's columns are
+    checked in turn, every phrase of one part before the next part's, as
+    separate inference in each part's space would check them.
     """
-    finite = np.isfinite(z)
-    if not finite.all():
-        at = np.unravel_index(np.argmin(finite), z.shape)
-        raise NonFiniteScore(f"factor score for {space[int(at[-1])].canon} is {z[at]!r}")
+    if not np.isfinite(z).all():
+        for _, _, columns in space.layout.parts:
+            block = z[..., columns]
+            finite = np.isfinite(block)
+            if not finite.all():
+                at = np.unravel_index(np.argmin(finite), block.shape)
+                symbol = space[columns.start + int(at[-1])]
+                raise NonFiniteScore(f"factor score for {symbol.canon} is {block[at]!r}")
     return z
 
 
@@ -246,6 +268,29 @@ class CorrespondenceModel:
     _compiled: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
+    @property
+    def parts(self) -> tuple[CorrespondenceModel]:
+        return (self,)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedModel:
+    """Several domains' models, scored in one walk of a parse tree.
+
+    Its domain is the parts' domains joined by ``+``, that of their
+    layouts' stack (``Layout.stack``), and ``infer`` over a stacked space
+    scores each part with its own model's weights, compiled once per
+    stacked layout; ``Assignment.parts`` splits the result.
+    """
+
+    parts: tuple[CorrespondenceModel, ...]
+    _compiled: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+
+    @property
+    def domain(self) -> str:
+        return "+".join(part.domain for part in self.parts)
+
 
 @dataclass(eq=False)
 class Assignment:
@@ -282,6 +327,17 @@ class Assignment:
 
     def true_sets(self) -> dict[int, frozenset]:
         return dict(enumerate(self.trues))
+
+    def parts(self) -> tuple[Assignment, ...]:
+        """One assignment per part of a stacked space (``Layout.stack``):
+        the part's columns, over the part's own constraint space, as
+        inference in that space alone makes it."""
+        phrases = len(self.probabilities)
+        return tuple(Assignment(domain=part.domain,
+                                factor_evals=phrases * len(part.constraints),
+                                probabilities=self.probabilities[:, columns],
+                                space=part.constraint_space)
+                     for part, _, columns in self.space.layout.parts)
 
 
 def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
@@ -333,23 +389,34 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
     return action_instance(target), target
 
 
-def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
-          digest: frozenset = frozenset()) -> Assignment:
+def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
+          space: SymbolSpace, digest: frozenset = frozenset()) -> Assignment:
     """Greedy bottom-up inference: threshold each factor given its children.
 
     Each phrase scores every row of the space at once, as
-    ``phrase_logits`` does; a symbol is true where ``expit(z) > 0.5``.
-    ``digest`` is the world's set of (key, value) attribute pairs
-    (``WorldModel.digest``).  Object and action instance symbols are
-    scored like the others, so the world's size is what reaches inference
-    cost, even though nothing reads them: the navigation target comes from
-    ``resolve_action`` on the root-true constraints.  Only the true
+    ``phrase_logits`` does; a symbol is true where ``expit(z) > 0.5``,
+    which is where ``z >= _HALF``: a phrase's true constraints are found
+    by that comparison, and ``expit`` runs once, over every logit, after
+    the last phrase.  ``digest`` is the world's set of (key, value)
+    attribute pairs (``WorldModel.digest``).  Object and action instance
+    symbols are scored like the others, so the world's size is what
+    reaches inference cost, even though nothing reads them: the
+    navigation target comes from ``resolve_action`` on the root-true
+    constraints.  Only the true
     constraints, the space's leading rows, are passed up to a parent, as
     ordinals into the space's layout, since instances among the children
     fire no feature; no symbol is made.  The phrases' tokens and
     post-order are the tree's own, made once for the three models of a
     run.  Every logit is checked once, after the last phrase: the first
     non-finite one, in phrase order, raises ``NonFiniteScore``.
+
+    A ``StackedModel`` over a stacked space (``Layout.stack``) scores
+    several domains in this one walk: each key gets its own domain's
+    terms in the order a walk of that domain alone adds them, and exact
+    zeros from the other domains' tokens and children, so every
+    probability has the bits of the separate walks, and
+    ``Assignment.parts`` gives their assignments.  Each part's logits are
+    checked for finiteness before the next part's.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
@@ -364,7 +431,7 @@ def infer(model: CorrespondenceModel, tree: ParseTree, space: SymbolSpace,
         below = [kids[child.index] for child in phrase.children]
         children = below[0] if len(below) == 1 else sorted(set().union(*below))
         rows = logits[phrase.index] = score(tokens, children)
-        kids[phrase.index] = (expit(rows[:constraints]) > 0.5).nonzero()[0].tolist()
+        kids[phrase.index] = (rows[:constraints] >= _HALF).nonzero()[0].tolist()
     z = _finite(logits[:, space.row_of], space)
     return Assignment(domain=model.domain,
                       factor_evals=len(phrases) * len(space),

@@ -23,6 +23,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import corpus, correspondence
@@ -31,11 +32,13 @@ from .adapt import (
     FilterDecision,
     filter_observations,
     infer_classifiers,
+    infer_instruction,
 )
 from .correspondence import (
     DEFAULT_REGULARIZATION,
     Assignment,
     CorrespondenceModel,
+    StackedModel,
     TrainResult,
     infer,
     load_model,
@@ -68,11 +71,20 @@ CSV_COLUMNS = ("instruction", "site", "mode", "cost_units", "wall_time_s",
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """The three trained correspondence models."""
+    """The three trained correspondence models.
+
+    ``instruction`` stacks the semantic and perception models, so that a
+    run that filters and selects scores both in one walk of the parse
+    tree; it is made once per bundle.
+    """
 
     semantic: CorrespondenceModel
     perception: CorrespondenceModel
     grounding: CorrespondenceModel
+
+    @cached_property
+    def instruction(self) -> StackedModel:
+        return StackedModel((self.semantic, self.perception))
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -149,7 +161,10 @@ def run(instruction: str, observations, models: ModelBundle,
     the world's digest, then ``correspondence.resolve_action`` picks the
     target the root-true constraints imply among the world's objects; no
     instance symbol is made.  Every mode grounds from the pose of the
-    log's latest observation (``ObservationLog.latest_pose``).
+    log's latest observation (``ObservationLog.latest_pose``).  ``OF_AP``
+    infers its semantic and perception assignments in one walk of the
+    parse tree (``adapt.infer_instruction``); ``OF`` and ``AP`` each
+    infer the one they need.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -165,11 +180,14 @@ def run(instruction: str, observations, models: ModelBundle,
     try:
         tree = parse_text(instruction, registry)
         kept = observations
+        semantic = perception = None
+        if mode == "OF_AP":
+            semantic, perception = infer_instruction(models.instruction, tree, registry)
         if mode in ("OF", "OF_AP"):
-            decision = filter_observations(observations, models.semantic, tree)
+            decision = filter_observations(observations, models.semantic, tree, semantic)
             kept = decision.kept
         if mode in ("AP", "OF_AP"):
-            selection = infer_classifiers(models.perception, tree, registry)
+            selection = infer_classifiers(models.perception, tree, registry, perception)
             classifiers = selection.selected
         else:
             classifiers = registry.classifier_set

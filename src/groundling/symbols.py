@@ -281,6 +281,15 @@ def key_names(variant: str, attributes) -> tuple:
     return tuple(names)
 
 
+def _entries(row_keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(entry_row, entry_key)`` of rows with the keys ``row_keys``: entry
+    ``e`` is key ``entry_key[e]`` of row ``entry_row[e]``."""
+    lengths = list(map(len, row_keys))
+    return (np.repeat(np.arange(len(lengths)), lengths),
+            np.fromiter(itertools.chain.from_iterable(row_keys), dtype=np.intp,
+                        count=sum(lengths)))
+
+
 class Layout:
     """One domain's symbol layout: its keys, its constraints, its spaces.
 
@@ -315,11 +324,22 @@ class Layout:
     so no two constraints share a pair, nor a cell; constraints that did
     would make a set of children fire ``cmatch`` at a cell twice, and
     raise ``InvalidSpec``.
+
+    ``Layout.stack`` lays several domains' layouts end to end, so that one
+    walk of a parse tree scores them all: the first part's keys and
+    constraints, then the next part's, each part's in its own order.
+    ``parts`` lists ``(layout, keys, columns)``: a part, the slice of the
+    keys it numbers and the slice of the symbols its constraints are.  A
+    layout that is no stack is its own one part, over every key and every
+    symbol, instances included.
     """
 
-    def __init__(self, domain: str, constraint_symbols, instance_pairs=()):
+    def __init__(self, domain: str, constraint_symbols, instance_pairs=(),
+                 parts=()):
         self.domain = domain
-        self.constraints = tuple(sorted(constraint_symbols, key=lambda s: s.canon))
+        # A stack keeps its parts' constraints in their order.
+        self.constraints = tuple(constraint_symbols if parts else
+                                 sorted(constraint_symbols, key=lambda s: s.canon))
         pairs = [pair for s in self.constraints for pair in s.attributes]
         if len(set(pairs)) < len(pairs):
             raise InvalidSpec("constraint symbols share an attribute pair")
@@ -327,6 +347,10 @@ class Layout:
         self.names = tuple(dict.fromkeys(itertools.chain(
             *named, *(key_names(v, instance_pairs)
                       for v in INSTANCE_VARIANTS if instance_pairs))))
+        if parts and self.names != tuple(n for part in parts for n in part.names):
+            raise InvalidSpec("stacked layouts must hold constraint keys only,"
+                              " and no key of another")
+        self.parts = self._parts(parts)
         self.index = {name: k for k, name in enumerate(self.names)}
         self.variants = tuple((k, n) for k, n in enumerate(self.names)
                               if isinstance(n, str))
@@ -350,6 +374,21 @@ class Layout:
                                         for k, _ in self.cells.get(pair, ()))
                                   for s in self.constraints)
         self._signature_keys: dict[tuple, tuple] = {}
+        self._entries = _entries(self.constraint_keys)
+
+    @classmethod
+    def stack(cls, layouts) -> Layout:
+        """The layouts' keys and constraints, end to end, as one domain."""
+        return cls("+".join(part.domain for part in layouts),
+                   [s for part in layouts for s in part.constraints], parts=tuple(layouts))
+
+    def _parts(self, parts) -> tuple:
+        if not parts:
+            return ((self, slice(0, None), slice(0, None)),)
+        keys = [0, *itertools.accumulate(len(part.names) for part in parts)]
+        columns = [0, *itertools.accumulate(len(part.constraints) for part in parts)]
+        return tuple((part, slice(*keys[i:i + 2]), slice(*columns[i:i + 2]))
+                     for i, part in enumerate(parts))
 
     def cells_of(self, pairs) -> np.ndarray:
         """A mask over the keys: the cells of ``pairs`` that are numbered."""
@@ -408,10 +447,16 @@ class Layout:
             return GroundingSymbol(INSTANCE_VARIANTS[variant], name(i),
                                    signature_attrs(*signatures[codes[i]]))
 
-        keys = (self.signature_keys(s) for s in signatures)
-        row_keys = self.constraint_keys + tuple(itertools.chain.from_iterable(keys))
-        return SymbolSpace(self, [*self.constraints, *[None] * (2 * n)], row_keys,
-                           row_of, instance)
+        keys = tuple(itertools.chain.from_iterable(map(self.signature_keys, signatures)))
+        # The constraint rows' entries are the layout's; only the instance
+        # rows' are made per world.
+        entries = self._entries
+        if keys:
+            rows, fired = _entries(keys)
+            entries = (np.concatenate((entries[0], t + rows)),
+                       np.concatenate((entries[1], fired)))
+        return SymbolSpace(self, [*self.constraints, *[None] * (2 * n)],
+                           self.constraint_keys + keys, row_of, instance, entries)
 
 
 class SymbolSpace:
@@ -434,19 +479,17 @@ class SymbolSpace:
 
     Spaces come from ``Layout.space``, through the ``enumerate_*``
     functions; a ``None`` among ``symbols`` marks an instance symbol that
-    ``instance(j)`` makes on first access.
+    ``instance(j)`` makes on first access.  ``entries`` are
+    ``(entry_row, entry_key)`` when the caller has them.
     """
 
     def __init__(self, layout: Layout, symbols, row_keys, row_of,
-                 instance=None) -> None:
+                 instance=None, entries=None) -> None:
         self.domain = layout.domain
         self.layout = layout
         self.row_keys = row_keys
         self.row_of = np.asarray(row_of, dtype=np.intp)
-        lengths = [len(keys) for keys in row_keys]
-        self.entry_row = np.repeat(np.arange(len(row_keys)), lengths)
-        self.entry_key = np.fromiter(itertools.chain.from_iterable(row_keys),
-                                     dtype=np.intp, count=sum(lengths))
+        self.entry_row, self.entry_key = _entries(row_keys) if entries is None else entries
         self._symbols = symbols
         self._instance = instance
 
@@ -558,6 +601,18 @@ class ClassifierRegistry:
         return Layout("perception", self.classifiers())
 
     @cached_property
+    def _instruction_layout(self) -> Layout:
+        return Layout.stack((enumerate_semantic_space().layout, self._perception_layout))
+
+    @cached_property
+    def build_rank(self) -> dict[PerceptionSymbol, int]:
+        """Each classifier's place in build order: by kind, in
+        ``CLASSIFIER_KINDS`` order, then by canon."""
+        order = sorted(self.classifiers(),
+                       key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
+        return {c: rank for rank, c in enumerate(order)}
+
+    @cached_property
     def _grounding_layout(self) -> Layout:
         return Layout("grounding", _type_level_symbols(self),
                       [("class", c) for c in self.object_classes]
@@ -590,6 +645,15 @@ def enumerate_semantic_space() -> SymbolSpace:
 def enumerate_perception_space(registry: ClassifierRegistry) -> SymbolSpace:
     """One symbol per registered classifier; built once per registry."""
     return registry._perception_layout.constraint_space
+
+
+def enumerate_instruction_space(registry: ClassifierRegistry) -> SymbolSpace:
+    """The semantic symbols, then the perception symbols, as one space.
+
+    Its layout is ``Layout.stack`` of the two domains' layouts, built once
+    per registry, so that one walk of a parse tree scores both.
+    """
+    return registry._instruction_layout.constraint_space
 
 
 def _type_level_symbols(registry: ClassifierRegistry) -> list[GroundingSymbol]:

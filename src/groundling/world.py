@@ -55,7 +55,6 @@ from .errors import (
 )
 from .symbols import (
     BBOX_ESTIMATOR,
-    CLASSIFIER_KINDS,
     COLOR_DETECTOR,
     ClassifierRegistry,
     NOISE_FILTER,
@@ -854,6 +853,10 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
         robot_pose=robot_pose, cost_ledger=cost_ledger)
 
 
+# The stages that run only as a pair.
+_GEOMETRY = frozenset((PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)))
+
+
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Run the selected classifiers over the observations and merge objects.
@@ -879,9 +882,8 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     if robot_pose is None:
         robot_pose = log.latest_pose()
 
-    geometry = {PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)}
-    stages = sorted(selected if geometry <= selected else selected - geometry,
-                    key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
+    stages = sorted(selected if _GEOMETRY <= selected else selected - _GEOMETRY,
+                    key=registry.build_rank.__getitem__)
     current = log.detections(
         frozenset(c.param for c in stages if c.kind == OBJECT_DETECTOR))
     ledger: list[tuple[str, float]] = []

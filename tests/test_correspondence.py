@@ -18,8 +18,10 @@ from scipy.special import expit
 
 import groundling
 from groundling import correspondence
+from groundling.adapt import infer_instruction
 from groundling.correspondence import (
     CorrespondenceModel,
+    StackedModel,
     TrainingExample,
     assemble_design,
     infer,
@@ -44,10 +46,13 @@ from groundling.pipeline import ModelBundle
 from groundling.symbols import (
     INSTANCE_VARIANTS,
     SCENE_LABELS,
+    Layout,
     PerceptionSymbol,
     color_symbol,
+    default_registry,
     enumerate_grounding_space,
     enumerate_grounding_type_space,
+    enumerate_instruction_space,
     enumerate_perception_space,
     enumerate_semantic_space,
     object_type,
@@ -71,16 +76,22 @@ class HashWeights:
 
     Every feature name gets a weight derived from a salted hash, so two
     runs (or two machines) agree bit for bit without materializing the
-    feature vocabulary up front.
+    feature vocabulary up front.  With a ``poison``, the names whose hash
+    falls in the lowest ``POISONED`` share weigh ``poison`` instead.
     """
 
-    def __init__(self, salt: str):
+    POISONED = 0.003
+
+    def __init__(self, salt: str, poison: float | None = None):
         self.salt = salt
+        self.poison = poison
 
     def get(self, name: str, default: float = 0.0) -> float:
         digest = hashlib.blake2b(f"{self.salt}|{name}".encode(),
                                  digest_size=8).digest()
         unit = int.from_bytes(digest, "big") / 2.0 ** 64
+        if self.poison is not None and unit < self.POISONED:
+            return self.poison
         return 6.0 * unit - 3.0
 
 
@@ -307,6 +318,141 @@ def test_infer_is_bit_equal_to_the_symbol_oracle(bundle, corpus_split, registry,
                                       want.probabilities.view(np.int64))
                 calls += 1
     assert calls == len(corpus_split[1]) * 2 * (2 + 8)
+
+
+def separate_walks(models, tree, registry, infer_with=infer):
+    """The semantic and then the perception assignment, each inferred in
+    its own space, or the ``NonFiniteScore`` message of the first walk
+    that raises, as a run that filters and then selects would meet it."""
+    spaces = (enumerate_semantic_space(), enumerate_perception_space(registry))
+    try:
+        return [infer_with(model, tree, space) for model, space in zip(models, spaces)]
+    except NonFiniteScore as exc:
+        return str(exc)
+
+
+def stacked_walk(models, tree, registry):
+    """``separate_walks``, from one walk over the stacked space."""
+    try:
+        return list(infer_instruction(StackedModel(tuple(models)), tree, registry))
+    except NonFiniteScore as exc:
+        return str(exc)
+
+
+@st.composite
+def instruction_cases(draw):
+    """(models, tree, registry): hashed semantic and perception weights,
+    poisoned with a non-finite value at a few features or not, a random
+    tree, and the default registry or one whose classes and colours are
+    drawn from a few names, as ``test_symbols.signature_worlds`` draws."""
+    registry = default_registry()
+    if draw(st.booleans()):
+        names = st.sampled_from
+        registry = replace(
+            registry,
+            object_classes=tuple(draw(st.lists(names(("cup", "ball", "drone", "chair")),
+                                               min_size=1, unique=True))),
+            colors=tuple(draw(st.lists(names(("red", "blue", "green")),
+                                       min_size=1, unique=True))))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    poison = draw(st.sampled_from((None, math.inf, -math.inf, math.nan)))
+    models = [CorrespondenceModel(domain=d, weights=HashWeights(
+        f"stack-{d}-{rng.integers(1 << 30)}", poison)) for d in ("semantic", "perception")]
+    return models, random_tree(rng, max_phrases=6), registry
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=instruction_cases())
+def test_the_stacked_walk_is_the_two_walks_bit_for_bit(case):
+    # Hashed weights give every feature name a weight, so a token that
+    # leaked into the other domain's block (a cv= token, say, which each
+    # domain's own walk fires only for its own children) would show.
+    models, tree, registry = case
+    got = stacked_walk(models, tree, registry)
+    for want in (separate_walks(models, tree, registry),
+                 separate_walks(models, tree, registry, oracles.infer_by_symbols)):
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for mine, theirs in zip(got, want, strict=True):
+            assert mine.domain == theirs.domain
+            assert mine.space is theirs.space
+            assert mine.factor_evals == theirs.factor_evals
+            assert np.array_equal(mine.probabilities.view(np.int64),
+                                  theirs.probabilities.view(np.int64))
+            assert mine.root_trues() == theirs.root_trues()
+
+
+def naive_finite(z, space):
+    """A check of every logit in phrase order, whatever domain it is of."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), z.shape)
+        raise NonFiniteScore(f"factor score for {space[int(at[-1])].canon} is {z[at]!r}")
+    return z
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_the_stacked_walk_checks_every_semantic_column_first(registry, monkeypatch,
+                                                             value):
+    # The perception logits are non-finite from the noun phrase on, the
+    # semantic ones only at the root, which alone has "go": the semantic
+    # walk, which runs first, names a scene symbol.
+    tree = parse_text("go to the ball", registry)
+    models = (CorrespondenceModel(domain="semantic", weights={"w=go|v=scene": value}),
+              CorrespondenceModel(domain="perception", weights={"w=ball|v=detector": value}))
+    want = f"factor score for scene=hallway is {np.float64(value)!r}"
+    assert separate_walks(models, tree, registry) == want
+    assert stacked_walk(models, tree, registry) == want
+    # Checked in phrase order alone, the noun phrase's detector comes first.
+    monkeypatch.setattr(correspondence, "_finite", naive_finite)
+    assert stacked_walk(models, tree, registry) == (
+        f"factor score for object_detector[ball] is {np.float64(value)!r}")
+
+
+def test_the_threshold_is_where_expit_exceeds_one_half():
+    half = correspondence._HALF
+    assert expit(half) > 0.5
+    assert not expit(np.nextafter(half, 0.0)) > 0.5
+    rng = np.random.default_rng(29)
+    z = np.concatenate((
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan],
+        half + np.spacing(half) * np.arange(-1 << 12, 1 << 12),
+        rng.normal(scale=1e-15, size=1 << 16),
+        rng.normal(scale=1e-300, size=1 << 12),
+        rng.normal(size=1 << 12)))
+    assert np.array_equal(z >= half, expit(z) > 0.5)
+
+
+@pytest.mark.parametrize("bias", [correspondence._HALF,
+                                  np.nextafter(correspondence._HALF, 0.0), 0.0, -0.0])
+def test_a_child_at_the_threshold_conditions_its_parent(registry, bias):
+    # Every scene logit of a phrase without true children is the bias; a
+    # parent repeats its true children, which adds the ceq weight.
+    tree = parse_text("go to the kitchen", registry)
+    model = CorrespondenceModel(domain="semantic",
+                                weights={"bias|v=scene": bias, "ceq|v=scene": 1.0})
+    space = enumerate_semantic_space()
+    got = infer(model, tree, space)
+    want = oracles.infer_by_symbols(model, tree, space)
+    assert np.array_equal(got.probabilities.view(np.int64),
+                          want.probabilities.view(np.int64))
+    assert len(got.root_trues()) == (len(space) if expit(bias) > 0.5 else 0)
+    assert (got.probabilities[-1] > expit(bias)).all() == (expit(bias) > 0.5)
+
+
+def test_a_stack_of_layouts_that_share_a_key_is_rejected(registry):
+    semantic = enumerate_semantic_space().layout
+    with pytest.raises(InvalidSpec):
+        Layout.stack((semantic, semantic))
+    # A grounding layout also numbers instance keys, which no stack holds.
+    with pytest.raises(InvalidSpec):
+        Layout.stack((semantic, enumerate_grounding_type_space(registry).layout))
+    stacked = enumerate_instruction_space(registry)
+    assert stacked.domain == "semantic+perception"
+    assert [s.canon for s in stacked] == [
+        s.canon for s in (*enumerate_semantic_space(), *enumerate_perception_space(registry))]
 
 
 def test_child_table_matches_the_symbols(registry, site_worlds):
