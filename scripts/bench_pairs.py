@@ -5,9 +5,10 @@
 It works on the git checkout it sits in.  The parent side is a ``git
 archive`` of ``--parent`` and the change side a copy of the working tree's files
 (tracked, and untracked but not ignored), each in a new directory.  For
-each workload, pair ``i`` runs ``perfbench/run.py`` with the seed
-``--first-seed + i - 1`` on both sides, one run at a time; the parent runs
-first in odd pairs and the change in even ones.  The last line of each
+each workload, pair ``i`` runs ``perfbench/run.py`` for BENCHMARK.json's
+``run_seconds`` with the seed ``number * 100 + i`` on both sides, one run
+at a time; the parent runs first in odd pairs and the change in even
+ones.  The last line of each
 run's standard output is kept as it is, and the pairs are written to
 ``BENCH_<number>_<workload>.json`` in the working tree's root.  A run that
 exits non-zero stops the script.
@@ -88,15 +89,10 @@ def main(argv=None) -> int:
     parser.add_argument("--note", required=True,
                         help="what the change claims, written into each file")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=None,
-                        help="seed of the first pair (default: number * 100 + 1)")
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (default: every one)")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where to make the two checkouts (default: the system's)")
     args = parser.parse_args(argv)
-    first_seed = args.number * 100 + 1 if args.first_seed is None else args.first_seed
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     parent = git("rev-parse", "--short", args.parent).strip()
     with tempfile.TemporaryDirectory(dir=args.workdir) as work:
         sides = {"parent": Path(work, "parent"), "change": Path(work, "change")}
@@ -104,14 +100,14 @@ def main(argv=None) -> int:
             path.mkdir()
         export_parent(parent, sides["parent"])
         copy_change(sides["change"])
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             pairs = []
             for i in range(1, args.pairs + 1):
-                seed = first_seed + i - 1
+                seed = args.number * 100 + i
                 order = ("parent", "change") if i % 2 else ("change", "parent")
                 entry = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    entry[side] = run_once(sides[side], workload, seed, args.seconds)
+                    entry[side] = run_once(sides[side], workload, seed, seconds)
                     print(f"{workload} pair {i} {side}: correct {entry[side]['correct']}",
                           file=sys.stderr)
                 pairs.append({key: entry[key] for key in
@@ -119,7 +115,7 @@ def main(argv=None) -> int:
             doc = {
                 "workload": workload,
                 "command": (f"python3 perfbench/run.py --workload {workload}"
-                            f" --seed <seed> --seconds {args.seconds} --trace 0"),
+                            f" --seed <seed> --seconds {seconds} --trace 0"),
                 "parent_commit": parent,
                 "change_commit": f"working tree of this change, on {parent}",
                 "machine": machine(),

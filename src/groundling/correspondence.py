@@ -331,13 +331,17 @@ class Assignment:
     def parts(self) -> tuple[Assignment, ...]:
         """One assignment per part of a stacked space (``Layout.stack``):
         the part's columns, over the part's own constraint space, as
-        inference in that space alone makes it."""
+        inference in that space alone makes it.  An assignment over a
+        layout that is no stack is its own one part."""
+        layout = self.space.layout
+        if layout.parts[0][0] is layout:
+            return (self,)
         phrases = len(self.probabilities)
         return tuple(Assignment(domain=part.domain,
                                 factor_evals=phrases * len(part.constraints),
                                 probabilities=self.probabilities[:, columns],
                                 space=part.constraint_space)
-                     for part, _, columns in self.space.layout.parts)
+                     for part, _, columns in layout.parts)
 
 
 def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:

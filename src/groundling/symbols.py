@@ -456,7 +456,7 @@ class Layout:
             entries = (np.concatenate((entries[0], t + rows)),
                        np.concatenate((entries[1], fired)))
         return SymbolSpace(self, [*self.constraints, *[None] * (2 * n)],
-                           self.constraint_keys + keys, row_of, instance, entries)
+                           self.constraint_keys + keys, row_of, entries, instance)
 
 
 class SymbolSpace:
@@ -480,16 +480,16 @@ class SymbolSpace:
     Spaces come from ``Layout.space``, through the ``enumerate_*``
     functions; a ``None`` among ``symbols`` marks an instance symbol that
     ``instance(j)`` makes on first access.  ``entries`` are
-    ``(entry_row, entry_key)`` when the caller has them.
+    ``(entry_row, entry_key)``, ``_entries(row_keys)``.
     """
 
-    def __init__(self, layout: Layout, symbols, row_keys, row_of,
-                 instance=None, entries=None) -> None:
+    def __init__(self, layout: Layout, symbols, row_keys, row_of, entries,
+                 instance=None) -> None:
         self.domain = layout.domain
         self.layout = layout
         self.row_keys = row_keys
         self.row_of = np.asarray(row_of, dtype=np.intp)
-        self.entry_row, self.entry_key = _entries(row_keys) if entries is None else entries
+        self.entry_row, self.entry_key = entries
         self._symbols = symbols
         self._instance = instance
 

@@ -58,6 +58,7 @@ from groundling.symbols import (
     Layout,
     PerceptionSymbol,
     SymbolSpace,
+    _entries,
     action_instance,
     key_names,
 )
@@ -117,7 +118,7 @@ def symbol_space(domain: str, symbols) -> SymbolSpace:
     row_of = [rows.setdefault(tuple(map(layout.index.__getitem__, names)),
                               len(rows)) for names in named]
     assert row_of[:len(constraints)] == list(range(len(constraints)))
-    return SymbolSpace(layout, ordered, tuple(rows), row_of)
+    return SymbolSpace(layout, ordered, tuple(rows), row_of, _entries(tuple(rows)))
 
 
 def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:

@@ -382,6 +382,8 @@ def test_the_stacked_walk_is_the_two_walks_bit_for_bit(case):
             assert np.array_equal(mine.probabilities.view(np.int64),
                                   theirs.probabilities.view(np.int64))
             assert mine.root_trues() == theirs.root_trues()
+            # An assignment over a plain space is its own one part.
+            assert len(theirs.parts()) == 1 and theirs.parts()[0] is theirs
 
 
 def naive_finite(z, space):
@@ -440,6 +442,15 @@ def test_a_child_at_the_threshold_conditions_its_parent(registry, bias):
                           want.probabilities.view(np.int64))
     assert len(got.root_trues()) == (len(space) if expit(bias) > 0.5 else 0)
     assert (got.probabilities[-1] > expit(bias)).all() == (expit(bias) > 0.5)
+
+
+def test_a_grounding_assignment_is_its_own_one_part(bundle, registry, site_worlds):
+    world = next(iter(site_worlds.values()))
+    space = enumerate_grounding_space(world, registry)
+    got = infer(bundle.grounding, parse_text("go to the ball", registry), space,
+                world.digest())
+    parts = got.parts()
+    assert len(parts) == 1 and parts[0] is got
 
 
 def test_a_stack_of_layouts_that_share_a_key_is_rejected(registry):
