@@ -11,7 +11,10 @@ at a time; the parent runs first in odd pairs and the change in even
 ones.  The last line of each
 run's standard output is kept as it is, and the pairs are written to
 ``BENCH_<number>_<workload>.json`` in the working tree's root.  A run that
-exits non-zero stops the script.
+exits non-zero stops the script.  For each metric, the standard error
+gets both sides' medians, in how many pairs the change is better in the
+metric's ``better`` direction from BENCHMARK.json, the parent's
+interquartile range, and whether a gain could be claimed.
 """
 
 from __future__ import annotations
@@ -68,17 +71,25 @@ def machine() -> str:
             f" {platform.python_version()}, numpy {np.__version__}; runs one at a time")
 
 
-def summarise(pairs) -> None:
-    """Print each metric's median on both sides, and in how many pairs
-    the change's value is the lower and the higher."""
+def summarise(pairs, better: dict[str, str]) -> None:
+    """Print each metric's median on both sides, in how many pairs the
+    change is better in the direction ``better`` gives it, and the
+    interquartile range of the parent's values.  A gain can be claimed on
+    a metric when the change is better in at least nine pairs of ten and
+    its median beats the parent's by more than that range."""
     for name in pairs[0]["parent"]["metrics"]:
         parent, change = ([p[side]["metrics"][name]["value"] for p in pairs]
                           for side in ("parent", "change"))
-        lower = sum(c < p for p, c in zip(parent, change))
-        higher = sum(c > p for p, c in zip(parent, change))
-        print(f"  {name}: parent {statistics.median(parent):.6g},"
-              f" change {statistics.median(change):.6g}; change lower in"
-              f" {lower}, higher in {higher} of {len(pairs)} pairs", file=sys.stderr)
+        sign = {"lower": -1, "higher": 1}.get(better.get(name), 0)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        q1, q3 = np.percentile(parent, [25, 75])
+        gain = sign * (statistics.median(change) - statistics.median(parent))
+        met = sign and 10 * wins >= 9 * len(pairs) and gain > q3 - q1
+        print(f"  {name} ({better.get(name, 'no')} is better):"
+              f" parent {statistics.median(parent):.6g},"
+              f" change {statistics.median(change):.6g}; change better in"
+              f" {wins} of {len(pairs)} pairs; parent IQR {q3 - q1:.3g};"
+              f" claim rule {'met' if met else 'not met'}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -92,7 +103,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where to make the two checkouts (default: the system's)")
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {metric["name"]: metric["better"]
+              for metric in benchmark["end_to_end"] + benchmark["per_layer"]}
     parent = git("rev-parse", "--short", args.parent).strip()
     with tempfile.TemporaryDirectory(dir=args.workdir) as work:
         sides = {"parent": Path(work, "parent"), "change": Path(work, "change")}
@@ -129,7 +143,7 @@ def main(argv=None) -> int:
             out = ROOT / f"BENCH_{args.number}_{workload}.json"
             out.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"wrote {out.name}", file=sys.stderr)
-            summarise(pairs)
+            summarise(pairs, better)
     return 0
 
 

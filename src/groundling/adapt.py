@@ -62,11 +62,6 @@ class ClassifierSelection:
     assignment: Assignment | None = None
 
 
-def infer_semantics(model: CorrespondenceModel, tree: ParseTree) -> Assignment:
-    """Infer scene symbols for an instruction over the fixed semantic space."""
-    return infer(model, tree, enumerate_semantic_space())
-
-
 def infer_instruction(model: StackedModel, tree: ParseTree,
                       registry: ClassifierRegistry) -> tuple[Assignment, ...]:
     """The semantic and the perception assignment of an instruction, in
@@ -109,10 +104,11 @@ def filter_observations(observations, model: CorrespondenceModel,
     """Keep only observations whose scene label the instruction mentions.
 
     ``assignment`` is the semantic assignment of ``tree`` when it is
-    already made (``infer_instruction``); otherwise ``model`` infers it.
+    already made (``infer_instruction``); otherwise ``model`` infers it
+    over the fixed semantic space.
     """
     if assignment is None:
-        assignment = infer_semantics(model, tree)
+        assignment = infer(model, tree, enumerate_semantic_space())
     return filter_by_labels(observations, scene_labels(assignment), assignment)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .correspondence import (
     CorrespondenceModel,
+    StackedModel,
     TrainingExample,
     infer,
     resolve_action,
@@ -48,8 +49,7 @@ from .symbols import (
     SemanticSymbol,
     color_symbol,
     enumerate_grounding_type_space,
-    enumerate_perception_space,
-    enumerate_semantic_space,
+    enumerate_instruction_space,
     object_type,
     region_symbol,
     relation_symbol,
@@ -307,28 +307,28 @@ def evaluate(semantic_model: CorrespondenceModel,
              reference: WorldModel) -> EvaluationReport:
     """Score the three models on a list of examples.
 
-    Perception exact-match ignores the structural stages (they are added
-    unconditionally at build time, not predicted).  Action exact-match
-    resolves the inferred type-level constraints against the reference
-    world and compares target ids; resolution failures count as misses.
+    The semantic and perception models score each instruction in one walk
+    of its parse tree, as a run that filters and selects does
+    (``correspondence.StackedModel``), and both domains' gold comes from
+    one pass over the tree.  Perception exact-match ignores the
+    structural stages (they are added unconditionally at build time, not
+    predicted).  Action exact-match resolves the inferred type-level
+    constraints against the reference world and compares target ids;
+    resolution failures count as misses.
     """
-    semantic_space = enumerate_semantic_space()
-    perception_space = enumerate_perception_space(registry)
+    instruction = StackedModel((semantic_model, perception_model))
+    instruction_space = enumerate_instruction_space(registry)
     grounding_space = enumerate_grounding_type_space(registry)
     digest = reference.digest()
     semantic_hits = perception_hits = action_hits = 0
     examples = tuple(examples)
     for example in examples:
         tree = parse_text(example.text, registry)
-
-        inferred = infer(semantic_model, tree, semantic_space)
-        gold = gold_annotations(example, tree, "semantic")
-        if frozenset(s.canon for s in inferred.root_trues()) == gold[-1]:
+        semantic, perception = infer(instruction, tree, instruction_space).parts()
+        semantic_gold, perception_gold = _gold(example, tree, ("semantic", "perception"))
+        if frozenset(s.canon for s in semantic.root_trues()) == semantic_gold[-1]:
             semantic_hits += 1
-
-        inferred = infer(perception_model, tree, perception_space)
-        gold = gold_annotations(example, tree, "perception")
-        if _structural_free(inferred.root_trues()) == gold[-1]:
+        if _structural_free(perception.root_trues()) == perception_gold[-1]:
             perception_hits += 1
 
         inferred = infer(grounding_model, tree, grounding_space, digest=digest)

@@ -8,10 +8,11 @@ symbol-side key: the symbol's variant, one of its attribute pairs, or a
 (variant, pair) cell.  A model is therefore compiled once against a
 space's layout: each phrase-side token (``bias``, ``cat=``, ``w=``,
 ``cv=``, ``cmatch``, ``dig`` and ``ceq``) gets one weight vector over the
-keys.  A phrase adds its few token vectors into key weights, sums them
-once per row of the ``SymbolSpace`` (a constraint symbol, or a signature
-shared by instance symbols, which fire no ``ceq`` and so score alike) with
-one ``bincount``, and the rows are gathered to the symbols.
+keys.  A phrase adds its few token vectors into key weights and sums
+them once per row of the ``SymbolSpace`` (a constraint symbol, or a
+signature shared by instance symbols, which fire no ``ceq`` and so score
+alike) with one ``bincount``; ``phrase_logits`` gathers the rows to the
+symbols, and inference keeps them as rows.
 
 What a phrase fires is known before any scoring.  A phrase's own tokens
 are ``grammar.feature_tokens``; a run's parse tree keeps them
@@ -26,9 +27,12 @@ no symbol and reads no symbol property.  ``phrase_logits``, ``infer`` and
 the one table of feature names.
 
 Inference walks the tree bottom-up: every variable is thresholded at one
-half given the already-resolved assignments of the phrase's children.
+half given the already-resolved assignments of the phrase's children, by
+one rule, a row logit of at least ``_HALF``.  An ``Assignment`` is the
+walk's row logits and its space, and the rest is read off them:
 ``Assignment.factor_evals`` still counts one factor per phrase-symbol
-pair, the number of logits scored.  Inference only scores: picking the
+pair, the number of logits scored, and the probabilities are made only
+when read, which no run does.  Inference only scores: picking the
 navigation target the root-true constraints imply is a second step,
 ``resolve_action``, that the caller takes.  Training fits the factor
 weights by penalized maximum likelihood with gold child assignments
@@ -201,15 +205,18 @@ class _RowScorer:
         return rows
 
 
-def _finite(z: np.ndarray, space: SymbolSpace) -> np.ndarray:
-    """``z``, logits over ``space`` (one row per phrase, or one phrase's).
+def _finite(logits: np.ndarray, space: SymbolSpace) -> np.ndarray:
+    """``logits``, row logits over ``space`` (one row per phrase, or one
+    phrase's).
 
-    The first non-finite logit, in phrase order, raises ``NonFiniteScore``
-    naming its symbol.  Over a stacked space each part's columns are
+    The first non-finite logit, in phrase order and then in symbol order,
+    raises ``NonFiniteScore`` naming its symbol; only then are the rows
+    gathered to the symbols.  Over a stacked space each part's symbols are
     checked in turn, every phrase of one part before the next part's, as
     separate inference in each part's space would check them.
     """
-    if not np.isfinite(z).all():
+    if not np.isfinite(logits).all():
+        z = logits[..., space.row_of]
         for _, _, columns in space.layout.parts:
             block = z[..., columns]
             finite = np.isfinite(block)
@@ -217,7 +224,7 @@ def _finite(z: np.ndarray, space: SymbolSpace) -> np.ndarray:
                 at = np.unravel_index(np.argmin(finite), block.shape)
                 symbol = space[columns.start + int(at[-1])]
                 raise NonFiniteScore(f"factor score for {symbol.canon} is {block[at]!r}")
-    return z
+    return logits
 
 
 def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
@@ -249,7 +256,7 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
                 f"child symbol {child.canon!r} is outside the {space.domain!r} space")
         kids.add(ordinal[child.canon])
     rows = _RowScorer(model, space, digest)(feature_tokens(phrase), sorted(kids))
-    return _finite(rows[space.row_of], space)
+    return _finite(rows, space)[space.row_of]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,33 +303,48 @@ class StackedModel:
 class Assignment:
     """Thresholded correspondence variables for one parse tree.
 
-    ``probabilities[i, j]`` is the probability of symbol ``j`` of
-    ``space`` at phrase ``i`` (post-order, root last).  ``trues[i]`` holds
-    exactly the symbols whose probability at phrase ``i`` exceeds one
-    half; the sets are made on first read, so inference never hashes the
-    instance symbols it scores.
+    ``logits[i, r]`` is the logit of row ``r`` of ``space`` at phrase
+    ``i`` (post-order, root last), as inference scored it: the symbols of
+    one row share it.  Everything else is read off the two.  A symbol is
+    true at a phrase where its row's logit is at least ``_HALF``, the rule
+    inference passes children up by, so ``trues[i]`` holds exactly the
+    symbols whose probability at phrase ``i`` exceeds one half; the sets
+    are made on first read, so inference never hashes the instance symbols
+    it scores.  ``probabilities[i, j]``, the probability of symbol ``j``,
+    is made on first read too, and no run reads it.
     """
 
-    domain: str
-    factor_evals: int
-    probabilities: np.ndarray
+    logits: np.ndarray
     space: SymbolSpace
 
+    @property
+    def domain(self) -> str:
+        return self.space.domain
+
+    @property
+    def factor_evals(self) -> int:
+        """One factor per phrase-symbol pair, the number of logits scored."""
+        return len(self.logits) * len(self.space)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        return expit(self.logits[:, self.space.row_of])
+
     def _trues_at(self, i: int) -> frozenset:
-        return frozenset(map(self.space.__getitem__,
-                             np.flatnonzero(self.probabilities[i] > 0.5).tolist()))
+        true = (self.logits[i] >= _HALF)[self.space.row_of]
+        return frozenset(map(self.space.__getitem__, np.flatnonzero(true).tolist()))
 
     @cached_property
     def trues(self) -> tuple[frozenset, ...]:
-        return tuple(map(self._trues_at, range(len(self.probabilities))))
+        return tuple(map(self._trues_at, range(len(self.logits))))
 
     def root_trues(self) -> frozenset:
         return self._trues_at(-1)
 
     def root_constraints(self) -> frozenset:
         """The constraint symbols among ``root_trues``, the space's leading
-        columns, made without making an instance symbol."""
-        leading = self.probabilities[-1, :len(self.space.layout.constraints)] > 0.5
+        rows, made without making an instance symbol."""
+        leading = self.logits[-1, :len(self.space.layout.constraints)] >= _HALF
         return frozenset(map(self.space.__getitem__, np.flatnonzero(leading).tolist()))
 
     def true_sets(self) -> dict[int, frozenset]:
@@ -330,17 +352,13 @@ class Assignment:
 
     def parts(self) -> tuple[Assignment, ...]:
         """One assignment per part of a stacked space (``Layout.stack``):
-        the part's columns, over the part's own constraint space, as
-        inference in that space alone makes it.  An assignment over a
-        layout that is no stack is its own one part."""
+        the part's rows, which are its constraint symbols, over the part's
+        own constraint space, as inference in that space alone makes it.
+        An assignment over a layout that is no stack is its own one part."""
         layout = self.space.layout
         if layout.parts[0][0] is layout:
             return (self,)
-        phrases = len(self.probabilities)
-        return tuple(Assignment(domain=part.domain,
-                                factor_evals=phrases * len(part.constraints),
-                                probabilities=self.probabilities[:, columns],
-                                space=part.constraint_space)
+        return tuple(Assignment(self.logits[:, columns], part.constraint_space)
                      for part, _, columns in layout.parts)
 
 
@@ -398,15 +416,16 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
     """Greedy bottom-up inference: threshold each factor given its children.
 
     Each phrase scores every row of the space at once, as
-    ``phrase_logits`` does; a symbol is true where ``expit(z) > 0.5``,
-    which is where ``z >= _HALF``: a phrase's true constraints are found
-    by that comparison, and ``expit`` runs once, over every logit, after
-    the last phrase.  ``digest`` is the world's set of (key, value)
-    attribute pairs (``WorldModel.digest``).  Object and action instance
-    symbols are scored like the others, so the world's size is what
-    reaches inference cost, even though nothing reads them: the
-    navigation target comes from ``resolve_action`` on the root-true
-    constraints.  Only the true
+    ``phrase_logits`` does, and the ``Assignment`` keeps those row logits:
+    none is copied out to the symbols of its row, and no probability is
+    made.  A symbol is true where its row's logit is at least ``_HALF``,
+    which is where ``expit(z) > 0.5``: a phrase's true constraints are
+    found by that comparison.  ``digest`` is the world's set of
+    (key, value) attribute pairs (``WorldModel.digest``).  Object and
+    action instance symbols are scored like the others, so the world's
+    size is what reaches inference cost (``Assignment.factor_evals``),
+    even though nothing reads them: the navigation target comes from
+    ``resolve_action`` on the root-true constraints.  Only the true
     constraints, the space's leading rows, are passed up to a parent, as
     ordinals into the space's layout, since instances among the children
     fire no feature; no symbol is made.  The phrases' tokens and
@@ -417,10 +436,10 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
     A ``StackedModel`` over a stacked space (``Layout.stack``) scores
     several domains in this one walk: each key gets its own domain's
     terms in the order a walk of that domain alone adds them, and exact
-    zeros from the other domains' tokens and children, so every
-    probability has the bits of the separate walks, and
-    ``Assignment.parts`` gives their assignments.  Each part's logits are
-    checked for finiteness before the next part's.
+    zeros from the other domains' tokens and children, so every logit
+    has the bits of the separate walks, and ``Assignment.parts`` gives
+    their assignments.  Each part's logits are checked for finiteness
+    before the next part's.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
@@ -436,10 +455,7 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
         children = below[0] if len(below) == 1 else sorted(set().union(*below))
         rows = logits[phrase.index] = score(tokens, children)
         kids[phrase.index] = (rows[:constraints] >= _HALF).nonzero()[0].tolist()
-    z = _finite(logits[:, space.row_of], space)
-    return Assignment(domain=model.domain,
-                      factor_evals=len(phrases) * len(space),
-                      probabilities=expit(z), space=space)
+    return Assignment(_finite(logits, space), space)
 
 
 # ---------------------------------------------------------------------------

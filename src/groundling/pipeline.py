@@ -128,8 +128,8 @@ class RunResult:
     ``grounding`` is the canon of the resolved navigation action and
     ``target`` the world-model object it drives to; both are empty when
     ``error`` names the grounding failure.  ``assignment`` is grounding
-    inference's own output: its ``trues`` are the thresholded
-    ``probabilities`` and do not include the resolved action.
+    inference's own output: its ``trues`` are its thresholded row
+    logits and do not include the resolved action.
     """
 
     instruction: str

@@ -413,15 +413,18 @@ class ObservationLog:
 
     def partition(self, labels) -> tuple[ObservationLog, ObservationLog]:
         """Views of the observations whose scene label is in ``labels`` and
-        of the others, each in log order."""
+        of the others, each in log order.  The others' observation and
+        record counts are this log's less the kept view's."""
         keep = np.array([label in labels for label in self.regions], dtype=bool)[self.region]
         mask = True if self.mask is None else self.mask
-        return self._view(keep & mask), self._view(~keep & mask)
+        kept = keep & mask
+        size, records = int(np.count_nonzero(kept)), int(self.counts @ kept)
+        return (self._view(kept, size, records),
+                self._view(~keep & mask, self.size - size, self.records - records))
 
-    def _view(self, mask: np.ndarray) -> ObservationLog:
+    def _view(self, mask: np.ndarray, size: int, records: int) -> ObservationLog:
         view = object.__new__(ObservationLog)
-        view.__dict__.update(self.__dict__, mask=mask, size=int(np.count_nonzero(mask)),
-                             records=int(self.counts @ mask))
+        view.__dict__.update(self.__dict__, mask=mask, size=size, records=records)
         return view
 
     def detections(self, classes) -> DetectionSet:

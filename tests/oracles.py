@@ -205,7 +205,10 @@ def infer_by_symbols(model: CorrespondenceModel, tree: ParseTree,
     """Greedy bottom-up inference that passes child symbols up the tree.
 
     Each phrase is scored with ``symbol_logits`` given the union of its
-    children's true constraint symbols, thresholded at one half.
+    children's true constraint symbols, thresholded where ``expit`` of a
+    symbol's logit exceeds one half.  The assignment's row logits are read
+    back from the symbols' logits, and every symbol of a row must have the
+    same bits as its row.
     """
     if model.domain != space.domain:
         raise CorpusDomainMismatch(
@@ -213,19 +216,19 @@ def infer_by_symbols(model: CorrespondenceModel, tree: ParseTree,
         )
     phrases = tree.phrases()
     constraints = len(space.layout.constraints)
-    probabilities = np.empty((len(phrases), len(space)))
+    logits = np.empty((len(phrases), len(space.row_keys)))
     kids: list[list] = [[]] * len(phrases)
     for phrase in phrases:
         child_trues: set = set()
         for child in phrase.children:
             child_trues.update(kids[child.index])
-        p = expit(symbol_logits(model, phrase, space, child_trues, digest))
-        probabilities[phrase.index] = p
+        z = symbol_logits(model, phrase, space, child_trues, digest)
+        rows = logits[phrase.index]
+        rows[space.row_of] = z
+        assert np.array_equal(rows[space.row_of].view(np.int64), z.view(np.int64))
         kids[phrase.index] = [space[j] for j in
-                              np.flatnonzero(p[:constraints] > 0.5).tolist()]
-    return Assignment(domain=model.domain,
-                      factor_evals=len(phrases) * len(space),
-                      probabilities=probabilities, space=space)
+                              np.flatnonzero(expit(z[:constraints]) > 0.5).tolist()]
+    return Assignment(logits, space)
 
 
 def extract_features(phrase: Phrase, symbol, child_trues=(),

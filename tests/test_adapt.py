@@ -10,11 +10,11 @@ from groundling.adapt import (
     filter_by_labels,
     filter_observations,
     infer_classifiers,
-    infer_semantics,
     scene_labels,
 )
+from groundling.correspondence import infer
 from groundling.grammar import parse_text
-from groundling.symbols import SCENE_LABELS
+from groundling.symbols import SCENE_LABELS, enumerate_semantic_space
 
 label_sets = st.frozensets(st.sampled_from(SCENE_LABELS), max_size=4)
 
@@ -78,7 +78,7 @@ def test_unscoped_instruction_keeps_everything(bundle, registry, site_logs):
 def test_semantic_inference_names_the_region(bundle, registry):
     tree = parse_text("navigate to the nearest suitcase in the parking lot",
                       registry)
-    assignment = infer_semantics(bundle.semantic, tree)
+    assignment = infer(bundle.semantic, tree, enumerate_semantic_space())
     assert scene_labels(assignment) == {"parking_lot"}
 
 

@@ -219,12 +219,15 @@ def test_domain_mismatch_rejected(registry):
 
 def assert_non_finite(model, tree, space, digest, canon, value):
     """Inference and the symbol oracle both raise ``NonFiniteScore``
-    naming ``canon`` and ``value``."""
+    naming ``canon`` and ``value``, and ``canon`` is the first symbol of
+    its row: inference checks rows, and names a symbol only to report."""
     message = f"factor score for {canon} is {np.float64(value)!r}"
     for infer_with in (infer, oracles.infer_by_symbols):
         with pytest.raises(NonFiniteScore) as raised:
             infer_with(model, tree, space, digest)
         assert str(raised.value) == message
+    j = space.position[canon]
+    assert j == np.flatnonzero(space.row_of == space.row_of[j])[0]
 
 
 def test_non_finite_weights_rejected(registry, reference):
@@ -242,6 +245,29 @@ def test_non_finite_weights_rejected(registry, reference):
                                     weights={"bias|v=object": value})
         assert_non_finite(model, tree, space, reference.digest(),
                           first_object.canon, value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_later_signature_row_names_its_first_symbol(registry, site_worlds, value):
+    # Once type[cup] holds at the noun phrase, its parent fires the cmatch
+    # weight at the cells of (class, cup), and only the object rows of
+    # the cup signatures have the object cell.  None of them is the first
+    # signature's, and the first object symbol of a cup, the one named,
+    # is not the symbol at its row's index.
+    world = site_worlds["site-1", 1, False]
+    space = enumerate_grounding_space(world, registry)
+    t = len(space.layout.constraints)
+    j = next(j for j in range(t, len(space)) if space[j].variant == "object"
+             and ("class", "cup") in space[j].attributes)
+    assert space.row_of[j] > t + 1 and space.row_of[j] != j
+    weights = {"w=cup|a=class=cup": 10.0}
+    tree = parse_text("go to the cup", registry)
+    noun = tree.phrases()[0]
+    healthy = CorrespondenceModel(domain="grounding", weights=weights)
+    assert object_type("cup") in infer(healthy, tree, space, world.digest()).trues[noun.index]
+    model = CorrespondenceModel(domain="grounding",
+                                weights={**weights, "cmatch|class|v=object": value})
+    assert_non_finite(model, tree, space, world.digest(), space[j].canon, value)
 
 
 # A weight each child token fires at, and the symbol it first reaches.

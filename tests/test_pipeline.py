@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from test_acceptance import strip_wall_time
 from test_world import cups_sharing_an_id
 
 import groundling
-from groundling import world
+from groundling import correspondence, world
 from groundling.errors import InvalidSpec
 from groundling.fixtures import benchmark_manifest, site_spec, tiled
 from groundling.pipeline import (
@@ -457,6 +458,27 @@ def test_assignment_trues_are_the_thresholded_probabilities(bench_report,
             assert len(assignment.trues) == len(assignment.probabilities)
             for trues, p in zip(assignment.trues, assignment.probabilities):
                 assert trues == {symbols[j] for j in np.flatnonzero(p > 0.5)}
+
+
+def test_no_run_makes_a_probability(bundle, registry, site_logs, monkeypatch):
+    # A run decides by its row logits alone: with expit made to fail,
+    # every mode still grounds the cup case, and each assignment makes
+    # its probabilities once expit is back.
+    def refused(*args, **kwargs):
+        raise AssertionError("a run called expit")
+
+    monkeypatch.setattr(correspondence, "expit", refused)
+    results = [run("go to the farthest cup in the kitchen", site_logs["site-1"], bundle,
+                   registry, mode=mode, site="site-1") for mode in MODES]
+    monkeypatch.undo()
+    assert len({r.grounding for r in results}) == 1 and results[0].grounding
+    for r in results:
+        assignments = (r.filter_decision and r.filter_decision.assignment,
+                       r.selection and r.selection.assignment, r.assignment)
+        for assignment in filter(None, assignments):
+            row_of = assignment.space.row_of
+            assert np.array_equal(assignment.probabilities,
+                                  expit(assignment.logits[:, row_of]))
 
 
 def test_run_reports_out_of_grammar(bundle, registry, site_logs):

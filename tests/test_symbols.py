@@ -191,9 +191,9 @@ def assert_laid_out_in_column_order(world, objects, registry):
     assert laid_out(space) == laid_out(generic)
     assert fired_as_children(space) == fired_as_children(generic)
     # The constraints among any assignment's root-true symbols are its
-    # leading columns.
-    probabilities = np.random.default_rng(len(space)).random((2, len(space)))
-    assignment = Assignment("grounding", 0, probabilities, space)
+    # leading rows.
+    logits = np.random.default_rng(len(space)).normal(size=(2, len(space.row_keys)))
+    assignment = Assignment(logits, space)
     assert assignment.root_constraints() == {
         s for s in assignment.root_trues() if s.variant not in INSTANCE_VARIANTS}
 
