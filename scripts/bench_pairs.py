@@ -14,7 +14,9 @@ run's standard output is kept as it is, and the pairs are written to
 exits non-zero stops the script.  For each metric, the standard error
 gets both sides' medians, in how many pairs the change is better in the
 metric's ``better`` direction from BENCHMARK.json, the parent's
-interquartile range, and whether a gain could be claimed.
+interquartile range, and whether a gain could be claimed; for each
+end-to-end metric, also the change of the medians relative to the
+parent's, next to the metric's ``bound``.
 """
 
 from __future__ import annotations
@@ -71,25 +73,32 @@ def machine() -> str:
             f" {platform.python_version()}, numpy {np.__version__}; runs one at a time")
 
 
-def summarise(pairs, better: dict[str, str]) -> None:
+def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
     """Print each metric's median on both sides, in how many pairs the
     change is better in the direction ``better`` gives it, and the
     interquartile range of the parent's values.  A gain can be claimed on
     a metric when the change is better in at least nine pairs of ten and
-    its median beats the parent's by more than that range."""
+    its median beats the parent's by more than that range.  An end-to-end
+    metric, one with a bound in ``bounds``, also gets the change of the
+    medians relative to the parent's, next to that bound on how much
+    worse it may get."""
     for name in pairs[0]["parent"]["metrics"]:
         parent, change = ([p[side]["metrics"][name]["value"] for p in pairs]
                           for side in ("parent", "change"))
         sign = {"lower": -1, "higher": 1}.get(better.get(name), 0)
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         q1, q3 = np.percentile(parent, [25, 75])
-        gain = sign * (statistics.median(change) - statistics.median(parent))
+        before, after = statistics.median(parent), statistics.median(change)
+        gain = sign * (after - before)
         met = sign and 10 * wins >= 9 * len(pairs) and gain > q3 - q1
+        bound = ""
+        if name in bounds:
+            relative = f"{(after - before) / before:+.1%}" if before else "undefined"
+            bound = f"; relative change {relative}, bound {bounds[name]:.0%}"
         print(f"  {name} ({better.get(name, 'no')} is better):"
-              f" parent {statistics.median(parent):.6g},"
-              f" change {statistics.median(change):.6g}; change better in"
+              f" parent {before:.6g}, change {after:.6g}; change better in"
               f" {wins} of {len(pairs)} pairs; parent IQR {q3 - q1:.3g};"
-              f" claim rule {'met' if met else 'not met'}", file=sys.stderr)
+              f" claim rule {'met' if met else 'not met'}{bound}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -107,6 +116,7 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
     better = {metric["name"]: metric["better"]
               for metric in benchmark["end_to_end"] + benchmark["per_layer"]}
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     parent = git("rev-parse", "--short", args.parent).strip()
     with tempfile.TemporaryDirectory(dir=args.workdir) as work:
         sides = {"parent": Path(work, "parent"), "change": Path(work, "change")}
@@ -143,7 +153,7 @@ def main(argv=None) -> int:
             out = ROOT / f"BENCH_{args.number}_{workload}.json"
             out.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"wrote {out.name}", file=sys.stderr)
-            summarise(pairs, better)
+            summarise(pairs, better, bounds)
     return 0
 
 

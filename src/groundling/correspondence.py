@@ -485,7 +485,7 @@ def _row_arrays(space: SymbolSpace) -> tuple:
     """
     layout = space.layout
     variants, pad = dict(layout.variants), len(layout.names)
-    is_cell = layout.cell_pair < len(layout.pairs)
+    is_cell = layout.cells_of(layout.cells)
     slots: dict[str, int] = {}
     by_variant: dict[int, int] = {}
     by_keys: dict[tuple, int] = {}

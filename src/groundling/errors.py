@@ -87,7 +87,7 @@ class InvalidConfig(GroundlingError):
 
 
 class InvalidFraction(GroundlingError):
-    """A split fraction falls outside the open interval (0, 1)."""
+    """A split fraction falls outside the half-open interval (0, 1]."""
 
 
 @contextmanager

@@ -299,10 +299,8 @@ class Layout:
     symbols', in canon order and in the order each first has them, and
     then, when ``instance_pairs`` is given, every key an action or object
     symbol with some of those attribute pairs can have.  ``variants`` and
-    ``pairs`` list ``(key, variant)`` and ``(key, pair)``, ``cells`` maps
-    each pair to the ``(key, variant)`` of its cells, and ``cell_pair[k]``
-    is the position in ``pairs`` of cell ``k``'s pair, or ``len(pairs)``
-    when key ``k`` is not a cell.
+    ``pairs`` list ``(key, variant)`` and ``(key, pair)``, and ``cells``
+    maps each pair to the ``(key, variant)`` of its cells, in key order.
 
     The T ``constraints``, sorted by canon, are symbols and rows 0 to
     T - 1 of every space the layout makes, and ``constraint_keys[c]`` are
@@ -356,13 +354,10 @@ class Layout:
                               if isinstance(n, str))
         self.pairs = tuple((k, n) for k, n in enumerate(self.names)
                            if not isinstance(n, str) and isinstance(n[0], str))
-        self.pair_index = {pair: i for i, (_, pair) in enumerate(self.pairs)}
         cells: dict = {}
-        self.cell_pair = np.full(len(self.names), len(self.pairs), dtype=np.intp)
         for k, name in enumerate(self.names):
             if not isinstance(name, str) and not isinstance(name[0], str):
                 cells.setdefault(name[0], []).append((k, name[1]))
-                self.cell_pair[k] = self.pair_index[name[0]]
         self.cells = {pair: tuple(c) for pair, c in cells.items()}
         self.constraint_keys = tuple(tuple(map(self.index.__getitem__, names))
                                      for names in named)
@@ -392,9 +387,9 @@ class Layout:
 
     def cells_of(self, pairs) -> np.ndarray:
         """A mask over the keys: the cells of ``pairs`` that are numbered."""
-        fired = np.zeros(len(self.pairs) + 1, dtype=bool)
-        fired[[self.pair_index[p] for p in pairs if p in self.pair_index]] = True
-        return fired[self.cell_pair]
+        fired = np.zeros(len(self.names), dtype=bool)
+        fired[[k for p in pairs for k, _ in self.cells.get(p, ())]] = True
+        return fired
 
     def tokens(self, own, kids):
         """What a phrase whose own tokens are ``own`` fires given ``kids``,

@@ -7,15 +7,19 @@ the robot frame and apparent class/color values (exact unless a
 confusion rate is configured).  A co-occurrence scene classifier, held
 as the log terms of its vote, labels every observation as it is taken.
 
-An ``ObservationLog`` is its records and observations as columns; an
-``Observation`` is made only when the log is read.  Observation
-filtering makes views of a log, masks over its columns.
+An ``ObservationLog`` is its records and observations as columns, and a
+mask over its observations; an ``Observation`` is made only when the log
+is read.  Observation filtering makes views of a log: the same columns
+under a narrower mask.  Both filters ask one kind of query: a boolean
+table over a code vocabulary (scene labels for observation filtering,
+classes for the object detectors), gathered by the codes and ANDed with
+the mask.
 
 Perception is lazy and costed, and runs on a ``DetectionSet``: rows of
 the log's columns, plus what the stages compute.  A build reads no record
-in Python and copies no record field: it gathers the row numbers of the
-selected object detectors' classes, masked to a view's observations, and
-every object detector charges for the records of the log's observations.
+in Python and copies no record field: it takes the rows of the selected
+object detectors' classes in the log's kept observations, and every
+object detector charges for the records of those observations.
 The noise filter narrows the rows, each color detector adds its colour's
 code to the build's confirmed colours, and the bounding-box and pose
 estimators one vectorised rotation of every row into the world frame,
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import compress, groupby, islice
 
 import numpy as np
 
@@ -295,17 +299,17 @@ class ObservationLog:
     observation, and ``rel``, ``cls``, ``color`` and ``noisy`` are the
     record's; ``latent`` holds the latent ids in input order.  Class,
     colour and scene label are codes into vocabularies sorted per log, so
-    that code order is string order.  ``class_rows[c]`` lists class
-    ``c``'s rows in ascending order.  Per observation, in input order:
+    that code order is string order.  Per observation, in input order:
     ``times``, ``poses``, ``trig`` (the cosine and sine of each pose angle,
     from ``math``), the scene-label code ``region``, the ``scores`` as
-    given and the record count ``counts``.
+    given, the record count ``counts`` and ``mask``, which marks the
+    observations the log keeps: all of them for a whole log.  ``size``
+    and ``records`` count the kept observations and their records.
 
-    A view, from ``partition``, shares its log's columns, and ``mask``
-    marks the observations it keeps (None for a whole log); ``size`` and
-    ``records`` count its observations and records.  ``len``, indexing,
-    slicing and iteration read ``Observation``s, made from the columns
-    once per whole log, on first read, and shared with its views.
+    A view, from ``partition``, shares its log's columns under its own
+    mask.  ``len``, indexing, slicing and iteration read ``Observation``s,
+    made from the columns once per whole log, on first read, and shared
+    with its views.
     """
 
     classes: tuple[str, ...]
@@ -318,14 +322,13 @@ class ObservationLog:
     cls: np.ndarray
     color: np.ndarray
     noisy: np.ndarray
-    class_rows: tuple[np.ndarray, ...]
     times: np.ndarray
     poses: np.ndarray
     trig: np.ndarray
     region: np.ndarray
     scores: tuple[tuple[tuple[str, float], ...], ...]
     counts: np.ndarray
-    mask: np.ndarray | None
+    mask: np.ndarray
     size: int
     records: int
     _made: list = field(default_factory=list)
@@ -350,25 +353,21 @@ class ObservationLog:
         obs = np.arange(len(times)).repeat(counts)
         rel = np.array(rel, dtype=float).reshape(-1, 3)
         order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, times[obs]))
-        cls = cls[order]
-        by_class = cls.argsort(kind="stable")
-        bounds = cls[by_class].searchsorted(np.arange(len(classes) + 1)).tolist()
-        class_rows = tuple(by_class[a:b] for a, b in zip(bounds, bounds[1:]))
         poses = np.array(poses, dtype=float).reshape(-1, 3)
         # ``math`` raises on an infinite angle: its cosine and sine are NaN.
         trig = np.array([(math.nan,) * 2 if math.isinf(a) else (math.cos(a), math.sin(a))
                          for a in poses[:, 2].tolist()]).reshape(-1, 2)
         arrays = dict(
             position=order, obs=obs[order], rel=rel[order],
-            cls=cls, color=color[order], noisy=np.array(noisy, dtype=bool)[order],
-            times=times, poses=poses, trig=trig, region=region, counts=counts)
+            cls=cls[order], color=color[order], noisy=np.array(noisy, dtype=bool)[order],
+            times=times, poses=poses, trig=trig, region=region, counts=counts,
+            mask=np.ones(len(times), dtype=bool))
         # Every build and view of the log shares these arrays.
-        for a in (*arrays.values(), *class_rows):
+        for a in arrays.values():
             a.flags.writeable = False
         return ObservationLog(
-            classes=classes, colors=colors, regions=regions,
-            latent=latent, class_rows=class_rows, scores=scores, mask=None,
-            size=len(times), records=len(order), **arrays)
+            classes=classes, colors=colors, regions=regions, latent=latent,
+            scores=scores, size=len(times), records=len(order), **arrays)
 
     @staticmethod
     def of(observations) -> ObservationLog:
@@ -399,16 +398,16 @@ class ObservationLog:
                 (tuple(islice(records, n)) for n in self.counts.tolist()),
                 map(self.regions.__getitem__, self.region.tolist()), self.scores)))
         made = self._made[0]
-        if self.mask is None:
+        if self.size == len(made):
             return made
-        return tuple(made[i] for i in self.mask.nonzero()[0].tolist())
+        return tuple(compress(made, self.mask.tolist()))
 
     def latest_pose(self) -> Pose:
         """The robot pose of the observation with the largest ``t``, the
         last given on ties; the origin for an empty log."""
         if not self:
             return (0.0, 0.0, 0.0)
-        last = (np.arange(self.size) if self.mask is None else self.mask.nonzero()[0])[::-1]
+        last = self.mask.nonzero()[0][::-1]
         return tuple(self.poses[last[self.times[last].argmax()]].tolist())
 
     def partition(self, labels) -> tuple[ObservationLog, ObservationLog]:
@@ -416,11 +415,10 @@ class ObservationLog:
         of the others, each in log order.  The others' observation and
         record counts are this log's less the kept view's."""
         keep = np.array([label in labels for label in self.regions], dtype=bool)[self.region]
-        mask = True if self.mask is None else self.mask
-        kept = keep & mask
+        kept = keep & self.mask
         size, records = int(np.count_nonzero(kept)), int(self.counts @ kept)
         return (self._view(kept, size, records),
-                self._view(~keep & mask, self.size - size, self.records - records))
+                self._view(~keep & self.mask, self.size - size, self.records - records))
 
     def _view(self, mask: np.ndarray, size: int, records: int) -> ObservationLog:
         view = object.__new__(ObservationLog)
@@ -428,16 +426,10 @@ class ObservationLog:
         return view
 
     def detections(self, classes) -> DetectionSet:
-        """The records whose apparent class is in ``classes``, as rows.
-
-        The selected classes' rows are gathered in row order, and a view's
-        rows from its kept observations only.
-        """
-        picked = [rows for name, rows in zip(self.classes, self.class_rows)
-                  if name in classes]
-        rows = np.sort(np.concatenate(picked)) if picked else np.empty(0, np.intp)
-        if self.mask is not None:
-            rows = rows[self.mask[self.obs[rows]]]
+        """The records of the kept observations whose apparent class is in
+        ``classes``, as rows in row order."""
+        picked = np.array([name in classes for name in self.classes], dtype=bool)[self.cls]
+        rows = (picked & self.mask[self.obs]).nonzero()[0]
         return DetectionSet(log=self, rows=rows, confirmed=frozenset())
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groundling import corpus
 from groundling.adapt import (
     STRUCTURAL_STAGES,
     filter_by_labels,
@@ -12,11 +16,15 @@ from groundling.adapt import (
     infer_classifiers,
     scene_labels,
 )
-from groundling.correspondence import infer
+from groundling.correspondence import infer, resolve_action
+from groundling.errors import GroundlingError
+from groundling.fixtures import SITES, site_spec
 from groundling.grammar import parse_text
-from groundling.symbols import SCENE_LABELS, enumerate_semantic_space
+from groundling.symbols import SCENE_LABELS, SemanticSymbol, enumerate_semantic_space
+from groundling.world import build_world_model, simulate
 
 label_sets = st.frozensets(st.sampled_from(SCENE_LABELS), max_size=4)
+SENSING = (0.0, 0.2)
 
 
 def obs_key(observation):
@@ -97,3 +105,75 @@ def test_selection_names_the_mentioned_detectors(bundle, registry):
     selection = infer_classifiers(bundle.perception, tree, registry)
     canons = {s.canon for s in selection.inferred}
     assert canons == {"object_detector[cup]", "color_detector[red]"}
+
+
+# The paper's sufficiency claim: the observations the instruction's scene
+# labels keep, and the classifiers it names plus the structural stages,
+# ground its gold constraints as the whole log under every classifier
+# does.  No model is run: the subsets are the corpus's gold annotations.
+
+
+@pytest.fixture(scope="module")
+def sensed_logs(registry):
+    """Each site's log at each noise and clutter rate in ``SENSING``."""
+    return {(site, noise, clutter): simulate(
+                replace(site_spec(site), noise=noise, clutter_rate=clutter), registry)
+            for site in SITES for noise in SENSING for clutter in SENSING}
+
+
+def ground(example, observations, classifiers, registry, robot_pose):
+    """``("action", canon)`` of the gold root symbols' action in a build of
+    ``observations``, or ``("error", name)`` of the error that stops it."""
+    world = build_world_model(observations, classifiers, registry, robot_pose=robot_pose)
+    try:
+        return "action", resolve_action(corpus.gold_root_symbols(example), world)[0].canon
+    except GroundlingError as exc:
+        return "error", type(exc).__name__
+
+
+def gold_root(example, registry, domain):
+    """The canons ``domain``'s gold annotation makes true at the root."""
+    return corpus.gold_annotations(example, parse_text(example.text, registry), domain)[-1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_gold_classifiers_ground_as_every_classifier(registry, corpus_examples,
+                                                     sensed_logs, data):
+    example = data.draw(st.sampled_from(corpus_examples), label="example")
+    log = sensed_logs[data.draw(st.sampled_from(sorted(sensed_logs)), label="log")]
+    gold = gold_root(example, registry, "perception")
+    needed = {s for s in registry.classifier_set if s.canon in gold} | STRUCTURAL_STAGES
+    extra = data.draw(st.frozensets(st.sampled_from(sorted(
+        registry.classifier_set, key=lambda s: s.canon))), label="extra")
+    pose = log.latest_pose()
+    assert (ground(example, log, needed | extra, registry, pose)
+            == ground(example, log, registry.classifier_set, registry, pose))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_gold_scene_labels_ground_as_the_whole_log(registry, corpus_examples,
+                                                   sensed_logs, data):
+    example = data.draw(st.sampled_from([e for e in corpus_examples if e.region]),
+                        label="example")
+    log = sensed_logs[data.draw(st.sampled_from(sorted(SITES)), label="site"), 0.0, 0.0]
+    gold = gold_root(example, registry, "semantic")
+    labels = {label for label in SCENE_LABELS if SemanticSymbol(label).canon in gold}
+    kept, _ = log.partition(labels)
+    pose = log.latest_pose()
+    assert (ground(example, kept, registry.classifier_set, registry, pose)
+            == ground(example, log, registry.classifier_set, registry, pose))
+
+
+def test_the_whole_log_grounds_some_gold_instructions(registry, corpus_examples,
+                                                      sensed_logs):
+    """The two properties above compare more than errors: over each one's
+    pool of instructions, on the noise-free sites, the whole log grounds
+    some instructions and stops on others."""
+    logs = [sensed_logs[site, 0.0, 0.0] for site in sorted(SITES)]
+    for pool in (corpus_examples, [e for e in corpus_examples if e.region]):
+        outcomes = [ground(e, log, registry.classifier_set, registry, log.latest_pose())
+                    for log in logs for e in pool]
+        grounded = sum(kind == "action" for kind, _ in outcomes)
+        assert 0 < grounded < len(outcomes)
