@@ -5,10 +5,10 @@
 It works on the git checkout it sits in.  The parent side is a ``git
 archive`` of ``--parent`` and the change side a copy of the working tree's files
 (tracked, and untracked but not ignored), each in a new directory.  For
-each workload, pair ``i`` runs ``perfbench/run.py`` for BENCHMARK.json's
-``run_seconds`` with the seed ``number * 100 + i`` on both sides, one run
-at a time; the parent runs first in odd pairs and the change in even
-ones.  The last line of each
+each workload in BENCHMARK.json's ``workloads``, pair ``i`` runs
+``perfbench/run.py`` for BENCHMARK.json's ``run_seconds`` with the seed
+``number * 100 + i`` on both sides, one run at a time; the parent runs
+first in odd pairs and the change in even ones.  The last line of each
 run's standard output is kept as it is, and the pairs are written to
 ``BENCH_<number>_<workload>.json`` in the working tree's root.  A run that
 exits non-zero stops the script.  For each metric, the standard error
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("paper_sweep", "long_log")
 
 
 def git(*args: str) -> str:
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
             path.mkdir()
         export_parent(parent, sides["parent"])
         copy_change(sides["change"])
-        for workload in WORKLOADS:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i in range(1, args.pairs + 1):
                 seed = args.number * 100 + i

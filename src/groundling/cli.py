@@ -38,9 +38,6 @@ def _cmd_generate_corpus(args) -> int:
 
 def _cmd_generate_world(args) -> int:
     spec = site_spec(args.site)
-    if args.seed is not None:
-        from dataclasses import replace
-        spec = replace(spec, seed=args.seed)
     observations = simulate(spec, _registry(args))
     save_observations(observations, args.out)
     print(f"wrote {len(observations)} observations for {spec.name} to {args.out}")
@@ -160,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate a site into an observation log")
     p.add_argument("--site", default="site-1", choices=tuple(SITES))
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=_cmd_generate_world)
 
     p = sub.add_parser("train", help="train the three correspondence models")

@@ -309,7 +309,8 @@ class ObservationLog:
     A view, from ``partition``, shares its log's columns under its own
     mask.  ``len``, indexing, slicing and iteration read ``Observation``s,
     made from the columns once per whole log, on first read, and shared
-    with its views.
+    with its views; a view picks its own tuple of them once, on its first
+    read.
     """
 
     classes: tuple[str, ...]
@@ -332,6 +333,7 @@ class ObservationLog:
     size: int
     records: int
     _made: list = field(default_factory=list)
+    _kept: list = field(default_factory=list)
 
     @staticmethod
     def from_frames(frames) -> ObservationLog:
@@ -386,6 +388,14 @@ class ObservationLog:
         return iter(self._observations())
 
     def _observations(self) -> tuple[Observation, ...]:
+        if not self._kept:
+            made = self._whole()
+            self._kept.append(made if self.size == len(made)
+                              else tuple(compress(made, self.mask.tolist())))
+        return self._kept[0]
+
+    def _whole(self) -> tuple[Observation, ...]:
+        # The whole log's observations, made once and shared by its views.
         if not self._made:
             row = self.position.argsort()
             records = map(
@@ -397,10 +407,7 @@ class ObservationLog:
                 Observation, self.times.tolist(), map(tuple, self.poses.tolist()),
                 (tuple(islice(records, n)) for n in self.counts.tolist()),
                 map(self.regions.__getitem__, self.region.tolist()), self.scores)))
-        made = self._made[0]
-        if self.size == len(made):
-            return made
-        return tuple(compress(made, self.mask.tolist()))
+        return self._made[0]
 
     def latest_pose(self) -> Pose:
         """The robot pose of the observation with the largest ``t``, the
@@ -422,7 +429,8 @@ class ObservationLog:
 
     def _view(self, mask: np.ndarray, size: int, records: int) -> ObservationLog:
         view = object.__new__(ObservationLog)
-        view.__dict__.update(self.__dict__, mask=mask, size=size, records=records)
+        view.__dict__.update(self.__dict__, mask=mask, size=size, records=records,
+                             _kept=[])
         return view
 
     def detections(self, classes) -> DetectionSet:

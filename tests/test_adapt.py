@@ -20,7 +20,12 @@ from groundling.correspondence import infer, resolve_action
 from groundling.errors import GroundlingError
 from groundling.fixtures import SITES, site_spec
 from groundling.grammar import parse_text
-from groundling.symbols import SCENE_LABELS, SemanticSymbol, enumerate_semantic_space
+from groundling.symbols import (
+    REGION_SURFACE_FORMS,
+    SCENE_LABELS,
+    SemanticSymbol,
+    enumerate_semantic_space,
+)
 from groundling.world import build_world_model, simulate
 
 label_sets = st.frozensets(st.sampled_from(SCENE_LABELS), max_size=4)
@@ -158,6 +163,30 @@ def test_gold_scene_labels_ground_as_the_whole_log(registry, corpus_examples,
     example = data.draw(st.sampled_from([e for e in corpus_examples if e.region]),
                         label="example")
     log = sensed_logs[data.draw(st.sampled_from(sorted(SITES)), label="site"), 0.0, 0.0]
+    gold = gold_root(example, registry, "semantic")
+    labels = {label for label in SCENE_LABELS if SemanticSymbol(label).canon in gold}
+    kept, _ = log.partition(labels)
+    pose = log.latest_pose()
+    assert (ground(example, kept, registry.classifier_set, registry, pose)
+            == ground(example, log, registry.classifier_set, registry, pose))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_gold_scene_labels_ground_a_named_object_as_the_whole_log(
+        registry, corpus_examples, sensed_logs, data):
+    # The property above, on instructions with a referent: a region-bearing
+    # example's class, colour and region slots are filled from one of the
+    # noise-free site's objects, its region spelled as a surface form of
+    # the object's zone.
+    site = data.draw(st.sampled_from(sorted(SITES)), label="site")
+    target = data.draw(st.sampled_from(site_spec(site).objects), label="object")
+    example = data.draw(st.sampled_from([e for e in corpus_examples if e.region]),
+                        label="example")
+    surface = data.draw(st.sampled_from(REGION_SURFACE_FORMS[target.region]), label="surface")
+    example = replace(example, noun=target.cls, color=example.color and target.color,
+                      region=target.region, region_surface=" ".join(surface))
+    log = sensed_logs[site, 0.0, 0.0]
     gold = gold_root(example, registry, "semantic")
     labels = {label for label in SCENE_LABELS if SemanticSymbol(label).canon in gold}
     kept, _ = log.partition(labels)

@@ -110,8 +110,7 @@ def test_usage_error_exits_two():
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["generate-corpus", "generate-world",
-                                     "train", "evaluate"])
+@pytest.mark.parametrize("command", ["generate-corpus", "train", "evaluate"])
 def test_negative_seed_exits_two_without_traceback(
         command, tmp_path, corpus_examples, capsys):
     # A negative seed reached numpy's ValueError after the corpus was read.
@@ -119,7 +118,6 @@ def test_negative_seed_exits_two_without_traceback(
     save_corpus(corpus_examples[:20], corpus_path)
     args = {
         "generate-corpus": ["--out", str(tmp_path / "out.jsonl")],
-        "generate-world": ["--out", str(tmp_path / "out.jsonl")],
         "train": ["--corpus", str(corpus_path), "--out", str(tmp_path / "out")],
         "evaluate": ["--corpus", str(corpus_path), "--models", str(tmp_path / "models")],
     }[command]

@@ -44,6 +44,13 @@ def test_invalid_config_rejected():
         corpus.CorpusConfig(plain=0, color=0, region=0, color_region=0)
 
 
+def test_gold_annotation_rejects_an_unknown_domain(corpus_examples, registry):
+    example = corpus_examples[0]
+    with pytest.raises(InvalidConfig, match="unknown annotation domain 'action'") as excinfo:
+        corpus.gold_annotations(example, parse_text(example.text, registry), "action")
+    assert type(excinfo.value) is InvalidConfig
+
+
 def test_split_is_stratified(corpus_examples):
     train_set, held_out = corpus.split(corpus_examples)
     assert len(train_set) == 400 and len(held_out) == 100

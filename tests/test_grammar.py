@@ -99,6 +99,7 @@ def test_empty_instruction_rejected(registry):
     ("to the ball", "to"),
     ("go to the nearest ball in the bathroom", "bathroom"),
     ("go the ball purple", "purple"),
+    ("go to the", "the"),
 ])
 def test_out_of_grammar_rejected(text, token, registry):
     """Unknown words are reported first, else the first token not consumed."""

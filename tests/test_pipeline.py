@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from test_world import cups_sharing_an_id
 
 import groundling
 from groundling import correspondence, world
-from groundling.errors import InvalidSpec
+from groundling.errors import GroundlingError, InvalidSpec
 from groundling.fixtures import benchmark_manifest, site_spec, tiled
 from groundling.pipeline import (
     CSV_COLUMNS,
@@ -31,6 +32,7 @@ from groundling.pipeline import (
     MODES,
     ModelBundle,
     RunResult,
+    benchmark,
     run,
 )
 from groundling.symbols import (
@@ -141,6 +143,31 @@ def test_grounding_agrees_across_modes(bench_report):
         groundings = {rows[(case.instruction, case.site, m)].grounding
                       for m in MODES}
         assert len(groundings) == 1
+
+
+def test_x128_logs_ground_alike_and_scale_every_world_by_128(
+        bundle, registry, bench_report, corpus_split):
+    # The largest builds in the suite: both sites tiled x128 (7680
+    # observations and 4736 objects in B on site-1), with every warning an
+    # error.  All four modes ground each manifest case and the first 24
+    # held-out instructions alike on site-1, and each mode's world for a
+    # manifest case is 128 copies of its world on the 60-waypoint site.
+    copies = 128
+    x1 = by_case_and_mode(bench_report)
+    _, heldout = corpus_split
+    cases = [(c.instruction, c.site) for c in benchmark_manifest()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = {site: simulate(tiled(site_spec(site), copies), registry)
+                for site in ("site-1", "site-2")}
+        for instruction, site in cases + [(e.text, "site-1") for e in heldout[:24]]:
+            results = {mode: run(instruction, logs[site], bundle, registry,
+                                 mode=mode, site=site) for mode in MODES}
+            outcomes = {(r.grounding, r.error.split(":")[0]) for r in results.values()}
+            assert len(outcomes) == 1, (instruction, site, outcomes)
+            if (instruction, site) in cases:
+                assert {m: r.object_count for m, r in results.items()} == {
+                    m: copies * x1[(instruction, site, m)].object_count for m in MODES}
 
 
 def test_csv_shape(bench_report):
@@ -492,6 +519,12 @@ def test_run_rejects_unknown_mode(bundle, registry, site_logs):
     with pytest.raises(ValueError):
         run("go to the nearest ball", site_logs["site-1"], bundle, registry,
             mode="FAST")
+
+
+def test_benchmark_rejects_a_case_without_its_site(bundle, registry, site_logs):
+    with pytest.raises(GroundlingError, match="no observations for site 'site-2'") as excinfo:
+        benchmark(benchmark_manifest(), {"site-1": site_logs["site-1"]}, bundle, registry)
+    assert type(excinfo.value) is GroundlingError
 
 
 def test_scene_cost_is_charged_in_every_mode(bench_report, registry):

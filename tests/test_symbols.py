@@ -18,6 +18,7 @@ from groundling.symbols import (
     STRUCTURAL_KINDS,
     ClassifierRegistry,
     CostModel,
+    GroundingSymbol,
     PerceptionSymbol,
     SymbolSpace,
     action_instance,
@@ -28,6 +29,7 @@ from groundling.symbols import (
     enumerate_semantic_space,
     load_registry,
     object_instance,
+    relation_symbol,
     save_registry,
 )
 from groundling.fixtures import site_spec, tiled
@@ -335,6 +337,21 @@ def test_schema_2_registry_rejected(registry, tmp_path):
 def test_perception_symbol_checks_kind_and_parameter(kind, param, message):
     with pytest.raises(InvalidSpec) as excinfo:
         PerceptionSymbol(kind, param)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: GroundingSymbol("shape", "round").canon,
+                 "unknown grounding variant 'shape'", id="grounding-variant"),
+    pytest.param(lambda: relation_symbol("leftmost"),
+                 "unknown relation kind 'leftmost'", id="relation-kind"),
+    pytest.param(lambda: ClassifierRegistry(object_classes=("cup", "ball", "cup")),
+                 "duplicate object class", id="duplicate-class"),
+])
+def test_symbols_and_registries_reject_unknown_or_repeated_names(make, message):
+    with pytest.raises(InvalidSpec) as excinfo:
+        make()
+    assert type(excinfo.value) is InvalidSpec
     assert str(excinfo.value) == message
 
 

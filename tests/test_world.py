@@ -133,6 +133,31 @@ def test_a_spec_with_a_non_finite_position_is_rejected(bad):
         replace(spec, objects=(stray, *spec.objects[1:]))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda spec, log, registry: replace(spec, objects=spec.objects * 2),
+                 InvalidSpec, "duplicate latent object id", id="duplicate-id"),
+    pytest.param(lambda spec, log, registry: replace(spec, noise=-0.1),
+                 InvalidSpec, "noise must be in", id="noise-below-0"),
+    pytest.param(lambda spec, log, registry: replace(spec, noise=1.5),
+                 InvalidSpec, "noise must be in", id="noise-above-1"),
+    pytest.param(lambda spec, log, registry: replace(spec, clutter_rate=-0.1),
+                 InvalidSpec, "clutter rate must be in", id="clutter-below-0"),
+    pytest.param(lambda spec, log, registry: replace(spec, clutter_rate=1.5),
+                 InvalidSpec, "clutter rate must be in", id="clutter-above-1"),
+    pytest.param(lambda spec, log, registry: replace(spec, objects=(
+                     replace(spec.objects[0], region="bathroom"), *spec.objects[1:])),
+                 InvalidSpec, "unknown region 'bathroom'", id="unknown-region"),
+    pytest.param(lambda spec, log, registry: build_world_model(
+                     log, {PerceptionSymbol("object_detector", "dragon")}, registry),
+                 UnknownClassifier, "dragon", id="unknown-classifier"),
+])
+def test_specs_and_builds_reject_what_they_cannot_run(make, error, message,
+                                                      registry, site_logs):
+    with pytest.raises(error, match=message) as excinfo:
+        make(site1_spec(), site_logs["site-1"], registry)
+    assert type(excinfo.value) is error
+
+
 def test_scene_label_maximizes_stored_scores(site_logs):
     for observations in site_logs.values():
         for obs in observations:
@@ -841,6 +866,16 @@ def test_a_log_gives_back_the_observations_it_encodes(frames, labels, again, cut
     assert all(a is b for a, b in zip(kept, (o for o in log if o.scene_label in labels)))
 
 
+def test_a_view_picks_its_observations_once(site_logs):
+    # A view picks its observations out of the whole log's on its first
+    # read only: every later read, indexed or whole, gets the same tuple.
+    log = site_logs["site-1"]
+    kept, dropped = log.partition(log.regions[:1])
+    for view in (kept, dropped, kept.partition(log.regions[:1])[0]):
+        assert view._observations() is view._observations()
+        assert view[0] is view._observations()[0]
+
+
 _OBJECTS = st.lists(st.builds(
     DetectedObject,
     id=st.text(max_size=6),
@@ -892,7 +927,7 @@ def _columns(log):
             return [spelled(v) for v in value]
         return value
     return {f.name: spelled(getattr(log, f.name))
-            for f in fields(ObservationLog) if f.name != "_made"}
+            for f in fields(ObservationLog) if f.name not in ("_made", "_kept")}
 
 
 def test_a_saved_log_loads_to_the_same_columns(tmp_path, sensed_sites):
