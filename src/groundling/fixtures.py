@@ -216,6 +216,15 @@ def tiled(spec: WorldSpec, copies: int) -> WorldSpec:
     return replace(spec, objects=objects, trajectory=trajectory)
 
 
+def revisited(spec: WorldSpec, passes: int) -> WorldSpec:
+    """``spec`` with its trajectory driven ``passes`` times over.
+
+    The objects stay as they are, so every pass senses them again: a long
+    log of a robot that revisits each place of the site.
+    """
+    return replace(spec, trajectory=spec.trajectory * passes)
+
+
 def reference_world(registry: ClassifierRegistry) -> WorldModel:
     """Dense synthetic world with two objects per attribute combination.
 

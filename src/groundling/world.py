@@ -28,16 +28,21 @@ detection only becomes a world-model object once the bounding-box and
 pose stages have run.
 
 Duplicate detections of one physical object merge by class and
-proximity, as array work over the columns: one grid pass links the rows
-of every class, and ``bincount`` and one ``lexsort`` reduce each cluster
-to an object.  The merge matches the row-wise reference bit for bit:
-centroids summed left to right in row order, the earliest member's
-angle, vote ties broken towards the smallest string, and the winning
-colour only when the build confirmed it.  A ``WorldModel`` is the merged
-objects as columns, in order of their smallest member row, plus the
-build's cost ledger, whose sum is its cost; an id (``class@x,y``, with
-``#2``, ``#3``, ... on objects that repeat one) and a ``DetectedObject``
-are made only when something reads them.
+proximity, as array work over the columns.  One grid pass links the rows
+of every class: the rows of one cell half the merge radius wide (0.25 m)
+are within the radius of each other, so they join with no distance test,
+and only rows in nearby cells are tested, a pair of cells at once when
+their bounding boxes settle it.  So a robot that passes an object again
+and again adds rows, not pairs.  Then ``bincount`` and one ``lexsort``
+reduce each cluster to an object.  The merge matches the row-wise
+reference bit for bit: centroids summed left to right in row order, the
+earliest member's angle, vote ties broken towards the smallest string,
+and the winning colour only when the build confirmed it.  A
+``WorldModel`` is the merged objects as columns, in order of their
+smallest member row, plus the build's cost ledger, whose sum is its
+cost; an id (``class@x,y``, with ``#2``, ``#3``, ... on objects that
+repeat one) and a ``DetectedObject`` are made only when something reads
+them.
 """
 
 from __future__ import annotations
@@ -693,24 +698,67 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
     raise UnknownClassifier(symbol.canon)
 
 
-# Cell indices are clamped to [-_CELL_LIMIT, _CELL_LIMIT], so that a cell
-# and its neighbours, y - 1 to y + 1, fit in a span of _CELL_SPAN and
-# (class, cell x, cell y) packs into one int64 key (for fewer than 2**19
-# classes).
-_CELL_SIDE = 2.0 * MERGE_RADIUS
+# Rows are binned into square cells of side MERGE_RADIUS / 2 and keyed by
+# (class, cell x, cell y).  Cell indices are clamped to [-_CELL_LIMIT,
+# _CELL_LIMIT], so that a cell and the cells up to 3 away, y - 3 to y + 3,
+# fit in a span of _CELL_SPAN and (class, cell x, cell y) packs into one
+# int64 key (for fewer than 2**19 classes).
+#
+# Why the rows of one cell link with no test.  The side is a power of
+# two, so x / side is exact (a finite x whose quotient overflows lands at
+# the clamp), and so is its floor: a row in the unclamped cell c of an
+# axis has c * side <= x < (c + 1) * side.  Two rows of that cell are
+# less than side = 1/4 apart, and since rounding to nearest is monotone
+# and 1/4 is a float, the test's |fl(x_a - x_b)| <= 1/4 too, on each
+# axis.  Then fl(dx * dx) and fl(dy * dy) are at most 1/16, their rounded
+# sum at most 1/8, and the test's 1/8 <= r2 = 1/4 holds.
+#
+# The same monotonicity decides two groups of rows at once from their
+# bounding boxes.  Every pair of rows in a box is at most its extent
+# apart on each axis, so if the rounded extents, squared and summed,
+# pass the test, every pair passes it; every pair across two boxes is at
+# least the gap between them apart, so if the rounded gaps fail it
+# (overflow included), every pair fails it.  A gap is NaN only next to a
+# row with a non-finite coordinate, whose every test fails.  For two
+# single rows either test is the pair's own test, bit for bit.
+_CELL_SIDE = MERGE_RADIUS / 2
 _CELL_LIMIT = 1 << 20
 _CELL_SPAN = 1 << 22
 _RADIUS2 = MERGE_RADIUS * MERGE_RADIUS
-# searchsorted(side="right") offsets from a row's key: the end of its own
-# column at cell y + 1, and the start and end of column x + 1 from cell
-# y - 1 to y + 1.  The first column is overwritten with the row's next
-# position.
-_WINDOWS = np.array([0, 1, _CELL_SPAN - 2, _CELL_SPAN + 1])
-# A (cell x, cell y) pair's part of the key: cell x * _CELL_SPAN + cell y.
-_SPANS = np.array([_CELL_SPAN, 1])
-# Candidate pairs are tested in chunks of about this many, so that a burst
-# of k coincident rows costs time, not memory, in k * k.
+# searchsorted(side="right") offsets from a unit's key: the end of its own
+# column at cell y + 3, and the start and end of columns x + 1 to x + 3
+# from cell y - 3 to y + 3.  The first column is overwritten with the
+# unit's next position.
+_WINDOWS = np.array([0, 3, *(d * _CELL_SPAN + e for d in (1, 2, 3) for e in (-4, 3))])
+# A (cell x, cell y) pair's part of the key: cell x * _CELL_SPAN + cell y,
+# exact in float64, since it stays below 2**43.
+_SPANS = np.array([_CELL_SPAN, 1.0])
+# Candidate pairs are taken in chunks of about this many, so that a burst
+# of k rows that no cell holds together costs time, not memory, in k * k.
 _PAIRS = 1 << 16
+
+
+def _chunks(lo, count):
+    """Every position of the windows ``[lo, lo + count)``, about ``_PAIRS``
+    at a time: yields each chunk's windows, one per position, and its
+    positions.  A chunk holds whole windows, at least one."""
+    end = count.cumsum()
+    # A position is its rank among all the windows' positions plus its
+    # window's shift.
+    shift = lo + count - end
+    first = 0
+    while first < len(count):
+        done = end[first] - count[first]
+        last = max(first + 1, int(end.searchsorted(done + _PAIRS, side="right")))
+        window = np.arange(first, last).repeat(count[first:last])
+        yield window, np.arange(done, end[last - 1]) + shift[window]
+        first = last
+
+
+def _within(extent: np.ndarray) -> np.ndarray:
+    """The merge test on each row of (dx, dy) ``extent``."""
+    extent = extent * extent
+    return extent[:, 0] + extent[:, 1] <= _RADIUS2
 
 
 def _flatten(label: np.ndarray) -> np.ndarray:
@@ -722,74 +770,105 @@ def _flatten(label: np.ndarray) -> np.ndarray:
         label = up
 
 
+def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The flat forest ``label`` with the trees of rows ``a[i]`` and
+    ``b[i]`` joined: while some pair spans two trees, the larger root of
+    each such pair points at the smaller one, and every row then at its
+    root.  So each tree's root stays its smallest row."""
+    while True:
+        la, lb = label[a], label[b]
+        if not np.count_nonzero(la != lb):
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        label = _flatten(label)
+
+
 def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """Single-linkage clusters of same-class rows at the merge radius.
 
     Returns, for each row, the smallest row of its cluster.  Rows are
-    binned into square cells of side ``2 * MERGE_RADIUS`` and keyed by
-    (class, cell x, cell y).  Two rows the distance test links are less
-    than ``2 * MERGE_RADIUS`` apart on each axis, so they sit in the same
-    or adjacent cells; cells of side ``MERGE_RADIUS`` would not do,
-    because the test's subtraction can round a gap just over the radius
-    down to it (1.0 and 0.49999999999999994 link).  Clamping the cell
-    indices keeps adjacent cells adjacent, where an int64 cell of
-    1e300 / side would overflow: only cells beyond the clamp, and NaN,
-    which takes the lower bound, share an index, and the exact test
-    rejects the extra candidates that makes.
+    binned into square cells of side ``MERGE_RADIUS / 2`` and keyed by
+    (class, cell x, cell y), and the rows of one cell form a unit, joined
+    with no pair test (the comment above ``_CELL_SIDE`` proves why,
+    rounding included).  A row with a non-finite coordinate, or in a
+    cell at the clamp, is a unit of its own: there the cell's bounds do
+    not hold (NaN takes the lower clamp, and only cells beyond the clamp
+    share an index).
 
-    Sorted keys keep each (class, cell x) column contiguous, so a row's
-    candidates are two ``searchsorted`` windows: the later rows of its
-    own column up to cell y + 1, and column x + 1 from cell y - 1 to
-    y + 1.  Together they hold each pair of rows in the same or adjacent
-    cells once.  The exact ``dx*dx + dy*dy <= r2`` test runs on those
-    pairs, about ``_PAIRS`` at a time, and a row with a non-finite
-    coordinate passes it with no row.
+    Two rows the test links are less than 3 cells apart on each axis: at
+    most ``MERGE_RADIUS`` apart, plus the rounding of the test's
+    subtraction, which can take a gap just over the radius down to it
+    (1.0 and 0.49999999999999994 link, 3 cells apart).  Sorted keys keep
+    each (class, cell x) column contiguous, so a unit's candidates are
+    four ``searchsorted`` windows over the units: the later units of its
+    own column up to cell y + 3, and columns x + 1 to x + 3 from cell
+    y - 3 to y + 3.  Together they hold each pair of units up to 3 cells
+    apart once.  Then, a chunk of about ``_PAIRS`` unit pairs at a time:
 
-    The clusters grow as a forest: ``label[i]`` is a row of i's tree no
-    greater than i, so each tree's root is its smallest row.  While some
-    link joins two trees, the larger root of each such link points at
-    the smaller one, and every row then at its root.  A chunk's links
-    are joined before the next chunk is tested, and are then dropped.
+    - a pair whose joint bounding box passes the test links with no row
+      test (two parts of an object that straddles a cell line, say);
+    - of the rest, a pair already in one tree, or whose boxes' gap fails
+      the test, is skipped;
+    - the exact ``dx*dx + dy*dy <= r2`` test runs on the row pairs of the
+      pairs left, about ``_PAIRS`` row pairs at a time.
+
+    The clusters grow as a forest over the rows: ``label[i]`` is a row of
+    i's tree no greater than i, so each tree's root is its smallest row.
+    Every row starts in its unit's tree, and each chunk's links are
+    joined (``_join``) before the next chunk is tested.
     """
     n = len(cls)
     cell = np.floor(xy / _CELL_SIDE)
     np.fmax(cell, -_CELL_LIMIT, out=cell)
     np.fmin(cell, _CELL_LIMIT, out=cell)
-    key = cell.astype(np.int64) @ _SPANS
+    key = (cell @ _SPANS).astype(np.int64)
     key += cls * (_CELL_SPAN * _CELL_SPAN)
     order = key.argsort(kind="stable")
     key = key[order]
-    window = key.searchsorted(key[:, None] + _WINDOWS, side="right")
-    window[:, 0] = np.arange(1, n + 1)
-    # Row p's windows are [p + 1, b0) and [b1, b2): (lo, hi) pairs.
-    window = window.reshape(-1, 2)
-    lo = window[:, 0]
-    count = window[:, 1] - lo
-    pairs = count[::2] + count[1::2]
-    before = pairs.cumsum()
+    clamped = np.abs(cell) == _CELL_LIMIT
+    alone = (clamped[:, 0] | clamped[:, 1])[order]
+    # A unit starts at each new key, and at and after each lone row.
+    edge = np.ones(n + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edge[1:n])
+    edge[:n] |= alone
+    edge[1:] |= alone
+    bound = edge.nonzero()[0]
+    start, size = bound[:-1], np.diff(bound)
+    # The sort is stable, so a unit's first row is its smallest.
+    rep = order[start]
+    label = np.empty(n, dtype=np.intp)
+    label[order] = rep.repeat(size)
+    unit_key = key[start]
+    window = unit_key.searchsorted(unit_key + _WINDOWS[:, None], side="right")
+    window[0] = np.arange(1, len(start) + 1)
+    # Row 2d of ``window`` starts unit u's window in column x + d at
+    # position u, and row 2d + 1 ends it.
+    lo, count = window[::2].ravel(), (window[1::2] - window[::2]).ravel()
+    live = count.nonzero()[0]
+    if not len(live):
+        return label
+    xy = xy.take(order, axis=0)
     x, y = xy[:, 0], xy[:, 1]
-    # Every row starts as a tree of its own.
-    label = np.arange(n)
-    start = 0
-    while start < n:
-        stop = max(start + 1, int(before.searchsorted(
-            before[start] - pairs[start] + _PAIRS, side="right")))
-        span = count[2 * start:2 * stop]
-        end = span.cumsum()
-        a = order[start:stop].repeat(pairs[start:stop])
-        b = order[np.arange(len(a)) + (lo[2 * start:2 * stop] - end + span).repeat(span)]
-        # NaN, inf and overflow compare false, as Python floats do, unwarned.
-        with np.errstate(invalid="ignore", over="ignore"):
-            dx, dy = x[a] - x[b], y[a] - y[b]
-            near = (dx * dx + dy * dy <= _RADIUS2).nonzero()[0]
-        a, b = a[near], b[near]
-        while True:
-            la, lb = label[a], label[b]
-            if not np.count_nonzero(la != lb):
-                break
-            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-            label = _flatten(label)
-        start = stop
+    low, high = np.minimum.reduceat(xy, start), np.maximum.reduceat(xy, start)
+    # NaN, inf and overflow compare false, as Python floats do, unwarned.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w, b in _chunks(lo[live], count[live]):
+            a = live[w] % len(start)
+            low_a, low_b = low.take(a, axis=0), low.take(b, axis=0)
+            high_a, high_b = high.take(a, axis=0), high.take(b, axis=0)
+            near = _within(np.maximum(high_a, high_b) - np.minimum(low_a, low_b))
+            label = _join(label, rep[a[near]], rep[b[near]])
+            gap = np.maximum(low_a - high_b, low_b - high_a)
+            np.maximum(gap, 0.0, out=gap)
+            test = (~near & _within(gap) & (label[rep[a]] != label[rep[b]])).nonzero()[0]
+            a, b = a[test], b[test]
+            # Each row of unit a against the rows of unit b.
+            for i, rows_a in _chunks(start[a], size[a]):
+                for j, q in _chunks(start[b[i]], size[b[i]]):
+                    p = rows_a[j]
+                    dx, dy = x[p] - x[q], y[p] - y[q]
+                    hit = (dx * dx + dy * dy <= _RADIUS2).nonzero()[0]
+                    label = _join(label, order[p[hit]], order[q[hit]])
     return label
 
 

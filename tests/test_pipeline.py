@@ -25,7 +25,7 @@ from test_world import cups_sharing_an_id
 import groundling
 from groundling import correspondence, world
 from groundling.errors import GroundlingError, InvalidSpec
-from groundling.fixtures import benchmark_manifest, site_spec, tiled
+from groundling.fixtures import benchmark_manifest, revisited, site_spec, tiled
 from groundling.pipeline import (
     CSV_COLUMNS,
     DOMAINS,
@@ -168,6 +168,29 @@ def test_x128_logs_ground_alike_and_scale_every_world_by_128(
             if (instruction, site) in cases:
                 assert {m: r.object_count for m, r in results.items()} == {
                     m: copies * x1[(instruction, site, m)].object_count for m in MODES}
+
+
+def test_x128_revisits_ground_and_build_as_one_pass(bundle, registry, bench_report):
+    # Both sites with the trajectory driven 128 times (7680 observations,
+    # each object sensed 128 times as often), with every warning an
+    # error.  Each manifest case grounds in all four modes as on one pass,
+    # and each mode's world keeps its one-pass object count: in B, 37 on
+    # site-1 and 36 on site-2.
+    x1 = by_case_and_mode(bench_report)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = {site: simulate(revisited(site_spec(site), 128), registry)
+                for site in ("site-1", "site-2")}
+        for case in benchmark_manifest():
+            for mode in MODES:
+                result = run(case.instruction, logs[case.site], bundle, registry,
+                             mode=mode, site=case.site)
+                once = x1[(case.instruction, case.site, mode)]
+                assert ((result.grounding, result.error, result.object_count)
+                        == (once.grounding, once.error, once.object_count)), (
+                    case.instruction, case.site, mode)
+    assert {case.site: x1[(case.instruction, case.site, "B")].object_count
+            for case in benchmark_manifest()} == {"site-1": 37, "site-2": 36}
 
 
 def test_csv_shape(bench_report):

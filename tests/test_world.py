@@ -20,6 +20,7 @@ from groundling.fixtures import (
     CHARACTERISTIC_CLASSES,
     COOCCURRENCE_ROWS,
     default_cooccurrence,
+    revisited,
     site1_spec,
     site_spec,
     tiled,
@@ -417,11 +418,13 @@ _DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8),
 
 @st.composite
 def merge_points(draw):
-    points = draw(st.lists(st.tuples(_COORDINATE, _COORDINATE), max_size=30))
+    """(class, x, y) rows, each of class 0 or 1."""
+    points = draw(st.lists(st.tuples(st.integers(0, 1), _COORDINATE, _COORDINATE),
+                           max_size=30))
     for _ in range(draw(st.integers(0, 10)) if points else 0):
-        x, y = points[draw(st.integers(0, len(points) - 1))]
+        cls, x, y = points[draw(st.integers(0, len(points) - 1))]
         ux, uy = draw(st.sampled_from(_DIRECTIONS))
-        points.append((x + ux * MERGE_RADIUS, y + uy * MERGE_RADIUS))
+        points.append((draw(st.integers(0, 1)), x + ux * MERGE_RADIUS, y + uy * MERGE_RADIUS))
     # bursts of coincident points, as a robot that stands still senses them
     for _ in range(draw(st.integers(0, 3)) if points else 0):
         points += [points[draw(st.integers(0, len(points) - 1))]] * draw(
@@ -429,23 +432,48 @@ def merge_points(draw):
     return draw(st.permutations(points))
 
 
+def _class_0(points):
+    return [(0, x, y) for x, y in points]
+
+
+_BELOW_HALF = 0.49999999999999994
+_BELOW_QUARTER = math.nextafter(0.25, 0.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(merge_points())
-@example([(1.0, 0.0), (0.49999999999999994, 0.0)])
-@example([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (math.nan, 0.0),
-          (math.inf, 0.0), (math.inf, 0.0)])
+@example(_class_0([(1.0, 0.0), (_BELOW_HALF, 0.0)]))
+@example(_class_0([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (math.nan, 0.0),
+                   (math.inf, 0.0), (math.inf, 0.0)]))
 # linked across a cell corner, to the right and below
-@example([(0.9, 0.05), (1.2, -0.3)])
+@example(_class_0([(0.9, 0.05), (1.2, -0.3)]))
 # a chain whose links, one row's at a time, leave trees two deep
-@example([(3.0, 0.6), (2.7, 0.4), (2.3, 0.2), (1.9, 0.4)])
+@example(_class_0([(3.0, 0.6), (2.7, 0.4), (2.3, 0.2), (1.9, 0.4)]))
+# the rounding boundary 3 cells apart: on the y axis; on the x axis, a
+# cell apart on the y axis; and on both axes, too far to link
+@example(_class_0([(0.0, 1.0), (0.0, _BELOW_HALF)]))
+@example(_class_0([(1.0, 0.0), (_BELOW_HALF, -1e-9)]))
+@example(_class_0([(1.0, 1.0), (_BELOW_HALF, _BELOW_HALF)]))
+# and on the y axis, across a cell line on the x axis, up and down
+@example(_class_0([(_BELOW_QUARTER, 1.0), (0.25, _BELOW_HALF)]))
+@example(_class_0([(_BELOW_QUARTER, _BELOW_HALF), (0.25, 1.0)]))
+# a burst that straddles a cell line, and a class-1 row in among it
+@example(_class_0([(0.25, 0.1)] * 5 + [(_BELOW_QUARTER, 0.1)] * 5) + [(1, 0.25, 0.1)])
+# bursts at the clamp: NaN, which never links, and 1e300, which does
+@example(_class_0([(math.nan, 0.0)] * 4 + [(1e300, 1e300)] * 4 + [(0.0, math.nan)] * 3))
 def test_grid_clustering_matches_pairwise(points):
-    expected = oracles.pairwise_cluster(points)
-    # Candidate pairs tested all at once, and one row's at a time.
+    expected = []
+    for cls in (0, 1):
+        rows = [row for row, (c, _, _) in enumerate(points) if c == cls]
+        expected += [[rows[i] for i in group] for group in
+                     oracles.pairwise_cluster([points[row][1:] for row in rows])]
+    expected.sort()
+    # Candidate pairs tested all at once, and one unit's or row's at a time.
     for chunk in (world._PAIRS, 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(world, "_PAIRS", chunk)
-            labels = _link(np.zeros(len(points), dtype=np.intp),
-                           np.array(points, dtype=float).reshape(-1, 2))
+            labels = _link(np.array([c for c, _, _ in points], dtype=np.intp),
+                           np.array([xy for _, *xy in points], dtype=float).reshape(-1, 2))
         groups: dict[int, list[int]] = {}
         for row, label in enumerate(labels.tolist()):
             groups.setdefault(label, []).append(row)
@@ -472,6 +500,14 @@ def assert_same_world(observations, classifiers, registry):
 @pytest.mark.parametrize("site", ["site-1", "site-2"])
 def test_build_matches_row_oracle(registry, site, copies):
     observations = simulate(tiled(site_spec(site), copies), registry)
+    assert_same_world(observations, full_classifiers(registry), registry)
+
+
+@pytest.mark.parametrize("site", ["site-1", "site-2"])
+def test_revisited_build_matches_row_oracle(registry, site):
+    # Three passes of the trajectory: every object's sightings of all
+    # three merge into it.
+    observations = simulate(revisited(site_spec(site), 3), registry)
     assert_same_world(observations, full_classifiers(registry), registry)
 
 
@@ -618,6 +654,24 @@ def test_a_burst_of_coincident_rows_links_in_bounded_memory():
     tracemalloc.start()
     try:
         labels = _link(np.zeros(rows, dtype=np.intp), np.full((rows, 2), 0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (labels == 0).all()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("xy", [
+    # 3000 rows on each side of a cell line: two units, whose box links them
+    [(0.25, 0.25)] * 3000 + [(_BELOW_QUARTER, 0.25)] * 3000,
+    # 3000 rows at the clamp, each a unit of its own, that all link
+    [(1e300, 1e300)] * 3000,
+], ids=["straddling", "clamped"])
+def test_a_burst_that_no_cell_holds_links_in_bounded_memory(xy):
+    rows = len(xy)
+    tracemalloc.start()
+    try:
+        labels = _link(np.zeros(rows, dtype=np.intp), np.array(xy))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
