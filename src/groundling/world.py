@@ -713,14 +713,12 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
 # axis.  Then fl(dx * dx) and fl(dy * dy) are at most 1/16, their rounded
 # sum at most 1/8, and the test's 1/8 <= r2 = 1/4 holds.
 #
-# The same monotonicity decides two groups of rows at once from their
-# bounding boxes.  Every pair of rows in a box is at most its extent
-# apart on each axis, so if the rounded extents, squared and summed,
-# pass the test, every pair passes it; every pair across two boxes is at
-# least the gap between them apart, so if the rounded gaps fail it
-# (overflow included), every pair fails it.  A gap is NaN only next to a
-# row with a non-finite coordinate, whose every test fails.  For two
-# single rows either test is the pair's own test, bit for bit.
+# The same monotonicity links two groups of rows at once from their
+# joint bounding box.  Every pair of rows in the box is at most its
+# extent apart on each axis, so if the rounded extents, squared and
+# summed, pass the test, every pair passes it.  An extent is NaN next to
+# a row with a non-finite coordinate, and then the box fails.  For two
+# single rows the box test is the pair's own test, bit for bit.
 _CELL_SIDE = MERGE_RADIUS / 2
 _CELL_LIMIT = 1 << 20
 _CELL_SPAN = 1 << 22
@@ -753,12 +751,6 @@ def _chunks(lo, count):
         window = np.arange(first, last).repeat(count[first:last])
         yield window, np.arange(done, end[last - 1]) + shift[window]
         first = last
-
-
-def _within(extent: np.ndarray) -> np.ndarray:
-    """The merge test on each row of (dx, dy) ``extent``."""
-    extent = extent * extent
-    return extent[:, 0] + extent[:, 1] <= _RADIUS2
 
 
 def _flatten(label: np.ndarray) -> np.ndarray:
@@ -807,8 +799,7 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
 
     - a pair whose joint bounding box passes the test links with no row
       test (two parts of an object that straddles a cell line, say);
-    - of the rest, a pair already in one tree, or whose boxes' gap fails
-      the test, is skipped;
+    - of the rest, a pair already in one tree is skipped;
     - the exact ``dx*dx + dy*dy <= r2`` test runs on the row pairs of the
       pairs left, about ``_PAIRS`` row pairs at a time.
 
@@ -854,13 +845,10 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         for w, b in _chunks(lo[live], count[live]):
             a = live[w] % len(start)
-            low_a, low_b = low.take(a, axis=0), low.take(b, axis=0)
-            high_a, high_b = high.take(a, axis=0), high.take(b, axis=0)
-            near = _within(np.maximum(high_a, high_b) - np.minimum(low_a, low_b))
+            dx, dy = (np.maximum(high[a], high[b]) - np.minimum(low[a], low[b])).T
+            near = dx * dx + dy * dy <= _RADIUS2
             label = _join(label, rep[a[near]], rep[b[near]])
-            gap = np.maximum(low_a - high_b, low_b - high_a)
-            np.maximum(gap, 0.0, out=gap)
-            test = (~near & _within(gap) & (label[rep[a]] != label[rep[b]])).nonzero()[0]
+            test = (~near & (label[rep[a]] != label[rep[b]])).nonzero()[0]
             a, b = a[test], b[test]
             # Each row of unit a against the rows of unit b.
             for i, rows_a in _chunks(start[a], size[a]):

@@ -405,8 +405,8 @@ def test_build_monotone_under_subsets(registry, site_logs, data):
 _COORDINATE = st.one_of(
     st.floats(min_value=-20.0, max_value=20.0),
     # cell boundaries, and the floats just below them
-    st.integers(-40, 40).map(lambda k: k * MERGE_RADIUS),
-    st.integers(-40, 40).map(lambda k: math.nextafter(k * MERGE_RADIUS, -math.inf)),
+    st.integers(-80, 80).map(lambda k: k * world._CELL_SIDE),
+    st.integers(-80, 80).map(lambda k: math.nextafter(k * world._CELL_SIDE, -math.inf)),
     st.sampled_from((math.inf, -math.inf, math.nan)),
     # finite, but past any int64 cell index: floor(x / side) overflows
     st.sampled_from((2.0**63, -2.0**63, 1e19, -1e19, 1e300, -1e300)),
