@@ -11,7 +11,8 @@ each workload in BENCHMARK.json's ``workloads``, pair ``i`` runs
 first in odd pairs and the change in even ones.  The last line of each
 run's standard output is kept as it is, and the pairs are written to
 ``BENCH_<number>_<workload>.json`` in the working tree's root.  A run that
-exits non-zero stops the script.  For each metric, the standard error
+exits non-zero, or whose last line does not report ``correct`` true and
+``failed`` 0, stops the script.  For each metric, the standard error
 gets both sides' medians, in how many pairs the change is better in the
 metric's ``better`` direction from BENCHMARK.json, the parent's
 interquartile range, and whether a gain could be claimed; for each
@@ -64,7 +65,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(command)} in {checkout} exited"
                          f" {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    last = json.loads(done.stdout.splitlines()[-1])
+    # perfbench exits 0 even when a run differs from its reference row or
+    # raises; its last line says so.
+    if last["correct"] is not True or last["failed"] != 0:
+        raise SystemExit(f"{' '.join(command)} in {checkout}: correct"
+                         f" {last['correct']}, failed {last['failed']}")
+    return last
 
 
 def machine() -> str:

@@ -648,17 +648,23 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     return matrix, (pairs & 1).astype(np.float64), counts, names
 
 
-def objective_and_gradient(design, labels, weights, regularization, counts=1):
+def objective_and_gradient(design, labels, weights, regularization, counts=1,
+                           transposed=None):
     """Penalized log-likelihood of the label vector and its gradient.
 
     ``counts[i]`` is how many times row ``i`` occurs in the training set,
-    one for every row by default.
+    one for every row by default.  ``transposed`` is ``design.T`` as CSR,
+    which ``train`` makes once per fit; its product is ``design.T``'s, bit
+    for bit, and faster.  Without it the gradient multiplies by
+    ``design.T``.
     """
+    if transposed is None:
+        transposed = design.T
     logits = design @ weights
     signs = np.where(labels > 0.5, 1.0, -1.0)
     objective = float(np.sum(counts * log_expit(signs * logits)))
     objective -= regularization * float(weights @ weights)
-    gradient = (design.T @ (counts * (labels - expit(logits)))
+    gradient = (transposed @ (counts * (labels - expit(logits)))
                 - 2.0 * regularization * weights)
     return objective, gradient
 
@@ -714,9 +720,12 @@ def train(space: SymbolSpace, examples,
     """
     number(regularization, "regularization", 0)
     design, labels, counts, names = assemble_design(space, examples)
+    # The transpose is made once and passed positionally, so that a
+    # wrapper taking only ``*args`` passes it on.
+    transposed = design.T.tocsr()
     weights = np.zeros(design.shape[1])
     objective, gradient = objective_and_gradient(design, labels, weights,
-                                                 regularization, counts)
+                                                 regularization, counts, transposed)
     if not math.isfinite(objective):
         raise DivergedLoss(f"objective is {objective!r} at the start of training")
     iterations = 0
@@ -732,7 +741,7 @@ def train(space: SymbolSpace, examples,
         while trial >= 1e-12:
             candidate = weights + trial * direction
             cand_obj, cand_grad = objective_and_gradient(
-                design, labels, candidate, regularization, counts)
+                design, labels, candidate, regularization, counts, transposed)
             if math.isnan(cand_obj):
                 raise DivergedLoss("objective became non-finite during training")
             if cand_obj >= objective + trial * slope:

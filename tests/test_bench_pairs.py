@@ -1,0 +1,80 @@
+"""``scripts/bench_pairs.py`` stops on a bad run and states the claim rule.
+
+No test here runs perfbench: ``run_once`` runs a stand-in
+``perfbench/run.py`` in a temporary checkout, and ``summarise`` reads
+synthetic pairs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(path: Path, last: dict) -> Path:
+    (path / "perfbench").mkdir()
+    (path / "perfbench" / "run.py").write_text(
+        f"print('metric lines')\nprint({json.dumps(json.dumps(last))})\n")
+    return path
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1), (None, 0)])
+def test_a_run_that_reports_a_bad_result_stops_the_script(bench_pairs, tmp_path,
+                                                          correct, failed):
+    last = {"correct": correct, "attempted": 4, "failed": failed, "metrics": {}}
+    with pytest.raises(SystemExit, match=f"correct {correct}, failed {failed}"):
+        bench_pairs.run_once(_checkout(tmp_path, last), "paper_sweep", 1, 1)
+
+
+def test_a_good_run_returns_its_last_line(bench_pairs, tmp_path):
+    last = {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {"ok_share": {"value": 1.0, "unit": "ratio"}}}
+    assert bench_pairs.run_once(_checkout(tmp_path, last), "paper_sweep", 1, 1) == last
+
+
+def _claim(bench_pairs, capsys, parent, change, better="lower") -> bool:
+    pairs = [{side: {"metrics": {"m": {"value": value}}}
+              for side, value in (("parent", p), ("change", c))}
+             for p, c in zip(parent, change)]
+    bench_pairs.summarise(pairs, {"m": better}, {})
+    line = capsys.readouterr().err
+    assert line.count("claim rule") == 1
+    return "claim rule met" in line
+
+
+# The parent's values are 1.00 to 1.09: a median of 1.045 and an
+# interquartile range of 0.045.
+PARENT = [1.0 + 0.01 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("worse, gap, met", [
+    (0, 0.1, True),     # better in 10 of 10, by more than the range
+    (1, 0.1, True),     # 9 of 10 is enough
+    (2, 0.1, False),    # 8 of 10 is not
+    (0, 0.04, False),   # 10 of 10, but by less than the range
+])
+def test_the_claim_rule_needs_nine_wins_in_ten_and_a_gap_over_the_iqr(
+        bench_pairs, capsys, worse, gap, met):
+    change = [p + 0.01 if i < worse else p - gap for i, p in enumerate(PARENT)]
+    assert _claim(bench_pairs, capsys, PARENT, change) is met
+    # The same pairs, read as a metric where higher is better, mirrored.
+    assert _claim(bench_pairs, capsys, [-p for p in PARENT], [-c for c in change],
+                  better="higher") is met
+
+
+def test_a_metric_with_no_direction_is_never_claimed(bench_pairs, capsys):
+    assert not _claim(bench_pairs, capsys, PARENT, [p - 1 for p in PARENT], better=None)

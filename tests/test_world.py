@@ -461,6 +461,9 @@ _BELOW_QUARTER = math.nextafter(0.25, 0.0)
 @example(_class_0([(0.25, 0.1)] * 5 + [(_BELOW_QUARTER, 0.1)] * 5) + [(1, 0.25, 0.1)])
 # bursts at the clamp: NaN, which never links, and 1e300, which does
 @example(_class_0([(math.nan, 0.0)] * 4 + [(1e300, 1e300)] * 4 + [(0.0, math.nan)] * 3))
+# a cell of 40 tied keys, more than a sort leaves in row order, interleaved
+# with a class-1 row on it and a row of the next cell that it links to
+@example([(0, 0.1, 0.1), (1, 0.1, 0.1), (0, 0.3, 0.1)] * 40)
 def test_grid_clustering_matches_pairwise(points):
     expected = []
     for cls in (0, 1):
