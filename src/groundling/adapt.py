@@ -29,14 +29,14 @@ from .grammar import ParseTree
 from .symbols import (
     ClassifierRegistry,
     PerceptionSymbol,
-    STRUCTURAL_KINDS,
+    STRUCTURAL_SYMBOLS,
     enumerate_instruction_space,
     enumerate_perception_space,
     enumerate_semantic_space,
 )
 from .world import ObservationLog
 
-STRUCTURAL_STAGES = frozenset(PerceptionSymbol(kind) for kind in STRUCTURAL_KINDS)
+STRUCTURAL_STAGES = frozenset(STRUCTURAL_SYMBOLS.values())
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidSpec
-from .symbols import SCENE_LABELS, ClassifierRegistry
+from .symbols import SCENE_LABELS, ClassifierRegistry, default_registry
 from .world import (
     CooccurrenceModel,
     DetectedObject,
@@ -249,6 +249,35 @@ def reference_world(registry: ClassifierRegistry) -> WorldModel:
                     n += 1
     return WorldModel.of(sorted(objects, key=lambda o: o.id),
                          robot_pose=(0.0, 0.0, 0.0))
+
+
+# Common one-word nouns and colour words that a wider registry adds to the
+# default one, in the order it takes them.  No sites hold these classes.
+_WIDE_CLASSES = (
+    "apple", "bag", "basket", "bench", "bicycle", "book", "bowl", "box",
+    "bucket", "cabinet", "camera", "candle", "clock", "desk", "door", "drill",
+    "fan", "hammer", "helmet", "jacket", "kettle", "ladder", "lamp", "laptop",
+    "mug", "pillow", "plant", "printer", "radio", "rope", "shelf", "shoe",
+    "sofa", "spoon", "stool", "table",
+)
+_WIDE_COLORS = (
+    "orange", "purple", "pink", "brown", "gray", "cyan", "magenta", "violet",
+    "indigo", "beige", "maroon", "navy", "olive", "teal", "turquoise", "gold",
+    "silver", "crimson",
+)
+
+
+def wide_registry(multiple: int) -> ClassifierRegistry:
+    """The default registry with ``multiple`` times its object classes and
+    colours, 1 to 4: the default ones, then the first of ``_WIDE_CLASSES``
+    and ``_WIDE_COLORS``.  Its cost tables are the default ones."""
+    registry = default_registry()
+    if multiple not in range(1, 5):
+        raise InvalidSpec(f"wide_registry takes a multiple of 1 to 4, not {multiple!r}")
+    classes, colors = registry.object_classes, registry.colors
+    return replace(registry,
+                   object_classes=classes + _WIDE_CLASSES[:(multiple - 1) * len(classes)],
+                   colors=colors + _WIDE_COLORS[:(multiple - 1) * len(colors)])
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ import re
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -176,6 +177,15 @@ class PerceptionSymbol:
                 raise InvalidSpec(f"{self.kind} takes no parameter")
         elif not self.param:
             raise InvalidSpec(f"{self.kind} needs a parameter")
+        # Every table lookup of a build hashes its symbol: hash it once.
+        object.__setattr__(self, "_hash", hash((self.kind, self.param)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # A copy, in this process or another, hashes its fields afresh.
+        return PerceptionSymbol, (self.kind, self.param)
 
     @property
     def canon(self) -> str:
@@ -191,6 +201,11 @@ class PerceptionSymbol:
     def attributes(self) -> tuple[tuple[str, str], ...]:
         attribute = KIND_TABLE[self.kind][1]
         return () if attribute is None else ((attribute, self.param),)
+
+
+# One symbol per structural kind: every registry's classifiers hold these
+# same objects.
+STRUCTURAL_SYMBOLS = {kind: PerceptionSymbol(kind) for kind in STRUCTURAL_KINDS}
 
 
 @dataclass(frozen=True)
@@ -242,6 +257,10 @@ def relation_symbol(kind: str) -> GroundingSymbol:
     return GroundingSymbol("rel", kind)
 
 
+# The attributes an object signature can have: class, colour, region.
+_SIGNATURE_ATTRIBUTES = 3
+
+
 def signature_attrs(cls: str, color: str | None,
                     region: str | None) -> tuple[tuple[str, str], ...]:
     """The attributes of an object with this (class, colour, region)."""
@@ -279,6 +298,19 @@ def key_names(variant: str, attributes) -> tuple:
     for pair in attributes:
         names += (pair, (pair, variant))
     return tuple(names)
+
+
+class KeyTable(dict):
+    """A dict that makes a missing value as ``make(key)``, once, and keeps
+    it."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _entries(row_keys) -> tuple[np.ndarray, np.ndarray]:
@@ -368,8 +400,14 @@ class Layout:
         self.cmatch_cells = tuple(tuple(k for pair in s.attributes
                                         for k, _ in self.cells.get(pair, ()))
                                   for s in self.constraints)
-        self._signature_keys: dict[tuple, tuple] = {}
         self._entries = _entries(self.constraint_keys)
+        self._signature_keys = KeyTable(self._keys_of)
+        # Signature s's action and object keys are rows 0 and 1 of
+        # _key_rows[_signature_number[s]], padded with -1 to the widest
+        # symbol's: a variant, then a pair and a cell per attribute.
+        self._signature_number = KeyTable(self._add_key_rows)
+        self._key_rows = np.empty((0, 2, 1 + 2 * _SIGNATURE_ATTRIBUTES), dtype=np.intp)
+        self._cells = KeyTable(self._cell_mask)
 
     @classmethod
     def stack(cls, layouts) -> Layout:
@@ -386,9 +424,17 @@ class Layout:
                      for i, part in enumerate(parts))
 
     def cells_of(self, pairs) -> np.ndarray:
-        """A mask over the keys: the cells of ``pairs`` that are numbered."""
+        """A mask over the keys: the cells of ``pairs`` that are numbered.
+
+        The mask is made once per set of pairs and kept, and it is
+        read-only.
+        """
+        return self._cells[frozenset(pairs)]
+
+    def _cell_mask(self, pairs: frozenset) -> np.ndarray:
         fired = np.zeros(len(self.names), dtype=bool)
         fired[[k for p in pairs for k, _ in self.cells.get(p, ())]] = True
+        fired.flags.writeable = False
         return fired
 
     def tokens(self, own, kids):
@@ -405,22 +451,25 @@ class Layout:
         """The space of the constraint symbols alone: a world with no objects."""
         return self.space()
 
-    def signature_keys(self, signature) -> tuple:
+    def _keys_of(self, signature) -> tuple:
         """The keys of the (action, object) symbols of one signature.
 
         An attribute the layout does not number raises ``InvalidSpec``.
         """
-        keys = self._signature_keys.get(signature)
-        if keys is None:
-            attrs = signature_attrs(*signature)
-            try:
-                keys = tuple(tuple(self.index[n] for n in key_names(v, attrs))
-                             for v in INSTANCE_VARIANTS)
-            except KeyError:
-                raise InvalidSpec(f"object signature {signature} is outside the"
-                                  f" {self.domain} vocabulary") from None
-            self._signature_keys[signature] = keys
-        return keys
+        attrs = signature_attrs(*signature)
+        try:
+            return tuple(tuple(self.index[n] for n in key_names(v, attrs))
+                         for v in INSTANCE_VARIANTS)
+        except KeyError:
+            raise InvalidSpec(f"object signature {signature} is outside the"
+                              f" {self.domain} vocabulary") from None
+
+    def _add_key_rows(self, signature) -> int:
+        rows = np.full(self._key_rows.shape[1:], -1, dtype=np.intp)
+        for row, keys in zip(rows, self._signature_keys[signature]):
+            row[:len(keys)] = keys
+        self._key_rows = np.concatenate((self._key_rows, rows[None]))
+        return len(self._key_rows) - 1
 
     def space(self, name=None, codes=(), signatures=()) -> SymbolSpace:
         """The space of the constraint symbols and of the objects' instances.
@@ -431,6 +480,12 @@ class Layout:
         symbol T + n + i: instances are laid out in object order, not
         sorted.  Instance symbols are made when read, and only then is
         ``name`` called.
+
+        The constraint rows' entries are the layout's.  The layout keeps
+        each signature's keys, and its action and object rows of keys
+        padded to one width, from the first world that has it; a world's
+        instance entries are those rows, gathered by signature, less the
+        padding.
         """
         codes = np.asarray(codes, dtype=np.intp)
         n, t = len(codes), len(self.constraints)
@@ -442,14 +497,16 @@ class Layout:
             return GroundingSymbol(INSTANCE_VARIANTS[variant], name(i),
                                    signature_attrs(*signatures[codes[i]]))
 
-        keys = tuple(itertools.chain.from_iterable(map(self.signature_keys, signatures)))
-        # The constraint rows' entries are the layout's; only the instance
-        # rows' are made per world.
+        keys = tuple(itertools.chain.from_iterable(
+            map(self._signature_keys.__getitem__, signatures)))
         entries = self._entries
         if keys:
-            rows, fired = _entries(keys)
-            entries = (np.concatenate((entries[0], t + rows)),
-                       np.concatenate((entries[1], fired)))
+            number = np.fromiter(map(self._signature_number.__getitem__, signatures),
+                                 dtype=np.intp, count=len(signatures))
+            padded = self._key_rows.take(number, axis=0).reshape(len(keys), -1)
+            fired = padded >= 0
+            entries = (np.concatenate((entries[0], t + fired.nonzero()[0])),
+                       np.concatenate((entries[1], padded[fired])))
         return SymbolSpace(self, [*self.constraints, *[None] * (2 * n)],
                            self.constraint_keys + keys, row_of, entries, instance)
 
@@ -532,6 +589,15 @@ _DEFAULT_COSTS = (
 )
 
 
+class Stage(NamedTuple):
+    """One classifier's row of its registry's stage table."""
+
+    rank: int
+    symbol: PerceptionSymbol
+    canon: str
+    cost: CostModel
+
+
 @dataclass(frozen=True)
 class ClassifierRegistry:
     """Declares the available classifiers and their cost parameters.
@@ -582,9 +648,20 @@ class ClassifierRegistry:
         return SCENE_LABELS
 
     def classifiers(self) -> tuple[PerceptionSymbol, ...]:
+        """Every registered classifier, sorted by canon.
+
+        The tuple is made once per registry, and every classifier is one
+        object: the classifier set, the perception layout and the stage
+        table hold these same symbols, and the structural stages are the
+        module's ``STRUCTURAL_SYMBOLS``.
+        """
+        return self._classifiers
+
+    @cached_property
+    def _classifiers(self) -> tuple[PerceptionSymbol, ...]:
         out = [PerceptionSymbol(OBJECT_DETECTOR, c) for c in self.object_classes]
         out += [PerceptionSymbol(COLOR_DETECTOR, c) for c in self.colors]
-        out += [PerceptionSymbol(kind) for kind in STRUCTURAL_KINDS]
+        out += STRUCTURAL_SYMBOLS.values()
         return tuple(sorted(out, key=lambda s: s.canon))
 
     @cached_property
@@ -600,14 +677,6 @@ class ClassifierRegistry:
         return Layout.stack((enumerate_semantic_space().layout, self._perception_layout))
 
     @cached_property
-    def build_rank(self) -> dict[PerceptionSymbol, int]:
-        """Each classifier's place in build order: by kind, in
-        ``CLASSIFIER_KINDS`` order, then by canon."""
-        order = sorted(self.classifiers(),
-                       key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
-        return {c: rank for rank, c in enumerate(order)}
-
-    @cached_property
     def _grounding_layout(self) -> Layout:
         return Layout("grounding", _type_level_symbols(self),
                       [("class", c) for c in self.object_classes]
@@ -615,16 +684,21 @@ class ClassifierRegistry:
                       + [("region", l) for l in SCENE_LABELS])
 
     @cached_property
-    def _costs(self) -> dict[PerceptionSymbol, CostModel]:
-        """Each classifier's cost model: its override, else its kind's."""
+    def stages(self) -> dict[PerceptionSymbol, Stage]:
+        """Each classifier's ``Stage``: its place in build order, by kind
+        in ``CLASSIFIER_KINDS`` order and then by canon, its canon, and its
+        cost model, its override, else its kind's."""
         kinds, overrides = dict(self.kind_costs), dict(self.cost_overrides)
-        return {s: overrides.get(s.canon, kinds[s.kind]) for s in self.classifiers()}
+        order = sorted(self.classifiers(),
+                       key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
+        return {c: Stage(rank, c, c.canon, overrides.get(c.canon, kinds[c.kind]))
+                for rank, c in enumerate(order)}
 
     def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
-        model = self._costs.get(symbol)
-        if model is None:
+        stage = self.stages.get(symbol)
+        if stage is None:
             raise UnknownClassifier(symbol.canon)
-        return model
+        return stage.cost
 
 
 def default_registry() -> ClassifierRegistry:

@@ -66,11 +66,13 @@ from .symbols import (
     BBOX_ESTIMATOR,
     COLOR_DETECTOR,
     ClassifierRegistry,
+    KeyTable,
     NOISE_FILTER,
     OBJECT_DETECTOR,
     POSE_ESTIMATOR,
     PerceptionSymbol,
     SCENE_LABELS,
+    STRUCTURAL_SYMBOLS,
     signature_attrs,
 )
 
@@ -295,16 +297,62 @@ def _encode(values) -> tuple[tuple[str, ...], np.ndarray]:
     return vocabulary, np.array([code[v] for v in values], dtype=np.intp)
 
 
+@dataclass(frozen=True)
+class Vocabulary:
+    """The class, colour and scene-label names that codes index, and what
+    an object's codes name.
+
+    An object's (class, colour, region) codes pack into one int key,
+    ``weights @ codes + offset``: the colour is shifted by one, so that
+    -1, no colour confirmed, packs as 0, and the keys lie in
+    ``range(size)``.  ``signature[key]`` is the object's (class, colour,
+    region), the colour None when none was confirmed, and
+    ``pairs[signature]`` the set of its attribute pairs
+    (``signature_attrs``).  Each is made on first use and kept, so that
+    every world built from one log decodes a signature once.  Two
+    vocabularies are equal when their names are.
+    """
+
+    classes: tuple[str, ...]
+    colors: tuple[str, ...]
+    regions: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        classes, regions = self.classes, self.regions
+        named = (*self.colors, None)
+        nc, nr = len(named), len(regions)
+
+        def decode(key: int) -> tuple:
+            rest, region = divmod(key, nr)
+            cls, color = divmod(rest, nc)
+            return classes[cls], named[color - 1], regions[region]
+
+        pairs = KeyTable(lambda signature: frozenset(signature_attrs(*signature)))
+        for name, value in (("weights", np.array([nc * nr, nr, 1])), ("offset", nr),
+                            ("size", len(classes) * nc * nr),
+                            ("signature", KeyTable(decode)), ("pairs", pairs)):
+            object.__setattr__(self, name, value)
+
+
+class _Named:
+    """``classes``, ``colors`` and ``regions``, read from ``vocabulary``."""
+
+    classes = property(lambda self: self.vocabulary.classes)
+    colors = property(lambda self: self.vocabulary.colors)
+    regions = property(lambda self: self.vocabulary.regions)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class ObservationLog:
+class ObservationLog(_Named):
     """A sequence of ``Observation``, held as one array per field.
 
     Rows are records in (t, class, rel) order: ``position[i]`` is row
     ``i``'s place among the records in input order, ``obs[i]`` indexes its
     observation, and ``rel``, ``cls``, ``color`` and ``noisy`` are the
     record's; ``latent`` holds the latent ids in input order.  Class,
-    colour and scene label are codes into vocabularies sorted per log, so
-    that code order is string order.  Per observation, in input order:
+    colour and scene label are codes into the log's ``vocabulary``, whose
+    names are sorted per log, so that code order is string order; every
+    build and view of the log shares it.  Per observation, in input order:
     ``times``, ``poses``, ``trig`` (the cosine and sine of each pose angle,
     from ``math``), the scene-label code ``region``, the ``scores`` as
     given, the record count ``counts`` and ``mask``, which marks the
@@ -318,9 +366,7 @@ class ObservationLog:
     read.
     """
 
-    classes: tuple[str, ...]
-    colors: tuple[str, ...]
-    regions: tuple[str, ...]
+    vocabulary: Vocabulary
     position: np.ndarray
     obs: np.ndarray
     latent: tuple[str | None, ...]
@@ -373,7 +419,7 @@ class ObservationLog:
         for a in arrays.values():
             a.flags.writeable = False
         return ObservationLog(
-            classes=classes, colors=colors, regions=regions, latent=latent,
+            vocabulary=Vocabulary(classes, colors, regions), latent=latent,
             scores=scores, size=len(times), records=len(order), **arrays)
 
     @staticmethod
@@ -490,14 +536,14 @@ _BASE = "{}@{:.1f},{:.1f}".format
 
 
 @dataclass(frozen=True, eq=False)
-class WorldModel:
+class WorldModel(_Named):
     """The objects a build found, as columns, and the ledger of its cost.
 
     Column ``i`` of ``codes`` holds object ``i``'s class, colour and
-    region as codes into the vocabularies ``classes``, ``colors`` and
-    ``regions``, the colour -1 when no detector confirmed one; column
-    ``i`` of ``pose`` holds its x, y and theta; and its provenance is the
-    set of ``t[start[i]:stop[i]]``.
+    region as codes into ``vocabulary`` (a build's is its log's), the
+    colour -1 when no detector confirmed one; column ``i`` of ``pose``
+    holds its x, y and theta; and its provenance is the set of
+    ``t[start[i]:stop[i]]``.
 
     A build's columns are in the merge's group order, by smallest member
     row, and ``given`` is None: an object's id is made when it is read
@@ -506,13 +552,12 @@ class WorldModel:
     except the target, and nothing names any other object but the
     candidates tied with it: ``objects`` names and makes every
     ``DetectedObject`` on first access, in id order, and ``signatures``
-    and ``digest`` read the columns.  Two world models are equal when
-    their objects, robot poses and ledgers are.
+    and ``digest`` read the columns through the vocabulary's tables.  Two
+    world models are equal when their objects, robot poses and ledgers
+    are.
     """
 
-    classes: tuple[str, ...]
-    colors: tuple[str, ...]
-    regions: tuple[str, ...]
+    vocabulary: Vocabulary
     codes: np.ndarray
     pose: np.ndarray
     t: np.ndarray
@@ -536,7 +581,7 @@ class WorldModel:
         size = np.array([len(p) for p in provenance], dtype=np.intp)
         stop = size.cumsum()
         return WorldModel(
-            classes=classes, colors=colors, regions=regions,
+            vocabulary=Vocabulary(classes, colors, regions),
             codes=np.array([cls, [code.get(o.color, -1) for o in objects], region],
                            dtype=np.intp),
             pose=np.array([o.pose for o in objects], dtype=float).reshape(-1, 3).T,
@@ -625,27 +670,21 @@ class WorldModel:
         Returns ``(signatures, codes)``: the distinct signatures in order of
         first appearance in the columns, and ``codes[i]``, the position of
         column ``i``'s among them.  The three codes pack into one int key
-        (the colour shifted by one, so that none is 0); one
-        ``dict.fromkeys`` lists the distinct keys, and a table indexed by
-        key numbers the columns.
+        (``Vocabulary``); one ``dict.fromkeys`` lists the distinct keys, a
+        table indexed by key numbers the columns, and the vocabulary's
+        table, made once per vocabulary, decodes each distinct key.
         """
-        nc, nr = len(self.colors) + 1, len(self.regions)
-        key = np.array([nc * nr, nr, 1]) @ self.codes + nr
+        vocabulary = self.vocabulary
+        key = vocabulary.weights @ self.codes + vocabulary.offset
         distinct = list(dict.fromkeys(key.tolist()))
-        number = np.empty(len(self.classes) * nc * nr, dtype=np.intp)
+        number = np.empty(vocabulary.size, dtype=np.intp)
         number[distinct] = np.arange(len(distinct))
-        colors = (*self.colors, None)
-        signatures = []
-        for k in distinct:
-            rest, region = divmod(k, nr)
-            cls, color = divmod(rest, nc)
-            signatures.append((self.classes[cls], colors[color - 1], self.regions[region]))
-        return tuple(signatures), number[key]
+        return tuple(map(vocabulary.signature.__getitem__, distinct)), number[key]
 
     def digest(self) -> frozenset[tuple[str, str]]:
-        """The (key, value) attribute pairs of the objects: factor context."""
-        return frozenset(pair for signature in self.signatures[0]
-                         for pair in signature_attrs(*signature))
+        """The (key, value) attribute pairs of the objects: factor context,
+        the union of the vocabulary's pair set of each distinct signature."""
+        return frozenset().union(*map(self.vocabulary.pairs.__getitem__, self.signatures[0]))
 
 
 def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
@@ -674,9 +713,10 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
         return detections._replace(rows=rows[~log.noisy[rows]]), cost
     if symbol.kind == COLOR_DETECTOR:
         # A colour that no row of the log shows has no code to confirm.
-        if symbol.param not in log.colors:
+        colors = log.colors
+        if symbol.param not in colors:
             return detections, cost
-        code = log.colors.index(symbol.param)
+        code = colors.index(symbol.param)
         return detections._replace(confirmed=detections.confirmed | {code}), cost
     obs = log.obs[rows]
     # Finite poses can sum to inf, and inf to NaN, as Python floats do,
@@ -924,13 +964,12 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
     np.divide(np.bincount(group, xy[:, 1]), size, out=pose[1])
     theta.take(first, out=pose[2])
     return WorldModel(
-        classes=log.classes, colors=log.colors, regions=log.regions,
-        codes=codes, pose=pose, t=t[order], start=start, stop=stop, given=None,
-        robot_pose=robot_pose, cost_ledger=cost_ledger)
+        vocabulary=log.vocabulary, codes=codes, pose=pose, t=t[order], start=start,
+        stop=stop, given=None, robot_pose=robot_pose, cost_ledger=cost_ledger)
 
 
 # The stages that run only as a pair.
-_GEOMETRY = frozenset((PerceptionSymbol(BBOX_ESTIMATOR), PerceptionSymbol(POSE_ESTIMATOR)))
+_GEOMETRY = frozenset(map(STRUCTURAL_SYMBOLS.__getitem__, (BBOX_ESTIMATOR, POSE_ESTIMATOR)))
 
 
 def build_world_model(observations, classifiers, registry: ClassifierRegistry,
@@ -942,13 +981,15 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     log's rows of their classes.
     The stages then run in ``CLASSIFIER_KINDS`` order -- object detectors,
     noise filter, color detectors, bounding box, pose -- and in canonical
-    order within a kind; each stage that costs something adds a ledger
-    entry.  The bounding-box and pose stages run only as a pair: without
-    both no detection can become an object (its position is unknown), so
-    a build with one of them runs neither.  Duplicate detections of one
-    object -- same apparent class within the merge radius -- collapse to a
-    single object at the centroid.  Without ``robot_pose`` the robot is
-    where the log's latest observation puts it (``ObservationLog.latest_pose``).
+    order within a kind, the build rank of the registry's stage table
+    (``ClassifierRegistry.stages``); each stage that costs something adds
+    a ledger entry under the table's canon.  The bounding-box and pose
+    stages run only as a pair: without both no detection can become an
+    object (its position is unknown), so a build with one of them runs
+    neither.  Duplicate detections of one object -- same apparent class
+    within the merge radius -- collapse to a single object at the
+    centroid.  Without ``robot_pose`` the robot is where the log's latest
+    observation puts it (``ObservationLog.latest_pose``).
     """
     log = ObservationLog.of(observations)
     selected = frozenset(classifiers)
@@ -958,19 +999,29 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     if robot_pose is None:
         robot_pose = log.latest_pose()
 
-    stages = sorted(selected if _GEOMETRY <= selected else selected - _GEOMETRY,
-                    key=registry.build_rank.__getitem__)
-    current = log.detections(
-        frozenset(c.param for c in stages if c.kind == OBJECT_DETECTOR))
+    if not _GEOMETRY <= selected:
+        selected -= _GEOMETRY
+    stages = sorted(map(registry.stages.__getitem__, selected))
+    current = log.detections(frozenset(
+        stage.symbol.param for stage in stages if stage.symbol.kind == OBJECT_DETECTOR))
     ledger: list[tuple[str, float]] = []
-    for symbol in stages:
-        current, cost = run_classifier(symbol, registry, current)
+    for stage in stages:
+        current, cost = run_classifier(stage.symbol, registry, current)
         if cost:
-            ledger.append((symbol.canon, cost))
+            ledger.append((stage.canon, cost))
 
     if current.theta is None or not len(current):
-        return WorldModel.of((), robot_pose, tuple(ledger))
+        return _no_objects(log.vocabulary, robot_pose, tuple(ledger))
     return _merge(current, robot_pose, tuple(ledger))
+
+
+def _no_objects(vocabulary: Vocabulary, robot_pose: Pose,
+                cost_ledger: tuple[tuple[str, float], ...]) -> WorldModel:
+    """The world model of no objects, over a log's vocabulary."""
+    none = np.empty(0, dtype=np.intp)
+    return WorldModel(vocabulary=vocabulary, codes=none.reshape(3, 0),
+                      pose=np.empty((3, 0)), t=np.empty(0, dtype=np.int64), start=none,
+                      stop=none, given=None, robot_pose=robot_pose, cost_ledger=cost_ledger)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from test_acceptance import strip_wall_time
 from test_world import cups_sharing_an_id
 
 import groundling
-from groundling import correspondence, world
+from groundling import corpus, correspondence, world
 from groundling.errors import GroundlingError, InvalidSpec
-from groundling.fixtures import benchmark_manifest, revisited, site_spec, tiled
+from groundling.fixtures import benchmark_manifest, revisited, site_spec, tiled, wide_registry
 from groundling.pipeline import (
     CSV_COLUMNS,
     DOMAINS,
@@ -34,6 +34,7 @@ from groundling.pipeline import (
     RunResult,
     benchmark,
     run,
+    train_bundle,
 )
 from groundling.symbols import (
     enumerate_grounding_space,
@@ -191,6 +192,34 @@ def test_x128_revisits_ground_and_build_as_one_pass(bundle, registry, bench_repo
                     case.instruction, case.site, mode)
     assert {case.site: x1[(case.instruction, case.site, "B")].object_count
             for case in benchmark_manifest()} == {"site-1": 37, "site-2": 36}
+
+
+def test_a_wider_registry_grows_b_and_leaves_ap_and_of_ap_flat(registry, bench_report):
+    # The session-scoped sweep is the x1 registry's: the seed-7 corpus, trained
+    # on, and the manifest on the two sites.  With twice the classes and
+    # colours, none of them on the sites, B runs more detectors and pays
+    # more; AP and OF_AP run and pay the same, object for object, and all
+    # four modes still ground each case alike.
+    assert wide_registry(1) == registry
+    wide = wide_registry(2)
+    assert len(wide.object_classes) == 24 and len(wide.colors) == 12
+    train_set, _ = corpus.split(corpus.generate(corpus.CorpusConfig(seed=7), wide))
+    bundle, _ = train_bundle(train_set, wide)
+    logs = {site: simulate(site_spec(site), wide) for site in ("site-1", "site-2")}
+    x1 = by_case_and_mode(bench_report)
+    x2 = by_case_and_mode(benchmark(benchmark_manifest(), logs, bundle, wide))
+    for key, run_x1 in x1.items():
+        run_x2 = x2[key]
+        if key[2] in ("AP", "OF_AP"):
+            assert ((run_x2.cost_units, run_x2.object_count)
+                    == (run_x1.cost_units, run_x1.object_count)), key
+        elif key[2] == "B":
+            assert run_x2.cost_units > run_x1.cost_units, key
+    for rows in (x1, x2):
+        for case in benchmark_manifest():
+            outcomes = {(rows[(case.instruction, case.site, mode)].grounding,
+                         rows[(case.instruction, case.site, mode)].error) for mode in MODES}
+            assert len(outcomes) == 1 and next(iter(outcomes))[0], (case, outcomes)
 
 
 def test_csv_shape(bench_report):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from groundling.symbols import (
     GroundingSymbol,
     PerceptionSymbol,
     SymbolSpace,
+    _entries,
     action_instance,
     default_registry,
     enumerate_grounding_space,
@@ -289,6 +291,57 @@ def test_instances_of_one_signature_share_a_row(registry):
         rows[s.variant].add(row)
     assert len(rows["object"]) == len(rows["action"]) == 1
     assert len(space.row_keys) == len(enumerate_grounding_type_space(registry)) + 2
+
+
+def world_of(signatures) -> WorldModel:
+    """A world of one object per (class, colour, region), in that order."""
+    return WorldModel.of(objects=tuple(
+        DetectedObject(id=f"{cls}@{k}.0,0.0", cls=cls, color=color,
+                       pose=(float(k), 0.0, 0.0), region=region, provenance=frozenset())
+        for k, (cls, color, region) in enumerate(signatures)), robot_pose=(0.0, 0.0, 0.0))
+
+
+def test_signature_rows_do_not_depend_on_the_worlds_met_before():
+    # A layout keeps each signature's key rows from the first world that
+    # has it.  A fresh registry's layout meets worlds in different orders,
+    # with a new signature, a failed one and a repeat of the first world;
+    # each space has the entries of its own row keys, and the space a
+    # layout that met only that world makes.
+    layout = ClassifierRegistry()._grounding_layout
+    cup, ball = ("cup", "red", "kitchen"), ("ball", None, "office")
+    chair = ("chair", "blue", "hallway")
+    worlds = [world_of([cup, ball]), world_of([ball, cup, ball]),
+              world_of([chair, ball]), world_of([cup, ball]), world_of([])]
+    for k, world in enumerate(worlds):
+        if k == 3:
+            # A signature outside the vocabulary fails, naming it, and
+            # leaves the layout as it was for the worlds that follow.
+            outside = ("drone", "red", "kitchen")
+            with pytest.raises(InvalidSpec, match=re.escape(str(outside))):
+                layout.space(world.id, [0, 1], (("umbrella", None, "lounge"), outside))
+        signatures, codes = world.signatures
+        space = layout.space(world.id, codes, signatures)
+        assert (space.entry_row.tolist(), space.entry_key.tolist()) == tuple(
+            a.tolist() for a in _entries(space.row_keys))
+        alone = ClassifierRegistry()._grounding_layout.space(world.id, codes, signatures)
+        assert space.row_keys == alone.row_keys
+        assert space.row_of.tolist() == alone.row_of.tolist()
+        assert space.entry_key.tolist() == alone.entry_key.tolist()
+
+
+def test_cells_of_is_one_read_only_mask_per_pair_set(registry):
+    layout = enumerate_grounding_type_space(registry).layout
+    pairs = [("class", "cup"), ("color", "red"), ("region", "kitchen"), ("class", "drone")]
+    mask = layout.cells_of(frozenset(pairs))
+    again = layout.cells_of(set(reversed(pairs)))
+    # A cell's name is (pair, variant); a pair's and a variant's first
+    # item is a string.
+    assert mask.tolist() == again.tolist() == [
+        not isinstance(name, str) and name[0] in pairs for name in layout.names]
+    assert mask.any() and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = True
+    assert not layout.cells_of(()).any()
 
 
 def test_instance_symbols_reference_world_ids(registry, site_logs):

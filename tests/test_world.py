@@ -25,7 +25,7 @@ from groundling.fixtures import (
     site_spec,
     tiled,
 )
-from groundling.symbols import SCENE_LABELS, PerceptionSymbol
+from groundling.symbols import SCENE_LABELS, PerceptionSymbol, load_registry, save_registry
 from groundling.world import (
     MERGE_RADIUS,
     SENSING_RANGE,
@@ -332,6 +332,43 @@ def test_build_calls_each_stage_once_through_the_module(registry, site_logs,
         calls.clear()
         build_world_model(site_logs["site-1"], selected, registry)
         assert calls == stages
+
+
+def test_a_build_does_not_depend_on_classifier_identity(registry, site_logs, tmp_path,
+                                                        monkeypatch):
+    # The registry's tables hold its own symbols but look them up by value:
+    # equal symbols made afresh, and a registry read back from its file,
+    # build the same world through the same stages.
+    assert registry.classifiers() is registry.classifiers()
+    save_registry(registry, tmp_path / "registry.yaml")
+    loaded = load_registry(tmp_path / "registry.yaml")
+    assert loaded == registry
+    assert all(a is not b for a, b in zip(loaded.classifiers(), registry.classifiers())
+               if a.param is not None)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args[0])
+        return run_classifier(*args, **kwargs)
+
+    monkeypatch.setattr("groundling.world.run_classifier", recorder)
+
+    def build(classifiers, registry):
+        calls.clear()
+        built = build_world_model(site_logs["site-1"], classifiers, registry)
+        return (built.codes.tobytes(), built.pose.tobytes(), built.t.tobytes(),
+                built.cost_ledger, [(c.kind, c.param) for c in calls])
+
+    everything = full_classifiers(registry)
+    for selected in (everything, {c for c in everything if c.param in (None, "cup")},
+                     {c for c in everything if c.kind != "pose_estimator"}):
+        afresh = [PerceptionSymbol(c.kind, c.param) for c in selected]
+        assert not set(map(id, afresh)) & set(map(id, registry.classifiers()))
+        own = build(selected, registry)
+        assert own[3]
+        assert build(afresh, registry) == own
+        assert build(selected, loaded) == own
+        assert build(afresh, loaded) == own
 
 
 def test_build_finds_all_fixture_objects(registry, site_logs):
@@ -641,7 +678,7 @@ _PRINTED = st.one_of(
 def test_ids_made_when_read_match_eager_naming_at_print_boundaries(points):
     classes = [c for c, _, _ in points]
     built = world.WorldModel(
-        classes=("ball", "cup"), colors=(), regions=("kitchen",),
+        vocabulary=world.Vocabulary(("ball", "cup"), (), ("kitchen",)),
         codes=np.array([classes, [-1] * len(points), [0] * len(points)],
                        dtype=np.intp).reshape(3, -1),
         pose=np.array([(x, y, 0.0) for _, x, y in points], dtype=float).reshape(-1, 3).T,
