@@ -17,7 +17,9 @@ gets both sides' medians, in how many pairs the change is better in the
 metric's ``better`` direction from BENCHMARK.json, the parent's
 interquartile range, and whether a gain could be claimed; for each
 end-to-end metric, also the change of the medians relative to the
-parent's, next to the metric's ``bound``.
+parent's, next to the metric's ``bound``.  At the end, the standard
+output gets README's harness tables rendered from the new files
+(``readme_tables``).
 """
 
 from __future__ import annotations
@@ -107,6 +109,65 @@ def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
               f" claim rule {'met' if met else 'not met'}{bound}", file=sys.stderr)
 
 
+def _figure(digits: int):
+    return lambda value: f"{value:.{digits}f}"
+
+
+def _share(value: float) -> str:
+    return f"{value:.3f}".rstrip("0").rstrip(".")
+
+
+def _gap(value: float) -> str:
+    return f"{value:+.3f}".replace("-", "−")
+
+
+MODES = ("B", "OF", "AP", "OF_AP")
+# Each row of README's per-workload table: its label, the metrics it
+# lists, how a median of each is written, and the unit after the last.
+METRIC_ROWS = (
+    ("setup_s", ("setup_s",), _figure(3), " s"),
+    ("train_s", ("train_s",), _figure(3), " s"),
+    ("latency_p50_ms B / OF / AP / OF_AP",
+     tuple(f"latency_p50_ms.{m}" for m in MODES), _figure(3), " ms"),
+    ("latency_p90_ms B / OF_AP", ("latency_p90_ms.B", "latency_p90_ms.OF_AP"),
+     _figure(3), " ms"),
+    ("runs_per_s", ("runs_per_s",), _figure(0), ""),
+    ("peak_rss_mb", ("peak_rss_mb",), _figure(1), " MB"),
+    ("cost_ratio.OF_AP / objects_ratio.OF_AP",
+     ("cost_ratio.OF_AP", "objects_ratio.OF_AP"), _figure(3), ""),
+    ("ok_share / mode_agreement / heldout_exact",
+     ("ok_share", "mode_agreement", "heldout_exact"), _share, ""),
+)
+
+
+def readme_tables(docs: dict[str, dict]) -> list[str]:
+    """README's harness tables, from the change-side medians of the BENCH
+    files ``docs`` (workload -> the file's JSON): one table per workload,
+    introduced by its name, and then the table of the paper's cost ratio
+    next to the OF_AP − AP and OF − B gaps of the p50 medians, in ms.
+
+    Times and ratios have three decimals, runs_per_s is whole,
+    peak_rss_mb has one decimal, the shares drop trailing zeros, and a
+    gap is signed, with "−" for a negative one.
+    """
+    blocks, gaps = [], []
+    for workload, doc in docs.items():
+        median = {name: statistics.median(p["change"]["metrics"][name]["value"]
+                                          for p in doc["pairs"])
+                  for name in doc["pairs"][0]["change"]["metrics"]}
+        lines = [f"{workload}:", "", "| metric | median |", "| --- | ---: |"]
+        for label, names, written, unit in METRIC_ROWS:
+            figures = " / ".join(written(median[name]) for name in names)
+            lines.append(f"| {label} | {figures}{unit} |")
+        blocks.append("\n".join(lines))
+        p50 = {m: median[f"latency_p50_ms.{m}"] for m in MODES}
+        gaps.append(f"| {workload} | {median['cost_ratio.OF_AP']:.3f}"
+                    f" | {_gap(p50['OF_AP'] - p50['AP'])} | {_gap(p50['OF'] - p50['B'])} |")
+    blocks.append("\n".join(["| workload | cost_ratio.OF_AP | OF_AP − AP | OF − B |",
+                             "|---|---|---|---|", *gaps]))
+    return blocks
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--number", type=int, required=True,
@@ -124,6 +185,7 @@ def main(argv=None) -> int:
               for metric in benchmark["end_to_end"] + benchmark["per_layer"]}
     bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     parent = git("rev-parse", "--short", args.parent).strip()
+    docs = {}
     with tempfile.TemporaryDirectory(dir=args.workdir) as work:
         sides = {"parent": Path(work, "parent"), "change": Path(work, "change")}
         for path in sides.values():
@@ -160,6 +222,8 @@ def main(argv=None) -> int:
             out.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"wrote {out.name}", file=sys.stderr)
             summarise(pairs, better, bounds)
+            docs[workload] = doc
+    print("\n\n".join(readme_tables(docs)))
     return 0
 
 

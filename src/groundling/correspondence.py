@@ -11,8 +11,9 @@ space's layout: each phrase-side token (``bias``, ``cat=``, ``w=``,
 keys.  A phrase adds its few token vectors into key weights and sums
 them once per row of the ``SymbolSpace`` (a constraint symbol, or a
 signature shared by instance symbols, which fire no ``ceq`` and so score
-alike) with one ``bincount``; ``phrase_logits`` gathers the rows to the
-symbols, and inference keeps them as rows.
+alike) with one ``bincount``.  ``_score_phrase`` is that one scoring
+body; ``phrase_logits`` gathers its rows to the symbols, and inference
+keeps them as rows.
 
 What a phrase fires is known before any scoring.  A phrase's own tokens
 are ``grammar.feature_tokens``; a run's parse tree keeps them
@@ -52,7 +53,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -157,52 +158,59 @@ class _Compiled(dict):
         return vector
 
 
-class _RowScorer:
-    """Scores phrases against one space, for one model and world digest.
+def _row_scorer(model: CorrespondenceModel | StackedModel, space: SymbolSpace,
+                digest: frozenset) -> partial:
+    """``_score_phrase`` with one walk's constants bound: the model's
+    weights compiled against the space's layout, the layout, the digest's
+    ``dig`` vector (None without a digest, as in the semantic and
+    perception spaces, where no cell has a ``dig`` weight to add), and the
+    space's entries and row count.  What is left to pass is a phrase's
+    own tokens and its children."""
+    layout = space.layout
+    compiled = model._compiled.get(layout)
+    if compiled is None:
+        compiled = model._compiled[layout] = _Compiled(model, layout)
+    dig = np.where(layout.cells_of(digest), compiled.dig, 0.0) if digest else None
+    return partial(_score_phrase, compiled, layout, dig, space.entry_row,
+                   space.entry_key, len(space.row_keys))
 
-    A phrase's key weights add its tokens' vectors in the order
-    ``Layout.tokens`` gives: its own (``grammar.feature_tokens``), then
-    ``cv=`` for each distinct variant among its children's true
-    constraints, in sorted order.  Then come the
-    ``dig`` weights of the digest's cells and each child's ``cmatch``
-    weights; no other token fires at a cell, and no two constraints share
-    a cell (``Layout``).  Each key thus gets its terms in one fixed order,
-    the tokens' and then, at a cell, two terms that commute, so every
-    logit is bit-equal to the sum of its features' weights in that
-    order.  Each row then sums its keys' weights once, and row ``c`` adds
-    the ``ceq`` weight of child ``c``, which it repeats.  Children are
-    ordinals into the space's layout: scoring makes no symbol and reads
-    none.
+
+def _score_phrase(compiled: _Compiled, layout: Layout, dig, entry_row, entry_key,
+                  rows: int, own, kids) -> np.ndarray:
+    """The row logits of a phrase whose own tokens are ``own`` (``bias``
+    and ``cat=`` first, ``grammar.feature_tokens``) and whose children's
+    true constraints are ``kids``, distinct ordinals in ascending order.
+
+    This is the one scoring body: ``infer`` calls it once per phrase and
+    ``phrase_logits`` once, each through ``_row_scorer``.  The key weights
+    add, in this order, the vectors of the phrase's own tokens, of
+    ``cv=`` for each distinct variant among the children
+    (``Layout.child_tokens``), the ``dig`` weights of the digest's cells,
+    and each child's ``cmatch`` weights; no other token fires at a cell,
+    and no two constraints share a cell (``Layout``).  Each key thus gets
+    its terms in one fixed order, the tokens' and then, at a cell, two
+    terms that commute, so every logit is bit-equal to the sum of its
+    features' weights in that order.  Each row then sums its keys'
+    weights once, gathered with ``take``, and row ``c`` adds the ``ceq``
+    weight of child ``c``, which it repeats.  Children are ordinals into
+    the layout: scoring makes no symbol and reads none.
     """
-
-    def __init__(self, model: CorrespondenceModel | StackedModel,
-                 space: SymbolSpace, digest: frozenset):
-        layout = space.layout
-        compiled = model._compiled.get(layout)
-        if compiled is None:
-            compiled = model._compiled[layout] = _Compiled(model, layout)
-        self.compiled, self.space, self.layout = compiled, space, layout
-        # Without a digest, as in the semantic and perception spaces, no
-        # cell has a dig weight to add.
-        self.base = ([np.where(layout.cells_of(digest), compiled.dig, 0.0)]
-                     if digest else [])
-
-    def __call__(self, tokens, kids) -> np.ndarray:
-        """The row logits of a phrase with ``tokens`` (``bias`` and
-        ``cat=`` first) whose children's true constraints are ``kids``,
-        distinct ordinals."""
-        compiled, space = self.compiled, self.space
-        vectors = [compiled[t] for t in self.layout.tokens(tokens, kids)]
-        vectors += self.base
-        vectors += [compiled.cmatch[c] for c in kids]
-        key_weights = vectors[0] + vectors[1]
-        for vector in vectors[2:]:
-            key_weights += vector
-        rows = np.bincount(space.entry_row, weights=key_weights[space.entry_key],
-                           minlength=len(space.row_keys))
-        for c in kids:
-            rows[c] += compiled.ceq[c]
-        return rows
+    key_weights = compiled[own[0]] + compiled[own[1]]
+    for token in own[2:]:
+        key_weights += compiled[token]
+    if kids:
+        for token in layout.child_tokens(kids):
+            key_weights += compiled[token]
+    if dig is not None:
+        key_weights += dig
+    cmatch = compiled.cmatch
+    for c in kids:
+        key_weights += cmatch[c]
+    logits = np.bincount(entry_row, weights=key_weights.take(entry_key), minlength=rows)
+    ceq = compiled.ceq
+    for c in kids:
+        logits[c] += ceq[c]
+    return logits
 
 
 def _finite(logits: np.ndarray, space: SymbolSpace) -> np.ndarray:
@@ -240,7 +248,8 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
     keys per phrase-side token, read through ``model.weights.get`` only),
     so a phrase adds a few vectors, each row of the space sums its keys,
     and the rows are gathered to the symbols: symbols that share a row,
-    the instances of one signature, are scored once.  Only constraint
+    the instances of one signature, are scored once.  The rows come from
+    ``_score_phrase``, the body that scores each phrase of ``infer``.  Only constraint
     children condition the phrase, and they are read from the space's
     layout; instance children are skipped, and a constraint the
     space lacks raises ``CorpusDomainMismatch``.  A non-finite logit
@@ -255,7 +264,7 @@ def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
             raise CorpusDomainMismatch(
                 f"child symbol {child.canon!r} is outside the {space.domain!r} space")
         kids.add(ordinal[child.canon])
-    rows = _RowScorer(model, space, digest)(feature_tokens(phrase), sorted(kids))
+    rows = _row_scorer(model, space, digest)(feature_tokens(phrase), sorted(kids))
     return _finite(rows, space)[space.row_of]
 
 
@@ -332,7 +341,7 @@ class Assignment:
 
     def _trues_at(self, i: int) -> frozenset:
         true = (self.logits[i] >= _HALF)[self.space.row_of]
-        return frozenset(map(self.space.__getitem__, np.flatnonzero(true).tolist()))
+        return frozenset(map(self.space.__getitem__, true.nonzero()[0].tolist()))
 
     @cached_property
     def trues(self) -> tuple[frozenset, ...]:
@@ -345,7 +354,7 @@ class Assignment:
         """The constraint symbols among ``root_trues``, the space's leading
         rows, made without making an instance symbol."""
         leading = self.logits[-1, :len(self.space.layout.constraints)] >= _HALF
-        return frozenset(map(self.space.__getitem__, np.flatnonzero(leading).tolist()))
+        return frozenset(map(self.space.__getitem__, leading.nonzero()[0].tolist()))
 
     def true_sets(self) -> dict[int, frozenset]:
         return dict(enumerate(self.trues))
@@ -374,10 +383,13 @@ def resolve_action(root_trues, world) -> tuple[GroundingSymbol, DetectedObject]:
     the candidates at the target's distance are named, and only the
     target is made a ``DetectedObject``.
     """
-    classes = {s.value for s in root_trues if s.variant == "objtype"}
-    colors = {s.value for s in root_trues if s.variant == "color"}
-    regions = {s.value for s in root_trues if s.variant == "region"}
-    relations = sorted(s.value for s in root_trues if s.variant == "rel")
+    classes, colors, regions, relations = set(), set(), set(), set()
+    by_variant = {"objtype": classes, "color": colors, "region": regions, "rel": relations}
+    for s in root_trues:
+        values = by_variant.get(s.variant)
+        if values is not None:
+            values.add(s.value)
+    relations = sorted(relations)
     signatures, codes = world.signatures
     match = [(not classes or cls in classes) and (not colors or color in colors)
              and (not regions or region in regions)
@@ -428,10 +440,16 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
     ``resolve_action`` on the root-true constraints.  Only the true
     constraints, the space's leading rows, are passed up to a parent, as
     ordinals into the space's layout, since instances among the children
-    fire no feature; no symbol is made.  The phrases' tokens and
-    post-order are the tree's own, made once for the three models of a
-    run.  Every logit is checked once, after the last phrase: the first
-    non-finite one, in phrase order, raises ``NonFiniteScore``.
+    fire no feature; no symbol is made.  A phrase with one child passes
+    that child's list on as it is, and the root's rows, which no phrase
+    reads, are not thresholded.  The post-order is the one the parser
+    numbered the phrases in, and the phrases' tokens are made once per
+    tree for the three models of a run.  The walk's constants (the
+    compiled weights, the layout, the digest's ``dig`` vector and the
+    space's entries) are bound once, and each phrase is scored by
+    ``_score_phrase``, the one body ``phrase_logits`` calls too.  Every
+    logit is checked once, after the last phrase: the first non-finite
+    one, in phrase order, raises ``NonFiniteScore``.
 
     A ``StackedModel`` over a stacked space (``Layout.stack``) scores
     several domains in this one walk: each key gets its own domain's
@@ -446,15 +464,23 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
     phrases = tree.phrases()
-    score = _RowScorer(model, space, digest)
+    score = _row_scorer(model, space, digest)
     constraints = len(space.layout.constraints)
     logits = np.empty((len(phrases), len(space.row_keys)))
-    kids: list[list[int]] = [[]] * len(phrases)
+    root = len(phrases) - 1
+    kids: list = [None] * root
     for phrase, tokens in zip(phrases, tree.feature_tokens):
-        below = [kids[child.index] for child in phrase.children]
-        children = below[0] if len(below) == 1 else sorted(set().union(*below))
-        rows = logits[phrase.index] = score(tokens, children)
-        kids[phrase.index] = (rows[:constraints] >= _HALF).nonzero()[0].tolist()
+        children = phrase.children
+        if not children:
+            below = []
+        elif len(children) == 1:
+            below = kids[children[0].index]
+        else:
+            below = sorted(set().union(*[kids[child.index] for child in children]))
+        i = phrase.index
+        rows = logits[i] = score(tokens, below)
+        if i < root:
+            kids[i] = (rows[:constraints] >= _HALF).nonzero()[0].tolist()
     return Assignment(_finite(logits, space), space)
 
 

@@ -20,8 +20,8 @@ highest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptyInstruction, OutOfGrammar
 from .symbols import (
@@ -69,35 +69,47 @@ def feature_tokens(phrase: Phrase) -> tuple[str, ...]:
 class ParseTree:
     """A parsed instruction.
 
-    Its post-order and its phrases' ``feature_tokens`` are made on first
-    read and kept, so the three correspondence models of a run share them.
+    ``post_order`` is every phrase in post-order, so a phrase's position in
+    it is its ``index``.  ``parse`` passes the order its parser numbered the
+    phrases in; a tree made from a ``root`` alone derives it, by a loop
+    that leaves no reference cycle.  Trees compare by ``root``.  The
+    phrases' ``feature_tokens`` are made on first read and kept, so the
+    three correspondence models of a run share them.
     """
 
     root: Phrase
+    post_order: tuple[Phrase, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.post_order:
+            object.__setattr__(self, "post_order", _post_order(self.root))
 
     def phrases(self) -> tuple[Phrase, ...]:
         """All phrases in post-order; position in the tuple equals .index."""
-        return self._post_order
+        return self.post_order
 
     @cached_property
     def feature_tokens(self) -> tuple[tuple[str, ...], ...]:
         """Each phrase's ``feature_tokens``, in post-order."""
-        return tuple(map(feature_tokens, self.phrases()))
-
-    @cached_property
-    def _post_order(self) -> tuple[Phrase, ...]:
-        out: list[Phrase] = []
-
-        def walk(p: Phrase):
-            for c in p.children:
-                walk(c)
-            out.append(p)
-
-        walk(self.root)
-        return tuple(out)
+        return tuple(map(feature_tokens, self.post_order))
 
     def __len__(self) -> int:
-        return len(self.phrases())
+        return len(self.post_order)
+
+
+def _post_order(root: Phrase) -> tuple[Phrase, ...]:
+    """The phrases under ``root``, children before parents, left to right.
+
+    Popping a phrase and pushing its children left to right visits each
+    phrase before its subtrees, the last child's first: the reverse of
+    post-order.
+    """
+    stack, out = [root], []
+    while stack:
+        phrase = stack.pop()
+        out.append(phrase)
+        stack += phrase.children
+    return tuple(reversed(out))
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -111,9 +123,12 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(words)
 
 
-@cache
-def _lexicon(registry: ClassifierRegistry) -> dict[str, frozenset[str]]:
-    """word -> preterminal categories for one registry's vocabulary."""
+def lexicon(registry: ClassifierRegistry) -> dict[str, frozenset[str]]:
+    """word -> preterminal categories for one registry's vocabulary.
+
+    A parse reads ``ClassifierRegistry.lexicon``, this made once per
+    registry.
+    """
     lex: dict[str, set[str]] = {}
     for category, words in (("V", VERBS), ("P", PREPOSITIONS),
                             ("DET", DETERMINERS), ("SUP", SUPERLATIVES),
@@ -129,13 +144,17 @@ def _lexicon(registry: ClassifierRegistry) -> dict[str, frozenset[str]]:
 
 
 class _Parser:
-    """One left-to-right pass that builds phrases in post-order."""
+    """One left-to-right pass that builds phrases in post-order.
+
+    ``built`` lists the phrases in the order they are made, which numbers
+    them: children are made before their parent, left to right.
+    """
 
     def __init__(self, tokens: tuple[str, ...], lexicon):
         self.tokens = tokens
         self.lexicon = lexicon
         self.pos = 0
-        self.next_index = 0
+        self.built: list[Phrase] = []
 
     def cats(self, i: int) -> frozenset[str]:
         if i >= len(self.tokens):
@@ -158,8 +177,8 @@ class _Parser:
         return self.tokens[self.pos - 1]
 
     def phrase(self, category: str, tokens, children) -> Phrase:
-        built = Phrase(category, tuple(tokens), tuple(children), self.next_index)
-        self.next_index += 1
+        built = Phrase(category, tuple(tokens), tuple(children), len(self.built))
+        self.built.append(built)
         return built
 
     def vp(self) -> Phrase:
@@ -196,15 +215,20 @@ class _Parser:
 
 def parse(tokens: tuple[str, ...], registry: ClassifierRegistry) -> ParseTree:
     """Parse a token sequence; OutOfGrammar names the first unknown word,
-    else the first token the grammar cannot consume."""
+    else the first token the grammar cannot consume.
+
+    The tree gets the post-order the parser numbered its phrases in, so
+    no walk of the tree finds it again.
+    """
     if not tokens:
         raise EmptyInstruction("no tokens to parse")
-    lexicon = _lexicon(registry)
+    lexicon = registry.lexicon
     for t in tokens:
         if t not in lexicon:
             raise OutOfGrammar(t)
-    root = _Parser(tokens, lexicon).vp()
-    return ParseTree(root=root)
+    parser = _Parser(tokens, lexicon)
+    root = parser.vp()
+    return ParseTree(root, tuple(parser.built))
 
 
 def parse_text(text: str, registry: ClassifierRegistry) -> ParseTree:

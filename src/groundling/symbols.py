@@ -440,11 +440,18 @@ class Layout:
     def tokens(self, own, kids):
         """What a phrase whose own tokens are ``own`` fires given ``kids``,
         the ordinals of its children's true constraints: ``own``, then
-        ``cv=`` for each distinct variant among the children, in sorted
-        order."""
+        ``child_tokens(kids)``.  Training reads a phrase's token set here;
+        inference scores ``own`` and then ``child_tokens(kids)`` in turn."""
         if not kids:
             return own
-        return [*own, *(self.cv[r] for r in sorted({self.cv_rank[c] for c in kids}))]
+        return [*own, *self.child_tokens(kids)]
+
+    def child_tokens(self, kids) -> list[str]:
+        """The ``cv=`` token of each distinct variant among the constraints
+        ``kids`` (ordinals), in sorted order: the one place the ``cv=``
+        rule is spelled."""
+        cv, rank = self.cv, self.cv_rank
+        return [cv[r] for r in sorted({rank[c] for c in kids})]
 
     @cached_property
     def constraint_space(self) -> SymbolSpace:
@@ -671,6 +678,13 @@ class ClassifierRegistry:
     @cached_property
     def _perception_layout(self) -> Layout:
         return Layout("perception", self.classifiers())
+
+    @cached_property
+    def lexicon(self) -> dict[str, frozenset[str]]:
+        """The grammar's word -> preterminal categories for this registry's
+        vocabulary (``grammar.lexicon``), made once per registry."""
+        from .grammar import lexicon
+        return lexicon(self)
 
     @cached_property
     def _instruction_layout(self) -> Layout:

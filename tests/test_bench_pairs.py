@@ -1,14 +1,17 @@
-"""``scripts/bench_pairs.py`` stops on a bad run and states the claim rule.
+"""``scripts/bench_pairs.py`` stops on a bad run and states the claim rule,
+and README's harness tables are what it renders from the newest BENCH
+files.
 
 No test here runs perfbench: ``run_once`` runs a stand-in
-``perfbench/run.py`` in a temporary checkout, and ``summarise`` reads
-synthetic pairs.
+``perfbench/run.py`` in a temporary checkout, ``summarise`` reads
+synthetic pairs, and ``readme_tables`` the committed BENCH files.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,20 @@ def test_the_claim_rule_needs_nine_wins_in_ten_and_a_gap_over_the_iqr(
 
 def test_a_metric_with_no_direction_is_never_claimed(bench_pairs, capsys):
     assert not _claim(bench_pairs, capsys, PARENT, [p - 1 for p in PARENT], better=None)
+
+
+def test_readme_tables_are_the_newest_bench_pair(bench_pairs):
+    # README's two metric tables and its gap table copy the change-side
+    # medians of the highest-numbered BENCH pair in the repository root.
+    workloads = [w["name"] for w in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    numbers = [{int(re.fullmatch(rf"BENCH_(\d+)_{w}\.json", path.name)[1])
+                for path in ROOT.glob(f"BENCH_*_{w}.json")} for w in workloads]
+    newest = max(set.intersection(*numbers))
+    docs = {w: json.loads((ROOT / f"BENCH_{newest}_{w}.json").read_text())
+            for w in workloads}
+    readme = (ROOT / "README.md").read_text()
+    blocks = bench_pairs.readme_tables(docs)
+    assert len(blocks) == len(workloads) + 1
+    for block in blocks:
+        assert readme.count(block) == 1, f"README lacks, from BENCH_{newest}:\n{block}"

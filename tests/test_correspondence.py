@@ -342,6 +342,9 @@ def test_infer_is_bit_equal_to_the_symbol_oracle(bundle, corpus_split, registry,
                 assert got.factor_evals == want.factor_evals
                 assert np.array_equal(got.probabilities.view(np.int64),
                                       want.probabilities.view(np.int64))
+                # The probabilities alone would hide a changed sign of zero
+                # or a saturated logit.
+                assert got.logits.tobytes() == want.logits.tobytes()
                 calls += 1
     assert calls == len(corpus_split[1]) * 2 * (2 + 8)
 
@@ -407,6 +410,7 @@ def test_the_stacked_walk_is_the_two_walks_bit_for_bit(case):
             assert mine.factor_evals == theirs.factor_evals
             assert np.array_equal(mine.probabilities.view(np.int64),
                                   theirs.probabilities.view(np.int64))
+            assert mine.logits.tobytes() == theirs.logits.tobytes()
             assert mine.root_trues() == theirs.root_trues()
             # An assignment over a plain space is its own one part.
             assert len(theirs.parts()) == 1 and theirs.parts()[0] is theirs

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 
 import pytest
 
 from groundling.errors import EmptyInstruction, OutOfGrammar
-from groundling.grammar import dump_tree, feature_tokens, parse_text, tokenize
+from groundling.fixtures import benchmark_manifest
+from groundling.grammar import ParseTree, dump_tree, feature_tokens, parse_text, tokenize
 
 
 def all_phrase_words(tree):
@@ -39,6 +41,30 @@ def test_feature_tokens_are_made_once_per_tree(registry):
     parking = tree.phrases()[1]
     assert feature_tokens(replace(parking, words=parking.words * 2)) == (
         "bias", "cat=NP", "w=the", "w=parking", "w=lot")
+
+
+def test_a_parse_leaves_no_reference_cycle(registry):
+    # A parse is freed by reference counting alone: nothing is left for the
+    # cyclic collector, which a closed loop of runs would otherwise fill.
+    texts = [case.instruction for case in benchmark_manifest()]
+    for text in texts:
+        parse_text(text, registry)  # makes the registry's lexicon once
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for text in texts:
+                tree = parse_text(text, registry)
+                tree.phrases()
+                tree.feature_tokens
+        del tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # A tree made from its root alone derives the parser's post-order.
+    for text in texts:
+        tree = parse_text(text, registry)
+        assert ParseTree(root=tree.root).phrases() == tree.phrases()
 
 
 def test_phrases_partition_the_tokens(corpus_examples, registry):
