@@ -17,7 +17,9 @@ gets both sides' medians, in how many pairs the change is better in the
 metric's ``better`` direction from BENCHMARK.json, the parent's
 interquartile range, and whether a gain could be claimed; for each
 end-to-end metric, also the change of the medians relative to the
-parent's, next to the metric's ``bound``.  At the end, the standard
+parent's, next to the metric's ``bound``, and two verdicts: whether the
+change is worse beyond the bound, and whether the parent's spread leaves
+the bound unresolved (``bound_verdicts``).  At the end, the standard
 output gets README's harness tables rendered from the new files
 (``readme_tables``).
 """
@@ -81,6 +83,25 @@ def machine() -> str:
             f" {platform.python_version()}, numpy {np.__version__}; runs one at a time")
 
 
+def bound_verdicts(before: float, after: float, iqr: float, sign: int,
+                   bound: float) -> tuple[bool, bool] | None:
+    """Whether the change is worse beyond ``bound``, and whether the
+    bound is unresolved, for an end-to-end metric whose parent median is
+    ``before``, change median ``after`` and parent interquartile range
+    ``iqr``; ``sign`` is 1 where higher is better and -1 where lower is.
+
+    Worse beyond the bound: the change's median is worse than the
+    parent's by more than ``bound`` of the parent's.  Unresolved: the
+    parent's IQR is more than ``bound`` of its median, so the runs
+    spread too widely to tell such a change from noise.  None when the
+    parent's median is 0, where neither share is defined.
+    """
+    if not before:
+        return None
+    scale = abs(before)
+    return sign * (before - after) / scale > bound, iqr / scale > bound
+
+
 def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
     """Print each metric's median on both sides, in how many pairs the
     change is better in the direction ``better`` gives it, and the
@@ -89,7 +110,7 @@ def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
     its median beats the parent's by more than that range.  An end-to-end
     metric, one with a bound in ``bounds``, also gets the change of the
     medians relative to the parent's, next to that bound on how much
-    worse it may get."""
+    worse it may get, and ``bound_verdicts``' two verdicts."""
     for name in pairs[0]["parent"]["metrics"]:
         parent, change = ([p[side]["metrics"][name]["value"] for p in pairs]
                           for side in ("parent", "change"))
@@ -102,7 +123,11 @@ def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
         bound = ""
         if name in bounds:
             relative = f"{(after - before) / before:+.1%}" if before else "undefined"
-            bound = f"; relative change {relative}, bound {bounds[name]:.0%}"
+            verdicts = bound_verdicts(before, after, q3 - q1, sign, bounds[name])
+            worse, unresolved = (["undefined"] * 2 if verdicts is None
+                                 else ["yes" if v else "no" for v in verdicts])
+            bound = (f"; relative change {relative}, bound {bounds[name]:.0%};"
+                     f" worse beyond bound {worse}; unresolved {unresolved}")
         print(f"  {name} ({better.get(name, 'no')} is better):"
               f" parent {before:.6g}, change {after:.6g}; change better in"
               f" {wins} of {len(pairs)} pairs; parent IQR {q3 - q1:.3g};"

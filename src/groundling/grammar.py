@@ -28,6 +28,7 @@ from .symbols import (
     REGION_SURFACE_FORMS,
     SUPERLATIVE_RELATIONS,
     ClassifierRegistry,
+    KeyTable,
     split_words,
 )
 
@@ -55,14 +56,22 @@ class Phrase:
     index: int
 
 
+# ``bias`` and ``cat=C`` for a category, and ``w=word`` for a word: each
+# made once, on first use, and shared by every phrase after.  They hold
+# only strings equal to the ones they replace, so every registry and
+# parse can share them.
+_HEAD = KeyTable(lambda category: ("bias", f"cat={category}"))
+_WORD = KeyTable("w={}".format)
+
+
 def feature_tokens(phrase: Phrase) -> tuple[str, ...]:
     """What the correspondence models read of a phrase itself.
 
     ``bias``, ``cat=C`` and ``w=word`` for each distinct word the phrase
     owns, in order.
     """
-    return ("bias", f"cat={phrase.category}",
-            *(f"w={word}" for word in dict.fromkeys(phrase.words)))
+    return _HEAD[phrase.category] + tuple(map(_WORD.__getitem__,
+                                              dict.fromkeys(phrase.words)))
 
 
 @dataclass(frozen=True)

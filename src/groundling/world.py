@@ -309,8 +309,9 @@ class Vocabulary:
     region), the colour None when none was confirmed, and
     ``pairs[signature]`` the set of its attribute pairs
     (``signature_attrs``).  Each is made on first use and kept, so that
-    every world built from one log decodes a signature once.  Two
-    vocabularies are equal when their names are.
+    every world built from one log decodes a signature once.
+    ``color_code`` maps each colour name to its code.  Two vocabularies
+    are equal when their names are.
     """
 
     classes: tuple[str, ...]
@@ -330,7 +331,8 @@ class Vocabulary:
         pairs = KeyTable(lambda signature: frozenset(signature_attrs(*signature)))
         for name, value in (("weights", np.array([nc * nr, nr, 1])), ("offset", nr),
                             ("size", len(classes) * nc * nr),
-                            ("signature", KeyTable(decode)), ("pairs", pairs)):
+                            ("signature", KeyTable(decode)), ("pairs", pairs),
+                            ("color_code", {c: k for k, c in enumerate(self.colors)})):
             object.__setattr__(self, name, value)
 
 
@@ -353,9 +355,10 @@ class ObservationLog(_Named):
     colour and scene label are codes into the log's ``vocabulary``, whose
     names are sorted per log, so that code order is string order; every
     build and view of the log shares it.  Per observation, in input order:
-    ``times``, ``poses``, ``trig`` (the cosine and sine of each pose angle,
-    from ``math``), the scene-label code ``region``, the ``scores`` as
-    given, the record count ``counts`` and ``mask``, which marks the
+    ``times``, ``poses``, ``frame`` (each pose's x, y and the cosine and
+    sine of its angle, from ``math``: the rotation into the world frame),
+    the scene-label code ``region``, the ``scores`` as given, the record
+    count ``counts`` and ``mask``, which marks the
     observations the log keeps: all of them for a whole log.  ``size``
     and ``records`` count the kept observations and their records.
 
@@ -376,7 +379,7 @@ class ObservationLog(_Named):
     noisy: np.ndarray
     times: np.ndarray
     poses: np.ndarray
-    trig: np.ndarray
+    frame: np.ndarray
     region: np.ndarray
     scores: tuple[tuple[tuple[str, float], ...], ...]
     counts: np.ndarray
@@ -408,12 +411,13 @@ class ObservationLog(_Named):
         order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], cls, times[obs]))
         poses = np.array(poses, dtype=float).reshape(-1, 3)
         # ``math`` raises on an infinite angle: its cosine and sine are NaN.
-        trig = np.array([(math.nan,) * 2 if math.isinf(a) else (math.cos(a), math.sin(a))
-                         for a in poses[:, 2].tolist()]).reshape(-1, 2)
+        frame = np.array([(x, y, *((math.nan,) * 2 if math.isinf(a)
+                                   else (math.cos(a), math.sin(a))))
+                          for x, y, a in poses.tolist()]).reshape(-1, 4)
         arrays = dict(
             position=order, obs=obs[order], rel=rel[order],
             cls=cls[order], color=color[order], noisy=np.array(noisy, dtype=bool)[order],
-            times=times, poses=poses, trig=trig, region=region, counts=counts,
+            times=times, poses=poses, frame=frame, region=region, counts=counts,
             mask=np.ones(len(times), dtype=bool))
         # Every build and view of the log shares these arrays.
         for a in arrays.values():
@@ -489,7 +493,8 @@ class ObservationLog(_Named):
         ``classes``, as rows in row order."""
         picked = np.array([name in classes for name in self.classes], dtype=bool)[self.cls]
         rows = (picked & self.mask[self.obs]).nonzero()[0]
-        return DetectionSet(log=self, rows=rows, confirmed=frozenset())
+        return DetectionSet(log=self, rows=rows, obs=self.obs.take(rows),
+                            confirmed=frozenset())
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,14 +503,17 @@ class DetectionSet:
 
     ``rows`` lists rows of the columns of ``log``, in row order, so in
     (t, class, rel) order; every record field is read through it, and no
-    stage copies one.  ``confirmed`` holds the codes of the colours whose
-    colour detector ran.  ``position`` (x, y per row) and ``theta`` stay
+    stage copies one.  ``obs`` is ``log.obs[rows]``, each row's
+    observation, gathered once per build and narrowed with the rows.
+    ``confirmed`` holds the codes of the colours whose colour detector
+    ran.  ``position`` (x, y per row) and ``theta`` stay
     None until the bounding-box and pose stages compute them for every
     row.
     """
 
     log: ObservationLog
     rows: np.ndarray
+    obs: np.ndarray
     confirmed: frozenset[int]
     position: np.ndarray | None = None
     theta: np.ndarray | None = None
@@ -697,44 +705,57 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
     without observations).  The other stages take the current detection
     set and charge base + per-item times its rows (nothing when it is
     empty).  None copies a record field: the noise filter narrows the
-    rows to those without the simulator's noise flag, a color detector
-    adds its colour's code to ``confirmed``, and the bounding-box / pose
-    estimators compute absolute geometry, read through the rows.
+    rows, and their observations, to those without the simulator's noise
+    flag, a color detector adds its colour's code to ``confirmed``, and
+    the bounding-box / pose estimators compute absolute geometry, read
+    through the rows.  A classifier the registry does not hold raises
+    ``UnknownClassifier``.
     """
-    cost_model = registry.cost_for(symbol)
-    log, rows = detections.log, detections.rows
-    if symbol.kind == OBJECT_DETECTOR:
-        return detections, cost_model.cost(log.records) if log.size else 0.0
+    stage = registry.stages.get(symbol)
+    if stage is None:
+        raise UnknownClassifier(symbol.canon)
+    log, rows, kind = detections.log, detections.rows, symbol.kind
+    if kind == OBJECT_DETECTOR:
+        return detections, stage.cost.cost(log.records) if log.size else 0.0
 
-    if not len(detections):
+    n = len(rows)
+    if not n:
         return detections, 0.0
-    cost = cost_model.cost(len(detections))
-    if symbol.kind == NOISE_FILTER:
-        return detections._replace(rows=rows[~log.noisy[rows]]), cost
-    if symbol.kind == COLOR_DETECTOR:
+    cost = stage.cost.cost(n)
+    if kind == NOISE_FILTER:
+        keep = ~log.noisy.take(rows)
+        return detections._replace(rows=rows[keep], obs=detections.obs[keep]), cost
+    if kind == COLOR_DETECTOR:
         # A colour that no row of the log shows has no code to confirm.
-        colors = log.colors
-        if symbol.param not in colors:
+        code = log.vocabulary.color_code.get(symbol.param)
+        if code is None:
             return detections, cost
-        code = colors.index(symbol.param)
         return detections._replace(confirmed=detections.confirmed | {code}), cost
-    obs = log.obs[rows]
     # Finite poses can sum to inf, and inf to NaN, as Python floats do,
     # unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
-        if symbol.kind == BBOX_ESTIMATOR:
-            # x = rx + c*u - s*v, y = ry + s*u + c*v for rel (u, v), with
-            # cos and sin from ``math`` once per log pose: every element
-            # goes through the same IEEE operations, in the same order, as
-            # the scalar form.  The rows are gathered with ``take``, which
-            # numpy runs several times faster than fancy indexing.
-            cos, sin = log.trig.take(obs, axis=0).T
-            robot, rel = log.poses.take(obs, axis=0), log.rel.take(rows, axis=0)
-            x = robot[:, 0] + cos * rel[:, 0] - sin * rel[:, 1]
-            y = robot[:, 1] + sin * rel[:, 0] + cos * rel[:, 1]
-            return detections._replace(position=np.stack((x, y), axis=1)), cost
-        if symbol.kind == POSE_ESTIMATOR:
-            theta = log.poses[:, 2].take(obs) + log.rel[:, 2].take(rows)
+        if kind == BBOX_ESTIMATOR:
+            # x = (rx + c*u) - s*v, y = (ry + s*u) + c*v for rel (u, v),
+            # with the frame's cos and sin from ``math`` once per log pose:
+            # every element goes through the same IEEE operations, in the
+            # same order, as the scalar form.  The rows are gathered with
+            # ``take``, which numpy runs several times faster than fancy
+            # indexing.  x and y are written into one array, as its two
+            # rows, so that each is contiguous, and handed on transposed.
+            rx, ry, c, s = log.frame.take(detections.obs, axis=0).T
+            rel = log.rel.take(rows, axis=0)
+            u, v = rel[:, 0], rel[:, 1]
+            position = np.empty((2, n))
+            x, y = position
+            np.multiply(c, u, out=x)
+            np.add(rx, x, out=x)
+            np.subtract(x, s * v, out=x)
+            np.multiply(s, u, out=y)
+            np.add(ry, y, out=y)
+            np.add(y, c * v, out=y)
+            return detections._replace(position=position.T), cost
+        if kind == POSE_ESTIMATOR:
+            theta = log.poses[:, 2].take(detections.obs) + log.rel[:, 2].take(rows)
             return detections._replace(theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 
@@ -836,7 +857,9 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     four ``searchsorted`` windows over the units: the later units of its
     own column up to cell y + 3, and columns x + 1 to x + 3 from cell
     y - 3 to y + 3.  Together they hold each pair of units up to 3 cells
-    apart once.  Then, a chunk of about ``_PAIRS`` unit pairs at a time:
+    apart once.  No window reaches past the key ``_WINDOWS[-1]`` above a
+    unit's, so only units whose next key is that close get windows.
+    Then, a chunk of about ``_PAIRS`` unit pairs at a time:
 
     - a pair whose joint bounding box passes the test links with no row
       test (two parts of an object that straddles a cell line, say);
@@ -874,21 +897,29 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     label = np.empty(n, dtype=np.intp)
     label[order] = rep.repeat(size)
     unit_key = key[start]
-    window = unit_key.searchsorted(unit_key + _WINDOWS[:, None], side="right")
-    window[0] = np.arange(1, len(start) + 1)
-    # Row 2d of ``window`` starts unit u's window in column x + d at
-    # position u, and row 2d + 1 ends it.
+    # Every window of a unit ends at or before its key + _WINDOWS[-1], and
+    # the keys are sorted: a unit whose next key lies beyond that has no
+    # candidate, and only the others get windows.
+    reach = (unit_key[1:] - unit_key[:-1] <= _WINDOWS[-1]).nonzero()[0]
+    if not len(reach):
+        return label
+    window = unit_key.searchsorted(unit_key[reach] + _WINDOWS[:, None], side="right")
+    window[0] = reach + 1
+    # Row 2d of ``window`` starts the window in column x + d of unit
+    # ``reach[i]`` at position i, and row 2d + 1 ends it.
     lo, count = window[::2].ravel(), (window[1::2] - window[::2]).ravel()
     live = count.nonzero()[0]
     if not len(live):
         return label
+    # The unit each live window belongs to.
+    owner = reach.take(live % len(reach))
     xy = xy.take(order, axis=0)
     x, y = xy[:, 0], xy[:, 1]
     low, high = np.minimum.reduceat(xy, start), np.maximum.reduceat(xy, start)
     # NaN, inf and overflow compare false, as Python floats do, unwarned.
     with np.errstate(invalid="ignore", over="ignore"):
         for w, b in _chunks(lo[live], count[live]):
-            a = live[w] % len(start)
+            a = owner[w]
             dx, dy = (np.maximum(high[a], high[b]) - np.minimum(low[a], low[b])).T
             near = dx * dx + dy * dy <= _RADIUS2
             label = _join(label, rep[a[near]], rep[b[near]])
@@ -932,9 +963,9 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
     members' ``t`` group by group.  No id is made here: ``WorldModel.id``
     makes one when it is read.
     """
-    log, rows = detections.log, detections.rows
+    log, rows, obs = detections.log, detections.rows, detections.obs
     xy, theta = detections.position, detections.theta
-    obs, row_cls, color = log.obs[rows], log.cls[rows], log.color[rows]
+    row_cls, color = log.cls[rows], log.color[rows]
     t, region = log.times[obs], log.region[obs]
     label = _link(row_cls, xy)
     # Each cluster's smallest row labels itself; numbering those rows in
@@ -953,9 +984,12 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
     codes = np.empty((3, k), dtype=np.intp)
     cls, winner, votes = codes
     np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1, out=winner)
-    known = np.zeros(nc, dtype=bool)
-    known[list(detections.confirmed)] = True
-    winner[~known[winner]] = -1
+    # A colour stays only when its detector ran: a table of the confirmed
+    # codes, -1 elsewhere, gathered by the winners.
+    known = np.full(nc, -1, dtype=np.intp)
+    confirmed = list(detections.confirmed)
+    known[confirmed] = confirmed
+    known.take(winner, out=winner)
     np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr).argmax(axis=1, out=votes)
     first = order[start]
     row_cls.take(first, out=cls)

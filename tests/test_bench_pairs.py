@@ -83,6 +83,54 @@ def test_a_metric_with_no_direction_is_never_claimed(bench_pairs, capsys):
     assert not _claim(bench_pairs, capsys, PARENT, [p - 1 for p in PARENT], better=None)
 
 
+def _verdicts(bench_pairs, capsys, parent, change, bound, better="lower"):
+    pairs = [{side: {"metrics": {"m": {"value": value}}}
+              for side, value in (("parent", p), ("change", c))}
+             for p, c in zip(parent, change)]
+    bench_pairs.summarise(pairs, {"m": better}, {"m": bound})
+    line = capsys.readouterr().err
+    worse = re.search(r"worse beyond bound (\w+)", line)[1]
+    unresolved = re.search(r"unresolved (\w+)", line)[1]
+    return worse, unresolved
+
+
+@pytest.mark.parametrize("factor, worse", [
+    (1.30, "yes"),    # 30% worse than the parent's median, past a 25% bound
+    (1.20, "no"),     # 20% worse is within it
+    (0.70, "no"),     # 30% better is never worse
+])
+def test_worse_beyond_bound_compares_the_medians_with_the_bound(
+        bench_pairs, capsys, factor, worse):
+    change = [factor * p for p in PARENT]
+    assert _verdicts(bench_pairs, capsys, PARENT, change, 0.25)[0] == worse
+    # Where higher is better, the mirror image: 30% lower is worse.
+    assert _verdicts(bench_pairs, capsys, PARENT, [(2 - factor) * p for p in PARENT],
+                     0.25, better="higher")[0] == worse
+    # The share is of the parent's median, whatever the unit.
+    assert _verdicts(bench_pairs, capsys, [100 * p for p in PARENT],
+                     [100 * c for c in change], 0.25)[0] == worse
+
+
+@pytest.mark.parametrize("bound, unresolved", [
+    (0.04, "yes"),    # the parent's IQR is 4.3% of its median
+    (0.05, "no"),
+])
+def test_unresolved_compares_the_parents_spread_with_the_bound(
+        bench_pairs, capsys, bound, unresolved):
+    # The change's values spread ten times as widely, about a median twice
+    # the parent's: only the parent's spread decides, and it is read
+    # relative to the parent's median.
+    change = [2.09 + 10 * (p - 1.045) for p in PARENT]
+    assert _verdicts(bench_pairs, capsys, PARENT, change, bound)[1] == unresolved
+    scaled = [100 * p for p in PARENT]
+    assert _verdicts(bench_pairs, capsys, scaled, scaled, bound)[1] == unresolved
+
+
+def test_the_verdicts_are_undefined_on_a_zero_median(bench_pairs, capsys):
+    zeros = [0.0] * 10
+    assert _verdicts(bench_pairs, capsys, zeros, PARENT, 0.25) == ("undefined",) * 2
+
+
 def test_readme_tables_are_the_newest_bench_pair(bench_pairs):
     # README's two metric tables and its gap table copy the change-side
     # medians of the highest-numbered BENCH pair in the repository root.

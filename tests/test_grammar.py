@@ -41,6 +41,11 @@ def test_feature_tokens_are_made_once_per_tree(registry):
     parking = tree.phrases()[1]
     assert feature_tokens(replace(parking, words=parking.words * 2)) == (
         "bias", "cat=NP", "w=the", "w=parking", "w=lot")
+    # Each token is made once, per category and per word, and every parse
+    # after shares it.
+    again = parse_text("go to the blue person", registry).feature_tokens
+    shared = dict(zip(tree.feature_tokens[0], tree.feature_tokens[0]))
+    assert all(shared[token] is token for token in again[0])
 
 
 def test_a_parse_leaves_no_reference_cycle(registry):

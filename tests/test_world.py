@@ -501,6 +501,12 @@ _BELOW_QUARTER = math.nextafter(0.25, 0.0)
 # a cell of 40 tied keys, more than a sort leaves in row order, interleaved
 # with a class-1 row on it and a row of the next cell that it links to
 @example([(0, 0.1, 0.1), (1, 0.1, 0.1), (0, 0.3, 0.1)] * 40)
+# units of two classes interleaved: a pair of linked units in each class,
+# and the last unit of class 0 has a class-1 unit next in key order
+@example([(0, 0.1, 0.1), (1, 0.1, 0.1), (0, 0.45, 0.1), (1, 0.45, 0.1)])
+# a pair 3 cells apart that links by rounding, with a unit between them in
+# key order: the far one's column at cell y - 3, which links to neither
+@example(_class_0([(1.0, 0.0), (_BELOW_HALF, 0.0), (1.0, -0.6)]))
 def test_grid_clustering_matches_pairwise(points):
     expected = []
     for cls in (0, 1):
@@ -528,10 +534,24 @@ def _float_bits(world):
             float(world.total_cost).hex())
 
 
+def build_checking_rows(observations, classifiers, registry):
+    """``build_world_model``, checking after every stage that each row's
+    observation is the log's, gathered once and narrowed with the rows."""
+    def checked(*args, **kwargs):
+        found, cost = run_classifier(*args, **kwargs)
+        assert found.obs.dtype == found.log.obs.dtype
+        assert np.array_equal(found.obs, found.log.obs[found.rows])
+        return found, cost
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(world, "run_classifier", checked)
+        return build_world_model(observations, classifiers, registry)
+
+
 def assert_same_world(observations, classifiers, registry):
     """The build equals the row oracle's, float bits included."""
     expected = oracles.build_world_model(observations, classifiers, registry)
-    built = build_world_model(observations, classifiers, registry)
+    built = build_checking_rows(observations, classifiers, registry)
     assert built == expected
     assert _float_bits(built) == _float_bits(expected)
 
@@ -881,7 +901,7 @@ def test_build_on_a_filtered_view_matches_row_oracle(
         c for c in sorted(full_classifiers(registry), key=lambda s: s.canon)
         if rng.random() < keep_cls)
     expected = oracles.build_world_model(tuple(view), subset_cls, registry)
-    built = build_world_model(view, subset_cls, registry)
+    built = build_checking_rows(view, subset_cls, registry)
     assert built == expected
     assert _float_bits(built) == _float_bits(expected)
 
@@ -936,11 +956,23 @@ _FRAMES = st.lists(st.builds(
             RawDetection("a", (0.5, 0.5, 0.0), "ball", "blue"))), Observation(
     t=0, robot_pose=(1.0, 2.0, math.inf), scene_label="office", scene_scores=(),
     sensed=())], labels=frozenset({"kitchen"}), again=frozenset(), cut=1)
+@example(frames=[Observation(
+    t=0, robot_pose=(-0.0, math.inf, -math.inf), scene_label="office", scene_scores=(),
+    sensed=()), Observation(
+    t=1, robot_pose=(math.nan, 1e300, -0.0), scene_label="office", scene_scores=(),
+    sensed=())], labels=frozenset(), again=frozenset(), cut=0)
 def test_a_log_gives_back_the_observations_it_encodes(frames, labels, again, cut):
     # Out of t order, with repeated t, empty records, -0.0, NaN and -inf:
     # the log reads back every observation in the order given, each float
     # with its bits, whole, indexed, sliced and through views of views.
     log = ObservationLog.of(frames)
+    # Each pose's frame is its x, y, and its angle's cosine and sine from
+    # ``math``, bit for bit; an infinite angle, on which ``math`` raises,
+    # has a NaN pair.
+    frame = [(x, y, *((math.nan,) * 2 if math.isinf(a) else (math.cos(a), math.sin(a))))
+             for x, y, a in (o.robot_pose for o in frames)]
+    assert log.frame.tobytes() == np.array(frame, dtype=float).tobytes()
+    assert log.frame.shape == (len(frames), 4)
     assert len(log) == len(frames)
     assert log.records == sum(len(o.sensed) for o in frames)
     assert _spelled(log) == _spelled(frames)
