@@ -76,10 +76,10 @@ def infer_instruction(model: StackedModel, tree: ParseTree,
 
 
 def scene_labels(assignment: Assignment) -> frozenset[str]:
-    return frozenset(s.scene_label for s in assignment.root_trues())
+    return frozenset(s.scene_label for s in assignment.root_constraints())
 
 
-def filter_by_labels(observations, labels,
+def filter_by_labels(observations: ObservationLog, labels,
                      assignment: Assignment | None = None) -> FilterDecision:
     """Keep only observations whose scene label is in ``labels``.
 
@@ -88,17 +88,16 @@ def filter_by_labels(observations, labels,
     itself or a view of it, and ``dropped`` a view, both sharing the log's
     columns and in log order.
     """
-    log = ObservationLog.of(observations)
     labels = frozenset(labels)
-    kept, dropped = log.partition(labels)
+    kept, dropped = observations.partition(labels)
     if not labels:
         # No label is in the empty set: keep the log itself, and drop none.
-        kept, dropped = log, kept
+        kept, dropped = observations, kept
     return FilterDecision(kept=kept, dropped=dropped, inferred_labels=labels,
                           assignment=assignment)
 
 
-def filter_observations(observations, model: CorrespondenceModel,
+def filter_observations(observations: ObservationLog, model: CorrespondenceModel,
                         tree: ParseTree,
                         assignment: Assignment | None = None) -> FilterDecision:
     """Keep only observations whose scene label the instruction mentions.
@@ -124,6 +123,6 @@ def infer_classifiers(model: CorrespondenceModel, tree: ParseTree,
     """
     if assignment is None:
         assignment = infer(model, tree, enumerate_perception_space(registry))
-    inferred = frozenset(assignment.root_trues())
+    inferred = assignment.root_constraints()
     return ClassifierSelection(selected=inferred | STRUCTURAL_STAGES,
                                inferred=inferred, assignment=assignment)

@@ -213,33 +213,20 @@ def gold_annotations(example: CorpusExample, tree: ParseTree,
 
     A slot's symbol is licensed at each phrase that owns all its words.
     """
-    return _gold(example, tree, (domain,))[0]
-
-
-def _gold(example: CorpusExample, tree: ParseTree,
-          domains) -> list[tuple[frozenset, ...]]:
-    """``gold_annotations`` of each of ``domains``, in one walk of the tree."""
-    for domain in domains:
-        if domain not in _SLOT_SYMBOLS:
-            raise InvalidConfig(f"unknown annotation domain {domain!r}")
-    # Each slot's words, and the canon it licenses in each domain, if any.
-    licensed = [(frozenset(words), [_slot_canon(d, slot, value) for d in domains])
-                for slot, (value, words) in example.slots().items()]
-    phrases = tree.phrases()
-    gold = [[frozenset()] * len(phrases) for _ in domains]
-    for phrase in phrases:
+    if domain not in _SLOT_SYMBOLS:
+        raise InvalidConfig(f"unknown annotation domain {domain!r}")
+    # Each slot's words and the canon it licenses, for the slots that do.
+    licensed = [(frozenset(words), canon)
+                for slot, (value, words) in example.slots().items()
+                if (canon := _slot_canon(domain, slot, value)) is not None]
+    gold = [frozenset()] * len(tree)
+    for phrase in tree.phrases():
         words = frozenset(phrase.words)
-        here = [set() for _ in domains]
-        for spelled, canons in licensed:
-            if spelled <= words:
-                for found, canon in zip(here, canons):
-                    if canon is not None:
-                        found.add(canon)
-        for found, below in zip(here, gold):
-            for child in phrase.children:
-                found |= below[child.index]
-            below[phrase.index] = frozenset(found)
-    return list(map(tuple, gold))
+        found = {canon for spelled, canon in licensed if spelled <= words}
+        for child in phrase.children:
+            found |= gold[child.index]
+        gold[phrase.index] = frozenset(found)
+    return tuple(gold)
 
 
 def gold_root_symbols(example: CorpusExample) -> frozenset:
@@ -263,10 +250,9 @@ def training_sets(examples, registry: ClassifierRegistry,
     }
     for example in examples:
         tree = parse_text(example.text, registry)
-        for (domain, domain_set), gold in zip(sets.items(),
-                                              _gold(example, tree, tuple(sets))):
+        for domain, domain_set in sets.items():
             domain_set.append(TrainingExample(
-                tree=tree, gold=gold,
+                tree=tree, gold=gold_annotations(example, tree, domain),
                 digest=digest if domain == "grounding" else frozenset()))
     return sets
 
@@ -309,8 +295,7 @@ def evaluate(semantic_model: CorrespondenceModel,
 
     The semantic and perception models score each instruction in one walk
     of its parse tree, as a run that filters and selects does
-    (``correspondence.StackedModel``), and both domains' gold comes from
-    one pass over the tree.  Perception exact-match ignores the
+    (``correspondence.StackedModel``).  Perception exact-match ignores the
     structural stages (they are added unconditionally at build time, not
     predicted).  Action exact-match resolves the inferred type-level
     constraints against the reference world and compares target ids;
@@ -325,15 +310,16 @@ def evaluate(semantic_model: CorrespondenceModel,
     for example in examples:
         tree = parse_text(example.text, registry)
         semantic, perception = infer(instruction, tree, instruction_space).parts()
-        semantic_gold, perception_gold = _gold(example, tree, ("semantic", "perception"))
-        if frozenset(s.canon for s in semantic.root_trues()) == semantic_gold[-1]:
+        if (frozenset(s.canon for s in semantic.root_constraints())
+                == gold_annotations(example, tree, "semantic")[-1]):
             semantic_hits += 1
-        if _structural_free(perception.root_trues()) == perception_gold[-1]:
+        if (_structural_free(perception.root_constraints())
+                == gold_annotations(example, tree, "perception")[-1]):
             perception_hits += 1
 
         inferred = infer(grounding_model, tree, grounding_space, digest=digest)
         try:
-            _, target = resolve_action(inferred.root_trues(), reference)
+            _, target = resolve_action(inferred.root_constraints(), reference)
             _, wanted = gold_action(example, reference)
             if target.id == wanted.id:
                 action_hits += 1

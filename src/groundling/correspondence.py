@@ -32,17 +32,17 @@ half given the already-resolved assignments of the phrase's children, by
 one rule, a row logit of at least ``_HALF``.  An ``Assignment`` is the
 walk's row logits and its space, and the rest is read off them:
 ``Assignment.factor_evals`` still counts one factor per phrase-symbol
-pair, the number of logits scored, and the probabilities are made only
-when read, which no run does.  Inference only scores: picking the
-navigation target the root-true constraints imply is a second step,
-``resolve_action``, that the caller takes.  Training fits the factor
-weights by penalized maximum likelihood with gold child assignments
-(teacher forcing).  Its design has one row per (phrase, symbol) pair, but
-``assemble_design`` builds only the distinct rows, each with its count,
-and the fit weights each row by its count.  ``train`` climbs the
-likelihood by limited-memory BFGS (L-BFGS) with a backtracking line
-search, written on numpy: importing ``scipy.optimize`` would add about
-19 MB to the peak memory of every process that imports this module.
+pair, the number of logits scored, and no probability is made.
+Inference only scores: picking the navigation target the root-true
+constraints imply is a second step, ``resolve_action``, that the caller
+takes.  Training fits the factor weights by penalized maximum likelihood
+with gold child assignments (teacher forcing).  Its design has one row
+per (phrase, symbol) pair, but ``assemble_design`` builds only the
+distinct rows, each with its count, and the fit weights each row by its
+count.  ``train`` climbs the likelihood by limited-memory BFGS (L-BFGS)
+with a backtracking line search, written on numpy: importing
+``scipy.optimize`` would add about 19 MB to the peak memory of every
+process that imports this module.
 """
 
 from __future__ import annotations
@@ -319,16 +319,11 @@ class Assignment:
     inference passes children up by, so ``trues[i]`` holds exactly the
     symbols whose probability at phrase ``i`` exceeds one half; the sets
     are made on first read, so inference never hashes the instance symbols
-    it scores.  ``probabilities[i, j]``, the probability of symbol ``j``,
-    is made on first read too, and no run reads it.
+    it scores.  A run reads only ``root_constraints``.
     """
 
     logits: np.ndarray
     space: SymbolSpace
-
-    @property
-    def domain(self) -> str:
-        return self.space.domain
 
     @property
     def factor_evals(self) -> int:
@@ -336,22 +331,13 @@ class Assignment:
         return len(self.logits) * len(self.space)
 
     @cached_property
-    def probabilities(self) -> np.ndarray:
-        return expit(self.logits[:, self.space.row_of])
-
-    def _trues_at(self, i: int) -> frozenset:
-        true = (self.logits[i] >= _HALF)[self.space.row_of]
-        return frozenset(map(self.space.__getitem__, true.nonzero()[0].tolist()))
-
-    @cached_property
     def trues(self) -> tuple[frozenset, ...]:
-        return tuple(map(self._trues_at, range(len(self.logits))))
-
-    def root_trues(self) -> frozenset:
-        return self._trues_at(-1)
+        true = (self.logits >= _HALF)[:, self.space.row_of]
+        return tuple(frozenset(map(self.space.__getitem__, row.nonzero()[0].tolist()))
+                     for row in true)
 
     def root_constraints(self) -> frozenset:
-        """The constraint symbols among ``root_trues``, the space's leading
+        """The constraint symbols true at the root, the space's leading
         rows, made without making an instance symbol."""
         leading = self.logits[-1, :len(self.space.layout.constraints)] >= _HALF
         return frozenset(map(self.space.__getitem__, leading.nonzero()[0].tolist()))

@@ -1,4 +1,4 @@
-"""Command grammar: tokenizer, recursive-descent parser, and tree dump.
+"""Command grammar: tokenizer and recursive-descent parser.
 
 The grammar is a small closed-lexicon CFG over navigation commands:
 
@@ -242,13 +242,3 @@ def parse(tokens: tuple[str, ...], registry: ClassifierRegistry) -> ParseTree:
 
 def parse_text(text: str, registry: ClassifierRegistry) -> ParseTree:
     return parse(tokenize(text), registry)
-
-
-def dump_tree(tree: ParseTree) -> str:
-    """Serialize to the bracketed form ``(VP go (PP to (NP the ball)))``."""
-
-    def render(p: Phrase) -> str:
-        parts = [p.category, *p.words] + [render(c) for c in p.children]
-        return "(" + " ".join(parts) + ")"
-
-    return render(tree.root)

@@ -152,7 +152,7 @@ class RunResult:
                 str(self.object_count), self.grounding, self.error)
 
 
-def run(instruction: str, observations, models: ModelBundle,
+def run(instruction: str, observations: ObservationLog, models: ModelBundle,
         registry: ClassifierRegistry, mode: str = "B",
         site: str = "") -> RunResult:
     """Build a world model under one mode and ground the instruction in it.
@@ -168,7 +168,6 @@ def run(instruction: str, observations, models: ModelBundle,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    observations = ObservationLog.of(observations)
     started = time.perf_counter()
     scene_cost = registry.scene_cost_per_observation * len(observations)
     robot_pose = observations.latest_pose()

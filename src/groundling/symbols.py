@@ -52,7 +52,6 @@ import yaml
 
 from .errors import (
     InvalidSpec,
-    UnknownClassifier,
     UnknownSchemaVersion,
     number,
     reading,
@@ -270,12 +269,6 @@ def signature_attrs(cls: str, color: str | None,
     if region is not None:
         attrs.append(("region", region))
     return tuple(attrs)
-
-
-def object_instance(obj) -> GroundingSymbol:
-    """Symbol for one detected object in the current world model."""
-    return GroundingSymbol("object", obj.id,
-                           signature_attrs(obj.cls, obj.color, obj.region))
 
 
 def action_instance(obj) -> GroundingSymbol:
@@ -707,12 +700,6 @@ class ClassifierRegistry:
                        key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))
         return {c: Stage(rank, c, c.canon, overrides.get(c.canon, kinds[c.kind]))
                 for rank, c in enumerate(order)}
-
-    def cost_for(self, symbol: PerceptionSymbol) -> CostModel:
-        stage = self.stages.get(symbol)
-        if stage is None:
-            raise UnknownClassifier(symbol.canon)
-        return stage.cost
 
 
 def default_registry() -> ClassifierRegistry:

@@ -139,38 +139,29 @@ class CooccurrenceModel:
     terms: tuple[tuple[str, float, dict[str, float]], ...]
 
     @staticmethod
-    def from_dict(rows: dict[str, dict[str, float]], characteristic,
-                  prior: dict[str, float] | None = None) -> "CooccurrenceModel":
-        unknown = (set(rows) | set(prior or ())) - set(SCENE_LABELS)
+    def from_dict(rows: dict[str, dict[str, float]], characteristic) -> "CooccurrenceModel":
+        """The model of ``rows`` under a uniform prior over their labels."""
+        unknown = set(rows) - set(SCENE_LABELS)
         if unknown:
             raise InvalidSpec(f"scene labels outside the taxonomy: {sorted(unknown)}")
-        rowless = set(prior or ()) - set(rows)
-        if rowless:
-            raise InvalidSpec(f"prior weights for scene labels with no"
-                              f" co-occurrence row: {sorted(rowless)}")
+        if not rows:
+            raise InvalidSpec("no co-occurrence rows")
         characteristic = frozenset(characteristic)
         k = len(characteristic)
-        if prior is None:
-            prior = {label: 1.0 / len(rows) for label in rows}
-        ptotal = sum(number(p, f"prior of {label!r}", 0) for label, p in prior.items())
-        if not 0 < ptotal < math.inf:
-            raise InvalidSpec("scene prior is not normalizable")
-        # Already-normalised rows and priors pass through untouched, so a
-        # table written as probabilities keeps them bit for bit.
-        if abs(ptotal - 1.0) < 1e-9:
-            ptotal = 1.0
+        prior = math.log(1.0 / len(rows))
         terms = []
         for label in sorted(rows):
             row = rows[label]
             total = sum(number(v, f"co-occurrence row for {label!r}", 0) for v in row.values())
             if not 0 < total < math.inf:
                 raise InvalidSpec(f"co-occurrence row for {label!r} is not normalizable")
+            # An already-normalised row passes through untouched, so a
+            # table written as probabilities keeps them bit for bit.
             if abs(total - 1.0) < 1e-9:
                 total = 1.0
-            p = prior.get(label, 0.0) / ptotal
             # Laplace smoothing on the normalized row; rows stay valid
             # distributions.
-            terms.append((label, math.log(p) if p > 0 else -math.inf,
+            terms.append((label, prior,
                           {c: math.log((row.get(c, 0.0) / total + LAPLACE_ALPHA)
                                        / (1.0 + LAPLACE_ALPHA * k))
                            for c in characteristic}))
@@ -336,17 +327,9 @@ class Vocabulary:
             object.__setattr__(self, name, value)
 
 
-class _Named:
-    """``classes``, ``colors`` and ``regions``, read from ``vocabulary``."""
-
-    classes = property(lambda self: self.vocabulary.classes)
-    colors = property(lambda self: self.vocabulary.colors)
-    regions = property(lambda self: self.vocabulary.regions)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class ObservationLog(_Named):
-    """A sequence of ``Observation``, held as one array per field.
+class ObservationLog:
+    """``Observation``s, held as one array per field.
 
     Rows are records in (t, class, rel) order: ``position[i]`` is row
     ``i``'s place among the records in input order, ``obs[i]`` indexes its
@@ -363,10 +346,8 @@ class ObservationLog(_Named):
     and ``records`` count the kept observations and their records.
 
     A view, from ``partition``, shares its log's columns under its own
-    mask.  ``len``, indexing, slicing and iteration read ``Observation``s,
-    made from the columns once per whole log, on first read, and shared
-    with its views; a view picks its own tuple of them once, on its first
-    read.
+    mask.  Iteration reads ``Observation``s, made from the columns once
+    per whole log, on first read, and shared with its views.
     """
 
     vocabulary: Vocabulary
@@ -387,7 +368,6 @@ class ObservationLog(_Named):
     size: int
     records: int
     _made: list = field(default_factory=list)
-    _kept: list = field(default_factory=list)
 
     @staticmethod
     def from_frames(frames) -> ObservationLog:
@@ -436,33 +416,20 @@ class ObservationLog(_Named):
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, index):
-        return self._observations()[index]
-
     def __iter__(self):
-        return iter(self._observations())
-
-    def _observations(self) -> tuple[Observation, ...]:
-        if not self._kept:
-            made = self._whole()
-            self._kept.append(made if self.size == len(made)
-                              else tuple(compress(made, self.mask.tolist())))
-        return self._kept[0]
-
-    def _whole(self) -> tuple[Observation, ...]:
-        # The whole log's observations, made once and shared by its views.
+        # The whole log's observations are made once and shared by its views.
         if not self._made:
-            row = self.position.argsort()
+            vocabulary, row = self.vocabulary, self.position.argsort()
             records = map(
                 RawDetection, self.latent, map(tuple, self.rel[row].tolist()),
-                map(self.classes.__getitem__, self.cls[row].tolist()),
-                map(self.colors.__getitem__, self.color[row].tolist()),
+                map(vocabulary.classes.__getitem__, self.cls[row].tolist()),
+                map(vocabulary.colors.__getitem__, self.color[row].tolist()),
                 self.noisy[row].tolist())
             self._made.append(tuple(map(
                 Observation, self.times.tolist(), map(tuple, self.poses.tolist()),
                 (tuple(islice(records, n)) for n in self.counts.tolist()),
-                map(self.regions.__getitem__, self.region.tolist()), self.scores)))
-        return self._made[0]
+                map(vocabulary.regions.__getitem__, self.region.tolist()), self.scores)))
+        return compress(self._made[0], self.mask.tolist())
 
     def latest_pose(self) -> Pose:
         """The robot pose of the observation with the largest ``t``, the
@@ -476,7 +443,8 @@ class ObservationLog(_Named):
         """Views of the observations whose scene label is in ``labels`` and
         of the others, each in log order.  The others' observation and
         record counts are this log's less the kept view's."""
-        keep = np.array([label in labels for label in self.regions], dtype=bool)[self.region]
+        keep = np.array([label in labels for label in self.vocabulary.regions],
+                        dtype=bool)[self.region]
         kept = keep & self.mask
         size, records = int(np.count_nonzero(kept)), int(self.counts @ kept)
         return (self._view(kept, size, records),
@@ -484,14 +452,14 @@ class ObservationLog(_Named):
 
     def _view(self, mask: np.ndarray, size: int, records: int) -> ObservationLog:
         view = object.__new__(ObservationLog)
-        view.__dict__.update(self.__dict__, mask=mask, size=size, records=records,
-                             _kept=[])
+        view.__dict__.update(self.__dict__, mask=mask, size=size, records=records)
         return view
 
     def detections(self, classes) -> DetectionSet:
         """The records of the kept observations whose apparent class is in
         ``classes``, as rows in row order."""
-        picked = np.array([name in classes for name in self.classes], dtype=bool)[self.cls]
+        picked = np.array([name in classes for name in self.vocabulary.classes],
+                          dtype=bool)[self.cls]
         rows = (picked & self.mask[self.obs]).nonzero()[0]
         return DetectionSet(log=self, rows=rows, obs=self.obs.take(rows),
                             confirmed=frozenset())
@@ -544,7 +512,7 @@ _BASE = "{}@{:.1f},{:.1f}".format
 
 
 @dataclass(frozen=True, eq=False)
-class WorldModel(_Named):
+class WorldModel:
     """The objects a build found, as columns, and the ledger of its cost.
 
     Column ``i`` of ``codes`` holds object ``i``'s class, colour and
@@ -611,10 +579,6 @@ class WorldModel(_Named):
         return ((self.objects, self.robot_pose, self.cost_ledger)
                 == (other.objects, other.robot_pose, other.cost_ledger))
 
-    def __repr__(self) -> str:
-        return (f"WorldModel({len(self)} objects, total_cost="
-                f"{self.total_cost!r}, robot_pose={self.robot_pose!r})")
-
     def id(self, i: int) -> str:
         """Object ``i``'s id.
 
@@ -627,7 +591,7 @@ class WorldModel(_Named):
         """
         if self.given is not None:
             return self.given[i]
-        name = self.classes[self.codes[0, i]]
+        name = self.vocabulary.classes[self.codes[0, i]]
         x, y = self.pose[:2, i].tolist()
         base = _BASE(name, x, y)
         same = (self.codes[0, :i] == self.codes[0, i]).nonzero()[0]
@@ -645,8 +609,8 @@ class WorldModel(_Named):
         """
         if self.given is not None:
             return list(self.given), list(range(len(self)))
-        ids = list(map(_BASE, map(self.classes.__getitem__, self.codes[0].tolist()),
-                       *self.pose[:2].tolist()))
+        names = map(self.vocabulary.classes.__getitem__, self.codes[0].tolist())
+        ids = list(map(_BASE, names, *self.pose[:2].tolist()))
         order = sorted(range(len(ids)), key=ids.__getitem__)
         for _, same in groupby(order, key=ids.__getitem__):
             next(same)
@@ -657,10 +621,11 @@ class WorldModel(_Named):
     def object(self, i: int, id: str | None = None) -> DetectedObject:
         """Object ``i``, made from the columns; ``id`` when it is known."""
         cls, color, region = self.codes[:, i].tolist()
+        vocabulary = self.vocabulary
         return DetectedObject(
-            id=self.id(i) if id is None else id, cls=self.classes[cls],
-            color=self.colors[color] if color >= 0 else None,
-            pose=tuple(self.pose[:, i].tolist()), region=self.regions[region],
+            id=self.id(i) if id is None else id, cls=vocabulary.classes[cls],
+            color=vocabulary.colors[color] if color >= 0 else None,
+            pose=tuple(self.pose[:, i].tolist()), region=vocabulary.regions[region],
             provenance=frozenset(self.t[self.start[i]:self.stop[i]].tolist()))
 
     @cached_property
@@ -979,7 +944,7 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
     size = np.bincount(group)
     stop = size.cumsum()
     start = stop - size
-    nc, nr = len(log.colors), len(log.regions)
+    nc, nr = len(log.vocabulary.colors), len(log.vocabulary.regions)
     # The class, colour and region rows of ``codes`` are filled in place.
     codes = np.empty((3, k), dtype=np.intp)
     cls, winner, votes = codes
@@ -1010,9 +975,9 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
                       robot_pose: Pose | None = None) -> WorldModel:
     """Run the selected classifiers over the observations and merge objects.
 
-    The observations are taken as an ``ObservationLog``, indexed once if
-    they are not one, and the object detectors share one gather of the
-    log's rows of their classes.
+    The observations are a log, or a sequence of ``Observation`` that
+    ``ObservationLog.of`` lays out as one, and the object detectors share
+    one gather of the log's rows of their classes.
     The stages then run in ``CLASSIFIER_KINDS`` order -- object detectors,
     noise filter, color detectors, bounding box, pose -- and in canonical
     order within a kind, the build rank of the registry's stage table
@@ -1090,8 +1055,8 @@ def _frame(rec, seen: set[int]) -> tuple:
           typed(d["noisy"], (bool,), "noisy"))
          for d in rec["sensed"]],
         rec["scene_label"],
-        # A log-probability: -inf is a label with prior 0, which ``simulate``
-        # writes; NaN and +inf are not scores.
+        # A log-probability: -inf, a label with prior 0, is a score, though
+        # ``simulate``'s uniform prior never writes one; NaN and +inf are not.
         tuple((typed(label, (str,), "scene_scores label"),
                float(number(score, "scene score", -math.inf)))
               for label, score in rec["scene_scores"]))

@@ -55,12 +55,14 @@ from groundling.symbols import (
     OBJECT_DETECTOR,
     POSE_ESTIMATOR,
     ClassifierRegistry,
+    GroundingSymbol,
     Layout,
     PerceptionSymbol,
     SymbolSpace,
     _entries,
     action_instance,
     key_names,
+    signature_attrs,
 )
 from groundling.world import (
     FALLBACK_SCENE,
@@ -91,6 +93,12 @@ def _layout_key(symbol) -> tuple:
     if symbol.variant in INSTANCE_VARIANTS:
         return 1 + INSTANCE_VARIANTS.index(symbol.variant), ""
     return 0, symbol.canon
+
+
+def object_instance(obj) -> GroundingSymbol:
+    """Symbol for one detected object in the current world model."""
+    return GroundingSymbol("object", obj.id,
+                           signature_attrs(obj.cls, obj.color, obj.region))
 
 
 def symbol_space(domain: str, symbols) -> SymbolSpace:
@@ -576,7 +584,7 @@ def run_classifier(symbol: PerceptionSymbol, observations,
                    detections: tuple[Detection, ...] | None = None,
                    ) -> tuple[tuple[Detection, ...], float]:
     """Run one classifier over frozen detections and return (detections, cost)."""
-    cost_model = registry.cost_for(symbol)
+    cost_model = registry.stages[symbol].cost
     if symbol.kind == OBJECT_DETECTOR:
         obs = tuple(observations)
         if not obs:

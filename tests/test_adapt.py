@@ -26,7 +26,7 @@ from groundling.symbols import (
     SemanticSymbol,
     enumerate_semantic_space,
 )
-from groundling.world import build_world_model, simulate
+from groundling.world import ObservationLog, build_world_model, simulate
 
 label_sets = st.frozensets(st.sampled_from(SCENE_LABELS), max_size=4)
 SENSING = (0.0, 0.2)
@@ -54,8 +54,8 @@ def test_filter_is_order_invariant(site_logs, labels, seed):
     observations = list(site_logs["site-2"])
     shuffled = observations[:]
     random.Random(seed).shuffle(shuffled)
-    direct = filter_by_labels(observations, labels)
-    mixed = filter_by_labels(shuffled, labels)
+    direct = filter_by_labels(ObservationLog.of(observations), labels)
+    mixed = filter_by_labels(ObservationLog.of(shuffled), labels)
     assert set(map(obs_key, direct.kept)) == set(map(obs_key, mixed.kept))
 
 

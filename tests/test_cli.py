@@ -281,7 +281,7 @@ def test_malformed_input_exits_one_without_traceback(
     models_dir = tmp_path / "models"
     bundle.save(models_dir)
     obs_path = tmp_path / "site1.jsonl"
-    save_observations(site_logs["site-1"][:3], obs_path)
+    save_observations(list(site_logs["site-1"])[:3], obs_path)
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(corpus_examples[:20], corpus_path)
     registry_path = tmp_path / "registry.yaml"

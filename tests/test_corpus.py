@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from groundling import corpus
-from groundling.errors import InvalidConfig, InvalidFraction
+from groundling.correspondence import CorrespondenceModel, resolve_action
+from groundling.errors import AmbiguousRelation, InvalidConfig, InvalidFraction
 from groundling.grammar import parse_text
 from groundling.symbols import (
     color_symbol,
@@ -147,3 +148,21 @@ def test_empty_report_rates_are_zero():
     assert report.semantic_exact == 0.0
     assert report.perception_exact == 0.0
     assert report.action_exact == 0.0
+
+
+def test_evaluation_counts_a_failed_resolution_as_a_miss(bundle, corpus_examples,
+                                                         registry, reference):
+    # With no weight every logit is 0, at no phrase is a constraint true,
+    # and an unconstrained pick among the reference world's objects has no
+    # relation to rank them: each resolution fails, and each is a miss.
+    blank = CorrespondenceModel(domain="grounding", weights={})
+    with pytest.raises(AmbiguousRelation):
+        resolve_action(frozenset(), reference)
+    examples = corpus_examples[:20]
+    report = corpus.evaluate(bundle.semantic, bundle.perception, blank, examples,
+                             registry, reference)
+    trained = corpus.evaluate(bundle.semantic, bundle.perception, bundle.grounding,
+                              examples, registry, reference)
+    assert report.examples == 20 and report.action_hits == 0 < trained.action_hits
+    assert (report.semantic_hits, report.perception_hits) == (
+        trained.semantic_hits, trained.perception_hits)

@@ -156,13 +156,13 @@ def test_inference_is_deterministic(registry):
     first = infer(model, tree, space)
     second = infer(model, tree, space)
     assert first.true_sets() == second.true_sets()
-    assert np.array_equal(first.probabilities, second.probabilities)
+    assert first.logits.tobytes() == second.logits.tobytes()
 
 
 def test_probabilities_are_proper(registry):
     rng = np.random.default_rng(13)
     model, tree, space = random_instance(rng, registry)
-    probs = infer(model, tree, space).probabilities
+    probs = expit(infer(model, tree, space).logits[:, space.row_of])
     assert np.all((probs > 0.0) & (probs < 1.0))
 
 
@@ -323,9 +323,9 @@ def test_infer_is_bit_equal_to_the_symbol_oracle(bundle, corpus_split, registry,
                                                  site_worlds):
     # The oracle derives each phrase's tokens and each child's features
     # from the symbols and passes child symbols up the tree; inference
-    # reads them from the tree and the space's layout.  Every
-    # probability has the same bits, with the seed-7 models and with
-    # hashed weights, under which many more children hold.
+    # reads them from the tree and the space's layout.  Every logit has
+    # the same bits, a changed sign of zero included, with the seed-7
+    # models and with hashed weights, under which many more children hold.
     hashed = ModelBundle(**{d: CorrespondenceModel(domain=d, weights=HashWeights(f"bits-{d}"))
                             for d in ("semantic", "perception", "grounding")})
     fixed = [enumerate_semantic_space(), enumerate_perception_space(registry)]
@@ -340,10 +340,6 @@ def test_infer_is_bit_equal_to_the_symbol_oracle(bundle, corpus_split, registry,
                 got = infer(model, tree, space, digest)
                 want = oracles.infer_by_symbols(model, tree, space, digest)
                 assert got.factor_evals == want.factor_evals
-                assert np.array_equal(got.probabilities.view(np.int64),
-                                      want.probabilities.view(np.int64))
-                # The probabilities alone would hide a changed sign of zero
-                # or a saturated logit.
                 assert got.logits.tobytes() == want.logits.tobytes()
                 calls += 1
     assert calls == len(corpus_split[1]) * 2 * (2 + 8)
@@ -405,13 +401,10 @@ def test_the_stacked_walk_is_the_two_walks_bit_for_bit(case):
             assert got == want
             continue
         for mine, theirs in zip(got, want, strict=True):
-            assert mine.domain == theirs.domain
             assert mine.space is theirs.space
             assert mine.factor_evals == theirs.factor_evals
-            assert np.array_equal(mine.probabilities.view(np.int64),
-                                  theirs.probabilities.view(np.int64))
             assert mine.logits.tobytes() == theirs.logits.tobytes()
-            assert mine.root_trues() == theirs.root_trues()
+            assert mine.root_constraints() == theirs.root_constraints()
             # An assignment over a plain space is its own one part.
             assert len(theirs.parts()) == 1 and theirs.parts()[0] is theirs
 
@@ -468,10 +461,9 @@ def test_a_child_at_the_threshold_conditions_its_parent(registry, bias):
     space = enumerate_semantic_space()
     got = infer(model, tree, space)
     want = oracles.infer_by_symbols(model, tree, space)
-    assert np.array_equal(got.probabilities.view(np.int64),
-                          want.probabilities.view(np.int64))
-    assert len(got.root_trues()) == (len(space) if expit(bias) > 0.5 else 0)
-    assert (got.probabilities[-1] > expit(bias)).all() == (expit(bias) > 0.5)
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert len(got.root_constraints()) == (len(space) if expit(bias) > 0.5 else 0)
+    assert (expit(got.logits[-1]) > expit(bias)).all() == (expit(bias) > 0.5)
 
 
 def test_a_grounding_assignment_is_its_own_one_part(bundle, registry, site_worlds):
@@ -906,7 +898,7 @@ def test_an_empty_training_set_has_no_rows_and_trains_no_weights(seed7_training)
     assert result.model.weights == {}
 
 
-_CUP_PROBABILITIES = """
+_CUP_LOGITS = """
 import hashlib, sys
 from groundling.fixtures import benchmark_manifest, site_spec
 from groundling.pipeline import ModelBundle, run
@@ -924,8 +916,8 @@ for mode in ("B", "OF_AP"):
                        result.selection and result.selection.assignment,
                        result.assignment):
         if assignment is not None:
-            digest.update(assignment.domain.encode())
-            digest.update(assignment.probabilities.tobytes())
+            digest.update(assignment.space.domain.encode())
+            digest.update(assignment.logits.tobytes())
 print(digest.hexdigest())
 """
 
@@ -939,7 +931,7 @@ def test_inference_does_not_depend_on_string_hashing(bundle, tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
         done = subprocess.run(
-            [sys.executable, "-c", _CUP_PROBABILITIES, str(tmp_path / "models")],
+            [sys.executable, "-c", _CUP_LOGITS, str(tmp_path / "models")],
             check=True, capture_output=True, text=True, env=env)
         printed.append(done.stdout)
     assert printed[0] == printed[1]
@@ -1034,7 +1026,27 @@ def test_training_stops_unconverged_after_max_iterations(corpus_examples, regist
     # The model is still one that inference can use.
     assert result.model.weights
     assert all(math.isfinite(w) for w in result.model.weights.values())
-    assert np.isfinite(infer(result.model, examples[0].tree, space).probabilities).all()
+    assert np.isfinite(infer(result.model, examples[0].tree, space).logits).all()
+
+
+def test_training_stops_unconverged_when_the_step_underflows(corpus_examples, registry,
+                                                            monkeypatch):
+    # Every trial point scores 1e9 below what it should, so no step
+    # passes the Armijo test: the line search halves the step from 1 until
+    # it falls below 1e-12, 40 trials, and training stops where it started.
+    calls = []
+
+    def objective(*args):
+        calls.append(args)
+        value, gradient = objective_and_gradient(*args)
+        return (value if len(calls) == 1 else value - 1e9), gradient
+
+    monkeypatch.setattr(correspondence, "objective_and_gradient", objective)
+    examples = make_semantic_training_set(corpus_examples, registry, count=20)
+    result = train(enumerate_semantic_space(), examples)
+    assert not result.converged and result.iterations == 1
+    assert result.model.weights == {}
+    assert len(calls) == 1 + 40
 
 
 EXACT_RATE = {"semantic": "semantic_exact", "perception": "perception_exact",
@@ -1096,7 +1108,7 @@ def test_trained_model_fits_its_training_set(corpus_examples, registry):
         assignment = infer(model, training.tree, space)
         gold_root = corpus_mod.gold_root_symbols(example)
         want = frozenset(s for s in gold_root if s in set(space))
-        assert frozenset(assignment.root_trues()) == want
+        assert assignment.root_constraints() == want
 
 
 def test_model_round_trip(tmp_path, corpus_examples, registry):

@@ -9,7 +9,17 @@ import pytest
 
 from groundling.errors import EmptyInstruction, OutOfGrammar
 from groundling.fixtures import benchmark_manifest
-from groundling.grammar import ParseTree, dump_tree, feature_tokens, parse_text, tokenize
+from groundling.grammar import ParseTree, feature_tokens, parse_text, tokenize
+
+
+def dump_tree(tree: ParseTree) -> str:
+    """Serialize to the bracketed form ``(VP go (PP to (NP the ball)))``."""
+
+    def render(p) -> str:
+        parts = [p.category, *p.words] + [render(c) for c in p.children]
+        return "(" + " ".join(parts) + ")"
+
+    return render(tree.root)
 
 
 def all_phrase_words(tree):
@@ -116,6 +126,18 @@ def test_golden_trees(text, expected, registry):
 def test_color_that_is_also_a_class(text, expected, registry):
     """A color word is the noun unless a noun follows it."""
     extended = replace(registry, object_classes=registry.object_classes + ("red",))
+    assert dump_tree(parse_text(text, extended)) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("go to the nearest red cup", "(VP go (PP to (NP the nearest red cup)))"),
+    ("go to the nearest cup", "(VP go (PP to (NP the nearest cup)))"),
+    ("go to the nearest", "(VP go (PP to (NP the nearest)))"),
+])
+def test_superlative_that_is_also_a_class(text, expected, registry):
+    """A superlative word is the noun unless a noun, or a colour and then a
+    noun, follows it."""
+    extended = replace(registry, object_classes=registry.object_classes + ("nearest",))
     assert dump_tree(parse_text(text, extended)) == expected
 
 

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from groundling.correspondence import CorrespondenceModel, load_model, save_model
 from groundling.corpus import load_corpus, save_corpus
 from groundling.errors import GroundlingError, InvalidSpec
-from groundling.fixtures import CHARACTERISTIC_CLASSES, COOCCURRENCE_ROWS, site_spec
+from groundling.fixtures import site_spec
 from groundling.symbols import load_registry, save_registry
 from groundling.world import (
-    CooccurrenceModel,
     build_world_model,
     load_observations,
     save_observations,
@@ -39,7 +38,7 @@ def valid_files(tmp_path_factory, registry, site_logs, corpus_examples):
     """One small valid file per reader."""
     root = tmp_path_factory.mktemp("valid")
     paths = {name: root / name for name in LOADERS}
-    save_observations(site_logs["site-1"][2:5], paths["observations"])
+    save_observations(list(site_logs["site-1"])[2:5], paths["observations"])
     save_corpus(corpus_examples[:5], paths["corpus"])
     save_model(CorrespondenceModel(domain="semantic",
                                    weights={"bias|v=scene": 0.5, "w=red|v=scene": -1.25},
@@ -124,12 +123,12 @@ def test_a_file_of_the_other_kind_is_rejected(name, other, valid_files):
 
 
 def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
-    # A scene with prior 0 scores -inf wherever characteristic classes
-    # vote; the log must read back what the simulator wrote.
-    prior = {label: 0.0 if label == "kitchen" else 1.0 for label in COOCCURRENCE_ROWS}
-    model = CooccurrenceModel.from_dict(COOCCURRENCE_ROWS, CHARACTERISTIC_CLASSES, prior)
-    observations = simulate(replace(site_spec("site-1"), cooccurrence=model), registry)
-    assert any(score == -math.inf for o in observations for _, score in o.scene_scores)
+    # A scene with prior 0 scores -inf: the log must read back the
+    # scores it was given.
+    observations = [
+        replace(o, scene_scores=tuple((label, -math.inf if label == "kitchen" else score)
+                                      for label, score in o.scene_scores))
+        for o in simulate(site_spec("site-1"), registry)]
     path = tmp_path / "obs.jsonl"
     save_observations(observations, path)
     assert tuple(load_observations(path)) == tuple(observations)

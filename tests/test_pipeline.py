@@ -43,6 +43,7 @@ from groundling.symbols import (
 )
 from groundling.world import (
     MERGE_RADIUS,
+    ObservationLog,
     build_world_model,
     planar_distance,
     simulate,
@@ -339,7 +340,7 @@ def test_no_observation_is_made_to_simulate_load_or_run(bundle, registry, tmp_pa
             for mode in MODES:
                 run(instruction, log, bundle, registry, mode=mode, site="site-1")
     assert made == []
-    assert logs[1][0].sensed
+    assert next(iter(logs[1])).sensed
     assert set(made) == {"Observation", "RawDetection"}
 
 
@@ -370,18 +371,20 @@ def test_a_shuffled_log_grounds_like_the_ordered_log(bundle, registry, site_logs
     # The log's columns are in t order, so its world model does not depend
     # on the order given, and the robot stands where the latest
     # observation puts it, not the last one given.
-    shuffled = {}
+    shuffled, last = {}, {}
     for site, log in site_logs.items():
-        shuffled[site] = list(log)
-        np.random.default_rng(3).shuffle(shuffled[site])
-        assert shuffled[site][-1].robot_pose != log[-1].robot_pose
+        observations = list(log)
+        last[site] = observations[-1].robot_pose
+        np.random.default_rng(3).shuffle(observations)
+        assert observations[-1].robot_pose != last[site]
+        shuffled[site] = ObservationLog.of(observations)
     for case in benchmark_manifest():
         for mode in MODES:
             result = run(case.instruction, shuffled[case.site], bundle, registry,
                          mode=mode, site=case.site)
             in_order = run(case.instruction, site_logs[case.site], bundle,
                            registry, mode=mode, site=case.site)
-            assert result.world.robot_pose == site_logs[case.site][-1].robot_pose
+            assert result.world.robot_pose == last[case.site]
             assert result.row()[:4] + result.row()[5:] == (
                 in_order.row()[:4] + in_order.row()[5:])
             assert result.target == in_order.target
@@ -422,7 +425,7 @@ def test_a_run_names_only_its_target_and_the_candidates_tied_with_it(
 def test_run_grounds_among_objects_that_share_an_id(bundle, registry, mode):
     # Two cups whose centroids round to one id used to put a duplicate
     # symbol in the grounding space, and run raised InvalidSpec.
-    result = run("go to the nearest cup", cups_sharing_an_id(), bundle,
+    result = run("go to the nearest cup", ObservationLog.of(cups_sharing_an_id()), bundle,
                  registry, mode=mode)
     assert isinstance(result, RunResult)
     assert result.object_count == 2
@@ -477,7 +480,7 @@ def test_filtering_can_relabel_the_target_on_a_noisy_site(bundle, registry):
     spec = replace(site_spec("site-1"), noise=0.22, clutter_rate=0.08,
                    seed=94434337)
     observations = simulate(spec, registry)
-    assert observations[38].scene_label == "laboratory"
+    assert list(observations)[38].scene_label == "laboratory"
     runs = {mode: run("navigate to the nearest microwave in the laboratory",
                       observations, bundle, registry, mode=mode,
                       site="site-1") for mode in MODES}
@@ -504,7 +507,7 @@ def test_filtering_can_recolour_the_target_on_a_noisy_site(bundle, registry):
     spec = replace(site_spec("site-1"), noise=0.25, clutter_rate=0.25,
                    seed=3140)
     observations = simulate(spec, registry)
-    assert observations[18].scene_label == "parking_lot"
+    assert list(observations)[18].scene_label == "parking_lot"
     runs = {mode: run("walk to the closest blue person in the kitchen",
                       observations, bundle, registry, mode=mode,
                       site="site-1") for mode in MODES}
@@ -534,30 +537,22 @@ def test_assignment_trues_are_the_thresholded_probabilities(bench_report,
             if assignment is None:
                 continue
             symbols = tuple(space)
-            assert len(assignment.trues) == len(assignment.probabilities)
-            for trues, p in zip(assignment.trues, assignment.probabilities):
+            probabilities = expit(assignment.logits[:, space.row_of])
+            assert len(assignment.trues) == len(probabilities)
+            for trues, p in zip(assignment.trues, probabilities):
                 assert trues == {symbols[j] for j in np.flatnonzero(p > 0.5)}
 
 
 def test_no_run_makes_a_probability(bundle, registry, site_logs, monkeypatch):
     # A run decides by its row logits alone: with expit made to fail,
-    # every mode still grounds the cup case, and each assignment makes
-    # its probabilities once expit is back.
+    # every mode still grounds the cup case.
     def refused(*args, **kwargs):
         raise AssertionError("a run called expit")
 
     monkeypatch.setattr(correspondence, "expit", refused)
     results = [run("go to the farthest cup in the kitchen", site_logs["site-1"], bundle,
                    registry, mode=mode, site="site-1") for mode in MODES]
-    monkeypatch.undo()
     assert len({r.grounding for r in results}) == 1 and results[0].grounding
-    for r in results:
-        assignments = (r.filter_decision and r.filter_decision.assignment,
-                       r.selection and r.selection.assignment, r.assignment)
-        for assignment in filter(None, assignments):
-            row_of = assignment.space.row_of
-            assert np.array_equal(assignment.probabilities,
-                                  expit(assignment.logits[:, row_of]))
 
 
 def test_run_reports_out_of_grammar(bundle, registry, site_logs):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import groundling
 from groundling.correspondence import Assignment
 from groundling.errors import InvalidSpec, UnknownClassifier, UnknownSchemaVersion
 from groundling.symbols import (
@@ -30,14 +36,13 @@ from groundling.symbols import (
     enumerate_perception_space,
     enumerate_semantic_space,
     load_registry,
-    object_instance,
     relation_symbol,
     save_registry,
 )
 from groundling.fixtures import site_spec, tiled
 from groundling.world import DetectedObject, WorldModel, build_world_model, simulate
 import oracles
-from oracles import symbol_space
+from oracles import object_instance, symbol_space
 
 
 def empty_world() -> WorldModel:
@@ -199,7 +204,7 @@ def assert_laid_out_in_column_order(world, objects, registry):
     logits = np.random.default_rng(len(space)).normal(size=(2, len(space.row_keys)))
     assignment = Assignment(logits, space)
     assert assignment.root_constraints() == {
-        s for s in assignment.root_trues() if s.variant not in INSTANCE_VARIANTS}
+        s for s in assignment.trues[-1] if s.variant not in INSTANCE_VARIANTS}
 
 
 @pytest.mark.parametrize("copies", [1, 8])
@@ -413,9 +418,9 @@ def test_cost_override_beats_kind_cost(registry):
     override = CostModel(base_cost=9.0, per_item_cost=0.5)
     patched = ClassifierRegistry(
         cost_overrides=((symbol.canon, override),))
-    assert patched.cost_for(symbol) == override
+    assert patched.stages[symbol].cost == override
     other = PerceptionSymbol("object_detector", "cup")
-    assert patched.cost_for(other) == registry.cost_for(other)
+    assert patched.stages[other].cost == registry.stages[other].cost
 
 
 def listed_cost(registry, symbol) -> CostModel:
@@ -444,16 +449,43 @@ def test_cost_for_follows_the_tables(data):
         kind_costs=tuple((kind, data.draw(_COSTS)) for kind, _ in registry.kind_costs),
         cost_overrides=tuple((s.canon, data.draw(_COSTS)) for s in overridden))
     for symbol in symbols:
-        assert registry.cost_for(symbol) == listed_cost(registry, symbol)
-    for symbol in (PerceptionSymbol("object_detector", "dragon"),
-                   PerceptionSymbol("color_detector", "mauve")):
-        with pytest.raises(UnknownClassifier):
-            registry.cost_for(symbol)
+        assert registry.stages[symbol].cost == listed_cost(registry, symbol)
 
 
 def test_unknown_classifier_rejected(registry):
-    with pytest.raises(UnknownClassifier):
-        registry.cost_for(PerceptionSymbol("object_detector", "dragon"))
+    # A classifier outside the registry has no stage, and a build that
+    # selects it raises before it runs anything.
+    for symbol in (PerceptionSymbol("object_detector", "dragon"),
+                   PerceptionSymbol("color_detector", "mauve")):
+        assert symbol not in registry.stages
+        with pytest.raises(UnknownClassifier):
+            build_world_model((), {symbol, *registry.classifiers()}, registry)
+
+
+_LOOK_UP_PICKLED = """
+import pickle, sys
+from groundling.symbols import default_registry
+stages = default_registry().stages
+for symbol in pickle.loads(sys.stdin.buffer.read()):
+    print(stages[symbol].canon)
+"""
+
+
+def test_a_pickled_classifier_finds_its_stage_under_another_hash_seed():
+    # A symbol keeps the hash of its fields made when it was made; a copy
+    # unpickled where strings hash otherwise must hash its fields afresh,
+    # or the stage table, keyed by hash, misses it.
+    symbols = (PerceptionSymbol("object_detector", "cup"),
+               PerceptionSymbol("color_detector", "red"), PerceptionSymbol("noise_filter"))
+    package_root = str(Path(groundling.__file__).parents[1])
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", _LOOK_UP_PICKLED],
+                              input=pickle.dumps(symbols), capture_output=True,
+                              check=True, env=env)
+        assert done.stdout.decode().split() == [s.canon for s in symbols]
 
 
 def test_registry_equality_ignores_cost_table_order(registry):
