@@ -172,7 +172,7 @@ def _row_scorer(model: CorrespondenceModel | StackedModel, space: SymbolSpace,
         compiled = model._compiled[layout] = _Compiled(model, layout)
     dig = np.where(layout.cells_of(digest), compiled.dig, 0.0) if digest else None
     return partial(_score_phrase, compiled, layout, dig, space.entry_row,
-                   space.entry_key, len(space.row_keys))
+                   space.entry_key, space.rows)
 
 
 def _score_phrase(compiled: _Compiled, layout: Layout, dig, entry_row, entry_key,
@@ -338,9 +338,11 @@ class Assignment:
 
     def root_constraints(self) -> frozenset:
         """The constraint symbols true at the root, the space's leading
-        rows, made without making an instance symbol."""
-        leading = self.logits[-1, :len(self.space.layout.constraints)] >= _HALF
-        return frozenset(map(self.space.__getitem__, leading.nonzero()[0].tolist()))
+        rows, read from its layout: no instance symbol, nor the space's
+        symbol list, is made."""
+        constraints = self.space.layout.constraints
+        leading = self.logits[-1, :len(constraints)] >= _HALF
+        return frozenset(map(constraints.__getitem__, leading.nonzero()[0].tolist()))
 
     def true_sets(self) -> dict[int, frozenset]:
         return dict(enumerate(self.trues))
@@ -452,7 +454,7 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
     phrases = tree.phrases()
     score = _row_scorer(model, space, digest)
     constraints = len(space.layout.constraints)
-    logits = np.empty((len(phrases), len(space.row_keys)))
+    logits = np.empty((len(phrases), space.rows))
     root = len(phrases) - 1
     kids: list = [None] * root
     for phrase, tokens in zip(phrases, tree.feature_tokens):
@@ -607,7 +609,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     # class, then two bits per attribute name (cmatch, dig) and ceq.
     n_phrases, n_keys = len(phrase_tokens), len(layout.names)
     tokens_of = np.array(phrase_tokens, dtype=np.int64)
-    ceq = np.zeros((n_phrases, len(space.row_keys)), dtype=np.int64)
+    ceq = np.zeros((n_phrases, space.rows), dtype=np.int64)
     ceq[kid_phrase, kids] = 1
     cmatch = np.zeros((n_phrases, n_keys + 1), dtype=np.int64)
     width = max(map(len, layout.cmatch_cells), default=0)

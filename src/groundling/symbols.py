@@ -478,89 +478,105 @@ class Layout:
         ``signatures[codes[i]]``.  The T constraint symbols come first;
         then object ``i``'s action symbol is symbol T + i and its object
         symbol T + n + i: instances are laid out in object order, not
-        sorted.  Instance symbols are made when read, and only then is
-        ``name`` called.
+        sorted.  The space is made with only what a walk reads: its
+        entries, its row count and its symbol count.
 
         The constraint rows' entries are the layout's.  The layout keeps
         each signature's keys, and its action and object rows of keys
         padded to one width, from the first world that has it; a world's
         instance entries are those rows, gathered by signature, less the
-        padding.
+        padding.  A signature outside the layout's vocabulary raises
+        ``InvalidSpec`` here.
         """
-        codes = np.asarray(codes, dtype=np.intp)
-        n, t = len(codes), len(self.constraints)
-        actions = t + 2 * codes
-        row_of = np.concatenate((np.arange(t), actions, actions + 1))
-
-        def instance(j: int) -> GroundingSymbol:
-            variant, i = divmod(j - t, n)
-            return GroundingSymbol(INSTANCE_VARIANTS[variant], name(i),
-                                   signature_attrs(*signatures[codes[i]]))
-
-        keys = tuple(itertools.chain.from_iterable(
-            map(self._signature_keys.__getitem__, signatures)))
-        entries = self._entries
-        if keys:
+        entries, t = self._entries, len(self.constraints)
+        if signatures:
             number = np.fromiter(map(self._signature_number.__getitem__, signatures),
                                  dtype=np.intp, count=len(signatures))
-            padded = self._key_rows.take(number, axis=0).reshape(len(keys), -1)
+            padded = self._key_rows.take(number, axis=0).reshape(2 * len(number), -1)
             fired = padded >= 0
             entries = (np.concatenate((entries[0], t + fired.nonzero()[0])),
                        np.concatenate((entries[1], padded[fired])))
-        return SymbolSpace(self, [*self.constraints, *[None] * (2 * n)],
-                           self.constraint_keys + keys, row_of, entries, instance)
+        return SymbolSpace(self, entries, np.asarray(codes, dtype=np.intp), signatures, name)
 
 
 class SymbolSpace:
     """Ordered, duplicate-free collection of symbols for one domain.
 
     ``layout`` is the domain's ``Layout``, which numbers the keys and
-    holds the constraint symbols: they come first, sorted by canonical
+    holds the T constraint symbols: they come first, sorted by canonical
     string, so a symbol's index is stable across runs, and they are
-    symbols and rows 0 to ``len(layout.constraints) - 1``.  A grounding
-    space then holds the world's action symbols and then its object
-    symbols, each block in the world's column order.  ``position`` maps
+    symbols and rows 0 to T - 1.  A grounding space then holds the
+    world's action symbols and then its object symbols, each block in the
+    world's column order: object ``i`` has the signature
+    ``signatures[codes[i]]`` and the id ``name(i)``.  ``position`` maps
     each canonical string to its index.
 
     A symbol's logit is a sum over its layout keys (``key_names``).
-    Symbols with the same keys share a row: row ``r`` has the keys
-    ``row_keys[r]`` and symbol ``j`` is in row ``row_of[j]``, and entry
-    ``e`` of the flat arrays is key ``entry_key[e]`` of row
-    ``entry_row[e]``.  Only instance symbols share rows: a constraint
-    symbol's keys name its variant and value.
+    Symbols with the same keys share a row: the i-th signature's action
+    symbols share row T + 2i and its object symbols row T + 2i + 1.  Row
+    ``r`` has the keys ``row_keys[r]``, symbol ``j`` is in row
+    ``row_of[j]``, and entry ``e`` of the flat arrays is key
+    ``entry_key[e]`` of row ``entry_row[e]``; ``rows`` counts the rows and
+    ``len`` the symbols, T + 2n.  Only instance symbols share rows: a
+    constraint symbol's keys name its variant and value.
 
     Spaces come from ``Layout.space``, through the ``enumerate_*``
-    functions; a ``None`` among ``symbols`` marks an instance symbol that
-    ``instance(j)`` makes on first access.  ``entries`` are
-    ``(entry_row, entry_key)``, ``_entries(row_keys)``.
+    functions.  Inference reads only the entries and the two counts, so
+    ``row_keys``, ``row_of`` and the symbol list are made on first read,
+    and an instance symbol, and its object's name, only when it is read.
     """
 
-    def __init__(self, layout: Layout, symbols, row_keys, row_of, entries,
-                 instance=None) -> None:
+    def __init__(self, layout: Layout, entries, codes: np.ndarray, signatures,
+                 name=None) -> None:
         self.domain = layout.domain
         self.layout = layout
-        self.row_keys = row_keys
-        self.row_of = np.asarray(row_of, dtype=np.intp)
         self.entry_row, self.entry_key = entries
-        self._symbols = symbols
-        self._instance = instance
+        t = len(layout.constraints)
+        self.rows = t + 2 * len(signatures)
+        self._size = t + 2 * len(codes)
+        self._codes, self._signatures, self._name = codes, signatures, name
+
+    @cached_property
+    def row_keys(self) -> tuple:
+        keys = self.layout._signature_keys
+        return self.layout.constraint_keys + tuple(itertools.chain.from_iterable(
+            map(keys.__getitem__, self._signatures)))
+
+    @cached_property
+    def row_of(self) -> np.ndarray:
+        t = len(self.layout.constraints)
+        actions = t + 2 * self._codes
+        return np.concatenate((np.arange(t), actions, actions + 1))
+
+    @cached_property
+    def _symbols(self) -> list:
+        # None marks an instance symbol not yet made.
+        constraints = self.layout.constraints
+        return [*constraints, *[None] * (self._size - len(constraints))]
 
     @cached_property
     def position(self) -> dict[str, int]:
         return {s.canon: j for j, s in enumerate(self)}
 
     def __len__(self) -> int:
-        return len(self._symbols)
+        return self._size
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._symbols)))
+        return map(self.__getitem__, range(self._size))
 
     def __getitem__(self, j: int):
-        symbol = self._symbols[j]
+        symbols = self._symbols
+        symbol = symbols[j]
         if symbol is None:
-            j = range(len(self._symbols))[j]
-            symbol = self._symbols[j] = self._instance(j)
+            j = range(self._size)[j]
+            symbol = symbols[j] = self._instance(j)
         return symbol
+
+    def _instance(self, j: int) -> GroundingSymbol:
+        t, n = len(self.layout.constraints), len(self._codes)
+        variant, i = divmod(j - t, n)
+        return GroundingSymbol(INSTANCE_VARIANTS[variant], self._name(i),
+                               signature_attrs(*self._signatures[self._codes[i]]))
 
 
 @dataclass(frozen=True)
@@ -694,7 +710,8 @@ class ClassifierRegistry:
     def stages(self) -> dict[PerceptionSymbol, Stage]:
         """Each classifier's ``Stage``: its place in build order, by kind
         in ``CLASSIFIER_KINDS`` order and then by canon, its canon, and its
-        cost model, its override, else its kind's."""
+        cost model, its override, else its kind's.  The table is in build
+        order, so a build walks it to run the stages it selects."""
         kinds, overrides = dict(self.kind_costs), dict(self.cost_overrides)
         order = sorted(self.classifiers(),
                        key=lambda c: (CLASSIFIER_KINDS.index(c.kind), c.canon))

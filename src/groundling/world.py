@@ -333,13 +333,15 @@ class ObservationLog:
 
     Rows are records in (t, class, rel) order: ``position[i]`` is row
     ``i``'s place among the records in input order, ``obs[i]`` indexes its
-    observation, and ``rel``, ``cls``, ``color`` and ``noisy`` are the
-    record's; ``latent`` holds the latent ids in input order.  Class,
+    observation, and ``cls``, ``color`` and ``noisy`` are the record's;
+    ``rel`` holds the records' relative x, y and angle as its three rows,
+    each contiguous; ``latent`` holds the latent ids in input order.  Class,
     colour and scene label are codes into the log's ``vocabulary``, whose
     names are sorted per log, so that code order is string order; every
     build and view of the log shares it.  Per observation, in input order:
     ``times``, ``poses``, ``frame`` (each pose's x, y and the cosine and
     sine of its angle, from ``math``: the rotation into the world frame),
+    ``angle`` (each pose's angle, as one contiguous column),
     the scene-label code ``region``, the ``scores`` as given, the record
     count ``counts`` and ``mask``, which marks the
     observations the log keeps: all of them for a whole log.  ``size``
@@ -361,6 +363,7 @@ class ObservationLog:
     times: np.ndarray
     poses: np.ndarray
     frame: np.ndarray
+    angle: np.ndarray
     region: np.ndarray
     scores: tuple[tuple[tuple[str, float], ...], ...]
     counts: np.ndarray
@@ -395,10 +398,10 @@ class ObservationLog:
                                    else (math.cos(a), math.sin(a))))
                           for x, y, a in poses.tolist()]).reshape(-1, 4)
         arrays = dict(
-            position=order, obs=obs[order], rel=rel[order],
+            position=order, obs=obs[order], rel=np.ascontiguousarray(rel[order].T),
             cls=cls[order], color=color[order], noisy=np.array(noisy, dtype=bool)[order],
-            times=times, poses=poses, frame=frame, region=region, counts=counts,
-            mask=np.ones(len(times), dtype=bool))
+            times=times, poses=poses, frame=frame, angle=np.ascontiguousarray(poses[:, 2]),
+            region=region, counts=counts, mask=np.ones(len(times), dtype=bool))
         # Every build and view of the log shares these arrays.
         for a in arrays.values():
             a.flags.writeable = False
@@ -421,7 +424,7 @@ class ObservationLog:
         if not self._made:
             vocabulary, row = self.vocabulary, self.position.argsort()
             records = map(
-                RawDetection, self.latent, map(tuple, self.rel[row].tolist()),
+                RawDetection, self.latent, zip(*self.rel[:, row].tolist()),
                 map(vocabulary.classes.__getitem__, self.cls[row].tolist()),
                 map(vocabulary.colors.__getitem__, self.color[row].tolist()),
                 self.noisy[row].tolist())
@@ -519,7 +522,8 @@ class WorldModel:
     region as codes into ``vocabulary`` (a build's is its log's), the
     colour -1 when no detector confirmed one; column ``i`` of ``pose``
     holds its x, y and theta; and its provenance is the set of
-    ``t[start[i]:stop[i]]``.
+    ``t[start[i]:stop[i]]``.  ``total_cost`` is the ledger's costs summed
+    left to right, which a build adds up as it appends them.
 
     A build's columns are in the merge's group order, by smallest member
     row, and ``given`` is None: an object's id is made when it is read
@@ -542,6 +546,7 @@ class WorldModel:
     given: tuple[str, ...] | None
     robot_pose: Pose
     cost_ledger: tuple[tuple[str, float], ...] = ()
+    total_cost: float = 0
 
     @staticmethod
     def of(objects, robot_pose: Pose,
@@ -556,6 +561,9 @@ class WorldModel:
         provenance = [sorted(o.provenance) for o in objects]
         size = np.array([len(p) for p in provenance], dtype=np.intp)
         stop = size.cumsum()
+        total = 0
+        for _, cost in cost_ledger:
+            total += cost
         return WorldModel(
             vocabulary=Vocabulary(classes, colors, regions),
             codes=np.array([cls, [code.get(o.color, -1) for o in objects], region],
@@ -563,12 +571,7 @@ class WorldModel:
             pose=np.array([o.pose for o in objects], dtype=float).reshape(-1, 3).T,
             t=np.array([t for p in provenance for t in p], dtype=np.int64),
             start=stop - size, stop=stop, given=tuple(o.id for o in objects),
-            robot_pose=robot_pose, cost_ledger=cost_ledger)
-
-    @property
-    def total_cost(self) -> float:
-        """The ledger's costs, summed left to right."""
-        return sum(c for _, c in self.cost_ledger)
+            robot_pose=robot_pose, cost_ledger=cost_ledger, total_cost=total)
 
     def __len__(self) -> int:
         return self.codes.shape[1]
@@ -705,11 +708,11 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
             # every element goes through the same IEEE operations, in the
             # same order, as the scalar form.  The rows are gathered with
             # ``take``, which numpy runs several times faster than fancy
-            # indexing.  x and y are written into one array, as its two
+            # indexing, and u and v each from its own contiguous row of
+            # ``rel``.  x and y are written into one array, as its two
             # rows, so that each is contiguous, and handed on transposed.
             rx, ry, c, s = log.frame.take(detections.obs, axis=0).T
-            rel = log.rel.take(rows, axis=0)
-            u, v = rel[:, 0], rel[:, 1]
+            u, v = log.rel[0].take(rows), log.rel[1].take(rows)
             position = np.empty((2, n))
             x, y = position
             np.multiply(c, u, out=x)
@@ -720,7 +723,7 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
             np.add(y, c * v, out=y)
             return detections._replace(position=position.T), cost
         if kind == POSE_ESTIMATOR:
-            theta = log.poses[:, 2].take(detections.obs) + log.rel[:, 2].take(rows)
+            theta = log.angle.take(detections.obs) + log.rel[2].take(rows)
             return detections._replace(theta=theta), cost
     raise UnknownClassifier(symbol.canon)
 
@@ -901,7 +904,7 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
 
 
 def _merge(detections: DetectionSet, robot_pose: Pose,
-           cost_ledger: tuple[tuple[str, float], ...]) -> WorldModel:
+           cost_ledger: tuple[tuple[str, float], ...], total_cost: float) -> WorldModel:
     """One object per cluster of same-class detections, in group order.
 
     The pose is the members' centroid and the angle of the earliest
@@ -964,7 +967,8 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
     theta.take(first, out=pose[2])
     return WorldModel(
         vocabulary=log.vocabulary, codes=codes, pose=pose, t=t[order], start=start,
-        stop=stop, given=None, robot_pose=robot_pose, cost_ledger=cost_ledger)
+        stop=stop, given=None, robot_pose=robot_pose, cost_ledger=cost_ledger,
+        total_cost=total_cost)
 
 
 # The stages that run only as a pair.
@@ -981,8 +985,11 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     The stages then run in ``CLASSIFIER_KINDS`` order -- object detectors,
     noise filter, color detectors, bounding box, pose -- and in canonical
     order within a kind, the build rank of the registry's stage table
-    (``ClassifierRegistry.stages``); each stage that costs something adds
-    a ledger entry under the table's canon.  The bounding-box and pose
+    (``ClassifierRegistry.stages``), which the build walks once, in that
+    order, keeping the selected stages; each stage that costs something
+    adds a ledger entry under the table's canon.  A classifier the
+    registry does not hold raises ``UnknownClassifier``, naming the
+    smallest unknown canon, before any stage runs.  The bounding-box and pose
     stages run only as a pair: without both no detection can become an
     object (its position is unknown), so a build with one of them runs
     neither.  Duplicate detections of one object -- same apparent class
@@ -992,35 +999,45 @@ def build_world_model(observations, classifiers, registry: ClassifierRegistry,
     """
     log = ObservationLog.of(observations)
     selected = frozenset(classifiers)
-    unknown = sorted(c.canon for c in selected - registry.classifier_set)
-    if unknown:
-        raise UnknownClassifier(unknown[0])
+    if not selected <= registry.classifier_set:
+        raise UnknownClassifier(min(c.canon for c in selected - registry.classifier_set))
     if robot_pose is None:
         robot_pose = log.latest_pose()
 
     if not _GEOMETRY <= selected:
         selected -= _GEOMETRY
-    stages = sorted(map(registry.stages.__getitem__, selected))
-    current = log.detections(frozenset(
-        stage.symbol.param for stage in stages if stage.symbol.kind == OBJECT_DETECTOR))
+    # The stage table is in build order: one walk keeps the selected
+    # stages and the classes of the selected object detectors.
+    stages, classes = [], set()
+    for stage in registry.stages.values():
+        symbol = stage.symbol
+        if symbol in selected:
+            stages.append(stage)
+            if symbol.kind == OBJECT_DETECTOR:
+                classes.add(symbol.param)
+    current = log.detections(classes)
+    # The total is the ledger's, summed left to right as it grows.
     ledger: list[tuple[str, float]] = []
+    total = 0
     for stage in stages:
         current, cost = run_classifier(stage.symbol, registry, current)
         if cost:
             ledger.append((stage.canon, cost))
+            total += cost
 
     if current.theta is None or not len(current):
-        return _no_objects(log.vocabulary, robot_pose, tuple(ledger))
-    return _merge(current, robot_pose, tuple(ledger))
+        return _no_objects(log.vocabulary, robot_pose, tuple(ledger), total)
+    return _merge(current, robot_pose, tuple(ledger), total)
 
 
 def _no_objects(vocabulary: Vocabulary, robot_pose: Pose,
-                cost_ledger: tuple[tuple[str, float], ...]) -> WorldModel:
+                cost_ledger: tuple[tuple[str, float], ...], total_cost: float) -> WorldModel:
     """The world model of no objects, over a log's vocabulary."""
     none = np.empty(0, dtype=np.intp)
     return WorldModel(vocabulary=vocabulary, codes=none.reshape(3, 0),
                       pose=np.empty((3, 0)), t=np.empty(0, dtype=np.int64), start=none,
-                      stop=none, given=None, robot_pose=robot_pose, cost_ledger=cost_ledger)
+                      stop=none, given=None, robot_pose=robot_pose, cost_ledger=cost_ledger,
+                      total_cost=total_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,18 @@ def symbol_space(domain: str, symbols) -> SymbolSpace:
     row_of = [rows.setdefault(tuple(map(layout.index.__getitem__, names)),
                               len(rows)) for names in named]
     assert row_of[:len(constraints)] == list(range(len(constraints)))
-    return SymbolSpace(layout, ordered, tuple(rows), row_of, _entries(tuple(rows)))
+    return GenericSpace(layout, ordered, tuple(rows), row_of)
+
+
+class GenericSpace(SymbolSpace):
+    """A space of given symbols, rows and row keys, all made up front: what
+    ``SymbolSpace`` makes on first read is set here."""
+
+    def __init__(self, layout: Layout, symbols, row_keys, row_of) -> None:
+        super().__init__(layout, _entries(row_keys), np.empty(0, dtype=np.intp), ())
+        self.rows, self._size = len(row_keys), len(symbols)
+        self.row_keys, self.row_of = row_keys, np.asarray(row_of, dtype=np.intp)
+        self._symbols = list(symbols)
 
 
 def phrase_side(phrase: Phrase, child_trues, space: SymbolSpace) -> tuple:

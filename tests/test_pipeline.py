@@ -413,12 +413,80 @@ def test_a_run_names_only_its_target_and_the_candidates_tied_with_it(
         assert result.error == ""
         built = result.world
         assert "named" not in built.__dict__
-        assert result.assignment.space._symbols.count(None) == 2 * len(built)
+        assert "_symbols" not in result.assignment.space.__dict__
         robot = built.robot_pose
         reach = planar_distance(result.target.pose, robot)
         assert result.target.id in [make_id(built, i) for i in named]
         assert all(planar_distance(built.pose[:2, i].tolist(), robot) == reach
                    for i in named)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_lays_out_no_grounding_rows(bundle, registry, site_logs, mode):
+    # Grounding reads the world space's entries and counts only: a run
+    # makes none of its row keys, rows of symbols, symbol list or
+    # positions, and the root constraints are read from the layout.
+    lazy = {"row_keys", "row_of", "_symbols", "position"}
+    for case in benchmark_manifest():
+        result = run(case.instruction, site_logs[case.site], bundle, registry, mode=mode)
+        space = result.assignment.space
+        assert space.domain == "grounding"
+        assert len(space) >= space.rows > len(space.layout.constraints)
+        assert not lazy & space.__dict__.keys()
+        assert result.assignment.root_constraints()
+        assert not lazy & space.__dict__.keys()
+
+
+# Python and C-builtin calls of one run of each manifest case, counted by
+# a ``sys.setprofile`` hook after a run of the same case has filled every
+# per-registry, per-layout and per-model table.  Counted under Python
+# 3.11 and numpy 2.4.6, the versions CI pins; a run may take up to
+# _CALL_SLACK times as many.
+_CALLS = {
+    "go to the farthest umbrella in the hallway": {"B": 525, "AP": 440},
+    "navigate to the nearest suitcase in the parking lot": {"B": 525, "AP": 440},
+    "go to the farthest cup in the kitchen": {"B": 546, "AP": 461},
+    "go to the nearest keyboard in the office": {"B": 531, "AP": 446},
+    "go to the nearest ball in the hallway": {"B": 512, "AP": 427},
+    "go to the farthest ball in the lab": {"B": 540, "AP": 455},
+}
+_CALL_SLACK = 1.05
+
+
+def count_calls(call) -> int:
+    """The Python and C-builtin calls ``call()`` makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11) or np.__version__ != "2.4.6",
+                    reason="the call counts are those of Python 3.11 and numpy 2.4.6")
+def test_a_run_stays_within_its_call_budget(registry, site_logs):
+    # A count, not a time: bookkeeping that creeps back into a B or an AP
+    # run shows here, whatever the machine.
+    bundle = ModelBundle.load(DATA / "seed7_models")
+    counts = {}
+    for case in benchmark_manifest():
+        for mode in ("B", "AP"):
+            def call():
+                run(case.instruction, site_logs[case.site], bundle, registry, mode=mode)
+            call()
+            counts[case.instruction, mode] = count_calls(call)
+    over = [key for key, n in counts.items() if n > _CALLS[key[0]][key[1]] * _CALL_SLACK]
+    assert not over, "calls per run, over budget: " + ", ".join(map(str, over)) + "\n" + (
+        "\n".join(f"{mode} {instruction!r}: {n} (counted {_CALLS[instruction][mode]})"
+                  for (instruction, mode), n in counts.items()))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -182,6 +182,33 @@ def test_grounding_space_matches_the_generic_construction(case):
     assert_laid_out_in_column_order(world, world.objects, registry)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=signature_worlds())
+@example(case=(default_registry(), empty_world()))
+@example(case=(default_registry(), one_signature_world(12)))
+def test_a_world_space_lays_out_its_rows_when_read(case):
+    # A world's space is made with its entries, its row count and its
+    # symbol count; its row keys, the row of each symbol and its symbol
+    # list are made when read, and agree with the entries.
+    registry, world = case
+    if any(o.cls not in registry.object_classes or o.region not in SCENE_LABELS
+           or o.color not in (None, *registry.colors) for o in world.objects):
+        with pytest.raises(InvalidSpec):
+            enumerate_grounding_space(world, registry)
+        return
+    space = enumerate_grounding_space(world, registry)
+    assert not {"row_keys", "row_of", "_symbols", "position"} & space.__dict__.keys()
+    signatures, codes = world.signatures
+    t, n = len(space.layout.constraints), len(world)
+    assert len(space) == t + 2 * n
+    assert space.rows == len(space.row_keys) == t + 2 * len(signatures)
+    assert (space.entry_row.tolist(), space.entry_key.tolist()) == tuple(
+        a.tolist() for a in _entries(space.row_keys))
+    assert space.row_of.tolist() == [*range(t), *(t + 2 * codes).tolist(),
+                                     *(t + 2 * codes + 1).tolist()]
+    assert len(list(space)) == len(space)
+
+
 def assert_laid_out_in_column_order(world, objects, registry):
     """The world's grounding space is the type space, symbol for symbol
     and row for row, then the action symbols and then the object symbols
@@ -276,7 +303,7 @@ def test_an_empty_build_is_the_world_model_of_no_objects(registry, site_logs):
                                 registry),
               build_world_model(log, {c for c in every if c.kind != "pose_estimator"},
                                 registry)]
-    none = WorldModel.of((), 0.0, (0.0, 0.0, 0.0))
+    none = WorldModel.of((), (0.0, 0.0, 0.0))
     types = enumerate_grounding_type_space(registry)
     assert types is enumerate_grounding_type_space(registry)
     for world in [*builds, none]:

@@ -24,8 +24,15 @@ from groundling.fixtures import (
     site1_spec,
     site_spec,
     tiled,
+    wide_registry,
 )
-from groundling.symbols import SCENE_LABELS, PerceptionSymbol, load_registry, save_registry
+from groundling.symbols import (
+    SCENE_LABELS,
+    PerceptionSymbol,
+    default_registry,
+    load_registry,
+    save_registry,
+)
 from groundling.world import (
     MERGE_RADIUS,
     SENSING_RANGE,
@@ -323,6 +330,51 @@ def test_build_calls_each_stage_once_through_the_module(registry, site_logs,
         calls.clear()
         build_world_model(site_logs["site-1"], selected, registry)
         assert calls == stages
+
+
+_ORDER_REGISTRIES = (default_registry(), wide_registry(2))
+_ORDER_LOGS = [simulate(site1_spec(), r) for r in _ORDER_REGISTRIES]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_stages_run_in_the_stage_tables_order(data):
+    # For any selection, with both geometry stages, one or neither, the
+    # build calls the selected stages through the module in the build
+    # rank of the registry's stage table, and drops a lone geometry stage.
+    k = data.draw(st.sampled_from(range(len(_ORDER_REGISTRIES))))
+    registry, log = _ORDER_REGISTRIES[k], _ORDER_LOGS[k]
+    every = registry.classifiers()
+    geometry = [PerceptionSymbol("bbox_estimator"), PerceptionSymbol("pose_estimator")]
+    others = [c for c in every if c not in geometry]
+    selection = set(data.draw(st.lists(st.sampled_from(others), unique=True)))
+    selection |= set(data.draw(st.sampled_from((geometry, geometry[:1], geometry[1:], []))))
+    expected = sorted(map(registry.stages.__getitem__, selection))
+    if not set(geometry) <= selection:
+        expected = [stage for stage in expected if stage.symbol not in geometry]
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args[0])
+        return run_classifier(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("groundling.world.run_classifier", recorder)
+        build_world_model(log, frozenset(selection), registry)
+    assert calls == [stage.symbol for stage in expected]
+    # Unregistered classifiers among the selection name the smallest
+    # unknown canon, and no stage runs.
+    unknown = data.draw(st.lists(st.sampled_from((
+        PerceptionSymbol("object_detector", "dragon"),
+        PerceptionSymbol("object_detector", "aardvark"),
+        PerceptionSymbol("color_detector", "mauve"))), min_size=1, unique=True))
+    calls.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("groundling.world.run_classifier", recorder)
+        with pytest.raises(UnknownClassifier) as raised:
+            build_world_model(log, frozenset(selection | set(unknown)), registry)
+    assert str(raised.value) == min(c.canon for c in unknown)
+    assert calls == []
 
 
 def test_a_build_does_not_depend_on_classifier_identity(registry, site_logs, tmp_path,
