@@ -3,7 +3,8 @@
 Trains the seed-7 model bundle (or loads one with ``--models``), then, for
 each (noise, clutter) cell, simulates both benchmark sites with that
 noise and clutter rate and runs every held-out instruction of the seed-7
-corpus on both sites under all four build modes.  It prints one markdown
+corpus on both sites under all four build modes, as one
+``pipeline.benchmark`` sweep.  It prints one markdown
 row per cell:
 
 - agreement: the share of (instruction, site) inputs on which the four
@@ -25,18 +26,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from groundling import corpus
-from groundling.fixtures import SITES, site_spec
-from groundling.pipeline import MODES, ModelBundle, run, train_bundle
+from groundling.fixtures import SITES, BenchmarkCase, site_spec
+from groundling.pipeline import MODES, ModelBundle, benchmark, train_bundle
 from groundling.symbols import default_registry
 from groundling.world import simulate
 
 CORPUS_SEED = 7
 NOISE = (0.0, 0.1, 0.2, 0.3)
 CLUTTER = (0.0, 0.25, 0.5)
-
-
-def outcome(result) -> str:
-    return result.grounding or result.error.split(":", 1)[0]
 
 
 def main(argv=None) -> int:
@@ -52,32 +49,27 @@ def main(argv=None) -> int:
         bundle = ModelBundle.load(args.models)
     else:
         bundle, _ = train_bundle(train_set, registry)
-    instructions = [e.text for e in heldout]
+    cases = [BenchmarkCase(e.text, site) for site in SITES for e in heldout]
 
-    print(f"{len(instructions)} held-out instructions x {len(SITES)} sites "
+    print(f"{len(heldout)} held-out instructions x {len(SITES)} sites "
           f"x {len(MODES)} modes per cell\n")
     print("| noise | clutter | modes agree | cost ratio OF_AP | objects ratio OF_AP |")
     print("| ---: | ---: | ---: | ---: | ---: |")
     for noise in NOISE:
         for clutter in CLUTTER:
-            agree = inputs = 0
-            cost = dict.fromkeys(("B", "OF_AP"), 0.0)
-            objects = dict.fromkeys(("B", "OF_AP"), 0)
-            for site in SITES:
-                spec = replace(site_spec(site), noise=noise, clutter_rate=clutter)
-                observations = simulate(spec, registry)
-                for instruction in instructions:
-                    results = {mode: run(instruction, observations, bundle,
-                                         registry, mode=mode, site=site)
-                               for mode in MODES}
-                    inputs += 1
-                    agree += len({outcome(r) for r in results.values()}) == 1
-                    for mode in cost:
-                        cost[mode] += results[mode].cost_units
-                        objects[mode] += results[mode].object_count
-            print(f"| {noise:.2f} | {clutter:.2f} | {agree}/{inputs} "
-                  f"| {cost['OF_AP'] / cost['B']:.4f} "
-                  f"| {objects['OF_AP'] / objects['B']:.4f} |", flush=True)
+            logs = {site: simulate(replace(site_spec(site), noise=noise,
+                                           clutter_rate=clutter), registry)
+                    for site in SITES}
+            results = benchmark(cases, logs, bundle, registry).results
+            # Each case's runs, one per mode in MODES order, follow each other.
+            runs = list(zip(*[iter(results)] * len(MODES)))
+            agree = sum(len({r.grounding or r.error.split(":", 1)[0] for r in run}) == 1
+                        for run in runs)
+            b, of_ap = ([r for r in results if r.mode == mode] for mode in ("B", "OF_AP"))
+            cost = sum(r.cost_units for r in of_ap) / sum(r.cost_units for r in b)
+            objects = sum(r.object_count for r in of_ap) / sum(r.object_count for r in b)
+            print(f"| {noise:.2f} | {clutter:.2f} | {agree}/{len(runs)} "
+                  f"| {cost:.4f} | {objects:.4f} |", flush=True)
     return 0
 
 

@@ -790,8 +790,9 @@ def save_model(model: CorrespondenceModel, path) -> None:
 
 
 def load_model(path, domain: str | None = None) -> CorrespondenceModel:
-    """Read a model file: finite weights, a finite ``regularization`` >= 0,
-    and the given ``domain``, if one is given."""
+    """Read a model file: finite weights whose absolute values have a
+    finite sum, which bounds every logit; a finite ``regularization`` >=
+    0; and the given ``domain``, if one is given."""
     with reading(path, "model file"):
         doc = json.loads(Path(path).read_text())
         if doc.get("schema") != MODEL_SCHEMA:
@@ -799,6 +800,8 @@ def load_model(path, domain: str | None = None) -> CorrespondenceModel:
         if domain not in (None, doc["domain"]):
             raise InvalidSpec(f"domain {doc['domain']!r} is not {domain!r}")
         weights = {k: float(number(w, f"weight {k}")) for k, w in doc["weights"].items()}
+        if not math.isfinite(sum(map(abs, weights.values()))):
+            raise InvalidSpec("the absolute weights do not sum to a finite number")
         return CorrespondenceModel(
             domain=typed(doc["domain"], (str,), "domain"), weights=weights,
             regularization=float(number(doc["regularization"], "regularization", 0)))

@@ -15,16 +15,17 @@ table over a code vocabulary (scene labels for observation filtering,
 classes for the object detectors), gathered by the codes and ANDed with
 the mask.
 
-Perception is lazy and costed, and runs on a ``DetectionSet``: rows of
-the log's columns, plus what the stages compute.  A build reads no record
-in Python and copies no record field: it takes the rows of the selected
+Perception is lazy and costed, and runs on a ``DetectionSet``, the
+build's one working set: rows of the log's columns, plus what the stages
+compute, each stage changing it in place.  A build reads no record in
+Python and copies no record field: it takes the rows of the selected
 object detectors' classes in the log's kept observations, and every
-object detector charges for the records of those observations.
-The noise filter narrows the rows, each color detector adds its colour's
-code to the build's confirmed colours, and the bounding-box and pose
-estimators one vectorised rotation of every row into the world frame,
-element for element the IEEE operations of the scalar transform.  A
-detection only becomes a world-model object once the bounding-box and
+object detector charges for the records of those observations.  The
+noise filter narrows the rows, each color detector writes its colour's
+code into the build's table of known colours, and the bounding-box and
+pose estimators set one vectorised rotation of every row into the world
+frame, element for element the IEEE operations of the scalar transform.
+A detection only becomes a world-model object once the bounding-box and
 pose stages have run.
 
 Duplicate detections of one physical object merge by class and
@@ -339,13 +340,13 @@ class ObservationLog:
     colour and scene label are codes into the log's ``vocabulary``, whose
     names are sorted per log, so that code order is string order; every
     build and view of the log shares it.  Per observation, in input order:
-    ``times``, ``poses``, ``frame`` (each pose's x, y and the cosine and
-    sine of its angle, from ``math``: the rotation into the world frame),
-    ``angle`` (each pose's angle, as one contiguous column),
-    the scene-label code ``region``, the ``scores`` as given, the record
-    count ``counts`` and ``mask``, which marks the
-    observations the log keeps: all of them for a whole log.  ``size``
-    and ``records`` count the kept observations and their records.
+    ``times``; the robot pose, held once, as ``frame`` (its x, y and the
+    cosine and sine of its angle, from ``math``: the rotation into the
+    world frame) and ``angle`` (its angle, as one contiguous column); the
+    scene-label code ``region``, the ``scores`` as given, the record
+    count ``counts`` and ``mask``, which marks the observations the log
+    keeps: all of them for a whole log.  ``size`` and ``records`` count
+    the kept observations and their records.
 
     A view, from ``partition``, shares its log's columns under its own
     mask.  Iteration reads ``Observation``s, made from the columns once
@@ -361,7 +362,6 @@ class ObservationLog:
     color: np.ndarray
     noisy: np.ndarray
     times: np.ndarray
-    poses: np.ndarray
     frame: np.ndarray
     angle: np.ndarray
     region: np.ndarray
@@ -400,7 +400,7 @@ class ObservationLog:
         arrays = dict(
             position=order, obs=obs[order], rel=np.ascontiguousarray(rel[order].T),
             cls=cls[order], color=color[order], noisy=np.array(noisy, dtype=bool)[order],
-            times=times, poses=poses, frame=frame, angle=np.ascontiguousarray(poses[:, 2]),
+            times=times, frame=frame, angle=np.ascontiguousarray(poses[:, 2]),
             region=region, counts=counts, mask=np.ones(len(times), dtype=bool))
         # Every build and view of the log shares these arrays.
         for a in arrays.values():
@@ -429,7 +429,8 @@ class ObservationLog:
                 map(vocabulary.colors.__getitem__, self.color[row].tolist()),
                 self.noisy[row].tolist())
             self._made.append(tuple(map(
-                Observation, self.times.tolist(), map(tuple, self.poses.tolist()),
+                Observation, self.times.tolist(),
+                zip(*self.frame[:, :2].T.tolist(), self.angle.tolist()),
                 (tuple(islice(records, n)) for n in self.counts.tolist()),
                 map(vocabulary.regions.__getitem__, self.region.tolist()), self.scores)))
         return compress(self._made[0], self.mask.tolist())
@@ -440,7 +441,9 @@ class ObservationLog:
         if not self:
             return (0.0, 0.0, 0.0)
         last = self.mask.nonzero()[0][::-1]
-        return tuple(self.poses[last[self.times[last].argmax()]].tolist())
+        i = last[self.times[last].argmax()]
+        x, y = self.frame[i, :2].tolist()
+        return x, y, float(self.angle[i])
 
     def partition(self, labels) -> tuple[ObservationLog, ObservationLog]:
         """Views of the observations whose scene label is in ``labels`` and
@@ -465,39 +468,33 @@ class ObservationLog:
                           dtype=bool)[self.cls]
         rows = (picked & self.mask[self.obs]).nonzero()[0]
         return DetectionSet(log=self, rows=rows, obs=self.obs.take(rows),
-                            confirmed=frozenset())
+                            known=np.full(len(self.vocabulary.colors), -1, dtype=np.intp))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DetectionSet:
-    """Detections routed through the perception pipeline: rows of a log.
+    """The working set of one build: rows of a log, and what the stages
+    compute, changed in place by each stage.
 
     ``rows`` lists rows of the columns of ``log``, in row order, so in
     (t, class, rel) order; every record field is read through it, and no
     stage copies one.  ``obs`` is ``log.obs[rows]``, each row's
     observation, gathered once per build and narrowed with the rows.
-    ``confirmed`` holds the codes of the colours whose colour detector
-    ran.  ``position`` (x, y per row) and ``theta`` stay
-    None until the bounding-box and pose stages compute them for every
-    row.
+    ``known`` is a table over the log's colour codes: a colour's own code
+    once its colour detector has run, -1 until then.  ``position`` (x, y
+    per row) and ``theta`` stay None until the bounding-box and pose
+    stages compute them for every row.
     """
 
     log: ObservationLog
     rows: np.ndarray
     obs: np.ndarray
-    confirmed: frozenset[int]
+    known: np.ndarray
     position: np.ndarray | None = None
     theta: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def _replace(self, **fields) -> DetectionSet:
-        # A copy with ``fields`` replaced: one ``__dict__`` copy, without
-        # the frozen ``__init__``.
-        copy = object.__new__(DetectionSet)
-        copy.__dict__.update(self.__dict__, **fields)
-        return copy
 
 
 @dataclass(frozen=True)
@@ -665,19 +662,19 @@ class WorldModel:
 
 def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
                    detections: DetectionSet) -> tuple[DetectionSet, float]:
-    """Run one classifier and return (detections, cost).
+    """Run one classifier on ``detections``, in place; return them and
+    the cost.
 
-    An object detector passes ``detections``, the build's one gather of
-    the selected detectors' classes from its log, through unchanged, and
-    charges base + per-item times the records of the log (nothing
-    without observations).  The other stages take the current detection
-    set and charge base + per-item times its rows (nothing when it is
-    empty).  None copies a record field: the noise filter narrows the
-    rows, and their observations, to those without the simulator's noise
-    flag, a color detector adds its colour's code to ``confirmed``, and
-    the bounding-box / pose estimators compute absolute geometry, read
-    through the rows.  A classifier the registry does not hold raises
-    ``UnknownClassifier``.
+    An object detector leaves the build's one gather of the selected
+    detectors' classes as it is, and charges base + per-item times the
+    records of the log (nothing without observations).  The other stages
+    charge base + per-item times the current rows (nothing, and change
+    nothing, when there are none).  None copies a record field: the noise
+    filter narrows the rows, and their observations, to those without the
+    simulator's noise flag, a color detector writes its colour's code into
+    ``known``, and the bounding-box / pose estimators set ``position`` and
+    ``theta``, read through the rows.  A classifier the registry does not
+    hold raises ``UnknownClassifier``.
     """
     stage = registry.stages.get(symbol)
     if stage is None:
@@ -689,43 +686,41 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
     n = len(rows)
     if not n:
         return detections, 0.0
-    cost = stage.cost.cost(n)
     if kind == NOISE_FILTER:
         keep = ~log.noisy.take(rows)
-        return detections._replace(rows=rows[keep], obs=detections.obs[keep]), cost
-    if kind == COLOR_DETECTOR:
+        detections.rows, detections.obs = rows[keep], detections.obs[keep]
+    elif kind == COLOR_DETECTOR:
         # A colour that no row of the log shows has no code to confirm.
         code = log.vocabulary.color_code.get(symbol.param)
-        if code is None:
-            return detections, cost
-        return detections._replace(confirmed=detections.confirmed | {code}), cost
-    # Finite poses can sum to inf, and inf to NaN, as Python floats do,
-    # unwarned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == BBOX_ESTIMATOR:
-            # x = (rx + c*u) - s*v, y = (ry + s*u) + c*v for rel (u, v),
-            # with the frame's cos and sin from ``math`` once per log pose:
-            # every element goes through the same IEEE operations, in the
-            # same order, as the scalar form.  The rows are gathered with
-            # ``take``, which numpy runs several times faster than fancy
-            # indexing, and u and v each from its own contiguous row of
-            # ``rel``.  x and y are written into one array, as its two
-            # rows, so that each is contiguous, and handed on transposed.
-            rx, ry, c, s = log.frame.take(detections.obs, axis=0).T
-            u, v = log.rel[0].take(rows), log.rel[1].take(rows)
-            position = np.empty((2, n))
-            x, y = position
+        if code is not None:
+            detections.known[code] = code
+    elif kind == BBOX_ESTIMATOR:
+        # x = (rx + c*u) - s*v, y = (ry + s*u) + c*v for rel (u, v),
+        # with the frame's cos and sin from ``math`` once per log pose:
+        # every element goes through the same IEEE operations, in the
+        # same order, as the scalar form.  The rows are gathered with
+        # ``take``, which numpy runs several times faster than fancy
+        # indexing, and u and v each from its own contiguous row of
+        # ``rel``.  x and y are written into one array, as its two
+        # rows, so that each is contiguous, and handed on transposed.
+        rx, ry, c, s = log.frame.take(detections.obs, axis=0).T
+        u, v = log.rel[0].take(rows), log.rel[1].take(rows)
+        position = np.empty((2, n))
+        x, y = position
+        # Finite poses can sum to inf, and inf to NaN, as Python floats
+        # do, unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(c, u, out=x)
             np.add(rx, x, out=x)
             np.subtract(x, s * v, out=x)
             np.multiply(s, u, out=y)
             np.add(ry, y, out=y)
             np.add(y, c * v, out=y)
-            return detections._replace(position=position.T), cost
-        if kind == POSE_ESTIMATOR:
-            theta = log.angle.take(detections.obs) + log.rel[2].take(rows)
-            return detections._replace(theta=theta), cost
-    raise UnknownClassifier(symbol.canon)
+        detections.position = position.T
+    else:  # the pose estimator
+        with np.errstate(over="ignore", invalid="ignore"):
+            detections.theta = log.angle.take(detections.obs) + log.rel[2].take(rows)
+    return detections, stage.cost.cost(n)
 
 
 # Rows are binned into square cells of side MERGE_RADIUS / 2 and keyed by
@@ -735,10 +730,10 @@ def run_classifier(symbol: PerceptionSymbol, registry: ClassifierRegistry,
 # int64 key (for fewer than 2**19 classes).
 #
 # Why the rows of one cell link with no test.  The side is a power of
-# two, so x / side is exact (a finite x whose quotient overflows lands at
-# the clamp), and so is its floor: a row in the unclamped cell c of an
-# axis has c * side <= x < (c + 1) * side.  Two rows of that cell are
-# less than side = 1/4 apart, and since rounding to nearest is monotone
+# two, so x / side is exact (x is clamped first, NaN to the lower bound,
+# so it cannot overflow), and so is its floor: a row in the unclamped
+# cell c of an axis has c * side <= x < (c + 1) * side.  Two rows of that
+# cell are less than 1/4 apart, and since rounding to nearest is monotone
 # and 1/4 is a float, the test's |fl(x_a - x_b)| <= 1/4 too, on each
 # axis.  Then fl(dx * dx) and fl(dy * dy) are at most 1/16, their rounded
 # sum at most 1/8, and the test's 1/8 <= r2 = 1/4 holds.
@@ -835,6 +830,12 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     - the exact ``dx*dx + dy*dy <= r2`` test runs on the row pairs of the
       pairs left, about ``_PAIRS`` row pairs at a time.
 
+    The first two rules change no label, and no simulated log runs them.
+    They stay for positional jitter, which ``simulate`` never produces:
+    on a 2-vCPU VM, 2000 sightings with 5 cm of Gaussian jitter link in
+    0.1 ms with them and 28 ms without, and 3000 + 3000 rows on either
+    side of a cell line in 0.2 ms with them and 232 ms without.
+
     The keys are sorted with numpy's default, unstable sort, so the rows
     of a unit come in no set order.  The clusters grow as a forest over
     the rows: ``label[i]`` is a row of i's tree no greater than i, so each
@@ -843,9 +844,9 @@ def _link(cls: np.ndarray, xy: np.ndarray) -> np.ndarray:
     links are joined (``_join``) before the next chunk is tested.
     """
     n = len(cls)
-    cell = np.floor(xy / _CELL_SIDE)
-    np.fmax(cell, -_CELL_LIMIT, out=cell)
-    np.fmin(cell, _CELL_LIMIT, out=cell)
+    cell = np.fmax(xy, -_CELL_LIMIT * _CELL_SIDE)
+    np.fmin(cell, _CELL_LIMIT * _CELL_SIDE, out=cell)
+    np.floor(cell / _CELL_SIDE, out=cell)
     key = (cell @ _SPANS).astype(np.int64)
     key += cls * (_CELL_SPAN * _CELL_SPAN)
     order = key.argsort()
@@ -909,9 +910,9 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
 
     The pose is the members' centroid and the angle of the earliest
     member, by (t, theta).  The colour is the members' most common
-    apparent colour, kept only when its code is among the build's
-    ``confirmed`` colours: which colour detectors ran decides whether the
-    colour is known, never which colour it is.  The region is the
+    apparent colour, kept only when the build's ``known`` table holds its
+    code: which colour detectors ran decides whether the colour is known,
+    never which colour it is.  The region is the
     members' most common scene label; both votes break ties towards the
     smallest string.  The provenance is the set of the members' ``t``.
 
@@ -925,7 +926,8 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
       ``lexsort`` by (group, t, theta);
     - the colour and region votes are ``bincount`` over (group, code);
       since code order is string order, ``argmax``'s first maximum breaks
-      a tie towards the smallest string.
+      a tie towards the smallest string, and the winning colours are
+      gathered through ``known``.
 
     The objects stay columns, one per group in that order, with the
     members' ``t`` group by group.  No id is made here: ``WorldModel.id``
@@ -952,12 +954,9 @@ def _merge(detections: DetectionSet, robot_pose: Pose,
     codes = np.empty((3, k), dtype=np.intp)
     cls, winner, votes = codes
     np.bincount(group * nc + color, minlength=k * nc).reshape(k, nc).argmax(axis=1, out=winner)
-    # A colour stays only when its detector ran: a table of the confirmed
-    # codes, -1 elsewhere, gathered by the winners.
-    known = np.full(nc, -1, dtype=np.intp)
-    confirmed = list(detections.confirmed)
-    known[confirmed] = confirmed
-    known.take(winner, out=winner)
+    # A colour stays only when its detector ran: the build's table of
+    # confirmed codes, -1 elsewhere, gathered by the winners.
+    detections.known.take(winner, out=winner)
     np.bincount(group * nr + region, minlength=k * nr).reshape(k, nr).argmax(axis=1, out=votes)
     first = order[start]
     row_cls.take(first, out=cls)

@@ -330,6 +330,34 @@ def test_malformed_input_exits_one_without_traceback(
     assert named in done.stderr
 
 
+@pytest.mark.parametrize("mode", ["B", "OF", "AP", "OF_AP"])
+def test_far_out_coordinates_ground_with_warnings_as_errors(mode, tmp_path, bundle, site_logs):
+    # Two ball sightings at +-1.7e308 m, and a robot pose near the largest
+    # float: such a coordinate over the merge grid's cell side overflows.
+    observations = list(site_logs["site-1"])
+    balls = [(i, j) for i, o in enumerate(observations)
+             for j, d in enumerate(o.sensed) if d.apparent_class == "ball"]
+    for (i, j), rel in zip(balls, [(1.7e308, 1.7e308, 0.0), (-1.7e308, 1e300, 0.0)]):
+        sensed = list(observations[i].sensed)
+        sensed[j] = replace(sensed[j], rel=rel)
+        observations[i] = replace(observations[i], sensed=tuple(sensed))
+    observations[5] = replace(observations[5], robot_pose=(1e308, -1e308, 0.5))
+    obs_path = tmp_path / "far.jsonl"
+    save_observations(observations, obs_path)
+    bundle.save(tmp_path / "models")
+    src = Path(groundling.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "groundling", "ground",
+         "--instruction", "go to the farthest ball", "--models", str(tmp_path / "models"),
+         "--observations", str(obs_path), "--mode", mode],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert not done.stderr
+    assert "target: ball@169999999999999993883079578865998" in done.stdout
+
+
 def test_closed_stdout_exits_one_without_traceback(tmp_path, bundle):
     bundle.save(tmp_path / "models")
     src = Path(groundling.__file__).parent.parent

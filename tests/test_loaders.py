@@ -142,8 +142,11 @@ def test_log_of_a_zero_prior_scene_round_trips(registry, tmp_path):
     lambda doc: doc.__setitem__("regularization", -1.0),
     lambda doc: doc.__setitem__("regularization", float("inf")),
     lambda doc: doc.__setitem__("domain", 3),
+    # finite weights whose sum overflows a logit
+    lambda doc: doc["weights"].update({"bias|v=scene": 1.7e308, "cat=VP|v=scene": 1.7e308}),
 ], ids=["bool-weight", "string-weight", "nan-weight", "infinite-weight",
-        "negative-regularization", "infinite-regularization", "int-domain"])
+        "negative-regularization", "infinite-regularization", "int-domain",
+        "overflowing-weights"])
 def test_model_file_rejects(edit, valid_files, tmp_path):
     doc = json.loads(valid_files["model"].read_text())
     edit(doc)

@@ -541,6 +541,12 @@ _BELOW_QUARTER = math.nextafter(0.25, 0.0)
 @example(_class_0([(0.25, 0.1)] * 5 + [(_BELOW_QUARTER, 0.1)] * 5) + [(1, 0.25, 0.1)])
 # bursts at the clamp: NaN, which never links, and 1e300, which does
 @example(_class_0([(math.nan, 0.0)] * 4 + [(1e300, 1e300)] * 4 + [(0.0, math.nan)] * 3))
+# coordinates whose quotient by the cell side overflows: they take the
+# clamp, and rows at one such point link
+@example(_class_0([(1.7e308, 1.7e308)] * 3 + [(-1.7e308, 1e300)] * 2
+                  + [(-1.7e308, -1.7e308), (math.inf, math.nan)]))
+@example([(0, 1.7e308, -1.7e308), (1, 1.7e308, -1.7e308), (0, 1.7e308, 0.0),
+          (0, 2.0 ** 18, 2.0 ** 18 - 0.25), (0, 2.0 ** 18, 2.0 ** 18)])
 # a cell of 40 tied keys, more than a sort leaves in row order, interleaved
 # with a class-1 row on it and a row of the next cell that it links to
 @example([(0, 0.1, 0.1), (1, 0.1, 0.1), (0, 0.3, 0.1)] * 40)
@@ -578,10 +584,12 @@ def _float_bits(world):
 
 
 def build_checking_rows(observations, classifiers, registry):
-    """``build_world_model``, checking after every stage that each row's
-    observation is the log's, gathered once and narrowed with the rows."""
-    def checked(*args, **kwargs):
-        found, cost = run_classifier(*args, **kwargs)
+    """``build_world_model``, checking after every stage that it returns
+    the detection set it was handed, and that each row's observation is
+    the log's, gathered once and narrowed with the rows."""
+    def checked(symbol, registry, detections):
+        found, cost = run_classifier(symbol, registry, detections)
+        assert found is detections
         assert found.obs.dtype == found.log.obs.dtype
         assert np.array_equal(found.obs, found.log.obs[found.rows])
         return found, cost
