@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -40,6 +41,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# Two values that agree within this relative tolerance differ only by
+# float rounding, and neither side wins the pair.
+TIE = 1e-12
 
 
 def git(*args: str) -> str:
@@ -104,7 +108,8 @@ def bound_verdicts(before: float, after: float, iqr: float, sign: int,
 
 def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
     """Print each metric's median on both sides, in how many pairs the
-    change is better in the direction ``better`` gives it, and the
+    change is better in the direction ``better`` gives it (two values
+    within a relative ``TIE`` of each other are a tie, not a win), and the
     interquartile range of the parent's values.  A gain can be claimed on
     a metric when the change is better in at least nine pairs of ten and
     its median beats the parent's by more than that range.  An end-to-end
@@ -115,7 +120,8 @@ def summarise(pairs, better: dict[str, str], bounds: dict[str, float]) -> None:
         parent, change = ([p[side]["metrics"][name]["value"] for p in pairs]
                           for side in ("parent", "change"))
         sign = {"lower": -1, "higher": 1}.get(better.get(name), 0)
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        wins = sum(sign * (c - p) > 0 and not math.isclose(c, p, rel_tol=TIE)
+                   for p, c in zip(parent, change))
         q1, q3 = np.percentile(parent, [25, 75])
         before, after = statistics.median(parent), statistics.median(change)
         gain = sign * (after - before)

@@ -14,7 +14,6 @@ from .correspondence import (
     Assignment,
     CorrespondenceModel,
     infer,
-    phrase_logits,
     resolve_action,
     train,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "default_registry",
     "infer",
     "parse_text",
-    "phrase_logits",
     "resolve_action",
     "run",
     "simulate",

@@ -11,9 +11,8 @@ space's layout: each phrase-side token (``bias``, ``cat=``, ``w=``,
 keys.  A phrase adds its few token vectors into key weights and sums
 them once per row of the ``SymbolSpace`` (a constraint symbol, or a
 signature shared by instance symbols, which fire no ``ceq`` and so score
-alike) with one ``bincount``.  ``_score_phrase`` is that one scoring
-body; ``phrase_logits`` gathers its rows to the symbols, and inference
-keeps them as rows.
+alike) with one ``bincount``.  ``infer`` is the one place a phrase is
+scored, and it keeps the logits as rows, never gathered to the symbols.
 
 What a phrase fires is known before any scoring.  A phrase's own tokens
 are ``grammar.feature_tokens``; a run's parse tree keeps them
@@ -23,7 +22,7 @@ fires (its ``cv=`` variant, its ``cmatch`` cells and its ``ceq`` key) is
 held by the domain's ``symbols.Layout``, the one object that numbers the
 keys and makes every space of the domain, a run's grounding space
 included; children are passed up as ordinals into it, so inference makes
-no symbol and reads no symbol property.  ``phrase_logits``, ``infer`` and
+no symbol and reads no symbol property.  ``infer`` and
 ``assemble_design`` read the layout the same way, and ``_features`` is
 the one table of feature names.
 
@@ -53,7 +52,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -72,14 +71,8 @@ from .errors import (
     reading,
     typed,
 )
-from .grammar import ParseTree, Phrase, feature_tokens
-from .symbols import (
-    INSTANCE_VARIANTS,
-    GroundingSymbol,
-    Layout,
-    SymbolSpace,
-    action_instance,
-)
+from .grammar import ParseTree
+from .symbols import GroundingSymbol, Layout, SymbolSpace, action_instance
 from .world import DetectedObject, planar_distance
 
 MODEL_SCHEMA = 1
@@ -158,64 +151,8 @@ class _Compiled(dict):
         return vector
 
 
-def _row_scorer(model: CorrespondenceModel | StackedModel, space: SymbolSpace,
-                digest: frozenset) -> partial:
-    """``_score_phrase`` with one walk's constants bound: the model's
-    weights compiled against the space's layout, the layout, the digest's
-    ``dig`` vector (None without a digest, as in the semantic and
-    perception spaces, where no cell has a ``dig`` weight to add), and the
-    space's entries and row count.  What is left to pass is a phrase's
-    own tokens and its children."""
-    layout = space.layout
-    compiled = model._compiled.get(layout)
-    if compiled is None:
-        compiled = model._compiled[layout] = _Compiled(model, layout)
-    dig = np.where(layout.cells_of(digest), compiled.dig, 0.0) if digest else None
-    return partial(_score_phrase, compiled, layout, dig, space.entry_row,
-                   space.entry_key, space.rows)
-
-
-def _score_phrase(compiled: _Compiled, layout: Layout, dig, entry_row, entry_key,
-                  rows: int, own, kids) -> np.ndarray:
-    """The row logits of a phrase whose own tokens are ``own`` (``bias``
-    and ``cat=`` first, ``grammar.feature_tokens``) and whose children's
-    true constraints are ``kids``, distinct ordinals in ascending order.
-
-    This is the one scoring body: ``infer`` calls it once per phrase and
-    ``phrase_logits`` once, each through ``_row_scorer``.  The key weights
-    add, in this order, the vectors of the phrase's own tokens, of
-    ``cv=`` for each distinct variant among the children
-    (``Layout.child_tokens``), the ``dig`` weights of the digest's cells,
-    and each child's ``cmatch`` weights; no other token fires at a cell,
-    and no two constraints share a cell (``Layout``).  Each key thus gets
-    its terms in one fixed order, the tokens' and then, at a cell, two
-    terms that commute, so every logit is bit-equal to the sum of its
-    features' weights in that order.  Each row then sums its keys'
-    weights once, gathered with ``take``, and row ``c`` adds the ``ceq``
-    weight of child ``c``, which it repeats.  Children are ordinals into
-    the layout: scoring makes no symbol and reads none.
-    """
-    key_weights = compiled[own[0]] + compiled[own[1]]
-    for token in own[2:]:
-        key_weights += compiled[token]
-    if kids:
-        for token in layout.child_tokens(kids):
-            key_weights += compiled[token]
-    if dig is not None:
-        key_weights += dig
-    cmatch = compiled.cmatch
-    for c in kids:
-        key_weights += cmatch[c]
-    logits = np.bincount(entry_row, weights=key_weights.take(entry_key), minlength=rows)
-    ceq = compiled.ceq
-    for c in kids:
-        logits[c] += ceq[c]
-    return logits
-
-
 def _finite(logits: np.ndarray, space: SymbolSpace) -> np.ndarray:
-    """``logits``, row logits over ``space`` (one row per phrase, or one
-    phrase's).
+    """``logits``, row logits over ``space``, one row per phrase.
 
     The first non-finite logit, in phrase order and then in symbol order,
     raises ``NonFiniteScore`` naming its symbol; only then are the rows
@@ -233,39 +170,6 @@ def _finite(logits: np.ndarray, space: SymbolSpace) -> np.ndarray:
                 symbol = space[columns.start + int(at[-1])]
                 raise NonFiniteScore(f"factor score for {symbol.canon} is {block[at]!r}")
     return logits
-
-
-def phrase_logits(model: CorrespondenceModel, phrase: Phrase,
-                  space: SymbolSpace, child_trues=(),
-                  digest: frozenset = frozenset()) -> np.ndarray:
-    """Logits of every symbol of ``space`` for ``phrase``, in space order.
-
-    ``child_trues`` holds the symbols of ``space`` resolved true at the
-    phrase's children, and ``digest`` the world's (key, value) attribute
-    pairs.  The logit of a symbol is the sum of the weights of its
-    features, the columns of its row in ``assemble_design``.  The model is
-    compiled against the space's layout once (a weight vector over the
-    keys per phrase-side token, read through ``model.weights.get`` only),
-    so a phrase adds a few vectors, each row of the space sums its keys,
-    and the rows are gathered to the symbols: symbols that share a row,
-    the instances of one signature, are scored once.  The rows come from
-    ``_score_phrase``, the body that scores each phrase of ``infer``.  Only constraint
-    children condition the phrase, and they are read from the space's
-    layout; instance children are skipped, and a constraint the
-    space lacks raises ``CorpusDomainMismatch``.  A non-finite logit
-    raises ``NonFiniteScore``.
-    """
-    ordinal = space.layout.ordinal
-    kids = set()
-    for child in child_trues:
-        if child.variant in INSTANCE_VARIANTS:
-            continue
-        if child.canon not in ordinal:
-            raise CorpusDomainMismatch(
-                f"child symbol {child.canon!r} is outside the {space.domain!r} space")
-        kids.add(ordinal[child.canon])
-    rows = _row_scorer(model, space, digest)(feature_tokens(phrase), sorted(kids))
-    return _finite(rows, space)[space.row_of]
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,29 +319,43 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
           space: SymbolSpace, digest: frozenset = frozenset()) -> Assignment:
     """Greedy bottom-up inference: threshold each factor given its children.
 
-    Each phrase scores every row of the space at once, as
-    ``phrase_logits`` does, and the ``Assignment`` keeps those row logits:
-    none is copied out to the symbols of its row, and no probability is
-    made.  A symbol is true where its row's logit is at least ``_HALF``,
-    which is where ``expit(z) > 0.5``: a phrase's true constraints are
-    found by that comparison.  ``digest`` is the world's set of
-    (key, value) attribute pairs (``WorldModel.digest``).  Object and
-    action instance symbols are scored like the others, so the world's
-    size is what reaches inference cost (``Assignment.factor_evals``),
-    even though nothing reads them: the navigation target comes from
-    ``resolve_action`` on the root-true constraints.  Only the true
-    constraints, the space's leading rows, are passed up to a parent, as
-    ordinals into the space's layout, since instances among the children
-    fire no feature; no symbol is made.  A phrase with one child passes
-    that child's list on as it is, and the root's rows, which no phrase
-    reads, are not thresholded.  The post-order is the one the parser
-    numbered the phrases in, and the phrases' tokens are made once per
-    tree for the three models of a run.  The walk's constants (the
-    compiled weights, the layout, the digest's ``dig`` vector and the
-    space's entries) are bound once, and each phrase is scored by
-    ``_score_phrase``, the one body ``phrase_logits`` calls too.  Every
-    logit is checked once, after the last phrase: the first non-finite
-    one, in phrase order, raises ``NonFiniteScore``.
+    Each phrase scores every row of the space at once, and the
+    ``Assignment`` keeps those row logits: none is copied out to the
+    symbols of its row, and no probability is made.  A symbol is true
+    where its row's logit is at least ``_HALF``, which is where
+    ``expit(z) > 0.5``: a phrase's true constraints are found by that
+    comparison.  ``digest`` is the world's set of (key, value) attribute
+    pairs (``WorldModel.digest``).  Object and action instance symbols are
+    scored like the others, so the world's size is what reaches inference
+    cost (``Assignment.factor_evals``), even though nothing reads them: the
+    navigation target comes from ``resolve_action`` on the root-true
+    constraints.  Only the true constraints, the space's leading rows, are
+    passed up to a parent, as ordinals into the space's layout, since
+    instances among the children fire no feature; no symbol is made.  A
+    phrase with one child passes that child's list on as it is, and the
+    root's rows, which no phrase reads, are not thresholded.  The
+    post-order is the one the parser numbered the phrases in, and the
+    phrases' tokens (``bias`` and ``cat=`` first,
+    ``grammar.feature_tokens``) are made once per tree for the three
+    models of a run.
+
+    This is the one place a phrase is scored.  The walk binds its
+    constants once: the model's weights compiled against the space's
+    layout, the digest's ``dig`` vector and the space's entries.  Without
+    a digest, as in the semantic and perception spaces, no cell has a
+    ``dig`` weight to add, and there is no ``dig`` vector.  A phrase's
+    key weights then add, in
+    this order, the vectors of its own tokens, of ``cv=`` for each
+    distinct variant among its children (``Layout.child_tokens``), the
+    ``dig`` weights of the digest's cells, and each child's ``cmatch``
+    weights; no other token fires at a cell, and no two constraints share
+    a cell (``Layout``).  Each key thus gets its terms in one fixed order,
+    the tokens' and then, at a cell, two terms that commute, so every
+    logit is bit-equal to the sum of its features' weights in that order.
+    Each row then sums its keys' weights once, gathered with ``take``, and
+    row ``c`` adds the ``ceq`` weight of child ``c``, which it repeats.
+    Every logit is checked once, after the last phrase: the first
+    non-finite one, in phrase order, raises ``NonFiniteScore``.
 
     A ``StackedModel`` over a stacked space (``Layout.stack``) scores
     several domains in this one walk: each key gets its own domain's
@@ -451,13 +369,19 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
         raise CorpusDomainMismatch(
             f"model domain {model.domain!r} does not match space {space.domain!r}"
         )
+    layout = space.layout
+    compiled = model._compiled.get(layout)
+    if compiled is None:
+        compiled = model._compiled[layout] = _Compiled(model, layout)
+    dig = np.where(layout.cells_of(digest), compiled.dig, 0.0) if digest else None
+    cmatch, ceq = compiled.cmatch, compiled.ceq
+    entry_row, entry_key = space.entry_row, space.entry_key
     phrases = tree.phrases()
-    score = _row_scorer(model, space, digest)
-    constraints = len(space.layout.constraints)
+    constraints = len(layout.constraints)
     logits = np.empty((len(phrases), space.rows))
     root = len(phrases) - 1
     kids: list = [None] * root
-    for phrase, tokens in zip(phrases, tree.feature_tokens):
+    for phrase, own in zip(phrases, tree.feature_tokens):
         children = phrase.children
         if not children:
             below = []
@@ -465,8 +389,22 @@ def infer(model: CorrespondenceModel | StackedModel, tree: ParseTree,
             below = kids[children[0].index]
         else:
             below = sorted(set().union(*[kids[child.index] for child in children]))
+        key_weights = compiled[own[0]] + compiled[own[1]]
+        for token in own[2:]:
+            key_weights += compiled[token]
+        if below:
+            for token in layout.child_tokens(below):
+                key_weights += compiled[token]
+        if dig is not None:
+            key_weights += dig
+        for c in below:
+            key_weights += cmatch[c]
+        rows = np.bincount(entry_row, weights=key_weights.take(entry_key),
+                           minlength=space.rows)
+        for c in below:
+            rows[c] += ceq[c]
         i = phrase.index
-        rows = logits[i] = score(tokens, below)
+        logits[i] = rows
         if i < root:
             kids[i] = (rows[:constraints] >= _HALF).nonzero()[0].tolist()
     return Assignment(_finite(logits, space), space)
@@ -527,7 +465,7 @@ def assemble_design(space: SymbolSpace, examples) -> tuple:
     """Build the distinct rows of a training set's design, with their counts.
 
     The design has one row per (phrase, symbol) pair, in phrase order,
-    holding the features that ``phrase_logits`` would sum for it, and
+    holding the features whose weights ``infer`` sums for it, and
     labelled 1 where the symbol is gold at the phrase; child conditioning
     uses the gold assignments, read from the space's layout as inference
     reads them.  Only its distinct (column set, label) rows are built, in

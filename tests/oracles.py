@@ -30,12 +30,10 @@ from scipy.special import expit, log_expit
 
 from groundling import correspondence
 from groundling.correspondence import (
-    INSTANCE_VARIANTS,
     Assignment,
     CorrespondenceModel,
     TrainResult,
     _features,
-    phrase_logits,
 )
 from groundling.errors import (
     AmbiguousRelation,
@@ -51,6 +49,7 @@ from groundling.grammar import ParseTree, Phrase
 from groundling.symbols import (
     BBOX_ESTIMATOR,
     COLOR_DETECTOR,
+    INSTANCE_VARIANTS,
     NOISE_FILTER,
     OBJECT_DETECTOR,
     POSE_ESTIMATOR,
@@ -187,7 +186,7 @@ _VECTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def symbol_logits(model: CorrespondenceModel, phrase: Phrase, space: SymbolSpace,
                   child_trues=(), digest: frozenset = frozenset()) -> np.ndarray:
     """A phrase's logits, with every token and child feature derived from
-    the symbols (``phrase_side``), term by term in ``phrase_logits``' order.
+    the symbols (``phrase_side``), term by term.
 
     The key weights start from the ``dig`` weights of the digest's cells,
     add each token's vector in ``phrase_side``'s order and then the
@@ -345,7 +344,8 @@ def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
                      digest: frozenset = frozenset()) -> ExhaustiveAssignment:
     """Reference inference by per-phrase enumeration.
 
-    For each phrase (children already resolved) every joint setting of its
+    For each phrase (children already resolved) the factors are scored by
+    ``symbol_logits``, not by the package, every joint setting of its
     correspondence variables is scored as a sum of factor log-probabilities
     and the argmax kept; ties prefer the lexicographically smallest
     assignment with false ordered before true.  Instances with more than
@@ -369,7 +369,7 @@ def infer_exhaustive(model: CorrespondenceModel, tree: ParseTree,
         child_trues: set = set()
         for child in phrase.children:
             child_trues.update(trues[child.index])
-        z = phrase_logits(model, phrase, space, child_trues, digest)
+        z = symbol_logits(model, phrase, space, child_trues, digest)
         evals += n
         delta = log_expit(z) - log_expit(-z)
         best_score = -math.inf

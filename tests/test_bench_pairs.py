@@ -79,6 +79,31 @@ def test_the_claim_rule_needs_nine_wins_in_ten_and_a_gap_over_the_iqr(
                   better="higher") is met
 
 
+# long_log's cost_ratio.OF_AP in BENCH_41, (parent, change) per pair: one
+# ratio, summed in another order from run to run.
+ROUNDED = [(0.06110630236145037, 0.06110630236145009),
+           (0.06110630236145008, 0.0611063023614502),
+           (0.061106302361450086, 0.06110630236145044),
+           (0.06110630236145011, 0.06110630236145008),
+           (0.06110630236145007, 0.061106302361450086),
+           (0.06110630236145015, 0.06110630236145007),
+           (0.06110630236145007, 0.06110630236145009),
+           (0.06110630236145012, 0.06110630236145008),
+           (0.0611063023614501, 0.061106302361450156),
+           (0.061106302361450114, 0.06110630236145013)]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_values_that_differ_only_by_rounding_tie(bench_pairs, capsys, better):
+    # Every pair ties, so the change wins none, in either direction.
+    parent, change = zip(*ROUNDED)
+    assert not _claim(bench_pairs, capsys, parent, change, better=better)
+    pairs = [{side: {"metrics": {"m": {"value": value}}}
+              for side, value in (("parent", p), ("change", c))} for p, c in ROUNDED]
+    bench_pairs.summarise(pairs, {"m": better}, {})
+    assert "change better in 0 of 10 pairs" in capsys.readouterr().err
+
+
 def test_a_metric_with_no_direction_is_never_claimed(bench_pairs, capsys):
     assert not _claim(bench_pairs, capsys, PARENT, [p - 1 for p in PARENT], better=None)
 

@@ -27,7 +27,6 @@ from groundling.correspondence import (
     infer,
     load_model,
     objective_and_gradient,
-    phrase_logits,
     resolve_action,
     save_model,
     train,
@@ -68,7 +67,13 @@ from groundling.world import (
     simulate,
 )
 import oracles
-from oracles import TooLarge, extract_features, infer_exhaustive, symbol_space
+from oracles import (
+    TooLarge,
+    extract_features,
+    infer_exhaustive,
+    symbol_logits,
+    symbol_space,
+)
 
 
 class HashWeights:
@@ -211,10 +216,6 @@ def test_domain_mismatch_rejected(registry):
     tree = parse_text("go to the nearest ball", registry)
     with pytest.raises(CorpusDomainMismatch):
         infer(model, tree, enumerate_perception_space(registry))
-    # A child constraint must be one of the space's.
-    with pytest.raises(CorpusDomainMismatch):
-        phrase_logits(model, tree.phrases()[1], enumerate_semantic_space(),
-                      {object_type("ball")})
 
 
 def assert_non_finite(model, tree, space, digest, canon, value):
@@ -299,7 +300,7 @@ def test_a_child_token_trips_the_parent(bundle, registry, reference, token, valu
                      if s.variant == "action" and ("class", "ball") in s.attributes)
     assert child in {s.canon for s in infer(trained, tree, space, digest).trues[noun.index]}
     model = CorrespondenceModel(domain=domain, weights={**trained.weights, name: value})
-    assert np.all(np.isfinite(phrase_logits(model, noun, space, (), digest)))
+    assert np.all(np.isfinite(symbol_logits(model, noun, space, (), digest)))
     assert_non_finite(model, tree, space, digest, canon, value)
 
 
@@ -550,8 +551,11 @@ def random_world(rng: np.random.Generator, registry, max_objects: int = 6):
        domain=st.sampled_from(("semantic", "perception", "grounding",
                                "grounding-world")),
        with_digest=st.booleans())
-def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
-                                                   with_digest):
+def test_symbol_logits_match_the_per_factor_featurizer(registry, seed, domain,
+                                                       with_digest):
+    # The symbol oracle, which gate 1's exhaustive oracle scores with,
+    # against the per-factor featurizer that names the oracle design's
+    # columns: each logit is its features' weights summed.
     rng = np.random.default_rng(seed)
     world = random_world(rng, registry)
     space = {
@@ -569,8 +573,8 @@ def test_phrase_logits_match_the_per_factor_oracle(registry, seed, domain,
     for phrase in random_tree(rng).phrases():
         picked = rng.random(len(symbols)) < rng.choice((0.0, 0.1, 0.5))
         child_trues = {s for s, keep in zip(symbols, picked) if keep}
-        z = phrase_logits(model, phrase, space, child_trues, digest)
-        assert np.array_equal(z, phrase_logits(model, phrase, generic,
+        z = symbol_logits(model, phrase, space, child_trues, digest)
+        assert np.array_equal(z, symbol_logits(model, phrase, generic,
                                                 child_trues, digest))
         for j, symbol in enumerate(symbols):
             features = extract_features(phrase, symbol, child_trues, digest)
@@ -715,11 +719,12 @@ def seed7_training(corpus_split, registry, reference):
 
 @pytest.mark.parametrize("domain", DESIGN_SPACES)
 def test_design_rows_score_like_phrase_logits(seed7_training, domain):
-    # Training lists each row's feature columns; inference adds compiled
-    # weight vectors, both from the one table of feature names.  On the
-    # seed-7 training set, each row of the full design (the oracle's, which
-    # the package's distinct rows are tied to below) dotted with the
-    # weights is the logit phrase_logits gives that (phrase, symbol).
+    # Training lists each row's feature columns from the one table of
+    # feature names.  On the seed-7 training set, each row of the full
+    # design (the oracle's, which the package's distinct rows are tied to
+    # below) dotted with the weights is the logit the symbol oracle gives
+    # that (phrase, symbol), and inference's logits have the symbol
+    # oracle's bits (test_infer_is_bit_equal_to_the_symbol_oracle).
     space, examples = seed7_training[domain]
     weights = HashWeights(f"design-{domain}")
     model = CorrespondenceModel(domain=space.domain, weights=weights)
@@ -732,7 +737,7 @@ def test_design_rows_score_like_phrase_logits(seed7_training, domain):
         for phrase in example.tree.phrases():
             child_trues = {by_canon[c] for child in phrase.children
                            for c in example.gold[child.index]}
-            z = phrase_logits(model, phrase, space, child_trues, example.digest)
+            z = symbol_logits(model, phrase, space, child_trues, example.digest)
             stop = start + len(space)
             assert np.all(np.abs(z - rows[start:stop]) <= 1e-12 * bounds[start:stop])
             start = stop
